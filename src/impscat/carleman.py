@@ -24,7 +24,7 @@ import mpmath as mp
 import numpy as np
 
 from .geometry import ObstacleGeometry
-from .specfun import QuadratureRule, gauss_product_rule
+from .specfun import gauss_product_rule
 
 _LOG_FLOAT_MAX = 709.0
 
@@ -124,6 +124,23 @@ def random_test_suite(size: int, seed: int = 0,
 # Carleman setup on an annulus
 # ---------------------------------------------------------------------------
 
+def _radial_rule(center, inner: float, width: float, n_radial: int,
+                 sphere_order: int):
+    """Nodes, weights over {inner < |x − center| < inner + width}.
+
+    Radial Gauss-Legendre (with the r² Jacobian) times the sphere product
+    rule; ``inner = 0`` gives a ball.
+    """
+    t, wt = np.polynomial.legendre.leggauss(n_radial)
+    s = inner + 0.5 * width * (t + 1.0)
+    ws = 0.5 * width * wt
+    rule = gauss_product_rule(sphere_order)
+    pts = (np.asarray(center, dtype=float)[None, None, :]
+           + s[:, None, None] * rule.points()[None, :, :])
+    w = (ws * s**2)[:, None] * rule.weights[None, :]
+    return pts.reshape(-1, 3), w.ravel()
+
+
 @dataclass(frozen=True)
 class CarlemanSetup:
     """Annulus {ρ < |x − x₀| < ρ+d} with the log weight ψ and its norms.
@@ -175,14 +192,7 @@ class CarlemanSetup:
 
     def volume_rule(self, n_radial: int = 48, sphere_order: int = 16):
         """Nodes, weights over the annulus (radial Gauss x sphere rule)."""
-        t, wt = np.polynomial.legendre.leggauss(n_radial)
-        s = self.rho + 0.5 * self.d * (t + 1.0)
-        ws = 0.5 * self.d * wt
-        rule = gauss_product_rule(sphere_order)
-        dirs = rule.points()
-        pts = self.x0[None, None, :] + s[:, None, None] * dirs[None, :, :]
-        w = (ws * s**2)[:, None] * rule.weights[None, :]
-        return pts.reshape(-1, 3), w.ravel()
+        return _radial_rule(self.x0, self.rho, self.d, n_radial, sphere_order)
 
     def boundary_rule(self, sphere_order: int = 24):
         """Nodes, weights on both annulus boundary spheres."""
@@ -328,31 +338,6 @@ class ContinuationCheck:
         return self.rhs / self.lhs if self.lhs > 0 else np.inf
 
 
-def _shell_rule(geom: ObstacleGeometry, outer: float, n_radial: int = 40,
-                sphere_order: int = 20):
-    t, wt = np.polynomial.legendre.leggauss(n_radial)
-    a = geom.radius
-    s = a + 0.5 * (outer - a) * (t + 1.0)
-    ws = 0.5 * (outer - a) * wt
-    rule = gauss_product_rule(sphere_order)
-    dirs = rule.points()
-    pts = s[:, None, None] * dirs[None, :, :]
-    w = (ws * s**2)[:, None] * rule.weights[None, :]
-    return pts.reshape(-1, 3), w.ravel()
-
-
-def _ball_rule(center, radius: float, n_radial: int = 24, sphere_order: int = 12):
-    c = np.asarray(center, dtype=float)
-    t, wt = np.polynomial.legendre.leggauss(n_radial)
-    s = 0.5 * radius * (t + 1.0)
-    ws = 0.5 * radius * wt
-    rule = gauss_product_rule(sphere_order)
-    dirs = rule.points()
-    pts = c[None, None, :] + s[:, None, None] * dirs[None, :, :]
-    w = (ws * s**2)[:, None] * rule.weights[None, :]
-    return pts.reshape(-1, 3), w.ravel()
-
-
 def continuation_check(u: TestFunction, k: float, x_tilde, r: float,
                        geom: ObstacleGeometry, outer_radius: float = 3.0,
                        lam_w: float = 2.0) -> ContinuationCheck:
@@ -365,7 +350,7 @@ def continuation_check(u: TestFunction, k: float, x_tilde, r: float,
     xt = np.asarray(x_tilde, dtype=float)
     _, _, gamma = continuation_constants(r / 2.0, r / 2.0, lam_w)
 
-    pts, w = _ball_rule(xt, r / 4.0)
+    pts, w = _radial_rule(xt, 0.0, r / 4.0, n_radial=24, sphere_order=12)
     inside = ~geom.contains(pts)
     if float(np.sum(w[inside])) < 1e-8:
         raise ValueError("continuation ball has negligible exterior measure")
@@ -373,7 +358,9 @@ def continuation_check(u: TestFunction, k: float, x_tilde, r: float,
     gg = np.sum(np.asarray(u.gradient(pts)) ** 2, axis=1)
     h1_local = float(np.sqrt(np.sum(w[inside] * (vv[inside] ** 2 + gg[inside]))))
 
-    spts, sw = _shell_rule(geom, outer_radius)
+    a = geom.radius
+    spts, sw = _radial_rule(np.zeros(3), a, outer_radius - a, n_radial=40,
+                            sphere_order=20)
     sv = np.asarray(u.value(spts))
     sg = np.sum(np.asarray(u.gradient(spts)) ** 2, axis=1)
     sl = np.asarray(u.laplacian(spts))
@@ -412,7 +399,7 @@ class ThreeSphereFit:
 
 
 def _h1_ball_norm(u: TestFunction, center, radius: float) -> float:
-    pts, w = _ball_rule(center, radius, n_radial=32, sphere_order=14)
+    pts, w = _radial_rule(center, 0.0, radius, n_radial=32, sphere_order=14)
     vv = np.asarray(u.value(pts))
     gg = np.sum(np.asarray(u.gradient(pts)) ** 2, axis=1)
     return float(np.sqrt(np.sum(w * (vv**2 + gg))))

@@ -42,7 +42,6 @@ DEFAULTS = {
     "band_limit": 24,
     "eta": None,
     "seed": 0,
-    "workers": os.cpu_count() or 1,
     "output": None,
 }
 

@@ -5,6 +5,11 @@ the density φ, then evaluate the scattered field through the separated
 (per-mode) representation u^s = Σ c_nm φ_nm h_n(kr) Y_n^m.  The far field
 follows from h_n(kr) ~ (−i)^{n+1} e^{ikr}/(kr).
 
+Every outgoing-wave sum Σ amps_nm R_n Y_n^m, for the solver and for the Mie
+reference alike, goes through the single evaluator ``_outgoing_wave``:
+R_n is h_n(kr) or k h_n'(kr) at points outside the obstacle, and
+(−i)^{n+1}/k on a far-field quadrature rule.
+
 ``mie_farfield`` is the independent separation-of-variables reference for
 constant impedance on the sphere: each incident mode is reflected with the
 coefficient that enforces ∂_ν u + iλ₀ u = 0 at r = a, with no boundary
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
@@ -33,6 +39,7 @@ from .specfun import (
     gauss_product_rule,
     harmonic_degrees,
     num_harmonics,
+    plane_wave_amplitudes,
     sph_bessel_j,
     sph_hankel1,
     sph_harmonic_all,
@@ -100,13 +107,10 @@ class FarField:
     def azimuthal_variance(self) -> float:
         """Max over polar rings of the sample variance across azimuths."""
         var = 0.0
-        for m in np.unique(self.mu_rings()):
+        for m in np.unique(self.rule.mu):
             ring = self.samples[self.rule.mu == m]
             var = max(var, float(np.mean(np.abs(ring - ring.mean()) ** 2)))
         return var
-
-    def mu_rings(self) -> np.ndarray:
-        return self.rule.mu
 
 
 class ResolutionError(RuntimeError):
@@ -142,42 +146,50 @@ def radiating_coefficients(phi: HarmonicDensity, ctx: WaveContext,
     return cdiag * phi.coeffs
 
 
+def _outgoing_wave(amps: np.ndarray, k: float, where, radius: float = 0.0,
+                   derivative: bool = False) -> np.ndarray:
+    """Σ amps_nm R_n Y_n^m at points ``where`` or on a far-field rule.
+
+    At points (shape (npts, 3)), R_n = h_n(kr), or k h_n'(kr) = ∂/∂r h_n(kr)
+    with ``derivative``; every point must lie outside the sphere of the
+    given radius.  On a :class:`QuadratureRule`, R_n = (−i)^{n+1}/k, the
+    far-field limit of h_n(kr) e^{−ikr} kr.
+    """
+    band_limit = isqrt(amps.size) - 1
+    degs = harmonic_degrees(band_limit)
+    if isinstance(where, QuadratureRule):
+        ymat = sph_harmonic_all(band_limit, where.mu, where.phi)
+        radial = ((-1j) ** (degs + 1) / k)[:, None]
+    else:
+        x = np.atleast_2d(np.asarray(where, dtype=float))
+        r = np.linalg.norm(x, axis=1)
+        if np.any(r <= radius):
+            raise ValueError("evaluation points must lie outside the obstacle")
+        ymat = sph_harmonic_all(band_limit, np.clip(x[:, 2] / r, -1.0, 1.0),
+                                np.arctan2(x[:, 1], x[:, 0]))
+        per_degree = sph_hankel1(np.arange(band_limit + 1)[:, None], k * r,
+                                 derivative=derivative)
+        radial = (k * per_degree if derivative else per_degree)[degs]
+    return (amps[:, None] * radial * ymat).sum(axis=0)
+
+
 def eval_scattered(x, phi: HarmonicDensity, ctx: WaveContext,
                    geom: ObstacleGeometry, eta: float | None = None) -> np.ndarray:
     """Scattered field u^s at exterior points via the separated expansion."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    r = np.linalg.norm(x, axis=1)
-    if np.any(r <= geom.radius):
-        raise ValueError("evaluation points must lie outside the obstacle")
-    min_dist = float(np.min(r - geom.radius))
+    amps = radiating_coefficients(phi, ctx, geom, eta)
+    values = _outgoing_wave(amps, ctx.k, x, geom.radius)
+    min_dist = float(np.min(np.linalg.norm(np.atleast_2d(x), axis=1))) - geom.radius
     if min_dist < 2.0 * np.pi / (ctx.k * phi.band_limit):
         warnings.warn("evaluation close to the boundary; quadrature-grade accuracy only")
-    amps = radiating_coefficients(phi, ctx, geom, eta)
-    mu = np.clip(x[:, 2] / r, -1.0, 1.0)
-    az = np.arctan2(x[:, 1], x[:, 0])
-    ymat = sph_harmonic_all(phi.band_limit, mu, az)
-    degs = harmonic_degrees(phi.band_limit)
-    radial = np.empty((num_harmonics(phi.band_limit), r.size), dtype=complex)
-    for n in range(phi.band_limit + 1):
-        radial[degs == n] = sph_hankel1(n, ctx.k * r)
-    return (amps[:, None] * radial * ymat).sum(axis=0)
+    return values
 
 
 def scattered_radial_derivative(x, phi: HarmonicDensity, ctx: WaveContext,
                                 geom: ObstacleGeometry,
                                 eta: float | None = None) -> np.ndarray:
     """∂u^s/∂r at exterior points (analytic, for radiation-condition checks)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    r = np.linalg.norm(x, axis=1)
     amps = radiating_coefficients(phi, ctx, geom, eta)
-    mu = np.clip(x[:, 2] / r, -1.0, 1.0)
-    az = np.arctan2(x[:, 1], x[:, 0])
-    ymat = sph_harmonic_all(phi.band_limit, mu, az)
-    degs = harmonic_degrees(phi.band_limit)
-    radial = np.empty((num_harmonics(phi.band_limit), r.size), dtype=complex)
-    for n in range(phi.band_limit + 1):
-        radial[degs == n] = ctx.k * sph_hankel1(n, ctx.k * r, derivative=True)
-    return (amps[:, None] * radial * ymat).sum(axis=0)
+    return _outgoing_wave(amps, ctx.k, x, geom.radius, derivative=True)
 
 
 def farfield(phi: HarmonicDensity, ctx: WaveContext, geom: ObstacleGeometry,
@@ -186,11 +198,7 @@ def farfield(phi: HarmonicDensity, ctx: WaveContext, geom: ObstacleGeometry,
     """Far-field pattern u∞ from the large-argument Hankel asymptotics."""
     rule = rule or gauss_product_rule(phi.band_limit)
     amps = radiating_coefficients(phi, ctx, geom, eta)
-    degs = harmonic_degrees(phi.band_limit)
-    prefac = (-1j) ** (degs + 1) / ctx.k
-    ymat = sph_harmonic_all(phi.band_limit, rule.mu, rule.phi)
-    samples = ((amps * prefac)[:, None] * ymat).sum(axis=0)
-    return FarField(samples=samples, rule=rule)
+    return FarField(samples=_outgoing_wave(amps, ctx.k, rule), rule=rule)
 
 
 def solve_farfield(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField,
@@ -208,12 +216,10 @@ def mie_mode_coefficients(k: float, a: float, lam0: float,
                           band_limit: int) -> np.ndarray:
     """Reflection coefficient per degree for constant impedance λ₀ at r = a."""
     ka = k * a
-    out = np.empty(band_limit + 1, dtype=complex)
-    for n in range(band_limit + 1):
-        num = k * sph_bessel_j(n, ka, derivative=True) + 1j * lam0 * sph_bessel_j(n, ka)
-        den = k * sph_hankel1(n, ka, derivative=True) + 1j * lam0 * sph_hankel1(n, ka)
-        out[n] = -num / den
-    return out
+    n = np.arange(band_limit + 1)
+    num = k * sph_bessel_j(n, ka, derivative=True) + 1j * lam0 * sph_bessel_j(n, ka)
+    den = k * sph_hankel1(n, ka, derivative=True) + 1j * lam0 * sph_hankel1(n, ka)
+    return -num / den
 
 
 def _mie_band_limit(k: float, a: float, lam0: float, tol: float = 1e-14) -> int:
@@ -226,6 +232,12 @@ def _mie_band_limit(k: float, a: float, lam0: float, tol: float = 1e-14) -> int:
     return n
 
 
+def _mie_amplitudes(ctx: WaveContext, a: float, lam0: float, band_limit: int):
+    """Scattered-wave amplitudes: each incident mode times its reflection."""
+    refl = mie_mode_coefficients(ctx.k, a, lam0, band_limit)
+    return plane_wave_amplitudes(ctx.omega, band_limit) * refl[harmonic_degrees(band_limit)]
+
+
 def mie_farfield(ctx: WaveContext, a: float, lam0: float,
                  rule: QuadratureRule | None = None,
                  band_limit: int | None = None) -> FarField:
@@ -234,37 +246,15 @@ def mie_farfield(ctx: WaveContext, a: float, lam0: float,
         raise ValueError("impedance must be nonnegative")
     nb = band_limit or _mie_band_limit(ctx.k, a, lam0)
     rule = rule or gauss_product_rule(max(24, nb))
-    refl = mie_mode_coefficients(ctx.k, a, lam0, nb)
-    degs = harmonic_degrees(nb)
-    mu_o = np.clip(ctx.omega[2], -1.0, 1.0)
-    phi_o = np.arctan2(ctx.omega[1], ctx.omega[0])
-    y_omega = sph_harmonic_all(nb, mu_o, phi_o)[:, 0]
-    amp = 4.0 * np.pi * (1j**degs) * np.conj(y_omega) * refl[degs]
-    prefac = (-1j) ** (degs + 1) / ctx.k
-    ymat = sph_harmonic_all(nb, rule.mu, rule.phi)
-    samples = ((amp * prefac)[:, None] * ymat).sum(axis=0)
-    return FarField(samples=samples, rule=rule)
+    amps = _mie_amplitudes(ctx, a, lam0, nb)
+    return FarField(samples=_outgoing_wave(amps, ctx.k, rule), rule=rule)
 
 
 def mie_scattered(x, ctx: WaveContext, a: float, lam0: float,
                   band_limit: int | None = None) -> np.ndarray:
     """Near-field Mie scattered wave at exterior points."""
     nb = band_limit or _mie_band_limit(ctx.k, a, lam0)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    r = np.linalg.norm(x, axis=1)
-    refl = mie_mode_coefficients(ctx.k, a, lam0, nb)
-    degs = harmonic_degrees(nb)
-    mu_o = np.clip(ctx.omega[2], -1.0, 1.0)
-    phi_o = np.arctan2(ctx.omega[1], ctx.omega[0])
-    y_omega = sph_harmonic_all(nb, mu_o, phi_o)[:, 0]
-    amp = 4.0 * np.pi * (1j**degs) * np.conj(y_omega) * refl[degs]
-    mu = np.clip(x[:, 2] / r, -1.0, 1.0)
-    az = np.arctan2(x[:, 1], x[:, 0])
-    ymat = sph_harmonic_all(nb, mu, az)
-    radial = np.empty((num_harmonics(nb), r.size), dtype=complex)
-    for n in range(nb + 1):
-        radial[degs == n] = sph_hankel1(n, ctx.k * r)
-    return (amp[:, None] * radial * ymat).sum(axis=0)
+    return _outgoing_wave(_mie_amplitudes(ctx, a, lam0, nb), ctx.k, x, a)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .specfun import (
     real_sph_harmonic_all,
     sph_harmonic_all,
     sph_harmonic_all_dtheta,
+    to_real_basis,
 )
 
 
@@ -154,27 +155,14 @@ class ObstacleGeometry:
 
 
 def _real_harmonic_dtheta(band_limit: int, mu, phi) -> np.ndarray:
-    dy = sph_harmonic_all_dtheta(band_limit, mu, phi)
-    return _to_real_basis(band_limit, dy)
+    return to_real_basis(band_limit, sph_harmonic_all_dtheta(band_limit, mu, phi))
 
 
 def _real_harmonic_dphi(band_limit: int, mu, phi) -> np.ndarray:
     y = sph_harmonic_all(band_limit, mu, phi)
     degs = harmonic_degrees(band_limit)
     orders = np.arange(y.shape[0]) - degs * (degs + 1)
-    return _to_real_basis(band_limit, 1j * orders[:, None] * y)
-
-
-def _to_real_basis(band_limit: int, ycplx: np.ndarray) -> np.ndarray:
-    from .specfun import harmonic_index
-
-    out = np.empty(ycplx.shape)
-    for n in range(band_limit + 1):
-        out[harmonic_index(n, 0)] = ycplx[harmonic_index(n, 0)].real
-        for m in range(1, n + 1):
-            out[harmonic_index(n, m)] = np.sqrt(2.0) * ycplx[harmonic_index(n, m)].real
-            out[harmonic_index(n, -m)] = np.sqrt(2.0) * ycplx[harmonic_index(n, m)].imag
-    return out
+    return to_real_basis(band_limit, 1j * orders[:, None] * y)
 
 
 # ---------------------------------------------------------------------------

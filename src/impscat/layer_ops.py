@@ -29,15 +29,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .geometry import ObstacleGeometry
 from .specfun import (
     QuadratureRule,
     gauss_product_rule,
     harmonic_degrees,
-    harmonic_index,
-    num_harmonics,
+    plane_wave_amplitudes,
     real_sph_harmonic_all,
     sph_bessel_j,
     sph_hankel1,
@@ -124,24 +122,19 @@ class BoundaryOperatorMatrix:
     def __post_init__(self):
         self.entries.setflags(write=False)
 
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
 
-    def offdiagonal_mass(self) -> float:
-        diag = np.diag(np.diag(self.entries))
-        denom = np.linalg.norm(diag)
-        return np.linalg.norm(self.entries - diag) / denom if denom else 0.0
+def sphere_operator_eigenvalue(op_kind: str, k: float, a: float, n):
+    """Eigenvalue of a factor-2 layer operator on Y_n^m for the radius-a sphere.
 
-
-def sphere_operator_eigenvalue(op_kind: str, k: float, a: float, n: int) -> complex:
-    """Eigenvalue of a factor-2 layer operator on Y_n^m for the radius-a sphere."""
+    ``n`` may be an array of degrees; the result then has its shape.
+    """
     if op_kind not in OP_KINDS:
         raise ValueError(f"unknown operator kind {op_kind!r}")
-    if a <= 0 or n < 0:
-        raise ValueError("need a > 0 and n >= 0")
+    degrees = np.asarray(n)
+    if a <= 0 or not np.all((degrees >= 0) & (degrees == np.floor(degrees))):
+        raise ValueError("need a > 0 and integer degrees n >= 0")
     if op_kind == "S0":
-        return 2.0 * a / (2 * n + 1)
+        return 2.0 * a / (2 * degrees + 1)
     if k <= 0:
         raise ValueError("need wavenumber k > 0")
     ka = k * a
@@ -156,11 +149,8 @@ def sphere_operator_eigenvalue(op_kind: str, k: float, a: float, n: int) -> comp
 
 def sphere_operator_diagonal(op_kind: str, k: float, a: float,
                              band_limit: int) -> np.ndarray:
-    degs = harmonic_degrees(band_limit)
-    per_degree = np.array(
-        [sphere_operator_eigenvalue(op_kind, k, a, n) for n in range(band_limit + 1)]
-    )
-    return per_degree[degs]
+    per_degree = sphere_operator_eigenvalue(op_kind, k, a, np.arange(band_limit + 1))
+    return per_degree[harmonic_degrees(band_limit)]
 
 
 @lru_cache(maxsize=16)
@@ -193,33 +183,6 @@ def assemble_multiplication(lam: ImpedanceField, band_limit: int,
     return BoundaryOperatorMatrix(entries=entries, op_kind="M_ilambda")
 
 
-@dataclass(frozen=True)
-class IdentityPlusInverse:
-    """Factorized (I + M)^{-1} with a round-trip residual certificate."""
-
-    matrix: np.ndarray
-    _lu: tuple
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return lu_solve(self._lu, rhs)
-
-    def as_matrix(self) -> np.ndarray:
-        return lu_solve(self._lu, np.eye(self.matrix.shape[0], dtype=complex))
-
-
-def invert_identity_plus(mult: BoundaryOperatorMatrix) -> IdentityPlusInverse:
-    """Factorize I + M_{iλ}; warns if conditioning is suspicious."""
-    a = np.eye(mult.size, dtype=complex) + mult.entries
-    lu = lu_factor(a)
-    inv = lu_solve(lu, np.eye(mult.size, dtype=complex))
-    residual = np.linalg.norm(a @ inv - np.eye(mult.size)) / np.sqrt(mult.size)
-    if residual > 1e-10:
-        cond = np.linalg.cond(a)
-        if cond > 1e8:
-            warnings.warn(f"I + M is badly conditioned (cond ~ {cond:.2e})")
-    return IdentityPlusInverse(matrix=a, _lu=lu)
-
-
 def default_coupling(k: float) -> float:
     """Combined-field coupling η = max(1, k)."""
     return max(1.0, k)
@@ -235,25 +198,15 @@ def assemble_combined_system(k: float, geom: ObstacleGeometry, lam: ImpedanceFie
         raise NotImplementedError(
             "operator assembly is implemented for sphere geometry only"
         )
-    a = geom.radius
-    nh = num_harmonics(band_limit)
-    s_diag = sphere_operator_diagonal("S", k, a, band_limit)
-    k_diag = sphere_operator_diagonal("K", k, a, band_limit)
-    kp_diag = sphere_operator_diagonal("Kp", k, a, band_limit)
-    t_diag = sphere_operator_diagonal("T", k, a, band_limit)
-    s0_diag = sphere_operator_diagonal("S0", k, a, band_limit)
-    s0sq = s0_diag * s0_diag
-    # twice the exterior trace of the ansatz, applied under M_{iλ}
-    trace_diag = s_diag + 1j * eta * (k_diag + 1.0) * s0sq
+    # 2·dtrace + 1 = K' + iηTS₀² and 2·trace = S + iη(K+I)S₀², so
+    # A = I − (2·dtrace + 1) − M_{iλ}·2·trace is −2 × (∂_ν u^s + iλ u^s)
+    trace, dtrace = exterior_trace_operators(k, geom.radius, eta, band_limit)
+    diag = 1.0 - (2.0 * dtrace + 1.0)
     if lam.is_constant:
-        ilam = 1j * lam.constant_value
-        diag = 1.0 - (kp_diag + 1j * eta * t_diag * s0sq + ilam * trace_diag)
-        entries = np.diag(diag).astype(complex)
+        entries = np.diag(diag - 1j * lam.constant_value * 2.0 * trace)
     else:
-        mult = assemble_multiplication(lam, band_limit)
-        bracket = np.diag(kp_diag + 1j * eta * t_diag * s0sq).astype(complex)
-        bracket += mult.entries * trace_diag[None, :]
-        entries = np.eye(nh, dtype=complex) - bracket
+        entries = assemble_multiplication(lam, band_limit).entries * (-2.0 * trace)
+        entries[np.diag_indices_from(entries)] += diag
     if check_singular:
         smin = np.linalg.svd(entries, compute_uv=False)[-1]
         if smin < 1e-12:
@@ -280,10 +233,8 @@ def radiating_coefficient_diagonal(k: float, a: float, eta: float,
                                    band_limit: int) -> np.ndarray:
     """c with u^s = Σ c_nm φ_nm h_n(k r) Y_n^m outside the obstacle."""
     degs = harmonic_degrees(band_limit)
-    jn = np.array([sph_bessel_j(n, k * a) for n in range(band_limit + 1)])[degs]
-    jnp = np.array(
-        [sph_bessel_j(n, k * a, derivative=True) for n in range(band_limit + 1)]
-    )[degs]
+    jn = sph_bessel_j(np.arange(band_limit + 1), k * a)[degs]
+    jnp = sph_bessel_j(np.arange(band_limit + 1), k * a, derivative=True)[degs]
     s0sq = sphere_operator_diagonal("S0", k, a, band_limit) ** 2
     return 1j * k * a * a * jn + 1j * eta * s0sq * 1j * k * k * a * a * jnp
 
@@ -291,18 +242,10 @@ def radiating_coefficient_diagonal(k: float, a: float, eta: float,
 def incident_coefficients(k: float, omega: np.ndarray, a: float,
                           band_limit: int) -> tuple[np.ndarray, np.ndarray]:
     """Jacobi-Anger coefficients of (u^i, ∂_ν u^i) on the radius-a sphere."""
-    omega = np.asarray(omega, dtype=float)
-    if abs(np.linalg.norm(omega) - 1.0) > 1e-12:
-        raise ValueError("incident direction must be a unit vector")
-    mu = np.clip(omega[2], -1.0, 1.0)
-    phi = np.arctan2(omega[1], omega[0])
-    y_at_omega = sph_harmonic_all(band_limit, mu, phi)[:, 0]
+    amp = plane_wave_amplitudes(omega, band_limit)
     degs = harmonic_degrees(band_limit)
-    amp = 4.0 * np.pi * (1j**degs) * np.conj(y_at_omega)
-    jn = np.array([sph_bessel_j(n, k * a) for n in range(band_limit + 1)])[degs]
-    jnp = np.array(
-        [sph_bessel_j(n, k * a, derivative=True) for n in range(band_limit + 1)]
-    )[degs]
+    jn = sph_bessel_j(np.arange(band_limit + 1), k * a)[degs]
+    jnp = sph_bessel_j(np.arange(band_limit + 1), k * a, derivative=True)[degs]
     return amp * jn, amp * k * jnp
 
 

@@ -4,7 +4,8 @@ Everything downstream (layer operators, far fields, impedance transforms,
 weighted Carleman integrals) is built on three primitives provided here:
 
 * spherical Bessel / Hankel functions ``j_n``, ``y_n``, ``h_n^{(1)}`` and
-  their derivatives,
+  their derivatives, for one degree or an array of degrees that broadcasts
+  against the argument,
 * orthonormal (complex and real) spherical harmonics ``Y_n^m``, evaluated
   for all degrees up to a band limit in one vectorized pass,
 * Gauss-Legendre x uniform-azimuth product rules that integrate harmonics
@@ -21,32 +22,33 @@ import numpy as np
 from scipy.special import spherical_jn, spherical_yn
 
 
-def _check_order_arg(n: int, x) -> np.ndarray:
-    if n < 0 or int(n) != n:
+def _check_order_arg(n, x) -> tuple[np.ndarray, np.ndarray]:
+    degrees = np.asarray(n)
+    if not np.all((degrees >= 0) & (degrees == np.floor(degrees))):
         raise ValueError(f"order must be a nonnegative integer, got {n!r}")
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
         raise ValueError("argument must be positive and finite")
-    return x
+    return degrees.astype(int), x
 
 
-def sph_bessel_j(n: int, x, derivative: bool = False):
+def sph_bessel_j(n, x, derivative: bool = False):
     """Spherical Bessel function j_n(x) (or j_n'(x)) for x > 0."""
-    x = _check_order_arg(n, x)
+    n, x = _check_order_arg(n, x)
     out = spherical_jn(n, x, derivative=derivative)
     return out if out.ndim else float(out)
 
 
-def sph_bessel_y(n: int, x, derivative: bool = False):
+def sph_bessel_y(n, x, derivative: bool = False):
     """Spherical Bessel function y_n(x) (or y_n'(x)) for x > 0."""
-    x = _check_order_arg(n, x)
+    n, x = _check_order_arg(n, x)
     out = spherical_yn(n, x, derivative=derivative)
     return out if out.ndim else float(out)
 
 
-def sph_hankel1(n: int, x, derivative: bool = False):
+def sph_hankel1(n, x, derivative: bool = False):
     """Spherical Hankel function of the first kind, h_n(x) = j_n(x) + i y_n(x)."""
-    x = _check_order_arg(n, x)
+    n, x = _check_order_arg(n, x)
     out = spherical_jn(n, x, derivative=derivative) + 1j * spherical_yn(
         n, x, derivative=derivative
     )
@@ -97,6 +99,24 @@ def _normalized_legendre(band_limit: int, mu: np.ndarray) -> np.ndarray:
     return p
 
 
+def _orders_to_rows(band_limit: int, factor: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Rows factor[n, m]·e^{imφ} for m >= 0, and their −m partners, flat-indexed.
+
+    Negative orders use the conjugate symmetry (−1)^m conj(·) that holds for
+    Y_n^m and for each of its θ-derivatives.
+    """
+    expi = np.exp(1j * np.outer(np.arange(band_limit + 1), phi))
+    out = np.empty((num_harmonics(band_limit), phi.size), dtype=complex)
+    for n in range(band_limit + 1):
+        zero = n * n + n
+        pos = out[zero:zero + n + 1]  # m = 0..n
+        np.multiply(factor[n, :n + 1], expi[:n + 1], out=pos)
+        neg = out[n * n:zero]  # m = −n..−1, from m = n..1
+        np.conjugate(pos[:0:-1], out=neg)
+        neg[(n + 1) % 2::2] *= -1  # the odd orders
+    return out
+
+
 def sph_harmonic_all(band_limit: int, mu, phi) -> np.ndarray:
     """All Y_n^m, n <= N, at points (mu=cosθ, phi).
 
@@ -105,16 +125,7 @@ def sph_harmonic_all(band_limit: int, mu, phi) -> np.ndarray:
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    pbar = _normalized_legendre(band_limit, mu)
-    out = np.empty((num_harmonics(band_limit), mu.size), dtype=complex)
-    expi = np.exp(1j * np.outer(np.arange(band_limit + 1), phi))
-    for n in range(band_limit + 1):
-        for m in range(n + 1):
-            ynm = pbar[n, m] * expi[m]
-            out[harmonic_index(n, m)] = ynm
-            if m:
-                out[harmonic_index(n, -m)] = (-1) ** m * np.conj(ynm)
-    return out
+    return _orders_to_rows(band_limit, _normalized_legendre(band_limit, mu), phi)
 
 
 def sph_harmonic(n: int, m: int, direction) -> complex:
@@ -129,6 +140,21 @@ def sph_harmonic(n: int, m: int, direction) -> complex:
     return complex(sph_harmonic_all(n, mu, phi)[harmonic_index(n, m), 0])
 
 
+def plane_wave_amplitudes(direction, band_limit: int) -> np.ndarray:
+    """Jacobi-Anger amplitudes 4π iⁿ conj(Y_n^m(ω)) of e^{ik x·ω}.
+
+    e^{ik x·ω} = Σ 4π iⁿ conj(Y_n^m(ω)) j_n(k|x|) Y_n^m(x̂), so the
+    amplitudes times any radial factor give the mode coefficients.
+    """
+    omega = np.asarray(direction, dtype=float)
+    if abs(np.linalg.norm(omega) - 1.0) > 1e-12:
+        raise ValueError("incident direction must be a unit vector")
+    mu = np.clip(omega[2], -1.0, 1.0)
+    phi = np.arctan2(omega[1], omega[0])
+    y_at_omega = sph_harmonic_all(band_limit, mu, phi)[:, 0]
+    return 4.0 * np.pi * (1j ** harmonic_degrees(band_limit)) * np.conj(y_at_omega)
+
+
 def sph_harmonic_all_dtheta(band_limit: int, mu, phi) -> np.ndarray:
     """Polar-angle derivatives dY_n^m/dθ at points away from the poles.
 
@@ -140,31 +166,34 @@ def sph_harmonic_all_dtheta(band_limit: int, mu, phi) -> np.ndarray:
     sin_t = np.sqrt(np.maximum(0.0, 1.0 - mu * mu))
     if np.any(sin_t < 1e-12):
         raise ValueError("dθ evaluation requested at a pole")
-    pbar = _normalized_legendre(band_limit, mu)
-    out = np.empty((num_harmonics(band_limit), mu.size), dtype=complex)
-    expi = np.exp(1j * np.outer(np.arange(band_limit + 1), phi))
+    p = _normalized_legendre(band_limit, mu)
+    m = np.arange(band_limit + 1)[:, None]
+    for n in range(band_limit, 0, -1):  # downward: row n − 1 still holds P̄_{n−1}^m
+        c = np.sqrt((2.0 * n + 1.0) * np.maximum(n * n - m * m, 0) / (2.0 * n - 1.0))
+        p[n] = (n * mu * p[n] - c * p[n - 1]) / sin_t
+    p[0] = 0.0
+    return _orders_to_rows(band_limit, p, phi)
+
+
+def to_real_basis(band_limit: int, ycplx: np.ndarray) -> np.ndarray:
+    """Complex-harmonic rows to real ones: sqrt2·Re (m>0), Re (m=0), sqrt2·Im (m<0).
+
+    Row (n, −m) of the result is built from row (n, m) of ``ycplx``, so the
+    map also carries derivatives of Y_n^m to those of the real harmonics.
+    """
+    out = np.empty(ycplx.shape)
     for n in range(band_limit + 1):
-        for m in range(n + 1):
-            prev = pbar[n - 1, m] if n - 1 >= m else 0.0
-            c = np.sqrt((2.0 * n + 1.0) * (n * n - m * m) / (2.0 * n - 1.0)) if n else 0.0
-            dp = (n * mu * pbar[n, m] - c * prev) / sin_t
-            dynm = dp * expi[m]
-            out[harmonic_index(n, m)] = dynm
-            if m:
-                out[harmonic_index(n, -m)] = (-1) ** m * np.conj(dynm)
+        zero = n * n + n
+        pos = ycplx[zero:zero + n + 1]  # m = 0..n
+        out[zero:zero + n + 1] = pos.real
+        out[zero + 1:zero + n + 1] *= np.sqrt(2.0)
+        out[n * n:zero] = np.sqrt(2.0) * pos[:0:-1].imag
     return out
 
 
 def real_sph_harmonic_all(band_limit: int, mu, phi) -> np.ndarray:
     """Real orthonormal harmonics: sqrt2·Re Y (m>0), Y (m=0), sqrt2·Im Y (m<0)."""
-    ycplx = sph_harmonic_all(band_limit, mu, phi)
-    out = np.empty(ycplx.shape)
-    for n in range(band_limit + 1):
-        out[harmonic_index(n, 0)] = ycplx[harmonic_index(n, 0)].real
-        for m in range(1, n + 1):
-            out[harmonic_index(n, m)] = np.sqrt(2.0) * ycplx[harmonic_index(n, m)].real
-            out[harmonic_index(n, -m)] = np.sqrt(2.0) * ycplx[harmonic_index(n, m)].imag
-    return out
+    return to_real_basis(band_limit, sph_harmonic_all(band_limit, mu, phi))
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +246,9 @@ def gauss_product_rule(band_limit: int) -> QuadratureRule:
     return QuadratureRule(mu=mu, phi=phi, weights=w, order=band_limit)
 
 
-def harmonic_synthesis_matrix(band_limit: int, rule: QuadratureRule) -> np.ndarray:
-    """Y[j, i] = Y_j(x_i) for all flat indices j and rule nodes i."""
-    return sph_harmonic_all(band_limit, rule.mu, rule.phi)
-
-
 def harmonic_analysis(values, band_limit: int, rule: QuadratureRule,
                       ymat: np.ndarray | None = None) -> np.ndarray:
     """Project node values onto Y_n^m coefficients by quadrature."""
     if ymat is None:
-        ymat = harmonic_synthesis_matrix(band_limit, rule)
+        ymat = sph_harmonic_all(band_limit, rule.mu, rule.phi)
     return np.conj(ymat) @ (rule.weights * np.asarray(values, dtype=complex))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .forward import FarField, WaveContext, farfield, solve_density
+from .forward import FarField, WaveContext, solve_density, solve_farfield
 from .geometry import ObstacleGeometry
 from .layer_ops import ImpedanceField, default_coupling
 from .specfun import gauss_product_rule, num_harmonics, real_sph_harmonic_all
@@ -99,16 +99,11 @@ def far_field_delta(lam_a: ImpedanceField, lam_b: ImpedanceField,
                     eta: float | None = None, band_limit: int = 24) -> float:
     """L²(S²) distance between the far fields of two impedances."""
     rule = gauss_product_rule(band_limit)
-    fa = _solve_farfield(ctx, geom, lam_a, eta, band_limit, rule)
-    fb = _solve_farfield(ctx, geom, lam_b, eta, band_limit, rule)
+    fa = solve_farfield(ctx, geom, lam_a, eta, band_limit, rule)
+    fb = solve_farfield(ctx, geom, lam_b, eta, band_limit, rule)
     return float(np.sqrt(np.real(
         rule.integrate(np.abs(fa.samples - fb.samples) ** 2)
     )))
-
-
-def _solve_farfield(ctx, geom, lam, eta, band_limit, rule) -> FarField:
-    phi = solve_density(ctx, geom, lam, eta, band_limit)
-    return farfield(phi, ctx, geom, eta, rule)
 
 
 def impedance_sup_distance(lam_a: ImpedanceField, lam_b: ImpedanceField,
@@ -181,14 +176,14 @@ def stability_sweep(base: ImpedanceField, shape, eps_list,
     """Perturbation sweep with a fitted dominating stability curve."""
     eps_sorted = sorted(float(e) for e in eps_list)
     rule = gauss_product_rule(band_limit)
-    base_ff = _solve_farfield(ctx, geom, base, eta, band_limit, rule)
+    base_ff = solve_farfield(ctx, geom, base, eta, band_limit, rule)
     rows = []
     for eps in eps_sorted:
         lam_p = _perturbed(base, shape, eps)
         if eps == 0.0:
             rows.append((0.0, 0.0, 0.0))
             continue
-        ff = _solve_farfield(ctx, geom, lam_p, eta, band_limit, rule)
+        ff = solve_farfield(ctx, geom, lam_p, eta, band_limit, rule)
         delta = float(np.sqrt(np.real(
             rule.integrate(np.abs(ff.samples - base_ff.samples) ** 2)
         )))
@@ -277,7 +272,10 @@ def reconstruct(data: FarField, ctx: WaveContext, geom: ObstacleGeometry,
 
     Minimizes ‖u∞(λ) − data‖²_{L²(S²)} + reg·‖λ − prior‖² over impedances
     with real-harmonic degree ≤ 4, constrained nonnegative on the grid by
-    bounding the constant mode below and penalizing grid negativity.
+    bounding the constant mode below and penalizing grid negativity.  A
+    prior that already fits the data to rounding is returned at once as
+    converged (0 iterations, gradient_norm NaN: L-BFGS-B would only see a
+    finite-difference gradient of rounding noise there, above its gtol).
     """
     if reg <= 0:
         raise ValueError("regularization weight must be positive")
@@ -297,20 +295,26 @@ def reconstruct(data: FarField, ctx: WaveContext, geom: ObstacleGeometry,
             lam = _clip_field(vec, ybasis)
         except ValueError:
             return 1e6 + 1e3 * penalty
-        ff = _solve_farfield(ctx, geom, lam, eta, band_limit, rule)
+        ff = solve_farfield(ctx, geom, lam, eta, band_limit, rule)
         mis = float(np.real(rule.integrate(np.abs(ff.samples - data.samples) ** 2)))
         return mis + reg * float(np.sum((vec - prior_vec) ** 2)) + 1e3 * penalty
 
     x0 = prior_vec.copy()
-    result = minimize(objective, x0, method="L-BFGS-B",
-                      options={"maxiter": max_iter, "ftol": 1e-14, "gtol": 1e-10})
-    lam_final = _clip_field(result.x, ybasis)
-    ff = _solve_farfield(ctx, geom, lam_final, eta, band_limit, rule)
+    data_sq = float(np.real(rule.integrate(np.abs(data.samples) ** 2)))
+    if objective(x0) <= np.finfo(float).eps * data_sq:
+        x, converged, iterations, gradient_norm = x0, True, 0, np.nan
+    else:
+        result = minimize(objective, x0, method="L-BFGS-B",
+                          options={"maxiter": max_iter, "ftol": 1e-14, "gtol": 1e-10})
+        x, converged, iterations = result.x, bool(result.success), int(result.nit)
+        gradient_norm = (float(np.max(np.abs(result.jac)))
+                         if result.jac is not None else np.nan)
+    lam_final = _clip_field(x, ybasis)
+    ff = solve_farfield(ctx, geom, lam_final, eta, band_limit, rule)
     misfit = float(np.real(rule.integrate(np.abs(ff.samples - data.samples) ** 2)))
     return ReconstructionReport(
-        impedance=lam_final, misfit=misfit,
-        gradient_norm=float(np.max(np.abs(result.jac))) if result.jac is not None else np.nan,
-        converged=bool(result.success), iterations=int(result.nit),
+        impedance=lam_final, misfit=misfit, gradient_norm=gradient_norm,
+        converged=converged, iterations=iterations,
     )
 
 

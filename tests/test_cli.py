@@ -1,9 +1,14 @@
 """CLI: config parsing, exit codes, deterministic artifacts."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import impscat
 
 from impscat.cli import (
     EXIT_NUMERICAL,
@@ -135,11 +140,39 @@ class TestArtifacts:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_summary_independent_of_cpu_count(self, tmp_path):
+        # a fresh interpreter per count, so import-time defaults see the patch
+        path = write_config(tmp_path, "c.json", {"k": 1.0, "impedance": 1.0})
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(impscat.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / "summary.json"
+        texts = []
+        for count in (1, 64):
+            code = (f"import os, sys; os.cpu_count = lambda: {count}; "
+                    "from impscat.cli import main; "
+                    f"sys.exit(main(['mie', {path!r}, '--set', 'summary={out}']))")
+            subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                           timeout=120)
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+
     def test_ga2_summary(self, tmp_path, capsys):
         path = write_config(tmp_path, "c.json", {})
         assert main(["ga2-check", path]) == EXIT_OK
         summary = json.loads(capsys.readouterr().out)
         assert 0.0 < summary["kappa"] <= 1.0
+
+
+class TestReconstructCommand:
+    def test_prior_equal_to_truth_converges(self, tmp_path, capsys):
+        path = write_config(tmp_path, "c.json", {
+            "k": 1.0, "impedance": 1.0, "true_impedance": 1.0, "band_limit": 12,
+        })
+        assert main(["reconstruct", path]) == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["converged"] is True
+        assert summary["iterations"] == 0
 
 
 class TestCarlemanCommand:

@@ -90,6 +90,15 @@ class TestScatteredField:
         with pytest.raises(ValueError):
             eval_scattered(np.array([[0.0, 0.0, 0.5]]), self.phi, self.ctx, GEOM)
 
+    @pytest.mark.parametrize("evaluate", [
+        lambda x, phi, ctx: eval_scattered(x, phi, ctx, GEOM),
+        lambda x, phi, ctx: scattered_radial_derivative(x, phi, ctx, GEOM),
+        lambda x, phi, ctx: mie_scattered(x, ctx, 1.0, 1.0),
+    ], ids=["eval_scattered", "scattered_radial_derivative", "mie_scattered"])
+    def test_interior_point_raises(self, evaluate):
+        with pytest.raises(ValueError):
+            evaluate(np.array([[0.0, 0.5, 0.0]]), self.phi, self.ctx)
+
     def test_near_boundary_warning(self):
         with pytest.warns(UserWarning):
             eval_scattered(np.array([[0.0, 0.0, 1.01]]), self.phi, self.ctx, GEOM)

@@ -3,8 +3,11 @@
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import sph_harm_y
 
+from impscat.layer_ops import OP_KINDS, sphere_operator_eigenvalue
 from impscat.specfun import (
     QuadratureRule,
     gauss_product_rule,
@@ -66,6 +69,44 @@ class TestSphericalBessel:
             sph_bessel_j(2, 0.0)
         with pytest.raises(ValueError):
             sph_hankel1(2, np.nan)
+
+
+DEGREE_ARRAYS = st.lists(st.integers(0, 80), min_size=1, max_size=12).map(np.array)
+ARGUMENTS = st.floats(1e-2, 50.0)
+BESSEL = [sph_bessel_j, sph_bessel_y, sph_hankel1]
+
+
+class TestDegreeArrays:
+    @settings(max_examples=40, deadline=None)
+    @given(degrees=DEGREE_ARRAYS, x=ARGUMENTS, derivative=st.booleans())
+    def test_bessel_matches_scalar_calls(self, degrees, x, derivative):
+        for fn in BESSEL:
+            scalar = np.array([fn(int(n), x, derivative=derivative) for n in degrees])
+            assert np.array_equal(fn(degrees, x, derivative=derivative), scalar)
+
+    @settings(max_examples=40, deadline=None)
+    @given(degrees=DEGREE_ARRAYS, x=ARGUMENTS, a=st.floats(0.5, 2.0))
+    def test_eigenvalue_matches_scalar_calls(self, degrees, x, a):
+        k = x / a
+        for kind in OP_KINDS:
+            scalar = np.array([sphere_operator_eigenvalue(kind, k, a, int(n))
+                               for n in degrees])
+            assert np.array_equal(sphere_operator_eigenvalue(kind, k, a, degrees),
+                                  scalar)
+
+    @settings(max_examples=40, deadline=None)
+    @given(degrees=DEGREE_ARRAYS, bad=st.one_of(st.integers(-80, -1),
+                                               st.floats(0.01, 80.0).filter(
+                                                   lambda v: v != int(v))),
+           x=ARGUMENTS)
+    def test_invalid_degree_in_array_raises(self, degrees, bad, x):
+        degrees = np.append(degrees, bad)
+        for fn in BESSEL:
+            with pytest.raises(ValueError):
+                fn(degrees, x)
+        for kind in OP_KINDS:
+            with pytest.raises(ValueError):
+                sphere_operator_eigenvalue(kind, x, 1.0, degrees)
 
 
 class TestHarmonicIndexing:
