@@ -313,7 +313,7 @@ def cmd_reconstruct(cfg: dict) -> int:
     truth = cfg.get("true_impedance", cfg["impedance"])
     if not isinstance(truth, (int, float)):
         raise ConfigError("reconstruct requires a constant true_impedance")
-    band = int(cfg.get("band_limit", 12))
+    band = cfg["band_limit"]
     rule = gauss_product_rule(band)
     data = forward.solve_farfield(ctx, geom,
                                   layer_ops.ImpedanceField.constant(float(truth)),

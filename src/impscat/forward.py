@@ -23,10 +23,12 @@ from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from .geometry import ObstacleGeometry
 from .layer_ops import (
     ImpedanceField,
+    SingularSystemError,
     assemble_combined_system,
     default_coupling,
     exterior_trace_operators,
@@ -120,12 +122,26 @@ class ResolutionError(RuntimeError):
 def solve_density(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField,
                   eta: float | None = None, band_limit: int = 24,
                   tail_tol: float = 1e-8) -> HarmonicDensity:
-    """Solve the combined-field system for the boundary density φ."""
+    """Solve the combined-field system for the boundary density φ.
+
+    One LU factorisation of the system both estimates its conditioning and
+    solves it.  Raises :class:`SingularSystemError` if the matrix has a
+    non-finite entry or its LAPACK ``gecon`` rcond (1-norm) is below 1e-12,
+    ``RuntimeError`` if the relative residual exceeds 1e-12, and
+    :class:`ResolutionError` if the tail fraction exceeds ``tail_tol``.
+    """
     eta = default_coupling(ctx.k) if eta is None else eta
     system = assemble_combined_system(ctx.k, geom, lam, eta, band_limit)
     g = rhs_from_incident(ctx.k, ctx.omega, lam, band_limit, a=geom.radius)
     rhs = -2.0 * g
-    phi = np.linalg.solve(system.entries, rhs)
+    if not np.all(np.isfinite(system.entries)):
+        raise SingularSystemError("combined system has a non-finite entry")
+    lu, piv = lu_factor(system.entries, check_finite=False)
+    gecon = get_lapack_funcs("gecon", (lu,))
+    rcond, _ = gecon(lu, np.linalg.norm(system.entries, 1))
+    if rcond < 1e-12:
+        raise SingularSystemError(f"combined system is singular (rcond = {rcond:.3e})")
+    phi = lu_solve((lu, piv), rhs, check_finite=False)
     res = np.linalg.norm(system.entries @ phi - rhs)
     scale = np.linalg.norm(rhs)
     if scale > 0 and res > 1e-12 * scale:

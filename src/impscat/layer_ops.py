@@ -46,7 +46,7 @@ OP_KINDS = ("S", "K", "Kp", "T", "S0")
 
 
 class SingularSystemError(RuntimeError):
-    """Assembled combined-field matrix is numerically singular."""
+    """Combined-field matrix is non-finite or singular (relative rcond < 1e-12)."""
 
 
 class AliasingError(ValueError):
@@ -117,7 +117,6 @@ class BoundaryOperatorMatrix:
     """Dense complex Galerkin matrix in the Y_n^m basis."""
 
     entries: np.ndarray
-    op_kind: str
 
     def __post_init__(self):
         self.entries.setflags(write=False)
@@ -180,7 +179,7 @@ def assemble_multiplication(lam: ImpedanceField, band_limit: int,
     ymat = _cached_ymat(band_limit, rule.order)
     lam_vals = lam.evaluate_on(rule)
     entries = 1j * (np.conj(ymat) * (rule.weights * lam_vals)) @ ymat.T
-    return BoundaryOperatorMatrix(entries=entries, op_kind="M_ilambda")
+    return BoundaryOperatorMatrix(entries=entries)
 
 
 def default_coupling(k: float) -> float:
@@ -189,8 +188,7 @@ def default_coupling(k: float) -> float:
 
 
 def assemble_combined_system(k: float, geom: ObstacleGeometry, lam: ImpedanceField,
-                             eta: float, band_limit: int,
-                             check_singular: bool = True) -> BoundaryOperatorMatrix:
+                             eta: float, band_limit: int) -> BoundaryOperatorMatrix:
     """System matrix A with A φ = −2 g for the combined-field ansatz."""
     if eta == 0.0:
         raise ValueError("coupling parameter eta must be nonzero")
@@ -207,25 +205,18 @@ def assemble_combined_system(k: float, geom: ObstacleGeometry, lam: ImpedanceFie
     else:
         entries = assemble_multiplication(lam, band_limit).entries * (-2.0 * trace)
         entries[np.diag_indices_from(entries)] += diag
-    if check_singular:
-        smin = np.linalg.svd(entries, compute_uv=False)[-1]
-        if smin < 1e-12:
-            raise SingularSystemError(
-                f"combined system is singular (sigma_min = {smin:.3e})"
-            )
-    return BoundaryOperatorMatrix(entries=entries, op_kind="combined")
+    return BoundaryOperatorMatrix(entries=entries)
 
 
 def exterior_trace_operators(k: float, a: float, eta: float,
                              band_limit: int) -> tuple[np.ndarray, np.ndarray]:
     """Diagonals mapping density φ to (u^s, ∂_ν u^s) exterior boundary traces."""
     s_diag = sphere_operator_diagonal("S", k, a, band_limit)
-    k_diag = sphere_operator_diagonal("K", k, a, band_limit)
-    kp_diag = sphere_operator_diagonal("Kp", k, a, band_limit)
+    k_diag = sphere_operator_diagonal("K", k, a, band_limit)  # K' = K on the sphere
     t_diag = sphere_operator_diagonal("T", k, a, band_limit)
     s0sq = sphere_operator_diagonal("S0", k, a, band_limit) ** 2
     trace = 0.5 * (s_diag + 1j * eta * (k_diag + 1.0) * s0sq)
-    dtrace = 0.5 * (kp_diag - 1.0 + 1j * eta * t_diag * s0sq)
+    dtrace = 0.5 * (k_diag - 1.0 + 1j * eta * t_diag * s0sq)
     return trace, dtrace
 
 

@@ -244,11 +244,3 @@ def gauss_product_rule(band_limit: int) -> QuadratureRule:
     phi = np.tile(phi_1d, band_limit + 1)
     w = np.repeat(w_1d, n_phi) * (2.0 * np.pi / n_phi)
     return QuadratureRule(mu=mu, phi=phi, weights=w, order=band_limit)
-
-
-def harmonic_analysis(values, band_limit: int, rule: QuadratureRule,
-                      ymat: np.ndarray | None = None) -> np.ndarray:
-    """Project node values onto Y_n^m coefficients by quadrature."""
-    if ymat is None:
-        ymat = sph_harmonic_all(band_limit, rule.mu, rule.phi)
-    return np.conj(ymat) @ (rule.weights * np.asarray(values, dtype=complex))

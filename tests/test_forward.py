@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from impscat import forward
 from impscat.forward import (
     FarField,
     HarmonicDensity,
@@ -20,8 +21,18 @@ from impscat.forward import (
     uniform_bound_check,
 )
 from impscat.geometry import ObstacleGeometry
-from impscat.layer_ops import ImpedanceField
-from impscat.specfun import gauss_product_rule, harmonic_degrees, sph_harmonic_all
+from impscat.layer_ops import (
+    BoundaryOperatorMatrix,
+    ImpedanceField,
+    SingularSystemError,
+    assemble_combined_system,
+)
+from impscat.specfun import (
+    gauss_product_rule,
+    harmonic_degrees,
+    num_harmonics,
+    sph_harmonic_all,
+)
 
 GEOM = ObstacleGeometry()
 ZHAT = np.array([0.0, 0.0, 1.0])
@@ -72,6 +83,40 @@ class TestSolveDensity:
             HarmonicDensity(coeffs=np.ones(5, dtype=complex), band_limit=3)
         with pytest.raises(ValueError):
             HarmonicDensity(coeffs=np.full(4, np.nan, dtype=complex), band_limit=1)
+
+
+class TestSingularityCheck:
+    """The solve's own LU decides singularity, relative to the matrix scale."""
+
+    ctx = WaveContext(k=1.0, omega=ZHAT)
+    lam = ImpedanceField.constant(1.0)
+    nb = 12
+
+    def assembled(self):
+        return assemble_combined_system(1.0, GEOM, self.lam, 1.0, self.nb).entries
+
+    def solve_with(self, monkeypatch, entries):
+        system = BoundaryOperatorMatrix(entries=entries)
+        monkeypatch.setattr(forward, "assemble_combined_system",
+                            lambda *args, **kwargs: system)
+        return solve_density(self.ctx, GEOM, self.lam, band_limit=self.nb)
+
+    def test_scaled_system_solves(self, monkeypatch):
+        phi = solve_density(self.ctx, GEOM, self.lam, band_limit=self.nb)
+        scaled = self.solve_with(monkeypatch, 1e-13 * self.assembled())
+        assert np.allclose(scaled.coeffs, 1e13 * phi.coeffs, rtol=1e-12, atol=0.0)
+
+    def test_ill_conditioned_raises(self, monkeypatch):
+        diag = np.ones(num_harmonics(self.nb), dtype=complex)
+        diag[-1] = 1e-14
+        with pytest.raises(SingularSystemError):
+            self.solve_with(monkeypatch, np.diag(diag))
+
+    def test_non_finite_entry_raises(self, monkeypatch):
+        entries = self.assembled().copy()
+        entries[3, 5] = np.nan
+        with pytest.raises(SingularSystemError):
+            self.solve_with(monkeypatch, entries)
 
 
 class TestScatteredField:
