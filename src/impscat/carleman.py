@@ -14,6 +14,9 @@ are computed through logs of magnitudes, never through e^{λψ} directly.
 Terms whose relative exponent is below the float floor contribute exactly
 zero in the factored scale; the comparison between the two sides is then a
 comparison of the surviving (inner-boundary dominated) contributions.
+
+The setup owns its node sets and ψ − ψ_ref on them, built once per annulus:
+a check at any (v, λ, τ) only evaluates v and the weights.
 """
 
 from __future__ import annotations
@@ -147,8 +150,11 @@ class CarlemanSetup:
 
     m = min(1, 2/(ρ+d)) bounds |∇ψ| from below; M bounds the C² norm of ψ
     from above, taken as the sum of the sup norms of ψ and all first and
-    second partials (10 multi-index terms), node-wise over a dense grid,
-    floored at 1.
+    second partials (10 multi-index terms), floored at 1.  ψ is radial and
+    decreasing, so each sup is taken at |x − x₀| = ρ in closed form:
+    sup ψ = ψ_ref, sup|∂ψ| = 2/ρ, sup|∂²ψ| = 2/ρ².  ``volume`` (48 radial
+    Gauss nodes × sphere order 16) and ``boundary`` (order 24 on both
+    spheres) are the node sets, each (nodes, weights, min(ψ − ψ_ref, 0)).
     """
 
     x0: np.ndarray
@@ -156,6 +162,8 @@ class CarlemanSetup:
     d: float
     m: float = field(init=False)
     M: float = field(init=False)
+    volume: tuple = field(init=False, repr=False, compare=False)
+    boundary: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rho <= 0 or self.d <= 0:
@@ -163,15 +171,19 @@ class CarlemanSetup:
         x0 = np.asarray(self.x0, dtype=float)
         object.__setattr__(self, "x0", x0)
         x0.setflags(write=False)
-        s = np.linspace(self.rho, self.rho + self.d, 2001)
-        # psi depends on s only: sup of each partial is its max over s
-        sup_psi = float(np.max(np.abs(2.0 * np.log((self.rho + self.d) / s))))
-        sup_d1 = 2.0 / self.rho
-        sup_d2_diag = 2.0 / self.rho**2
-        sup_d2_off = 2.0 / self.rho**2
-        total = sup_psi + 3 * sup_d1 + 3 * sup_d2_diag + 3 * sup_d2_off
+        sup_d2 = 2.0 / self.rho**2  # diagonal and off-diagonal partials alike
+        total = float(self.psi_ref) + 3 * (2.0 / self.rho) + 3 * sup_d2 + 3 * sup_d2
         object.__setattr__(self, "m", min(1.0, 2.0 / (self.rho + self.d)))
         object.__setattr__(self, "M", max(total, 1.0))
+
+        sphere = gauss_product_rule(24)
+        radii = (self.rho, self.rho + self.d)
+        rules = {"volume": _radial_rule(x0, self.rho, self.d, 48, 16),
+                 "boundary": (np.vstack([x0 + s * sphere.points() for s in radii]),
+                              np.concatenate([s**2 * sphere.weights for s in radii]))}
+        for name, (nodes, weights) in rules.items():
+            dpsi = np.minimum(self.psi(nodes) - self.psi_ref, 0.0)
+            object.__setattr__(self, name, (nodes, weights, dpsi))
 
     @property
     def lambda_threshold(self) -> float:
@@ -189,20 +201,6 @@ class CarlemanSetup:
     def psi_ref(self) -> float:
         """Max of ψ on the closed annulus (at the inner radius)."""
         return 2.0 * np.log((self.rho + self.d) / self.rho)
-
-    def volume_rule(self, n_radial: int = 48, sphere_order: int = 16):
-        """Nodes, weights over the annulus (radial Gauss x sphere rule)."""
-        return _radial_rule(self.x0, self.rho, self.d, n_radial, sphere_order)
-
-    def boundary_rule(self, sphere_order: int = 24):
-        """Nodes, weights on both annulus boundary spheres."""
-        rule = gauss_product_rule(sphere_order)
-        dirs = rule.points()
-        pts, ws = [], []
-        for s in (self.rho, self.rho + self.d):
-            pts.append(self.x0[None, :] + s * dirs)
-            ws.append(s**2 * rule.weights)
-        return np.vstack(pts), np.concatenate(ws)
 
 
 @dataclass(frozen=True)
@@ -227,29 +225,28 @@ class CarlemanResult:
 
 
 def _relative_exponents(dpsi: np.ndarray, lam: float, tau: float,
-                        psi_ref: float, power: int) -> np.ndarray:
-    """log of e^{2τφ}φ^power / e^{2τφ_ref + 3λψ_ref}, elementwise.
+                        psi_ref: float, powers: tuple) -> np.ndarray:
+    """log of e^{2τφ}φ^p / e^{2τφ_ref + 3λψ_ref}, one row per power p.
 
     dpsi = ψ − ψ_ref ≤ 0.  The weight part 2τφ_ref(e^{λ·dpsi} − 1) is
-    computed through its log to dodge the overflow in 2τφ_ref itself.
+    computed once, through its log to dodge the overflow in 2τφ_ref itself.
     """
     ldp = lam * dpsi
     with np.errstate(divide="ignore"):
         q = np.log(2.0 * tau) + lam * psi_ref + np.log(-np.expm1(ldp))
     t1 = np.where(ldp == 0.0, 0.0, -np.exp(np.minimum(q, _LOG_FLOAT_MAX)))
-    return t1 + power * ldp + (power - 3) * lam * psi_ref
+    return np.array([t1 + p * ldp + (p - 3) * lam * psi_ref for p in powers])
 
 
 def carleman_sides(v: TestFunction, setup: CarlemanSetup, lam: float,
-                   tau: float, n_radial: int = 48,
-                   sphere_order: int = 16) -> CarlemanResult:
+                   tau: float) -> CarlemanResult:
     """Evaluate both sides of the annulus Carleman inequality for v.
 
     lhs = ∫ e^{2τφ}(m⁴λ⁴τ³φ³v² + m²λ²τφ|∇v|²)
     rhs = 8∫ e^{2τφ}(Δv)² + 48∫_Γ e^{2τφ}(M³λ³τ³φ³v² + Mλτφ|∇v|²)
 
-    with φ = e^{λψ}; both sides are divided by the common factor
-    exp(2τφ_ref + 3λψ_ref) before being returned.
+    with φ = e^{λψ}, integrated over the setup's node sets; both sides are
+    divided by the common factor exp(2τφ_ref + 3λψ_ref) before being returned.
     """
     if lam < setup.lambda_threshold * (1.0 - 1e-12):
         raise ValueError("weight exponent below the admissible threshold")
@@ -257,24 +254,19 @@ def carleman_sides(v: TestFunction, setup: CarlemanSetup, lam: float,
         raise ValueError("tau below the admissible threshold")
     m, M, psi_ref = setup.m, setup.M, setup.psi_ref
 
-    xv, wv = setup.volume_rule(n_radial, sphere_order)
-    dpsi_v = np.minimum(setup.psi(xv) - psi_ref, 0.0)
+    xv, wv, dpsi_v = setup.volume
     v2 = np.asarray(v.value(xv)) ** 2
     g2 = np.sum(np.asarray(v.gradient(xv)) ** 2, axis=1)
     l2 = np.asarray(v.laplacian(xv)) ** 2
-    w3 = np.exp(_relative_exponents(dpsi_v, lam, tau, psi_ref, 3))
-    w1 = np.exp(_relative_exponents(dpsi_v, lam, tau, psi_ref, 1))
-    w0 = np.exp(_relative_exponents(dpsi_v, lam, tau, psi_ref, 0))
+    w3, w1, w0 = np.exp(_relative_exponents(dpsi_v, lam, tau, psi_ref, (3, 1, 0)))
     lhs = float(np.sum(wv * (m**4 * lam**4 * tau**3 * w3 * v2
                              + m**2 * lam**2 * tau * w1 * g2)))
     rhs = 8.0 * float(np.sum(wv * w0 * l2))
 
-    xb, wb = setup.boundary_rule()
-    dpsi_b = np.minimum(setup.psi(xb) - psi_ref, 0.0)
+    xb, wb, dpsi_b = setup.boundary
     vb2 = np.asarray(v.value(xb)) ** 2
     gb2 = np.sum(np.asarray(v.gradient(xb)) ** 2, axis=1)
-    b3 = np.exp(_relative_exponents(dpsi_b, lam, tau, psi_ref, 3))
-    b1 = np.exp(_relative_exponents(dpsi_b, lam, tau, psi_ref, 1))
+    b3, b1 = np.exp(_relative_exponents(dpsi_b, lam, tau, psi_ref, (3, 1)))
     rhs += 48.0 * float(np.sum(wb * (M**3 * lam**3 * tau**3 * b3 * vb2
                                      + M * lam * tau * b1 * gb2)))
 
@@ -338,29 +330,32 @@ class ContinuationCheck:
         return self.rhs / self.lhs if self.lhs > 0 else np.inf
 
 
-def continuation_check(u: TestFunction, k: float, x_tilde, r: float,
-                       geom: ObstacleGeometry, outer_radius: float = 3.0,
-                       lam_w: float = 2.0) -> ContinuationCheck:
+def _h1_norm(u: TestFunction, nodes: np.ndarray, weights: np.ndarray) -> float:
+    """(∫ u² + |∇u|²)^{1/2} by the quadrature rule (nodes, weights)."""
+    vv = np.asarray(u.value(nodes))
+    gg = np.sum(np.asarray(u.gradient(nodes)) ** 2, axis=1)
+    return float(np.sqrt(np.sum(weights * (vv**2 + gg))))
+
+
+def continuation_check(u: TestFunction, x_tilde, r: float,
+                       geom: ObstacleGeometry) -> ContinuationCheck:
     """Both sides of the boundary-data continuation estimate.
 
     lhs = r²‖u‖_{H¹(B(x̃,r/4)∩Ω)}; rhs = ‖u‖_{H²(Ω)}^{1−γ/2}·(Cauchy data
-    on B(x̃,r)∩Γ)^{γ/2}.  Ω is truncated to the shell a < |x| < outer_radius
-    and the H² norm uses the Helmholtz surrogate ‖u‖² + ‖∇u‖² + ‖Δu‖².
+    on B(x̃,r)∩Γ)^{γ/2}, γ at weight exponent 2.  Ω is truncated to the
+    shell a < |x| < 3 and the H² norm uses ‖u‖² + ‖∇u‖² + ‖Δu‖².
     """
     xt = np.asarray(x_tilde, dtype=float)
-    _, _, gamma = continuation_constants(r / 2.0, r / 2.0, lam_w)
+    _, _, gamma = continuation_constants(r / 2.0, r / 2.0, 2.0)
 
     pts, w = _radial_rule(xt, 0.0, r / 4.0, n_radial=24, sphere_order=12)
     inside = ~geom.contains(pts)
     if float(np.sum(w[inside])) < 1e-8:
         raise ValueError("continuation ball has negligible exterior measure")
-    vv = np.asarray(u.value(pts))
-    gg = np.sum(np.asarray(u.gradient(pts)) ** 2, axis=1)
-    h1_local = float(np.sqrt(np.sum(w[inside] * (vv[inside] ** 2 + gg[inside]))))
+    h1_local = _h1_norm(u, pts[inside], w[inside])
 
     a = geom.radius
-    spts, sw = _radial_rule(np.zeros(3), a, outer_radius - a, n_radial=40,
-                            sphere_order=20)
+    spts, sw = _radial_rule(np.zeros(3), a, 3.0 - a, n_radial=40, sphere_order=20)
     sv = np.asarray(u.value(spts))
     sg = np.sum(np.asarray(u.gradient(spts)) ** 2, axis=1)
     sl = np.asarray(u.laplacian(spts))
@@ -398,13 +393,6 @@ class ThreeSphereFit:
                           | (n[:, 1] > n[:, 2] * (1 + 1e-12))))
 
 
-def _h1_ball_norm(u: TestFunction, center, radius: float) -> float:
-    pts, w = _radial_rule(center, 0.0, radius, n_radial=32, sphere_order=14)
-    vv = np.asarray(u.value(pts))
-    gg = np.sum(np.asarray(u.gradient(pts)) ** 2, axis=1)
-    return float(np.sqrt(np.sum(w * (vv**2 + gg))))
-
-
 def three_sphere_check(family, y, r: float) -> ThreeSphereFit:
     """Fit the largest exponent α̂ with a single constant across a family.
 
@@ -416,8 +404,9 @@ def three_sphere_check(family, y, r: float) -> ThreeSphereFit:
     if len(family) < 2:
         raise ValueError("family must have at least two members")
     y = np.asarray(y, dtype=float)
-    norms = np.array([[_h1_ball_norm(u, y, f * r) for f in (1.0, 2.0, 3.0)]
-                      for u in family])
+    balls = [_radial_rule(y, 0.0, f * r, n_radial=32, sphere_order=14)
+             for f in (1.0, 2.0, 3.0)]
+    norms = np.array([[_h1_norm(u, *ball) for ball in balls] for u in family])
     if np.any(norms[:, 0] > norms[:, 1] * (1 + 1e-12)) or \
        np.any(norms[:, 1] > norms[:, 2] * (1 + 1e-12)):
         raise RuntimeError("ball-norm monotonicity violated; quadrature suspect")

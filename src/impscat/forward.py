@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
 
 from .geometry import ObstacleGeometry
 from .layer_ops import (
@@ -136,7 +136,10 @@ def solve_density(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField,
     rhs = -2.0 * g
     if not np.all(np.isfinite(system.entries)):
         raise SingularSystemError("combined system has a non-finite entry")
-    lu, piv = lu_factor(system.entries, check_finite=False)
+    with warnings.catch_warnings():
+        # an exactly zero pivot is reported by the rcond check below
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu, piv = lu_factor(system.entries, check_finite=False)
     gecon = get_lapack_funcs("gecon", (lu,))
     rcond, _ = gecon(lu, np.linalg.norm(system.entries, 1))
     if rcond < 1e-12:
@@ -174,18 +177,18 @@ def _outgoing_wave(amps: np.ndarray, k: float, where, radius: float = 0.0,
     band_limit = isqrt(amps.size) - 1
     degs = harmonic_degrees(band_limit)
     if isinstance(where, QuadratureRule):
+        # R_n is the same at every node: one matrix-vector product
         ymat = sph_harmonic_all(band_limit, where.mu, where.phi)
-        radial = ((-1j) ** (degs + 1) / k)[:, None]
-    else:
-        x = np.atleast_2d(np.asarray(where, dtype=float))
-        r = np.linalg.norm(x, axis=1)
-        if np.any(r <= radius):
-            raise ValueError("evaluation points must lie outside the obstacle")
-        ymat = sph_harmonic_all(band_limit, np.clip(x[:, 2] / r, -1.0, 1.0),
-                                np.arctan2(x[:, 1], x[:, 0]))
-        per_degree = sph_hankel1(np.arange(band_limit + 1)[:, None], k * r,
-                                 derivative=derivative)
-        radial = (k * per_degree if derivative else per_degree)[degs]
+        return (amps * ((-1j) ** (degs + 1) / k)) @ ymat
+    x = np.atleast_2d(np.asarray(where, dtype=float))
+    r = np.linalg.norm(x, axis=1)
+    if np.any(r <= radius):
+        raise ValueError("evaluation points must lie outside the obstacle")
+    ymat = sph_harmonic_all(band_limit, np.clip(x[:, 2] / r, -1.0, 1.0),
+                            np.arctan2(x[:, 1], x[:, 0]))
+    per_degree = sph_hankel1(np.arange(band_limit + 1)[:, None], k * r,
+                             derivative=derivative)
+    radial = (k * per_degree if derivative else per_degree)[degs]
     return (amps[:, None] * radial * ymat).sum(axis=0)
 
 

@@ -20,6 +20,11 @@ where M_{iλ} is multiplication by iλ.  The M_{iλ}(S + iη(K+I)S₀²) couplin
 is twice the exterior trace of the ansatz; writing it this way (rather than
 a bare S + K coupling) is what makes the solved far field agree with the
 separation-of-variables reference to machine precision.
+
+The solve never forms S, K or T: outside the sphere u^s = Σ c_n φ_nm h_n(kr)
+Y_n^m, and by the Wronskian j_n h_n' − j_n' h_n = i/(ka)² the two traces
+above are c_n h_n(ka) and c_n k h_n'(ka), so a solve needs each of j_n, j_n',
+h_n, h_n' once, plus j_n, j_n' for the incident wave and the far field.
 """
 
 from __future__ import annotations
@@ -210,14 +215,16 @@ def assemble_combined_system(k: float, geom: ObstacleGeometry, lam: ImpedanceFie
 
 def exterior_trace_operators(k: float, a: float, eta: float,
                              band_limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonals mapping density φ to (u^s, ∂_ν u^s) exterior boundary traces."""
-    s_diag = sphere_operator_diagonal("S", k, a, band_limit)
-    k_diag = sphere_operator_diagonal("K", k, a, band_limit)  # K' = K on the sphere
-    t_diag = sphere_operator_diagonal("T", k, a, band_limit)
-    s0sq = sphere_operator_diagonal("S0", k, a, band_limit) ** 2
-    trace = 0.5 * (s_diag + 1j * eta * (k_diag + 1.0) * s0sq)
-    dtrace = 0.5 * (k_diag - 1.0 + 1j * eta * t_diag * s0sq)
-    return trace, dtrace
+    """Diagonals mapping density φ to (u^s, ∂_ν u^s) exterior boundary traces.
+
+    These are c·h_n(ka) and c·k·h_n'(ka) with c the radiating coefficient;
+    by the Wronskian they equal ½(S + iη(K+I)S₀²) and ½(K − I + iηTS₀²).
+    """
+    n = np.arange(band_limit + 1)
+    degs = harmonic_degrees(band_limit)
+    c = radiating_coefficient_diagonal(k, a, eta, band_limit)
+    return (c * sph_hankel1(n, k * a)[degs],
+            c * k * sph_hankel1(n, k * a, derivative=True)[degs])
 
 
 def radiating_coefficient_diagonal(k: float, a: float, eta: float,

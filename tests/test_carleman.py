@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from impscat import carleman
 from impscat.carleman import (
     CarlemanSetup,
     TestFunction,
@@ -67,15 +68,26 @@ class TestCarlemanSetup:
             CarlemanSetup(x0=np.zeros(3), rho=-1.0, d=1.0)
 
     def test_volume_rule_measures_annulus(self):
-        pts, w = SETUP.volume_rule()
+        pts, w = SETUP.volume[:2]
         vol = 4.0 / 3.0 * np.pi * (2.0**3 - 1.0**3)
         assert np.sum(w) == pytest.approx(vol, rel=1e-12)
         r = np.linalg.norm(pts, axis=1)
         assert np.all((r > 1.0) & (r < 2.0))
 
     def test_boundary_rule_measures_spheres(self):
-        _, w = SETUP.boundary_rule()
+        _, w = SETUP.boundary[:2]
         assert np.sum(w) == pytest.approx(4 * np.pi * (1.0 + 4.0), rel=1e-12)
+
+    @pytest.mark.parametrize("rho, d, big_m", [
+        (1.0, 1.0, 19.38629436111989),
+        (2.0, 2.0, 7.386294361119891),
+        (0.5, 3.0, 63.89182029811063),
+    ])
+    def test_closed_form_m(self, rho, d, big_m):
+        # M = ψ_ref + 3·(2/ρ) + 6·(2/ρ²), to the last bit
+        s = CarlemanSetup(x0=np.zeros(3), rho=rho, d=d)
+        assert type(s.M) is float and type(s.m) is float
+        assert s.M == pytest.approx(big_m, rel=4e-16)
 
 
 class TestCarlemanInequality:
@@ -123,6 +135,19 @@ class TestCarlemanInequality:
                 if prev is not None and np.isfinite(prev) and np.isfinite(ratio):
                     assert ratio >= prev * 0.99
                 prev = ratio
+
+    def test_sides_build_no_rule_and_no_psi(self, monkeypatch):
+        setup = CarlemanSetup(x0=np.zeros(3), rho=1.0, d=1.0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("node sets must come from the setup")
+
+        monkeypatch.setattr(carleman, "_radial_rule", refuse)
+        monkeypatch.setattr(carleman, "gauss_product_rule", refuse)
+        monkeypatch.setattr(CarlemanSetup, "psi", refuse)
+        v = TestFunction.plane_wave(1.3, [0.2, 0.5, 0.8], 0.7)
+        res = carleman_sides(v, setup, setup.lambda_threshold, setup.tau_threshold)
+        assert res.holds
 
     def test_common_factor_is_enormous(self):
         import mpmath as mp
@@ -184,7 +209,7 @@ class TestContinuationCheck:
         u = TestFunction.plane_wave(1.0, [0.0, 0.0, 1.0])
         c_emps = []
         for r in (0.4, 0.2, 0.1, 0.05):
-            ck = continuation_check(u, 1.0, np.array([0.0, 0.0, 1.0]), r, self.GEOM)
+            ck = continuation_check(u, np.array([0.0, 0.0, 1.0]), r, self.GEOM)
             assert np.isfinite(ck.lhs) and ck.lhs > 0
             assert np.isfinite(ck.rhs) and ck.rhs > 0
             assert 0.0 < ck.gamma < 1.0
@@ -197,8 +222,8 @@ class TestContinuationCheck:
         u10 = TestFunction(u.kind, lambda x: 10 * u.value(x),
                            lambda x: 10 * u.gradient(x),
                            lambda x: 10 * u.laplacian(x))
-        a = continuation_check(u, 1.0, np.array([0.0, 0.0, 1.0]), 0.2, self.GEOM)
-        b = continuation_check(u10, 1.0, np.array([0.0, 0.0, 1.0]), 0.2, self.GEOM)
+        a = continuation_check(u, np.array([0.0, 0.0, 1.0]), 0.2, self.GEOM)
+        b = continuation_check(u10, np.array([0.0, 0.0, 1.0]), 0.2, self.GEOM)
         assert b.lhs == pytest.approx(10 * a.lhs, rel=1e-12)
         assert b.rhs == pytest.approx(10 * a.rhs, rel=1e-10)
 
@@ -206,7 +231,7 @@ class TestContinuationCheck:
         u = TestFunction.plane_wave(1.0, [0.0, 0.0, 1.0])
         # ball centered deep inside the obstacle has no exterior part
         with pytest.raises(ValueError):
-            continuation_check(u, 1.0, np.zeros(3), 0.4, self.GEOM)
+            continuation_check(u, np.zeros(3), 0.4, self.GEOM)
 
 
 class TestThreeSphere:
@@ -224,6 +249,21 @@ class TestThreeSphere:
         lhs = 0.2 * n[:, 1]
         rhs = fit.C * n[:, 0] ** fit.alpha * n[:, 2] ** (1 - fit.alpha)
         assert np.all(lhs <= rhs * (1 + 1e-10))
+
+    def test_three_ball_rules_per_call(self, monkeypatch):
+        calls = []
+        radial_rule = carleman._radial_rule
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return radial_rule(*args, **kwargs)
+
+        monkeypatch.setattr(carleman, "_radial_rule", counted)
+        rng = np.random.default_rng(13)
+        family = [TestFunction.plane_wave(2.0, rng.normal(size=3))
+                  for _ in range(8)]
+        three_sphere_check(family, np.array([2.0, 0.0, 0.0]), 0.2)
+        assert len(calls) == 3
 
     def test_constant_function_norm_scaling(self):
         const = TestFunction.quadratic(1.0, np.zeros(3), np.zeros((3, 3)))

@@ -1,5 +1,7 @@
 """Forward solver against the separation-of-variables reference."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,14 @@ class TestSingularityCheck:
         diag[-1] = 1e-14
         with pytest.raises(SingularSystemError):
             self.solve_with(monkeypatch, np.diag(diag))
+
+    def test_exactly_singular_raises_without_warning(self, monkeypatch):
+        diag = np.ones(num_harmonics(self.nb), dtype=complex)
+        diag[-1] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystemError):
+                self.solve_with(monkeypatch, np.diag(diag))
 
     def test_non_finite_entry_raises(self, monkeypatch):
         entries = self.assembled().copy()

@@ -196,6 +196,19 @@ class TestCombinedSystem:
         expected = 1.0 - ((2.0 * dtr + 1.0) + 1j * lam0 * 2.0 * tr)
         assert np.allclose(np.diag(system.entries), expected, atol=1e-12)
 
+    @pytest.mark.parametrize("k", [0.5, 1.0, 4.0, 20.0])
+    def test_exterior_traces_match_layer_operators(self, k):
+        # the Wronskian form equals the S/K/T/S0 form of both traces
+        a, nb = 1.0, 40
+        eta = default_coupling(k)
+        tr, dtr = exterior_trace_operators(k, a, eta, nb)
+        s, kk, t, s0 = (sphere_operator_diagonal(kind, k, a, nb)
+                        for kind in ("S", "K", "T", "S0"))
+        np.testing.assert_allclose(tr, 0.5 * (s + 1j * eta * (kk + 1.0) * s0**2),
+                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(dtr, 0.5 * (kk - 1.0 + 1j * eta * t * s0**2),
+                                   rtol=1e-12, atol=0.0)
+
 
 class TestDiagonalHelpers:
     def test_diagonal_expansion(self):
