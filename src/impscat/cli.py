@@ -67,19 +67,25 @@ def load_config(path: str, overrides) -> dict:
     return merged
 
 
+def _is_number(value) -> bool:
+    """An int or float; JSON ``true``/``false`` load as bool, a subclass of int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def validate_common(cfg: dict) -> list:
     problems = []
-    if not (isinstance(cfg["k"], (int, float)) and cfg["k"] > 0):
+    if not (_is_number(cfg["k"]) and cfg["k"] > 0):
         problems.append("k must be a positive number")
     om = np.asarray(cfg["omega"], dtype=float)
     if om.shape != (3,) or abs(np.linalg.norm(om) - 1.0) > 1e-9:
         problems.append("omega must be a 3-vector of unit length")
-    if not (isinstance(cfg["radius"], (int, float)) and cfg["radius"] > 0):
+    if not (_is_number(cfg["radius"]) and cfg["radius"] > 0):
         problems.append("radius must be positive")
-    if not (isinstance(cfg["band_limit"], int) and cfg["band_limit"] >= 1):
+    if not (_is_number(cfg["band_limit"]) and isinstance(cfg["band_limit"], int)
+            and cfg["band_limit"] >= 1):
         problems.append("band_limit must be an integer >= 1")
     imp = cfg["impedance"]
-    if isinstance(imp, (int, float)):
+    if _is_number(imp):
         if imp < 0:
             problems.append("impedance must be nonnegative")
     elif not isinstance(imp, list):

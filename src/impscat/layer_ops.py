@@ -25,6 +25,15 @@ The solve never forms S, K or T: outside the sphere u^s = Σ c_n φ_nm h_n(kr)
 Y_n^m, and by the Wronskian j_n h_n' − j_n' h_n = i/(ka)² the two traces
 above are c_n h_n(ka) and c_n k h_n'(ka), so a solve needs each of j_n, j_n',
 h_n, h_n' once, plus j_n, j_n' for the incident wave and the far field.
+
+Every operator but M_{iλ} is diagonal, so a constant λ gives a diagonal
+system, held as its 1-D diagonal.  On the Gauss × uniform-azimuth product
+rule, with Y_n^m = P̄_n^m(μ) e^{imφ}, the φ-sum in entry ((n,m),(n',m')) of
+M_{iλ} is the ring Fourier sum F_q(μ_j) = Σ_l w_jl λ(μ_j, φ_l) e^{iqφ_l} at
+q = m' − m.  It vanishes for |q| > N_λ, so M_{iλ} is banded in the order:
+its nonzero blocks are i P̄_m diag(F_q) P̄_{m+q}ᵀ, one FFT per ring gives
+every F_q, and P̄ is the harmonic table at φ = 0 (Driscoll & Healy, Adv.
+Appl. Math. 15 (1994)).
 """
 
 from __future__ import annotations
@@ -68,8 +77,8 @@ class ImpedanceField:
 
     ``coefficients`` uses the flat degree-major real-harmonic indexing of
     :func:`impscat.specfun.real_sph_harmonic_all`.  ``bound`` is a sup-norm
-    cap M; admissibility (λ >= 0, λ <= M on the grid) is enforced on
-    construction.
+    cap M; admissibility (finite coefficients, λ >= 0, λ <= M on the grid)
+    is enforced on construction.
     """
 
     coefficients: np.ndarray
@@ -77,6 +86,8 @@ class ImpedanceField:
 
     def __post_init__(self):
         coeffs = np.asarray(self.coefficients, dtype=float)
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("impedance coefficients must be finite")
         object.__setattr__(self, "coefficients", coeffs)
         coeffs.setflags(write=False)
         vals = self.evaluate_on(gauss_product_rule(max(8, 2 * self.band_limit)))
@@ -119,7 +130,10 @@ class ImpedanceField:
 
 @dataclass(frozen=True)
 class BoundaryOperatorMatrix:
-    """Dense complex Galerkin matrix in the Y_n^m basis."""
+    """Complex Galerkin matrix in the Y_n^m basis.
+
+    A 1-D ``entries`` is the diagonal of a diagonal matrix.
+    """
 
     entries: np.ndarray
 
@@ -162,17 +176,14 @@ def _cached_rule(order: int) -> QuadratureRule:
     return gauss_product_rule(order)
 
 
-@lru_cache(maxsize=16)
-def _cached_ymat(band_limit: int, order: int) -> np.ndarray:
-    return sph_harmonic_all(band_limit, _cached_rule(order).mu, _cached_rule(order).phi)
-
-
 def assemble_multiplication(lam: ImpedanceField, band_limit: int,
                             rule: QuadratureRule | None = None) -> BoundaryOperatorMatrix:
     """Galerkin matrix of f -> iλ f in the Y_n^m basis.
 
     Exact for the resolved bandwidths provided the rule order is at least
-    N + N_λ; a coarser rule raises :class:`AliasingError`.
+    N + N_λ; a coarser rule raises :class:`AliasingError`.  Only the blocks
+    with |m − m'| <= N_λ are formed (see the module docstring); the rest
+    are exactly zero.
     """
     min_order = band_limit + lam.band_limit
     if rule is None:
@@ -181,9 +192,22 @@ def assemble_multiplication(lam: ImpedanceField, band_limit: int,
         raise AliasingError(
             f"rule order {rule.order} < N + N_lambda = {min_order}; aliasing"
         )
-    ymat = _cached_ymat(band_limit, rule.order)
-    lam_vals = lam.evaluate_on(rule)
-    entries = 1j * (np.conj(ymat) * (rule.weights * lam_vals)) @ ymat.T
+    rings = rule.order + 1
+    # fft gives Σ_l a_l e^{−iqφ_l} at index q mod L, so F_q sits at −q mod L;
+    # row q + N_λ of ``fourier`` holds F_q on every ring
+    ring_sums = np.fft.fft((rule.weights * lam.evaluate_on(rule)).reshape(rings, -1))
+    nq = lam.band_limit
+    fourier = ring_sums[:, -np.arange(-nq, nq + 1) % ring_sums.shape[1]].T
+    mu = rule.mu.reshape(rings, -1)[:, 0]
+    legendre = sph_harmonic_all(band_limit, mu, np.zeros(rings)).real  # P̄_n^m(μ_j)
+    degs = harmonic_degrees(band_limit)
+    orders = np.arange(degs.size) - degs * (degs + 1)
+    entries = np.zeros((degs.size, degs.size), dtype=complex)
+    for m in range(-band_limit, band_limit + 1):
+        rows = np.flatnonzero(orders == m)
+        cols = np.flatnonzero(np.abs(orders - m) <= nq)
+        weighted = legendre[cols] * fourier[orders[cols] - m + nq]
+        entries[np.ix_(rows, cols)] = 1j * legendre[rows] @ weighted.T
     return BoundaryOperatorMatrix(entries=entries)
 
 
@@ -193,8 +217,14 @@ def default_coupling(k: float) -> float:
 
 
 def assemble_combined_system(k: float, geom: ObstacleGeometry, lam: ImpedanceField,
-                             eta: float, band_limit: int) -> BoundaryOperatorMatrix:
-    """System matrix A with A φ = −2 g for the combined-field ansatz."""
+                             eta: float, band_limit: int,
+                             mult: BoundaryOperatorMatrix | None = None
+                             ) -> BoundaryOperatorMatrix:
+    """System matrix A with A φ = −2 g for the combined-field ansatz.
+
+    For a constant λ, A is diagonal and ``entries`` is its diagonal.  For a
+    variable λ, ``mult`` is M_{iλ} when the caller has already built it.
+    """
     if eta == 0.0:
         raise ValueError("coupling parameter eta must be nonzero")
     if not geom.is_sphere:
@@ -206,10 +236,10 @@ def assemble_combined_system(k: float, geom: ObstacleGeometry, lam: ImpedanceFie
     trace, dtrace = exterior_trace_operators(k, geom.radius, eta, band_limit)
     diag = 1.0 - (2.0 * dtrace + 1.0)
     if lam.is_constant:
-        entries = np.diag(diag - 1j * lam.constant_value * 2.0 * trace)
-    else:
-        entries = assemble_multiplication(lam, band_limit).entries * (-2.0 * trace)
-        entries[np.diag_indices_from(entries)] += diag
+        return BoundaryOperatorMatrix(entries=diag - 1j * lam.constant_value * 2.0 * trace)
+    mult = mult or assemble_multiplication(lam, band_limit)
+    entries = mult.entries * (-2.0 * trace)
+    entries[np.diag_indices_from(entries)] += diag
     return BoundaryOperatorMatrix(entries=entries)
 
 
@@ -248,12 +278,13 @@ def incident_coefficients(k: float, omega: np.ndarray, a: float,
 
 
 def rhs_from_incident(k: float, omega: np.ndarray, lam: ImpedanceField,
-                      band_limit: int, a: float = 1.0,
-                      tail_tol: float = 1e-12) -> np.ndarray:
+                      band_limit: int, a: float = 1.0, tail_tol: float = 1e-12,
+                      mult: BoundaryOperatorMatrix | None = None) -> np.ndarray:
     """Coefficients of g = −(∂_ν u^i + iλ u^i) on the boundary.
 
     Warns when the plane-wave (Jacobi-Anger) tail at degree N is not yet
-    negligible against its head.
+    negligible against its head.  For a variable λ, ``mult`` is M_{iλ} when
+    the caller has already built it.
     """
     u_inc, dnu_inc = incident_coefficients(k, omega, a, band_limit)
     head = np.max(np.abs(u_inc))
@@ -266,5 +297,5 @@ def rhs_from_incident(k: float, omega: np.ndarray, lam: ImpedanceField,
         )
     if lam.is_constant:
         return -(dnu_inc + 1j * lam.constant_value * u_inc)
-    mult = assemble_multiplication(lam, band_limit)
+    mult = mult or assemble_multiplication(lam, band_limit)
     return -(dnu_inc + mult.entries @ u_inc)

@@ -1,11 +1,12 @@
 """Forward solver against the separation-of-variables reference."""
 
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from impscat import forward
+from impscat import forward, layer_ops
 from impscat.forward import (
     FarField,
     HarmonicDensity,
@@ -86,9 +87,41 @@ class TestSolveDensity:
         with pytest.raises(ValueError):
             HarmonicDensity(coeffs=np.full(4, np.nan, dtype=complex), band_limit=1)
 
+    @pytest.mark.parametrize("variable,expected", [(True, 1), (False, 0)])
+    def test_multiplication_built_once(self, monkeypatch, variable, expected):
+        # count through every module binding, as a `from … import` copy
+        # would otherwise be missed
+        original = layer_ops.assemble_multiplication
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("impscat") and \
+                    getattr(module, "assemble_multiplication", None) is original:
+                monkeypatch.setattr(module, "assemble_multiplication", counting)
+        coeffs = np.array([np.sqrt(4 * np.pi), 0.0, 0.1 if variable else 0.0, 0.0])
+        solve_density(WaveContext(k=1.0, omega=ZHAT), GEOM, ImpedanceField(coeffs),
+                      band_limit=12)
+        assert len(calls) == expected
+
+    @pytest.mark.parametrize("k,lam0", [(0.5, 0.0), (1.0, 1.0), (2.0, 5.0)])
+    def test_coupled_path_matches_mie(self, k, lam0):
+        # 1e-12 of Y_1^0 makes λ variable, so the coupled (dense) path runs
+        lam = ImpedanceField(np.array([lam0 * np.sqrt(4 * np.pi), 0.0, 1e-12, 0.0]))
+        assert not lam.is_constant
+        ctx = WaveContext(k=k, omega=ZHAT)
+        ff = solve_farfield(ctx, GEOM, lam, band_limit=20)
+        assert rel_l2(ff, mie_farfield(ctx, 1.0, lam0, rule=ff.rule)) <= 1e-10
+
 
 class TestSingularityCheck:
-    """The solve's own LU decides singularity, relative to the matrix scale."""
+    """The solve's rcond decides singularity, relative to the matrix scale.
+
+    A dense system is checked through its LU, a 1-D (diagonal) one directly.
+    """
 
     ctx = WaveContext(k=1.0, omega=ZHAT)
     lam = ImpedanceField.constant(1.0)
@@ -123,10 +156,30 @@ class TestSingularityCheck:
                 self.solve_with(monkeypatch, np.diag(diag))
 
     def test_non_finite_entry_raises(self, monkeypatch):
-        entries = self.assembled().copy()
+        entries = np.diag(self.assembled())
         entries[3, 5] = np.nan
         with pytest.raises(SingularSystemError):
             self.solve_with(monkeypatch, entries)
+
+    def diagonal(self, last):
+        diag = np.ones(num_harmonics(self.nb), dtype=complex)
+        diag[-1] = last
+        return diag
+
+    def test_diagonal_ill_conditioned_raises(self, monkeypatch):
+        # a 1-D system is a diagonal: its rcond is min|d| / max|d|
+        with pytest.raises(SingularSystemError):
+            self.solve_with(monkeypatch, self.diagonal(1e-14))
+
+    def test_diagonal_zero_raises_before_dividing(self, monkeypatch):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystemError):
+                self.solve_with(monkeypatch, self.diagonal(0.0))
+
+    def test_diagonal_non_finite_raises(self, monkeypatch):
+        with pytest.raises(SingularSystemError):
+            self.solve_with(monkeypatch, self.diagonal(np.nan))
 
 
 class TestScatteredField:
