@@ -67,9 +67,11 @@ def load_config(path: str, overrides) -> dict:
     return merged
 
 
-def _is_number(value) -> bool:
-    """An int or float; JSON ``true``/``false`` load as bool, a subclass of int."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_number(value, integer: bool = False) -> bool:
+    """An int (or, unless ``integer``, a float); JSON ``true``/``false`` load
+    as bool, a subclass of int, and are not numbers."""
+    kinds = int if integer else (int, float)
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 def validate_common(cfg: dict) -> list:
@@ -81,13 +83,12 @@ def validate_common(cfg: dict) -> list:
         problems.append("omega must be a 3-vector of unit length")
     if not (_is_number(cfg["radius"]) and cfg["radius"] > 0):
         problems.append("radius must be positive")
-    if not (_is_number(cfg["band_limit"]) and isinstance(cfg["band_limit"], int)
-            and cfg["band_limit"] >= 1):
+    if not (_is_number(cfg["band_limit"], integer=True) and cfg["band_limit"] >= 1):
         problems.append("band_limit must be an integer >= 1")
     imp = cfg["impedance"]
     if _is_number(imp):
-        if imp < 0:
-            problems.append("impedance must be nonnegative")
+        if not (np.isfinite(imp) and imp >= 0):
+            problems.append("impedance must be finite and nonnegative")
     elif not isinstance(imp, list):
         problems.append("impedance must be a number or a coefficient list")
     return problems
@@ -95,7 +96,7 @@ def validate_common(cfg: dict) -> list:
 
 def build_impedance(cfg: dict) -> layer_ops.ImpedanceField:
     imp = cfg["impedance"]
-    if isinstance(imp, (int, float)):
+    if _is_number(imp):
         return layer_ops.ImpedanceField.constant(float(imp))
     return layer_ops.ImpedanceField(coefficients=np.asarray(imp, dtype=float),
                                     bound=np.inf)
@@ -204,7 +205,7 @@ def cmd_farfield(cfg: dict) -> int:
 
 def cmd_mie(cfg: dict) -> int:
     imp = cfg["impedance"]
-    if not isinstance(imp, (int, float)):
+    if not _is_number(imp):
         raise ConfigError("mie requires a constant impedance")
     ctx = build_context(cfg)
     ff = forward.mie_farfield(ctx, float(cfg["radius"]), float(imp))
@@ -284,10 +285,12 @@ def cmd_stability_sweep(cfg: dict) -> int:
     geom = build_geometry(cfg)
     base = build_impedance(cfg)
     shape_cfg = cfg.get("perturbation", [0.0, 0.0, 1.0, 0.0])
-    if isinstance(shape_cfg, (int, float)):
+    if _is_number(shape_cfg):
         shape = np.array([float(shape_cfg) * np.sqrt(4.0 * np.pi)])
-    else:
+    elif isinstance(shape_cfg, list):
         shape = np.asarray(shape_cfg, dtype=float)
+    else:
+        raise ConfigError("perturbation must be a number or a coefficient list")
     eps_list = cfg.get("eps_list", [0.0125, 0.025, 0.05, 0.1])
     sweep = stability.stability_sweep(base, shape, eps_list, ctx, geom,
                                       cfg["eta"], cfg["band_limit"])
@@ -317,7 +320,7 @@ def cmd_reconstruct(cfg: dict) -> int:
     ctx = build_context(cfg)
     geom = build_geometry(cfg)
     truth = cfg.get("true_impedance", cfg["impedance"])
-    if not isinstance(truth, (int, float)):
+    if not _is_number(truth):
         raise ConfigError("reconstruct requires a constant true_impedance")
     band = cfg["band_limit"]
     rule = gauss_product_rule(band)

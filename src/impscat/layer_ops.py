@@ -283,8 +283,8 @@ def rhs_from_incident(k: float, omega: np.ndarray, lam: ImpedanceField,
     """Coefficients of g = −(∂_ν u^i + iλ u^i) on the boundary.
 
     Warns when the plane-wave (Jacobi-Anger) tail at degree N is not yet
-    negligible against its head.  For a variable λ, ``mult`` is M_{iλ} when
-    the caller has already built it.
+    negligible against its head.  For a variable λ, ``mult`` is M_{iλ}; a
+    constant λ needs none.
     """
     u_inc, dnu_inc = incident_coefficients(k, omega, a, band_limit)
     head = np.max(np.abs(u_inc))
@@ -297,5 +297,4 @@ def rhs_from_incident(k: float, omega: np.ndarray, lam: ImpedanceField,
         )
     if lam.is_constant:
         return -(dnu_inc + 1j * lam.constant_value * u_inc)
-    mult = mult or assemble_multiplication(lam, band_limit)
     return -(dnu_inc + mult.entries @ u_inc)

@@ -80,16 +80,23 @@ class TestExitCodes:
         path = write_config(tmp_path, "c.json", {"band_limit": 0})
         assert main(["forward", path]) == EXIT_VALIDATION
 
-    @pytest.mark.parametrize("value", ["NaN", "Infinity", "[NaN]", "[3.5, NaN, 0, 0]"])
-    def test_non_finite_impedance(self, tmp_path, capsys, value):
+    @pytest.mark.parametrize("command,value", [
+        ("farfield", "NaN"), ("farfield", "Infinity"), ("farfield", "[NaN]"),
+        ("farfield", "[3.5, NaN, 0, 0]"), ("mie", "NaN"), ("mie", "Infinity"),
+    ])
+    def test_non_finite_impedance(self, tmp_path, capsys, command, value):
         path = write_config(tmp_path, "c.json", {})
-        assert main(["farfield", path, "--set", f"impedance={value}"]) == EXIT_VALIDATION
+        assert main([command, path, "--set", f"impedance={value}"]) == EXIT_VALIDATION
         assert json.loads(capsys.readouterr().err)["error"] == "validation"
 
-    @pytest.mark.parametrize("key", ["k", "radius", "band_limit", "impedance"])
-    def test_boolean_is_not_a_number(self, tmp_path, capsys, key):
+    @pytest.mark.parametrize("command,key", [
+        ("farfield", "k"), ("farfield", "radius"), ("farfield", "band_limit"),
+        ("farfield", "impedance"), ("stability-sweep", "perturbation"),
+        ("reconstruct", "true_impedance"),
+    ])
+    def test_boolean_is_not_a_number(self, tmp_path, capsys, command, key):
         path = write_config(tmp_path, "c.json", {})
-        assert main(["farfield", path, "--set", f"{key}=true"]) == EXIT_VALIDATION
+        assert main([command, path, "--set", f"{key}=true"]) == EXIT_VALIDATION
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation"
         assert key in err["message"]

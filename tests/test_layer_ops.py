@@ -211,6 +211,21 @@ class TestCombinedSystem:
         a_const = assemble_combined_system(1.0, geom, lam_const, 1.0, 8)
         assert np.allclose(a_var.entries, a_const.entries, atol=1e-10)
 
+    def test_variable_system_builds_its_multiplication(self):
+        # without ``mult`` a variable λ's system builds M_{iλ} itself; the odd
+        # Y_1^0 part keeps the diagonal at the constant λ₀ and couples n to n ± 1
+        geom = ObstacleGeometry()
+        lam = ImpedanceField(coefficients=np.array([1.5 * np.sqrt(4 * np.pi), 0.0, 0.2, 0.0]))
+        assert not lam.is_constant
+        built = assemble_combined_system(1.0, geom, lam, 1.0, 8).entries
+        mult = assemble_multiplication(lam, 8, gauss_product_rule(16))
+        given = assemble_combined_system(1.0, geom, lam, 1.0, 8, mult).entries
+        np.testing.assert_allclose(built, given, rtol=0.0,
+                                   atol=1e-13 * np.abs(given).max())
+        const = assemble_combined_system(1.0, geom, ImpedanceField.constant(1.5), 1.0, 8)
+        np.testing.assert_allclose(np.diag(built), const.entries, rtol=0.0, atol=1e-12)
+        assert np.abs(built - np.diag(np.diag(built))).max() > 1e-3
+
     def test_perturbed_geometry_unsupported(self):
         coeffs = np.zeros(9)
         coeffs[6] = 0.05
