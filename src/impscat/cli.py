@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -129,8 +130,6 @@ def atomic_write_text(path: str, text: str):
 
 
 def farfield_csv(ff: forward.FarField) -> str:
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["theta", "phi", "re_uinf", "im_uinf"])
@@ -141,8 +140,6 @@ def farfield_csv(ff: forward.FarField) -> str:
 
 
 def sweep_csv(sweep: stability.StabilitySweep) -> str:
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["epsilon", "delta", "dsup", "bound", "C_fit", "sigma_fit"])
@@ -397,13 +394,10 @@ def main(argv=None) -> int:
         if problems:
             raise ConfigError("; ".join(problems))
         return HANDLERS[args.command](cfg)
-    except ConfigError as exc:
+    except (ValueError, IndexError) as exc:  # ConfigError is a ValueError
         _error_record("validation", str(exc))
         return EXIT_VALIDATION
-    except (ValueError, IndexError) as exc:
-        _error_record("validation", str(exc))
-        return EXIT_VALIDATION
-    except (RuntimeError, np.linalg.LinAlgError, ArithmeticError) as exc:
+    except (RuntimeError, np.linalg.LinAlgError, ArithmeticError, MemoryError) as exc:
         _error_record("numerical", str(exc))
         return EXIT_NUMERICAL
 

@@ -23,17 +23,15 @@ from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
 
 from .geometry import ObstacleGeometry
 from .layer_ops import (
     ImpedanceField,
-    SingularSystemError,
     assemble_combined_system,
-    assemble_multiplication,
     default_coupling,
     exterior_trace_operators,
     incident_coefficients,
+    multiplication_operator,
     radiating_coefficient_diagonal,
     rhs_from_incident,
 )
@@ -120,48 +118,26 @@ class ResolutionError(RuntimeError):
     """Density tail check failed; band limit too low for this configuration."""
 
 
-def _check_rcond(rcond: float):
-    if rcond < 1e-12:
-        raise SingularSystemError(f"combined system is singular (rcond = {rcond:.3e})")
-
-
 def solve_density(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField,
                   eta: float | None = None, band_limit: int = 24,
                   tail_tol: float = 1e-8) -> HarmonicDensity:
     """Solve the combined-field system for the boundary density φ.
 
-    A variable λ builds M_{iλ} once, for both the system and the right-hand
-    side, and one LU factorisation of the system both estimates its
-    conditioning and solves it.  A constant λ gives a diagonal system d,
-    solved per degree as φ = rhs / d; its rcond is min|d| / max|d|, which
-    is what ``gecon`` gives for a diagonal in the 1-norm.  Raises
-    :class:`SingularSystemError` if the system has a non-finite entry or
-    its rcond is below 1e-12, ``RuntimeError`` if the relative residual
-    exceeds 1e-12, and :class:`ResolutionError` if the tail fraction
-    exceeds ``tail_tol``.
+    M_{iλ} is built once, for the system and the right-hand side, by the
+    selection rule of :func:`impscat.layer_ops.multiplication_operator`; the
+    system has its band (b = 0 for a constant λ), and one banded LU both
+    estimates its conditioning and solves it.  Raises :class:`SingularSystemError`
+    if the system has a non-finite entry or its relative 1-norm rcond is
+    below 1e-12, ``RuntimeError`` if the relative residual exceeds 1e-12,
+    and :class:`ResolutionError` if the tail fraction exceeds ``tail_tol``.
     """
     eta = default_coupling(ctx.k) if eta is None else eta
-    mult = None if lam.is_constant else assemble_multiplication(lam, band_limit)
+    mult = multiplication_operator(lam, band_limit)
     system = assemble_combined_system(ctx.k, geom, lam, eta, band_limit, mult)
     g = rhs_from_incident(ctx.k, ctx.omega, lam, band_limit, a=geom.radius, mult=mult)
     rhs = -2.0 * g
-    entries = system.entries
-    if not np.all(np.isfinite(entries)):
-        raise SingularSystemError("combined system has a non-finite entry")
-    if entries.ndim == 1:
-        size = np.abs(entries)
-        _check_rcond(size.min() / size.max() if size.max() > 0 else 0.0)
-        phi = rhs / entries
-        res = np.linalg.norm(entries * phi - rhs)
-    else:
-        with warnings.catch_warnings():
-            # an exactly zero pivot is reported by the rcond check below
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = lu_factor(entries, check_finite=False)
-        gecon = get_lapack_funcs("gecon", (lu,))
-        _check_rcond(gecon(lu, np.linalg.norm(entries, 1))[0])
-        phi = lu_solve((lu, piv), rhs, check_finite=False)
-        res = np.linalg.norm(entries @ phi - rhs)
+    phi = system.solve(rhs)
+    res = np.linalg.norm(system.matvec(phi) - rhs)
     scale = np.linalg.norm(rhs)
     if scale > 0 and res > 1e-12 * scale:
         raise RuntimeError(f"linear solve residual {res / scale:.2e} exceeds 1e-12")

@@ -26,14 +26,17 @@ Y_n^m, and by the Wronskian j_n h_n' − j_n' h_n = i/(ka)² the two traces
 above are c_n h_n(ka) and c_n k h_n'(ka), so a solve needs each of j_n, j_n',
 h_n, h_n' once, plus j_n, j_n' for the incident wave and the far field.
 
-Every operator but M_{iλ} is diagonal, so a constant λ gives a diagonal
-system, held as its 1-D diagonal.  On the Gauss × uniform-azimuth product
-rule, with Y_n^m = P̄_n^m(μ) e^{imφ}, the φ-sum in entry ((n,m),(n',m')) of
-M_{iλ} is the ring Fourier sum F_q(μ_j) = Σ_l w_jl λ(μ_j, φ_l) e^{iqφ_l} at
-q = m' − m.  It vanishes for |q| > N_λ, so M_{iλ} is banded in the order:
-its nonzero blocks are i P̄_m diag(F_q) P̄_{m+q}ᵀ, one FFT per ring gives
-every F_q, and P̄ is the harmonic table at φ = 0 (Driscoll & Healy, Adv.
-Appl. Math. 15 (1994)).
+Every operator but M_{iλ} is diagonal.  On the Gauss × uniform-azimuth
+product rule, with Y_n^m = P̄_n^m(μ) e^{imφ}, the φ-sum in entry
+((n,m),(n',m')) of M_{iλ} is the ring Fourier sum F_q(μ_j) = Σ_l w_jl
+λ(μ_j, φ_l) e^{iqφ_l} at q = m' − m, zero for |q| > N_λ: the nonzero blocks
+are i P̄_m diag(F_q) P̄_{m+q}ᵀ, one FFT per ring gives every F_q, and P̄ is
+the harmonic table at φ = 0 (Driscoll & Healy, Adv. Appl. Math. 15 (1994)).
+The entry is also zero for |n − n'| > N_λ (Gaunt), so in the degree-major
+order every system is banded, with half-bandwidth b = N'(2N − N' + 2) for
+N' = min(N_λ, N); it is held in LAPACK band storage, entries[b + i − j, j]
+= A[i, j], and solved by one banded LU.  By the selection rule
+(:func:`multiplication_operator`) a constant λ is b = 0, one diagonal row.
 """
 
 from __future__ import annotations
@@ -43,12 +46,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
+from scipy.sparse import dia_matrix
 
 from .geometry import ObstacleGeometry
 from .specfun import (
     QuadratureRule,
     gauss_product_rule,
     harmonic_degrees,
+    num_harmonics,
     plane_wave_amplitudes,
     real_sph_harmonic_all,
     sph_bessel_j,
@@ -130,15 +136,36 @@ class ImpedanceField:
 
 @dataclass(frozen=True)
 class BoundaryOperatorMatrix:
-    """Complex Galerkin matrix in the Y_n^m basis.
+    """Galerkin matrix A in LAPACK band storage, entries[b + i − j, j] = A[i, j].
 
-    A 1-D ``entries`` is the diagonal of a diagonal matrix.
+    ``entries`` is (2b + 1) × (N+1)², in the degree-major Y_n^m order, with
+    zeros off the band; b = 0 is a diagonal matrix.
     """
 
     entries: np.ndarray
 
     def __post_init__(self):
         self.entries.setflags(write=False)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        b = len(self.entries) // 2
+        # scipy's gbmv wrapper rejects 2b + 1 > n; the diagonal format does not
+        return dia_matrix((self.entries, b - np.arange(2 * b + 1)), (x.size, x.size)) @ x
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x with A x = rhs by a banded LU; raises :class:`SingularSystemError`
+        if A has a non-finite entry or a relative 1-norm rcond below 1e-12."""
+        band, b = self.entries, len(self.entries) // 2
+        if not np.all(np.isfinite(band)):
+            raise SingularSystemError("combined system has a non-finite entry")
+        gbtrf, gbcon, gbtrs = get_lapack_funcs(("gbtrf", "gbcon", "gbtrs"), (band, rhs))
+        # b more rows above the band take the fill-in of row pivoting
+        lu, piv, info = gbtrf(np.vstack((np.zeros((b, band.shape[1])), band)), b, b)
+        # info > 0 is an exactly zero pivot; a column sum of the band is one of A
+        rcond = gbcon(b, b, lu, piv, np.abs(band).sum(axis=0).max())[0] if info == 0 else 0.0
+        if not rcond >= 1e-12:
+            raise SingularSystemError(f"combined system is singular (rcond = {rcond:.3e})")
+        return gbtrs(lu, b, b, rhs, piv)[0]
 
 
 def sphere_operator_eigenvalue(op_kind: str, k: float, a: float, n):
@@ -176,14 +203,22 @@ def _cached_rule(order: int) -> QuadratureRule:
     return gauss_product_rule(order)
 
 
+def multiplication_operator(lam: ImpedanceField, band_limit: int) -> BoundaryOperatorMatrix:
+    """M_{iλ} by the selection rule: iλ₀ at b = 0 for a constant λ, else assembled."""
+    if lam.is_constant:
+        return BoundaryOperatorMatrix(
+            entries=np.full((1, num_harmonics(band_limit)), 1j * lam.constant_value))
+    return assemble_multiplication(lam, band_limit)
+
+
 def assemble_multiplication(lam: ImpedanceField, band_limit: int,
                             rule: QuadratureRule | None = None) -> BoundaryOperatorMatrix:
-    """Galerkin matrix of f -> iλ f in the Y_n^m basis.
+    """Galerkin matrix of f -> iλ f in the Y_n^m basis, in band storage.
 
     Exact for the resolved bandwidths provided the rule order is at least
     N + N_λ; a coarser rule raises :class:`AliasingError`.  Only the blocks
-    with |m − m'| <= N_λ are formed (see the module docstring); the rest
-    are exactly zero.
+    with |m − m'| <= N_λ are formed, and only their entries inside the
+    band are kept (see the module docstring); the rest vanish.
     """
     min_order = band_limit + lam.band_limit
     if rule is None:
@@ -202,12 +237,16 @@ def assemble_multiplication(lam: ImpedanceField, band_limit: int,
     legendre = sph_harmonic_all(band_limit, mu, np.zeros(rings)).real  # P̄_n^m(μ_j)
     degs = harmonic_degrees(band_limit)
     orders = np.arange(degs.size) - degs * (degs + 1)
-    entries = np.zeros((degs.size, degs.size), dtype=complex)
+    reach = min(nq, band_limit)
+    b = reach * (2 * band_limit - reach + 2)
+    entries = np.zeros((2 * b + 1, degs.size), dtype=complex)
     for m in range(-band_limit, band_limit + 1):
         rows = np.flatnonzero(orders == m)
         cols = np.flatnonzero(np.abs(orders - m) <= nq)
         weighted = legendre[cols] * fourier[orders[cols] - m + nq]
-        entries[np.ix_(rows, cols)] = 1j * legendre[rows] @ weighted.T
+        block = 1j * legendre[rows] @ weighted.T
+        r, c = np.nonzero(np.abs(rows[:, None] - cols) <= b)
+        entries[b + rows[r] - cols[c], cols[c]] = block[r, c]
     return BoundaryOperatorMatrix(entries=entries)
 
 
@@ -222,8 +261,8 @@ def assemble_combined_system(k: float, geom: ObstacleGeometry, lam: ImpedanceFie
                              ) -> BoundaryOperatorMatrix:
     """System matrix A with A φ = −2 g for the combined-field ansatz.
 
-    For a constant λ, A is diagonal and ``entries`` is its diagonal.  For a
-    variable λ, ``mult`` is M_{iλ} when the caller has already built it.
+    A is M_{iλ} times the diagonal −2·trace plus a diagonal, so it has the
+    band of M_{iλ}; ``mult`` is M_{iλ} when the caller has already built it.
     """
     if eta == 0.0:
         raise ValueError("coupling parameter eta must be nonzero")
@@ -234,12 +273,9 @@ def assemble_combined_system(k: float, geom: ObstacleGeometry, lam: ImpedanceFie
     # 2·dtrace + 1 = K' + iηTS₀² and 2·trace = S + iη(K+I)S₀², so
     # A = I − (2·dtrace + 1) − M_{iλ}·2·trace is −2 × (∂_ν u^s + iλ u^s)
     trace, dtrace = exterior_trace_operators(k, geom.radius, eta, band_limit)
-    diag = 1.0 - (2.0 * dtrace + 1.0)
-    if lam.is_constant:
-        return BoundaryOperatorMatrix(entries=diag - 1j * lam.constant_value * 2.0 * trace)
-    mult = mult or assemble_multiplication(lam, band_limit)
+    mult = mult or multiplication_operator(lam, band_limit)
     entries = mult.entries * (-2.0 * trace)
-    entries[np.diag_indices_from(entries)] += diag
+    entries[len(entries) // 2] += 1.0 - (2.0 * dtrace + 1.0)  # the diagonal row
     return BoundaryOperatorMatrix(entries=entries)
 
 
@@ -283,8 +319,8 @@ def rhs_from_incident(k: float, omega: np.ndarray, lam: ImpedanceField,
     """Coefficients of g = −(∂_ν u^i + iλ u^i) on the boundary.
 
     Warns when the plane-wave (Jacobi-Anger) tail at degree N is not yet
-    negligible against its head.  For a variable λ, ``mult`` is M_{iλ}; a
-    constant λ needs none.
+    negligible against its head.  ``mult`` is M_{iλ} when the caller has
+    already built it.
     """
     u_inc, dnu_inc = incident_coefficients(k, omega, a, band_limit)
     head = np.max(np.abs(u_inc))
@@ -295,6 +331,5 @@ def rhs_from_incident(k: float, omega: np.ndarray, lam: ImpedanceField,
             f"plane-wave series tail at degree {band_limit} is {tail / head:.2e} "
             "of its head; raise the band limit"
         )
-    if lam.is_constant:
-        return -(dnu_inc + 1j * lam.constant_value * u_inc)
-    return -(dnu_inc + mult.entries @ u_inc)
+    mult = mult or multiplication_operator(lam, band_limit)
+    return -(dnu_inc + mult.matvec(u_inc))

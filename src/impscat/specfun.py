@@ -87,15 +87,14 @@ def _normalized_legendre(band_limit: int, mu: np.ndarray) -> np.ndarray:
     sin_t = np.sqrt(np.maximum(0.0, 1.0 - mu * mu))
     p = np.zeros((band_limit + 1, band_limit + 1) + mu.shape)
     p[0, 0] = 1.0 / np.sqrt(4.0 * np.pi)
-    for m in range(1, band_limit + 1):
-        p[m, m] = -np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * sin_t * p[m - 1, m - 1]
-    for m in range(band_limit):
-        p[m + 1, m] = np.sqrt(2.0 * m + 3.0) * mu * p[m, m]
-    for m in range(band_limit + 1):
-        for n in range(m + 2, band_limit + 1):
-            a = np.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
-            b = np.sqrt(((n - 1.0) ** 2 - m * m) / (4.0 * (n - 1.0) ** 2 - 1.0))
-            p[n, m] = a * (mu * p[n - 1, m] - b * p[n - 2, m])
+    orders = np.arange(band_limit + 1).reshape((-1,) + (1,) * mu.ndim)
+    for n in range(1, band_limit + 1):
+        p[n, n] = -np.sqrt((2.0 * n + 1.0) / (2.0 * n)) * sin_t * p[n - 1, n - 1]
+        p[n, n - 1] = np.sqrt(2.0 * n + 1.0) * mu * p[n - 1, n - 1]
+        m = orders[:n - 1]  # the three-term recurrence for m <= n − 2
+        a = np.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
+        b = np.sqrt(((n - 1.0) ** 2 - m * m) / (4.0 * (n - 1.0) ** 2 - 1.0))
+        p[n, :n - 1] = a * (mu * p[n - 1, :n - 1] - b * p[n - 2, :n - 1])
     return p
 
 
@@ -128,16 +127,19 @@ def sph_harmonic_all(band_limit: int, mu, phi) -> np.ndarray:
     return _orders_to_rows(band_limit, _normalized_legendre(band_limit, mu), phi)
 
 
+def _harmonics_at(direction, band_limit: int) -> np.ndarray:
+    """All Y_n^m, n <= N, at one unit vector, shape ((N+1)^2, 1)."""
+    d = np.asarray(direction, dtype=float)
+    if abs(np.linalg.norm(d) - 1.0) > 1e-12:
+        raise ValueError("direction must be a unit vector")
+    return sph_harmonic_all(band_limit, np.clip(d[2], -1.0, 1.0), np.arctan2(d[1], d[0]))
+
+
 def sph_harmonic(n: int, m: int, direction) -> complex:
     """Orthonormal Y_n^m evaluated at a single unit vector."""
     if abs(m) > n:
         raise IndexError(f"|m| = {abs(m)} exceeds degree n = {n}")
-    d = np.asarray(direction, dtype=float)
-    if abs(np.linalg.norm(d) - 1.0) > 1e-12:
-        raise ValueError("direction must be a unit vector")
-    mu = np.clip(d[2], -1.0, 1.0)
-    phi = np.arctan2(d[1], d[0])
-    return complex(sph_harmonic_all(n, mu, phi)[harmonic_index(n, m), 0])
+    return complex(_harmonics_at(direction, n)[harmonic_index(n, m), 0])
 
 
 def plane_wave_amplitudes(direction, band_limit: int) -> np.ndarray:
@@ -146,12 +148,7 @@ def plane_wave_amplitudes(direction, band_limit: int) -> np.ndarray:
     e^{ik x·ω} = Σ 4π iⁿ conj(Y_n^m(ω)) j_n(k|x|) Y_n^m(x̂), so the
     amplitudes times any radial factor give the mode coefficients.
     """
-    omega = np.asarray(direction, dtype=float)
-    if abs(np.linalg.norm(omega) - 1.0) > 1e-12:
-        raise ValueError("incident direction must be a unit vector")
-    mu = np.clip(omega[2], -1.0, 1.0)
-    phi = np.arctan2(omega[1], omega[0])
-    y_at_omega = sph_harmonic_all(band_limit, mu, phi)[:, 0]
+    y_at_omega = _harmonics_at(direction, band_limit)[:, 0]
     return 4.0 * np.pi * (1j ** harmonic_degrees(band_limit)) * np.conj(y_at_omega)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .forward import FarField, WaveContext, solve_density, solve_farfield
+from .forward import FarField, WaveContext, eval_scattered, solve_density, solve_farfield
 from .geometry import ObstacleGeometry
 from .layer_ops import ImpedanceField, default_coupling
 from .specfun import gauss_product_rule, num_harmonics, real_sph_harmonic_all
@@ -226,8 +226,6 @@ def lemma51_check(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField,
     Uses the triangle inequality |u| ≥ 1 − |u^s| plus a direct min over
     the angular grid, scanning a dense ladder of radii per candidate.
     """
-    from .forward import eval_scattered
-
     phi = solve_density(ctx, geom, lam, eta, band_limit)
     rads = np.unique(np.concatenate(
         [np.asarray(r_candidates, dtype=float),

@@ -14,6 +14,7 @@ from impscat.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
+    HANDLERS,
     ConfigError,
     load_config,
     main,
@@ -111,6 +112,16 @@ class TestExitCodes:
         assert code == EXIT_NUMERICAL
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "numerical"
+
+    def test_memory_error_is_numerical(self, tmp_path, capsys, monkeypatch):
+        # the handler raises as an allocation would, without allocating
+        def exhausted(cfg):
+            raise MemoryError("no room")
+
+        monkeypatch.setitem(HANDLERS, "farfield", exhausted)
+        path = write_config(tmp_path, "c.json", {})
+        assert main(["farfield", path]) == EXIT_NUMERICAL
+        assert json.loads(capsys.readouterr().err) == {"error": "numerical", "message": "no room"}
 
 
 class TestArtifacts:

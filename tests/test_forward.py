@@ -107,20 +107,29 @@ class TestSolveDensity:
                       band_limit=12)
         assert len(calls) == expected
 
-    @pytest.mark.parametrize("k,lam0", [(0.5, 0.0), (1.0, 1.0), (2.0, 5.0)])
-    def test_coupled_path_matches_mie(self, k, lam0):
-        # 1e-12 of Y_1^0 makes λ variable, so the coupled (dense) path runs
+    @pytest.mark.parametrize("k,lam0,band_limit", [
+        (0.5, 0.0, 20), (1.0, 1.0, 20), (2.0, 5.0, 20), (1.0, 1.0, 48),
+    ], ids=["0.5-0.0", "1.0-1.0", "2.0-5.0", "1.0-1.0-N48"])
+    def test_coupled_path_matches_mie(self, k, lam0, band_limit):
+        # 1e-12 of Y_1^0 makes λ variable, so the coupled (b > 0) band runs
         lam = ImpedanceField(np.array([lam0 * np.sqrt(4 * np.pi), 0.0, 1e-12, 0.0]))
         assert not lam.is_constant
         ctx = WaveContext(k=k, omega=ZHAT)
-        ff = solve_farfield(ctx, GEOM, lam, band_limit=20)
+        ff = solve_farfield(ctx, GEOM, lam, band_limit=band_limit)
         assert rel_l2(ff, mie_farfield(ctx, 1.0, lam0, rule=ff.rule)) <= 1e-10
+
+
+def banded(diag, b):
+    """``diag`` as a matrix in band storage of half-bandwidth b."""
+    entries = np.zeros((2 * b + 1, diag.size), dtype=complex)
+    entries[b] = diag
+    return entries
 
 
 class TestSingularityCheck:
     """The solve's rcond decides singularity, relative to the matrix scale.
 
-    A dense system is checked through its LU, a 1-D (diagonal) one directly.
+    Each check runs on one diagonal stored at half-bandwidth 0 and at 1.
     """
 
     ctx = WaveContext(k=1.0, omega=ZHAT)
@@ -128,7 +137,7 @@ class TestSingularityCheck:
     nb = 12
 
     def assembled(self):
-        return assemble_combined_system(1.0, GEOM, self.lam, 1.0, self.nb).entries
+        return assemble_combined_system(1.0, GEOM, self.lam, 1.0, self.nb).entries[0]
 
     def solve_with(self, monkeypatch, entries):
         system = BoundaryOperatorMatrix(entries=entries)
@@ -139,32 +148,31 @@ class TestSingularityCheck:
     def test_scaled_system_solves(self, monkeypatch):
         phi = solve_density(self.ctx, GEOM, self.lam, band_limit=self.nb)
         diag = 1e-13 * self.assembled()
-        for entries in (diag, np.diag(diag)):
+        for entries in (banded(diag, 0), banded(diag, 1)):
             scaled = self.solve_with(monkeypatch, entries)
             assert np.allclose(scaled.coeffs, 1e13 * phi.coeffs, rtol=1e-12, atol=0.0)
 
     def test_ill_conditioned_raises(self, monkeypatch):
         diag = np.ones(num_harmonics(self.nb), dtype=complex)
         diag[-1] = 1e-14
-        for entries in (diag, np.diag(diag)):
+        for entries in (banded(diag, 0), banded(diag, 1)):
             with pytest.raises(SingularSystemError):
                 self.solve_with(monkeypatch, entries)
 
     def test_exactly_singular_raises_without_warning(self, monkeypatch):
         diag = np.ones(num_harmonics(self.nb), dtype=complex)
         diag[-1] = 0.0
-        for entries in (diag, np.diag(diag)):
+        for entries in (banded(diag, 0), banded(diag, 1)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(SingularSystemError):
                     self.solve_with(monkeypatch, entries)
 
     def test_non_finite_entry_raises(self, monkeypatch):
-        diag = self.assembled().copy()
-        dense = np.diag(diag)
-        diag[3] = np.nan
-        dense[3, 5] = np.nan
-        for entries in (diag, dense):
+        diagonal, off_diagonal = banded(self.assembled(), 0), banded(self.assembled(), 1)
+        diagonal[0, 3] = np.nan
+        off_diagonal[0, 5] = np.nan  # A[4, 5], inside the band
+        for entries in (diagonal, off_diagonal):
             with pytest.raises(SingularSystemError):
                 self.solve_with(monkeypatch, entries)
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import get_lapack_funcs, lu_factor
 
+from impscat import layer_ops
 from impscat.geometry import ObstacleGeometry
 from impscat.layer_ops import (
     AliasingError,
@@ -24,6 +26,22 @@ from impscat.specfun import (
     real_sph_harmonic_all,
     sph_harmonic_all,
 )
+
+
+def unpack_band(entries):
+    """Dense A of band storage ``entries``, entries[b + i − j, j] = A[i, j]."""
+    b, n = entries.shape[0] // 2, entries.shape[1]
+    i, j = np.nonzero(np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= b)
+    dense = np.zeros((n, n), dtype=entries.dtype)
+    dense[i, j] = entries[b + i - j, j]
+    return dense
+
+
+def variable_field(lam_band, seed):
+    """A degree-``lam_band`` impedance: 3 plus a small random variation."""
+    coeffs = 0.1 * np.random.default_rng(seed).normal(size=num_harmonics(lam_band))
+    coeffs[0] = 3.0 * np.sqrt(4 * np.pi)
+    return ImpedanceField(coefficients=coeffs)
 
 
 def legendre_bar(n, mu):
@@ -125,46 +143,47 @@ class TestImpedanceField:
 class TestMultiplication:
     def test_constant_is_diagonal(self):
         lam = ImpedanceField.constant(2.0)
-        mult = assemble_multiplication(lam, 8)
-        diag = np.diag(np.diag(mult.entries))
-        assert np.linalg.norm(mult.entries - diag) / np.linalg.norm(diag) <= 1e-10
-        assert np.allclose(np.diag(mult.entries), 2j, atol=1e-12)
+        entries = unpack_band(assemble_multiplication(lam, 8).entries)
+        diag = np.diag(np.diag(entries))
+        assert np.linalg.norm(entries - diag) / np.linalg.norm(diag) <= 1e-10
+        assert np.allclose(np.diag(entries), 2j, atol=1e-12)
 
     def test_entry_against_projection_oracle(self):
         coeffs = np.zeros(4)
         coeffs[0] = 2.0 * np.sqrt(4 * np.pi)
         coeffs[2] = 0.5
         lam = ImpedanceField(coefficients=coeffs)
-        mult = assemble_multiplication(lam, 4)
+        entries = unpack_band(assemble_multiplication(lam, 4).entries)
         # independent projection with a finer rule
         rule = gauss_product_rule(20)
         y = sph_harmonic_all(4, rule.mu, rule.phi)
         lam_vals = lam.evaluate_on(rule)
         j, l = harmonic_index(2, 1), harmonic_index(1, 1)
         oracle = 1j * np.sum(rule.weights * lam_vals * y[l] * np.conj(y[j]))
-        assert mult.entries[j, l] == pytest.approx(oracle, abs=1e-10)
+        assert entries[j, l] == pytest.approx(oracle, abs=1e-10)
 
     @pytest.mark.parametrize("band_limit,lam_band,rule_order", [
         *[(nb, nl, None) for nb in (4, 12, 24) for nl in (1, 2, 4)],
         (12, 2, 20),  # an explicit rule above the default order
     ])
     def test_blocks_match_dense_product(self, band_limit, lam_band, rule_order):
-        rng = np.random.default_rng(band_limit + 10 * lam_band)
-        coeffs = 0.1 * rng.normal(size=num_harmonics(lam_band))
-        coeffs[0] = 3.0 * np.sqrt(4 * np.pi)
-        lam = ImpedanceField(coefficients=coeffs)
+        lam = variable_field(lam_band, band_limit + 10 * lam_band)
         explicit = rule_order is not None
         rule = gauss_product_rule(rule_order if explicit else
                                   max(band_limit + lam_band, band_limit + 2))
         y = sph_harmonic_all(band_limit, rule.mu, rule.phi)
         dense = 1j * (np.conj(y) * (rule.weights * lam.evaluate_on(rule))) @ y.T
         mult = assemble_multiplication(lam, band_limit, rule if explicit else None)
-        np.testing.assert_allclose(mult.entries, dense, rtol=0.0,
+        entries = unpack_band(mult.entries)
+        np.testing.assert_allclose(entries, dense, rtol=0.0,
                                    atol=1e-13 * np.abs(dense).max())
         degs = harmonic_degrees(band_limit)
         orders = np.arange(degs.size) - degs * (degs + 1)
         outside = np.abs(orders[:, None] - orders[None, :]) > lam_band
-        assert np.all(mult.entries[outside] == 0.0)
+        assert np.all(entries[outside] == 0.0)
+        # the Gaunt rule behind the band: no coupling beyond |n − n'| = N_λ
+        gaunt = np.abs(degs[:, None] - degs[None, :]) > lam_band
+        assert np.abs(dense[gaunt]).max(initial=0.0) <= 1e-13 * np.abs(dense).max()
 
     def test_aliasing_guard(self):
         coeffs = np.zeros(9)
@@ -217,13 +236,14 @@ class TestCombinedSystem:
         geom = ObstacleGeometry()
         lam = ImpedanceField(coefficients=np.array([1.5 * np.sqrt(4 * np.pi), 0.0, 0.2, 0.0]))
         assert not lam.is_constant
-        built = assemble_combined_system(1.0, geom, lam, 1.0, 8).entries
+        built = unpack_band(assemble_combined_system(1.0, geom, lam, 1.0, 8).entries)
         mult = assemble_multiplication(lam, 8, gauss_product_rule(16))
-        given = assemble_combined_system(1.0, geom, lam, 1.0, 8, mult).entries
+        given = unpack_band(assemble_combined_system(1.0, geom, lam, 1.0, 8, mult).entries)
         np.testing.assert_allclose(built, given, rtol=0.0,
                                    atol=1e-13 * np.abs(given).max())
         const = assemble_combined_system(1.0, geom, ImpedanceField.constant(1.5), 1.0, 8)
-        np.testing.assert_allclose(np.diag(built), const.entries, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(np.diag(built), np.diag(unpack_band(const.entries)),
+                                   rtol=0.0, atol=1e-12)
         assert np.abs(built - np.diag(np.diag(built))).max() > 1e-3
 
     def test_perturbed_geometry_unsupported(self):
@@ -256,6 +276,45 @@ class TestCombinedSystem:
                                    rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(dtr, 0.5 * (kk - 1.0 + 1j * eta * t * s0**2),
                                    rtol=1e-12, atol=0.0)
+
+
+class TestBandSolve:
+    """The banded LU against a dense LU of the unpacked matrix, its oracle."""
+
+    @pytest.mark.parametrize("band_limit", [12, 24])
+    @pytest.mark.parametrize("lam_band", [1, 2, 4])
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 4.0])
+    def test_matches_dense_lu(self, monkeypatch, k, lam_band, band_limit):
+        lam = variable_field(lam_band, band_limit + 10 * lam_band)
+        system = assemble_combined_system(k, ObstacleGeometry(), lam,
+                                          default_coupling(k), band_limit)
+        rng = np.random.default_rng(0)
+        rhs = rng.normal(size=num_harmonics(band_limit)) \
+            + 1j * rng.normal(size=num_harmonics(band_limit))
+        # record the rcond that the solve's gbcon returns
+        rconds, lapack = [], layer_ops.get_lapack_funcs
+
+        def spying(names, arrays):
+            gbtrf, gbcon, gbtrs = lapack(names, arrays)
+
+            def gbcon_spy(*args):
+                out = gbcon(*args)
+                rconds.append(out[0])
+                return out
+
+            return gbtrf, gbcon_spy, gbtrs
+
+        monkeypatch.setattr(layer_ops, "get_lapack_funcs", spying)
+        x = system.solve(rhs)
+        dense = unpack_band(system.entries)
+        expected = np.linalg.solve(dense, rhs)
+        assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+        # 2b + 1 > (N+1)² at N = 12, N_λ = 4: the matvec still holds
+        np.testing.assert_allclose(system.matvec(x), dense @ x, rtol=0.0,
+                                   atol=1e-12 * np.abs(dense @ x).max())
+        lu, _ = lu_factor(dense)
+        gecon = get_lapack_funcs("gecon", (lu,))
+        assert rconds == [pytest.approx(gecon(lu, np.linalg.norm(dense, 1))[0], rel=1e-12)]
 
 
 class TestDiagonalHelpers:

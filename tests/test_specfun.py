@@ -132,11 +132,33 @@ class TestSphericalHarmonics:
         mu = rng.uniform(-0.99, 0.99, 20)
         phi = rng.uniform(0, 2 * np.pi, 20)
         theta = np.arccos(mu)
-        mine = sph_harmonic_all(8, mu, phi)
-        for n in range(9):
-            for m in range(-n, n + 1):
-                ref = sph_harm_y(n, m, theta, phi)
-                assert np.allclose(mine[harmonic_index(n, m)], ref, atol=1e-12)
+        for band_limit in (8, 60):
+            mine = sph_harmonic_all(band_limit, mu, phi)
+            for n in range(band_limit + 1):
+                for m in range(-n, n + 1):
+                    ref = sph_harm_y(n, m, theta, phi)
+                    assert np.allclose(mine[harmonic_index(n, m)], ref, atol=1e-12)
+
+    @pytest.mark.parametrize("band_limit", [1, 2, 24, 40])
+    def test_legendre_equals_loop_reference(self, band_limit):
+        # the per-order loop that the per-degree recurrence replaced: the
+        # arithmetic is the same, so the table must be bitwise equal
+        from impscat.specfun import _normalized_legendre
+
+        mu = np.concatenate([np.random.default_rng(1).uniform(-1, 1, 7), [-1.0, 0.0, 1.0]])
+        sin_t = np.sqrt(np.maximum(0.0, 1.0 - mu * mu))
+        p = np.zeros((band_limit + 1, band_limit + 1, mu.size))
+        p[0, 0] = 1.0 / np.sqrt(4.0 * np.pi)
+        for m in range(1, band_limit + 1):
+            p[m, m] = -np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * sin_t * p[m - 1, m - 1]
+        for m in range(band_limit):
+            p[m + 1, m] = np.sqrt(2.0 * m + 3.0) * mu * p[m, m]
+        for m in range(band_limit + 1):
+            for n in range(m + 2, band_limit + 1):
+                a = np.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
+                b = np.sqrt(((n - 1.0) ** 2 - m * m) / (4.0 * (n - 1.0) ** 2 - 1.0))
+                p[n, m] = a * (mu * p[n - 1, m] - b * p[n - 2, m])
+        np.testing.assert_array_equal(_normalized_legendre(band_limit, mu), p)
 
     def test_orthonormality(self):
         rule = gauss_product_rule(10)
