@@ -159,10 +159,12 @@ class BoundaryOperatorMatrix:
         if not np.all(np.isfinite(band)):
             raise SingularSystemError("combined system has a non-finite entry")
         gbtrf, gbcon, gbtrs = get_lapack_funcs(("gbtrf", "gbcon", "gbtrs"), (band, rhs))
-        # b more rows above the band take the fill-in of row pivoting
-        lu, piv, info = gbtrf(np.vstack((np.zeros((b, band.shape[1])), band)), b, b)
-        # info > 0 is an exactly zero pivot; a column sum of the band is one of A
-        rcond = gbcon(b, b, lu, piv, np.abs(band).sum(axis=0).max())[0] if info == 0 else 0.0
+        anorm = np.abs(band).sum(axis=0).max()  # a column sum of the band is one of A
+        # b rows above the band take pivoting fill-in; Fortran order: no copy
+        work = np.zeros((3 * b + 1, band.shape[1]), dtype=complex, order="F")
+        work[b:] = band
+        lu, piv, info = gbtrf(work, b, b, overwrite_ab=True)
+        rcond = gbcon(b, b, lu, piv, anorm)[0] if info == 0 else 0.0  # info > 0: zero pivot
         if not rcond >= 1e-12:
             raise SingularSystemError(f"combined system is singular (rcond = {rcond:.3e})")
         return gbtrs(lu, b, b, rhs, piv)[0]
@@ -319,17 +321,15 @@ def rhs_from_incident(k: float, omega: np.ndarray, lam: ImpedanceField,
     """Coefficients of g = −(∂_ν u^i + iλ u^i) on the boundary.
 
     Warns when the plane-wave (Jacobi-Anger) tail at degree N is not yet
-    negligible against its head.  ``mult`` is M_{iλ} when the caller has
-    already built it.
+    negligible against its head.  ``mult`` is M_{iλ} for ``lam``, as built
+    by :func:`multiplication_operator`.
     """
     u_inc, dnu_inc = incident_coefficients(k, omega, a, band_limit)
     head = np.max(np.abs(u_inc))
-    degs = harmonic_degrees(band_limit)
-    tail = np.max(np.abs(u_inc[degs == band_limit]), initial=0.0)
+    tail = np.max(np.abs(u_inc[-(2 * band_limit + 1):]))  # the degree-N entries
     if head > 0 and tail > tail_tol * head:
         warnings.warn(
             f"plane-wave series tail at degree {band_limit} is {tail / head:.2e} "
             "of its head; raise the band limit"
         )
-    mult = mult or multiplication_operator(lam, band_limit)
     return -(dnu_inc + mult.matvec(u_inc))

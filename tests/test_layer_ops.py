@@ -1,5 +1,7 @@
 """Layer operators on the sphere against quadrature and identity oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -15,6 +17,8 @@ from impscat.layer_ops import (
     assemble_multiplication,
     default_coupling,
     exterior_trace_operators,
+    multiplication_operator,
+    rhs_from_incident,
     sphere_operator_diagonal,
     sphere_operator_eigenvalue,
 )
@@ -163,7 +167,7 @@ class TestMultiplication:
         assert entries[j, l] == pytest.approx(oracle, abs=1e-10)
 
     @pytest.mark.parametrize("band_limit,lam_band,rule_order", [
-        *[(nb, nl, None) for nb in (4, 12, 24) for nl in (1, 2, 4)],
+        *[(nb, nl, None) for nb in (4, 12, 24) for nl in (0, 1, 2, 4)],
         (12, 2, 20),  # an explicit rule above the default order
     ])
     def test_blocks_match_dense_product(self, band_limit, lam_band, rule_order):
@@ -245,6 +249,16 @@ class TestCombinedSystem:
         np.testing.assert_allclose(np.diag(built), np.diag(unpack_band(const.entries)),
                                    rtol=0.0, atol=1e-12)
         assert np.abs(built - np.diag(np.diag(built))).max() > 1e-3
+
+    def test_rhs_warns_on_plane_wave_tail(self):
+        # along the z axis only the m = 0 amplitudes are nonzero, so the
+        # check must read the whole degree-N block, not its last entry
+        omega, lam = np.array([0.0, 0.0, 1.0]), ImpedanceField.constant(1.0)
+        with pytest.warns(UserWarning, match="tail at degree 4"):
+            rhs_from_incident(10.0, omega, lam, 4, mult=multiplication_operator(lam, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rhs_from_incident(0.5, omega, lam, 24, mult=multiplication_operator(lam, 24))
 
     def test_perturbed_geometry_unsupported(self):
         coeffs = np.zeros(9)
