@@ -130,13 +130,11 @@ def atomic_write_text(path: str, text: str):
 
 
 def farfield_csv(ff: forward.FarField) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["theta", "phi", "re_uinf", "im_uinf"])
     theta = np.arccos(np.clip(ff.rule.mu, -1.0, 1.0))
-    for t, p, s in zip(theta, ff.rule.phi, ff.samples):
-        writer.writerow([f"{t:.17g}", f"{p:.17g}", f"{s.real:.17g}", f"{s.imag:.17g}"])
-    return buf.getvalue()
+    rows = zip(theta.tolist(), ff.rule.phi.tolist(),
+               ff.samples.real.tolist(), ff.samples.imag.tolist())
+    return "theta,phi,re_uinf,im_uinf\n" + "".join(
+        "%.17g,%.17g,%.17g,%.17g\n" % row for row in rows)
 
 
 def sweep_csv(sweep: stability.StabilitySweep) -> str:

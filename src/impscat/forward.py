@@ -8,7 +8,10 @@ follows from h_n(kr) ~ (−i)^{n+1} e^{ikr}/(kr).
 Every outgoing-wave sum Σ amps_nm R_n Y_n^m, for the solver and for the Mie
 reference alike, goes through the single evaluator ``_outgoing_wave``:
 R_n is h_n(kr) or k h_n'(kr) at points outside the obstacle, and
-(−i)^{n+1}/k on a far-field quadrature rule.
+(−i)^{n+1}/k on a far-field quadrature rule.  On a rule, as for the
+boundary traces, the sum goes through the ring transform
+:func:`impscat.specfun._synthesize` (a Legendre sum per ring latitude,
+then one inverse FFT per ring), so no (N+1)² × npts matrix is formed.
 
 ``mie_farfield`` is the independent separation-of-variables reference for
 constant impedance on the sphere: each incident mode is reflected with the
@@ -37,6 +40,7 @@ from .layer_ops import (
 )
 from .specfun import (
     QuadratureRule,
+    _synthesize,
     gauss_product_rule,
     harmonic_degrees,
     num_harmonics,
@@ -164,14 +168,15 @@ def _outgoing_wave(amps: np.ndarray, k: float, where, radius: float = 0.0,
     At points (shape (npts, 3)), R_n = h_n(kr), or k h_n'(kr) = ∂/∂r h_n(kr)
     with ``derivative``; every point must lie outside the sphere of the
     given radius.  On a :class:`QuadratureRule`, R_n = (−i)^{n+1}/k, the
-    far-field limit of h_n(kr) e^{−ikr} kr.
+    far-field limit of h_n(kr) e^{−ikr} kr, and the sum is one ring
+    transform (:func:`impscat.specfun._synthesize`); the series may exceed
+    the rule's order, since the transform folds the excess orders exactly.
     """
     band_limit = isqrt(amps.size) - 1
     degs = harmonic_degrees(band_limit)
     if isinstance(where, QuadratureRule):
-        # R_n is the same at every node: one matrix-vector product
-        ymat = sph_harmonic_all(band_limit, where.mu, where.phi)
-        return (amps * ((-1j) ** (degs + 1) / k)) @ ymat
+        # R_n is the same at every node: one synthesis on the rule
+        return _synthesize(amps * ((-1j) ** (degs + 1) / k), where)
     x = np.atleast_2d(np.asarray(where, dtype=float))
     r = np.linalg.norm(x, axis=1)
     if np.any(r <= radius):
@@ -281,10 +286,9 @@ def boundary_traces(phi: HarmonicDensity, ctx: WaveContext, geom: ObstacleGeomet
     rule = rule or gauss_product_rule(nb)
     tr, dtr = exterior_trace_operators(ctx.k, geom.radius, eta, nb)
     u_inc, dnu_inc = incident_coefficients(ctx.k, ctx.omega, geom.radius, nb)
-    u_coeff = u_inc + tr * phi.coeffs
-    dnu_coeff = dnu_inc + dtr * phi.coeffs
-    ymat = sph_harmonic_all(nb, rule.mu, rule.phi)
-    return u_coeff @ ymat, dnu_coeff @ ymat, rule
+    coeffs = np.stack((u_inc + tr * phi.coeffs, dnu_inc + dtr * phi.coeffs))
+    u, dnu = _synthesize(coeffs, rule)
+    return u, dnu, rule
 
 
 def energy_identity(geom: ObstacleGeometry, lam: ImpedanceField,

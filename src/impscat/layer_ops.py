@@ -31,7 +31,8 @@ product rule, with Y_n^m = P̄_n^m(μ) e^{imφ}, the φ-sum in entry
 ((n,m),(n',m')) of M_{iλ} is the ring Fourier sum F_q(μ_j) = Σ_l w_jl
 λ(μ_j, φ_l) e^{iqφ_l} at q = m' − m, zero for |q| > N_λ: the nonzero blocks
 are i P̄_m diag(F_q) P̄_{m+q}ᵀ, one FFT per ring gives every F_q, and P̄ is
-the harmonic table at φ = 0 (Driscoll & Healy, Adv. Appl. Math. 15 (1994)).
+the ring Legendre table of the far-field synthesis, the harmonics at φ = 0
+(Driscoll & Healy, Adv. Appl. Math. 15 (1994)).
 The entry is also zero for |n − n'| > N_λ (Gaunt), so in the degree-major
 order every system is banded, with half-bandwidth b = N'(2N − N' + 2) for
 N' = min(N_λ, N); it is held in LAPACK band storage, entries[b + i − j, j]
@@ -52,14 +53,15 @@ from scipy.sparse import dia_matrix
 from .geometry import ObstacleGeometry
 from .specfun import (
     QuadratureRule,
+    _complex_coefficients,
+    _ring_legendre,
+    _synthesize,
     gauss_product_rule,
     harmonic_degrees,
     num_harmonics,
     plane_wave_amplitudes,
-    real_sph_harmonic_all,
     sph_bessel_j,
     sph_hankel1,
-    sph_harmonic_all,
 )
 
 OP_KINDS = ("S", "K", "Kp", "T", "S0")
@@ -122,8 +124,8 @@ class ImpedanceField:
         return float(self.coefficients[0]) / np.sqrt(4.0 * np.pi)
 
     def evaluate_on(self, rule: QuadratureRule) -> np.ndarray:
-        basis = real_sph_harmonic_all(self.band_limit, rule.mu, rule.phi)
-        return self.coefficients @ basis
+        """λ at the nodes of a product rule, by the ring transform."""
+        return _synthesize(_complex_coefficients(self.coefficients), rule).real
 
     def sup_norm(self, rule: QuadratureRule | None = None) -> float:
         rule = rule or gauss_product_rule(max(16, 4 * (self.band_limit + 1)))
@@ -235,21 +237,35 @@ def assemble_multiplication(lam: ImpedanceField, band_limit: int,
     ring_sums = np.fft.fft((rule.weights * lam.evaluate_on(rule)).reshape(rings, -1))
     nq = lam.band_limit
     fourier = ring_sums[:, -np.arange(-nq, nq + 1) % ring_sums.shape[1]].T
-    mu = rule.mu.reshape(rings, -1)[:, 0]
-    legendre = sph_harmonic_all(band_limit, mu, np.zeros(rings)).real  # P̄_n^m(μ_j)
+    legendre = _ring_legendre(band_limit, rule)  # P̄_n^m(μ_j)
+    b, scatter = _band_scatter(band_limit, nq)
+    entries = np.zeros((2 * b + 1, num_harmonics(band_limit)), dtype=complex)
+    for rows, cols, shift, kept, dest in scatter:
+        block = 1j * legendre[rows] @ (legendre[cols] * fourier[shift]).T
+        entries[dest] = block[kept]
+    return BoundaryOperatorMatrix(entries=entries)
+
+
+@lru_cache(maxsize=16)
+def _band_scatter(band_limit: int, lam_band: int):
+    """Half-bandwidth b and, per order m, the index arrays of its block.
+
+    Block m of M_{iλ} has rows (n, m) and columns (n', m') with |m' − m| <=
+    N_λ; ``shift`` picks F_{m'−m} from ``fourier``, ``kept`` the block
+    entries inside the band and ``dest`` their place in band storage.
+    """
     degs = harmonic_degrees(band_limit)
     orders = np.arange(degs.size) - degs * (degs + 1)
-    reach = min(nq, band_limit)
+    reach = min(lam_band, band_limit)
     b = reach * (2 * band_limit - reach + 2)
-    entries = np.zeros((2 * b + 1, degs.size), dtype=complex)
+    scatter = []
     for m in range(-band_limit, band_limit + 1):
         rows = np.flatnonzero(orders == m)
-        cols = np.flatnonzero(np.abs(orders - m) <= nq)
-        weighted = legendre[cols] * fourier[orders[cols] - m + nq]
-        block = 1j * legendre[rows] @ weighted.T
+        cols = np.flatnonzero(np.abs(orders - m) <= lam_band)
         r, c = np.nonzero(np.abs(rows[:, None] - cols) <= b)
-        entries[b + rows[r] - cols[c], cols[c]] = block[r, c]
-    return BoundaryOperatorMatrix(entries=entries)
+        scatter.append((rows, cols, orders[cols] - m + lam_band, (r, c),
+                        (b + rows[r] - cols[c], cols[c])))
+    return b, tuple(scatter)
 
 
 def default_coupling(k: float) -> float:

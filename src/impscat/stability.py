@@ -18,8 +18,14 @@ from scipy.optimize import minimize
 
 from .forward import FarField, WaveContext, eval_scattered, solve_density, solve_farfield
 from .geometry import ObstacleGeometry
-from .layer_ops import ImpedanceField, default_coupling
-from .specfun import gauss_product_rule, num_harmonics, real_sph_harmonic_all
+from .layer_ops import ImpedanceField, _cached_rule, default_coupling
+from .specfun import (
+    _complex_coefficients,
+    _synthesize,
+    gauss_product_rule,
+    num_harmonics,
+    real_sph_harmonic_all,
+)
 
 SIGMA_GRID = (0.25, 0.5, 1.0, 2.0)
 
@@ -108,9 +114,16 @@ def far_field_delta(lam_a: ImpedanceField, lam_b: ImpedanceField,
 
 def impedance_sup_distance(lam_a: ImpedanceField, lam_b: ImpedanceField,
                            grid_order: int = 64) -> float:
-    """Max-norm distance on a refined boundary grid."""
-    rule = gauss_product_rule(grid_order)
-    return float(np.max(np.abs(lam_a.evaluate_on(rule) - lam_b.evaluate_on(rule))))
+    """Max-norm distance on a refined boundary grid.
+
+    The coefficient difference is evaluated once, by the ring transform.
+    """
+    a, b = lam_a.coefficients, lam_b.coefficients
+    diff = np.zeros(max(a.size, b.size))
+    diff[:a.size] += a
+    diff[:b.size] -= b
+    values = _synthesize(_complex_coefficients(diff), _cached_rule(grid_order)).real
+    return float(np.max(np.abs(values)))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """CLI: config parsing, exit codes, deterministic artifacts."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -16,10 +18,13 @@ from impscat.cli import (
     EXIT_VALIDATION,
     HANDLERS,
     ConfigError,
+    farfield_csv,
     load_config,
     main,
     validate_common,
 )
+from impscat.forward import FarField
+from impscat.specfun import gauss_product_rule
 
 
 def write_config(tmp_path, name, payload):
@@ -135,6 +140,29 @@ class TestArtifacts:
         text1, text2 = out1.read_text(), out2.read_text()
         assert text1 == text2
         assert text1.splitlines()[0] == "theta,phi,re_uinf,im_uinf"
+
+    def test_farfield_csv_matches_csv_writer(self):
+        # the csv.writer + f-string rows the CSV was first written with
+        rule = gauss_product_rule(6)
+        rng = np.random.default_rng(8)
+        samples = rng.normal(size=rule.npts) + 1j * rng.normal(size=rule.npts)
+        samples[:4] = [-0.0, 5e-324, 1e300, complex(-1e-300, -0.0)]
+        ff = FarField(samples=samples, rule=rule)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["theta", "phi", "re_uinf", "im_uinf"])
+        theta = np.arccos(np.clip(ff.rule.mu, -1.0, 1.0))
+        for t, p, s in zip(theta, ff.rule.phi, ff.samples):
+            writer.writerow([f"{t:.17g}", f"{p:.17g}", f"{s.real:.17g}", f"{s.imag:.17g}"])
+        assert farfield_csv(ff) == buf.getvalue()
+
+    def test_high_frequency_farfield(self, tmp_path, capsys):
+        # the dense synthesis matrix would need 8.8 GiB here
+        path = write_config(tmp_path, "c.json", {})
+        with pytest.warns(UserWarning, match="plane-wave series tail"):
+            code = main(["farfield", path, "--set", "k=100", "--set", "band_limit=130"])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["farfield_l2_norm"] > 0
 
     def test_sweep_csv(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -286,6 +286,30 @@ class TestMieOracle:
         assert complex(mine) == pytest.approx(complex(total), rel=1e-12)
 
 
+class TestRuleSynthesis:
+    def test_high_frequency_matches_mie(self):
+        # k = 100 at N = 130; the Mie series (N = 132) folds onto the rule
+        ctx = WaveContext(k=100.0, omega=ZHAT)
+        with pytest.warns(UserWarning, match="plane-wave series tail"):
+            ff = solve_farfield(ctx, GEOM, ImpedanceField.constant(1.0), band_limit=130)
+        ref = mie_farfield(ctx, 1.0, 1.0, rule=ff.rule)
+        assert np.all(np.isfinite(ff.samples))
+        assert rel_l2(ff, ref) <= 1e-8
+
+    def test_farfield_memory(self):
+        import tracemalloc
+
+        ctx = WaveContext(k=1.0, omega=ZHAT)
+        phi = solve_density(ctx, GEOM, ImpedanceField.constant(1.0), band_limit=40)
+        tracemalloc.start()
+        try:
+            farfield(phi, ctx, GEOM)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6  # the dense (N+1)² × npts matrix alone is 90 MB
+
+
 class TestEnergyIdentity:
     def test_residual_small(self):
         ctx = WaveContext(k=1.0, omega=ZHAT)

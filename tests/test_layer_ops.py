@@ -134,6 +134,17 @@ class TestImpedanceField:
         lam = ImpedanceField.constant(3.0, bound=5.0)
         assert lam.sup_norm() == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("order", [2, 4, 9])  # below, at and above N_λ = 4
+    def test_evaluate_on_matches_real_basis(self, order):
+        lam = variable_field(4, 6)
+        rule = gauss_product_rule(order)
+        dense = lam.coefficients @ real_sph_harmonic_all(4, rule.mu, rule.phi)
+        np.testing.assert_allclose(lam.evaluate_on(rule), dense, rtol=0.0, atol=1e-13 * 3.0)
+
+    def test_coefficient_count_must_be_square(self):
+        with pytest.raises(ValueError):
+            ImpedanceField(coefficients=np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
+
     @pytest.mark.parametrize("build", [
         lambda: ImpedanceField.constant(np.nan),
         lambda: ImpedanceField.constant(np.inf),
@@ -188,6 +199,14 @@ class TestMultiplication:
         # the Gaunt rule behind the band: no coupling beyond |n − n'| = N_λ
         gaunt = np.abs(degs[:, None] - degs[None, :]) > lam_band
         assert np.abs(dense[gaunt]).max(initial=0.0) <= 1e-13 * np.abs(dense).max()
+
+    def test_band_scatter_built_once_per_shape(self):
+        # the scatter indices depend on (N, N_λ) only, not on λ
+        layer_ops._band_scatter.cache_clear()
+        for seed in (0, 1):
+            assemble_multiplication(variable_field(4, seed), 12)
+        info = layer_ops._band_scatter.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_aliasing_guard(self):
         coeffs = np.zeros(9)

@@ -10,6 +10,8 @@ from scipy.special import sph_harm_y
 from impscat.layer_ops import OP_KINDS, sphere_operator_eigenvalue
 from impscat.specfun import (
     QuadratureRule,
+    _complex_coefficients,
+    _synthesize,
     gauss_product_rule,
     harmonic_degrees,
     harmonic_index,
@@ -220,6 +222,63 @@ class TestQuadrature:
         rule = gauss_product_rule(3)
         with pytest.raises(ValueError):
             rule.weights[0] = 0.0
+
+
+def dense_on_rule(coeffs, rule, basis):
+    """The oracle coeffs @ basis(N, rule.mu, rule.phi), a few rings at a time."""
+    band_limit = int(np.sqrt(coeffs.size)) - 1
+    ring = 2 * (rule.order + 1)
+    step = ring * max(1, 2_000_000 // (coeffs.size * ring))  # <= 32 MB per block
+    return np.concatenate([coeffs @ basis(band_limit, rule.mu[i:i + step], rule.phi[i:i + step])
+                           for i in range(0, rule.npts, step)])
+
+
+@st.composite
+def synthesis_cases(draw):
+    """(N, rule order): the order below N (aliasing fold), equal to it, or above."""
+    band_limit = draw(st.integers(0, 64))
+    order = draw(st.one_of(st.integers(1, max(1, band_limit - 1)),
+                           st.just(max(1, band_limit)),
+                           st.integers(band_limit + 1, band_limit + 8)))
+    return band_limit, order
+
+
+class TestRingSynthesis:
+    @settings(max_examples=30, deadline=None)
+    @given(case=synthesis_cases(), seed=st.integers(0, 2**32 - 1), real=st.booleans())
+    def test_matches_dense_product(self, case, seed, real):
+        # tolerance relative to ||c||_2, the field's L²(S²) norm
+        band_limit, order = case
+        rule = gauss_product_rule(order)
+        rng = np.random.default_rng(seed)
+        coeffs = rng.uniform(-1.0, 1.0, num_harmonics(band_limit))
+        if real:
+            mine = _synthesize(_complex_coefficients(coeffs), rule).real
+            oracle = dense_on_rule(coeffs, rule, real_sph_harmonic_all)
+        else:
+            coeffs = coeffs + 1j * rng.uniform(-1.0, 1.0, coeffs.size)
+            mine = _synthesize(coeffs, rule)
+            oracle = dense_on_rule(coeffs, rule, sph_harmonic_all)
+        assert np.max(np.abs(mine - oracle)) <= 1e-13 * np.linalg.norm(coeffs)
+
+    def test_rows_synthesized_independently(self):
+        rng = np.random.default_rng(4)
+        coeffs = rng.normal(size=(2, 3, num_harmonics(6))) + 0j
+        rule = gauss_product_rule(5)
+        both = _synthesize(coeffs, rule)
+        assert both.shape == (2, 3, rule.npts)
+        np.testing.assert_array_equal(both[1, 2], _synthesize(coeffs[1, 2], rule))
+
+    def test_rejects_bad_input(self):
+        rule = gauss_product_rule(4)
+        with pytest.raises(ValueError):
+            _synthesize(np.ones(5), rule)  # not (N+1)^2 coefficients
+        with pytest.raises(ValueError):
+            _complex_coefficients(np.ones(0))
+        ring = QuadratureRule(mu=rule.mu[:10], phi=rule.phi[:10],
+                              weights=rule.weights[:10], order=4)
+        with pytest.raises(ValueError):
+            _synthesize(np.ones(4), ring)  # not the product-rule layout
 
 
 class TestAnalysisSynthesis:

@@ -6,7 +6,7 @@ import pytest
 from impscat.forward import WaveContext, mie_farfield, solve_farfield
 from impscat.geometry import ObstacleGeometry
 from impscat.layer_ops import ImpedanceField
-from impscat.specfun import gauss_product_rule
+from impscat.specfun import gauss_product_rule, real_sph_harmonic_all
 from impscat.stability import (
     bushuyev_theta,
     far_field_delta,
@@ -107,6 +107,19 @@ class TestFarFieldDelta:
         d_mie = float(np.sqrt(np.real(
             rule.integrate(np.abs(fa.samples - fb.samples) ** 2))))
         assert abs(d - d_mie) <= 1e-8
+
+
+class TestImpedanceSupDistance:
+    def test_matches_dense_difference(self):
+        rng = np.random.default_rng(3)
+        coeffs = np.concatenate([[np.sqrt(4 * np.pi)], 0.1 * rng.uniform(-1, 1, 8)])
+        lam_a, lam_b = ImpedanceField.constant(1.0), ImpedanceField(coeffs)
+        rule = gauss_product_rule(64)
+        dense = (lam_a.coefficients @ real_sph_harmonic_all(0, rule.mu, rule.phi)
+                 - coeffs @ real_sph_harmonic_all(2, rule.mu, rule.phi))
+        expected = np.max(np.abs(dense))
+        assert impedance_sup_distance(lam_a, lam_b) == pytest.approx(expected, rel=1e-14)
+        assert impedance_sup_distance(lam_b, lam_a) == pytest.approx(expected, rel=1e-14)
 
 
 SHAPE = np.array([0.0, 0.0, 1.0, 0.0])  # real Y_1^0 profile
