@@ -106,14 +106,13 @@ class TestFunction:
         return TestFunction("point-source", val, grad, lap)
 
 
-def random_test_suite(size: int, seed: int = 0,
-                      k_range=(0.5, 4.0)) -> list[TestFunction]:
-    """Mixed suite of plane waves and quadratic polynomials."""
+def random_test_suite(size: int, seed: int = 0) -> list[TestFunction]:
+    """Mixed suite of plane waves (k uniform in [0.5, 4]) and quadratic polynomials."""
     rng = np.random.default_rng(seed)
     suite = []
     for i in range(size):
         if i % 2 == 0:
-            k = rng.uniform(*k_range)
+            k = rng.uniform(0.5, 4.0)
             d = rng.normal(size=3)
             suite.append(TestFunction.plane_wave(k, d, rng.uniform(0, 2 * np.pi)))
         else:
@@ -441,13 +440,14 @@ class ChainBound:
 
 
 def chain_lower_bound(n_steps, i0: float, m_tilde: float, c: float,
-                      alpha: float, r: float, dim: int = 3) -> ChainBound:
+                      alpha: float, r: float) -> ChainBound:
     """Iterate the smallness-propagation recursion and invert it.
 
     Recursion: I_{k+1} = (C/ρ₀) M^{1−α} I_k^α with ρ₀ = r, iterated in log
     space; closed form I_k = (C/ρ₀)^{(1−α^k)/(1−α)} M^{1−α^k} I₀^{α^k}.
-    The final lower bound is (C r)^{γ/α^N} with γ = dim/2 + 1/(1−α), and
-    the simplified form is e^{−C/r^η}, η = 1 + 6|ln α|.
+    The final lower bound is (C r)^{γ/α^N} with γ = 3/2 + 1/(1−α), the
+    dimension being three, and the simplified form is e^{−C/r^η},
+    η = 1 + 6|ln α|.
     """
     n = int(getattr(n_steps, "count", n_steps))
     if not 0.0 < alpha < 1.0:
@@ -462,7 +462,7 @@ def chain_lower_bound(n_steps, i0: float, m_tilde: float, c: float,
     log_closed = (frac * log_cr + (1.0 - alpha**n) * np.log(m_tilde)
                   + alpha**n * np.log(i0))
     beta = 1.0 / (1.0 - alpha)
-    gamma = dim / 2.0 + beta
+    gamma = 1.5 + beta
     log_lower = (gamma / alpha**n) * np.log(c * r) if n else np.log(i0)
     eta = 1.0 + 6.0 * abs(np.log(alpha))
     log_simplified = -c / r**eta

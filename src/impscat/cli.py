@@ -10,8 +10,6 @@ rename); every JSON summary embeds the fully resolved config.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -75,6 +73,16 @@ def _is_number(value, integer: bool = False) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
+def _get(cfg: dict, key: str, default, integer: bool = False):
+    """Subcommand key ``key``; an absent key takes ``default``, stored in
+    ``cfg`` so the summary embeds it.  If the default is a number, so must
+    the value be (an int if ``integer``)."""
+    value = cfg.setdefault(key, default)
+    if _is_number(default) and not _is_number(value, integer):
+        raise ConfigError(f"{key} must be {'an integer' if integer else 'a number'}")
+    return value
+
+
 def validate_common(cfg: dict) -> list:
     problems = []
     if not (_is_number(cfg["k"]) and cfg["k"] > 0):
@@ -92,6 +100,9 @@ def validate_common(cfg: dict) -> list:
             problems.append("impedance must be finite and nonnegative")
     elif not isinstance(imp, list):
         problems.append("impedance must be a number or a coefficient list")
+    eta = cfg.get("eta")
+    if eta is not None and not (_is_number(eta) and np.isfinite(eta) and eta != 0):
+        problems.append("eta must be null or a finite nonzero number")
     return problems
 
 
@@ -138,14 +149,10 @@ def farfield_csv(ff: forward.FarField) -> str:
 
 
 def sweep_csv(sweep: stability.StabilitySweep) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["epsilon", "delta", "dsup", "bound", "C_fit", "sigma_fit"])
-    for rec in sweep.records:
-        writer.writerow([f"{rec.epsilon:.17g}", f"{rec.delta:.17g}",
-                         f"{rec.dsup:.17g}", f"{rec.bound:.17g}",
-                         f"{sweep.c_fit:.17g}", f"{sweep.sigma_fit:.17g}"])
-    return buf.getvalue()
+    fit = (sweep.c_fit, sweep.sigma_fit)
+    return "epsilon,delta,dsup,bound,C_fit,sigma_fit\n" + "".join(
+        "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (r.epsilon, r.delta, r.dsup, r.bound, *fit)
+        for r in sweep.records)
 
 
 def emit_summary(cfg: dict, payload: dict):
@@ -211,11 +218,11 @@ def cmd_mie(cfg: dict) -> int:
 
 
 def cmd_carleman_check(cfg: dict) -> int:
-    rho = float(cfg.get("rho", 1.0))
-    d = float(cfg.get("d", 1.0))
-    size = int(cfg.get("suite_size", 50))
+    rho = float(_get(cfg, "rho", 1.0))
+    d = float(_get(cfg, "d", 1.0))
+    size = _get(cfg, "suite_size", 50, integer=True)
     setup = carleman.CarlemanSetup(x0=np.zeros(3), rho=rho, d=d)
-    suite = carleman.random_test_suite(size, seed=int(cfg["seed"]))
+    suite = carleman.random_test_suite(size, seed=_get(cfg, "seed", 0, integer=True))
     reports = []
     all_pass = True
     for mult in (1.0, 2.0, 4.0):
@@ -235,10 +242,10 @@ def cmd_carleman_check(cfg: dict) -> int:
 
 def cmd_three_sphere(cfg: dict) -> int:
     k = float(cfg["k"])
-    r = float(cfg.get("ball_radius", 0.2))
-    y = np.asarray(cfg.get("center", [2.0, 0.0, 0.0]), dtype=float)
-    size = int(cfg.get("family_size", 8))
-    rng = np.random.default_rng(int(cfg["seed"]))
+    r = float(_get(cfg, "ball_radius", 0.2))
+    y = np.asarray(_get(cfg, "center", [2.0, 0.0, 0.0]), dtype=float)
+    size = _get(cfg, "family_size", 8, integer=True)
+    rng = np.random.default_rng(_get(cfg, "seed", 0, integer=True))
     family = [
         carleman.TestFunction.plane_wave(k, rng.normal(size=3),
                                          rng.uniform(0, 2 * np.pi))
@@ -251,18 +258,18 @@ def cmd_three_sphere(cfg: dict) -> int:
 
 
 def cmd_chain(cfg: dict) -> int:
-    r = float(cfg.get("r", 0.1))
-    big_r = float(cfg.get("R", 8.0))
-    theta = float(cfg.get("cone_half_angle", np.pi / 6))
+    r = float(_get(cfg, "r", 0.1))
+    big_r = float(_get(cfg, "R", 8.0))
+    theta = float(_get(cfg, "cone_half_angle", np.pi / 6))
     geom = geometry.ObstacleGeometry(radius=float(cfg["radius"]),
                                      cone_half_angle=theta)
-    x_tilde = np.asarray(cfg.get("x_tilde", [0.0, 0.0, float(cfg["radius"])]),
+    x_tilde = np.asarray(_get(cfg, "x_tilde", [0.0, 0.0, float(cfg["radius"])]),
                          dtype=float)
     chain = geometry.build_cone_chain(x_tilde, r, geom, big_r)
-    bound = carleman.chain_lower_bound(chain, i0=float(cfg.get("i0", 1.0)),
-                                       m_tilde=float(cfg.get("m_tilde", 1.0)),
-                                       c=float(cfg.get("c", 0.5)),
-                                       alpha=float(cfg.get("alpha", 0.5)), r=r)
+    bound = carleman.chain_lower_bound(chain, i0=float(_get(cfg, "i0", 1.0)),
+                                       m_tilde=float(_get(cfg, "m_tilde", 1.0)),
+                                       c=float(_get(cfg, "c", 0.5)),
+                                       alpha=float(_get(cfg, "alpha", 0.5)), r=r)
     emit_summary(cfg, {
         "count": chain.count, "ratio": chain.ratio,
         "max_nesting_residual": float(np.max(chain.nesting_residuals()))
@@ -279,14 +286,14 @@ def cmd_stability_sweep(cfg: dict) -> int:
     ctx = build_context(cfg)
     geom = build_geometry(cfg)
     base = build_impedance(cfg)
-    shape_cfg = cfg.get("perturbation", [0.0, 0.0, 1.0, 0.0])
+    shape_cfg = _get(cfg, "perturbation", [0.0, 0.0, 1.0, 0.0])
     if _is_number(shape_cfg):
         shape = np.array([float(shape_cfg) * np.sqrt(4.0 * np.pi)])
     elif isinstance(shape_cfg, list):
         shape = np.asarray(shape_cfg, dtype=float)
     else:
         raise ConfigError("perturbation must be a number or a coefficient list")
-    eps_list = cfg.get("eps_list", [0.0125, 0.025, 0.05, 0.1])
+    eps_list = _get(cfg, "eps_list", [0.0125, 0.025, 0.05, 0.1])
     sweep = stability.stability_sweep(base, shape, eps_list, ctx, geom,
                                       cfg["eta"], cfg["band_limit"])
     if cfg.get("output"):
@@ -300,7 +307,7 @@ def cmd_lemma51(cfg: dict) -> int:
     ctx = build_context(cfg)
     geom = build_geometry(cfg)
     lam = build_impedance(cfg)
-    candidates = cfg.get("r_candidates", [2.0, 4.0, 8.0, 16.0, 32.0])
+    candidates = _get(cfg, "r_candidates", [2.0, 4.0, 8.0, 16.0, 32.0])
     report = stability.lemma51_check(ctx, geom, lam, candidates,
                                      cfg["eta"], cfg["band_limit"])
     payload = {"qualifying_radius": report.qualifying_radius,
@@ -314,17 +321,17 @@ def cmd_lemma51(cfg: dict) -> int:
 def cmd_reconstruct(cfg: dict) -> int:
     ctx = build_context(cfg)
     geom = build_geometry(cfg)
-    truth = cfg.get("true_impedance", cfg["impedance"])
+    truth = _get(cfg, "true_impedance", cfg["impedance"])
     if not _is_number(truth):
         raise ConfigError("reconstruct requires a constant true_impedance")
+    noise = float(_get(cfg, "noise", 0.0))
     band = cfg["band_limit"]
     rule = gauss_product_rule(band)
     data = forward.solve_farfield(ctx, geom,
                                   layer_ops.ImpedanceField.constant(float(truth)),
                                   cfg["eta"], band, rule)
-    noise = float(cfg.get("noise", 0.0))
     if noise > 0:
-        rng = np.random.default_rng(int(cfg["seed"]))
+        rng = np.random.default_rng(_get(cfg, "seed", 0, integer=True))
         pert = rng.normal(size=data.samples.shape) \
             + 1j * rng.normal(size=data.samples.shape)
         data = forward.FarField(
@@ -332,7 +339,7 @@ def cmd_reconstruct(cfg: dict) -> int:
         )
     prior = build_impedance(cfg)
     report = stability.reconstruct(data, ctx, geom, prior,
-                                   reg=float(cfg.get("reg", 1e-6)),
+                                   reg=float(_get(cfg, "reg", 1e-6)),
                                    eta=cfg["eta"], band_limit=band)
     emit_summary(cfg, {
         "misfit": report.misfit,
@@ -346,8 +353,8 @@ def cmd_reconstruct(cfg: dict) -> int:
 
 def cmd_ga2_check(cfg: dict) -> int:
     geom = build_geometry(cfg)
-    radii = cfg.get("radii", [0.4, 0.2, 0.1, 0.05])
-    c, kappa = geometry.check_GA2(geom, radii, seed=int(cfg["seed"]))
+    radii = _get(cfg, "radii", [0.4, 0.2, 0.1, 0.05])
+    c, kappa = geometry.check_GA2(geom, radii, seed=_get(cfg, "seed", 0, integer=True))
     emit_summary(cfg, {"C": c, "kappa": kappa})
     return EXIT_OK
 
@@ -392,7 +399,9 @@ def main(argv=None) -> int:
         if problems:
             raise ConfigError("; ".join(problems))
         return HANDLERS[args.command](cfg)
-    except (ValueError, IndexError) as exc:  # ConfigError is a ValueError
+    # ConfigError is a ValueError; a config value of the wrong JSON type (an
+    # object where a list belongs) raises TypeError in numpy's conversion
+    except (ValueError, IndexError, TypeError) as exc:
         _error_record("validation", str(exc))
         return EXIT_VALIDATION
     except (RuntimeError, np.linalg.LinAlgError, ArithmeticError, MemoryError) as exc:

@@ -74,10 +74,13 @@ class WaveContext:
 
 @dataclass(frozen=True)
 class HarmonicDensity:
-    """Complex coefficient vector in the flat (n, m) ordering."""
+    """Complex coefficient vector in the flat (n, m) ordering, and the
+    coupling η of the ansatz u^s = SL[φ] + iη DL[S₀² φ] it was solved with;
+    every field evaluated from φ reads η here."""
 
     coeffs: np.ndarray
     band_limit: int
+    eta: float
 
     def __post_init__(self):
         if self.coeffs.size != num_harmonics(self.band_limit):
@@ -123,9 +126,11 @@ class ResolutionError(RuntimeError):
 
 
 def solve_density(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField,
-                  eta: float | None = None, band_limit: int = 24,
-                  tail_tol: float = 1e-8) -> HarmonicDensity:
+                  eta: float | None = None, band_limit: int = 24) -> HarmonicDensity:
     """Solve the combined-field system for the boundary density φ.
+
+    The density carries ``eta`` (``None``: :func:`default_coupling`), which
+    changes φ but not the fields evaluated from it.
 
     M_{iλ} is built once, for the system and the right-hand side, by the
     selection rule of :func:`impscat.layer_ops.multiplication_operator`; the
@@ -133,7 +138,7 @@ def solve_density(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField,
     estimates its conditioning and solves it.  Raises :class:`SingularSystemError`
     if the system has a non-finite entry or its relative 1-norm rcond is
     below 1e-12, ``RuntimeError`` if the relative residual exceeds 1e-12,
-    and :class:`ResolutionError` if the tail fraction exceeds ``tail_tol``.
+    and :class:`ResolutionError` if the tail fraction exceeds 1e-8.
     """
     eta = default_coupling(ctx.k) if eta is None else eta
     mult = multiplication_operator(lam, band_limit)
@@ -145,19 +150,17 @@ def solve_density(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField,
     scale = np.linalg.norm(rhs)
     if scale > 0 and res > 1e-12 * scale:
         raise RuntimeError(f"linear solve residual {res / scale:.2e} exceeds 1e-12")
-    density = HarmonicDensity(coeffs=phi, band_limit=band_limit)
-    if density.tail_fraction() > tail_tol and scale > 0:
+    density = HarmonicDensity(coeffs=phi, band_limit=band_limit, eta=eta)
+    if density.tail_fraction() > 1e-8 and scale > 0:
         raise ResolutionError(
-            f"density tail fraction {density.tail_fraction():.2e} exceeds {tail_tol:.1e}"
+            f"density tail fraction {density.tail_fraction():.2e} exceeds 1.0e-08"
         )
     return density
 
 
 def radiating_coefficients(phi: HarmonicDensity, ctx: WaveContext,
-                           geom: ObstacleGeometry,
-                           eta: float | None = None) -> np.ndarray:
-    eta = default_coupling(ctx.k) if eta is None else eta
-    cdiag = radiating_coefficient_diagonal(ctx.k, geom.radius, eta, phi.band_limit)
+                           geom: ObstacleGeometry) -> np.ndarray:
+    cdiag = radiating_coefficient_diagonal(ctx.k, geom.radius, phi.eta, phi.band_limit)
     return cdiag * phi.coeffs
 
 
@@ -190,9 +193,9 @@ def _outgoing_wave(amps: np.ndarray, k: float, where, radius: float = 0.0,
 
 
 def eval_scattered(x, phi: HarmonicDensity, ctx: WaveContext,
-                   geom: ObstacleGeometry, eta: float | None = None) -> np.ndarray:
+                   geom: ObstacleGeometry) -> np.ndarray:
     """Scattered field u^s at exterior points via the separated expansion."""
-    amps = radiating_coefficients(phi, ctx, geom, eta)
+    amps = radiating_coefficients(phi, ctx, geom)
     values = _outgoing_wave(amps, ctx.k, x, geom.radius)
     min_dist = float(np.min(np.linalg.norm(np.atleast_2d(x), axis=1))) - geom.radius
     if min_dist < 2.0 * np.pi / (ctx.k * phi.band_limit):
@@ -201,19 +204,18 @@ def eval_scattered(x, phi: HarmonicDensity, ctx: WaveContext,
 
 
 def scattered_radial_derivative(x, phi: HarmonicDensity, ctx: WaveContext,
-                                geom: ObstacleGeometry,
-                                eta: float | None = None) -> np.ndarray:
+                                geom: ObstacleGeometry) -> np.ndarray:
     """∂u^s/∂r at exterior points (analytic, for radiation-condition checks)."""
-    amps = radiating_coefficients(phi, ctx, geom, eta)
+    amps = radiating_coefficients(phi, ctx, geom)
     return _outgoing_wave(amps, ctx.k, x, geom.radius, derivative=True)
 
 
 def farfield(phi: HarmonicDensity, ctx: WaveContext, geom: ObstacleGeometry,
-             eta: float | None = None,
              rule: QuadratureRule | None = None) -> FarField:
-    """Far-field pattern u∞ from the large-argument Hankel asymptotics."""
+    """Far-field pattern u∞ from the large-argument Hankel asymptotics,
+    with the density's own coupling ``phi.eta``."""
     rule = rule or gauss_product_rule(phi.band_limit)
-    amps = radiating_coefficients(phi, ctx, geom, eta)
+    amps = radiating_coefficients(phi, ctx, geom)
     return FarField(samples=_outgoing_wave(amps, ctx.k, rule), rule=rule)
 
 
@@ -221,7 +223,7 @@ def solve_farfield(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField
                    eta: float | None = None, band_limit: int = 24,
                    rule: QuadratureRule | None = None) -> FarField:
     phi = solve_density(ctx, geom, lam, eta, band_limit)
-    return farfield(phi, ctx, geom, eta, rule)
+    return farfield(phi, ctx, geom, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +240,11 @@ def mie_mode_coefficients(k: float, a: float, lam0: float,
     return -num / den
 
 
-def _mie_band_limit(k: float, a: float, lam0: float, tol: float = 1e-14) -> int:
+def _mie_band_limit(k: float, a: float, lam0: float) -> int:
     n = max(8, int(k * a) + 8)
     while n < 400:
         coeffs = mie_mode_coefficients(k, a, lam0, n)
-        if abs(coeffs[-1]) < tol * max(1e-300, np.max(np.abs(coeffs))):
+        if abs(coeffs[-1]) < 1e-14 * max(1e-300, np.max(np.abs(coeffs))):
             return n
         n += 8
     return n
@@ -255,21 +257,19 @@ def _mie_amplitudes(ctx: WaveContext, a: float, lam0: float, band_limit: int):
 
 
 def mie_farfield(ctx: WaveContext, a: float, lam0: float,
-                 rule: QuadratureRule | None = None,
-                 band_limit: int | None = None) -> FarField:
+                 rule: QuadratureRule | None = None) -> FarField:
     """Far field of the impedance sphere by separation of variables."""
     if lam0 < 0:
         raise ValueError("impedance must be nonnegative")
-    nb = band_limit or _mie_band_limit(ctx.k, a, lam0)
+    nb = _mie_band_limit(ctx.k, a, lam0)
     rule = rule or gauss_product_rule(max(24, nb))
     amps = _mie_amplitudes(ctx, a, lam0, nb)
     return FarField(samples=_outgoing_wave(amps, ctx.k, rule), rule=rule)
 
 
-def mie_scattered(x, ctx: WaveContext, a: float, lam0: float,
-                  band_limit: int | None = None) -> np.ndarray:
+def mie_scattered(x, ctx: WaveContext, a: float, lam0: float) -> np.ndarray:
     """Near-field Mie scattered wave at exterior points."""
-    nb = band_limit or _mie_band_limit(ctx.k, a, lam0)
+    nb = _mie_band_limit(ctx.k, a, lam0)
     return _outgoing_wave(_mie_amplitudes(ctx, a, lam0, nb), ctx.k, x, a)
 
 
@@ -278,13 +278,12 @@ def mie_scattered(x, ctx: WaveContext, a: float, lam0: float,
 # ---------------------------------------------------------------------------
 
 def boundary_traces(phi: HarmonicDensity, ctx: WaveContext, geom: ObstacleGeometry,
-                    lam: ImpedanceField, eta: float | None = None,
-                    rule: QuadratureRule | None = None):
-    """Total field and its obstacle-outward normal derivative on ∂D."""
-    eta = default_coupling(ctx.k) if eta is None else eta
+                    lam: ImpedanceField, rule: QuadratureRule | None = None):
+    """Total field and its obstacle-outward normal derivative on ∂D, with
+    the density's own coupling ``phi.eta``; returns (u, ∂_ν u, rule)."""
     nb = phi.band_limit
     rule = rule or gauss_product_rule(nb)
-    tr, dtr = exterior_trace_operators(ctx.k, geom.radius, eta, nb)
+    tr, dtr = exterior_trace_operators(ctx.k, geom.radius, phi.eta, nb)
     u_inc, dnu_inc = incident_coefficients(ctx.k, ctx.omega, geom.radius, nb)
     coeffs = np.stack((u_inc + tr * phi.coeffs, dnu_inc + dtr * phi.coeffs))
     u, dnu = _synthesize(coeffs, rule)
@@ -326,9 +325,9 @@ class UniformBoundReport:
 
 def uniform_bound_check(ctx: WaveContext, geom: ObstacleGeometry,
                         impedances, eta: float | None = None,
-                        band_limit: int = 24,
-                        shell_factors=(1.5, 2.0, 4.0, 8.0)) -> UniformBoundReport:
+                        band_limit: int = 24) -> UniformBoundReport:
     """Numerical witness of the uniform total-field bound over a λ family."""
+    shell_factors = (1.5, 2.0, 4.0, 8.0)
     rule = gauss_product_rule(band_limit)
     dirs = rule.points()
     sups = []
@@ -337,7 +336,7 @@ def uniform_bound_check(ctx: WaveContext, geom: ObstacleGeometry,
         sup = 0.0
         for fac in shell_factors:
             pts = fac * geom.radius * dirs
-            total = ctx.incident(pts) + eval_scattered(pts, phi, ctx, geom, eta)
+            total = ctx.incident(pts) + eval_scattered(pts, phi, ctx, geom)
             sup = max(sup, float(np.max(np.abs(total))))
         sups.append(sup)
-    return UniformBoundReport(sups=sups, shell_radii=tuple(shell_factors))
+    return UniformBoundReport(sups=sups, shell_radii=shell_factors)

@@ -274,25 +274,25 @@ def build_cone_chain(x_tilde: np.ndarray, r: float, geom: ObstacleGeometry,
 # GA2: boundary-cap growth exponent
 # ---------------------------------------------------------------------------
 
-def check_GA2(geom: ObstacleGeometry, radii, n_boundary: int = 96,
-              n_centers: int = 8, seed: int = 0) -> tuple[float, float]:
+def check_GA2(geom: ObstacleGeometry, radii, seed: int = 0) -> tuple[float, float]:
     """Empirical (C, κ) with sup{|y − x̃| : y ∈ ∂D ∩ 𝓑(x̃,r)} <= C r^κ.
 
-    For each sampled boundary point x̃ and each probe radius r the cap
-    spread s(r) is computed by dense boundary sampling and the worst case
-    over x̃ is kept; (C, κ) come from a least-squares fit of log s on log r.
+    For each of 8 boundary points x̃, drawn from the nodes of the order-96
+    product rule, and each probe radius r the cap spread s(r) is computed on
+    those nodes and the worst case over x̃ is kept; (C, κ) come from a
+    least-squares fit of log s on log r.
     """
     radii = np.asarray(radii, dtype=float)
     if np.any(radii <= 0):
         raise ValueError("probe radii must be positive")
-    rule = gauss_product_rule(n_boundary)
+    rule = gauss_product_rule(96)
     bnd = geom.boundary_points(rule)
     rng = np.random.default_rng(seed)
-    idx = rng.choice(bnd.shape[0], size=n_centers, replace=False)
+    idx = rng.choice(bnd.shape[0], size=8, replace=False)
     spreads = np.zeros_like(radii)
     for i in idx:
         x_t = bnd[i]
-        x0 = exterior_contact_point(geom, x_t, n_check=n_boundary)
+        x0 = exterior_contact_point(geom, x_t, n_check=96)
         dist_to_center = np.linalg.norm(bnd - x0, axis=1)
         dist_to_xt = np.linalg.norm(bnd - x_t, axis=1)
         rho = geom.exterior_sphere_radius

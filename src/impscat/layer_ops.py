@@ -71,10 +71,6 @@ class SingularSystemError(RuntimeError):
     """Combined-field matrix is non-finite or singular (relative rcond < 1e-12)."""
 
 
-class AliasingError(ValueError):
-    """Quadrature order too low to resolve a product of bandwidths."""
-
-
 # ---------------------------------------------------------------------------
 # Impedance fields
 # ---------------------------------------------------------------------------
@@ -215,22 +211,15 @@ def multiplication_operator(lam: ImpedanceField, band_limit: int) -> BoundaryOpe
     return assemble_multiplication(lam, band_limit)
 
 
-def assemble_multiplication(lam: ImpedanceField, band_limit: int,
-                            rule: QuadratureRule | None = None) -> BoundaryOperatorMatrix:
+def assemble_multiplication(lam: ImpedanceField, band_limit: int) -> BoundaryOperatorMatrix:
     """Galerkin matrix of f -> iλ f in the Y_n^m basis, in band storage.
 
-    Exact for the resolved bandwidths provided the rule order is at least
-    N + N_λ; a coarser rule raises :class:`AliasingError`.  Only the blocks
-    with |m − m'| <= N_λ are formed, and only their entries inside the
-    band are kept (see the module docstring); the rest vanish.
+    Exact: the product rule it integrates on has order max(N + N_λ, N + 2),
+    at least the N + N_λ that resolves every product Ȳ_n^m λ Y_n'^m'.  Only
+    the blocks with |m − m'| <= N_λ are formed, and only their entries
+    inside the band are kept (see the module docstring); the rest vanish.
     """
-    min_order = band_limit + lam.band_limit
-    if rule is None:
-        rule = _cached_rule(max(min_order, band_limit + 2))
-    elif rule.order < min_order:
-        raise AliasingError(
-            f"rule order {rule.order} < N + N_lambda = {min_order}; aliasing"
-        )
+    rule = _cached_rule(max(band_limit + lam.band_limit, band_limit + 2))
     rings = rule.order + 1
     # fft gives Σ_l a_l e^{−iqφ_l} at index q mod L, so F_q sits at −q mod L;
     # row q + N_λ of ``fourier`` holds F_q on every ring
@@ -332,20 +321,21 @@ def incident_coefficients(k: float, omega: np.ndarray, a: float,
 
 
 def rhs_from_incident(k: float, omega: np.ndarray, lam: ImpedanceField,
-                      band_limit: int, a: float = 1.0, tail_tol: float = 1e-12,
+                      band_limit: int, a: float = 1.0,
                       mult: BoundaryOperatorMatrix | None = None) -> np.ndarray:
     """Coefficients of g = −(∂_ν u^i + iλ u^i) on the boundary.
 
-    Warns when the plane-wave (Jacobi-Anger) tail at degree N is not yet
-    negligible against its head.  ``mult`` is M_{iλ} for ``lam``, as built
-    by :func:`multiplication_operator`.
+    Warns when the plane-wave (Jacobi-Anger) tail at degree N is above 1e-12
+    of its head.  ``mult`` is M_{iλ} for ``lam`` when the caller has already
+    built it; without it :func:`multiplication_operator` builds it.
     """
     u_inc, dnu_inc = incident_coefficients(k, omega, a, band_limit)
     head = np.max(np.abs(u_inc))
     tail = np.max(np.abs(u_inc[-(2 * band_limit + 1):]))  # the degree-N entries
-    if head > 0 and tail > tail_tol * head:
+    if head > 0 and tail > 1e-12 * head:
         warnings.warn(
             f"plane-wave series tail at degree {band_limit} is {tail / head:.2e} "
             "of its head; raise the band limit"
         )
+    mult = mult or multiplication_operator(lam, band_limit)
     return -(dnu_inc + mult.matvec(u_inc))

@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .forward import FarField, WaveContext, eval_scattered, solve_density, solve_farfield
 from .geometry import ObstacleGeometry
-from .layer_ops import ImpedanceField, _cached_rule, default_coupling
+from .layer_ops import ImpedanceField, _cached_rule
 from .specfun import (
     _complex_coefficients,
     _synthesize,
@@ -54,9 +53,8 @@ def bushuyev_theta(delta: float) -> float:
     return 1.0 / (1.0 + np.log(abs(np.log(delta)) + np.e))
 
 
-def prop41_stationary_s(c: float, sigma: float, n: float,
-                        tol: float = 1e-14) -> float:
-    """Root ŝ of −σC/ŝ^{σ+1} + N e^ŝ = 0 by bisection."""
+def prop41_stationary_s(c: float, sigma: float, n: float) -> float:
+    """Root ŝ of −σC/ŝ^{σ+1} + N e^ŝ = 0 by bisection, to 1e-14 relative."""
     if c <= 0 or sigma <= 0 or n <= 0:
         raise ValueError("c, sigma, n must be positive")
 
@@ -72,7 +70,7 @@ def prop41_stationary_s(c: float, sigma: float, n: float,
         lo /= 2.0
         if lo < 1e-300:
             raise RuntimeError("stationarity root not bracketed")
-    while hi - lo > tol * max(1.0, hi):
+    while hi - lo > 1e-14 * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if resid(mid) > 0:
             hi = mid
@@ -112,9 +110,8 @@ def far_field_delta(lam_a: ImpedanceField, lam_b: ImpedanceField,
     )))
 
 
-def impedance_sup_distance(lam_a: ImpedanceField, lam_b: ImpedanceField,
-                           grid_order: int = 64) -> float:
-    """Max-norm distance on a refined boundary grid.
+def impedance_sup_distance(lam_a: ImpedanceField, lam_b: ImpedanceField) -> float:
+    """Max-norm distance on the order-64 boundary grid.
 
     The coefficient difference is evaluated once, by the ring transform.
     """
@@ -122,7 +119,7 @@ def impedance_sup_distance(lam_a: ImpedanceField, lam_b: ImpedanceField,
     diff = np.zeros(max(a.size, b.size))
     diff[:a.size] += a
     diff[:b.size] -= b
-    values = _synthesize(_complex_coefficients(diff), _cached_rule(grid_order)).real
+    values = _synthesize(_complex_coefficients(diff), _cached_rule(64)).real
     return float(np.max(np.abs(values)))
 
 
@@ -155,15 +152,15 @@ def _perturbed(base: ImpedanceField, shape: np.ndarray,
     return ImpedanceField(coefficients=coeffs, bound=np.inf)
 
 
-def fit_dominating_curve(deltas, dsups, sigma_grid=SIGMA_GRID):
+def fit_dominating_curve(deltas, dsups):
     """Smallest-C curve of the double-log form dominating all records.
 
-    For each σ in the grid, C_σ = max dsup·|ln(inner(δ))|^σ; the (C, σ)
+    For each σ in ``SIGMA_GRID``, C_σ = max dsup·|ln(inner(δ))|^σ; the (C, σ)
     with the smallest C wins.  Records outside the bound's admissible
     δ range are skipped (they cannot constrain an asymptotic modulus).
     """
-    best = (np.inf, sigma_grid[0])
-    for sigma in sigma_grid:
+    best = (np.inf, SIGMA_GRID[0])
+    for sigma in SIGMA_GRID:
         c_needed = 0.0
         used = 0
         for d, s in zip(deltas, dsups):
@@ -184,8 +181,7 @@ def fit_dominating_curve(deltas, dsups, sigma_grid=SIGMA_GRID):
 
 def stability_sweep(base: ImpedanceField, shape, eps_list,
                     ctx: WaveContext, geom: ObstacleGeometry,
-                    eta: float | None = None, band_limit: int = 24,
-                    sigma_grid=SIGMA_GRID) -> StabilitySweep:
+                    eta: float | None = None, band_limit: int = 24) -> StabilitySweep:
     """Perturbation sweep with a fitted dominating stability curve."""
     eps_sorted = sorted(float(e) for e in eps_list)
     rule = gauss_product_rule(band_limit)
@@ -203,7 +199,7 @@ def stability_sweep(base: ImpedanceField, shape, eps_list,
         rows.append((eps, delta, impedance_sup_distance(base, lam_p)))
     positive = [r for r in rows if r[0] > 0]
     c_fit, sigma_fit = fit_dominating_curve(
-        [r[1] for r in positive], [r[2] for r in positive], sigma_grid
+        [r[1] for r in positive], [r[2] for r in positive]
     )
     records = []
     for eps, delta, dsup in rows:
@@ -233,7 +229,7 @@ class Lemma51Report:
 
 def lemma51_check(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField,
                   r_candidates, eta: float | None = None,
-                  band_limit: int = 24, sphere_order: int = 24) -> Lemma51Report:
+                  band_limit: int = 24) -> Lemma51Report:
     """Smallest candidate R with |u| ≥ 1/2 on every sampled radius ≥ R.
 
     Uses the triangle inequality |u| ≥ 1 − |u^s| plus a direct min over
@@ -244,12 +240,12 @@ def lemma51_check(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField,
         [np.asarray(r_candidates, dtype=float),
          np.geomspace(min(r_candidates), 4.0 * max(r_candidates), 24)]
     ))
-    dirs = gauss_product_rule(sphere_order).points()
+    dirs = gauss_product_rule(24).points()
     sups = np.empty(rads.size)
     mins = np.empty(rads.size)
     for i, rr in enumerate(rads):
         pts = rr * dirs
-        us = eval_scattered(pts, phi, ctx, geom, eta)
+        us = eval_scattered(pts, phi, ctx, geom)
         total = ctx.incident(pts) + us
         sups[i] = float(np.max(np.abs(us)))
         mins[i] = float(np.min(np.abs(total)))
@@ -277,8 +273,7 @@ class ReconstructionReport:
 
 def reconstruct(data: FarField, ctx: WaveContext, geom: ObstacleGeometry,
                 prior: ImpedanceField, reg: float, eta: float | None = None,
-                band_limit: int = 12, degree: int = 4,
-                max_iter: int = 200) -> ReconstructionReport:
+                band_limit: int = 12, degree: int = 4) -> ReconstructionReport:
     """Regularized least-squares fit of a low-degree impedance to far data.
 
     Minimizes ‖u∞(λ) − data‖²_{L²(S²)} + reg·‖λ − prior‖² over impedances
@@ -288,9 +283,10 @@ def reconstruct(data: FarField, ctx: WaveContext, geom: ObstacleGeometry,
     converged (0 iterations, gradient_norm NaN: L-BFGS-B would only see a
     finite-difference gradient of rounding noise there, above its gtol).
     """
+    from scipy.optimize import minimize  # here, not at the top: it slows every CLI start
+
     if reg <= 0:
         raise ValueError("regularization weight must be positive")
-    eta = default_coupling(ctx.k) if eta is None else eta
     n_coef = num_harmonics(degree)
     prior_vec = np.zeros(n_coef)
     m = min(n_coef, prior.coefficients.size)
@@ -316,7 +312,7 @@ def reconstruct(data: FarField, ctx: WaveContext, geom: ObstacleGeometry,
         x, converged, iterations, gradient_norm = x0, True, 0, np.nan
     else:
         result = minimize(objective, x0, method="L-BFGS-B",
-                          options={"maxiter": max_iter, "ftol": 1e-14, "gtol": 1e-10})
+                          options={"maxiter": 200, "ftol": 1e-14, "gtol": 1e-10})
         x, converged, iterations = result.x, bool(result.success), int(result.nit)
         gradient_norm = (float(np.max(np.abs(result.jac)))
                          if result.jac is not None else np.nan)

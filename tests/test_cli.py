@@ -21,10 +21,12 @@ from impscat.cli import (
     farfield_csv,
     load_config,
     main,
+    sweep_csv,
     validate_common,
 )
 from impscat.forward import FarField
 from impscat.specfun import gauss_product_rule
+from impscat.stability import StabilityRecord, StabilitySweep
 
 
 def write_config(tmp_path, name, payload):
@@ -98,7 +100,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command,key", [
         ("farfield", "k"), ("farfield", "radius"), ("farfield", "band_limit"),
         ("farfield", "impedance"), ("stability-sweep", "perturbation"),
-        ("reconstruct", "true_impedance"),
+        ("reconstruct", "true_impedance"), ("carleman-check", "suite_size"),
+        ("carleman-check", "rho"), ("reconstruct", "noise"), ("farfield", "eta"),
     ])
     def test_boolean_is_not_a_number(self, tmp_path, capsys, command, key):
         path = write_config(tmp_path, "c.json", {})
@@ -106,6 +109,13 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation"
         assert key in err["message"]
+
+    def test_wrong_json_type_is_validation(self, tmp_path, capsys):
+        path = write_config(tmp_path, "c.json", {})
+        assert main(["carleman-check", path, "--set", "rho=[1]"]) == EXIT_VALIDATION
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert "rho" in err["message"]
 
     def test_missing_config(self, capsys):
         assert main(["forward", "/nonexistent/cfg.json"]) == EXIT_VALIDATION
@@ -178,6 +188,20 @@ class TestArtifacts:
         eps = [float(line.split(",")[0]) for line in lines[1:]]
         assert eps == sorted(eps)
 
+    def test_sweep_csv_matches_csv_writer(self):
+        # the csv.writer + f-string rows the CSV was first written with
+        values = [0.0, -0.0, 5e-324, np.inf, np.nan, 1e300, 0.1, -2.5]
+        records = [StabilityRecord(*values[i:i + 4]) for i in (0, 2, 4)]
+        sweep = StabilitySweep(records=records, c_fit=np.float64(1.25), sigma_fit=0.5)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["epsilon", "delta", "dsup", "bound", "C_fit", "sigma_fit"])
+        for rec in sweep.records:
+            writer.writerow([f"{rec.epsilon:.17g}", f"{rec.delta:.17g}",
+                             f"{rec.dsup:.17g}", f"{rec.bound:.17g}",
+                             f"{sweep.c_fit:.17g}", f"{sweep.sigma_fit:.17g}"])
+        assert sweep_csv(sweep) == buf.getvalue()
+
     def test_chain_summary(self, tmp_path, capsys):
         path = write_config(tmp_path, "c.json", {"r": 0.1, "R": 8.0})
         assert main(["chain", path]) == EXIT_OK
@@ -236,6 +260,13 @@ class TestReconstructCommand:
 
 
 class TestCarlemanCommand:
+    def test_summary_embeds_defaults(self, tmp_path, capsys):
+        path = write_config(tmp_path, "c.json", {})
+        assert main(["carleman-check", path]) == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        assert {"rho": 1.0, "d": 1.0, "suite_size": 50}.items() <= summary["config"].items()
+        assert len(summary["reports"]) == 150
+
     def test_small_suite_all_pass(self, tmp_path, capsys):
         path = write_config(tmp_path, "c.json", {"suite_size": 4})
         assert main(["carleman-check", path]) == EXIT_OK

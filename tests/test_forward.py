@@ -83,9 +83,9 @@ class TestSolveDensity:
 
     def test_density_invariants(self):
         with pytest.raises(ValueError):
-            HarmonicDensity(coeffs=np.ones(5, dtype=complex), band_limit=3)
+            HarmonicDensity(coeffs=np.ones(5, dtype=complex), band_limit=3, eta=1.0)
         with pytest.raises(ValueError):
-            HarmonicDensity(coeffs=np.full(4, np.nan, dtype=complex), band_limit=1)
+            HarmonicDensity(coeffs=np.full(4, np.nan, dtype=complex), band_limit=1, eta=1.0)
 
     @pytest.mark.parametrize("variable,expected", [(True, 1), (False, 0)])
     def test_multiplication_built_once(self, monkeypatch, variable, expected):
@@ -117,6 +117,37 @@ class TestSolveDensity:
         ctx = WaveContext(k=k, omega=ZHAT)
         ff = solve_farfield(ctx, GEOM, lam, band_limit=band_limit)
         assert rel_l2(ff, mie_farfield(ctx, 1.0, lam0, rule=ff.rule)) <= 1e-10
+
+
+class TestCouplingTravelsWithDensity:
+    # η only makes the combined-field system uniquely solvable: φ depends on
+    # it, u∞ and the boundary traces do not, since each evaluator reads the
+    # coupling from the density it was solved with
+    @pytest.mark.parametrize("k", [0.5, 2.0])
+    @pytest.mark.parametrize("degree2", [False, True], ids=["constant", "degree-2"])
+    def test_fields_independent_of_eta(self, k, degree2):
+        coeffs = np.zeros(9)
+        coeffs[0] = 1.5 * np.sqrt(4 * np.pi)
+        if degree2:
+            coeffs[[2, 3, 6, 8]] = [0.2, -0.1, 0.15, 0.05]
+        lam = ImpedanceField(coeffs)
+        ctx = WaveContext(k=k, omega=np.array([1.0, 2.0, 2.0]) / 3.0)
+        rule = gauss_product_rule(22)
+
+        def fields(eta):
+            phi = solve_density(ctx, GEOM, lam, eta, 20)
+            u, dnu, _ = boundary_traces(phi, ctx, GEOM, lam, rule=rule)
+            return phi, farfield(phi, ctx, GEOM, rule).samples, u, dnu
+
+        ref_phi, *ref = fields(None)
+        for eta in (0.5, 3.0):
+            phi, *got = fields(eta)
+            assert phi.eta == eta
+            assert np.linalg.norm(phi.coeffs - ref_phi.coeffs) > 1e-3 * np.linalg.norm(
+                ref_phi.coeffs)
+            for a, b in zip(got, ref):
+                assert np.sqrt(rule.integrate(np.abs(a - b) ** 2).real) <= 1e-13 * np.sqrt(
+                    rule.integrate(np.abs(b) ** 2).real)
 
 
 def banded(diag, b):

@@ -10,7 +10,6 @@ from scipy.linalg import get_lapack_funcs, lu_factor
 from impscat import layer_ops
 from impscat.geometry import ObstacleGeometry
 from impscat.layer_ops import (
-    AliasingError,
     ImpedanceField,
     SingularSystemError,
     assemble_combined_system,
@@ -179,16 +178,14 @@ class TestMultiplication:
 
     @pytest.mark.parametrize("band_limit,lam_band,rule_order", [
         *[(nb, nl, None) for nb in (4, 12, 24) for nl in (0, 1, 2, 4)],
-        (12, 2, 20),  # an explicit rule above the default order
+        (12, 2, 20),  # the dense oracle on a rule above the default order
     ])
     def test_blocks_match_dense_product(self, band_limit, lam_band, rule_order):
         lam = variable_field(lam_band, band_limit + 10 * lam_band)
-        explicit = rule_order is not None
-        rule = gauss_product_rule(rule_order if explicit else
-                                  max(band_limit + lam_band, band_limit + 2))
+        rule = gauss_product_rule(rule_order or max(band_limit + lam_band, band_limit + 2))
         y = sph_harmonic_all(band_limit, rule.mu, rule.phi)
         dense = 1j * (np.conj(y) * (rule.weights * lam.evaluate_on(rule))) @ y.T
-        mult = assemble_multiplication(lam, band_limit, rule if explicit else None)
+        mult = assemble_multiplication(lam, band_limit)
         entries = unpack_band(mult.entries)
         np.testing.assert_allclose(entries, dense, rtol=0.0,
                                    atol=1e-13 * np.abs(dense).max())
@@ -207,14 +204,6 @@ class TestMultiplication:
             assemble_multiplication(variable_field(4, seed), 12)
         info = layer_ops._band_scatter.cache_info()
         assert (info.misses, info.hits) == (1, 1)
-
-    def test_aliasing_guard(self):
-        coeffs = np.zeros(9)
-        coeffs[0] = np.sqrt(4 * np.pi)
-        coeffs[6] = 0.1
-        lam = ImpedanceField(coefficients=coeffs)
-        with pytest.raises(AliasingError):
-            assemble_multiplication(lam, 8, rule=gauss_product_rule(4))
 
 
 class TestCombinedSystem:
@@ -260,7 +249,7 @@ class TestCombinedSystem:
         lam = ImpedanceField(coefficients=np.array([1.5 * np.sqrt(4 * np.pi), 0.0, 0.2, 0.0]))
         assert not lam.is_constant
         built = unpack_band(assemble_combined_system(1.0, geom, lam, 1.0, 8).entries)
-        mult = assemble_multiplication(lam, 8, gauss_product_rule(16))
+        mult = assemble_multiplication(lam, 8)
         given = unpack_band(assemble_combined_system(1.0, geom, lam, 1.0, 8, mult).entries)
         np.testing.assert_allclose(built, given, rtol=0.0,
                                    atol=1e-13 * np.abs(given).max())
@@ -278,6 +267,13 @@ class TestCombinedSystem:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rhs_from_incident(0.5, omega, lam, 24, mult=multiplication_operator(lam, 24))
+
+    @pytest.mark.parametrize("lam_band", [0, 2])
+    def test_rhs_builds_its_multiplication(self, lam_band):
+        lam = variable_field(lam_band, 5) if lam_band else ImpedanceField.constant(1.5)
+        omega = np.array([1.0, 2.0, 2.0]) / 3.0
+        given = rhs_from_incident(1.0, omega, lam, 12, mult=multiplication_operator(lam, 12))
+        np.testing.assert_array_equal(rhs_from_incident(1.0, omega, lam, 12), given)
 
     def test_perturbed_geometry_unsupported(self):
         coeffs = np.zeros(9)
