@@ -73,13 +73,19 @@ def _is_number(value, integer: bool = False) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
+def _is_number_list(value) -> bool:
+    return isinstance(value, list) and all(_is_number(v) for v in value)
+
+
 def _get(cfg: dict, key: str, default, integer: bool = False):
     """Subcommand key ``key``; an absent key takes ``default``, stored in
     ``cfg`` so the summary embeds it.  If the default is a number, so must
-    the value be (an int if ``integer``)."""
+    the value be (an int if ``integer``); if a list, a list of numbers."""
     value = cfg.setdefault(key, default)
     if _is_number(default) and not _is_number(value, integer):
         raise ConfigError(f"{key} must be {'an integer' if integer else 'a number'}")
+    if isinstance(default, list) and not _is_number_list(value):
+        raise ConfigError(f"{key} must be a list of numbers")
     return value
 
 
@@ -87,8 +93,8 @@ def validate_common(cfg: dict) -> list:
     problems = []
     if not (_is_number(cfg["k"]) and cfg["k"] > 0):
         problems.append("k must be a positive number")
-    om = np.asarray(cfg["omega"], dtype=float)
-    if om.shape != (3,) or abs(np.linalg.norm(om) - 1.0) > 1e-9:
+    om = np.asarray(cfg["omega"] if _is_number_list(cfg["omega"]) else [], dtype=float)
+    if om.shape != (3,) or not abs(np.linalg.norm(om) - 1.0) <= 1e-9:
         problems.append("omega must be a 3-vector of unit length")
     if not (_is_number(cfg["radius"]) and cfg["radius"] > 0):
         problems.append("radius must be positive")
@@ -96,13 +102,17 @@ def validate_common(cfg: dict) -> list:
         problems.append("band_limit must be an integer >= 1")
     imp = cfg["impedance"]
     if _is_number(imp):
-        if not (np.isfinite(imp) and imp >= 0):
+        if not (np.isfinite(float(imp)) and imp >= 0):
             problems.append("impedance must be finite and nonnegative")
-    elif not isinstance(imp, list):
+    elif not _is_number_list(imp):
         problems.append("impedance must be a number or a coefficient list")
     eta = cfg.get("eta")
-    if eta is not None and not (_is_number(eta) and np.isfinite(eta) and eta != 0):
+    if eta is not None and not (_is_number(eta) and np.isfinite(float(eta)) and eta != 0):
         problems.append("eta must be null or a finite nonzero number")
+    if not _is_number(cfg.get("seed", 0), integer=True):
+        problems.append("seed must be an integer")
+    if not all(isinstance(cfg.get(key), (str, type(None))) for key in ("output", "summary")):
+        problems.append("output and summary must each be null or a path")
     return problems
 
 
@@ -222,7 +232,7 @@ def cmd_carleman_check(cfg: dict) -> int:
     d = float(_get(cfg, "d", 1.0))
     size = _get(cfg, "suite_size", 50, integer=True)
     setup = carleman.CarlemanSetup(x0=np.zeros(3), rho=rho, d=d)
-    suite = carleman.random_test_suite(size, seed=_get(cfg, "seed", 0, integer=True))
+    suite = carleman.random_test_suite(size, seed=cfg["seed"])
     reports = []
     all_pass = True
     for mult in (1.0, 2.0, 4.0):
@@ -245,7 +255,7 @@ def cmd_three_sphere(cfg: dict) -> int:
     r = float(_get(cfg, "ball_radius", 0.2))
     y = np.asarray(_get(cfg, "center", [2.0, 0.0, 0.0]), dtype=float)
     size = _get(cfg, "family_size", 8, integer=True)
-    rng = np.random.default_rng(_get(cfg, "seed", 0, integer=True))
+    rng = np.random.default_rng(cfg["seed"])
     family = [
         carleman.TestFunction.plane_wave(k, rng.normal(size=3),
                                          rng.uniform(0, 2 * np.pi))
@@ -286,10 +296,10 @@ def cmd_stability_sweep(cfg: dict) -> int:
     ctx = build_context(cfg)
     geom = build_geometry(cfg)
     base = build_impedance(cfg)
-    shape_cfg = _get(cfg, "perturbation", [0.0, 0.0, 1.0, 0.0])
+    shape_cfg = cfg.setdefault("perturbation", [0.0, 0.0, 1.0, 0.0])  # number or list
     if _is_number(shape_cfg):
         shape = np.array([float(shape_cfg) * np.sqrt(4.0 * np.pi)])
-    elif isinstance(shape_cfg, list):
+    elif _is_number_list(shape_cfg):
         shape = np.asarray(shape_cfg, dtype=float)
     else:
         raise ConfigError("perturbation must be a number or a coefficient list")
@@ -331,7 +341,7 @@ def cmd_reconstruct(cfg: dict) -> int:
                                   layer_ops.ImpedanceField.constant(float(truth)),
                                   cfg["eta"], band, rule)
     if noise > 0:
-        rng = np.random.default_rng(_get(cfg, "seed", 0, integer=True))
+        rng = np.random.default_rng(cfg["seed"])
         pert = rng.normal(size=data.samples.shape) \
             + 1j * rng.normal(size=data.samples.shape)
         data = forward.FarField(
@@ -354,7 +364,7 @@ def cmd_reconstruct(cfg: dict) -> int:
 def cmd_ga2_check(cfg: dict) -> int:
     geom = build_geometry(cfg)
     radii = _get(cfg, "radii", [0.4, 0.2, 0.1, 0.05])
-    c, kappa = geometry.check_GA2(geom, radii, seed=_get(cfg, "seed", 0, integer=True))
+    c, kappa = geometry.check_GA2(geom, radii, seed=cfg["seed"])
     emit_summary(cfg, {"C": c, "kappa": kappa})
     return EXIT_OK
 
@@ -399,9 +409,7 @@ def main(argv=None) -> int:
         if problems:
             raise ConfigError("; ".join(problems))
         return HANDLERS[args.command](cfg)
-    # ConfigError is a ValueError; a config value of the wrong JSON type (an
-    # object where a list belongs) raises TypeError in numpy's conversion
-    except (ValueError, IndexError, TypeError) as exc:
+    except (ValueError, IndexError, OSError) as exc:  # ConfigError is a ValueError
         _error_record("validation", str(exc))
         return EXIT_VALIDATION
     except (RuntimeError, np.linalg.LinAlgError, ArithmeticError, MemoryError) as exc:

@@ -143,7 +143,7 @@ def solve_density(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField,
     eta = default_coupling(ctx.k) if eta is None else eta
     mult = multiplication_operator(lam, band_limit)
     system = assemble_combined_system(ctx.k, geom, lam, eta, band_limit, mult)
-    g = rhs_from_incident(ctx.k, ctx.omega, lam, band_limit, a=geom.radius, mult=mult)
+    g = rhs_from_incident(ctx.k, ctx.omega, band_limit, mult, a=geom.radius)
     rhs = -2.0 * g
     phi = system.solve(rhs)
     res = np.linalg.norm(system.matvec(phi) - rhs)

@@ -320,14 +320,12 @@ def incident_coefficients(k: float, omega: np.ndarray, a: float,
     return amp * jn, amp * k * jnp
 
 
-def rhs_from_incident(k: float, omega: np.ndarray, lam: ImpedanceField,
-                      band_limit: int, a: float = 1.0,
-                      mult: BoundaryOperatorMatrix | None = None) -> np.ndarray:
+def rhs_from_incident(k: float, omega: np.ndarray, band_limit: int,
+                      mult: BoundaryOperatorMatrix, a: float = 1.0) -> np.ndarray:
     """Coefficients of g = −(∂_ν u^i + iλ u^i) on the boundary.
 
-    Warns when the plane-wave (Jacobi-Anger) tail at degree N is above 1e-12
-    of its head.  ``mult`` is M_{iλ} for ``lam`` when the caller has already
-    built it; without it :func:`multiplication_operator` builds it.
+    ``mult`` is M_{iλ} from :func:`multiplication_operator`.  Warns when the
+    plane-wave (Jacobi-Anger) tail at degree N is above 1e-12 of its head.
     """
     u_inc, dnu_inc = incident_coefficients(k, omega, a, band_limit)
     head = np.max(np.abs(u_inc))
@@ -337,5 +335,4 @@ def rhs_from_incident(k: float, omega: np.ndarray, lam: ImpedanceField,
             f"plane-wave series tail at degree {band_limit} is {tail / head:.2e} "
             "of its head; raise the band limit"
         )
-    mult = mult or multiplication_operator(lam, band_limit)
     return -(dnu_inc + mult.matvec(u_inc))

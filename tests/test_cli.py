@@ -110,12 +110,35 @@ class TestExitCodes:
         assert err["error"] == "validation"
         assert key in err["message"]
 
-    def test_wrong_json_type_is_validation(self, tmp_path, capsys):
-        path = write_config(tmp_path, "c.json", {})
-        assert main(["carleman-check", path, "--set", "rho=[1]"]) == EXIT_VALIDATION
+    @pytest.mark.parametrize("command,key,value", [
+        ("carleman-check", "rho", "[1]"), ("three-sphere", "center", "{}"),
+        ("ga2-check", "radii", "[{}]"), ("ga2-check", "seed", "1.5"),
+        ("farfield", "omega", "{}"), ("farfield", "omega", "[false, false, true]"),
+        ("farfield", "impedance", "[[1]]"), ("farfield", "output", "5"),
+        ("farfield", "summary", "[]"), ("stability-sweep", "perturbation", "[{}]"),
+        ("stability-sweep", "eps_list", "[true, 0.05]"),
+    ])
+    def test_wrong_json_type_is_validation(self, tmp_path, capsys, command, key, value):
+        path = write_config(tmp_path, "c.json", {"band_limit": 4})
+        assert main([command, path, "--set", f"{key}={value}"]) == EXIT_VALIDATION
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation"
-        assert "rho" in err["message"]
+        assert key in err["message"]
+
+    @pytest.mark.parametrize("key,value", [
+        ("k", "1" + "0" * 400), ("eta", "1" + "0" * 400), ("impedance", "1" + "0" * 400),
+        ("omega", "[1%s, 0, 0]" % ("0" * 400)),
+    ])
+    def test_integer_beyond_float_is_numerical(self, tmp_path, capsys, key, value):
+        path = write_config(tmp_path, "c.json", {"band_limit": 4})
+        assert main(["farfield", path, "--set", f"{key}={value}"]) == EXIT_NUMERICAL
+        assert "too large" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_unwritable_output_is_validation(self, tmp_path, capsys):
+        path = write_config(tmp_path, "c.json", {"band_limit": 16})
+        out = str(tmp_path / "absent" / "ff.csv")
+        assert main(["farfield", path, "--set", f"output={out}"]) == EXIT_VALIDATION
+        assert json.loads(capsys.readouterr().err)["error"] == "validation"
 
     def test_missing_config(self, capsys):
         assert main(["forward", "/nonexistent/cfg.json"]) == EXIT_VALIDATION
