@@ -15,8 +15,13 @@ Terms whose relative exponent is below the float floor contribute exactly
 zero in the factored scale; the comparison between the two sides is then a
 comparison of the surviving (inner-boundary dominated) contributions.
 
-The setup owns its node sets and ψ − ψ_ref on them, built once per annulus:
-a check at any (v, λ, τ) only evaluates v and the weights.
+The setup owns its node sets and ψ − ψ_ref on them, built once per annulus.
+The relative weights depend only on (λ, τ), not on v: the setup builds them
+once per (λ, τ), keeps the most recent pair, and drops every node whose
+weights are all exactly 0.0.  A check at any v then evaluates v only on the
+nodes that carry weight.  At the admissible thresholds that is the inner
+sphere alone: every volume weight, and so every lhs, is 0.0 relative to the
+common factor.
 """
 
 from __future__ import annotations
@@ -154,6 +159,10 @@ class CarlemanSetup:
     sup ψ = ψ_ref, sup|∂ψ| = 2/ρ, sup|∂²ψ| = 2/ρ².  ``volume`` (48 radial
     Gauss nodes × sphere order 16) and ``boundary`` (order 24 on both
     spheres) are the node sets, each (nodes, weights, min(ψ − ψ_ref, 0)).
+
+    ``weighted_nodes(λ, τ)`` compresses both sets to the nodes whose relative
+    weights are not all 0.0; the setup keeps the result for the most recent
+    (λ, τ) only.
     """
 
     x0: np.ndarray
@@ -163,6 +172,8 @@ class CarlemanSetup:
     M: float = field(init=False)
     volume: tuple = field(init=False, repr=False, compare=False)
     boundary: tuple = field(init=False, repr=False, compare=False)
+    _weighted: dict = field(init=False, repr=False, compare=False,
+                            default_factory=dict)
 
     def __post_init__(self):
         if self.rho <= 0 or self.d <= 0:
@@ -183,6 +194,23 @@ class CarlemanSetup:
         for name, (nodes, weights) in rules.items():
             dpsi = np.minimum(self.psi(nodes) - self.psi_ref, 0.0)
             object.__setattr__(self, name, (nodes, weights, dpsi))
+
+    def weighted_nodes(self, lam: float, tau: float) -> tuple:
+        """(volume, boundary) at (λ, τ), each without its zero-weight nodes.
+
+        volume is (nodes, quad weights, w3, w1, w0) and boundary is (nodes,
+        quad weights, b3, b1), where w_p is e^{2τφ}φ^p relative to the common
+        factor.  Built on the first call for (λ, τ) and kept until a call
+        with another pair.
+        """
+        key = (lam, tau)
+        if key not in self._weighted:
+            self._weighted.clear()
+            self._weighted[key] = tuple(
+                _drop_unweighted(*node_set, lam, tau, self.psi_ref, powers)
+                for node_set, powers in ((self.volume, (3, 1, 0)),
+                                         (self.boundary, (3, 1))))
+        return self._weighted[key]
 
     @property
     def lambda_threshold(self) -> float:
@@ -237,6 +265,14 @@ def _relative_exponents(dpsi: np.ndarray, lam: float, tau: float,
     return np.array([t1 + p * ldp + (p - 3) * lam * psi_ref for p in powers])
 
 
+def _drop_unweighted(nodes, weights, dpsi, lam, tau, psi_ref, powers) -> tuple:
+    """(nodes, weights, one weight row per power) on the nodes where some
+    relative weight e^{E} is not 0.0; the dropped nodes add exactly 0."""
+    rel = np.exp(_relative_exponents(dpsi, lam, tau, psi_ref, powers))
+    keep = np.any(rel != 0.0, axis=0)
+    return (nodes[keep], weights[keep], *rel[:, keep])
+
+
 def carleman_sides(v: TestFunction, setup: CarlemanSetup, lam: float,
                    tau: float) -> CarlemanResult:
     """Evaluate both sides of the annulus Carleman inequality for v.
@@ -246,6 +282,8 @@ def carleman_sides(v: TestFunction, setup: CarlemanSetup, lam: float,
 
     with φ = e^{λψ}, integrated over the setup's node sets; both sides are
     divided by the common factor exp(2τφ_ref + 3λψ_ref) before being returned.
+    v is evaluated only on the nodes whose weights at (λ, τ) are not all 0.0
+    (``CarlemanSetup.weighted_nodes``).
     """
     if lam < setup.lambda_threshold * (1.0 - 1e-12):
         raise ValueError("weight exponent below the admissible threshold")
@@ -253,19 +291,16 @@ def carleman_sides(v: TestFunction, setup: CarlemanSetup, lam: float,
         raise ValueError("tau below the admissible threshold")
     m, M, psi_ref = setup.m, setup.M, setup.psi_ref
 
-    xv, wv, dpsi_v = setup.volume
+    (xv, wv, w3, w1, w0), (xb, wb, b3, b1) = setup.weighted_nodes(lam, tau)
     v2 = np.asarray(v.value(xv)) ** 2
     g2 = np.sum(np.asarray(v.gradient(xv)) ** 2, axis=1)
     l2 = np.asarray(v.laplacian(xv)) ** 2
-    w3, w1, w0 = np.exp(_relative_exponents(dpsi_v, lam, tau, psi_ref, (3, 1, 0)))
     lhs = float(np.sum(wv * (m**4 * lam**4 * tau**3 * w3 * v2
                              + m**2 * lam**2 * tau * w1 * g2)))
     rhs = 8.0 * float(np.sum(wv * w0 * l2))
 
-    xb, wb, dpsi_b = setup.boundary
     vb2 = np.asarray(v.value(xb)) ** 2
     gb2 = np.sum(np.asarray(v.gradient(xb)) ** 2, axis=1)
-    b3, b1 = np.exp(_relative_exponents(dpsi_b, lam, tau, psi_ref, (3, 1)))
     rhs += 48.0 * float(np.sum(wb * (M**3 * lam**3 * tau**3 * b3 * vb2
                                      + M * lam * tau * b1 * gb2)))
 

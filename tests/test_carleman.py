@@ -157,6 +157,101 @@ class TestCarlemanInequality:
         assert mp.log(res.log_common_factor) > 100
 
 
+ANNULI = [(np.zeros(3), 1.0, 1.0), (np.zeros(3), 2.0, 2.0),
+          (np.zeros(3), 0.5, 3.0), (np.array([0.3, -0.7, 1.1]), 1.3, 0.6)]
+
+
+def full_node_sides(v, setup, lam, tau):
+    """(lhs, rhs) summed over every node of both sets: the reference the
+    compressed node sets must reproduce."""
+    m, M, psi_ref = setup.m, setup.M, setup.psi_ref
+    xv, wv, dpsi_v = setup.volume
+    w3, w1, w0 = np.exp(carleman._relative_exponents(dpsi_v, lam, tau, psi_ref,
+                                                     (3, 1, 0)))
+    v2 = v.value(xv) ** 2
+    g2 = np.sum(v.gradient(xv) ** 2, axis=1)
+    lhs = np.sum(wv * (m**4 * lam**4 * tau**3 * w3 * v2
+                       + m**2 * lam**2 * tau * w1 * g2))
+    rhs = 8.0 * np.sum(wv * w0 * v.laplacian(xv) ** 2)
+    xb, wb, dpsi_b = setup.boundary
+    b3, b1 = np.exp(carleman._relative_exponents(dpsi_b, lam, tau, psi_ref, (3, 1)))
+    rhs += 48.0 * np.sum(wb * (M**3 * lam**3 * tau**3 * b3 * v.value(xb) ** 2
+                               + M * lam * tau * b1 * np.sum(v.gradient(xb) ** 2,
+                                                             axis=1)))
+    return float(lhs), float(rhs)
+
+
+class TestWeightedNodes:
+    def test_weights_built_once_per_lambda_tau(self, monkeypatch):
+        setup = CarlemanSetup(x0=np.zeros(3), rho=1.0, d=1.0)
+        calls = []
+        relative_exponents = carleman._relative_exponents
+
+        def counted(dpsi, *args):
+            calls.append(dpsi.size)
+            return relative_exponents(dpsi, *args)
+
+        monkeypatch.setattr(carleman, "_relative_exponents", counted)
+        suite = random_test_suite(50, seed=4)
+        for mult in (1.0, 2.0, 4.0):
+            for v in suite:
+                carleman_sides(v, setup, mult * setup.lambda_threshold,
+                               mult * setup.tau_threshold)
+            assert calls[-2:] == [setup.volume[2].size, setup.boundary[2].size]
+        assert len(calls) == 6
+        assert len(setup._weighted) == 1
+
+    def test_v_evaluated_only_on_weighted_nodes(self):
+        rows = []
+
+        def recorded(f):
+            def g(x):
+                rows.append(np.array(x))
+                return f(x)
+            return g
+
+        for x0, rho, d in ANNULI:
+            setup = CarlemanSetup(x0=x0, rho=rho, d=d)
+            v = TestFunction.plane_wave(1.3, [0.2, 0.5, 0.8], 0.7)
+            v = TestFunction(v.kind, recorded(v.value), recorded(v.gradient),
+                             recorded(v.laplacian))
+            rows.clear()
+            carleman_sides(v, setup, setup.lambda_threshold, setup.tau_threshold)
+            volume_rows, boundary_rows = rows[:3], rows[3:]
+            assert all(x.shape == (0, 3) for x in volume_rows)
+            for x in boundary_rows:
+                assert x.shape[0] > 0
+                r = np.linalg.norm(x - x0, axis=1)
+                np.testing.assert_allclose(r, rho, rtol=1e-14)
+
+    @pytest.mark.parametrize("x0, rho, d", ANNULI)
+    def test_compressed_sums_match_full_nodes(self, x0, rho, d):
+        setup = CarlemanSetup(x0=x0, rho=rho, d=d)
+        suite = random_test_suite(6, seed=9)
+        suite.append(TestFunction.point_source(1.2, [0.0, 0.0, -9.0]))
+        for mult in (1.0, 4.0):
+            lam, tau = mult * setup.lambda_threshold, mult * setup.tau_threshold
+            for v in suite:
+                res = carleman_sides(v, setup, lam, tau)
+                lhs, rhs = full_node_sides(v, setup, lam, tau)
+                assert res.lhs_factored == lhs == 0.0
+                assert res.rhs_factored == pytest.approx(rhs, rel=1e-13, abs=0.0)
+
+    def test_every_nonzero_weight_kept(self):
+        setup = CarlemanSetup(x0=np.zeros(3), rho=1.0, d=1.0)
+        lam, tau = 6.0, 1.0  # far below the thresholds: inner volume shells carry weight
+        weighted = setup.weighted_nodes(lam, tau)
+        for (nodes, weights, dpsi), powers, kept in zip(
+                (setup.volume, setup.boundary), ((3, 1, 0), (3, 1)), weighted):
+            rel = np.exp(carleman._relative_exponents(dpsi, lam, tau,
+                                                      setup.psi_ref, powers))
+            keep = np.any(rel != 0.0, axis=0)
+            assert 0 < np.count_nonzero(keep) < keep.size
+            np.testing.assert_array_equal(kept[0], nodes[keep])
+            np.testing.assert_array_equal(kept[1], weights[keep])
+            np.testing.assert_array_equal(np.array(kept[2:]), rel[:, keep])
+
+
 class TestCorollaryThresholds:
     def test_unit_case(self):
         thr = corollary_thresholds(1.0, 1.0, 1.0)
