@@ -133,7 +133,8 @@ def random_test_suite(size: int, seed: int = 0) -> list[TestFunction]:
 
 def _radial_rule(center, inner: float, width: float, n_radial: int,
                  sphere_order: int):
-    """Nodes, weights over {inner < |x − center| < inner + width}.
+    """Nodes, weights and each node's shell radius over {inner < |x − center|
+    < inner + width}.
 
     Radial Gauss-Legendre (with the r² Jacobian) times the sphere product
     rule; ``inner = 0`` gives a ball.
@@ -145,7 +146,7 @@ def _radial_rule(center, inner: float, width: float, n_radial: int,
     pts = (np.asarray(center, dtype=float)[None, None, :]
            + s[:, None, None] * rule.points()[None, :, :])
     w = (ws * s**2)[:, None] * rule.weights[None, :]
-    return pts.reshape(-1, 3), w.ravel()
+    return pts.reshape(-1, 3), w.ravel(), np.repeat(s, rule.weights.size)
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,9 @@ class CarlemanSetup:
     decreasing, so each sup is taken at |x − x₀| = ρ in closed form:
     sup ψ = ψ_ref, sup|∂ψ| = 2/ρ, sup|∂²ψ| = 2/ρ².  ``volume`` (48 radial
     Gauss nodes × sphere order 16) and ``boundary`` (order 24 on both
-    spheres) are the node sets, each (nodes, weights, min(ψ − ψ_ref, 0)).
+    spheres) are the node sets, each (nodes, weights, ψ − ψ_ref), with
+    ψ − ψ_ref = 2 ln(ρ/r) ≤ 0 taken from the radius r of the node's shell:
+    exactly 0 on the inner sphere.
 
     ``weighted_nodes(λ, τ)`` compresses both sets to the nodes whose relative
     weights are not all 0.0; the setup keeps the result for the most recent
@@ -190,9 +193,12 @@ class CarlemanSetup:
         radii = (self.rho, self.rho + self.d)
         rules = {"volume": _radial_rule(x0, self.rho, self.d, 48, 16),
                  "boundary": (np.vstack([x0 + s * sphere.points() for s in radii]),
-                              np.concatenate([s**2 * sphere.weights for s in radii]))}
-        for name, (nodes, weights) in rules.items():
-            dpsi = np.minimum(self.psi(nodes) - self.psi_ref, 0.0)
+                              np.concatenate([s**2 * sphere.weights for s in radii]),
+                              np.repeat(radii, sphere.weights.size))}
+        for name, (nodes, weights, r) in rules.items():
+            # ψ − ψ_ref = 2 ln(ρ/r) from the shell radius, not from |x − x₀|,
+            # whose rounding can put an inner-sphere node outside radius ρ
+            dpsi = 2.0 * np.log(self.rho / r)
             object.__setattr__(self, name, (nodes, weights, dpsi))
 
     def weighted_nodes(self, lam: float, tau: float) -> tuple:
@@ -382,14 +388,14 @@ def continuation_check(u: TestFunction, x_tilde, r: float,
     xt = np.asarray(x_tilde, dtype=float)
     _, _, gamma = continuation_constants(r / 2.0, r / 2.0, 2.0)
 
-    pts, w = _radial_rule(xt, 0.0, r / 4.0, n_radial=24, sphere_order=12)
+    pts, w, _ = _radial_rule(xt, 0.0, r / 4.0, n_radial=24, sphere_order=12)
     inside = ~geom.contains(pts)
     if float(np.sum(w[inside])) < 1e-8:
         raise ValueError("continuation ball has negligible exterior measure")
     h1_local = _h1_norm(u, pts[inside], w[inside])
 
     a = geom.radius
-    spts, sw = _radial_rule(np.zeros(3), a, 3.0 - a, n_radial=40, sphere_order=20)
+    spts, sw, _ = _radial_rule(np.zeros(3), a, 3.0 - a, n_radial=40, sphere_order=20)
     sv = np.asarray(u.value(spts))
     sg = np.sum(np.asarray(u.gradient(spts)) ** 2, axis=1)
     sl = np.asarray(u.laplacian(spts))
@@ -438,7 +444,7 @@ def three_sphere_check(family, y, r: float) -> ThreeSphereFit:
     if len(family) < 2:
         raise ValueError("family must have at least two members")
     y = np.asarray(y, dtype=float)
-    balls = [_radial_rule(y, 0.0, f * r, n_radial=32, sphere_order=14)
+    balls = [_radial_rule(y, 0.0, f * r, n_radial=32, sphere_order=14)[:2]
              for f in (1.0, 2.0, 3.0)]
     norms = np.array([[_h1_norm(u, *ball) for ball in balls] for u in family])
     if np.any(norms[:, 0] > norms[:, 1] * (1 + 1e-12)) or \
