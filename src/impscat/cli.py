@@ -24,6 +24,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
+# upper limit of suite_size and family_size: every member is built before
+# any check runs
+MAX_SUITE_SIZE = 10_000
+
 
 class ConfigError(ValueError):
     pass
@@ -86,6 +90,14 @@ def _get(cfg: dict, key: str, default, integer: bool = False):
         raise ConfigError(f"{key} must be {'an integer' if integer else 'a number'}")
     if isinstance(default, list) and not _is_number_list(value):
         raise ConfigError(f"{key} must be a list of numbers")
+    return value
+
+
+def _get_size(cfg: dict, key: str, default: int, least: int) -> int:
+    """Integer key ``key`` in [least, MAX_SUITE_SIZE]."""
+    value = _get(cfg, key, default, integer=True)
+    if not least <= value <= MAX_SUITE_SIZE:
+        raise ConfigError(f"{key} must be an integer in [{least}, {MAX_SUITE_SIZE}]")
     return value
 
 
@@ -228,12 +240,18 @@ def cmd_mie(cfg: dict) -> int:
 
 
 def cmd_carleman_check(cfg: dict) -> int:
+    """Both Carleman sides for every suite member at 1, 2 and 4 times the
+    admissible (λ, τ).  ``weighted_nodes`` counts, per multiple, the nodes
+    whose weight relative to the common factor is not 0.0: at these
+    thresholds no volume node is left, so every lhs is 0.0 and every ratio
+    infinite."""
     rho = float(_get(cfg, "rho", 1.0))
     d = float(_get(cfg, "d", 1.0))
-    size = _get(cfg, "suite_size", 50, integer=True)
+    size = _get_size(cfg, "suite_size", 50, least=1)
     setup = carleman.CarlemanSetup(x0=np.zeros(3), rho=rho, d=d)
     suite = carleman.random_test_suite(size, seed=cfg["seed"])
     reports = []
+    weighted = []
     all_pass = True
     for mult in (1.0, 2.0, 4.0):
         lam_w = mult * setup.lambda_threshold
@@ -245,8 +263,14 @@ def cmd_carleman_check(cfg: dict) -> int:
                             "threshold_multiple": mult,
                             "lhs": res.lhs_factored, "rhs": res.rhs_factored,
                             "ratio": res.ratio, "pass": bool(res.holds)})
+        volume, boundary = setup.weighted_nodes(lam_w, tau)
+        weighted.append({"threshold_multiple": mult,
+                         "volume_weighted": len(volume[0]),
+                         "volume_total": len(setup.volume[0]),
+                         "boundary_weighted": len(boundary[0]),
+                         "boundary_total": len(setup.boundary[0])})
     emit_summary(cfg, {"reports": reports, "all_pass": bool(all_pass),
-                       "m": setup.m, "M": setup.M})
+                       "m": setup.m, "M": setup.M, "weighted_nodes": weighted})
     return EXIT_OK if all_pass else EXIT_NUMERICAL
 
 
@@ -254,7 +278,7 @@ def cmd_three_sphere(cfg: dict) -> int:
     k = float(cfg["k"])
     r = float(_get(cfg, "ball_radius", 0.2))
     y = np.asarray(_get(cfg, "center", [2.0, 0.0, 0.0]), dtype=float)
-    size = _get(cfg, "family_size", 8, integer=True)
+    size = _get_size(cfg, "family_size", 8, least=2)
     rng = np.random.default_rng(cfg["seed"])
     family = [
         carleman.TestFunction.plane_wave(k, rng.normal(size=3),

@@ -17,6 +17,7 @@ from impscat.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
     HANDLERS,
+    MAX_SUITE_SIZE,
     ConfigError,
     farfield_csv,
     load_config,
@@ -298,3 +299,31 @@ class TestCarlemanCommand:
         assert all(rep["pass"] for rep in summary["reports"])
         assert {"check", "lhs", "rhs", "ratio", "pass"} <= set(
             summary["reports"][0])
+
+    def test_summary_counts_weighted_nodes(self, tmp_path, capsys):
+        path = write_config(tmp_path, "c.json", {"suite_size": 1})
+        assert main(["carleman-check", path]) == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["weighted_nodes"] == [
+            {"threshold_multiple": mult, "volume_weighted": 0, "volume_total": 27744,
+             "boundary_weighted": 1250, "boundary_total": 2500}
+            for mult in (1.0, 2.0, 4.0)]
+        assert all(rep["lhs"] == 0.0 and rep["ratio"] == "inf"
+                   for rep in summary["reports"])
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("carleman-check", "suite_size", 0), ("carleman-check", "suite_size", -4),
+        ("carleman-check", "suite_size", MAX_SUITE_SIZE + 1),
+        ("carleman-check", "suite_size", 10**400),
+        ("three-sphere", "family_size", 1),
+        ("three-sphere", "family_size", MAX_SUITE_SIZE + 1),
+    ])
+    def test_suite_size_out_of_range(self, tmp_path, capsys, command, key, value):
+        path = write_config(tmp_path, "c.json", {})
+        assert main([command, path, "--set", f"{key}={value}"]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = json.loads(err)
+        assert err["error"] == "validation"
+        assert key in err["message"]
+
