@@ -15,12 +15,15 @@ weighted Carleman integrals) is built on three primitives provided here:
   latitudes (``_ring_legendre``, the table ``layer_ops`` also reads) and
   one inverse FFT per ring, never forming the (N+1)^2 x npts matrix.
 
-All functions are pure; quadrature rules are immutable once built.
+All functions are pure.  Quadrature rules, ring tables and the m-major
+order (``_m_major``) depend only on their integer arguments; each is built
+once, kept in a bounded cache and read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 
 import numpy as np
@@ -235,6 +238,7 @@ class QuadratureRule:
         return np.sum(self.weights * np.asarray(values), axis=-1)
 
 
+@lru_cache(maxsize=16)
 def gauss_product_rule(band_limit: int) -> QuadratureRule:
     """Gauss-Legendre (N+1 polar) x uniform (2N+2 azimuth) product rule."""
     if band_limit < 1:
@@ -275,17 +279,47 @@ def _complex_coefficients(real_coeffs) -> np.ndarray:
     return np.where(m > 0, pos, np.where(m < 0, neg, a))
 
 
-def _ring_legendre(band_limit: int, rule: QuadratureRule) -> np.ndarray:
-    """P̄_n^m(μ_j) on the ring latitudes of a product rule, ((N+1)^2, rings).
+@lru_cache(maxsize=16)
+def _m_major(band_limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-major order (m = −N..N, then n = |m|..N) and its block bounds.
+
+    ``perm[p]`` is the ``harmonic_index`` of the p-th harmonic in that
+    order, and order m occupies ``perm[bounds[m + N]:bounds[m + N + 1]]``.
+    """
+    degs = harmonic_degrees(band_limit)
+    orders = np.arange(degs.size) - degs * (degs + 1)
+    perm = np.argsort(orders, kind="stable")
+    bounds = np.searchsorted(orders[perm], np.arange(-band_limit, band_limit + 2))
+    for arr in (perm, bounds):
+        arr.setflags(write=False)
+    return perm, bounds
+
+
+@lru_cache(maxsize=16)
+def _ring_legendre(band_limit: int, order: int) -> np.ndarray:
+    """P̄_n^m(μ_j) on the ring latitudes of ``gauss_product_rule(order)``,
+    ((N+1)^2, rings), with rows in the m-major order of :func:`_m_major`.
 
     Row (n, m) is Y_n^m at φ = 0, so Y_n^m(μ_j, φ) is that row times e^{imφ}
-    for either sign of m.  The rule must have the layout of
-    :func:`gauss_product_rule`: order + 1 rings of 2·order + 2 azimuths.
+    for either sign of m.
     """
+    rings = order + 1
+    mu = gauss_product_rule(order).mu[::2 * rings]
+    table = sph_harmonic_all(band_limit, mu, np.zeros(rings)).real[_m_major(band_limit)[0]]
+    table.setflags(write=False)
+    return table
+
+
+def _check_product_rule(rule: QuadratureRule) -> None:
+    """Raise unless ``rule`` has the nodes of ``gauss_product_rule(rule.order)``:
+    order + 1 Gauss rings of 2·order + 2 uniform azimuths."""
     rings = rule.order + 1
-    if rule.npts != rings * (2 * rings):
-        raise ValueError("rule is not a Gauss x uniform-azimuth product rule")
-    return sph_harmonic_all(band_limit, rule.mu[::2 * rings], np.zeros(rings)).real
+    if rule.order >= 1 and rule.npts == rings * (2 * rings):
+        gauss = gauss_product_rule(rule.order)
+        if rule is gauss or (np.array_equal(rule.mu, gauss.mu)
+                             and np.array_equal(rule.phi, gauss.phi)):
+            return
+    raise ValueError("rule is not a Gauss x uniform-azimuth product rule")
 
 
 def _synthesize(coeffs, rule: QuadratureRule) -> np.ndarray:
@@ -301,13 +335,11 @@ def _synthesize(coeffs, rule: QuadratureRule) -> np.ndarray:
     """
     coeffs = np.asarray(coeffs)
     band_limit = _band_limit_of(coeffs.shape[-1])
-    table = _ring_legendre(band_limit, rule)
-    degs = harmonic_degrees(band_limit)
-    orders = np.arange(degs.size) - degs * (degs + 1)
-    by_order = np.argsort(orders, kind="stable")  # m = −N..N, each m contiguous
-    starts = np.searchsorted(orders[by_order], np.arange(-band_limit, band_limit + 1))
-    per_order = np.add.reduceat(coeffs[..., by_order, None] * table[by_order],
-                                starts, axis=-2)  # G_m on every ring
+    _check_product_rule(rule)
+    table = _ring_legendre(band_limit, rule.order)
+    perm, bounds = _m_major(band_limit)
+    per_order = np.add.reduceat(coeffs[..., perm, None] * table,
+                                bounds[:-1], axis=-2)  # G_m on every ring
     rings, n_phi = table.shape[1], 2 * table.shape[1]
     spectrum = np.zeros(coeffs.shape[:-1] + (rings, n_phi), dtype=complex)
     bins = np.arange(-band_limit, band_limit + 1) % n_phi

@@ -17,7 +17,7 @@ import numpy as np
 
 from .forward import FarField, WaveContext, eval_scattered, solve_density, solve_farfield
 from .geometry import ObstacleGeometry
-from .layer_ops import ImpedanceField, _cached_rule
+from .layer_ops import ImpedanceField
 from .specfun import (
     _complex_coefficients,
     _synthesize,
@@ -119,7 +119,7 @@ def impedance_sup_distance(lam_a: ImpedanceField, lam_b: ImpedanceField) -> floa
     diff = np.zeros(max(a.size, b.size))
     diff[:a.size] += a
     diff[:b.size] -= b
-    values = _synthesize(_complex_coefficients(diff), _cached_rule(64)).real
+    values = _synthesize(_complex_coefficients(diff), gauss_product_rule(64)).real
     return float(np.max(np.abs(values)))
 
 

@@ -1,9 +1,12 @@
 """Layer operators on the sphere against quadrature and identity oracles."""
 
 import warnings
+from math import isqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import get_lapack_funcs, lu_factor
 
@@ -22,6 +25,7 @@ from impscat.layer_ops import (
     sphere_operator_eigenvalue,
 )
 from impscat.specfun import (
+    _m_major,
     gauss_product_rule,
     harmonic_degrees,
     harmonic_index,
@@ -31,12 +35,19 @@ from impscat.specfun import (
 )
 
 
+def m_major(band_limit):
+    """The m-major permutation P: A[P][:, P] is what the band stores."""
+    return _m_major(band_limit)[0]
+
+
 def unpack_band(entries):
-    """Dense A of band storage ``entries``, entries[b + i − j, j] = A[i, j]."""
+    """Dense degree-major A of band storage ``entries`` over the m-major
+    order, entries[b + i − j, j] = A[P[i], P[j]]."""
     b, n = entries.shape[0] // 2, entries.shape[1]
     i, j = np.nonzero(np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= b)
+    perm = m_major(isqrt(n) - 1)
     dense = np.zeros((n, n), dtype=entries.dtype)
-    dense[i, j] = entries[b + i - j, j]
+    dense[perm[i], perm[j]] = entries[b + i - j, j]
     return dense
 
 
@@ -197,6 +208,39 @@ class TestMultiplication:
         gaunt = np.abs(degs[:, None] - degs[None, :]) > lam_band
         assert np.abs(dense[gaunt]).max(initial=0.0) <= 1e-13 * np.abs(dense).max()
 
+    @settings(max_examples=40, deadline=None)
+    @given(band_limit=st.integers(1, 20), lam_band=st.integers(0, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_m_major_band_holds_the_product(self, band_limit, lam_band, seed):
+        lam = variable_field(lam_band, seed)
+        rule = gauss_product_rule(max(band_limit + lam_band, band_limit + 2))
+        y = sph_harmonic_all(band_limit, rule.mu, rule.phi)
+        dense = 1j * (np.conj(y) * (rule.weights * lam.evaluate_on(rule))) @ y.T
+        entries = assemble_multiplication(lam, band_limit).entries
+        np.testing.assert_allclose(unpack_band(entries), dense, rtol=0.0,
+                                   atol=1e-13 * np.abs(dense).max())
+        # every entry the Gaunt rule allows lies within the m-major band
+        b, perm = entries.shape[0] // 2, m_major(band_limit)
+        degs = harmonic_degrees(band_limit)[perm]
+        orders = perm - degs * (degs + 1)
+        allowed = (np.abs(degs[:, None] - degs) <= lam_band) \
+            & (np.abs(orders[:, None] - orders) <= lam_band)
+        i, j = np.nonzero(allowed)
+        assert np.abs(i - j).max() == b
+        outside = np.abs(np.subtract.outer(np.arange(degs.size), np.arange(degs.size))) > b
+        permuted = dense[np.ix_(perm, perm)]
+        assert np.abs(permuted[outside]).max(initial=0.0) <= 1e-13 * np.abs(dense).max()
+        reach = min(lam_band, band_limit)
+        assert b <= reach * (2 * band_limit - reach + 2)  # the degree-major band
+
+    @pytest.mark.parametrize("band_limit,lam_band,half_bandwidth", [
+        (24, 2, 51), (12, 4, 52), (24, 4, 100), (48, 2, 99)])
+    def test_m_major_half_bandwidth(self, band_limit, lam_band, half_bandwidth):
+        entries = assemble_multiplication(variable_field(lam_band, 0), band_limit).entries
+        assert entries.shape == (2 * half_bandwidth + 1, num_harmonics(band_limit))
+        lam = ImpedanceField.constant(2.0)
+        assert multiplication_operator(lam, band_limit).entries.shape[0] == 1
+
     def test_band_scatter_built_once_per_shape(self):
         # the scatter indices depend on (N, N_λ) only, not on λ
         layer_ops._band_scatter.cache_clear()
@@ -284,7 +328,7 @@ class TestCombinedSystem:
         system = assemble_combined_system(
             k, geom, ImpedanceField.constant(lam0), eta, nb)
         expected = 1.0 - ((2.0 * dtr + 1.0) + 1j * lam0 * 2.0 * tr)
-        assert np.allclose(system.entries, expected, atol=1e-12)
+        assert np.allclose(np.diag(unpack_band(system.entries)), expected, atol=1e-12)
 
     @pytest.mark.parametrize("k", [0.5, 1.0, 4.0, 20.0])
     def test_exterior_traces_match_layer_operators(self, k):

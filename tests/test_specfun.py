@@ -11,6 +11,8 @@ from impscat.layer_ops import OP_KINDS, sphere_operator_eigenvalue
 from impscat.specfun import (
     QuadratureRule,
     _complex_coefficients,
+    _m_major,
+    _ring_legendre,
     _synthesize,
     gauss_product_rule,
     harmonic_degrees,
@@ -279,6 +281,40 @@ class TestRingSynthesis:
                               weights=rule.weights[:10], order=4)
         with pytest.raises(ValueError):
             _synthesize(np.ones(4), ring)  # not the product-rule layout
+
+
+    def test_rejects_a_rule_off_the_gauss_nodes(self):
+        # the ring tables are keyed by the order, so the nodes must be its own
+        rule = gauss_product_rule(4)
+        shifted = QuadratureRule(mu=rule.mu, phi=rule.phi + 0.1,
+                                 weights=rule.weights, order=4)
+        with pytest.raises(ValueError):
+            _synthesize(np.ones(4), shifted)
+
+
+class TestCachedTables:
+    def test_built_once_and_read_only(self):
+        rule, table, (perm, bounds) = gauss_product_rule(6), _ring_legendre(4, 6), _m_major(4)
+        assert gauss_product_rule(6) is rule
+        assert _ring_legendre(4, 6) is table and _m_major(4)[0] is perm
+        for arr in (rule.mu, rule.phi, rule.weights, table, perm, bounds):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_ring_table_is_the_harmonics_at_phi_zero(self):
+        rule = gauss_product_rule(7)
+        mu = rule.mu[::16]
+        dense = sph_harmonic_all(5, mu, np.zeros(8)).real
+        np.testing.assert_array_equal(_ring_legendre(5, 7), dense[_m_major(5)[0]])
+
+    def test_m_major_order(self):
+        perm, bounds = _m_major(3)
+        degs = harmonic_degrees(3)[perm]
+        orders = perm - degs * (degs + 1)
+        assert sorted(perm) == list(range(16))
+        assert list(zip(orders, degs)) == sorted(zip(orders, degs))
+        for m in range(-3, 4):
+            assert set(orders[bounds[m + 3]:bounds[m + 4]]) == {m}
 
 
 class TestAnalysisSynthesis:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from impscat import specfun
 from impscat.forward import WaveContext, mie_farfield, solve_farfield
 from impscat.geometry import ObstacleGeometry
 from impscat.layer_ops import ImpedanceField
@@ -152,6 +153,18 @@ class TestStabilitySweep:
             assert abs(a.delta - b.delta) <= 1e-8 * max(1e-30, b.delta)
         ratio = sw16.c_fit / sw24.c_fit
         assert 0.5 <= ratio <= 2.0
+
+    def test_ring_tables_built_once_per_sweep(self):
+        # a sweep meets each (N, rule order) ring table many times: the band
+        # limit's on the far-field and multiplication rules, λ's on its own
+        shape = np.zeros(9)
+        shape[[2, 4, 6, 8]] = [0.3, -0.2, 0.25, 0.1]
+        specfun._ring_legendre.cache_clear()
+        stability_sweep(ImpedanceField.constant(1.5), shape,
+                        [0.0125, 0.025, 0.05, 0.1], CTX, GEOM, band_limit=24)
+        info = specfun._ring_legendre.cache_info()
+        assert info.misses == info.currsize < info.maxsize
+        assert info.hits > info.misses
 
     def test_negative_impedance_rejected(self):
         with pytest.raises(ValueError):
