@@ -179,8 +179,9 @@ class CarlemanSetup:
                             default_factory=dict)
 
     def __post_init__(self):
-        if self.rho <= 0 or self.d <= 0:
-            raise ValueError("annulus radii must be positive")
+        if not (np.isfinite(self.rho) and np.isfinite(self.d) and self.rho > 0 and self.d > 0):
+            raise ValueError(f"annulus radii must be positive and finite "
+                             f"(rho = {self.rho}, d = {self.d})")
         x0 = np.asarray(self.x0, dtype=float)
         object.__setattr__(self, "x0", x0)
         x0.setflags(write=False)
@@ -291,6 +292,8 @@ def carleman_sides(v: TestFunction, setup: CarlemanSetup, lam: float,
     v is evaluated only on the nodes whose weights at (λ, τ) are not all 0.0
     (``CarlemanSetup.weighted_nodes``).
     """
+    if not (np.isfinite(lam) and np.isfinite(tau)):
+        raise ValueError(f"lam and tau must be finite (lam = {lam}, tau = {tau})")
     if lam < setup.lambda_threshold * (1.0 - 1e-12):
         raise ValueError("weight exponent below the admissible threshold")
     if tau < setup.tau_threshold * (1.0 - 1e-12):

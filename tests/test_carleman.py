@@ -67,6 +67,13 @@ class TestCarlemanSetup:
         with pytest.raises(ValueError):
             CarlemanSetup(x0=np.zeros(3), rho=-1.0, d=1.0)
 
+    @pytest.mark.parametrize("rho, d", [(np.nan, 1.0), (1.0, np.nan),
+                                        (np.inf, 1.0), (1.0, np.inf)])
+    def test_non_finite_radii_rejected(self, rho, d):
+        # NaN passes a "<= 0" check; inf makes m = 0 and the thresholds divide by it
+        with pytest.raises(ValueError, match="positive and finite"):
+            CarlemanSetup(x0=np.zeros(3), rho=rho, d=d)
+
     def test_volume_rule_measures_annulus(self):
         pts, w = SETUP.volume[:2]
         vol = 4.0 / 3.0 * np.pi * (2.0**3 - 1.0**3)
@@ -113,6 +120,15 @@ class TestCarlemanInequality:
         with pytest.raises(ValueError):
             carleman_sides(v, SETUP, SETUP.lambda_threshold,
                            0.5 * SETUP.tau_threshold)
+
+    @pytest.mark.parametrize("lam_mult, tau_mult", [(np.nan, 1.0), (1.0, np.nan),
+                                                    (np.inf, 1.0), (1.0, np.inf)])
+    def test_non_finite_weight_parameters_rejected(self, lam_mult, tau_mult):
+        # NaN passes every threshold comparison; it must not reach the weights
+        v = TestFunction.plane_wave(1.0, [0, 0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            carleman_sides(v, SETUP, lam_mult * SETUP.lambda_threshold,
+                           tau_mult * SETUP.tau_threshold)
 
     def test_homogeneity(self):
         v = TestFunction.plane_wave(1.3, [0.2, 0.5, 0.8], 0.7)

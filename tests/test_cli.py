@@ -311,6 +311,16 @@ class TestCarlemanCommand:
         assert all(rep["lhs"] == 0.0 and rep["ratio"] == "inf"
                    for rep in summary["reports"])
 
+    @pytest.mark.parametrize("key,value", [("rho", "NaN"), ("d", "NaN"), ("d", "Infinity")])
+    def test_non_finite_annulus_is_validation(self, tmp_path, capsys, key, value):
+        path = write_config(tmp_path, "c.json", {"suite_size": 1})
+        assert main(["carleman-check", path, "--set", f"{key}={value}"]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = json.loads(err)
+        assert err["error"] == "validation"
+        assert f"{key} = {float(value)}" in err["message"]
+
     @pytest.mark.parametrize("command,key,value", [
         ("carleman-check", "suite_size", 0), ("carleman-check", "suite_size", -4),
         ("carleman-check", "suite_size", MAX_SUITE_SIZE + 1),
