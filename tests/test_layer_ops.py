@@ -35,17 +35,12 @@ from impscat.specfun import (
 )
 
 
-def m_major(band_limit):
-    """The m-major permutation P: A[P][:, P] is what the band stores."""
-    return _m_major(band_limit)[0]
-
-
 def unpack_band(entries):
     """Dense degree-major A of band storage ``entries`` over the m-major
-    order, entries[b + i − j, j] = A[P[i], P[j]]."""
+    order P, entries[b + i − j, j] = A[P[i], P[j]]."""
     b, n = entries.shape[0] // 2, entries.shape[1]
     i, j = np.nonzero(np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= b)
-    perm = m_major(isqrt(n) - 1)
+    perm = _m_major(isqrt(n) - 1)[0]
     dense = np.zeros((n, n), dtype=entries.dtype)
     dense[perm[i], perm[j]] = entries[b + i - j, j]
     return dense
@@ -220,7 +215,7 @@ class TestMultiplication:
         np.testing.assert_allclose(unpack_band(entries), dense, rtol=0.0,
                                    atol=1e-13 * np.abs(dense).max())
         # every entry the Gaunt rule allows lies within the m-major band
-        b, perm = entries.shape[0] // 2, m_major(band_limit)
+        b, perm = entries.shape[0] // 2, _m_major(band_limit)[0]
         degs = harmonic_degrees(band_limit)[perm]
         orders = perm - degs * (degs + 1)
         allowed = (np.abs(degs[:, None] - degs) <= lam_band) \

@@ -282,7 +282,6 @@ class TestRingSynthesis:
         with pytest.raises(ValueError):
             _synthesize(np.ones(4), ring)  # not the product-rule layout
 
-
     def test_rejects_a_rule_off_the_gauss_nodes(self):
         # the ring tables are keyed by the order, so the nodes must be its own
         rule = gauss_product_rule(4)
