@@ -12,6 +12,15 @@ R_n is h_n(kr) or k h_n'(kr) at points outside the obstacle, and
 boundary traces, the sum goes through the ring transform
 :func:`impscat.specfun._synthesize` (a Legendre sum per ring latitude,
 then one inverse FFT per ring), so no (N+1)² × npts matrix is formed.
+A shell |x| = r of product-rule directions (``scattered_on_shell``, for the
+uniform-bound witness and the exterior lower-bound scan) is the same
+transform of amps·h_n(kr), one Hankel call per shell; only scattered points
+take the dense path.
+
+The solver's per-degree values come from the :class:`WaveContext`: its
+modal table (j_n, j_n', h_n, h_n', S₀² at (k, a, N)) and its plane-wave
+amplitudes at (ω, N) are built once and read by every solve, far field and
+boundary trace through that context.  The Mie oracle computes its own.
 
 ``mie_farfield`` is the independent separation-of-variables reference for
 constant impedance on the sphere: each incident mode is reflected with the
@@ -22,7 +31,7 @@ integral equation involved.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isqrt
 
 import numpy as np
@@ -30,10 +39,12 @@ import numpy as np
 from .geometry import ObstacleGeometry
 from .layer_ops import (
     ImpedanceField,
+    ModalTable,
     assemble_combined_system,
     default_coupling,
     exterior_trace_operators,
     incident_coefficients,
+    modal_table,
     multiplication_operator,
     radiating_coefficient_diagonal,
     rhs_from_incident,
@@ -53,10 +64,20 @@ from .specfun import (
 
 @dataclass(frozen=True)
 class WaveContext:
-    """Incident plane wave u^i(x) = exp(i k x·ω)."""
+    """Incident plane wave u^i(x) = exp(i k x·ω), and the tables of its solves.
+
+    ``modal(a, N)`` is :func:`impscat.layer_ops.modal_table` at (k, a, N) and
+    ``incident_amplitudes(N)`` is :func:`impscat.specfun.plane_wave_amplitudes`
+    at (ω, N).  Each is built on first use and kept, read-only, until a call
+    of its kind asks for another key: a context holds at most one of each,
+    for its own lifetime.  Every solve through one context (a sweep's ladder,
+    a reconstruction's objective) therefore reads the same tables, and a
+    fresh context builds its own.
+    """
 
     k: float
     omega: np.ndarray
+    _recent: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k <= 0:
@@ -70,6 +91,26 @@ class WaveContext:
     def incident(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
         return np.exp(1j * self.k * (x @ self.omega))
+
+    def modal(self, a: float, band_limit: int) -> ModalTable:
+        """The modal table of the radius-a sphere at this k, degrees <= N."""
+        return self._kept("modal", (a, band_limit),
+                          lambda: modal_table(self.k, a, band_limit))
+
+    def incident_amplitudes(self, band_limit: int) -> np.ndarray:
+        """Plane-wave amplitudes of this wave, degrees <= N (read-only)."""
+        def build():
+            amps = plane_wave_amplitudes(self.omega, band_limit)
+            amps.setflags(write=False)
+            return amps
+        return self._kept("incident", band_limit, build)
+
+    def _kept(self, kind: str, key, build):
+        """``build()`` for ``key``, reused while ``kind`` keeps that key."""
+        held = self._recent.get(kind)
+        if held is None or held[0] != key:
+            held = self._recent[kind] = (key, build())
+        return held[1]
 
 
 @dataclass(frozen=True)
@@ -141,9 +182,10 @@ def solve_density(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField,
     and :class:`ResolutionError` if the tail fraction exceeds 1e-8.
     """
     eta = default_coupling(ctx.k) if eta is None else eta
+    table = ctx.modal(geom.radius, band_limit)
     mult = multiplication_operator(lam, band_limit)
-    system = assemble_combined_system(ctx.k, geom, lam, eta, band_limit, mult)
-    g = rhs_from_incident(ctx.k, ctx.omega, band_limit, mult, a=geom.radius)
+    system = assemble_combined_system(table, geom, lam, eta, mult)
+    g = rhs_from_incident(table, ctx.incident_amplitudes(band_limit), mult)
     rhs = -2.0 * g
     phi = system.solve(rhs)
     res = np.linalg.norm(system.matvec(phi) - rhs)
@@ -160,8 +202,8 @@ def solve_density(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField,
 
 def radiating_coefficients(phi: HarmonicDensity, ctx: WaveContext,
                            geom: ObstacleGeometry) -> np.ndarray:
-    cdiag = radiating_coefficient_diagonal(ctx.k, geom.radius, phi.eta, phi.band_limit)
-    return cdiag * phi.coeffs
+    table = ctx.modal(geom.radius, phi.band_limit)
+    return radiating_coefficient_diagonal(table, phi.eta) * phi.coeffs
 
 
 def _outgoing_wave(amps: np.ndarray, k: float, where, radius: float = 0.0,
@@ -198,9 +240,30 @@ def eval_scattered(x, phi: HarmonicDensity, ctx: WaveContext,
     amps = radiating_coefficients(phi, ctx, geom)
     values = _outgoing_wave(amps, ctx.k, x, geom.radius)
     min_dist = float(np.min(np.linalg.norm(np.atleast_2d(x), axis=1))) - geom.radius
-    if min_dist < 2.0 * np.pi / (ctx.k * phi.band_limit):
-        warnings.warn("evaluation close to the boundary; quadrature-grade accuracy only")
+    _warn_near_boundary(min_dist, phi, ctx)
     return values
+
+
+def scattered_on_shell(phi: HarmonicDensity, ctx: WaveContext, geom: ObstacleGeometry,
+                       radius: float, rule: QuadratureRule) -> np.ndarray:
+    """u^s at the nodes of a product rule on the sphere |x| = ``radius``.
+
+    These are :func:`eval_scattered`'s values at ``radius * rule.points()``:
+    h_n(kr) is one value per degree on the shell, so the sum is one ring
+    transform of amps·h_n(kr).  The radius must exceed the obstacle's.
+    """
+    if radius <= geom.radius:
+        raise ValueError("evaluation points must lie outside the obstacle")
+    _warn_near_boundary(radius - geom.radius, phi, ctx)
+    band_limit = phi.band_limit
+    radial = sph_hankel1(np.arange(band_limit + 1), ctx.k * radius)
+    amps = radiating_coefficients(phi, ctx, geom)
+    return _synthesize(amps * radial[harmonic_degrees(band_limit)], rule)
+
+
+def _warn_near_boundary(distance: float, phi: HarmonicDensity, ctx: WaveContext):
+    if distance < 2.0 * np.pi / (ctx.k * phi.band_limit):
+        warnings.warn("evaluation close to the boundary; quadrature-grade accuracy only")
 
 
 def scattered_radial_derivative(x, phi: HarmonicDensity, ctx: WaveContext,
@@ -283,8 +346,9 @@ def boundary_traces(phi: HarmonicDensity, ctx: WaveContext, geom: ObstacleGeomet
     the density's own coupling ``phi.eta``; returns (u, ∂_ν u, rule)."""
     nb = phi.band_limit
     rule = rule or gauss_product_rule(nb)
-    tr, dtr = exterior_trace_operators(ctx.k, geom.radius, phi.eta, nb)
-    u_inc, dnu_inc = incident_coefficients(ctx.k, ctx.omega, geom.radius, nb)
+    table = ctx.modal(geom.radius, nb)
+    tr, dtr = exterior_trace_operators(table, phi.eta)
+    u_inc, dnu_inc = incident_coefficients(table, ctx.incident_amplitudes(nb))
     coeffs = np.stack((u_inc + tr * phi.coeffs, dnu_inc + dtr * phi.coeffs))
     u, dnu = _synthesize(coeffs, rule)
     return u, dnu, rule
@@ -335,8 +399,9 @@ def uniform_bound_check(ctx: WaveContext, geom: ObstacleGeometry,
         phi = solve_density(ctx, geom, lam, eta, band_limit)
         sup = 0.0
         for fac in shell_factors:
-            pts = fac * geom.radius * dirs
-            total = ctx.incident(pts) + eval_scattered(pts, phi, ctx, geom)
+            radius = fac * geom.radius
+            total = ctx.incident(radius * dirs) + scattered_on_shell(phi, ctx, geom,
+                                                                      radius, rule)
             sup = max(sup, float(np.max(np.abs(total))))
         sups.append(sup)
     return UniformBoundReport(sups=sups, shell_radii=shell_factors)

@@ -23,8 +23,12 @@ separation-of-variables reference to machine precision.
 
 The solve never forms S, K or T: outside the sphere u^s = Σ c_n φ_nm h_n(kr)
 Y_n^m, and by the Wronskian j_n h_n' − j_n' h_n = i/(ka)² the two traces
-above are c_n h_n(ka) and c_n k h_n'(ka), so a solve needs each of j_n, j_n',
-h_n, h_n' once, plus j_n, j_n' for the incident wave and the far field.
+above are c_n h_n(ka) and c_n k h_n'(ka).  So every diagonal of a solve (the
+traces, c_n, the incident coefficients, the system and its right-hand side)
+reads one :class:`ModalTable`: j_n, j_n', h_n, h_n' and S₀² at (k, a, N),
+built by :func:`modal_table` with four Bessel/Hankel calls.  The readers take
+the table in place of (k, a, N) and call no Bessel function themselves;
+:class:`impscat.forward.WaveContext` keeps the table of its solves.
 
 Every operator but M_{iλ} is diagonal.  On the Gauss × uniform-azimuth
 product rule, with Y_n^m = P̄_n^m(μ) e^{imφ}, the φ-sum in entry
@@ -67,7 +71,6 @@ from .specfun import (
     gauss_product_rule,
     harmonic_degrees,
     num_harmonics,
-    plane_wave_amplitudes,
     sph_bessel_j,
     sph_hankel1,
 )
@@ -203,9 +206,10 @@ def sphere_operator_eigenvalue(op_kind: str, k: float, a: float, n):
         return 2.0 * a / (2 * degrees + 1)
     if k <= 0:
         raise ValueError("need wavenumber k > 0")
-    ka = k * a
-    jn, jnp = sph_bessel_j(n, ka), sph_bessel_j(n, ka, derivative=True)
-    hn, hnp = sph_hankel1(n, ka), sph_hankel1(n, ka, derivative=True)
+    degrees = degrees.astype(int)
+    table = modal_table(k, a, int(degrees.max(initial=0)))
+    at = degrees * (degrees + 1)  # the flat index of (n, 0)
+    jn, jnp, hn, hnp = table.jn[at], table.jnp[at], table.hn[at], table.hnp[at]
     if op_kind == "S":
         return 2j * k * a * a * jn * hn
     if op_kind in ("K", "Kp"):
@@ -217,6 +221,40 @@ def sphere_operator_diagonal(op_kind: str, k: float, a: float,
                              band_limit: int) -> np.ndarray:
     per_degree = sphere_operator_eigenvalue(op_kind, k, a, np.arange(band_limit + 1))
     return per_degree[harmonic_degrees(band_limit)]
+
+
+@dataclass(frozen=True)
+class ModalTable:
+    """The per-degree values of the radius-a sphere at wavenumber k, n <= N.
+
+    Each array is flat-indexed like a density ((N+1)^2 entries, the value of
+    degree n repeated for its 2n + 1 orders) and read-only: j_n(ka), j_n'(ka),
+    h_n(ka), h_n'(ka) (derivatives in the argument ka), and S₀² = (2a/(2n+1))².
+    """
+
+    k: float
+    a: float
+    band_limit: int
+    jn: np.ndarray
+    jnp: np.ndarray
+    hn: np.ndarray
+    hnp: np.ndarray
+    s0sq: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.jn, self.jnp, self.hn, self.hnp, self.s0sq):
+            arr.setflags(write=False)
+
+
+def modal_table(k: float, a: float, band_limit: int) -> ModalTable:
+    """The :class:`ModalTable` at (k, a, N): four Bessel/Hankel calls over the
+    degrees 0..N and one S₀ diagonal, the only ones a solve makes."""
+    n, degs, ka = np.arange(band_limit + 1), harmonic_degrees(band_limit), k * a
+    return ModalTable(
+        k=k, a=a, band_limit=band_limit,
+        jn=sph_bessel_j(n, ka)[degs], jnp=sph_bessel_j(n, ka, derivative=True)[degs],
+        hn=sph_hankel1(n, ka)[degs], hnp=sph_hankel1(n, ka, derivative=True)[degs],
+        s0sq=sphere_operator_diagonal("S0", k, a, band_limit) ** 2)
 
 
 def multiplication_operator(lam: ImpedanceField, band_limit: int) -> BoundaryOperatorMatrix:
@@ -282,14 +320,15 @@ def default_coupling(k: float) -> float:
     return max(1.0, k)
 
 
-def assemble_combined_system(k: float, geom: ObstacleGeometry, lam: ImpedanceField,
-                             eta: float, band_limit: int,
+def assemble_combined_system(table: ModalTable, geom: ObstacleGeometry,
+                             lam: ImpedanceField, eta: float,
                              mult: BoundaryOperatorMatrix | None = None
                              ) -> BoundaryOperatorMatrix:
     """System matrix A with A φ = −2 g for the combined-field ansatz.
 
-    A is M_{iλ} times the diagonal −2·trace plus a diagonal, so it has the
-    band of M_{iλ}; ``mult`` is M_{iλ} when the caller has already built it.
+    ``table`` is the modal table of ``geom``'s sphere at the band limit.  A is
+    M_{iλ} times the diagonal −2·trace plus a diagonal, so it has the band of
+    M_{iλ}; ``mult`` is M_{iλ} when the caller has already built it.
     """
     if eta == 0.0:
         raise ValueError("coupling parameter eta must be nonzero")
@@ -299,56 +338,48 @@ def assemble_combined_system(k: float, geom: ObstacleGeometry, lam: ImpedanceFie
         )
     # 2·dtrace + 1 = K' + iηTS₀² and 2·trace = S + iη(K+I)S₀², so
     # A = I − (2·dtrace + 1) − M_{iλ}·2·trace is −2 × (∂_ν u^s + iλ u^s)
-    trace, dtrace = exterior_trace_operators(k, geom.radius, eta, band_limit)
-    perm = _m_major(band_limit)[0]  # the band's column order
-    mult = mult or multiplication_operator(lam, band_limit)
+    trace, dtrace = exterior_trace_operators(table, eta)
+    perm = _m_major(table.band_limit)[0]  # the band's column order
+    mult = mult or multiplication_operator(lam, table.band_limit)
     entries = mult.entries * (-2.0 * trace[perm])
     entries[len(entries) // 2] += (1.0 - (2.0 * dtrace + 1.0))[perm]  # the diagonal row
     return BoundaryOperatorMatrix(entries=entries)
 
 
-def exterior_trace_operators(k: float, a: float, eta: float,
-                             band_limit: int) -> tuple[np.ndarray, np.ndarray]:
+def exterior_trace_operators(table: ModalTable,
+                             eta: float) -> tuple[np.ndarray, np.ndarray]:
     """Diagonals mapping density φ to (u^s, ∂_ν u^s) exterior boundary traces.
 
     These are c·h_n(ka) and c·k·h_n'(ka) with c the radiating coefficient;
     by the Wronskian they equal ½(S + iη(K+I)S₀²) and ½(K − I + iηTS₀²).
     """
-    n = np.arange(band_limit + 1)
-    degs = harmonic_degrees(band_limit)
-    c = radiating_coefficient_diagonal(k, a, eta, band_limit)
-    return (c * sph_hankel1(n, k * a)[degs],
-            c * k * sph_hankel1(n, k * a, derivative=True)[degs])
+    c = radiating_coefficient_diagonal(table, eta)
+    return c * table.hn, c * table.k * table.hnp
 
 
-def radiating_coefficient_diagonal(k: float, a: float, eta: float,
-                                   band_limit: int) -> np.ndarray:
+def radiating_coefficient_diagonal(table: ModalTable, eta: float) -> np.ndarray:
     """c with u^s = Σ c_nm φ_nm h_n(k r) Y_n^m outside the obstacle."""
-    degs = harmonic_degrees(band_limit)
-    jn = sph_bessel_j(np.arange(band_limit + 1), k * a)[degs]
-    jnp = sph_bessel_j(np.arange(band_limit + 1), k * a, derivative=True)[degs]
-    s0sq = sphere_operator_diagonal("S0", k, a, band_limit) ** 2
-    return 1j * k * a * a * jn + 1j * eta * s0sq * 1j * k * k * a * a * jnp
+    k, a = table.k, table.a
+    return 1j * k * a * a * table.jn + 1j * eta * table.s0sq * 1j * k * k * a * a * table.jnp
 
 
-def incident_coefficients(k: float, omega: np.ndarray, a: float,
-                          band_limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobi-Anger coefficients of (u^i, ∂_ν u^i) on the radius-a sphere."""
-    amp = plane_wave_amplitudes(omega, band_limit)
-    degs = harmonic_degrees(band_limit)
-    jn = sph_bessel_j(np.arange(band_limit + 1), k * a)[degs]
-    jnp = sph_bessel_j(np.arange(band_limit + 1), k * a, derivative=True)[degs]
-    return amp * jn, amp * k * jnp
+def incident_coefficients(table: ModalTable,
+                          amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobi-Anger coefficients of (u^i, ∂_ν u^i) on the table's sphere,
+    from the plane-wave ``amplitudes`` of :func:`impscat.specfun.plane_wave_amplitudes`."""
+    return amplitudes * table.jn, amplitudes * table.k * table.jnp
 
 
-def rhs_from_incident(k: float, omega: np.ndarray, band_limit: int,
-                      mult: BoundaryOperatorMatrix, a: float = 1.0) -> np.ndarray:
+def rhs_from_incident(table: ModalTable, amplitudes: np.ndarray,
+                      mult: BoundaryOperatorMatrix) -> np.ndarray:
     """Coefficients of g = −(∂_ν u^i + iλ u^i) on the boundary.
 
-    ``mult`` is M_{iλ} from :func:`multiplication_operator`.  Warns when the
-    plane-wave (Jacobi-Anger) tail at degree N is above 1e-12 of its head.
+    ``amplitudes`` are the plane wave's, ``mult`` is M_{iλ} from
+    :func:`multiplication_operator`.  Warns when the plane-wave
+    (Jacobi-Anger) tail at degree N is above 1e-12 of its head.
     """
-    u_inc, dnu_inc = incident_coefficients(k, omega, a, band_limit)
+    band_limit = table.band_limit
+    u_inc, dnu_inc = incident_coefficients(table, amplitudes)
     head = np.max(np.abs(u_inc))
     tail = np.max(np.abs(u_inc[-(2 * band_limit + 1):]))  # the degree-N entries
     if head > 0 and tail > 1e-12 * head:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import FarField, WaveContext, eval_scattered, solve_density, solve_farfield
+from .forward import FarField, WaveContext, scattered_on_shell, solve_density, solve_farfield
 from .geometry import ObstacleGeometry
 from .layer_ops import ImpedanceField
 from .specfun import (
@@ -182,8 +182,15 @@ def fit_dominating_curve(deltas, dsups):
 def stability_sweep(base: ImpedanceField, shape, eps_list,
                     ctx: WaveContext, geom: ObstacleGeometry,
                     eta: float | None = None, band_limit: int = 24) -> StabilitySweep:
-    """Perturbation sweep with a fitted dominating stability curve."""
+    """Perturbation sweep with a fitted dominating stability curve.
+
+    ``eps_list`` holds the perturbation sizes ε: finite, nonnegative and
+    at least one of them positive (the fit needs a perturbed record).
+    """
     eps_sorted = sorted(float(e) for e in eps_list)
+    if not (eps_sorted and np.all(np.isfinite(eps_sorted))
+            and eps_sorted[0] >= 0.0 and eps_sorted[-1] > 0.0):
+        raise ValueError("eps_list must hold finite sizes ε >= 0, at least one positive")
     rule = gauss_product_rule(band_limit)
     base_ff = solve_farfield(ctx, geom, base, eta, band_limit, rule)
     rows = []
@@ -233,20 +240,21 @@ def lemma51_check(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField,
     """Smallest candidate R with |u| ≥ 1/2 on every sampled radius ≥ R.
 
     Uses the triangle inequality |u| ≥ 1 − |u^s| plus a direct min over
-    the angular grid, scanning a dense ladder of radii per candidate.
+    the angular grid, scanning a dense ladder of radii per candidate; each
+    radius is one shell of the order-24 product rule.
     """
     phi = solve_density(ctx, geom, lam, eta, band_limit)
     rads = np.unique(np.concatenate(
         [np.asarray(r_candidates, dtype=float),
          np.geomspace(min(r_candidates), 4.0 * max(r_candidates), 24)]
     ))
-    dirs = gauss_product_rule(24).points()
+    rule = gauss_product_rule(24)
+    dirs = rule.points()
     sups = np.empty(rads.size)
     mins = np.empty(rads.size)
     for i, rr in enumerate(rads):
-        pts = rr * dirs
-        us = eval_scattered(pts, phi, ctx, geom)
-        total = ctx.incident(pts) + us
+        us = scattered_on_shell(phi, ctx, geom, rr, rule)
+        total = ctx.incident(rr * dirs) + us
         sups[i] = float(np.max(np.abs(us)))
         mins[i] = float(np.min(np.abs(total)))
     qualifying = np.inf

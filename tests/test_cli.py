@@ -118,6 +118,10 @@ class TestExitCodes:
         ("farfield", "impedance", "[[1]]"), ("farfield", "output", "5"),
         ("farfield", "summary", "[]"), ("stability-sweep", "perturbation", "[{}]"),
         ("stability-sweep", "eps_list", "[true, 0.05]"),
+        ("stability-sweep", "eps_list", "[]"), ("stability-sweep", "eps_list", "[0.0]"),
+        ("stability-sweep", "eps_list", "[-0.1]"),
+        ("stability-sweep", "eps_list", "[0.1, Infinity]"),
+        ("stability-sweep", "eps_list", "[0.1, NaN]"),
     ])
     def test_wrong_json_type_is_validation(self, tmp_path, capsys, command, key, value):
         path = write_config(tmp_path, "c.json", {"band_limit": 4})

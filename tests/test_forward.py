@@ -5,8 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from impscat import forward, layer_ops
+from impscat import forward, layer_ops, specfun
 from impscat.forward import (
     FarField,
     HarmonicDensity,
@@ -18,6 +20,7 @@ from impscat.forward import (
     mie_farfield,
     mie_scattered,
     radiating_coefficients,
+    scattered_on_shell,
     scattered_radial_derivative,
     solve_density,
     solve_farfield,
@@ -29,13 +32,17 @@ from impscat.layer_ops import (
     ImpedanceField,
     SingularSystemError,
     assemble_combined_system,
+    modal_table,
 )
 from impscat.specfun import (
     gauss_product_rule,
     harmonic_degrees,
     num_harmonics,
+    sph_bessel_j,
+    sph_hankel1,
     sph_harmonic_all,
 )
+from impscat.stability import stability_sweep
 
 GEOM = ObstacleGeometry()
 ZHAT = np.array([0.0, 0.0, 1.0])
@@ -119,6 +126,93 @@ class TestSolveDensity:
         assert rel_l2(ff, mie_farfield(ctx, 1.0, lam0, rule=ff.rule)) <= 1e-10
 
 
+def count_calls(monkeypatch, names):
+    """Count the calls of each named specfun function through every impscat
+    module binding of it; returns the live {name: count} dict."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(specfun, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("impscat") and \
+                    getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+class TestContextTables:
+    """A context builds its modal and plane-wave tables once, for itself only."""
+
+    def test_sweep_builds_each_table_once(self, monkeypatch):
+        counts = count_calls(monkeypatch, ("sph_bessel_j", "sph_hankel1",
+                                           "plane_wave_amplitudes"))
+        shape = np.zeros(9)
+        shape[[2, 4, 6, 8]] = [0.3, -0.2, 0.25, 0.1]
+        ctx = WaveContext(k=1.0, omega=ZHAT)
+        stability_sweep(ImpedanceField.constant(1.5), shape, [0.0125, 0.025, 0.05, 0.1],
+                        ctx, GEOM, band_limit=24)
+        # j_n, j_n', h_n, h_n' at ka, and one set of plane-wave amplitudes
+        assert counts == {"sph_bessel_j": 2, "sph_hankel1": 2, "plane_wave_amplitudes": 1}
+        # a fresh context at the same wave reuses nothing
+        solve_farfield(WaveContext(k=1.0, omega=ZHAT), GEOM, ImpedanceField.constant(1.5),
+                       band_limit=24)
+        assert counts == {"sph_bessel_j": 4, "sph_hankel1": 4, "plane_wave_amplitudes": 2}
+
+    def test_tables_are_read_only(self):
+        ctx = WaveContext(k=1.0, omega=ZHAT)
+        table = ctx.modal(1.0, 6)
+        for values in (table.jn, table.jnp, table.hn, table.hnp, table.s0sq,
+                       ctx.incident_amplitudes(6)):
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+
+    def test_context_keeps_the_latest_key(self):
+        ctx = WaveContext(k=1.0, omega=ZHAT)
+        table, amps = ctx.modal(1.0, 8), ctx.incident_amplitudes(8)
+        assert ctx.modal(1.0, 8) is table and ctx.incident_amplitudes(8) is amps
+        assert ctx.modal(2.0, 8).a == 2.0 and ctx.modal(1.0, 8) is not table
+        assert ctx.incident_amplitudes(12).size == num_harmonics(12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(log_k=st.floats(-3.0, 2.0), a=st.floats(0.5, 2.0),
+           band_limit=st.integers(1, 60))
+    def test_table_and_reuse_match_direct_calls(self, log_k, a, band_limit):
+        # NaN entries at high degree compare equal; they are the special
+        # functions' own, and the solve rejects them
+        k = 10.0 ** log_k
+        n, ka, degs = np.arange(band_limit + 1), k * a, harmonic_degrees(band_limit)
+        with np.errstate(all="ignore"):
+            table = modal_table(k, a, band_limit)
+            direct = {"jn": sph_bessel_j(n, ka), "jnp": sph_bessel_j(n, ka, derivative=True),
+                      "hn": sph_hankel1(n, ka), "hnp": sph_hankel1(n, ka, derivative=True)}
+        for name, values in direct.items():
+            np.testing.assert_array_equal(getattr(table, name), values[degs])
+        np.testing.assert_array_equal(table.s0sq, (2.0 * a / (2 * degs + 1)) ** 2)
+
+        geom = ObstacleGeometry(radius=a)
+
+        def outcome(ctx, value):
+            with np.errstate(all="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # plane-wave tail
+                try:
+                    return solve_farfield(ctx, geom, ImpedanceField.constant(value),
+                                          band_limit=band_limit).samples
+                except (RuntimeError, ValueError) as exc:
+                    return type(exc)
+
+        reused = WaveContext(k=k, omega=ZHAT)
+        outcome(reused, 0.5)  # fills the context's tables
+        again, fresh = outcome(reused, 1.0), outcome(WaveContext(k=k, omega=ZHAT), 1.0)
+        if isinstance(fresh, type):
+            assert again is fresh
+        else:
+            np.testing.assert_array_equal(again, fresh)
+
+
 class TestCouplingTravelsWithDensity:
     # η only makes the combined-field system uniquely solvable: φ depends on
     # it, u∞ and the boundary traces do not, since each evaluator reads the
@@ -168,7 +262,8 @@ class TestSingularityCheck:
     nb = 12
 
     def assembled(self):
-        return assemble_combined_system(1.0, GEOM, self.lam, 1.0, self.nb).entries[0]
+        return assemble_combined_system(modal_table(1.0, 1.0, self.nb), GEOM, self.lam,
+                                        1.0).entries[0]
 
     def solve_with(self, monkeypatch, entries):
         system = BoundaryOperatorMatrix(entries=entries)
@@ -236,6 +331,23 @@ class TestScatteredField:
     def test_near_boundary_warning(self):
         with pytest.warns(UserWarning):
             eval_scattered(np.array([[0.0, 0.0, 1.01]]), self.phi, self.ctx, GEOM)
+
+    @pytest.mark.parametrize("radius,order", [(1.5, 24), (8.0, 24), (3.0, 12), (3.0, 40)])
+    def test_shell_matches_point_path(self, radius, order):
+        # the rule may be coarser or finer than the density's N = 24
+        rule = gauss_product_rule(order)
+        shell = scattered_on_shell(self.phi, self.ctx, GEOM, radius, rule)
+        points = eval_scattered(radius * rule.points(), self.phi, self.ctx, GEOM)
+        np.testing.assert_allclose(shell, points, rtol=0.0,
+                                   atol=1e-14 * np.abs(points).max())
+
+    def test_shell_keeps_point_path_checks(self):
+        rule = gauss_product_rule(8)
+        for radius in (0.5, 1.0):
+            with pytest.raises(ValueError):
+                scattered_on_shell(self.phi, self.ctx, GEOM, radius, rule)
+        with pytest.warns(UserWarning, match="close to the boundary"):
+            scattered_on_shell(self.phi, self.ctx, GEOM, 1.01, rule)
 
     def test_farfield_extrapolation(self):
         ff = farfield(self.phi, self.ctx, GEOM)

@@ -19,6 +19,7 @@ from impscat.layer_ops import (
     assemble_multiplication,
     default_coupling,
     exterior_trace_operators,
+    modal_table,
     multiplication_operator,
     rhs_from_incident,
     sphere_operator_diagonal,
@@ -30,6 +31,7 @@ from impscat.specfun import (
     harmonic_degrees,
     harmonic_index,
     num_harmonics,
+    plane_wave_amplitudes,
     real_sph_harmonic_all,
     sph_harmonic_all,
 )
@@ -251,7 +253,8 @@ class TestCombinedSystem:
         geom = ObstacleGeometry()
         lam = ImpedanceField.constant(1.0)
         for k in (1.0, 2.0, np.pi, 4.493409457909064):
-            system = assemble_combined_system(k, geom, lam, default_coupling(k), 12)
+            system = assemble_combined_system(modal_table(k, 1.0, 12), geom, lam,
+                                              default_coupling(k))
             # the system is diagonal: its singular values are |entries|
             smin = np.abs(system.entries).min()
             assert smin > 1e-6
@@ -260,13 +263,14 @@ class TestCombinedSystem:
         # eta = 0 is rejected outright: the ansatz loses its uniqueness fix
         geom = ObstacleGeometry()
         with pytest.raises(ValueError):
-            assemble_combined_system(1.0, geom, ImpedanceField.constant(1.0), 0.0, 8)
+            assemble_combined_system(modal_table(1.0, 1.0, 8), geom,
+                                     ImpedanceField.constant(1.0), 0.0)
 
     def test_linearity_in_impedance(self):
-        geom = ObstacleGeometry()
-        a0 = assemble_combined_system(1.0, geom, ImpedanceField.constant(0.0), 1.0, 8)
-        a1 = assemble_combined_system(1.0, geom, ImpedanceField.constant(1.0), 1.0, 8)
-        a2 = assemble_combined_system(1.0, geom, ImpedanceField.constant(2.0), 1.0, 8)
+        geom, table = ObstacleGeometry(), modal_table(1.0, 1.0, 8)
+        a0 = assemble_combined_system(table, geom, ImpedanceField.constant(0.0), 1.0)
+        a1 = assemble_combined_system(table, geom, ImpedanceField.constant(1.0), 1.0)
+        a2 = assemble_combined_system(table, geom, ImpedanceField.constant(2.0), 1.0)
         assert np.allclose(a2.entries - a1.entries, a1.entries - a0.entries,
                            atol=1e-12)
 
@@ -277,8 +281,9 @@ class TestCombinedSystem:
         coeffs[0] = 1.5 * np.sqrt(4 * np.pi)
         lam_var = ImpedanceField(coefficients=coeffs)
         lam_const = ImpedanceField.constant(1.5)
-        a_var = assemble_combined_system(1.0, geom, lam_var, 1.0, 8)
-        a_const = assemble_combined_system(1.0, geom, lam_const, 1.0, 8)
+        table = modal_table(1.0, 1.0, 8)
+        a_var = assemble_combined_system(table, geom, lam_var, 1.0)
+        a_const = assemble_combined_system(table, geom, lam_const, 1.0)
         assert np.allclose(a_var.entries, a_const.entries, atol=1e-10)
 
     def test_variable_system_builds_its_multiplication(self):
@@ -287,12 +292,13 @@ class TestCombinedSystem:
         geom = ObstacleGeometry()
         lam = ImpedanceField(coefficients=np.array([1.5 * np.sqrt(4 * np.pi), 0.0, 0.2, 0.0]))
         assert not lam.is_constant
-        built = unpack_band(assemble_combined_system(1.0, geom, lam, 1.0, 8).entries)
+        table = modal_table(1.0, 1.0, 8)
+        built = unpack_band(assemble_combined_system(table, geom, lam, 1.0).entries)
         mult = assemble_multiplication(lam, 8)
-        given = unpack_band(assemble_combined_system(1.0, geom, lam, 1.0, 8, mult).entries)
+        given = unpack_band(assemble_combined_system(table, geom, lam, 1.0, mult).entries)
         np.testing.assert_allclose(built, given, rtol=0.0,
                                    atol=1e-13 * np.abs(given).max())
-        const = assemble_combined_system(1.0, geom, ImpedanceField.constant(1.5), 1.0, 8)
+        const = assemble_combined_system(table, geom, ImpedanceField.constant(1.5), 1.0)
         np.testing.assert_allclose(np.diag(built), np.diag(unpack_band(const.entries)),
                                    rtol=0.0, atol=1e-12)
         assert np.abs(built - np.diag(np.diag(built))).max() > 1e-3
@@ -302,26 +308,29 @@ class TestCombinedSystem:
         # check must read the whole degree-N block, not its last entry
         omega, lam = np.array([0.0, 0.0, 1.0]), ImpedanceField.constant(1.0)
         with pytest.warns(UserWarning, match="tail at degree 4"):
-            rhs_from_incident(10.0, omega, 4, multiplication_operator(lam, 4))
+            rhs_from_incident(modal_table(10.0, 1.0, 4), plane_wave_amplitudes(omega, 4),
+                              multiplication_operator(lam, 4))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rhs_from_incident(0.5, omega, 24, multiplication_operator(lam, 24))
+            rhs_from_incident(modal_table(0.5, 1.0, 24), plane_wave_amplitudes(omega, 24),
+                              multiplication_operator(lam, 24))
 
     def test_perturbed_geometry_unsupported(self):
         coeffs = np.zeros(9)
         coeffs[6] = 0.05
         geom = ObstacleGeometry(perturbation=coeffs)
         with pytest.raises(NotImplementedError):
-            assemble_combined_system(1.0, geom, ImpedanceField.constant(1.0), 1.0, 8)
+            assemble_combined_system(modal_table(1.0, 1.0, 8), geom,
+                                     ImpedanceField.constant(1.0), 1.0)
 
     def test_exterior_traces_satisfy_impedance_condition(self):
         # the assembled system is exactly the impedance condition applied
         # to the traces: A = I - (2 dtrace + 1) - 2 i lambda trace
         k, a, eta, lam0, nb = 1.0, 1.0, 1.0, 1.0, 10
-        tr, dtr = exterior_trace_operators(k, a, eta, nb)
+        tr, dtr = exterior_trace_operators(modal_table(k, a, nb), eta)
         geom = ObstacleGeometry()
         system = assemble_combined_system(
-            k, geom, ImpedanceField.constant(lam0), eta, nb)
+            modal_table(k, a, nb), geom, ImpedanceField.constant(lam0), eta)
         expected = 1.0 - ((2.0 * dtr + 1.0) + 1j * lam0 * 2.0 * tr)
         assert np.allclose(np.diag(unpack_band(system.entries)), expected, atol=1e-12)
 
@@ -330,7 +339,7 @@ class TestCombinedSystem:
         # the Wronskian form equals the S/K/T/S0 form of both traces
         a, nb = 1.0, 40
         eta = default_coupling(k)
-        tr, dtr = exterior_trace_operators(k, a, eta, nb)
+        tr, dtr = exterior_trace_operators(modal_table(k, a, nb), eta)
         s, kk, t, s0 = (sphere_operator_diagonal(kind, k, a, nb)
                         for kind in ("S", "K", "T", "S0"))
         np.testing.assert_allclose(tr, 0.5 * (s + 1j * eta * (kk + 1.0) * s0**2),
@@ -347,8 +356,8 @@ class TestBandSolve:
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 4.0])
     def test_matches_dense_lu(self, monkeypatch, k, lam_band, band_limit):
         lam = variable_field(lam_band, band_limit + 10 * lam_band)
-        system = assemble_combined_system(k, ObstacleGeometry(), lam,
-                                          default_coupling(k), band_limit)
+        system = assemble_combined_system(modal_table(k, 1.0, band_limit),
+                                          ObstacleGeometry(), lam, default_coupling(k))
         rng = np.random.default_rng(0)
         rhs = rng.normal(size=num_harmonics(band_limit)) \
             + 1j * rng.normal(size=num_harmonics(band_limit))

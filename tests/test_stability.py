@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from impscat import specfun
+from impscat import specfun, stability
 from impscat.forward import WaveContext, mie_farfield, solve_farfield
 from impscat.geometry import ObstacleGeometry
 from impscat.layer_ops import ImpedanceField
@@ -169,6 +169,17 @@ class TestStabilitySweep:
     def test_negative_impedance_rejected(self):
         with pytest.raises(ValueError):
             stability_sweep(ImpedanceField.constant(0.01), SHAPE, [0.5],
+                            CTX, GEOM, band_limit=12)
+
+    @pytest.mark.parametrize("eps_list", [[], [0.0], [-0.1], [-0.1, 0.1],
+                                          [0.1, np.nan], [0.1, np.inf]])
+    def test_bad_eps_list_rejected_before_solving(self, monkeypatch, eps_list):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran before eps_list was checked")
+
+        monkeypatch.setattr(stability, "solve_farfield", no_solve)
+        with pytest.raises(ValueError, match="eps_list"):
+            stability_sweep(ImpedanceField.constant(1.0), SHAPE, eps_list,
                             CTX, GEOM, band_limit=12)
 
     def test_fit_requires_admissible_records(self):

@@ -51,20 +51,34 @@ def test_traced_solve_reports_system_and_eigenvalues():
     assert metrics["layer_ops.eigenvalue_calls"][0] > 0
 
 
-def test_traced_farfield_job_reaches_predicted_groups(tmp_path, capsys):
-    # the benchmark's traced run checks these call counts on farfield-const;
-    # a refactor that stops a predicted layer from being reached shows here
-    predicted = load_perfbench("workloads").PREDICTED_NONZERO["farfield-const"]
-    config = tmp_path / "c.json"
-    config.write_text(json.dumps({"k": 0.2, "band_limit": 8,
-                                  "output": str(tmp_path / "ff.csv")}))
+def traced_job_misses(workload, subcommand, config, tmp_path, capsys):
+    """The groups predicted nonzero for ``workload`` that one traced CLI job
+    with ``config`` never reaches."""
+    predicted = load_perfbench("workloads").PREDICTED_NONZERO[workload]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**config, "output": str(tmp_path / "out.csv")}))
     tracer = load_tracer()
     try:
         tracer.install()
-        code = tracer.run_job(0, impscat.cli.main, ["farfield", str(config)])
+        code = tracer.run_job(0, impscat.cli.main, [subcommand, str(path)])
     finally:
         tracer.uninstall()
     capsys.readouterr()
     assert code == 0
     _, calls, _ = tracer.layer_metrics()
-    assert {group for group in predicted if calls.get(group, 0) == 0} == set()
+    return {group for group in predicted if calls.get(group, 0) == 0}
+
+
+def test_traced_farfield_job_reaches_predicted_groups(tmp_path, capsys):
+    # the benchmark's traced run checks these call counts on farfield-const;
+    # a refactor that stops a predicted layer from being reached shows here
+    config = {"k": 0.2, "band_limit": 8}
+    assert traced_job_misses("farfield-const", "farfield", config, tmp_path, capsys) == set()
+
+
+def test_traced_sweep_job_reaches_predicted_groups(tmp_path, capsys):
+    # the same check for sweep-variable: a degree-1 perturbation, so the
+    # multiplication layer runs
+    config = {"k": 0.2, "band_limit": 8, "perturbation": [0.0, 0.0, 1.0, 0.0]}
+    assert traced_job_misses("sweep-variable", "stability-sweep", config,
+                             tmp_path, capsys) == set()
