@@ -227,10 +227,6 @@ class CarlemanSetup:
     def tau_threshold(self) -> float:
         return 88.0 * self.M**6 / self.m**4
 
-    def psi(self, x) -> np.ndarray:
-        r = np.linalg.norm(np.atleast_2d(x) - self.x0, axis=1)
-        return 2.0 * np.log((self.rho + self.d) / r)
-
     @property
     def psi_ref(self) -> float:
         """Max of ψ on the closed annulus (at the inner radius)."""
@@ -496,8 +492,9 @@ def chain_lower_bound(n_steps, i0: float, m_tilde: float, c: float,
     n = int(getattr(n_steps, "count", n_steps))
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if i0 <= 0 or m_tilde <= 0 or c <= 0 or r <= 0:
-        raise ValueError("i0, m_tilde, c, r must be positive")
+    if not all(np.isfinite(v) and v > 0 for v in (i0, m_tilde, c, r)):
+        raise ValueError(f"i0, m_tilde, c, r must be positive and finite "
+                         f"(i0 = {i0}, m_tilde = {m_tilde}, c = {c}, r = {r})")
     log_cr = np.log(c / r)
     log_i = np.log(i0)
     for _ in range(n):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -84,12 +85,16 @@ def _is_number_list(value) -> bool:
 def _get(cfg: dict, key: str, default, integer: bool = False):
     """Subcommand key ``key``; an absent key takes ``default``, stored in
     ``cfg`` so the summary embeds it.  If the default is a number, so must
-    the value be (an int if ``integer``); if a list, a list of numbers."""
+    the value be (an int if ``integer``); if a list, a list of numbers.  A
+    float, alone or in the list, must be finite; an int of any size passes."""
     value = cfg.setdefault(key, default)
     if _is_number(default) and not _is_number(value, integer):
         raise ConfigError(f"{key} must be {'an integer' if integer else 'a number'}")
     if isinstance(default, list) and not _is_number_list(value):
         raise ConfigError(f"{key} must be a list of numbers")
+    entries = value if isinstance(value, list) else [value]
+    if not all(math.isfinite(v) for v in entries if isinstance(v, float)):
+        raise ConfigError(f"{key} must be finite ({key} = {value})")
     return value
 
 

@@ -153,14 +153,6 @@ class FarField:
             self.rule.integrate(np.abs(self.samples) ** 2)
         )))
 
-    def azimuthal_variance(self) -> float:
-        """Max over polar rings of the sample variance across azimuths."""
-        var = 0.0
-        for m in np.unique(self.rule.mu):
-            ring = self.samples[self.rule.mu == m]
-            var = max(var, float(np.mean(np.abs(ring - ring.mean()) ** 2)))
-        return var
-
 
 class ResolutionError(RuntimeError):
     """Density tail check failed; band limit too low for this configuration."""
@@ -184,7 +176,7 @@ def solve_density(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField,
     eta = default_coupling(ctx.k) if eta is None else eta
     table = ctx.modal(geom.radius, band_limit)
     mult = multiplication_operator(lam, band_limit)
-    system = assemble_combined_system(table, geom, lam, eta, mult)
+    system = assemble_combined_system(table, mult, eta)
     g = rhs_from_incident(table, ctx.incident_amplitudes(band_limit), mult)
     rhs = -2.0 * g
     phi = system.solve(rhs)

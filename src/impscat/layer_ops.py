@@ -60,7 +60,6 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 from scipy.sparse import dia_matrix
 
-from .geometry import ObstacleGeometry
 from .specfun import (
     QuadratureRule,
     _band_limit_of,
@@ -133,10 +132,6 @@ class ImpedanceField:
     def evaluate_on(self, rule: QuadratureRule) -> np.ndarray:
         """λ at the nodes of a product rule, by the ring transform."""
         return _synthesize(_complex_coefficients(self.coefficients), rule).real
-
-    def sup_norm(self, rule: QuadratureRule | None = None) -> float:
-        rule = rule or gauss_product_rule(max(16, 4 * (self.band_limit + 1)))
-        return float(np.max(np.abs(self.evaluate_on(rule))))
 
 
 # ---------------------------------------------------------------------------
@@ -320,27 +315,20 @@ def default_coupling(k: float) -> float:
     return max(1.0, k)
 
 
-def assemble_combined_system(table: ModalTable, geom: ObstacleGeometry,
-                             lam: ImpedanceField, eta: float,
-                             mult: BoundaryOperatorMatrix | None = None
-                             ) -> BoundaryOperatorMatrix:
+def assemble_combined_system(table: ModalTable, mult: BoundaryOperatorMatrix,
+                             eta: float) -> BoundaryOperatorMatrix:
     """System matrix A with A φ = −2 g for the combined-field ansatz.
 
-    ``table`` is the modal table of ``geom``'s sphere at the band limit.  A is
-    M_{iλ} times the diagonal −2·trace plus a diagonal, so it has the band of
-    M_{iλ}; ``mult`` is M_{iλ} when the caller has already built it.
+    ``table`` is the modal table of the sphere at the band limit and ``mult``
+    is M_{iλ} from :func:`multiplication_operator`.  A is M_{iλ} times the
+    diagonal −2·trace plus a diagonal, so it has the band of M_{iλ}.
     """
     if eta == 0.0:
         raise ValueError("coupling parameter eta must be nonzero")
-    if not geom.is_sphere:
-        raise NotImplementedError(
-            "operator assembly is implemented for sphere geometry only"
-        )
     # 2·dtrace + 1 = K' + iηTS₀² and 2·trace = S + iη(K+I)S₀², so
     # A = I − (2·dtrace + 1) − M_{iλ}·2·trace is −2 × (∂_ν u^s + iλ u^s)
     trace, dtrace = exterior_trace_operators(table, eta)
     perm = _m_major(table.band_limit)[0]  # the band's column order
-    mult = mult or multiplication_operator(lam, table.band_limit)
     entries = mult.entries * (-2.0 * trace[perm])
     entries[len(entries) // 2] += (1.0 - (2.0 * dtrace + 1.0))[perm]  # the diagonal row
     return BoundaryOperatorMatrix(entries=entries)

@@ -8,7 +8,7 @@ weighted Carleman integrals) is built on three primitives provided here:
   against the argument,
 * orthonormal (complex and real) spherical harmonics ``Y_n^m``, evaluated
   for all degrees up to a band limit in one vectorized pass, at scattered
-  points,
+  points (values only: on the sphere no caller needs their derivatives),
 * Gauss-Legendre x uniform-azimuth product rules that integrate harmonics
   of degree <= 2N+1 exactly, with one transform for synthesis on them:
   ``_synthesize`` evaluates Σ c_nm Y_n^m by a Legendre sum on the N+1 ring
@@ -106,24 +106,6 @@ def _normalized_legendre(band_limit: int, mu: np.ndarray) -> np.ndarray:
     return p
 
 
-def _orders_to_rows(band_limit: int, factor: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Rows factor[n, m]·e^{imφ} for m >= 0, and their −m partners, flat-indexed.
-
-    Negative orders use the conjugate symmetry (−1)^m conj(·) that holds for
-    Y_n^m and for each of its θ-derivatives.
-    """
-    expi = np.exp(1j * np.outer(np.arange(band_limit + 1), phi))
-    out = np.empty((num_harmonics(band_limit), phi.size), dtype=complex)
-    for n in range(band_limit + 1):
-        zero = n * n + n
-        pos = out[zero:zero + n + 1]  # m = 0..n
-        np.multiply(factor[n, :n + 1], expi[:n + 1], out=pos)
-        neg = out[n * n:zero]  # m = −n..−1, from m = n..1
-        np.conjugate(pos[:0:-1], out=neg)
-        neg[(n + 1) % 2::2] *= -1  # the odd orders
-    return out
-
-
 def sph_harmonic_all(band_limit: int, mu, phi) -> np.ndarray:
     """All Y_n^m, n <= N, at points (mu=cosθ, phi).
 
@@ -132,22 +114,17 @@ def sph_harmonic_all(band_limit: int, mu, phi) -> np.ndarray:
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    return _orders_to_rows(band_limit, _normalized_legendre(band_limit, mu), phi)
-
-
-def _harmonics_at(direction, band_limit: int) -> np.ndarray:
-    """All Y_n^m, n <= N, at one unit vector, shape ((N+1)^2, 1)."""
-    d = np.asarray(direction, dtype=float)
-    if abs(np.linalg.norm(d) - 1.0) > 1e-12:
-        raise ValueError("direction must be a unit vector")
-    return sph_harmonic_all(band_limit, np.clip(d[2], -1.0, 1.0), np.arctan2(d[1], d[0]))
-
-
-def sph_harmonic(n: int, m: int, direction) -> complex:
-    """Orthonormal Y_n^m evaluated at a single unit vector."""
-    if abs(m) > n:
-        raise IndexError(f"|m| = {abs(m)} exceeds degree n = {n}")
-    return complex(_harmonics_at(direction, n)[harmonic_index(n, m), 0])
+    legendre = _normalized_legendre(band_limit, mu)
+    expi = np.exp(1j * np.outer(np.arange(band_limit + 1), phi))
+    out = np.empty((num_harmonics(band_limit), phi.size), dtype=complex)
+    for n in range(band_limit + 1):
+        zero = n * n + n
+        pos = out[zero:zero + n + 1]  # m = 0..n
+        np.multiply(legendre[n, :n + 1], expi[:n + 1], out=pos)
+        neg = out[n * n:zero]  # m = −n..−1, from m = n..1
+        np.conjugate(pos[:0:-1], out=neg)
+        neg[(n + 1) % 2::2] *= -1  # the odd orders
+    return out
 
 
 def plane_wave_amplitudes(direction, band_limit: int) -> np.ndarray:
@@ -156,36 +133,17 @@ def plane_wave_amplitudes(direction, band_limit: int) -> np.ndarray:
     e^{ik x·ω} = Σ 4π iⁿ conj(Y_n^m(ω)) j_n(k|x|) Y_n^m(x̂), so the
     amplitudes times any radial factor give the mode coefficients.
     """
-    y_at_omega = _harmonics_at(direction, band_limit)[:, 0]
+    d = np.asarray(direction, dtype=float)
+    if abs(np.linalg.norm(d) - 1.0) > 1e-12:
+        raise ValueError("direction must be a unit vector")
+    y_at_omega = sph_harmonic_all(band_limit, np.clip(d[2], -1.0, 1.0),
+                                  np.arctan2(d[1], d[0]))[:, 0]
     return 4.0 * np.pi * (1j ** harmonic_degrees(band_limit)) * np.conj(y_at_omega)
 
 
-def sph_harmonic_all_dtheta(band_limit: int, mu, phi) -> np.ndarray:
-    """Polar-angle derivatives dY_n^m/dθ at points away from the poles.
-
-    Uses the fully normalized identity
-    sinθ · dP̄_n^m/dθ = n μ P̄_n^m − sqrt((2n+1)(n²−m²)/(2n−1)) P̄_{n−1}^m.
-    """
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    sin_t = np.sqrt(np.maximum(0.0, 1.0 - mu * mu))
-    if np.any(sin_t < 1e-12):
-        raise ValueError("dθ evaluation requested at a pole")
-    p = _normalized_legendre(band_limit, mu)
-    m = np.arange(band_limit + 1)[:, None]
-    for n in range(band_limit, 0, -1):  # downward: row n − 1 still holds P̄_{n−1}^m
-        c = np.sqrt((2.0 * n + 1.0) * np.maximum(n * n - m * m, 0) / (2.0 * n - 1.0))
-        p[n] = (n * mu * p[n] - c * p[n - 1]) / sin_t
-    p[0] = 0.0
-    return _orders_to_rows(band_limit, p, phi)
-
-
-def to_real_basis(band_limit: int, ycplx: np.ndarray) -> np.ndarray:
-    """Complex-harmonic rows to real ones: sqrt2·Re (m>0), Re (m=0), sqrt2·Im (m<0).
-
-    Row (n, −m) of the result is built from row (n, m) of ``ycplx``, so the
-    map also carries derivatives of Y_n^m to those of the real harmonics.
-    """
+def real_sph_harmonic_all(band_limit: int, mu, phi) -> np.ndarray:
+    """Real orthonormal harmonics: sqrt2·Re Y (m>0), Y (m=0), sqrt2·Im Y (m<0)."""
+    ycplx = sph_harmonic_all(band_limit, mu, phi)
     out = np.empty(ycplx.shape)
     for n in range(band_limit + 1):
         zero = n * n + n
@@ -194,11 +152,6 @@ def to_real_basis(band_limit: int, ycplx: np.ndarray) -> np.ndarray:
         out[zero + 1:zero + n + 1] *= np.sqrt(2.0)
         out[n * n:zero] = np.sqrt(2.0) * pos[:0:-1].imag
     return out
-
-
-def real_sph_harmonic_all(band_limit: int, mu, phi) -> np.ndarray:
-    """Real orthonormal harmonics: sqrt2·Re Y (m>0), Y (m=0), sqrt2·Im Y (m<0)."""
-    return to_real_basis(band_limit, sph_harmonic_all(band_limit, mu, phi))
 
 
 # ---------------------------------------------------------------------------

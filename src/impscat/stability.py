@@ -105,9 +105,12 @@ def far_field_delta(lam_a: ImpedanceField, lam_b: ImpedanceField,
     rule = gauss_product_rule(band_limit)
     fa = solve_farfield(ctx, geom, lam_a, eta, band_limit, rule)
     fb = solve_farfield(ctx, geom, lam_b, eta, band_limit, rule)
-    return float(np.sqrt(np.real(
-        rule.integrate(np.abs(fa.samples - fb.samples) ** 2)
-    )))
+    return _far_field_distance(fa.samples, fb.samples, rule)
+
+
+def _far_field_distance(samples_a, samples_b, rule) -> float:
+    """δ = ‖u∞_a − u∞_b‖_{L²(S²)} for samples on the same rule."""
+    return float(np.sqrt(np.real(rule.integrate(np.abs(samples_a - samples_b) ** 2))))
 
 
 def impedance_sup_distance(lam_a: ImpedanceField, lam_b: ImpedanceField) -> float:
@@ -200,9 +203,7 @@ def stability_sweep(base: ImpedanceField, shape, eps_list,
             rows.append((0.0, 0.0, 0.0))
             continue
         ff = solve_farfield(ctx, geom, lam_p, eta, band_limit, rule)
-        delta = float(np.sqrt(np.real(
-            rule.integrate(np.abs(ff.samples - base_ff.samples) ** 2)
-        )))
+        delta = _far_field_distance(ff.samples, base_ff.samples, rule)
         rows.append((eps, delta, impedance_sup_distance(base, lam_p)))
     positive = [r for r in rows if r[0] > 0]
     c_fit, sigma_fit = fit_dominating_curve(

@@ -160,7 +160,6 @@ class TestCarlemanInequality:
 
         monkeypatch.setattr(carleman, "_radial_rule", refuse)
         monkeypatch.setattr(carleman, "gauss_product_rule", refuse)
-        monkeypatch.setattr(CarlemanSetup, "psi", refuse)
         v = TestFunction.plane_wave(1.3, [0.2, 0.5, 0.8], 0.7)
         res = carleman_sides(v, setup, setup.lambda_threshold, setup.tau_threshold)
         assert res.holds
@@ -415,6 +414,16 @@ class TestChainLowerBound:
             chain_lower_bound(3, 1.0, 1.0, 1.0, 1.5, 0.1)
         with pytest.raises(ValueError):
             chain_lower_bound(3, -1.0, 1.0, 1.0, 0.5, 0.1)
+
+    @pytest.mark.parametrize("index", [0, 1, 2, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, index, bad):
+        # i0, m_tilde, c, r: a NaN or inf would make every bound NaN
+        args = [1.0, 1.0, 0.5, 0.1]
+        args[index] = bad
+        i0, m_tilde, c, r = args
+        with pytest.raises(ValueError, match="positive and finite"):
+            chain_lower_bound(3, i0, m_tilde, c, 0.5, r)
 
 
 class TestLemma42Witness:

@@ -122,6 +122,10 @@ class TestExitCodes:
         ("stability-sweep", "eps_list", "[-0.1]"),
         ("stability-sweep", "eps_list", "[0.1, Infinity]"),
         ("stability-sweep", "eps_list", "[0.1, NaN]"),
+        ("chain", "i0", "NaN"), ("chain", "m_tilde", "Infinity"), ("chain", "c", "NaN"),
+        ("chain", "R", "Infinity"), ("three-sphere", "ball_radius", "NaN"),
+        ("three-sphere", "center", "[2, 0, NaN]"), ("ga2-check", "radii", "[NaN, 0.2, 0.1]"),
+        ("reconstruct", "noise", "Infinity"),
     ])
     def test_wrong_json_type_is_validation(self, tmp_path, capsys, command, key, value):
         path = write_config(tmp_path, "c.json", {"band_limit": 4})
@@ -151,7 +155,8 @@ class TestExitCodes:
     def test_resolution_failure_is_numerical(self, tmp_path, capsys):
         # ka = 6 at band limit 4: plane-wave tail unresolved
         path = write_config(tmp_path, "c.json", {"k": 6.0, "band_limit": 4})
-        code = main(["forward", path])
+        with pytest.warns(UserWarning, match="plane-wave series tail"):
+            code = main(["forward", path])
         assert code == EXIT_NUMERICAL
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "numerical"

@@ -17,54 +17,31 @@ from impscat.geometry import (
 from impscat.specfun import gauss_product_rule
 
 
-def perturbed_geometry(eps=0.05):
-    # eps * (real Y_2^0) bump
-    coeffs = np.zeros(9)
-    coeffs[6] = eps
-    return ObstacleGeometry(radius=1.0, perturbation=coeffs)
-
-
 class TestObstacleGeometry:
     def test_sphere_defaults(self):
         geom = ObstacleGeometry()
-        assert geom.is_sphere
-        assert geom.kind == "sphere"
-        assert geom.diameter() == 2.0
+        assert (geom.radius, geom.exterior_sphere_radius) == (1.0, 0.5)
+        assert geom.cone_half_angle == math.pi / 6
 
     def test_validation(self):
         with pytest.raises(GeometryError):
             ObstacleGeometry(radius=-1.0)
         with pytest.raises(GeometryError):
             ObstacleGeometry(cone_half_angle=2.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("radius", math.nan), ("radius", math.inf), ("radius", -math.inf),
+        ("exterior_sphere_radius", math.nan), ("exterior_sphere_radius", math.inf),
+        ("exterior_sphere_radius", 0.0), ("cone_half_angle", math.nan),
+    ])
+    def test_non_finite_or_nonpositive_rejected(self, field, value):
         with pytest.raises(GeometryError):
-            ObstacleGeometry(perturbation=np.array([-10.0]))
+            ObstacleGeometry(**{field: value})
 
-    def test_sphere_normal_is_radial(self):
-        geom = ObstacleGeometry()
+    def test_boundary_points_on_sphere(self):
+        geom = ObstacleGeometry(radius=1.5)
         rule = gauss_product_rule(6)
-        nu = geom.outward_normal(rule.mu, rule.phi)
-        assert np.allclose(nu, rule.points())
-
-    def test_perturbed_normal_unit_and_consistent(self):
-        geom = perturbed_geometry()
-        rule = gauss_product_rule(10)
-        nu = geom.outward_normal(rule.mu, rule.phi)
-        assert np.allclose(np.linalg.norm(nu, axis=1), 1.0)
-        # normal is orthogonal to a boundary tangent from finite differences
-        mu0, phi0 = 0.3, 1.1
-        h = 1e-6
-        th = np.arccos(mu0)
-
-        def pt(t, p):
-            r = geom.boundary_radius(np.cos(t), p)[0]
-            return r * np.array([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p),
-                                 np.cos(t)])
-
-        tang_t = (pt(th + h, phi0) - pt(th - h, phi0)) / (2 * h)
-        tang_p = (pt(th, phi0 + h) - pt(th, phi0 - h)) / (2 * h)
-        n0 = geom.outward_normal(mu0, phi0)[0]
-        assert abs(tang_t @ n0) < 1e-5 * np.linalg.norm(tang_t)
-        assert abs(tang_p @ n0) < 1e-5 * np.linalg.norm(tang_p)
+        np.testing.assert_array_equal(geom.boundary_points(rule), 1.5 * rule.points())
 
     def test_surface_element_total_area(self):
         geom = ObstacleGeometry(radius=2.0)
@@ -94,14 +71,33 @@ class TestExteriorContact:
         with pytest.raises(GeometryError):
             exterior_contact_point(geom, np.array([0.0, 0.0, 1.5]))
 
-    def test_perturbed_contact(self):
-        geom = perturbed_geometry()
-        rule = gauss_product_rule(12)
-        bnd = geom.boundary_points(rule)
-        x0 = exterior_contact_point(geom, bnd[17])
-        # ball center at distance rho from the contact point
-        assert np.linalg.norm(bnd[17] - x0) == pytest.approx(
-            geom.exterior_sphere_radius)
+    @pytest.mark.parametrize("radius", [0.5, 1.0, 3.0])
+    def test_center_is_rho_inward(self, radius):
+        # x0 lies at distance rho from x~, along -x^, on random boundary points
+        geom = ObstacleGeometry(radius=radius)
+        rng = np.random.default_rng(4)
+        dirs = rng.normal(size=(20, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        for xhat in dirs:
+            x0 = exterior_contact_point(geom, radius * xhat)
+            step = radius * xhat - x0
+            assert np.linalg.norm(step) == pytest.approx(0.5, rel=1e-14)
+            np.testing.assert_allclose(step / np.linalg.norm(step), xhat,
+                                       rtol=0.0, atol=1e-15)
+
+    def test_ball_wider_than_sphere_rejected(self):
+        # rho = 0.5 > a = 0.3: the contact ball meets the sphere away from x~
+        geom = ObstacleGeometry(radius=0.3)
+        with pytest.raises(GeometryError, match="away from the contact point"):
+            exterior_contact_point(geom, np.array([0.0, 0.0, 0.3]))
+
+    @pytest.mark.parametrize("x_tilde", [
+        [0.0, 0.0, math.nan], [math.nan] * 3, [0.0, 0.0, math.inf], [0.0, 0.0, 0.0],
+        [0.0, 0.6, 0.8 + 1e-8],
+    ])
+    def test_nan_or_off_sphere_point_rejected(self, x_tilde):
+        with pytest.raises(GeometryError, match="boundary"):
+            exterior_contact_point(ObstacleGeometry(), np.array(x_tilde))
 
 
 class TestConeChain:
@@ -156,12 +152,6 @@ class TestConeChain:
 class TestGA2:
     def test_sphere_exponent(self):
         geom = ObstacleGeometry()
-        c, kappa = check_GA2(geom, [0.4, 0.2, 0.1, 0.05])
-        assert np.isfinite(c) and c > 0
-        assert 0.0 < kappa <= 1.0
-
-    def test_perturbed_exponent(self):
-        geom = perturbed_geometry()
         c, kappa = check_GA2(geom, [0.4, 0.2, 0.1, 0.05])
         assert np.isfinite(c) and c > 0
         assert 0.0 < kappa <= 1.0

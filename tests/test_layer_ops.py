@@ -11,7 +11,6 @@ from scipy.integrate import quad
 from scipy.linalg import get_lapack_funcs, lu_factor
 
 from impscat import layer_ops
-from impscat.geometry import ObstacleGeometry
 from impscat.layer_ops import (
     ImpedanceField,
     SingularSystemError,
@@ -53,6 +52,12 @@ def variable_field(lam_band, seed):
     coeffs = 0.1 * np.random.default_rng(seed).normal(size=num_harmonics(lam_band))
     coeffs[0] = 3.0 * np.sqrt(4 * np.pi)
     return ImpedanceField(coefficients=coeffs)
+
+
+def system_for(lam, band_limit, k=1.0, a=1.0, eta=1.0):
+    """The combined system of ``lam`` at (k, a, N), with its M_{iλ}."""
+    return assemble_combined_system(modal_table(k, a, band_limit),
+                                    multiplication_operator(lam, band_limit), eta)
 
 
 def legendre_bar(n, mu):
@@ -136,10 +141,6 @@ class TestImpedanceField:
     def test_bound_enforced(self):
         with pytest.raises(ValueError):
             ImpedanceField(coefficients=np.array([10.0]), bound=1.0)
-
-    def test_sup_norm(self):
-        lam = ImpedanceField.constant(3.0, bound=5.0)
-        assert lam.sup_norm() == pytest.approx(3.0)
 
     @pytest.mark.parametrize("order", [2, 4, 9])  # below, at and above N_λ = 4
     def test_evaluate_on_matches_real_basis(self, order):
@@ -250,10 +251,9 @@ class TestMultiplication:
 class TestCombinedSystem:
     def test_nonsingular_at_interior_resonances(self):
         # ka = 4.49... is near the first Dirichlet eigenvalue of the ball
-        geom = ObstacleGeometry()
-        lam = ImpedanceField.constant(1.0)
+        mult = multiplication_operator(ImpedanceField.constant(1.0), 12)
         for k in (1.0, 2.0, np.pi, 4.493409457909064):
-            system = assemble_combined_system(modal_table(k, 1.0, 12), geom, lam,
+            system = assemble_combined_system(modal_table(k, 1.0, 12), mult,
                                               default_coupling(k))
             # the system is diagonal: its singular values are |entries|
             smin = np.abs(system.entries).min()
@@ -261,44 +261,32 @@ class TestCombinedSystem:
 
     def test_singularity_raised_without_coupling_balance(self):
         # eta = 0 is rejected outright: the ansatz loses its uniqueness fix
-        geom = ObstacleGeometry()
         with pytest.raises(ValueError):
-            assemble_combined_system(modal_table(1.0, 1.0, 8), geom,
-                                     ImpedanceField.constant(1.0), 0.0)
+            assemble_combined_system(modal_table(1.0, 1.0, 8),
+                                     multiplication_operator(ImpedanceField.constant(1.0), 8),
+                                     0.0)
 
     def test_linearity_in_impedance(self):
-        geom, table = ObstacleGeometry(), modal_table(1.0, 1.0, 8)
-        a0 = assemble_combined_system(table, geom, ImpedanceField.constant(0.0), 1.0)
-        a1 = assemble_combined_system(table, geom, ImpedanceField.constant(1.0), 1.0)
-        a2 = assemble_combined_system(table, geom, ImpedanceField.constant(2.0), 1.0)
+        a0, a1, a2 = (system_for(ImpedanceField.constant(lam0), 8) for lam0 in (0.0, 1.0, 2.0))
         assert np.allclose(a2.entries - a1.entries, a1.entries - a0.entries,
                            atol=1e-12)
 
     def test_variable_constant_agreement(self):
         # a "variable" field that happens to be constant matches the fast path
-        geom = ObstacleGeometry()
         coeffs = np.zeros(4)
         coeffs[0] = 1.5 * np.sqrt(4 * np.pi)
-        lam_var = ImpedanceField(coefficients=coeffs)
-        lam_const = ImpedanceField.constant(1.5)
-        table = modal_table(1.0, 1.0, 8)
-        a_var = assemble_combined_system(table, geom, lam_var, 1.0)
-        a_const = assemble_combined_system(table, geom, lam_const, 1.0)
+        a_var = system_for(ImpedanceField(coefficients=coeffs), 8)
+        a_const = system_for(ImpedanceField.constant(1.5), 8)
         assert np.allclose(a_var.entries, a_const.entries, atol=1e-10)
 
     def test_variable_system_builds_its_multiplication(self):
-        # without ``mult`` a variable λ's system builds M_{iλ} itself; the odd
-        # Y_1^0 part keeps the diagonal at the constant λ₀ and couples n to n ± 1
-        geom = ObstacleGeometry()
+        # the system has the band of the M_{iλ} it is given; the odd Y_1^0
+        # part keeps the diagonal at the constant λ₀ and couples n to n ± 1
         lam = ImpedanceField(coefficients=np.array([1.5 * np.sqrt(4 * np.pi), 0.0, 0.2, 0.0]))
         assert not lam.is_constant
-        table = modal_table(1.0, 1.0, 8)
-        built = unpack_band(assemble_combined_system(table, geom, lam, 1.0).entries)
-        mult = assemble_multiplication(lam, 8)
-        given = unpack_band(assemble_combined_system(table, geom, lam, 1.0, mult).entries)
-        np.testing.assert_allclose(built, given, rtol=0.0,
-                                   atol=1e-13 * np.abs(given).max())
-        const = assemble_combined_system(table, geom, ImpedanceField.constant(1.5), 1.0)
+        built = unpack_band(assemble_combined_system(
+            modal_table(1.0, 1.0, 8), assemble_multiplication(lam, 8), 1.0).entries)
+        const = system_for(ImpedanceField.constant(1.5), 8)
         np.testing.assert_allclose(np.diag(built), np.diag(unpack_band(const.entries)),
                                    rtol=0.0, atol=1e-12)
         assert np.abs(built - np.diag(np.diag(built))).max() > 1e-3
@@ -315,22 +303,12 @@ class TestCombinedSystem:
             rhs_from_incident(modal_table(0.5, 1.0, 24), plane_wave_amplitudes(omega, 24),
                               multiplication_operator(lam, 24))
 
-    def test_perturbed_geometry_unsupported(self):
-        coeffs = np.zeros(9)
-        coeffs[6] = 0.05
-        geom = ObstacleGeometry(perturbation=coeffs)
-        with pytest.raises(NotImplementedError):
-            assemble_combined_system(modal_table(1.0, 1.0, 8), geom,
-                                     ImpedanceField.constant(1.0), 1.0)
-
     def test_exterior_traces_satisfy_impedance_condition(self):
         # the assembled system is exactly the impedance condition applied
         # to the traces: A = I - (2 dtrace + 1) - 2 i lambda trace
         k, a, eta, lam0, nb = 1.0, 1.0, 1.0, 1.0, 10
         tr, dtr = exterior_trace_operators(modal_table(k, a, nb), eta)
-        geom = ObstacleGeometry()
-        system = assemble_combined_system(
-            modal_table(k, a, nb), geom, ImpedanceField.constant(lam0), eta)
+        system = system_for(ImpedanceField.constant(lam0), nb, k, a, eta)
         expected = 1.0 - ((2.0 * dtr + 1.0) + 1j * lam0 * 2.0 * tr)
         assert np.allclose(np.diag(unpack_band(system.entries)), expected, atol=1e-12)
 
@@ -356,8 +334,7 @@ class TestBandSolve:
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 4.0])
     def test_matches_dense_lu(self, monkeypatch, k, lam_band, band_limit):
         lam = variable_field(lam_band, band_limit + 10 * lam_band)
-        system = assemble_combined_system(modal_table(k, 1.0, band_limit),
-                                          ObstacleGeometry(), lam, default_coupling(k))
+        system = system_for(lam, band_limit, k, eta=default_coupling(k))
         rng = np.random.default_rng(0)
         rhs = rng.normal(size=num_harmonics(band_limit)) \
             + 1j * rng.normal(size=num_harmonics(band_limit))

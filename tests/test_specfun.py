@@ -22,9 +22,8 @@ from impscat.specfun import (
     sph_bessel_j,
     sph_bessel_y,
     sph_hankel1,
-    sph_harmonic,
+    plane_wave_amplitudes,
     sph_harmonic_all,
-    sph_harmonic_all_dtheta,
 )
 
 
@@ -170,27 +169,18 @@ class TestSphericalHarmonics:
         gram = np.conj(y) @ (rule.weights[:, None] * y.T)
         assert np.max(np.abs(gram - np.eye(gram.shape[0]))) <= 1e-12
 
-    def test_single_point(self):
-        v = sph_harmonic(0, 0, [0.0, 0.0, 1.0])
-        assert v == pytest.approx(1.0 / np.sqrt(4 * np.pi))
-        with pytest.raises(IndexError):
-            sph_harmonic(1, 2, [0.0, 0.0, 1.0])
-        with pytest.raises(ValueError):
-            sph_harmonic(1, 0, [0.0, 0.0, 2.0])
-
-    def test_dtheta_matches_finite_differences(self):
-        rng = np.random.default_rng(1)
-        theta = rng.uniform(0.3, np.pi - 0.3, 12)
-        phi = rng.uniform(0, 2 * np.pi, 12)
-        h = 1e-6
-        d_exact = sph_harmonic_all_dtheta(6, np.cos(theta), phi)
-        d_fd = (sph_harmonic_all(6, np.cos(theta + h), phi)
-                - sph_harmonic_all(6, np.cos(theta - h), phi)) / (2 * h)
-        assert np.max(np.abs(d_exact - d_fd)) < 1e-6
-
-    def test_dtheta_rejects_poles(self):
-        with pytest.raises(ValueError):
-            sph_harmonic_all_dtheta(4, np.array([1.0]), np.array([0.0]))
+    def test_plane_wave_amplitudes_at_a_direction(self):
+        # 4π iⁿ conj(Y_n^m(ω)); at the north pole only m = 0 is nonzero
+        amps = plane_wave_amplitudes([0.0, 0.0, 1.0], 3)
+        assert amps[0] == pytest.approx(np.sqrt(4 * np.pi), rel=1e-15)
+        degs = harmonic_degrees(3)
+        zonal = np.flatnonzero(np.arange(16) == degs * (degs + 1))
+        np.testing.assert_allclose(amps[zonal], 4 * np.pi * 1j ** np.arange(4)
+                                   * np.sqrt((2 * np.arange(4) + 1) / (4 * np.pi)),
+                                   rtol=1e-14)
+        assert np.all(np.delete(amps, zonal) == 0.0)
+        with pytest.raises(ValueError, match="unit vector"):
+            plane_wave_amplitudes([0.0, 0.0, 2.0], 3)
 
     def test_real_harmonics_orthonormal(self):
         rule = gauss_product_rule(8)
