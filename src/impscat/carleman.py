@@ -5,8 +5,8 @@ The central object is the annular Carleman setup with weight φ = e^{λψ},
 2τφ reach magnitudes like e^{10⁴}, so every weighted quantity here is kept
 in a factored form: both sides of the inequality are reported relative to
 a common factor exp(L) with L = 2τφ_ref + 3λψ_ref evaluated at the inner
-radius where the weight peaks.  L itself overflows floats, so it is carried
-as an arbitrary-precision value and the per-node relative exponents
+radius where the weight peaks.  L itself overflows floats, so it is never
+formed: only the per-node relative exponents
 
     E_i = 2τφ_ref·expm1(λ(ψ_i − ψ_ref)) + (power)·λ(ψ_i − ψ_ref) + shift
 
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import mpmath as mp
 import numpy as np
 
 from .geometry import ObstacleGeometry
@@ -221,11 +220,13 @@ class CarlemanSetup:
 
     @property
     def lambda_threshold(self) -> float:
-        return 6.0 * self.M**3 / self.m**4
+        """λ_min = 6M³/m⁴ of :func:`corollary_thresholds` at Λ = 0."""
+        return corollary_thresholds(0.0, self.m, self.M).lambda_min
 
     @property
     def tau_threshold(self) -> float:
-        return 88.0 * self.M**6 / self.m**4
+        """τ_min = 88M⁶/m⁴ of :func:`corollary_thresholds` at Λ = 0."""
+        return corollary_thresholds(0.0, self.m, self.M).tau_min
 
     @property
     def psi_ref(self) -> float:
@@ -239,7 +240,6 @@ class CarlemanResult:
 
     lhs_factored: float
     rhs_factored: float
-    log_common_factor: object
     lam: float
     tau: float
 
@@ -294,7 +294,7 @@ def carleman_sides(v: TestFunction, setup: CarlemanSetup, lam: float,
         raise ValueError("weight exponent below the admissible threshold")
     if tau < setup.tau_threshold * (1.0 - 1e-12):
         raise ValueError("tau below the admissible threshold")
-    m, M, psi_ref = setup.m, setup.M, setup.psi_ref
+    m, M = setup.m, setup.M
 
     (xv, wv, w3, w1, w0), (xb, wb, b3, b1) = setup.weighted_nodes(lam, tau)
     v2 = np.asarray(v.value(xv)) ** 2
@@ -308,10 +308,7 @@ def carleman_sides(v: TestFunction, setup: CarlemanSetup, lam: float,
     gb2 = np.sum(np.asarray(v.gradient(xb)) ** 2, axis=1)
     rhs += 48.0 * float(np.sum(wb * (M**3 * lam**3 * tau**3 * b3 * vb2
                                      + M * lam * tau * b1 * gb2)))
-
-    log_cf = 2.0 * tau * mp.exp(lam * psi_ref) + 3.0 * lam * psi_ref
-    return CarlemanResult(lhs_factored=lhs, rhs_factored=rhs,
-                          log_common_factor=log_cf, lam=lam, tau=tau)
+    return CarlemanResult(lhs_factored=lhs, rhs_factored=rhs, lam=lam, tau=tau)
 
 
 @dataclass(frozen=True)

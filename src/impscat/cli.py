@@ -393,7 +393,7 @@ def cmd_reconstruct(cfg: dict) -> int:
 def cmd_ga2_check(cfg: dict) -> int:
     geom = build_geometry(cfg)
     radii = _get(cfg, "radii", [0.4, 0.2, 0.1, 0.05])
-    c, kappa = geometry.check_GA2(geom, radii, seed=cfg["seed"])
+    c, kappa = geometry.check_GA2(geom, radii)
     emit_summary(cfg, {"C": c, "kappa": kappa})
     return EXIT_OK
 

@@ -296,10 +296,14 @@ def mie_mode_coefficients(k: float, a: float, lam0: float,
 
 
 def _mie_band_limit(k: float, a: float, lam0: float) -> int:
+    """Degree N, in steps of 8, where the boundary term |R_N h_N(ka)| is below
+    1e-14 of the largest; |h_n(kr)| decreases in r, so this bounds the
+    degree-N term of the scattered wave at every r >= a."""
     n = max(8, int(k * a) + 8)
     while n < 400:
-        coeffs = mie_mode_coefficients(k, a, lam0, n)
-        if abs(coeffs[-1]) < 1e-14 * max(1e-300, np.max(np.abs(coeffs))):
+        trace = np.abs(mie_mode_coefficients(k, a, lam0, n)
+                       * sph_hankel1(np.arange(n + 1), k * a))
+        if trace[-1] < 1e-14 * max(1e-300, np.max(trace)):
             return n
         n += 8
     return n
@@ -335,12 +339,24 @@ def mie_scattered(x, ctx: WaveContext, a: float, lam0: float) -> np.ndarray:
 def boundary_traces(phi: HarmonicDensity, ctx: WaveContext, geom: ObstacleGeometry,
                     lam: ImpedanceField, rule: QuadratureRule | None = None):
     """Total field and its obstacle-outward normal derivative on ∂D, with
-    the density's own coupling ``phi.eta``; returns (u, ∂_ν u, rule)."""
+    the density's own coupling ``phi.eta``; returns (u, ∂_ν u, rule).
+
+    The incident part is the plane wave's Jacobi-Anger series cut at the
+    density's degree N; warns when its degree-N tail is above 1e-12 of its
+    head.
+    """
     nb = phi.band_limit
     rule = rule or gauss_product_rule(nb)
     table = ctx.modal(geom.radius, nb)
     tr, dtr = exterior_trace_operators(table, phi.eta)
     u_inc, dnu_inc = incident_coefficients(table, ctx.incident_amplitudes(nb))
+    head = np.max(np.abs(u_inc))
+    tail = np.max(np.abs(u_inc[-(2 * nb + 1):]))  # the degree-N entries
+    if head > 0 and tail > 1e-12 * head:
+        warnings.warn(
+            f"plane-wave series tail at degree {nb} is {tail / head:.2e} "
+            "of its head; raise the band limit"
+        )
     coeffs = np.stack((u_inc + tr * phi.coeffs, dnu_inc + dtr * phi.coeffs))
     u, dnu = _synthesize(coeffs, rule)
     return u, dnu, rule

@@ -3,8 +3,9 @@
 The obstacle is the sphere of radius ``a``, the one shape whose layer
 operators the solver diagonalizes.  The exterior domain must satisfy a
 uniform exterior-sphere / interior-cone property (parameters ρ and θ); on
-top of it a boundary-cap growth law 𝓑(x̃,r) ∩ ∂Ω ⊂ B(x̃, C r^κ) is probed
-empirically.
+a sphere every 0 < ρ < a qualifies and ρ = a/2 is taken.  The boundary-cap
+growth law 𝓑(x̃,r) ∩ ∂Ω ⊂ B(x̃, C r^κ) then has a closed form, the same at
+every boundary point.
 
 The cone-ball chain marches a sequence of balls B(x_k, ρ_k) from a boundary
 point along the cone axis out to |x| ~ R/8 with geometric ratio
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import QuadratureRule, gauss_product_rule
+from .specfun import QuadratureRule
 
 
 class GeometryError(ValueError):
@@ -34,14 +35,11 @@ class ObstacleGeometry:
     ----------
     radius : float
         Sphere radius a > 0.
-    exterior_sphere_radius : float
-        Radius ρ of the uniform exterior (into-the-obstacle) contact ball.
     cone_half_angle : float
         Interior-cone half angle θ, strictly inside (0, π/2).
     """
 
     radius: float = 1.0
-    exterior_sphere_radius: float = 0.5
     cone_half_angle: float = math.pi / 6.0
 
     def __post_init__(self):
@@ -50,10 +48,12 @@ class ObstacleGeometry:
                                 f"(radius = {self.radius})")
         if not 0.0 < self.cone_half_angle < math.pi / 2.0:
             raise GeometryError("cone half angle must lie strictly in (0, pi/2)")
-        if not (math.isfinite(self.exterior_sphere_radius)
-                and self.exterior_sphere_radius > 0):
-            raise GeometryError(f"exterior sphere radius must be positive and finite "
-                                f"(rho = {self.exterior_sphere_radius})")
+
+    @property
+    def exterior_sphere_radius(self) -> float:
+        """Radius ρ = a/2 of the uniform exterior (into-the-obstacle) contact
+        ball; any 0 < ρ < a touches the sphere at one point only."""
+        return self.radius / 2.0
 
     def boundary_points(self, rule: QuadratureRule) -> np.ndarray:
         """Boundary nodes x = a x̂ on a quadrature grid, shape (npts, 3)."""
@@ -80,18 +80,13 @@ class ObstacleGeometry:
 def exterior_contact_point(geom: ObstacleGeometry, x_tilde: np.ndarray) -> np.ndarray:
     """Center x₀ = x̃(1 − ρ/a) of the contact ball B(x₀, ρ) touching ∂Ω only at x̃.
 
-    x₀ = x̃ − ρ x̂ sits inside the obstacle; for ρ > a the ball reaches past
-    the center and meets the sphere away from x̃, so that raises.
+    x₀ = x̃ − ρ x̂ sits inside the obstacle.  Raises if x̃ is not on the sphere.
     """
     x_tilde = np.asarray(x_tilde, dtype=float)
-    a, rho = geom.radius, geom.exterior_sphere_radius
+    a = geom.radius
     if not abs(np.linalg.norm(x_tilde) - a) <= 1e-10 * max(1.0, a):
         raise GeometryError("point does not lie on the obstacle boundary")
-    if rho > a:
-        raise GeometryError(
-            "contact ball intersects the boundary away from the contact point"
-        )
-    return x_tilde * (1.0 - rho / a)
+    return x_tilde * (1.0 - geom.exterior_sphere_radius / a)
 
 
 # ---------------------------------------------------------------------------
@@ -169,35 +164,22 @@ def build_cone_chain(x_tilde: np.ndarray, r: float, geom: ObstacleGeometry,
 # GA2: boundary-cap growth exponent
 # ---------------------------------------------------------------------------
 
-def check_GA2(geom: ObstacleGeometry, radii, seed: int = 0) -> tuple[float, float]:
-    """Empirical (C, κ) with sup{|y − x̃| : y ∈ ∂D ∩ 𝓑(x̃,r)} <= C r^κ.
+def check_GA2(geom: ObstacleGeometry, radii) -> tuple[float, float]:
+    """(C, κ) with sup{|y − x̃| : y ∈ ∂D ∩ 𝓑(x̃,r)} <= C r^κ.
 
-    For each of 8 boundary points x̃, drawn from the nodes of the order-96
-    product rule, and each probe radius r the cap spread s(r) is computed on
-    those nodes and the worst case over x̃ is kept; (C, κ) come from a
-    least-squares fit of log s on log r.
+    With x₀ the contact center, the cap spread s(r) = sup{|y − x̃| : y ∈ ∂D,
+    |y − x₀| <= ρ + r} is the same at every x̃ of the sphere: s² =
+    a((ρ + r)² − ρ²)/(a − ρ) = 2r(a + r) at ρ = a/2, until the cap is the
+    whole sphere at r = 2(a − ρ) = a, and s = 2a beyond.  (C, κ) come from
+    a least-squares fit of log s on log r at the probe radii, which must be
+    finite and positive, at least two of them distinct.
     """
     radii = np.asarray(radii, dtype=float)
-    if np.any(radii <= 0):
-        raise ValueError("probe radii must be positive")
-    rule = gauss_product_rule(96)
-    bnd = geom.boundary_points(rule)
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(bnd.shape[0], size=8, replace=False)
-    spreads = np.zeros_like(radii)
-    for i in idx:
-        x_t = bnd[i]
-        x0 = exterior_contact_point(geom, x_t)
-        dist_to_center = np.linalg.norm(bnd - x0, axis=1)
-        dist_to_xt = np.linalg.norm(bnd - x_t, axis=1)
-        rho = geom.exterior_sphere_radius
-        for j, r in enumerate(radii):
-            in_cap = dist_to_center <= rho + r
-            s_r = float(np.max(dist_to_xt[in_cap])) if np.any(in_cap) else 0.0
-            spreads[j] = max(spreads[j], s_r)
-    pos = spreads > 0
-    if np.count_nonzero(pos) < 2:
-        raise GeometryError("boundary grid too coarse for the GA2 probe radii")
-    slope, intercept = np.polyfit(np.log(radii[pos]), np.log(spreads[pos]), 1)
+    if not (np.all(np.isfinite(radii)) and np.all(radii > 0)
+            and np.unique(radii).size >= 2):
+        raise ValueError("probe radii must be finite and positive, at least two distinct")
+    a = geom.radius
+    spreads = np.where(radii < a, np.sqrt(2.0 * radii * (a + radii)), 2.0 * a)
+    slope, intercept = np.polyfit(np.log(radii), np.log(spreads), 1)
     kappa = float(min(1.0, max(slope, 1e-12)))
     return float(np.exp(intercept)), kappa

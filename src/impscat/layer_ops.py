@@ -52,7 +52,6 @@ stay in the degree-major order.  By the selection rule
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -363,16 +362,7 @@ def rhs_from_incident(table: ModalTable, amplitudes: np.ndarray,
     """Coefficients of g = −(∂_ν u^i + iλ u^i) on the boundary.
 
     ``amplitudes`` are the plane wave's, ``mult`` is M_{iλ} from
-    :func:`multiplication_operator`.  Warns when the plane-wave
-    (Jacobi-Anger) tail at degree N is above 1e-12 of its head.
+    :func:`multiplication_operator`.
     """
-    band_limit = table.band_limit
     u_inc, dnu_inc = incident_coefficients(table, amplitudes)
-    head = np.max(np.abs(u_inc))
-    tail = np.max(np.abs(u_inc[-(2 * band_limit + 1):]))  # the degree-N entries
-    if head > 0 and tail > 1e-12 * head:
-        warnings.warn(
-            f"plane-wave series tail at degree {band_limit} is {tail / head:.2e} "
-            "of its head; raise the band limit"
-        )
     return -(dnu_inc + mult.matvec(u_inc))

@@ -158,25 +158,21 @@ def _perturbed(base: ImpedanceField, shape: np.ndarray,
 def fit_dominating_curve(deltas, dsups):
     """Smallest-C curve of the double-log form dominating all records.
 
-    For each σ in ``SIGMA_GRID``, C_σ = max dsup·|ln(inner(δ))|^σ; the (C, σ)
-    with the smallest C wins.  Records outside the bound's admissible
-    δ range are skipped (they cannot constrain an asymptotic modulus).
+    For each σ in ``SIGMA_GRID``, C_σ = max dsup / ``theorem13_bound(δ, 1, σ)``;
+    the (C, σ) with the smallest C wins.  Records outside the bound's
+    admissible δ range, where it raises, are skipped (they cannot constrain
+    an asymptotic modulus).
     """
     best = (np.inf, SIGMA_GRID[0])
     for sigma in SIGMA_GRID:
-        c_needed = 0.0
-        used = 0
+        needed = []
         for d, s in zip(deltas, dsups):
-            if not 0.0 < d < 1.0:
+            try:
+                needed.append(s / theorem13_bound(d, 1.0, sigma))
+            except ValueError:
                 continue
-            abs_log = abs(np.log(d))
-            inner = np.log(abs_log) ** 2 / abs_log if abs_log > 1 else 1.0
-            if not 0.0 < inner < 1.0:
-                continue
-            c_needed = max(c_needed, s * abs(np.log(inner)) ** sigma)
-            used += 1
-        if used and c_needed < best[0]:
-            best = (c_needed, sigma)
+        if needed and max(needed) < best[0]:
+            best = (max(needed), sigma)
     if not np.isfinite(best[0]):
         raise RuntimeError("no sweep record lies in the bound's admissible range")
     return best
@@ -286,8 +282,10 @@ def reconstruct(data: FarField, ctx: WaveContext, geom: ObstacleGeometry,
     """Regularized least-squares fit of a low-degree impedance to far data.
 
     Minimizes ‖u∞(λ) − data‖²_{L²(S²)} + reg·‖λ − prior‖² over impedances
-    with real-harmonic degree ≤ 4, constrained nonnegative on the grid by
-    bounding the constant mode below and penalizing grid negativity.  A
+    with real-harmonic degree ≤ 4.  L-BFGS-B runs unbounded; nonnegativity
+    on the grid comes from penalizing grid negativity in the objective and
+    from shifting the constant mode up by the grid minimum, where that is
+    negative, before every solve and for the returned impedance.  A
     prior that already fits the data to rounding is returned at once as
     converged (0 iterations, gradient_norm NaN: L-BFGS-B would only see a
     finite-difference gradient of rounding noise there, above its gtol).

@@ -153,10 +153,9 @@ class TestExitCodes:
         assert main(["forward", "/nonexistent/cfg.json"]) == EXIT_VALIDATION
 
     def test_resolution_failure_is_numerical(self, tmp_path, capsys):
-        # ka = 6 at band limit 4: plane-wave tail unresolved
+        # ka = 6 at band limit 4: the density tail check fails
         path = write_config(tmp_path, "c.json", {"k": 6.0, "band_limit": 4})
-        with pytest.warns(UserWarning, match="plane-wave series tail"):
-            code = main(["forward", path])
+        code = main(["forward", path])
         assert code == EXIT_NUMERICAL
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "numerical"
@@ -202,8 +201,7 @@ class TestArtifacts:
     def test_high_frequency_farfield(self, tmp_path, capsys):
         # the dense synthesis matrix would need 8.8 GiB here
         path = write_config(tmp_path, "c.json", {})
-        with pytest.warns(UserWarning, match="plane-wave series tail"):
-            code = main(["farfield", path, "--set", "k=100", "--set", "band_limit=130"])
+        code = main(["farfield", path, "--set", "k=100", "--set", "band_limit=130"])
         assert code == EXIT_OK
         assert json.loads(capsys.readouterr().out)["farfield_l2_norm"] > 0
 
@@ -280,6 +278,13 @@ class TestArtifacts:
         summary = json.loads(capsys.readouterr().out)
         assert 0.0 < summary["kappa"] <= 1.0
 
+    @pytest.mark.parametrize("command", ["chain", "ga2-check"])
+    def test_small_radius(self, tmp_path, capsys, command):
+        # the contact ball has radius a/2, so it fits a sphere of radius 0.3
+        path = write_config(tmp_path, "c.json", {})
+        assert main([command, path, "--set", "radius=0.3"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["config"]["radius"] == 0.3
+
 
 class TestReconstructCommand:
     def test_prior_equal_to_truth_converges(self, tmp_path, capsys):
@@ -346,3 +351,11 @@ class TestCarlemanCommand:
         assert err["error"] == "validation"
         assert key in err["message"]
 
+
+def test_cli_import_leaves_mpmath_out():
+    # mpmath is a test dependency only: the package never imports it
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(impscat.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, impscat.cli; sys.exit('mpmath' in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

@@ -316,6 +316,11 @@ class TestScatteredField:
         mine = eval_scattered(pts, self.phi, self.ctx, GEOM)
         ref = mie_scattered(pts, self.ctx, 1.0, 1.0)
         assert np.max(np.abs(mine - ref)) < 1e-10
+        # on the boundary every term of the series is at its largest
+        edge = np.array([[0.0, 0.6, 0.8]]) * (1.0 + 1e-9)
+        with pytest.warns(UserWarning, match="close to the boundary"):
+            mine = eval_scattered(edge, self.phi, self.ctx, GEOM)
+        assert np.max(np.abs(mine - mie_scattered(edge, self.ctx, 1.0, 1.0))) < 1e-10
 
     def test_interior_rejected(self):
         with pytest.raises(ValueError):
@@ -435,10 +440,9 @@ class TestMieOracle:
 
 class TestRuleSynthesis:
     def test_high_frequency_matches_mie(self):
-        # k = 100 at N = 130; the Mie series (N = 132) folds onto the rule
+        # k = 100 at N = 130; the Mie series (N = 148) folds onto the rule
         ctx = WaveContext(k=100.0, omega=ZHAT)
-        with pytest.warns(UserWarning, match="plane-wave series tail"):
-            ff = solve_farfield(ctx, GEOM, ImpedanceField.constant(1.0), band_limit=130)
+        ff = solve_farfield(ctx, GEOM, ImpedanceField.constant(1.0), band_limit=130)
         ref = mie_farfield(ctx, 1.0, 1.0, rule=ff.rule)
         assert np.all(np.isfinite(ff.samples))
         assert rel_l2(ff, ref) <= 1e-8
@@ -484,6 +488,24 @@ class TestEnergyIdentity:
         base_flux = energy_identity(GEOM, lam, u, dnu, rule)
         scaled = energy_identity(GEOM, lam, 2.0 * u, 2.0 * dnu, rule)
         assert scaled == pytest.approx(4.0 * base_flux, abs=1e-12)
+
+    def test_traces_warn_on_plane_wave_tail(self):
+        # the traces synthesize the incident series cut at the density's
+        # degree N; along the z axis only the m = 0 amplitudes are nonzero,
+        # so the check must read the whole degree-N block, not its last entry
+        lam = ImpedanceField.constant(1.0)
+        for k, nb, warns in ((10.0, 4, True), (0.5, 24, False)):
+            ctx = WaveContext(k=k, omega=ZHAT)
+            phi = HarmonicDensity(coeffs=np.zeros(num_harmonics(nb), dtype=complex),
+                                  band_limit=nb, eta=1.0)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                boundary_traces(phi, ctx, GEOM, lam)
+            messages = [str(w.message) for w in caught]
+            if warns:
+                assert len(messages) == 1 and "tail at degree 4" in messages[0]
+            else:
+                assert messages == []
 
 
 class TestUniformBound:

@@ -31,8 +31,7 @@ class TestObstacleGeometry:
 
     @pytest.mark.parametrize("field,value", [
         ("radius", math.nan), ("radius", math.inf), ("radius", -math.inf),
-        ("exterior_sphere_radius", math.nan), ("exterior_sphere_radius", math.inf),
-        ("exterior_sphere_radius", 0.0), ("cone_half_angle", math.nan),
+        ("cone_half_angle", math.nan),
     ])
     def test_non_finite_or_nonpositive_rejected(self, field, value):
         with pytest.raises(GeometryError):
@@ -71,25 +70,21 @@ class TestExteriorContact:
         with pytest.raises(GeometryError):
             exterior_contact_point(geom, np.array([0.0, 0.0, 1.5]))
 
-    @pytest.mark.parametrize("radius", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("radius", [0.3, 0.5, 1.0, 3.0])
     def test_center_is_rho_inward(self, radius):
-        # x0 lies at distance rho from x~, along -x^, on random boundary points
+        # rho = a/2, so x0 = x~/2 lies at distance rho from x~, along -x^,
+        # on random boundary points
         geom = ObstacleGeometry(radius=radius)
+        assert geom.exterior_sphere_radius == radius / 2
         rng = np.random.default_rng(4)
         dirs = rng.normal(size=(20, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         for xhat in dirs:
             x0 = exterior_contact_point(geom, radius * xhat)
-            step = radius * xhat - x0
-            assert np.linalg.norm(step) == pytest.approx(0.5, rel=1e-14)
-            np.testing.assert_allclose(step / np.linalg.norm(step), xhat,
-                                       rtol=0.0, atol=1e-15)
-
-    def test_ball_wider_than_sphere_rejected(self):
-        # rho = 0.5 > a = 0.3: the contact ball meets the sphere away from x~
-        geom = ObstacleGeometry(radius=0.3)
-        with pytest.raises(GeometryError, match="away from the contact point"):
-            exterior_contact_point(geom, np.array([0.0, 0.0, 0.3]))
+            np.testing.assert_allclose(x0, radius * xhat / 2, rtol=0.0,
+                                       atol=1e-15 * radius)
+            assert np.linalg.norm(radius * xhat - x0) == pytest.approx(radius / 2,
+                                                                       rel=1e-14)
 
     @pytest.mark.parametrize("x_tilde", [
         [0.0, 0.0, math.nan], [math.nan] * 3, [0.0, 0.0, math.inf], [0.0, 0.0, 0.0],
@@ -149,6 +144,15 @@ class TestConeChain:
             build_cone_chain(np.array([0.0, 0.0, 1.0]), 0.1, geom, 3.0)
 
 
+def cap_spread_by_sampling(a, r, n=200_001):
+    """Largest |y − x~| over sphere points y with |y − x0| <= a/2 + r, at
+    x~ = a e_z, x0 = x~/2, sampled on a fine meridian (the cap is axisymmetric)."""
+    theta = np.linspace(0.0, np.pi, n)
+    y = a * np.stack([np.sin(theta), np.zeros(n), np.cos(theta)], axis=1)
+    in_cap = np.linalg.norm(y - [0.0, 0.0, a / 2], axis=1) <= a / 2 + r
+    return np.linalg.norm(y[in_cap] - [0.0, 0.0, a], axis=1).max()
+
+
 class TestGA2:
     def test_sphere_exponent(self):
         geom = ObstacleGeometry()
@@ -156,6 +160,29 @@ class TestGA2:
         assert np.isfinite(c) and c > 0
         assert 0.0 < kappa <= 1.0
 
+    @pytest.mark.parametrize("a", [0.3, 1.0, 3.0])
+    def test_two_radii_fit_the_closed_form(self, a):
+        # two radii fit exactly: C r^kappa = sqrt(2 r (a + r)) at both, and
+        # that is the cap spread a sampled meridian finds
+        radii = np.array([0.05, 0.4]) * a
+        c, kappa = check_GA2(ObstacleGeometry(radius=a), radii)
+        exact = np.sqrt(2.0 * radii * (a + radii))
+        np.testing.assert_allclose(c * radii**kappa, exact, rtol=1e-12)
+        sampled = [cap_spread_by_sampling(a, r) for r in radii]
+        np.testing.assert_allclose(sampled, exact, rtol=1e-4)
+
+    @pytest.mark.parametrize("a", [0.3, 1.0, 3.0])
+    def test_whole_sphere_beyond_r_equal_a(self, a):
+        # for r >= a the cap is the whole sphere: s = 2a, a flat fit
+        c, kappa = check_GA2(ObstacleGeometry(radius=a), [a, 2.0 * a, 5.0 * a])
+        assert c == pytest.approx(2.0 * a, rel=1e-12)
+        assert kappa == 1e-12
+        for r in (1.001 * a, 2.0 * a):
+            assert cap_spread_by_sampling(a, r) == pytest.approx(2.0 * a, rel=1e-12)
+
     def test_bad_radii(self):
-        with pytest.raises(ValueError):
-            check_GA2(ObstacleGeometry(), [0.1, -0.1])
+        # non-positive, non-finite, or fewer than two distinct radii
+        for radii in ([0.1, -0.1], [0.1, 0.0], [0.1, math.nan], [0.1, math.inf],
+                      [0.1], [0.2, 0.2], []):
+            with pytest.raises(ValueError):
+                check_GA2(ObstacleGeometry(), radii)

@@ -1,6 +1,5 @@
 """Layer operators on the sphere against quadrature and identity oracles."""
 
-import warnings
 from math import isqrt
 
 import numpy as np
@@ -20,7 +19,6 @@ from impscat.layer_ops import (
     exterior_trace_operators,
     modal_table,
     multiplication_operator,
-    rhs_from_incident,
     sphere_operator_diagonal,
     sphere_operator_eigenvalue,
 )
@@ -30,7 +28,6 @@ from impscat.specfun import (
     harmonic_degrees,
     harmonic_index,
     num_harmonics,
-    plane_wave_amplitudes,
     real_sph_harmonic_all,
     sph_harmonic_all,
 )
@@ -290,18 +287,6 @@ class TestCombinedSystem:
         np.testing.assert_allclose(np.diag(built), np.diag(unpack_band(const.entries)),
                                    rtol=0.0, atol=1e-12)
         assert np.abs(built - np.diag(np.diag(built))).max() > 1e-3
-
-    def test_rhs_warns_on_plane_wave_tail(self):
-        # along the z axis only the m = 0 amplitudes are nonzero, so the
-        # check must read the whole degree-N block, not its last entry
-        omega, lam = np.array([0.0, 0.0, 1.0]), ImpedanceField.constant(1.0)
-        with pytest.warns(UserWarning, match="tail at degree 4"):
-            rhs_from_incident(modal_table(10.0, 1.0, 4), plane_wave_amplitudes(omega, 4),
-                              multiplication_operator(lam, 4))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rhs_from_incident(modal_table(0.5, 1.0, 24), plane_wave_amplitudes(omega, 24),
-                              multiplication_operator(lam, 24))
 
     def test_exterior_traces_satisfy_impedance_condition(self):
         # the assembled system is exactly the impedance condition applied

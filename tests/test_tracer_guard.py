@@ -37,7 +37,7 @@ def test_tracer_installs_against_package():
 def test_traced_solve_reports_system_and_eigenvalues():
     # the tracer reads the assembled system's entries and counts eigenvalue
     # calls; a change to either shows here, not only in a traced benchmark run.
-    # k = 0.2 keeps the plane-wave tail at N = 8 below its warning threshold.
+    # k = 0.2 at N = 8 passes the density tail check.
     ctx = forward.WaveContext(k=0.2, omega=np.array([0.0, 0.0, 1.0]))
     tracer = load_tracer()
     try:
