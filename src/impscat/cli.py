@@ -1,7 +1,7 @@
 """Command-line entry point: batch jobs, JSON configs, CSV/JSON outputs.
 
-One subcommand per job type.  Each takes a JSON config file as the single
-positional argument plus ``--set key=value`` dotted-path overrides.  All
+One subcommand per job type.  Every subcommand takes the same arguments:
+a JSON config file plus repeated ``--set key=value`` overrides.  All
 outputs are written atomically (temp file in the target directory, then
 rename); every JSON summary embeds the fully resolved config.  Exit codes:
 0 success, 1 configuration/validation error, 2 numerical failure.
@@ -44,7 +44,6 @@ DEFAULTS = {
     "radius": 1.0,
     "impedance": 1.0,
     "band_limit": 24,
-    "eta": None,
     "seed": 0,
     "output": None,
 }
@@ -123,9 +122,6 @@ def validate_common(cfg: dict) -> list:
             problems.append("impedance must be finite and nonnegative")
     elif not _is_number_list(imp):
         problems.append("impedance must be a number or a coefficient list")
-    eta = cfg.get("eta")
-    if eta is not None and not (_is_number(eta) and np.isfinite(float(eta)) and eta != 0):
-        problems.append("eta must be null or a finite nonzero number")
     if not _is_number(cfg.get("seed", 0), integer=True):
         problems.append("seed must be an integer")
     if not all(isinstance(cfg.get(key), (str, type(None))) for key in ("output", "summary")):
@@ -198,8 +194,8 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+    if isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, float) and not np.isfinite(obj):
         return str(obj)
     return obj
@@ -213,7 +209,7 @@ def cmd_forward(cfg: dict) -> int:
     ctx = build_context(cfg)
     geom = build_geometry(cfg)
     lam = build_impedance(cfg)
-    phi = forward.solve_density(ctx, geom, lam, cfg["eta"], cfg["band_limit"])
+    phi = forward.solve_density(ctx, geom, lam, band_limit=cfg["band_limit"])
     emit_summary(cfg, {
         "density_norm": float(np.linalg.norm(phi.coeffs)),
         "tail_fraction": phi.tail_fraction(),
@@ -225,7 +221,7 @@ def cmd_farfield(cfg: dict) -> int:
     ctx = build_context(cfg)
     geom = build_geometry(cfg)
     lam = build_impedance(cfg)
-    ff = forward.solve_farfield(ctx, geom, lam, cfg["eta"], cfg["band_limit"])
+    ff = forward.solve_farfield(ctx, geom, lam, cfg["band_limit"])
     if cfg.get("output"):
         atomic_write_text(cfg["output"], farfield_csv(ff))
     emit_summary(cfg, {"farfield_l2_norm": ff.norm()})
@@ -334,7 +330,7 @@ def cmd_stability_sweep(cfg: dict) -> int:
         raise ConfigError("perturbation must be a number or a coefficient list")
     eps_list = _get(cfg, "eps_list", [0.0125, 0.025, 0.05, 0.1])
     sweep = stability.stability_sweep(base, shape, eps_list, ctx, geom,
-                                      cfg["eta"], cfg["band_limit"])
+                                      cfg["band_limit"])
     if cfg.get("output"):
         atomic_write_text(cfg["output"], sweep_csv(sweep))
     emit_summary(cfg, {"C_fit": sweep.c_fit, "sigma_fit": sweep.sigma_fit,
@@ -347,8 +343,7 @@ def cmd_lemma51(cfg: dict) -> int:
     geom = build_geometry(cfg)
     lam = build_impedance(cfg)
     candidates = _get(cfg, "r_candidates", [2.0, 4.0, 8.0, 16.0, 32.0])
-    report = stability.lemma51_check(ctx, geom, lam, candidates,
-                                     cfg["eta"], cfg["band_limit"])
+    report = stability.lemma51_check(ctx, geom, lam, candidates, cfg["band_limit"])
     payload = {"qualifying_radius": report.qualifying_radius,
                "found": report.found,
                "radii": report.radii,
@@ -368,7 +363,7 @@ def cmd_reconstruct(cfg: dict) -> int:
     rule = gauss_product_rule(band)
     data = forward.solve_farfield(ctx, geom,
                                   layer_ops.ImpedanceField.constant(float(truth)),
-                                  cfg["eta"], band, rule)
+                                  band, rule)
     if noise > 0:
         rng = np.random.default_rng(cfg["seed"])
         pert = rng.normal(size=data.samples.shape) \
@@ -378,8 +373,7 @@ def cmd_reconstruct(cfg: dict) -> int:
         )
     prior = build_impedance(cfg)
     report = stability.reconstruct(data, ctx, geom, prior,
-                                   reg=float(_get(cfg, "reg", 1e-6)),
-                                   eta=cfg["eta"], band_limit=band)
+                                   reg=float(_get(cfg, "reg", 1e-6)), band_limit=band)
     emit_summary(cfg, {
         "misfit": report.misfit,
         "converged": report.converged,
@@ -417,12 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="impscat",
         description="Impedance obstacle scattering and continuation checks",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in HANDLERS:
-        p = sub.add_parser(name)
-        p.add_argument("config", help="JSON config file")
-        p.add_argument("--set", action="append", default=[], dest="overrides",
-                       metavar="KEY=VALUE", help="dotted-path config override")
+    parser.add_argument("command", choices=HANDLERS)
+    parser.add_argument("config", help="JSON config file")
+    parser.add_argument("--set", action="append", default=[], dest="overrides",
+                        metavar="KEY=VALUE", help="dotted-path config override")
     return parser
 
 

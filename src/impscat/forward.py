@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from math import isqrt
 
 import numpy as np
 
@@ -51,10 +50,10 @@ from .layer_ops import (
 )
 from .specfun import (
     QuadratureRule,
+    _band_limit_of,
     _synthesize,
     gauss_product_rule,
     harmonic_degrees,
-    num_harmonics,
     plane_wave_amplitudes,
     sph_bessel_j,
     sph_hankel1,
@@ -117,18 +116,20 @@ class WaveContext:
 class HarmonicDensity:
     """Complex coefficient vector in the flat (n, m) ordering, and the
     coupling η of the ansatz u^s = SL[φ] + iη DL[S₀² φ] it was solved with;
-    every field evaluated from φ reads η here."""
+    every field evaluated from φ reads η here; (N+1)² coefficients set N."""
 
     coeffs: np.ndarray
-    band_limit: int
     eta: float
 
     def __post_init__(self):
-        if self.coeffs.size != num_harmonics(self.band_limit):
-            raise ValueError("coefficient count does not match the band limit")
+        _band_limit_of(self.coeffs.size)
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("density coefficients must be finite")
         self.coeffs.setflags(write=False)
+
+    @property
+    def band_limit(self) -> int:
+        return _band_limit_of(self.coeffs.size)
 
     def tail_fraction(self) -> float:
         """Energy in the top two degrees relative to the total."""
@@ -162,8 +163,8 @@ def solve_density(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField,
                   eta: float | None = None, band_limit: int = 24) -> HarmonicDensity:
     """Solve the combined-field system for the boundary density φ.
 
-    The density carries ``eta`` (``None``: :func:`default_coupling`), which
-    changes φ but not the fields evaluated from it.
+    The density carries ``eta`` (``None``: :func:`default_coupling`, which
+    every other solve uses); it changes φ but not the fields evaluated from it.
 
     M_{iλ} is built once, for the system and the right-hand side, by the
     selection rule of :func:`impscat.layer_ops.multiplication_operator`; the
@@ -184,7 +185,7 @@ def solve_density(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField,
     scale = np.linalg.norm(rhs)
     if scale > 0 and res > 1e-12 * scale:
         raise RuntimeError(f"linear solve residual {res / scale:.2e} exceeds 1e-12")
-    density = HarmonicDensity(coeffs=phi, band_limit=band_limit, eta=eta)
+    density = HarmonicDensity(coeffs=phi, eta=eta)
     if density.tail_fraction() > 1e-8 and scale > 0:
         raise ResolutionError(
             f"density tail fraction {density.tail_fraction():.2e} exceeds 1.0e-08"
@@ -209,7 +210,7 @@ def _outgoing_wave(amps: np.ndarray, k: float, where, radius: float = 0.0,
     transform (:func:`impscat.specfun._synthesize`); the series may exceed
     the rule's order, since the transform folds the excess orders exactly.
     """
-    band_limit = isqrt(amps.size) - 1
+    band_limit = _band_limit_of(amps.size)
     degs = harmonic_degrees(band_limit)
     if isinstance(where, QuadratureRule):
         # R_n is the same at every node: one synthesis on the rule
@@ -275,9 +276,8 @@ def farfield(phi: HarmonicDensity, ctx: WaveContext, geom: ObstacleGeometry,
 
 
 def solve_farfield(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField,
-                   eta: float | None = None, band_limit: int = 24,
-                   rule: QuadratureRule | None = None) -> FarField:
-    phi = solve_density(ctx, geom, lam, eta, band_limit)
+                   band_limit: int = 24, rule: QuadratureRule | None = None) -> FarField:
+    phi = solve_density(ctx, geom, lam, band_limit=band_limit)
     return farfield(phi, ctx, geom, rule)
 
 
@@ -298,15 +298,17 @@ def mie_mode_coefficients(k: float, a: float, lam0: float,
 def _mie_band_limit(k: float, a: float, lam0: float) -> int:
     """Degree N, in steps of 8, where the boundary term |R_N h_N(ka)| is below
     1e-14 of the largest; |h_n(kr)| decreases in r, so this bounds the
-    degree-N term of the scattered wave at every r >= a."""
+    degree-N term of the scattered wave at every r >= a.  Raises
+    :class:`ResolutionError` if the first degree past 400 still fails."""
     n = max(8, int(k * a) + 8)
-    while n < 400:
+    while True:
         trace = np.abs(mie_mode_coefficients(k, a, lam0, n)
                        * sph_hankel1(np.arange(n + 1), k * a))
         if trace[-1] < 1e-14 * max(1e-300, np.max(trace)):
             return n
+        if n >= 400:
+            raise ResolutionError(f"Mie series at ka = {k * a:.6g} unconverged at degree {n}")
         n += 8
-    return n
 
 
 def _mie_amplitudes(ctx: WaveContext, a: float, lam0: float, band_limit: int):
@@ -396,15 +398,14 @@ class UniformBoundReport:
 
 
 def uniform_bound_check(ctx: WaveContext, geom: ObstacleGeometry,
-                        impedances, eta: float | None = None,
-                        band_limit: int = 24) -> UniformBoundReport:
+                        impedances, band_limit: int = 24) -> UniformBoundReport:
     """Numerical witness of the uniform total-field bound over a λ family."""
     shell_factors = (1.5, 2.0, 4.0, 8.0)
     rule = gauss_product_rule(band_limit)
     dirs = rule.points()
     sups = []
     for lam in impedances:
-        phi = solve_density(ctx, geom, lam, eta, band_limit)
+        phi = solve_density(ctx, geom, lam, band_limit=band_limit)
         sup = 0.0
         for fac in shell_factors:
             radius = fac * geom.radius

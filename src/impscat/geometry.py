@@ -16,7 +16,7 @@ lower bounds in :mod:`impscat.carleman`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,7 +119,10 @@ class ConeChain:
     distances: np.ndarray
     ratio: float
     axis: np.ndarray
-    count: int = field(default=0)
+
+    @property
+    def count(self) -> int:
+        return len(self.radii) - 1  # N: the balls are k = 0..N
 
     def nesting_residuals(self) -> np.ndarray:
         """|x_{k+1} − x_k| + ρ_{k+1} − 2 ρ_k; nesting requires <= 0."""
@@ -152,7 +155,7 @@ def build_cone_chain(x_tilde: np.ndarray, r: float, geom: ObstacleGeometry,
     centers = x_tilde[None, :] + dists[:, None] * xi[None, :]
     radii = c * dists
     chain = ConeChain(centers=centers, radii=radii, distances=dists,
-                      ratio=mu, axis=xi, count=n_balls)
+                      ratio=mu, axis=xi)
     dist_bnd = geom.distance_to_boundary(centers)
     outer_ok = np.linalg.norm(centers, axis=1) + 3.0 * radii <= big_r
     if np.any(dist_bnd <= 3.0 * radii) or not np.all(outer_ok):

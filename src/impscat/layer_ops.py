@@ -84,6 +84,12 @@ class SingularSystemError(RuntimeError):
 # Impedance fields
 # ---------------------------------------------------------------------------
 
+def admissibility_rule(band_limit: int) -> QuadratureRule:
+    """The product rule, of order max(8, 2N), on whose nodes an impedance of
+    degree N must be nonnegative and at most its bound."""
+    return gauss_product_rule(max(8, 2 * band_limit))
+
+
 @dataclass(frozen=True)
 class ImpedanceField:
     """Nonnegative surface impedance λ as real harmonic coefficients.
@@ -103,7 +109,7 @@ class ImpedanceField:
             raise ValueError("impedance coefficients must be finite")
         object.__setattr__(self, "coefficients", coeffs)
         coeffs.setflags(write=False)
-        vals = self.evaluate_on(gauss_product_rule(max(8, 2 * self.band_limit)))
+        vals = self.evaluate_on(admissibility_rule(self.band_limit))
         if np.any(vals < -1e-12):
             raise ValueError("impedance must be nonnegative on the boundary")
         if np.max(vals, initial=0.0) > self.bound + 1e-12:

@@ -17,14 +17,8 @@ import numpy as np
 
 from .forward import FarField, WaveContext, scattered_on_shell, solve_density, solve_farfield
 from .geometry import ObstacleGeometry
-from .layer_ops import ImpedanceField
-from .specfun import (
-    _complex_coefficients,
-    _synthesize,
-    gauss_product_rule,
-    num_harmonics,
-    real_sph_harmonic_all,
-)
+from .layer_ops import ImpedanceField, admissibility_rule
+from .specfun import _complex_coefficients, _synthesize, gauss_product_rule, num_harmonics
 
 SIGMA_GRID = (0.25, 0.5, 1.0, 2.0)
 
@@ -100,11 +94,11 @@ def prop41_intermediate(delta: float, fu_norm: float, c: float,
 
 def far_field_delta(lam_a: ImpedanceField, lam_b: ImpedanceField,
                     ctx: WaveContext, geom: ObstacleGeometry,
-                    eta: float | None = None, band_limit: int = 24) -> float:
+                    band_limit: int = 24) -> float:
     """L²(S²) distance between the far fields of two impedances."""
     rule = gauss_product_rule(band_limit)
-    fa = solve_farfield(ctx, geom, lam_a, eta, band_limit, rule)
-    fb = solve_farfield(ctx, geom, lam_b, eta, band_limit, rule)
+    fa = solve_farfield(ctx, geom, lam_a, band_limit, rule)
+    fb = solve_farfield(ctx, geom, lam_b, band_limit, rule)
     return _far_field_distance(fa.samples, fb.samples, rule)
 
 
@@ -180,7 +174,7 @@ def fit_dominating_curve(deltas, dsups):
 
 def stability_sweep(base: ImpedanceField, shape, eps_list,
                     ctx: WaveContext, geom: ObstacleGeometry,
-                    eta: float | None = None, band_limit: int = 24) -> StabilitySweep:
+                    band_limit: int = 24) -> StabilitySweep:
     """Perturbation sweep with a fitted dominating stability curve.
 
     ``eps_list`` holds the perturbation sizes ε: finite, nonnegative and
@@ -191,14 +185,14 @@ def stability_sweep(base: ImpedanceField, shape, eps_list,
             and eps_sorted[0] >= 0.0 and eps_sorted[-1] > 0.0):
         raise ValueError("eps_list must hold finite sizes ε >= 0, at least one positive")
     rule = gauss_product_rule(band_limit)
-    base_ff = solve_farfield(ctx, geom, base, eta, band_limit, rule)
+    base_ff = solve_farfield(ctx, geom, base, band_limit, rule)
     rows = []
     for eps in eps_sorted:
         lam_p = _perturbed(base, shape, eps)
         if eps == 0.0:
             rows.append((0.0, 0.0, 0.0))
             continue
-        ff = solve_farfield(ctx, geom, lam_p, eta, band_limit, rule)
+        ff = solve_farfield(ctx, geom, lam_p, band_limit, rule)
         delta = _far_field_distance(ff.samples, base_ff.samples, rule)
         rows.append((eps, delta, impedance_sup_distance(base, lam_p)))
     positive = [r for r in rows if r[0] > 0]
@@ -232,15 +226,14 @@ class Lemma51Report:
 
 
 def lemma51_check(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField,
-                  r_candidates, eta: float | None = None,
-                  band_limit: int = 24) -> Lemma51Report:
+                  r_candidates, band_limit: int = 24) -> Lemma51Report:
     """Smallest candidate R with |u| ≥ 1/2 on every sampled radius ≥ R.
 
     Uses the triangle inequality |u| ≥ 1 − |u^s| plus a direct min over
     the angular grid, scanning a dense ladder of radii per candidate; each
     radius is one shell of the order-24 product rule.
     """
-    phi = solve_density(ctx, geom, lam, eta, band_limit)
+    phi = solve_density(ctx, geom, lam, band_limit=band_limit)
     rads = np.unique(np.concatenate(
         [np.asarray(r_candidates, dtype=float),
          np.geomspace(min(r_candidates), 4.0 * max(r_candidates), 24)]
@@ -277,18 +270,20 @@ class ReconstructionReport:
 
 
 def reconstruct(data: FarField, ctx: WaveContext, geom: ObstacleGeometry,
-                prior: ImpedanceField, reg: float, eta: float | None = None,
-                band_limit: int = 12, degree: int = 4) -> ReconstructionReport:
+                prior: ImpedanceField, reg: float, band_limit: int = 12,
+                degree: int = 4) -> ReconstructionReport:
     """Regularized least-squares fit of a low-degree impedance to far data.
 
     Minimizes ‖u∞(λ) − data‖²_{L²(S²)} + reg·‖λ − prior‖² over impedances
     with real-harmonic degree ≤ 4.  L-BFGS-B runs unbounded; nonnegativity
-    on the grid comes from penalizing grid negativity in the objective and
-    from shifting the constant mode up by the grid minimum, where that is
-    negative, before every solve and for the returned impedance.  A
-    prior that already fits the data to rounding is returned at once as
-    converged (0 iterations, gradient_norm NaN: L-BFGS-B would only see a
-    finite-difference gradient of rounding noise there, above its gtol).
+    on the grid every :class:`ImpedanceField` is checked on (its
+    :func:`~impscat.layer_ops.admissibility_rule`) comes from penalizing grid
+    negativity in the objective and from shifting the constant mode up by
+    the grid minimum, where that is negative, before every solve and for
+    the returned impedance.  A prior that already fits the data to rounding
+    is returned at once as converged (0 iterations, gradient_norm NaN:
+    L-BFGS-B would only see a finite-difference gradient of rounding noise
+    there, above its gtol).
     """
     from scipy.optimize import minimize  # here, not at the top: it slows every CLI start
 
@@ -299,17 +294,19 @@ def reconstruct(data: FarField, ctx: WaveContext, geom: ObstacleGeometry,
     m = min(n_coef, prior.coefficients.size)
     prior_vec[:m] = prior.coefficients[:m]
     rule = data.rule
-    grid_rule = gauss_product_rule(16)
-    ybasis = real_sph_harmonic_all(degree, grid_rule.mu, grid_rule.phi)
+    grid_rule = admissibility_rule(degree)
+
+    def grid_values(vec):
+        return _synthesize(_complex_coefficients(vec), grid_rule).real
 
     def objective(vec):
-        vals = vec @ ybasis
+        vals = grid_values(vec)
         penalty = float(np.sum(np.minimum(vals, 0.0) ** 2))
         try:
-            lam = _clip_field(vec, ybasis)
+            lam = _clip_field(vec, vals)
         except ValueError:
             return 1e6 + 1e3 * penalty
-        ff = solve_farfield(ctx, geom, lam, eta, band_limit, rule)
+        ff = solve_farfield(ctx, geom, lam, band_limit, rule)
         mis = float(np.real(rule.integrate(np.abs(ff.samples - data.samples) ** 2)))
         return mis + reg * float(np.sum((vec - prior_vec) ** 2)) + 1e3 * penalty
 
@@ -323,8 +320,8 @@ def reconstruct(data: FarField, ctx: WaveContext, geom: ObstacleGeometry,
         x, converged, iterations = result.x, bool(result.success), int(result.nit)
         gradient_norm = (float(np.max(np.abs(result.jac)))
                          if result.jac is not None else np.nan)
-    lam_final = _clip_field(x, ybasis)
-    ff = solve_farfield(ctx, geom, lam_final, eta, band_limit, rule)
+    lam_final = _clip_field(x, grid_values(x))
+    ff = solve_farfield(ctx, geom, lam_final, band_limit, rule)
     misfit = float(np.real(rule.integrate(np.abs(ff.samples - data.samples) ** 2)))
     return ReconstructionReport(
         impedance=lam_final, misfit=misfit, gradient_norm=gradient_norm,
@@ -332,10 +329,10 @@ def reconstruct(data: FarField, ctx: WaveContext, geom: ObstacleGeometry,
     )
 
 
-def _clip_field(vec: np.ndarray, ybasis: np.ndarray) -> ImpedanceField:
-    """Impedance from coefficients, shifting the mean up if the grid min < 0."""
-    vals = vec @ ybasis
-    vmin = float(vals.min())
+def _clip_field(vec: np.ndarray, grid_values: np.ndarray) -> ImpedanceField:
+    """Impedance from coefficients, shifting the mean up if the grid min < 0;
+    ``grid_values`` are the coefficients' values on the admissibility rule."""
+    vmin = float(grid_values.min())
     out = np.array(vec, dtype=float)
     if vmin < 0:
         out[0] += -vmin * np.sqrt(4.0 * np.pi)

@@ -19,6 +19,7 @@ from impscat.cli import (
     HANDLERS,
     MAX_SUITE_SIZE,
     ConfigError,
+    build_parser,
     farfield_csv,
     load_config,
     main,
@@ -68,6 +69,22 @@ class TestConfig:
         assert len(problems) == 5
 
 
+class TestParser:
+    @pytest.mark.parametrize("argv", [["no-such-command", "c.json"], ["farfield"], []])
+    def test_bad_command_line_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", sorted(HANDLERS))
+    def test_set_parses_the_same_before_and_after_the_config(self, command):
+        parser = build_parser()
+        after = parser.parse_args([command, "c.json", "--set", "k=2", "--set", "seed=3"])
+        before = parser.parse_args([command, "--set", "k=2", "c.json", "--set", "seed=3"])
+        assert vars(before) == vars(after) == {
+            "command": command, "config": "c.json", "overrides": ["k=2", "seed=3"]}
+
+
 class TestExitCodes:
     def test_mie_success(self, tmp_path, capsys):
         path = write_config(tmp_path, "c.json",
@@ -102,7 +119,7 @@ class TestExitCodes:
         ("farfield", "k"), ("farfield", "radius"), ("farfield", "band_limit"),
         ("farfield", "impedance"), ("stability-sweep", "perturbation"),
         ("reconstruct", "true_impedance"), ("carleman-check", "suite_size"),
-        ("carleman-check", "rho"), ("reconstruct", "noise"), ("farfield", "eta"),
+        ("carleman-check", "rho"), ("reconstruct", "noise"),
     ])
     def test_boolean_is_not_a_number(self, tmp_path, capsys, command, key):
         path = write_config(tmp_path, "c.json", {})
@@ -135,13 +152,35 @@ class TestExitCodes:
         assert key in err["message"]
 
     @pytest.mark.parametrize("key,value", [
-        ("k", "1" + "0" * 400), ("eta", "1" + "0" * 400), ("impedance", "1" + "0" * 400),
+        ("k", "1" + "0" * 400), ("impedance", "1" + "0" * 400),
         ("omega", "[1%s, 0, 0]" % ("0" * 400)),
     ])
     def test_integer_beyond_float_is_numerical(self, tmp_path, capsys, key, value):
         path = write_config(tmp_path, "c.json", {"band_limit": 4})
         assert main(["farfield", path, "--set", f"{key}={value}"]) == EXIT_NUMERICAL
         assert "too large" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_eta_key_is_ignored(self, tmp_path, capsys):
+        # the coupling is max(1, k), derived at the solve; a leftover key
+        # changes nothing, as any key a subcommand does not read
+        path = write_config(tmp_path, "c.json", {"band_limit": 12})
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        assert main(["farfield", path, "--set", f"output={outs[0]}"]) == EXIT_OK
+        assert main(["farfield", path, "--set", f"output={outs[1]}",
+                     "--set", "eta=3.5"]) == EXIT_OK
+        capsys.readouterr()
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("config,code,found", [
+        ({}, EXIT_OK, True),
+        ({"k": 4, "impedance": 0, "r_candidates": [1.1]}, EXIT_NUMERICAL, False),
+    ])
+    def test_lemma51_writes_its_summary(self, tmp_path, capsys, config, code, found):
+        path = write_config(tmp_path, "c.json", config)
+        assert main(["lemma51", path]) == code
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["found"] is found
+        assert len(summary["radii"]) == len(summary["sup_scattered"])
 
     def test_unwritable_output_is_validation(self, tmp_path, capsys):
         path = write_config(tmp_path, "c.json", {"band_limit": 16})

@@ -91,9 +91,10 @@ class TestSolveDensity:
 
     def test_density_invariants(self):
         with pytest.raises(ValueError):
-            HarmonicDensity(coeffs=np.ones(5, dtype=complex), band_limit=3, eta=1.0)
+            HarmonicDensity(coeffs=np.ones(5, dtype=complex), eta=1.0)
         with pytest.raises(ValueError):
-            HarmonicDensity(coeffs=np.full(4, np.nan, dtype=complex), band_limit=1, eta=1.0)
+            HarmonicDensity(coeffs=np.full(4, np.nan, dtype=complex), eta=1.0)
+        assert HarmonicDensity(coeffs=np.zeros(16, dtype=complex), eta=1.0).band_limit == 3
 
     @pytest.mark.parametrize("variable,expected", [(True, 1), (False, 0)])
     def test_multiplication_built_once(self, monkeypatch, variable, expected):
@@ -408,6 +409,13 @@ class TestMieOracle:
         with pytest.raises(ValueError):
             mie_farfield(WaveContext(k=1.0, omega=ZHAT), 1.0, -1.0)
 
+    def test_band_limit_is_checked_past_degree_400(self):
+        # k = 395 starts at degree 403, where the boundary term is 0.22 of
+        # the largest: the series is cut there, so no degree is returned
+        assert forward._mie_band_limit(300.0, 1.0, 1.0) == 372
+        with pytest.raises(forward.ResolutionError):
+            forward._mie_band_limit(395.0, 1.0, 1.0)
+
     def test_high_precision_reference_value(self):
         # golden check: forward amplitude at ka = 1, lambda = 1 from an
         # independent arbitrary-precision series evaluation
@@ -496,8 +504,7 @@ class TestEnergyIdentity:
         lam = ImpedanceField.constant(1.0)
         for k, nb, warns in ((10.0, 4, True), (0.5, 24, False)):
             ctx = WaveContext(k=k, omega=ZHAT)
-            phi = HarmonicDensity(coeffs=np.zeros(num_harmonics(nb), dtype=complex),
-                                  band_limit=nb, eta=1.0)
+            phi = HarmonicDensity(coeffs=np.zeros(num_harmonics(nb), dtype=complex), eta=1.0)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 boundary_traces(phi, ctx, GEOM, lam)

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from impscat import specfun, stability
 from impscat.forward import WaveContext, mie_farfield, solve_farfield
 from impscat.geometry import ObstacleGeometry
-from impscat.layer_ops import ImpedanceField
+from impscat.layer_ops import ImpedanceField, admissibility_rule
 from impscat.specfun import gauss_product_rule, real_sph_harmonic_all
 from impscat.stability import (
     bushuyev_theta,
@@ -246,6 +248,19 @@ class TestReconstruction:
         # noise floor prevents exact recovery but the constant stays sane
         assert abs(recovered - 1.0) > 1e-6
         assert abs(recovered - 1.0) < 0.5
+
+    @settings(max_examples=200, deadline=None)
+    @given(degree=st.integers(0, 6), data=st.data())
+    def test_clipped_field_always_constructs(self, degree, data):
+        # the clip shifts λ up by its minimum on the grid ImpedanceField
+        # checks, so every coefficient vector the optimizer tries is admissible
+        size = (degree + 1) ** 2
+        vec = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=size,
+                                          max_size=size)))
+        vals = specfun._synthesize(specfun._complex_coefficients(vec),
+                                   admissibility_rule(degree)).real
+        lam = stability._clip_field(vec, vals)
+        np.testing.assert_array_equal(lam.coefficients[1:], vec[1:])
 
     def test_invalid_regularization(self):
         rule = gauss_product_rule(12)

@@ -43,7 +43,7 @@ def test_traced_solve_reports_system_and_eigenvalues():
     try:
         tracer.install()
         tracer.run_job(0, forward.solve_farfield, ctx, ObstacleGeometry(),
-                       ImpedanceField.constant(1.0), None, 8)
+                       ImpedanceField.constant(1.0), 8)
     finally:
         tracer.uninstall()
     metrics, _, _ = tracer.layer_metrics()
@@ -51,34 +51,48 @@ def test_traced_solve_reports_system_and_eigenvalues():
     assert metrics["layer_ops.eigenvalue_calls"][0] > 0
 
 
-def traced_job_misses(workload, subcommand, config, tmp_path, capsys):
-    """The groups predicted nonzero for ``workload`` that one traced CLI job
-    with ``config`` never reaches."""
-    predicted = load_perfbench("workloads").PREDICTED_NONZERO[workload]
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps({**config, "output": str(tmp_path / "out.csv")}))
+def traced_jobs_mismatch(workload, jobs, tmp_path, capsys):
+    """The checked groups whose call count over the traced CLI ``jobs``
+    ((subcommand, config) pairs) contradicts the prediction for ``workload``:
+    reached though predicted zero, or never reached though predicted nonzero,
+    as the benchmark's call-count self-check reads it."""
+    workloads = load_perfbench("workloads")
+    predicted = workloads.PREDICTED_NONZERO[workload]
     tracer = load_tracer()
+    codes = []
     try:
         tracer.install()
-        code = tracer.run_job(0, impscat.cli.main, [subcommand, str(path)])
+        for i, (subcommand, config) in enumerate(jobs):
+            path = tmp_path / f"c{i}.json"
+            path.write_text(json.dumps({**config, "output": str(tmp_path / f"out{i}.csv")}))
+            codes.append(tracer.run_job(i, impscat.cli.main, [subcommand, str(path)]))
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    assert code == 0
+    assert codes == [0] * len(jobs)
     _, calls, _ = tracer.layer_metrics()
-    return {group for group in predicted if calls.get(group, 0) == 0}
+    return {group for group in workloads.CHECKED_GROUPS
+            if (calls.get(group, 0) > 0) != (group in predicted)}
 
 
 def test_traced_farfield_job_reaches_predicted_groups(tmp_path, capsys):
     # the benchmark's traced run checks these call counts on farfield-const;
     # a refactor that stops a predicted layer from being reached shows here
-    config = {"k": 0.2, "band_limit": 8}
-    assert traced_job_misses("farfield-const", "farfield", config, tmp_path, capsys) == set()
+    jobs = [("farfield", {"k": 0.2, "band_limit": 8})]
+    assert traced_jobs_mismatch("farfield-const", jobs, tmp_path, capsys) == set()
 
 
 def test_traced_sweep_job_reaches_predicted_groups(tmp_path, capsys):
     # the same check for sweep-variable: a degree-1 perturbation, so the
     # multiplication layer runs
-    config = {"k": 0.2, "band_limit": 8, "perturbation": [0.0, 0.0, 1.0, 0.0]}
-    assert traced_job_misses("sweep-variable", "stability-sweep", config,
-                             tmp_path, capsys) == set()
+    jobs = [("stability-sweep", {"k": 0.2, "band_limit": 8,
+                                 "perturbation": [0.0, 0.0, 1.0, 0.0]})]
+    assert traced_jobs_mismatch("sweep-variable", jobs, tmp_path, capsys) == set()
+
+
+def test_traced_carleman_jobs_reach_predicted_groups(tmp_path, capsys):
+    # verify-carleman runs all three kinds of job; together they reach the
+    # Carleman quadrature, the three-sphere fit and the CLI, and no solve
+    jobs = [("carleman-check", {"suite_size": 1}), ("three-sphere", {"k": 2.0}),
+            ("chain", {})]
+    assert traced_jobs_mismatch("verify-carleman", jobs, tmp_path, capsys) == set()
