@@ -19,7 +19,7 @@ import tempfile
 import numpy as np
 
 from . import carleman, forward, geometry, layer_ops, stability
-from .specfun import gauss_product_rule
+from .specfun import _check_product_rule, gauss_product_rule
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -107,8 +107,8 @@ def _get_size(cfg: dict, key: str, default: int, least: int) -> int:
 
 def validate_common(cfg: dict) -> list:
     problems = []
-    if not (_is_number(cfg["k"]) and cfg["k"] > 0):
-        problems.append("k must be a positive number")
+    if not (_is_number(cfg["k"]) and cfg["k"] > 0 and math.isfinite(cfg["k"])):
+        problems.append("k must be a positive finite number")
     om = np.asarray(cfg["omega"] if _is_number_list(cfg["omega"]) else [], dtype=float)
     if om.shape != (3,) or not abs(np.linalg.norm(om) - 1.0) <= 1e-9:
         problems.append("omega must be a 3-vector of unit length")
@@ -126,6 +126,9 @@ def validate_common(cfg: dict) -> list:
         problems.append("seed must be an integer")
     if not all(isinstance(cfg.get(key), (str, type(None))) for key in ("output", "summary")):
         problems.append("output and summary must each be null or a path")
+    elif cfg.get("output") and cfg.get("summary") and (
+            os.path.realpath(cfg["output"]) == os.path.realpath(cfg["summary"])):
+        problems.append("output and summary must be different files")
     return problems
 
 
@@ -164,11 +167,20 @@ def atomic_write_text(path: str, text: str):
 
 
 def farfield_csv(ff: forward.FarField) -> str:
-    theta = np.arccos(np.clip(ff.rule.mu, -1.0, 1.0))
-    rows = zip(theta.tolist(), ff.rule.phi.tolist(),
-               ff.samples.real.tolist(), ff.samples.imag.tolist())
+    """One ``theta,phi,re_uinf,im_uinf`` row per node, in the rule's
+    ring-major order, every float as ``%.17g``.  On a product rule θ takes
+    one value per ring and φ one per azimuth, so each is formatted once and
+    only the samples are formatted per row."""
+    rule = ff.rule
+    _check_product_rule(rule)
+    n_phi = 2 * rule.order + 2
+    theta = np.arccos(np.clip(rule.mu, -1.0, 1.0))
+    rings = ["%.17g," % t for t in theta[::n_phi].tolist()]
+    azimuths = ["%.17g," % p for p in rule.phi[:n_phi].tolist()]
+    prefixes = [t + p for t in rings for p in azimuths]
+    rows = zip(prefixes, ff.samples.real.tolist(), ff.samples.imag.tolist())
     return "theta,phi,re_uinf,im_uinf\n" + "".join(
-        "%.17g,%.17g,%.17g,%.17g\n" % row for row in rows)
+        "%s%.17g,%.17g\n" % row for row in rows)
 
 
 def sweep_csv(sweep: stability.StabilitySweep) -> str:
@@ -414,7 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=HANDLERS)
     parser.add_argument("config", help="JSON config file")
     parser.add_argument("--set", action="append", default=[], dest="overrides",
-                        metavar="KEY=VALUE", help="dotted-path config override")
+                        metavar="KEY=VALUE",
+                        help="override config key KEY (flat, taken as written); "
+                             "VALUE is parsed as JSON, or else kept as a string")
     return parser
 
 

@@ -79,8 +79,8 @@ class WaveContext:
     _recent: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("wavenumber must be positive")
+        if not (self.k > 0 and np.isfinite(self.k)):
+            raise ValueError("wavenumber must be positive and finite")
         om = np.asarray(self.omega, dtype=float)
         if abs(np.linalg.norm(om) - 1.0) > 1e-12:
             raise ValueError("incident direction must be a unit vector")

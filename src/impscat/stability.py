@@ -82,7 +82,8 @@ def prop41_bound(fu_norm: float, c: float, sigma: float) -> float:
 
 def prop41_intermediate(delta: float, fu_norm: float, c: float,
                         sigma: float) -> float:
-    """Two-term form C/|lnδ|^σ + fu/δ minimized over δ by the ŝ root."""
+    """Two-term form C/|lnδ|^σ + fu/δ at the given δ, evaluated only.  Its
+    minimizer over δ is e^{−ŝ}, with ŝ = ``prop41_stationary_s(C, σ, fu)``."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     return c / abs(np.log(delta)) ** sigma + fu_norm / delta

@@ -26,8 +26,8 @@ from impscat.cli import (
     sweep_csv,
     validate_common,
 )
-from impscat.forward import FarField
-from impscat.specfun import gauss_product_rule
+from impscat.forward import FarField, WaveContext, mie_farfield
+from impscat.specfun import QuadratureRule, gauss_product_rule
 from impscat.stability import StabilityRecord, StabilitySweep
 
 
@@ -56,6 +56,13 @@ class TestConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(str(path), [])
+
+    def test_override_key_is_flat(self, tmp_path):
+        # a dot in KEY is part of the key, not a path into the config
+        path = write_config(tmp_path, "c.json", {})
+        cfg = load_config(path, ["a.b=3", "k.x=abc"])
+        assert cfg["a.b"] == 3 and cfg["k.x"] == "abc"
+        assert "a" not in cfg and cfg["k"] == 1.0
 
     def test_bad_override_format(self, tmp_path):
         path = write_config(tmp_path, "c.json", {})
@@ -101,6 +108,34 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation"
         assert "impedance" in err["message"]
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_wavenumber(self, tmp_path, capsys, value):
+        path = write_config(tmp_path, "c.json", {"band_limit": 4})
+        assert main(["farfield", path, "--set", f"k={value}"]) == EXIT_VALIDATION
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert "k must be a positive finite number" in err["message"]
+
+    def test_output_and_summary_on_one_file(self, tmp_path, capsys):
+        # the summary would replace the CSV
+        path = write_config(tmp_path, "c.json", {"band_limit": 4})
+        out = tmp_path / "x.out"
+        same = tmp_path / "sub" / ".." / "x.out"
+        for summary in (out, same):
+            code = main(["farfield", path, "--set", f"output={out}",
+                         "--set", f"summary={summary}"])
+            assert code == EXIT_VALIDATION
+            assert "different files" in json.loads(capsys.readouterr().err)["message"]
+        assert not out.exists()
+
+    def test_output_and_summary_on_two_files(self, tmp_path, capsys):
+        path = write_config(tmp_path, "c.json", {"band_limit": 12})
+        out, summary = tmp_path / "x.out", tmp_path / "y.out"
+        assert main(["farfield", path, "--set", f"output={out}",
+                     "--set", f"summary={summary}"]) == EXIT_OK
+        assert out.read_text().startswith("theta,phi,re_uinf,im_uinf\n")
+        assert "farfield_l2_norm" in json.loads(summary.read_text())
 
     def test_zero_band_limit(self, tmp_path):
         path = write_config(tmp_path, "c.json", {"band_limit": 0})
@@ -236,6 +271,41 @@ class TestArtifacts:
         for t, p, s in zip(theta, ff.rule.phi, ff.samples):
             writer.writerow([f"{t:.17g}", f"{p:.17g}", f"{s.real:.17g}", f"{s.imag:.17g}"])
         assert farfield_csv(ff) == buf.getvalue()
+
+    @staticmethod
+    def _per_row_csv(ff):
+        # every row formats its four floats, as the writer first did
+        theta = np.arccos(np.clip(ff.rule.mu, -1.0, 1.0))
+        rows = zip(theta.tolist(), ff.rule.phi.tolist(),
+                   ff.samples.real.tolist(), ff.samples.imag.tolist())
+        return "theta,phi,re_uinf,im_uinf\n" + "".join(
+            "%.17g,%.17g,%.17g,%.17g\n" % row for row in rows)
+
+    @pytest.mark.parametrize("band_limit", [1, 2, 24, 40])
+    def test_farfield_csv_matches_per_row_reference(self, band_limit):
+        rule = gauss_product_rule(band_limit)
+        rng = np.random.default_rng(band_limit)
+        samples = rng.normal(size=rule.npts) + 1j * rng.normal(size=rule.npts)
+        samples *= 10.0 ** rng.integers(-300, 300, size=rule.npts)
+        samples[:4] = [-0.0, 5e-324, np.inf, complex(np.nan, -0.0)]
+        ff = FarField(samples=samples, rule=rule)
+        text = farfield_csv(ff)
+        assert text == self._per_row_csv(ff)
+        assert text.count("\n") == 1 + (band_limit + 1) * (2 * band_limit + 2)
+
+    def test_mie_csv_matches_per_row_reference(self):
+        ff = mie_farfield(WaveContext(k=3.0, omega=np.array([0.6, 0.0, 0.8])), 1.0, 0.5)
+        assert ff.rule is gauss_product_rule(ff.rule.order)  # the default rule
+        assert farfield_csv(ff) == self._per_row_csv(ff)
+
+    def test_farfield_csv_rejects_a_rule_off_the_gauss_nodes(self):
+        # rows are built from the ring layout, so the nodes must have it
+        rule = gauss_product_rule(4)
+        shifted = QuadratureRule(mu=rule.mu, phi=rule.phi + 0.1,
+                                 weights=rule.weights, order=4)
+        with pytest.raises(ValueError):
+            farfield_csv(FarField(samples=np.ones(rule.npts, dtype=complex),
+                                  rule=shifted))
 
     def test_high_frequency_farfield(self, tmp_path, capsys):
         # the dense synthesis matrix would need 8.8 GiB here

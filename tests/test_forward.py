@@ -61,6 +61,12 @@ class TestWaveContext:
         with pytest.raises(ValueError):
             WaveContext(k=1.0, omega=np.array([0.0, 0.0, 2.0]))
 
+    @pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf])
+    def test_non_finite_wavenumber_rejected(self, k):
+        # NaN compares false with everything; it must not reach the Bessel calls
+        with pytest.raises(ValueError, match="positive and finite"):
+            WaveContext(k=k, omega=ZHAT)
+
     def test_incident_unimodular(self):
         ctx = WaveContext(k=2.0, omega=ZHAT)
         x = np.random.default_rng(0).normal(size=(5, 3))
