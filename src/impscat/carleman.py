@@ -435,14 +435,21 @@ def three_sphere_check(family, y, r: float) -> ThreeSphereFit:
     For each u the three H¹ ball norms (n₁, n₂, n₃) at radii (r, 2r, 3r)
     must satisfy r·n₂ ≤ C·n₁^α n₃^{1−α}; α̂ comes from the log-log
     regression of ln(r n₂/n₃) on ln(n₁/n₃) and C is then the smallest
-    constant making the inequality hold for every member.
+    constant making the inequality hold for every member.  Raises
+    ``ValueError`` unless r is positive and finite, and ``RuntimeError`` if a
+    ball norm is zero or not finite (a zero member, or an r so small that the
+    ball weights underflow), since the fit takes logarithms of their ratios.
     """
     if len(family) < 2:
         raise ValueError("family must have at least two members")
+    if not (np.isfinite(r) and r > 0):
+        raise ValueError(f"ball radius must be positive and finite (r = {r})")
     y = np.asarray(y, dtype=float)
     balls = [_radial_rule(y, 0.0, f * r, n_radial=32, sphere_order=14)[:2]
              for f in (1.0, 2.0, 3.0)]
     norms = np.array([[_h1_norm(u, *ball) for ball in balls] for u in family])
+    if not np.all(np.isfinite(norms) & (norms > 0)):
+        raise RuntimeError(f"a ball norm is zero or not finite at r = {r}")
     if np.any(norms[:, 0] > norms[:, 1] * (1 + 1e-12)) or \
        np.any(norms[:, 1] > norms[:, 2] * (1 + 1e-12)):
         raise RuntimeError("ball-norm monotonicity violated; quadrature suspect")

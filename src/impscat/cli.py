@@ -371,6 +371,8 @@ def cmd_reconstruct(cfg: dict) -> int:
     if not _is_number(truth):
         raise ConfigError("reconstruct requires a constant true_impedance")
     noise = float(_get(cfg, "noise", 0.0))
+    if noise < 0:
+        raise ConfigError(f"noise must be nonnegative (noise = {noise})")
     band = cfg["band_limit"]
     rule = gauss_product_rule(band)
     data = forward.solve_farfield(ctx, geom,

@@ -168,8 +168,9 @@ def solve_density(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField,
 
     M_{iλ} is built once, for the system and the right-hand side, by the
     selection rule of :func:`impscat.layer_ops.multiplication_operator`; the
-    system has its band (b = 0 for a constant λ), and one banded LU both
-    estimates its conditioning and solves it.  Raises :class:`SingularSystemError`
+    system has its band.  At b = 0 (a constant λ) one division solves it,
+    with its exact rcond; otherwise one banded LU both estimates its
+    conditioning and solves it.  Raises :class:`SingularSystemError`
     if the system has a non-finite entry or its relative 1-norm rcond is
     below 1e-12, ``RuntimeError`` if the relative residual exceeds 1e-12,
     and :class:`ResolutionError` if the tail fraction exceeds 1e-8.

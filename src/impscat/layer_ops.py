@@ -44,10 +44,12 @@ permutation of :func:`impscat.specfun._m_major`), where those couplings
 stay within b ≈ N_λ(N + 1) of the diagonal, against N'(2N − N' + 2),
 N' = min(N_λ, N), in the degree-major order (Cuthill & McKee, Proc. ACM
 Nat. Conf. 1969): 51 against 96 at N = 24, N_λ = 2.  It is held in LAPACK
-band storage, entries[b + i − j, j] = Â[i, j] for the permuted matrix Â,
-and solved by one banded LU; ``matvec`` and ``solve`` permute, so vectors
-stay in the degree-major order.  By the selection rule
-(:func:`multiplication_operator`) a constant λ is b = 0, one diagonal row.
+band storage, entries[b + i − j, j] = Â[i, j] for the permuted matrix Â;
+``matvec`` and ``solve`` permute, so vectors stay in the degree-major order.
+By the selection rule (:func:`multiplication_operator`) a constant λ is
+b = 0, one diagonal row: it is solved by one division, with its exact rcond
+min|d| / max|d|, and without scipy.  Any other system is solved by one
+banded LU; ``scipy.linalg`` and ``scipy.sparse`` are imported for b > 0 only.
 """
 
 from __future__ import annotations
@@ -56,8 +58,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
-from scipy.sparse import dia_matrix
 
 from .specfun import (
     QuadratureRule,
@@ -163,26 +163,48 @@ class BoundaryOperatorMatrix:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         b, perm = len(self.entries) // 2, self._perm()
+        if b == 0:
+            return _to_degree_major(perm, self.entries[0] * x[perm])
+        from scipy.sparse import dia_matrix
+
         # scipy's gbmv wrapper rejects 2b + 1 > n; the diagonal format does not
         band = dia_matrix((self.entries, b - np.arange(2 * b + 1)), (x.size, x.size))
         return _to_degree_major(perm, band @ x[perm])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """x with A x = rhs by a banded LU; raises :class:`SingularSystemError`
-        if A has a non-finite entry or a relative 1-norm rcond below 1e-12."""
+        """x with A x = rhs: one division for b = 0, else a banded LU.
+
+        Raises :class:`SingularSystemError` if A has a non-finite entry or a
+        relative 1-norm rcond below 1e-12; at b = 0 the rcond is exact."""
         band, b, perm = self.entries, len(self.entries) // 2, self._perm()
         if not np.all(np.isfinite(band)):
             raise SingularSystemError("combined system has a non-finite entry")
+        if b == 0:
+            _check_rcond(_diagonal_rcond(band[0]))
+            return _to_degree_major(perm, rhs[perm] / band[0])
+        from scipy.linalg import get_lapack_funcs
+
         gbtrf, gbcon, gbtrs = get_lapack_funcs(("gbtrf", "gbcon", "gbtrs"), (band, rhs))
         anorm = np.abs(band).sum(axis=0).max()  # a column sum of the band is one of A
         # b rows above the band take pivoting fill-in; Fortran order: no copy
         work = np.zeros((3 * b + 1, band.shape[1]), dtype=complex, order="F")
         work[b:] = band
         lu, piv, info = gbtrf(work, b, b, overwrite_ab=True)
-        rcond = gbcon(b, b, lu, piv, anorm)[0] if info == 0 else 0.0  # info > 0: zero pivot
-        if not rcond >= 1e-12:
-            raise SingularSystemError(f"combined system is singular (rcond = {rcond:.3e})")
+        # info > 0: a zero pivot
+        _check_rcond(gbcon(b, b, lu, piv, anorm)[0] if info == 0 else 0.0)
         return _to_degree_major(perm, gbtrs(lu, b, b, rhs[perm], piv)[0])
+
+
+def _diagonal_rcond(diagonal: np.ndarray) -> float:
+    """The 1-norm rcond of diag(d), min|d| / max|d|; 0 for a zero diagonal."""
+    size = np.abs(diagonal)
+    largest = size.max()
+    return float(size.min() / largest) if largest > 0 else 0.0
+
+
+def _check_rcond(rcond: float) -> None:
+    if not rcond >= 1e-12:
+        raise SingularSystemError(f"combined system is singular (rcond = {rcond:.3e})")
 
 
 def _to_degree_major(perm: np.ndarray, permuted: np.ndarray) -> np.ndarray:

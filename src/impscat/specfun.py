@@ -15,6 +15,10 @@ weighted Carleman integrals) is built on three primitives provided here:
   latitudes (``_ring_legendre``, the table ``layer_ops`` also reads) and
   one inverse FFT per ring, never forming the (N+1)^2 x npts matrix.
 
+The Bessel functions import ``scipy.special`` when first called, not when
+this module is imported: at module level it would slow the start of every
+CLI job, and the Carleman, three-sphere, chain and GA2 jobs evaluate none.
+
 All functions are pure.  Quadrature rules, ring tables and the m-major
 order (``_m_major``) depend only on their integer arguments; each is built
 once, kept in a bounded cache and read-only.
@@ -27,7 +31,6 @@ from functools import lru_cache
 from math import isqrt
 
 import numpy as np
-from scipy.special import spherical_jn, spherical_yn
 
 
 def _check_order_arg(n, x) -> tuple[np.ndarray, np.ndarray]:
@@ -42,6 +45,8 @@ def _check_order_arg(n, x) -> tuple[np.ndarray, np.ndarray]:
 
 def sph_bessel_j(n, x, derivative: bool = False):
     """Spherical Bessel function j_n(x) (or j_n'(x)) for x > 0."""
+    from scipy.special import spherical_jn
+
     n, x = _check_order_arg(n, x)
     out = spherical_jn(n, x, derivative=derivative)
     return out if out.ndim else float(out)
@@ -49,6 +54,8 @@ def sph_bessel_j(n, x, derivative: bool = False):
 
 def sph_bessel_y(n, x, derivative: bool = False):
     """Spherical Bessel function y_n(x) (or y_n'(x)) for x > 0."""
+    from scipy.special import spherical_yn
+
     n, x = _check_order_arg(n, x)
     out = spherical_yn(n, x, derivative=derivative)
     return out if out.ndim else float(out)
@@ -56,6 +63,8 @@ def sph_bessel_y(n, x, derivative: bool = False):
 
 def sph_hankel1(n, x, derivative: bool = False):
     """Spherical Hankel function of the first kind, h_n(x) = j_n(x) + i y_n(x)."""
+    from scipy.special import spherical_jn, spherical_yn
+
     n, x = _check_order_arg(n, x)
     out = spherical_jn(n, x, derivative=derivative) + 1j * spherical_yn(
         n, x, derivative=derivative

@@ -380,6 +380,21 @@ class TestThreeSphere:
             three_sphere_check([TestFunction.plane_wave(1.0, [0, 0, 1.0])],
                                np.zeros(3), 0.1)
 
+    @pytest.mark.parametrize("r", [-0.2, 0.0, np.inf, np.nan])
+    def test_non_positive_or_non_finite_radius_rejected(self, r):
+        family = [TestFunction.plane_wave(1.0, [0, 0, 1.0])] * 2
+        with pytest.raises(ValueError, match="ball radius"):
+            three_sphere_check(family, np.zeros(3), r)
+
+    def test_zero_ball_norm_raises(self):
+        plane = TestFunction.plane_wave(1.0, [0, 0, 1.0])
+        zero = TestFunction.quadratic(0.0, np.zeros(3), np.zeros((3, 3)))
+        with pytest.raises(RuntimeError, match="zero or not finite"):
+            three_sphere_check([plane, zero], np.zeros(3), 0.2)
+        # ball weights that underflow give zero norms for every member
+        with pytest.raises(RuntimeError, match="zero or not finite"):
+            three_sphere_check([plane, plane], np.zeros(3), 1e-300)
+
 
 class TestChainLowerBound:
     def test_iteration_matches_closed_form(self):

@@ -381,6 +381,19 @@ class TestArtifacts:
             texts.append(out.read_bytes())
         assert texts[0] == texts[1]
 
+    @pytest.mark.parametrize("radius,code,kind", [
+        ("-0.2", EXIT_VALIDATION, "validation"), ("0", EXIT_VALIDATION, "validation"),
+        ("1e-300", EXIT_NUMERICAL, "numerical"),
+    ])
+    def test_three_sphere_degenerate_ball_is_an_error(self, tmp_path, capsys, radius,
+                                                      code, kind):
+        # a NaN constant is never written: a typed error and no summary
+        path = write_config(tmp_path, "c.json", {})
+        assert main(["three-sphere", path, "--set", f"ball_radius={radius}"]) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"] == kind
+
     def test_ga2_summary(self, tmp_path, capsys):
         path = write_config(tmp_path, "c.json", {})
         assert main(["ga2-check", path]) == EXIT_OK
@@ -404,6 +417,16 @@ class TestReconstructCommand:
         summary = json.loads(capsys.readouterr().out)
         assert summary["converged"] is True
         assert summary["iterations"] == 0
+
+
+    def test_negative_noise_is_validation(self, tmp_path, capsys):
+        path = write_config(tmp_path, "c.json", {"band_limit": 8})
+        assert main(["reconstruct", path, "--set", "noise=-0.5"]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = json.loads(err)
+        assert err["error"] == "validation"
+        assert "noise" in err["message"]
 
 
 class TestCarlemanCommand:
@@ -461,10 +484,62 @@ class TestCarlemanCommand:
         assert key in err["message"]
 
 
-def test_cli_import_leaves_mpmath_out():
-    # mpmath is a test dependency only: the package never imports it
+def run_fresh(code: str) -> str:
+    """Standard output of ``code`` run by a fresh interpreter that imports
+    this impscat."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(impscat.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, impscat.cli; sys.exit('mpmath' in sys.modules)"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          timeout=120, capture_output=True, text=True).stdout
+
+
+def scipy_loaded_by(code: str) -> list:
+    """The ``scipy`` modules in ``sys.modules`` after ``code`` runs in a fresh
+    interpreter."""
+    out = run_fresh(code + "\nimport json, sys\nprint(json.dumps(sorted("
+                    "m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    return json.loads(out.splitlines()[-1])
+
+
+def test_cli_import_leaves_mpmath_out():
+    # mpmath is a test dependency only: the package never imports it
+    run_fresh("import sys, impscat.cli; sys.exit('mpmath' in sys.modules)")
+
+
+@pytest.mark.parametrize("module", ["impscat", "impscat.cli"])
+def test_import_leaves_scipy_out(module):
+    # scipy loads on first use: the import alone is numpy's
+    assert scipy_loaded_by(f"import {module}") == []
+
+
+@pytest.mark.parametrize("command,overrides", [
+    ("carleman-check", ["suite_size=2"]), ("chain", []),
+    ("three-sphere", ["family_size=2"]), ("ga2-check", []),
+])
+def test_jobs_without_a_solve_leave_scipy_out(tmp_path, command, overrides):
+    path = write_config(tmp_path, "c.json", {})
+    argv = [command, path] + [arg for item in overrides for arg in ("--set", item)]
+    code = f"from impscat.cli import main\nassert main({argv!r}) == 0"
+    assert scipy_loaded_by(code) == []
+
+
+SOLVE = """
+import numpy as np
+import impscat as im
+ctx = im.WaveContext(k=1.0, omega=np.array([0.0, 0.0, 1.0]))
+im.solve_farfield(ctx, im.ObstacleGeometry(radius=1.0), {lam}, 12)
+"""
+
+
+def test_constant_impedance_solve_loads_no_linalg():
+    # a constant λ is a diagonal system, solved by one division
+    loaded = scipy_loaded_by(SOLVE.format(lam="im.ImpedanceField.constant(1.0)"))
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded if m.startswith(("scipy.linalg", "scipy.sparse"))]
+
+
+def test_variable_impedance_solve_loads_linalg_and_sparse():
+    lam = "im.ImpedanceField(coefficients=np.array([3.5, 0.0, 0.2, 0.0]))"
+    loaded = scipy_loaded_by(SOLVE.format(lam=lam))
+    assert {"scipy.special", "scipy.linalg", "scipy.sparse"} <= set(loaded)

@@ -1,5 +1,6 @@
 """Layer operators on the sphere against quadrature and identity oracles."""
 
+import warnings
 from math import isqrt
 
 import numpy as np
@@ -11,6 +12,7 @@ from scipy.linalg import get_lapack_funcs, lu_factor
 
 from impscat import layer_ops
 from impscat.layer_ops import (
+    BoundaryOperatorMatrix,
     ImpedanceField,
     SingularSystemError,
     assemble_combined_system,
@@ -324,10 +326,10 @@ class TestBandSolve:
         rhs = rng.normal(size=num_harmonics(band_limit)) \
             + 1j * rng.normal(size=num_harmonics(band_limit))
         # record the rcond that the solve's gbcon returns
-        rconds, lapack = [], layer_ops.get_lapack_funcs
+        rconds = []
 
         def spying(names, arrays):
-            gbtrf, gbcon, gbtrs = lapack(names, arrays)
+            gbtrf, gbcon, gbtrs = get_lapack_funcs(names, arrays)
 
             def gbcon_spy(*args):
                 out = gbcon(*args)
@@ -336,7 +338,7 @@ class TestBandSolve:
 
             return gbtrf, gbcon_spy, gbtrs
 
-        monkeypatch.setattr(layer_ops, "get_lapack_funcs", spying)
+        monkeypatch.setattr("scipy.linalg.get_lapack_funcs", spying)
         x = system.solve(rhs)
         dense = unpack_band(system.entries)
         expected = np.linalg.solve(dense, rhs)
@@ -347,6 +349,38 @@ class TestBandSolve:
         lu, _ = lu_factor(dense)
         gecon = get_lapack_funcs("gecon", (lu,))
         assert rconds == [pytest.approx(gecon(lu, np.linalg.norm(dense, 1))[0], rel=1e-12)]
+
+    @pytest.mark.parametrize("band_limit", [12, 24])
+    @pytest.mark.parametrize("k", [0.5, 1.0, 4.0])
+    def test_diagonal_division_matches_banded_lu(self, k, band_limit):
+        system = system_for(ImpedanceField.constant(1.0), band_limit, k,
+                            eta=default_coupling(k))
+        diagonal = system.entries[0]
+        assert system.entries.shape[0] == 1
+        rng = np.random.default_rng(1)
+        rhs = rng.normal(size=diagonal.size) + 1j * rng.normal(size=diagonal.size)
+        # the reference: LAPACK's banded LU of the same b = 0 system
+        gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (system.entries, rhs))
+        lu, piv, info = gbtrf(np.asfortranarray(system.entries), 0, 0)
+        assert info == 0
+        perm = _m_major(band_limit)[0]
+        expected = np.empty_like(rhs)
+        expected[perm] = gbtrs(lu, 0, 0, rhs[perm], piv)[0]
+        x = system.solve(rhs)
+        assert np.max(np.abs(x - expected) / np.abs(expected)) <= 1e-15
+        # the exact 1-norm rcond of a diagonal against LAPACK's estimate
+        dense = unpack_band(system.entries)
+        dense_lu, _ = lu_factor(dense)
+        gecon = get_lapack_funcs("gecon", (dense_lu,))
+        assert layer_ops._diagonal_rcond(diagonal) == pytest.approx(
+            gecon(dense_lu, np.linalg.norm(dense, 1))[0], rel=1e-12)
+
+    def test_zero_diagonal_raises_without_warning(self):
+        system = BoundaryOperatorMatrix(entries=np.zeros((1, num_harmonics(4)), complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystemError, match="rcond = 0.000e"):
+                system.solve(np.ones(num_harmonics(4), complex))
 
 
 class TestDiagonalHelpers:
