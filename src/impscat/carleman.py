@@ -27,6 +27,7 @@ common factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import exp, lgamma, log
 
 import numpy as np
 
@@ -50,6 +51,7 @@ class TestFunction:
     value: callable
     gradient: callable
     laplacian: callable
+    wavenumber: float = 0.0  # k of its cos(k·) oscillation; 0 for a polynomial
 
     @staticmethod
     def plane_wave(k: float, direction, phase: float = 0.0) -> "TestFunction":
@@ -66,7 +68,7 @@ class TestFunction:
         def lap(x):
             return -k * k * val(x)
 
-        return TestFunction("plane-wave", val, grad, lap)
+        return TestFunction("plane-wave", val, grad, lap, k)
 
     @staticmethod
     def quadratic(const: float, linear, quad) -> "TestFunction":
@@ -107,7 +109,7 @@ class TestFunction:
         def lap(x):
             return -k * k * val(x)
 
-        return TestFunction("point-source", val, grad, lap)
+        return TestFunction("point-source", val, grad, lap, k)
 
 
 def random_test_suite(size: int, seed: int = 0) -> list[TestFunction]:
@@ -429,6 +431,31 @@ class ThreeSphereFit:
                           | (n[:, 1] > n[:, 2] * (1 + 1e-12))))
 
 
+# The rule of each three-sphere ball: 32 radial Gauss nodes × the order-14
+# sphere rule.
+_BALL_RADIAL_NODES, _BALL_SPHERE_ORDER = 32, 14
+
+
+def _resolved_kr(n_radial: int, sphere_order: int) -> float:
+    """The largest kR at which the rule of :func:`_radial_rule` integrates the
+    H¹ integrand of a wave of wavenumber k over a ball of radius R to rounding.
+
+    That integrand is a constant plus cos(2k x·d + c).  On the sphere of
+    radius s about the centre its degree-n part (Jacobi–Anger) has weight
+    j_n(2ks), and the order-p rule is exact to degree 2p + 1.  Along a radius
+    it is s² times e^{iωt} in t ∈ [−1, 1], ω <= kR, whose Legendre weights are
+    j_n(ω), and the q-node Gauss rule is exact to degree 2q − 3 beside s².
+    With j_n(z) <= z^n/(2n+1)!! (DLMF 10.14.4), each bound is the z at which
+    the first weight the rule does not integrate reaches the rounding unit.
+    """
+    def rounding_argument(n: int) -> float:  # z^n = eps·(2n+1)!!
+        log_double_factorial = lgamma(2 * n + 2) - n * log(2.0) - lgamma(n + 1)
+        return exp((log(np.finfo(float).eps) + log_double_factorial) / n)
+
+    return min(rounding_argument(2 * sphere_order + 2) / 2.0,
+               rounding_argument(2 * n_radial - 2))
+
+
 def three_sphere_check(family, y, r: float) -> ThreeSphereFit:
     """Fit the largest exponent α̂ with a single constant across a family.
 
@@ -436,18 +463,28 @@ def three_sphere_check(family, y, r: float) -> ThreeSphereFit:
     must satisfy r·n₂ ≤ C·n₁^α n₃^{1−α}; α̂ comes from the log-log
     regression of ln(r n₂/n₃) on ln(n₁/n₃) and C is then the smallest
     constant making the inequality hold for every member.  Raises
-    ``ValueError`` unless r is positive and finite, and ``RuntimeError`` if a
-    ball norm is zero or not finite (a zero member, or an r so small that the
-    ball weights underflow), since the fit takes logarithms of their ratios.
+    ``ValueError`` unless r is positive and finite and the ball rules resolve
+    the family's largest wavenumber k on the largest ball (k·3r at most
+    :func:`_resolved_kr`), and ``RuntimeError`` if a ball norm is zero or not
+    finite (a zero member, or an r so small that the ball weights underflow
+    or so large that they overflow), since the fit takes logarithms of their
+    ratios.
     """
     if len(family) < 2:
         raise ValueError("family must have at least two members")
     if not (np.isfinite(r) and r > 0):
         raise ValueError(f"ball radius must be positive and finite (r = {r})")
+    kr = max(u.wavenumber for u in family) * 3.0 * r
+    resolved = _resolved_kr(_BALL_RADIAL_NODES, _BALL_SPHERE_ORDER)
+    if kr > resolved:
+        raise ValueError(f"k*3r = {kr:.6g} exceeds {resolved:.4g}, the largest the "
+                         f"ball rules resolve")
     y = np.asarray(y, dtype=float)
-    balls = [_radial_rule(y, 0.0, f * r, n_radial=32, sphere_order=14)[:2]
-             for f in (1.0, 2.0, 3.0)]
-    norms = np.array([[_h1_norm(u, *ball) for ball in balls] for u in family])
+    # an overflow here is a non-finite norm, raised below
+    with np.errstate(over="ignore", invalid="ignore"):
+        balls = [_radial_rule(y, 0.0, f * r, _BALL_RADIAL_NODES, _BALL_SPHERE_ORDER)[:2]
+                 for f in (1.0, 2.0, 3.0)]
+        norms = np.array([[_h1_norm(u, *ball) for ball in balls] for u in family])
     if not np.all(np.isfinite(norms) & (norms > 0)):
         raise RuntimeError(f"a ball norm is zero or not finite at r = {r}")
     if np.any(norms[:, 0] > norms[:, 1] * (1 + 1e-12)) or \

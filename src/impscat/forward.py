@@ -46,6 +46,7 @@ from .layer_ops import (
     modal_table,
     multiplication_operator,
     radiating_coefficient_diagonal,
+    require_finite_hankel,
     rhs_from_incident,
 )
 from .specfun import (
@@ -288,12 +289,17 @@ def solve_farfield(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField
 
 def mie_mode_coefficients(k: float, a: float, lam0: float,
                           band_limit: int) -> np.ndarray:
-    """Reflection coefficient per degree for constant impedance λ₀ at r = a."""
+    """Reflection coefficient per degree for constant impedance λ₀ at r = a.
+
+    Raises :class:`impscat.layer_ops.NumericalError` if h_n(ka) or h_n'(ka)
+    overflows at a degree up to the band limit.
+    """
     ka = k * a
     n = np.arange(band_limit + 1)
+    hn, hnp = sph_hankel1(n, ka), sph_hankel1(n, ka, derivative=True)
+    require_finite_hankel(ka, hn, hnp)
     num = k * sph_bessel_j(n, ka, derivative=True) + 1j * lam0 * sph_bessel_j(n, ka)
-    den = k * sph_hankel1(n, ka, derivative=True) + 1j * lam0 * sph_hankel1(n, ka)
-    return -num / den
+    return -num / (k * hnp + 1j * lam0 * hn)
 
 
 def _mie_band_limit(k: float, a: float, lam0: float) -> int:

@@ -26,7 +26,9 @@ Y_n^m, and by the Wronskian j_n h_n' − j_n' h_n = i/(ka)² the two traces
 above are c_n h_n(ka) and c_n k h_n'(ka).  So every diagonal of a solve (the
 traces, c_n, the incident coefficients, the system and its right-hand side)
 reads one :class:`ModalTable`: j_n, j_n', h_n, h_n' and S₀² at (k, a, N),
-built by :func:`modal_table` with four Bessel/Hankel calls.  The readers take
+built by :func:`modal_table` with four Bessel/Hankel calls.  There j_n may
+underflow to 0, but an h_n or h_n' past the float range raises
+:class:`NumericalError` at its degree.  The readers take
 the table in place of (k, a, N) and call no Bessel function themselves;
 :class:`impscat.forward.WaveContext` keeps the table of its solves.
 
@@ -48,8 +50,10 @@ band storage, entries[b + i − j, j] = Â[i, j] for the permuted matrix Â;
 ``matvec`` and ``solve`` permute, so vectors stay in the degree-major order.
 By the selection rule (:func:`multiplication_operator`) a constant λ is
 b = 0, one diagonal row: it is solved by one division, with its exact rcond
-min|d| / max|d|, and without scipy.  Any other system is solved by one
-banded LU; ``scipy.linalg`` and ``scipy.sparse`` are imported for b > 0 only.
+min|d| / max|d|, and without scipy: a constant-λ solve runs on numpy alone.
+Any other system is solved by one banded LU; ``scipy.linalg`` and
+``scipy.sparse`` are imported for b > 0 only, and they are the only scipy
+modules a solve loads.
 """
 
 from __future__ import annotations
@@ -78,6 +82,20 @@ OP_KINDS = ("S", "K", "Kp", "T", "S0")
 
 class SingularSystemError(RuntimeError):
     """Combined-field matrix is non-finite or singular (relative rcond < 1e-12)."""
+
+
+class NumericalError(ArithmeticError):
+    """A per-degree value lies outside the float range: h_n(ka) or h_n'(ka)
+    overflows."""
+
+
+def require_finite_hankel(ka: float, hn: np.ndarray, hnp: np.ndarray) -> None:
+    """Raise :class:`NumericalError` at the first degree n where h_n(ka) or
+    h_n'(ka) (arrays over n = 0, 1, ...) is not finite."""
+    bad = ~(np.isfinite(hn) & np.isfinite(hnp))
+    if bad.any():
+        raise NumericalError(f"h_n(ka) or h_n'(ka) overflows at degree "
+                             f"{int(np.argmax(bad))}, ka = {ka:.6g}")
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +288,18 @@ class ModalTable:
 
 def modal_table(k: float, a: float, band_limit: int) -> ModalTable:
     """The :class:`ModalTable` at (k, a, N): four Bessel/Hankel calls over the
-    degrees 0..N and one S₀ diagonal, the only ones a solve makes."""
+    degrees 0..N and one S₀ diagonal, the only ones a solve makes.
+
+    j_n(ka) may underflow to 0; an h_n(ka) or h_n'(ka) that overflows raises
+    :class:`NumericalError`.
+    """
     n, degs, ka = np.arange(band_limit + 1), harmonic_degrees(band_limit), k * a
+    hn, hnp = sph_hankel1(n, ka), sph_hankel1(n, ka, derivative=True)
+    require_finite_hankel(ka, hn, hnp)
     return ModalTable(
         k=k, a=a, band_limit=band_limit,
         jn=sph_bessel_j(n, ka)[degs], jnp=sph_bessel_j(n, ka, derivative=True)[degs],
-        hn=sph_hankel1(n, ka)[degs], hnp=sph_hankel1(n, ka, derivative=True)[degs],
+        hn=hn[degs], hnp=hnp[degs],
         s0sq=sphere_operator_diagonal("S0", k, a, band_limit) ** 2)
 
 

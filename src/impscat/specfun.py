@@ -5,7 +5,10 @@ weighted Carleman integrals) is built on three primitives provided here:
 
 * spherical Bessel / Hankel functions ``j_n``, ``y_n``, ``h_n^{(1)}`` and
   their derivatives, for one degree or an array of degrees that broadcasts
-  against the argument,
+  against the argument, from the three-term recurrence in numpy and
+  ``math``: one table per distinct argument x, with Miller's backward
+  recurrence for j_n past the turning point n = x (``_j_upto``) and the
+  forward recurrence below it and for y_n (``_y_upto``),
 * orthonormal (complex and real) spherical harmonics ``Y_n^m``, evaluated
   for all degrees up to a band limit in one vectorized pass, at scattered
   points (values only: on the sphere no caller needs their derivatives),
@@ -15,9 +18,8 @@ weighted Carleman integrals) is built on three primitives provided here:
   latitudes (``_ring_legendre``, the table ``layer_ops`` also reads) and
   one inverse FFT per ring, never forming the (N+1)^2 x npts matrix.
 
-The Bessel functions import ``scipy.special`` when first called, not when
-this module is imported: at module level it would slow the start of every
-CLI job, and the Carleman, three-sphere, chain and GA2 jobs evaluate none.
+This module uses no scipy: importing scipy's special functions took longer
+than a constant-impedance far-field job takes to run.
 
 All functions are pure.  Quadrature rules, ring tables and the m-major
 order (``_m_major``) depend only on their integer arguments; each is built
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import acosh, ceil, cos, inf, isqrt, sin
 
 import numpy as np
 
@@ -43,32 +45,145 @@ def _check_order_arg(n, x) -> tuple[np.ndarray, np.ndarray]:
     return degrees.astype(int), x
 
 
+_EPS = float(np.finfo(float).eps)
+
+
+# The backward recurrence for the degrees up to t starts at the S where
+# j_S(x)/j_t(x) has fallen to about e^{−25}: the minimal solution j_n then
+# falls by about e^{−50} against the dominant y_n between t and S, so the
+# ratios at n <= t are exact to rounding.
+_MILLER_LOG_DECAY = 25.0
+
+
+def _miller_start(x: float, top: int) -> int:
+    """The degree S > max(top, x) where the backward recurrence for j_n(x),
+    n <= ``top``, starts.
+
+    Past the turning point n = x each degree divides j_n(x) by about
+    e^{arccosh(n/x)} (Debye's expansion, DLMF §10.19(ii)), so S is the first
+    degree where those factors, from ``top`` on, multiply to e^{25}.
+    """
+    n = max(top, ceil(x))
+    decay = 0.0
+    while decay < _MILLER_LOG_DECAY:
+        n += 1
+        decay += acosh(n / x)
+    return n
+
+
+def _miller_ratios(x: float, start: int) -> list:
+    """ρ_n = j_n(x)/j_{n−1}(x) for n = 1..start (index n), by the backward
+    recurrence ρ_n = x/(2n + 1 − x ρ_{n+1}) from ρ_{start+1} = 0."""
+    ratios = [0.0] * (start + 1)
+    ratio = 0.0
+    for n in range(start, 0, -1):
+        d = 2 * n + 1 - x * ratio
+        if d == 0.0:  # j_{n−1}(x) = 0 to rounding: keep ρ_n finite
+            d = _EPS * (2 * n + 1)
+        ratio = ratios[n] = x / d
+    return ratios
+
+
+def _j_upto(x: float, top: int) -> np.ndarray:
+    """j_0(x) .. j_top(x).
+
+    Below the turning point (n < x) both solutions of the recurrence
+    f_{n+1} = (2n+1)/x f_n − f_{n−1} oscillate, and j_n comes forward from
+    j_0 = sin x/x and j_1 = (j_0 − cos x)/x.  Past it j_n is the minimal
+    solution, so it comes from Miller's backward recurrence (Gautschi, SIAM
+    Rev. 9 (1967); DLMF §10.74(iv)): j_n is the product of the ratios of
+    :func:`_miller_ratios` from j_0, or from j_1 where |j_1| > |j_0| (near a
+    zero of j_0).  The degrees come in blocks 0..31, 32..63, 64..127, ...,
+    one backward pass each, started past the block's top: no step depends on
+    ``top`` or on the other degrees asked for, and a table to N costs O(N)
+    steps.  j_n underflows to 0, never to NaN.
+    """
+    j0 = sin(x) / x
+    j1 = (j0 - cos(x)) / x
+    below = min(top, ceil(x) - 1)  # the last degree below the turning point
+    out = [j0, j1][:below + 1]
+    for n in range(1, below):
+        out.append((2 * n + 1) / x * out[n] - out[n - 1])
+    first = 1 if abs(j1) > abs(j0) else 0
+    block = 31
+    while len(out) <= top:
+        while block < len(out):
+            block = 2 * block + 1
+        ratios = _miller_ratios(x, _miller_start(x, block))
+        value = (j0, j1)[first]
+        for n in range(first + 1, min(block, top) + 1):
+            value *= ratios[n]
+            if n == len(out):
+                out.append(value)
+    return np.array(out)
+
+
+def _y_upto(x: float, top: int) -> np.ndarray:
+    """y_0(x) .. y_top(x) by the forward recurrence, for which y_n is the
+    dominant solution: −inf from the first degree that overflows, never NaN."""
+    y0 = -cos(x) / x
+    out = [y0, (y0 - sin(x)) / x][:top + 1]
+    for n in range(1, top):
+        if out[n] == -inf:
+            break
+        out.append((2 * n + 1) / x * out[n] - out[n - 1])
+    values = np.full(top + 1, -np.inf)
+    values[:len(out)] = out
+    return values
+
+
+def _tabulated(n, x, derivative: bool, upto) -> np.ndarray:
+    """f_n(x), or f_n'(x), broadcast over n and x, from one ``upto(x, top)``
+    table per distinct x."""
+    n, x = _check_order_arg(n, x)
+    if x.ndim == 0:
+        return _from_table(upto, float(x), n, derivative)
+    n, x = np.broadcast_arrays(n, x)
+    shape, n = n.shape, n.ravel()
+    values, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    groups = np.split(np.argsort(inverse.ravel(), kind="stable"), np.cumsum(counts)[:-1])
+    out = np.empty(n.size)
+    for value, at in zip(values, groups):
+        out[at] = _from_table(upto, float(value), n[at], derivative)
+    return out.reshape(shape)
+
+
+def _from_table(upto, x: float, n: np.ndarray, derivative: bool) -> np.ndarray:
+    """f_n(x) or f_n'(x) at the degrees ``n``, from one table of f_0..f_top."""
+    top = int(n.max(initial=0))
+    f = upto(x, max(top, 1) if derivative else top)
+    if derivative:
+        # f_0' = −f_1 and f_n' = f_{n−1} − (n+1) f_n/x (DLMF §10.51.2); past
+        # the overflow of y_n the difference is inf − inf, and y_n' is +inf
+        df = np.empty_like(f)
+        df[0] = -f[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            df[1:] = f[:-1] - np.arange(2, f.size + 1) * (f[1:] / x)
+        df[np.isinf(f)] = np.inf
+        f = df
+    return f[n]
+
+
 def sph_bessel_j(n, x, derivative: bool = False):
     """Spherical Bessel function j_n(x) (or j_n'(x)) for x > 0."""
-    from scipy.special import spherical_jn
-
-    n, x = _check_order_arg(n, x)
-    out = spherical_jn(n, x, derivative=derivative)
+    out = _tabulated(n, x, derivative, _j_upto)
     return out if out.ndim else float(out)
 
 
 def sph_bessel_y(n, x, derivative: bool = False):
-    """Spherical Bessel function y_n(x) (or y_n'(x)) for x > 0."""
-    from scipy.special import spherical_yn
-
-    n, x = _check_order_arg(n, x)
-    out = spherical_yn(n, x, derivative=derivative)
+    """Spherical Bessel function y_n(x) (or y_n'(x)) for x > 0: −inf (and
+    y_n' +inf) past the degree where it overflows."""
+    out = _tabulated(n, x, derivative, _y_upto)
     return out if out.ndim else float(out)
 
 
 def sph_hankel1(n, x, derivative: bool = False):
-    """Spherical Hankel function of the first kind, h_n(x) = j_n(x) + i y_n(x)."""
-    from scipy.special import spherical_jn, spherical_yn
-
-    n, x = _check_order_arg(n, x)
-    out = spherical_jn(n, x, derivative=derivative) + 1j * spherical_yn(
-        n, x, derivative=derivative
-    )
+    """Spherical Hankel function of the first kind, h_n(x) = j_n(x) + i y_n(x)
+    (or h_n'(x)); its imaginary part is infinite past the overflow of y_n."""
+    j = _tabulated(n, x, derivative, _j_upto)
+    out = np.empty(j.shape, dtype=complex)
+    out.real = j  # set by part: j + 1j·y would make 0·inf = NaN once y overflows
+    out.imag = _tabulated(n, x, derivative, _y_upto)
     return out if out.ndim else complex(out)
 
 

@@ -386,6 +386,36 @@ class TestThreeSphere:
         with pytest.raises(ValueError, match="ball radius"):
             three_sphere_check(family, np.zeros(3), r)
 
+    def test_resolution_bound_is_where_the_rule_reaches_rounding(self):
+        # below the bound the ball rule agrees with a far finer one to
+        # rounding; at twice it, it does not
+        bound = carleman._resolved_kr(32, 14)
+        assert 3.8 < bound < 3.9
+        rng = np.random.default_rng(5)
+        for kr, tol in ((bound, 1e-14), (2.0 * bound, None)):
+            u = TestFunction.plane_wave(kr / 0.6, rng.normal(size=3), 0.3)
+            coarse = carleman._h1_norm(u, *carleman._radial_rule(np.zeros(3), 0.0, 0.6, 32, 14)[:2])
+            fine = carleman._h1_norm(u, *carleman._radial_rule(np.zeros(3), 0.0, 0.6, 64, 40)[:2])
+            if tol:
+                assert abs(coarse - fine) <= tol * fine
+            else:
+                assert abs(coarse - fine) > 1e-12 * fine
+
+    @pytest.mark.parametrize("k", [6.5, 1e10])
+    def test_unresolved_wavenumber_rejected(self, k):
+        family = [TestFunction.plane_wave(k, [0, 0, 1.0]),
+                  TestFunction.point_source(1.0, [0, 0, 9.0])]
+        with pytest.raises(ValueError, match="resolve"):
+            three_sphere_check(family, np.zeros(3), 0.2)
+        # the bound is on k·3r: a smaller ball resolves the same wave
+        three_sphere_check(family, np.zeros(3), 0.19 / k)
+
+    def test_overflowing_ball_raises_without_warning(self):
+        # weights ~ (3r)³ overflow; warnings are errors under pytest
+        const = TestFunction.quadratic(1.0, np.zeros(3), np.zeros((3, 3)))
+        with pytest.raises(RuntimeError, match="zero or not finite"):
+            three_sphere_check([const, const], np.zeros(3), 1e200)
+
     def test_zero_ball_norm_raises(self):
         plane = TestFunction.plane_wave(1.0, [0, 0, 1.0])
         zero = TestFunction.quadratic(0.0, np.zeros(3), np.zeros((3, 3)))

@@ -234,6 +234,13 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "numerical"
 
+    def test_overflowing_hankel_is_numerical(self, tmp_path, capsys):
+        path = write_config(tmp_path, "c.json", {"k": 1e-3, "band_limit": 120})
+        assert main(["farfield", path]) == EXIT_NUMERICAL
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numerical"
+        assert "overflows at degree 65" in err["message"]
+
     def test_memory_error_is_numerical(self, tmp_path, capsys, monkeypatch):
         # the handler raises as an allocation would, without allocating
         def exhausted(cfg):
@@ -484,14 +491,32 @@ class TestCarlemanCommand:
         assert key in err["message"]
 
 
-def run_fresh(code: str) -> str:
-    """Standard output of ``code`` run by a fresh interpreter that imports
-    this impscat."""
+def fresh(args: list, check: bool = True) -> subprocess.CompletedProcess:
+    """A fresh interpreter, run with ``args``, that imports this impscat."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(impscat.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          timeout=120, capture_output=True, text=True).stdout
+    return subprocess.run([sys.executable, *args], env=env, check=check,
+                          timeout=120, capture_output=True, text=True)
+
+
+def run_fresh(code: str) -> str:
+    """Standard output of ``code`` run by a fresh interpreter."""
+    return fresh(["-c", code]).stdout
+
+
+@pytest.mark.parametrize("overrides,code,kind", [
+    (["ball_radius=1e200"], EXIT_VALIDATION, "validation"),  # k·3r unresolved
+    (["k=1e-300", "ball_radius=1e200"], EXIT_NUMERICAL, "numerical"),  # weights overflow
+])
+def test_three_sphere_huge_ball_writes_one_error_record(tmp_path, overrides, code, kind):
+    # stderr is the JSON error record alone: no numpy warning before it
+    path = write_config(tmp_path, "c.json", {})
+    argv = ["three-sphere", path] + [arg for item in overrides for arg in ("--set", item)]
+    proc = fresh(["-m", "impscat.cli", *argv], check=False)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == kind
 
 
 def scipy_loaded_by(code: str) -> list:
@@ -533,13 +558,20 @@ im.solve_farfield(ctx, im.ObstacleGeometry(radius=1.0), {lam}, 12)
 
 
 def test_constant_impedance_solve_loads_no_linalg():
-    # a constant λ is a diagonal system, solved by one division
+    # a constant λ is a diagonal system, solved by one division, and the
+    # Bessel and Hankel values are numpy recurrences: no scipy at all
     loaded = scipy_loaded_by(SOLVE.format(lam="im.ImpedanceField.constant(1.0)"))
-    assert "scipy.special" in loaded
-    assert not [m for m in loaded if m.startswith(("scipy.linalg", "scipy.sparse"))]
+    assert loaded == []
+
+
+def test_constant_impedance_farfield_job_leaves_scipy_out(tmp_path):
+    path = write_config(tmp_path, "c.json", {"output": str(tmp_path / "ff.csv")})
+    code = f"from impscat.cli import main\nassert main({['farfield', path]!r}) == 0"
+    assert scipy_loaded_by(code) == []
 
 
 def test_variable_impedance_solve_loads_linalg_and_sparse():
     lam = "im.ImpedanceField(coefficients=np.array([3.5, 0.0, 0.2, 0.0]))"
     loaded = scipy_loaded_by(SOLVE.format(lam=lam))
-    assert {"scipy.special", "scipy.linalg", "scipy.sparse"} <= set(loaded)
+    assert {"scipy.linalg", "scipy.sparse"} <= set(loaded)
+    assert not [m for m in loaded if m.startswith("scipy.special")]

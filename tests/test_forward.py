@@ -30,6 +30,7 @@ from impscat.geometry import ObstacleGeometry
 from impscat.layer_ops import (
     BoundaryOperatorMatrix,
     ImpedanceField,
+    NumericalError,
     SingularSystemError,
     assemble_combined_system,
     modal_table,
@@ -450,6 +451,19 @@ class TestMieOracle:
         mine = sum((2 * n + 1) / 1.0 * (-1j) ** (n + 1) * (1j) ** n * coeffs[n]
                    for n in range(25))
         assert complex(mine) == pytest.approx(complex(total), rel=1e-12)
+
+
+    def test_overflowing_hankel_raises(self):
+        with pytest.raises(NumericalError, match="degree 150, ka = 1$"):
+            forward.mie_mode_coefficients(1.0, 1.0, 1.0, 200)
+        assert np.all(np.isfinite(forward.mie_mode_coefficients(1.0, 1.0, 1.0, 149)))
+
+    @pytest.mark.parametrize("k,band_limit", [(1.0, 150), (1e-3, 120)])
+    def test_solve_past_the_overflow_is_a_numerical_error(self, k, band_limit):
+        # not SingularSystemError: the table is rejected before any system
+        with pytest.raises(NumericalError):
+            solve_farfield(WaveContext(k=k, omega=ZHAT), GEOM,
+                           ImpedanceField.constant(1.0), band_limit=band_limit)
 
 
 class TestRuleSynthesis:

@@ -14,6 +14,7 @@ from impscat import layer_ops
 from impscat.layer_ops import (
     BoundaryOperatorMatrix,
     ImpedanceField,
+    NumericalError,
     SingularSystemError,
     assemble_combined_system,
     assemble_multiplication,
@@ -393,3 +394,19 @@ class TestDiagonalHelpers:
     def test_default_coupling(self):
         assert default_coupling(0.5) == 1.0
         assert default_coupling(3.0) == 3.0
+
+
+class TestHankelOverflow:
+    # y_n(ka) grows like (2n−1)!!/(ka)^{n+1}: its first overflow is named by
+    # a typed error, not left as NaN for the solve to find
+    @pytest.mark.parametrize("k,band_limit,degree", [(1.0, 150, 150), (1e-3, 120, 65)])
+    def test_modal_table_names_the_first_overflow(self, k, band_limit, degree):
+        with pytest.raises(NumericalError, match=f"degree {degree}, ka = {k:g}$"):
+            modal_table(k, 1.0, band_limit)
+        table = modal_table(k, 1.0, degree - 1)
+        for values in (table.jn, table.jnp, table.hn, table.hnp):
+            assert np.all(np.isfinite(values))
+
+    def test_eigenvalues_raise_past_the_overflow(self):
+        with pytest.raises(NumericalError):
+            sphere_operator_eigenvalue("S", 1.0, 1.0, 150)

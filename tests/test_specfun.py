@@ -3,7 +3,7 @@
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import sph_harm_y
 
@@ -71,6 +71,61 @@ class TestSphericalBessel:
             sph_bessel_j(2, 0.0)
         with pytest.raises(ValueError):
             sph_hankel1(2, np.nan)
+
+
+def mp_radial(kind, n, x, derivative):
+    """(value, x · its derivative in x) of j_n, y_n, j_n' or y_n' at 40 digits,
+    from the order n ± ½ Bessel functions, f_n' = f_{n−1} − (n+1) f_n/x and
+    the ODE x² f'' + 2x f' + (x² − n(n+1)) f = 0."""
+    bessel = mp.besselj if kind == "j" else mp.bessely
+    with mp.workdps(40):
+        x = mp.mpf(x)
+
+        def f(m):
+            return mp.sqrt(mp.pi / (2 * x)) * bessel(m + mp.mpf(1) / 2, x)
+
+        value = f(n)
+        slope = f(n - 1) - (n + 1) * value / x if n else -f(1)
+        if not derivative:
+            return value, x * slope
+        curvature = -2 * slope / x - (1 - n * (n + 1) / x**2) * value
+        return slope, x * curvature
+
+
+class TestAgainstMpmath:
+    # relative 1e-12, except that near a zero of the function only the value
+    # at an argument within 1e-13 relative of x (about n roundings of the
+    # recurrence) is attainable: the bound adds 1e-13·|x f'(x)|
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 300), log_x=st.floats(-3.0, np.log10(200.0)),
+           kind=st.sampled_from(["j", "y"]), derivative=st.booleans())
+    # the top degree of a backward pass, at the turning point n = x
+    @example(n=31, log_x=np.log10(31.0), kind="j", derivative=True)
+    @example(n=63, log_x=np.log10(63.0), kind="j", derivative=True)
+    def test_matches_mpmath(self, n, log_x, kind, derivative):
+        x = 10.0 ** log_x
+        fn = sph_bessel_j if kind == "j" else sph_bessel_y
+        got = fn(n, x, derivative=derivative)
+        exact, scale = mp_radial(kind, n, x, derivative)
+        if abs(exact) > np.finfo(float).max:  # y_n past overflow, and y_n'
+            assert got == (np.inf if derivative else -np.inf)
+        elif abs(exact) > 1e-290:
+            assert abs(got - exact) <= 1e-12 * abs(exact) + 1e-13 * abs(scale)
+
+    @pytest.mark.parametrize("x", [1e-3, 200.0])
+    @pytest.mark.parametrize("derivative", [False, True])
+    def test_finite_or_signed_infinity_to_degree_1000(self, x, derivative):
+        n = np.arange(1001)
+        j = sph_bessel_j(n, x, derivative=derivative)
+        assert np.all(np.isfinite(j)) and j[-1] == 0.0  # underflows to 0
+        y = sph_bessel_y(n, x, derivative=derivative)
+        assert not np.any(np.isnan(y))
+        past = ~np.isfinite(y)
+        assert past.any() and np.all(past[np.argmax(past):])  # from one degree on
+        assert np.all(y[past] == (np.inf if derivative else -np.inf))
+        h = sph_hankel1(n, x, derivative=derivative)
+        np.testing.assert_array_equal(h.real, j)
+        np.testing.assert_array_equal(h.imag, y)
 
 
 DEGREE_ARRAYS = st.lists(st.integers(0, 80), min_size=1, max_size=12).map(np.array)
