@@ -15,19 +15,21 @@ Terms whose relative exponent is below the float floor contribute exactly
 zero in the factored scale; the comparison between the two sides is then a
 comparison of the surviving (inner-boundary dominated) contributions.
 
-The setup owns its node sets and ψ − ψ_ref on them, built once per annulus.
-The relative weights depend only on (λ, τ), not on v: the setup builds them
-once per (λ, τ), keeps the most recent pair, and drops every node whose
-weights are all exactly 0.0.  A check at any v then evaluates v only on the
-nodes that carry weight.  At the admissible thresholds that is the inner
-sphere alone: every volume weight, and so every lhs, is 0.0 relative to the
-common factor.
+The setup owns its node sets, built once per annulus.  Each is laid out in
+shells of equal radius, so ψ − ψ_ref takes one value per shell: 48 in the
+volume and 2 on the boundary.  The relative weights depend only on (λ, τ),
+not on v, so :func:`carleman_sides` computes them per shell for every pair
+it is given, keeps the shells where some weight at some pair is not exactly
+0.0, and evaluates each test function once, on the nodes of those shells.
+At the admissible thresholds that is the inner sphere alone: every volume
+weight, and so every lhs, is 0.0 relative to the common factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import exp, lgamma, log
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,7 +80,7 @@ class TestFunction:
 
         def val(x):
             x = np.atleast_2d(x)
-            return const + x @ b + np.einsum("pi,ij,pj->p", x, a, x)
+            return const + x @ b + np.sum((x @ a) * x, axis=1)
 
         def grad(x):
             x = np.atleast_2d(x)
@@ -134,8 +136,8 @@ def random_test_suite(size: int, seed: int = 0) -> list[TestFunction]:
 
 def _radial_rule(center, inner: float, width: float, n_radial: int,
                  sphere_order: int):
-    """Nodes, weights and each node's shell radius over {inner < |x − center|
-    < inner + width}.
+    """Nodes and weights over {inner < |x − center| < inner + width}, shell
+    by shell, and the radius of each shell.
 
     Radial Gauss-Legendre (with the r² Jacobian) times the sphere product
     rule; ``inner = 0`` gives a ball.
@@ -147,7 +149,53 @@ def _radial_rule(center, inner: float, width: float, n_radial: int,
     pts = (np.asarray(center, dtype=float)[None, None, :]
            + s[:, None, None] * rule.points()[None, :, :])
     w = (ws * s**2)[:, None] * rule.weights[None, :]
-    return pts.reshape(-1, 3), w.ravel(), np.repeat(s, rule.weights.size)
+    return pts.reshape(-1, 3), w.ravel(), s
+
+
+class NodeSet(NamedTuple):
+    """A quadrature rule about x₀ laid out in shells of equal size.
+
+    ``nodes`` (n, 3) and ``weights`` (n,) run shell by shell; ``dpsi`` holds
+    ψ − ψ_ref once per shell.
+    """
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    dpsi: np.ndarray
+
+    @property
+    def shell_size(self) -> int:
+        return self.weights.size // self.dpsi.size
+
+    def weighted_shells(self, pairs, psi_ref: float, powers: tuple) -> tuple:
+        """(nodes, weights, rel) on the shells where some relative weight at
+        some (λ, τ) of ``pairs`` is not 0.0; the dropped shells add exactly 0.
+
+        rel[i, j] is e^{E} for power ``powers[i]`` at ``pairs[j]``
+        (:func:`_relative_exponents`), computed per shell and repeated over
+        each kept shell's nodes.
+        """
+        rel = np.stack([np.exp(_relative_exponents(self.dpsi, lam, tau, psi_ref, powers))
+                        for lam, tau in pairs], axis=1)
+        keep = np.any(rel != 0.0, axis=(0, 1))
+        size = self.shell_size
+        return (self.nodes.reshape(-1, size, 3)[keep].reshape(-1, 3),
+                self.weights.reshape(-1, size)[keep].ravel(),
+                np.repeat(rel[..., keep], size, axis=-1))
+
+
+# powers p of φ in the weights e^{2τφ}φ^p of each node set
+_VOLUME_POWERS, _BOUNDARY_POWERS = (3, 1, 0), (3, 1)
+
+
+def _thresholds_in_range(m: float, M: float) -> bool:
+    """Whether m⁴ > 0 and λ_min = 6M³/m⁴, τ_min = 88M⁶/m⁴ are finite, found
+    in numpy floats, which overflow to inf where Python floats raise."""
+    with np.errstate(over="ignore", under="ignore"):
+        m4 = np.float64(m) ** 4
+        big = np.float64(M)
+        return bool(m4 > 0 and np.isfinite(6.0 * big**3 / m4)
+                    and np.isfinite(88.0 * big**6 / m4))
 
 
 @dataclass(frozen=True)
@@ -158,15 +206,15 @@ class CarlemanSetup:
     from above, taken as the sum of the sup norms of ψ and all first and
     second partials (10 multi-index terms), floored at 1.  ψ is radial and
     decreasing, so each sup is taken at |x − x₀| = ρ in closed form:
-    sup ψ = ψ_ref, sup|∂ψ| = 2/ρ, sup|∂²ψ| = 2/ρ².  ``volume`` (48 radial
-    Gauss nodes × sphere order 16) and ``boundary`` (order 24 on both
-    spheres) are the node sets, each (nodes, weights, ψ − ψ_ref), with
-    ψ − ψ_ref = 2 ln(ρ/r) ≤ 0 taken from the radius r of the node's shell:
-    exactly 0 on the inner sphere.
+    sup ψ = ψ_ref, sup|∂ψ| = 2/ρ, sup|∂²ψ| = 2/ρ².  Raises ``ValueError``
+    unless ρ and d are positive and finite and the thresholds λ_min, τ_min
+    they give are finite floats.
 
-    ``weighted_nodes(λ, τ)`` compresses both sets to the nodes whose relative
-    weights are not all 0.0; the setup keeps the result for the most recent
-    (λ, τ) only.
+    ``volume`` (48 radial Gauss nodes × sphere order 16) and ``boundary``
+    (order 24 on both spheres) are the node sets, each a :class:`NodeSet` in
+    shells of one radius r, with ψ − ψ_ref = 2 ln(ρ/r) ≤ 0 per shell: exactly
+    0 on the inner sphere.  ``weighted_nodes(λ, τ)`` compresses both sets to
+    the nodes whose relative weights at (λ, τ) are not all 0.0.
     """
 
     x0: np.ndarray
@@ -174,51 +222,53 @@ class CarlemanSetup:
     d: float
     m: float = field(init=False)
     M: float = field(init=False)
-    volume: tuple = field(init=False, repr=False, compare=False)
-    boundary: tuple = field(init=False, repr=False, compare=False)
-    _weighted: dict = field(init=False, repr=False, compare=False,
-                            default_factory=dict)
+    volume: NodeSet = field(init=False, repr=False, compare=False)
+    boundary: NodeSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        named = f"(rho = {self.rho}, d = {self.d})"
         if not (np.isfinite(self.rho) and np.isfinite(self.d) and self.rho > 0 and self.d > 0):
-            raise ValueError(f"annulus radii must be positive and finite "
-                             f"(rho = {self.rho}, d = {self.d})")
+            raise ValueError(f"annulus radii must be positive and finite {named}")
         x0 = np.asarray(self.x0, dtype=float)
         object.__setattr__(self, "x0", x0)
         x0.setflags(write=False)
-        sup_d2 = 2.0 / self.rho**2  # diagonal and off-diagonal partials alike
-        total = float(self.psi_ref) + 3 * (2.0 / self.rho) + 3 * sup_d2 + 3 * sup_d2
+        # M = inf, from an overflow or from a ρ² that underflows to 0, is
+        # rejected below
+        with np.errstate(over="ignore", divide="ignore"):
+            sup_d2 = 2.0 / np.float64(self.rho)**2  # diagonal and off-diagonal partials alike
+            total = float(self.psi_ref + 3 * (2.0 / self.rho) + 3 * sup_d2 + 3 * sup_d2)
         object.__setattr__(self, "m", min(1.0, 2.0 / (self.rho + self.d)))
         object.__setattr__(self, "M", max(total, 1.0))
+        if not _thresholds_in_range(self.m, self.M):
+            raise ValueError(f"annulus radii put the admissible thresholds outside "
+                             f"the float range {named}")
 
         sphere = gauss_product_rule(24)
         radii = (self.rho, self.rho + self.d)
         rules = {"volume": _radial_rule(x0, self.rho, self.d, 48, 16),
                  "boundary": (np.vstack([x0 + s * sphere.points() for s in radii]),
                               np.concatenate([s**2 * sphere.weights for s in radii]),
-                              np.repeat(radii, sphere.weights.size))}
+                              np.array(radii))}
         for name, (nodes, weights, r) in rules.items():
             # ψ − ψ_ref = 2 ln(ρ/r) from the shell radius, not from |x − x₀|,
             # whose rounding can put an inner-sphere node outside radius ρ
-            dpsi = 2.0 * np.log(self.rho / r)
-            object.__setattr__(self, name, (nodes, weights, dpsi))
+            object.__setattr__(self, name, NodeSet(nodes, weights, 2.0 * np.log(self.rho / r)))
+
+    def weighted_shells(self, pairs) -> tuple:
+        """(volume, boundary) over the shells where some relative weight at
+        some (λ, τ) of ``pairs`` is not 0.0; see :meth:`NodeSet.weighted_shells`."""
+        return (self.volume.weighted_shells(pairs, self.psi_ref, _VOLUME_POWERS),
+                self.boundary.weighted_shells(pairs, self.psi_ref, _BOUNDARY_POWERS))
 
     def weighted_nodes(self, lam: float, tau: float) -> tuple:
         """(volume, boundary) at (λ, τ), each without its zero-weight nodes.
 
         volume is (nodes, quad weights, w3, w1, w0) and boundary is (nodes,
         quad weights, b3, b1), where w_p is e^{2τφ}φ^p relative to the common
-        factor.  Built on the first call for (λ, τ) and kept until a call
-        with another pair.
+        factor.
         """
-        key = (lam, tau)
-        if key not in self._weighted:
-            self._weighted.clear()
-            self._weighted[key] = tuple(
-                _drop_unweighted(*node_set, lam, tau, self.psi_ref, powers)
-                for node_set, powers in ((self.volume, (3, 1, 0)),
-                                         (self.boundary, (3, 1))))
-        return self._weighted[key]
+        return tuple((nodes, weights, *rel[:, 0])
+                     for nodes, weights, rel in self.weighted_shells([(lam, tau)]))
 
     @property
     def lambda_threshold(self) -> float:
@@ -270,47 +320,59 @@ def _relative_exponents(dpsi: np.ndarray, lam: float, tau: float,
     return np.array([t1 + p * ldp + (p - 3) * lam * psi_ref for p in powers])
 
 
-def _drop_unweighted(nodes, weights, dpsi, lam, tau, psi_ref, powers) -> tuple:
-    """(nodes, weights, one weight row per power) on the nodes where some
-    relative weight e^{E} is not 0.0; the dropped nodes add exactly 0."""
-    rel = np.exp(_relative_exponents(dpsi, lam, tau, psi_ref, powers))
-    keep = np.any(rel != 0.0, axis=0)
-    return (nodes[keep], weights[keep], *rel[:, keep])
+def _squares(v: TestFunction, x: np.ndarray) -> tuple:
+    """v² and |∇v|² at the nodes x."""
+    g = np.asarray(v.gradient(x))
+    return np.asarray(v.value(x)) ** 2, np.einsum("ij,ij->i", g, g)
 
 
-def carleman_sides(v: TestFunction, setup: CarlemanSetup, lam: float,
-                   tau: float) -> CarlemanResult:
-    """Evaluate both sides of the annulus Carleman inequality for v.
+def carleman_sides(suite, setup: CarlemanSetup, pairs) -> list:
+    """Evaluate both sides of the annulus Carleman inequality for every test
+    function of ``suite`` at every weight pair (λ, τ) of ``pairs``.
 
     lhs = ∫ e^{2τφ}(m⁴λ⁴τ³φ³v² + m²λ²τφ|∇v|²)
     rhs = 8∫ e^{2τφ}(Δv)² + 48∫_Γ e^{2τφ}(M³λ³τ³φ³v² + Mλτφ|∇v|²)
 
     with φ = e^{λψ}, integrated over the setup's node sets; both sides are
-    divided by the common factor exp(2τφ_ref + 3λψ_ref) before being returned.
-    v is evaluated only on the nodes whose weights at (λ, τ) are not all 0.0
-    (``CarlemanSetup.weighted_nodes``).
+    divided by the common factor exp(2τφ_ref + 3λψ_ref).  Returns one list of
+    :class:`CarlemanResult` per pair, in suite order.
+
+    Every pair is checked before any v is evaluated.  The weights are built
+    per shell (:meth:`CarlemanSetup.weighted_shells`); each v is evaluated
+    once, on the shells where some pair's weight is not 0.0, and reduced at
+    once against every pair's weight row, so no (members × nodes) array is
+    formed.  A node set with no such shell is not evaluated at all.
     """
-    if not (np.isfinite(lam) and np.isfinite(tau)):
-        raise ValueError(f"lam and tau must be finite (lam = {lam}, tau = {tau})")
-    if lam < setup.lambda_threshold * (1.0 - 1e-12):
-        raise ValueError("weight exponent below the admissible threshold")
-    if tau < setup.tau_threshold * (1.0 - 1e-12):
-        raise ValueError("tau below the admissible threshold")
+    pairs = list(pairs)
+    for lam, tau in pairs:
+        if not (np.isfinite(lam) and np.isfinite(tau)):
+            raise ValueError(f"lam and tau must be finite (lam = {lam}, tau = {tau})")
+        if lam < setup.lambda_threshold * (1.0 - 1e-12):
+            raise ValueError("weight exponent below the admissible threshold")
+        if tau < setup.tau_threshold * (1.0 - 1e-12):
+            raise ValueError("tau below the admissible threshold")
     m, M = setup.m, setup.M
 
-    (xv, wv, w3, w1, w0), (xb, wb, b3, b1) = setup.weighted_nodes(lam, tau)
-    v2 = np.asarray(v.value(xv)) ** 2
-    g2 = np.sum(np.asarray(v.gradient(xv)) ** 2, axis=1)
-    l2 = np.asarray(v.laplacian(xv)) ** 2
-    lhs = float(np.sum(wv * (m**4 * lam**4 * tau**3 * w3 * v2
-                             + m**2 * lam**2 * tau * w1 * g2)))
-    rhs = 8.0 * float(np.sum(wv * w0 * l2))
+    # rows[i, j]: quadrature weight × relative weight × the coefficient of
+    # term i at pair j; lhs and rhs are sums of rows against v's squares
+    (xv, wv, rel_v), (xb, wb, rel_b) = setup.weighted_shells(pairs)
+    rows_v = np.array([[m**4 * lam**4 * tau**3, m**2 * lam**2 * tau, 8.0]
+                       for lam, tau in pairs]).T[:, :, None] * rel_v * wv
+    rows_b = np.array([[48.0 * M**3 * lam**3 * tau**3, 48.0 * M * lam * tau]
+                       for lam, tau in pairs]).T[:, :, None] * rel_b * wb
 
-    vb2 = np.asarray(v.value(xb)) ** 2
-    gb2 = np.sum(np.asarray(v.gradient(xb)) ** 2, axis=1)
-    rhs += 48.0 * float(np.sum(wb * (M**3 * lam**3 * tau**3 * b3 * vb2
-                                     + M * lam * tau * b1 * gb2)))
-    return CarlemanResult(lhs_factored=lhs, rhs_factored=rhs, lam=lam, tau=tau)
+    lhs, rhs = np.zeros((2, len(pairs), len(suite)))
+    for i, v in enumerate(suite):
+        if len(xv):
+            v2, g2 = _squares(v, xv)
+            lhs[:, i] = rows_v[0] @ v2 + rows_v[1] @ g2
+            rhs[:, i] = rows_v[2] @ np.asarray(v.laplacian(xv)) ** 2
+        if len(xb):
+            v2, g2 = _squares(v, xb)
+            rhs[:, i] = rhs[:, i] + rows_b[0] @ v2 + rows_b[1] @ g2
+    return [[CarlemanResult(lhs_factored=left, rhs_factored=right, lam=lam, tau=tau)
+             for left, right in zip(lhs[j].tolist(), rhs[j].tolist())]
+            for j, (lam, tau) in enumerate(pairs)]
 
 
 @dataclass(frozen=True)
@@ -528,7 +590,8 @@ def chain_lower_bound(n_steps, i0: float, m_tilde: float, c: float,
     space; closed form I_k = (C/ρ₀)^{(1−α^k)/(1−α)} M^{1−α^k} I₀^{α^k}.
     The final lower bound is (C r)^{γ/α^N} with γ = 3/2 + 1/(1−α), the
     dimension being three, and the simplified form is e^{−C/r^η},
-    η = 1 + 6|ln α|.
+    η = 1 + 6|ln α|.  Raises ``OverflowError`` if the log lower bound is not
+    a finite float.
     """
     n = int(getattr(n_steps, "count", n_steps))
     if not 0.0 < alpha < 1.0:
@@ -545,7 +608,12 @@ def chain_lower_bound(n_steps, i0: float, m_tilde: float, c: float,
                   + alpha**n * np.log(i0))
     beta = 1.0 / (1.0 - alpha)
     gamma = 1.5 + beta
-    log_lower = (gamma / alpha**n) * np.log(c * r) if n else np.log(i0)
+    # α^N underflows and γ/α^N overflows long before the chain's norms do
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        log_lower = (gamma / np.float64(alpha)**n) * np.log(c * r) if n else np.log(i0)
+    if not np.isfinite(log_lower):
+        raise OverflowError(f"the log lower bound (gamma/alpha^N) ln(c r) leaves the "
+                            f"float range at N = {n} chain steps (alpha = {alpha})")
     eta = 1.0 + 6.0 * abs(np.log(alpha))
     log_simplified = -c / r**eta
     return ChainBound(log_i_final=float(log_i), log_i_closed=float(log_closed),

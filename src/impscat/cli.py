@@ -254,23 +254,24 @@ def cmd_mie(cfg: dict) -> int:
 
 def cmd_carleman_check(cfg: dict) -> int:
     """Both Carleman sides for every suite member at 1, 2 and 4 times the
-    admissible (λ, τ).  ``weighted_nodes`` counts, per multiple, the nodes
-    whose weight relative to the common factor is not 0.0: at these
-    thresholds no volume node is left, so every lhs is 0.0 and every ratio
-    infinite."""
+    admissible (λ, τ), from one ``carleman_sides`` call.  ``weighted_nodes``
+    counts, per multiple, the nodes whose weight relative to the common
+    factor is not 0.0: at these thresholds no volume node is left, so every
+    lhs is 0.0 and every ratio infinite."""
     rho = float(_get(cfg, "rho", 1.0))
     d = float(_get(cfg, "d", 1.0))
     size = _get_size(cfg, "suite_size", 50, least=1)
     setup = carleman.CarlemanSetup(x0=np.zeros(3), rho=rho, d=d)
     suite = carleman.random_test_suite(size, seed=cfg["seed"])
+    multiples = (1.0, 2.0, 4.0)
+    pairs = [(mult * setup.lambda_threshold, mult * setup.tau_threshold)
+             for mult in multiples]
+    sides = carleman.carleman_sides(suite, setup, pairs)
     reports = []
     weighted = []
     all_pass = True
-    for mult in (1.0, 2.0, 4.0):
-        lam_w = mult * setup.lambda_threshold
-        tau = mult * setup.tau_threshold
-        for i, v in enumerate(suite):
-            res = carleman.carleman_sides(v, setup, lam_w, tau)
+    for mult, (lam_w, tau), results in zip(multiples, pairs, sides):
+        for i, res in enumerate(results):
             all_pass &= res.holds
             reports.append({"check": "carleman", "test_function": i,
                             "threshold_multiple": mult,

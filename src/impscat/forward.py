@@ -298,8 +298,11 @@ def mie_mode_coefficients(k: float, a: float, lam0: float,
     n = np.arange(band_limit + 1)
     hn, hnp = sph_hankel1(n, ka), sph_hankel1(n, ka, derivative=True)
     require_finite_hankel(ka, hn, hnp)
-    num = k * sph_bessel_j(n, ka, derivative=True) + 1j * lam0 * sph_bessel_j(n, ka)
-    return -num / (k * hnp + 1j * lam0 * hn)
+    # (k j_n' + iλ₀ j_n)/(k h_n' + iλ₀ h_n) with both divided through by h_n':
+    # k h_n' overflows where h_n' is still finite
+    num = (k * (sph_bessel_j(n, ka, derivative=True) / hnp)
+           + 1j * lam0 * (sph_bessel_j(n, ka) / hnp))
+    return -num / (k + 1j * lam0 * (hn / hnp))
 
 
 def _mie_band_limit(k: float, a: float, lam0: float) -> int:

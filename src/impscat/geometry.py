@@ -27,6 +27,13 @@ class GeometryError(ValueError):
     """Raised when a geometric construction or containment check fails."""
 
 
+def _norms(x) -> np.ndarray:
+    """|x| of each row of x (n, 3), through hypot: ``np.linalg.norm`` squares
+    the entries, which overflows from |x| ≈ 1.3e154 on."""
+    x = np.atleast_2d(x)
+    return np.hypot(np.hypot(x[:, 0], x[:, 1]), x[:, 2])
+
+
 @dataclass(frozen=True)
 class ObstacleGeometry:
     """Sphere with cone/exterior-ball data.
@@ -66,11 +73,11 @@ class ObstacleGeometry:
 
     def contains(self, x: np.ndarray) -> np.ndarray:
         """True where points lie strictly inside the obstacle."""
-        return np.linalg.norm(np.atleast_2d(x), axis=1) < self.radius
+        return _norms(x) < self.radius
 
     def distance_to_boundary(self, x: np.ndarray) -> np.ndarray:
         """dist(x, ∂D) = ||x| − a|."""
-        return np.abs(np.linalg.norm(np.atleast_2d(x), axis=1) - self.radius)
+        return np.abs(_norms(x) - self.radius)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +133,7 @@ class ConeChain:
 
     def nesting_residuals(self) -> np.ndarray:
         """|x_{k+1} − x_k| + ρ_{k+1} − 2 ρ_k; nesting requires <= 0."""
-        steps = np.linalg.norm(np.diff(self.centers, axis=0), axis=1)
+        steps = _norms(np.diff(self.centers, axis=0))
         return steps + self.radii[1:] - 2.0 * self.radii[:-1]
 
 
@@ -157,7 +164,7 @@ def build_cone_chain(x_tilde: np.ndarray, r: float, geom: ObstacleGeometry,
     chain = ConeChain(centers=centers, radii=radii, distances=dists,
                       ratio=mu, axis=xi)
     dist_bnd = geom.distance_to_boundary(centers)
-    outer_ok = np.linalg.norm(centers, axis=1) + 3.0 * radii <= big_r
+    outer_ok = _norms(centers) + 3.0 * radii <= big_r
     if np.any(dist_bnd <= 3.0 * radii) or not np.all(outer_ok):
         raise GeometryError("a chain ball B(x_k, 3ρ_k) exits the domain")
     return chain

@@ -80,14 +80,13 @@ def test_criterion_02_farfield_asymptotics():
 def test_criterion_03_carleman_suite():
     setup = CarlemanSetup(x0=np.zeros(3), rho=1.0, d=1.0)
     suite = random_test_suite(50, seed=0)
-    failures = 0
-    for mult in (1.0, 2.0, 4.0):
-        for v in suite:
-            res = carleman_sides(v, setup, mult * setup.lambda_threshold,
-                                 mult * setup.tau_threshold)
-            failures += 0 if res.holds else 1
+    pairs = [(mult * setup.lambda_threshold, mult * setup.tau_threshold)
+             for mult in (1.0, 2.0, 4.0)]
+    cases = [res for results in carleman_sides(suite, setup, pairs) for res in results]
+    failures = sum(0 if res.holds else 1 for res in cases)
     report("criterion 3: Carleman suite (50 fns x 3 thresholds)",
-           failures == 0, f"{failures} failures")
+           len(cases) == 150 and failures == 0,
+           f"{failures} failures in {len(cases)} cases")
 
 
 def test_criterion_04_three_sphere():

@@ -21,6 +21,17 @@ from impscat.geometry import ObstacleGeometry
 SETUP = CarlemanSetup(x0=np.zeros(3), rho=1.0, d=1.0)
 
 
+def sides(v, setup, lam, tau):
+    """carleman_sides for one function at one (λ, τ)."""
+    [[res]] = carleman_sides([v], setup, [(lam, tau)])
+    return res
+
+
+def threshold_pairs(setup, multiples=(1.0, 2.0, 4.0)):
+    return [(mult * setup.lambda_threshold, mult * setup.tau_threshold)
+            for mult in multiples]
+
+
 class TestTestFunctions:
     @pytest.mark.parametrize("v", [
         TestFunction.plane_wave(1.7, [0.3, -0.2, 0.9], 0.4),
@@ -101,26 +112,35 @@ class TestCarlemanSetup:
 class TestCarlemanInequality:
     def test_zero_function(self):
         v = TestFunction.quadratic(0.0, np.zeros(3), np.zeros((3, 3)))
-        res = carleman_sides(v, SETUP, SETUP.lambda_threshold, SETUP.tau_threshold)
+        res = sides(v, SETUP, SETUP.lambda_threshold, SETUP.tau_threshold)
         assert res.lhs_factored == 0.0
         assert res.rhs_factored == 0.0
 
     def test_suite_holds_at_thresholds(self):
         suite = random_test_suite(50, seed=11)
-        for mult in (1.0, 2.0, 4.0):
-            for v in suite:
-                res = carleman_sides(v, SETUP, mult * SETUP.lambda_threshold,
-                                     mult * SETUP.tau_threshold)
+        pairs = threshold_pairs(SETUP)
+        results = carleman_sides(suite, SETUP, pairs)
+        assert [len(row) for row in results] == [50, 50, 50]
+        for (lam, tau), row in zip(pairs, results):
+            for res in row:
+                assert (res.lam, res.tau) == (lam, tau)
                 assert res.holds
 
     def test_below_threshold_rejected(self):
         v = TestFunction.plane_wave(1.0, [0, 0, 1.0])
         with pytest.raises(ValueError):
-            carleman_sides(v, SETUP, 0.5 * SETUP.lambda_threshold,
-                           SETUP.tau_threshold)
+            sides(v, SETUP, 0.5 * SETUP.lambda_threshold, SETUP.tau_threshold)
         with pytest.raises(ValueError):
-            carleman_sides(v, SETUP, SETUP.lambda_threshold,
-                           0.5 * SETUP.tau_threshold)
+            sides(v, SETUP, SETUP.lambda_threshold, 0.5 * SETUP.tau_threshold)
+
+    def test_every_pair_checked_before_any_evaluation(self):
+        def refuse(x):
+            raise AssertionError("v evaluated before every pair was checked")
+
+        v = TestFunction("refuse", refuse, refuse, refuse)
+        pairs = threshold_pairs(SETUP) + [(SETUP.lambda_threshold, np.nan)]
+        with pytest.raises(ValueError, match="finite"):
+            carleman_sides([v], SETUP, pairs)
 
     @pytest.mark.parametrize("lam_mult, tau_mult", [(np.nan, 1.0), (1.0, np.nan),
                                                     (np.inf, 1.0), (1.0, np.inf)])
@@ -128,27 +148,27 @@ class TestCarlemanInequality:
         # NaN passes every threshold comparison; it must not reach the weights
         v = TestFunction.plane_wave(1.0, [0, 0, 1.0])
         with pytest.raises(ValueError, match="finite"):
-            carleman_sides(v, SETUP, lam_mult * SETUP.lambda_threshold,
-                           tau_mult * SETUP.tau_threshold)
+            sides(v, SETUP, lam_mult * SETUP.lambda_threshold,
+                  tau_mult * SETUP.tau_threshold)
 
     def test_homogeneity(self):
         v = TestFunction.plane_wave(1.3, [0.2, 0.5, 0.8], 0.7)
         v3 = TestFunction(v.kind, lambda x: 3 * v.value(x),
                           lambda x: 3 * v.gradient(x),
                           lambda x: 3 * v.laplacian(x))
-        a = carleman_sides(v, SETUP, SETUP.lambda_threshold, SETUP.tau_threshold)
-        b = carleman_sides(v3, SETUP, SETUP.lambda_threshold, SETUP.tau_threshold)
+        a, b = carleman_sides([v, v3], SETUP, threshold_pairs(SETUP, (1.0,)))[0]
         assert b.rhs_factored == pytest.approx(9 * a.rhs_factored, rel=1e-12)
         assert b.lhs_factored == pytest.approx(9 * a.lhs_factored, rel=1e-12)
 
     def test_ratio_nondecreasing_in_tau(self):
         suite = random_test_suite(10, seed=3)
-        for v in suite:
+        pairs = [(SETUP.lambda_threshold, mult * SETUP.tau_threshold)
+                 for mult in (1.0, 2.0, 4.0)]
+        results = carleman_sides(suite, SETUP, pairs)
+        for i in range(len(suite)):
             prev = None
-            for mult in (1.0, 2.0, 4.0):
-                res = carleman_sides(v, SETUP, SETUP.lambda_threshold,
-                                     mult * SETUP.tau_threshold)
-                ratio = res.ratio
+            for row in results:
+                ratio = row[i].ratio
                 if prev is not None and np.isfinite(prev) and np.isfinite(ratio):
                     assert ratio >= prev * 0.99
                 prev = ratio
@@ -162,28 +182,37 @@ class TestCarlemanInequality:
         monkeypatch.setattr(carleman, "_radial_rule", refuse)
         monkeypatch.setattr(carleman, "gauss_product_rule", refuse)
         v = TestFunction.plane_wave(1.3, [0.2, 0.5, 0.8], 0.7)
-        res = carleman_sides(v, setup, setup.lambda_threshold, setup.tau_threshold)
+        res = sides(v, setup, setup.lambda_threshold, setup.tau_threshold)
         assert res.holds
 
 
 ANNULI = [(np.zeros(3), 1.0, 1.0), (np.zeros(3), 2.0, 2.0),
           (np.zeros(3), 0.5, 3.0), (np.array([0.3, -0.7, 1.1]), 1.3, 0.6)]
+# so thin that at 1, 2 and 4 times the thresholds the innermost 4, 2 and 1
+# volume shells (2,312, 1,156 and 578 nodes) carry weight, and lhs > 0
+THIN_ANNULUS = (np.zeros(3), 1.0, 1e-10)
+
+
+def node_dpsi(node_set):
+    """ψ − ψ_ref at every node of a set, from its per-shell values."""
+    return np.repeat(node_set.dpsi, node_set.shell_size)
 
 
 def full_node_sides(v, setup, lam, tau):
     """(lhs, rhs) summed over every node of both sets: the reference the
     compressed node sets must reproduce."""
     m, M, psi_ref = setup.m, setup.M, setup.psi_ref
-    xv, wv, dpsi_v = setup.volume
-    w3, w1, w0 = np.exp(carleman._relative_exponents(dpsi_v, lam, tau, psi_ref,
-                                                     (3, 1, 0)))
+    xv, wv = setup.volume[:2]
+    w3, w1, w0 = np.exp(carleman._relative_exponents(node_dpsi(setup.volume), lam, tau,
+                                                     psi_ref, (3, 1, 0)))
     v2 = v.value(xv) ** 2
     g2 = np.sum(v.gradient(xv) ** 2, axis=1)
     lhs = np.sum(wv * (m**4 * lam**4 * tau**3 * w3 * v2
                        + m**2 * lam**2 * tau * w1 * g2))
     rhs = 8.0 * np.sum(wv * w0 * v.laplacian(xv) ** 2)
-    xb, wb, dpsi_b = setup.boundary
-    b3, b1 = np.exp(carleman._relative_exponents(dpsi_b, lam, tau, psi_ref, (3, 1)))
+    xb, wb = setup.boundary[:2]
+    b3, b1 = np.exp(carleman._relative_exponents(node_dpsi(setup.boundary), lam, tau,
+                                                 psi_ref, (3, 1)))
     rhs += 48.0 * np.sum(wb * (M**3 * lam**3 * tau**3 * b3 * v.value(xb) ** 2
                                + M * lam * tau * b1 * np.sum(v.gradient(xb) ** 2,
                                                              axis=1)))
@@ -192,6 +221,8 @@ def full_node_sides(v, setup, lam, tau):
 
 class TestWeightedNodes:
     def test_weights_built_once_per_lambda_tau(self, monkeypatch):
+        # one call builds the weights once per (λ, τ) and node set, on one
+        # ψ value per shell (48 volume, 2 boundary), whatever the suite size
         setup = CarlemanSetup(x0=np.zeros(3), rho=1.0, d=1.0)
         calls = []
         relative_exponents = carleman._relative_exponents
@@ -201,57 +232,70 @@ class TestWeightedNodes:
             return relative_exponents(dpsi, *args)
 
         monkeypatch.setattr(carleman, "_relative_exponents", counted)
-        suite = random_test_suite(50, seed=4)
-        for mult in (1.0, 2.0, 4.0):
-            for v in suite:
-                carleman_sides(v, setup, mult * setup.lambda_threshold,
-                               mult * setup.tau_threshold)
-            assert calls[-2:] == [setup.volume[2].size, setup.boundary[2].size]
-        assert len(calls) == 6
-        assert len(setup._weighted) == 1
+        carleman_sides(random_test_suite(50, seed=4), setup, threshold_pairs(setup))
+        assert sorted(calls) == [2, 2, 2, 48, 48, 48]
 
     def test_v_evaluated_only_on_weighted_nodes(self):
-        rows = []
+        # each closure once per call, on the shells where some pair's weight
+        # is not 0.0, and not at all on a set with no such shell
+        calls = {"value": [], "gradient": [], "laplacian": []}
 
-        def recorded(f):
+        def recorded(name, f):
             def g(x):
-                rows.append(np.array(x))
+                calls[name].append(np.array(x))
                 return f(x)
             return g
 
-        for x0, rho, d in ANNULI:
+        for x0, rho, d in ANNULI + [THIN_ANNULUS]:
             setup = CarlemanSetup(x0=x0, rho=rho, d=d)
             v = TestFunction.plane_wave(1.3, [0.2, 0.5, 0.8], 0.7)
-            v = TestFunction(v.kind, recorded(v.value), recorded(v.gradient),
-                             recorded(v.laplacian))
-            rows.clear()
-            carleman_sides(v, setup, setup.lambda_threshold, setup.tau_threshold)
-            volume_rows, boundary_rows = rows[:3], rows[3:]
-            assert all(x.shape == (0, 3) for x in volume_rows)
-            inner_sphere = np.split(setup.boundary[0], 2)[0]
-            for x in boundary_rows:
-                np.testing.assert_array_equal(x, inner_sphere)
+            v = TestFunction(v.kind, *(recorded(name, getattr(v, name)) for name in calls))
+            for rows in calls.values():
+                rows.clear()
+            carleman_sides([v], setup, threshold_pairs(setup))
+            inner_sphere = np.split(setup.boundary.nodes, 2)[0]
+            volume = [setup.volume.nodes[:2312]] if d < 1e-6 else []
+            for name, rows in calls.items():
+                expected = volume if name == "laplacian" else volume + [inner_sphere]
+                assert len(rows) == len(expected)
+                for x, want in zip(rows, expected):
+                    np.testing.assert_array_equal(x, want)
 
-    @pytest.mark.parametrize("x0, rho, d", ANNULI)
+    @pytest.mark.parametrize("x0, rho, d", ANNULI + [THIN_ANNULUS])
     def test_compressed_sums_match_full_nodes(self, x0, rho, d):
         setup = CarlemanSetup(x0=x0, rho=rho, d=d)
         suite = random_test_suite(6, seed=9)
         suite.append(TestFunction.point_source(1.2, [0.0, 0.0, -9.0]))
-        for mult in (1.0, 4.0):
-            lam, tau = mult * setup.lambda_threshold, mult * setup.tau_threshold
-            for v in suite:
-                res = carleman_sides(v, setup, lam, tau)
+        pairs = threshold_pairs(setup)
+        for (lam, tau), row in zip(pairs, carleman_sides(suite, setup, pairs)):
+            for v, res in zip(suite, row):
                 lhs, rhs = full_node_sides(v, setup, lam, tau)
-                assert res.lhs_factored == lhs == 0.0
+                if d < 1e-6:
+                    assert lhs > 0.0
+                    assert res.lhs_factored == pytest.approx(lhs, rel=1e-13, abs=0.0)
+                else:
+                    assert res.lhs_factored == lhs == 0.0
                 assert res.rhs_factored == pytest.approx(rhs, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("x0, rho, d", [ANNULI[0], THIN_ANNULUS])
+    def test_member_alone_equals_member_in_suite(self, x0, rho, d):
+        setup = CarlemanSetup(x0=x0, rho=rho, d=d)
+        suite = random_test_suite(50, seed=2)
+        pairs = threshold_pairs(setup)
+        together = carleman_sides(suite, setup, pairs)
+        for i, v in enumerate(suite):
+            for row, [alone] in zip(together, carleman_sides([v], setup, pairs)):
+                assert (row[i].lhs_factored, row[i].rhs_factored) == \
+                    (alone.lhs_factored, alone.rhs_factored)
 
     def test_every_nonzero_weight_kept(self):
         setup = CarlemanSetup(x0=np.zeros(3), rho=1.0, d=1.0)
         lam, tau = 6.0, 1.0  # far below the thresholds: inner volume shells carry weight
         weighted = setup.weighted_nodes(lam, tau)
-        for (nodes, weights, dpsi), powers, kept in zip(
+        for node_set, powers, kept in zip(
                 (setup.volume, setup.boundary), ((3, 1, 0), (3, 1)), weighted):
-            rel = np.exp(carleman._relative_exponents(dpsi, lam, tau,
+            nodes, weights = node_set[:2]
+            rel = np.exp(carleman._relative_exponents(node_dpsi(node_set), lam, tau,
                                                       setup.psi_ref, powers))
             keep = np.any(rel != 0.0, axis=0)
             assert 0 < np.count_nonzero(keep) < keep.size
@@ -453,6 +497,12 @@ class TestChainLowerBound:
             chain_lower_bound(3, 1.0, 1.0, 1.0, 1.5, 0.1)
         with pytest.raises(ValueError):
             chain_lower_bound(3, -1.0, 1.0, 1.0, 0.5, 0.1)
+
+    def test_overflowing_log_bound_raises(self):
+        # α^N = 0.5^1100 underflows to 0, so γ/α^N is not a float
+        with pytest.raises(OverflowError, match="N = 1100 chain steps"):
+            chain_lower_bound(1100, 1.0, 1.0, 0.5, 0.5, 0.1)
+        assert np.isfinite(chain_lower_bound(1000, 1.0, 1.0, 0.5, 0.5, 0.1).log_lower_bound)
 
     @pytest.mark.parametrize("index", [0, 1, 2, 3])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

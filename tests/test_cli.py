@@ -12,6 +12,7 @@ import pytest
 
 import impscat
 
+from impscat import carleman
 from impscat.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -356,6 +357,18 @@ class TestArtifacts:
         assert summary["count"] == 22
         assert summary["iteration_residual"] <= 1e-12
 
+    def test_chain_far_outer_radius_writes_one_error_record(self, tmp_path, capsys):
+        # at R = 1e300 the chain's norms stay finite and the log lower bound
+        # overflows: one numerical record, and no numpy warning (an error here)
+        path = write_config(tmp_path, "c.json", {})
+        assert main(["chain", path, "--set", "R=1e300"]) == EXIT_NUMERICAL
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        record = json.loads(err)
+        assert record["error"] == "numerical"
+        assert "N = 5179 chain steps" in record["message"]
+
     def test_three_sphere_summary(self, tmp_path, capsys):
         path = write_config(tmp_path, "c.json", {"k": 2.0, "seed": 7})
         assert main(["three-sphere", path]) == EXIT_OK
@@ -473,6 +486,54 @@ class TestCarlemanCommand:
         err = json.loads(err)
         assert err["error"] == "validation"
         assert f"{key} = {float(value)}" in err["message"]
+
+    @pytest.mark.parametrize("key,value", [("rho", 1e100), ("d", 1e300),
+                                           ("rho", 1e-100), ("rho", 1e-200)])
+    def test_thresholds_out_of_float_range_is_validation(self, tmp_path, capsys,
+                                                         key, value):
+        # m⁴ underflows to 0 (rho = 1e100, d = 1e300), M³ overflows (rho =
+        # 1e-100) or ρ² underflows to 0 (rho = 1e-200); under pytest a numpy
+        # warning is an error, so the record is all there is on stderr
+        path = write_config(tmp_path, "c.json", {"suite_size": 1})
+        assert main(["carleman-check", path, "--set", f"{key}={value}"]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        record = json.loads(err)
+        assert record["error"] == "validation"
+        assert f"{key} = {value}" in record["message"]
+        assert "rho = " in record["message"] and "d = " in record["message"]
+
+    def test_one_sides_call_and_no_volume_closure(self, tmp_path, capsys, monkeypatch):
+        # at the default annulus no volume shell carries weight: each member's
+        # value and gradient run once, on the 1,250 inner-sphere nodes
+        calls, rows = [], []
+        sides, suite_of = carleman.carleman_sides, carleman.random_test_suite
+
+        def counted(*args):
+            calls.append(args)
+            return sides(*args)
+
+        def recorded(f):
+            def g(x):
+                rows.append(len(x))
+                return f(x)
+            return g
+
+        def refuse(x):
+            raise AssertionError("a volume closure was called")
+
+        def watched_suite(size, seed=0):
+            return [carleman.TestFunction(v.kind, recorded(v.value), recorded(v.gradient),
+                                          refuse) for v in suite_of(size, seed)]
+
+        monkeypatch.setattr(carleman, "carleman_sides", counted)
+        monkeypatch.setattr(carleman, "random_test_suite", watched_suite)
+        path = write_config(tmp_path, "c.json", {"suite_size": 5})
+        assert main(["carleman-check", path]) == EXIT_OK
+        assert len(json.loads(capsys.readouterr().out)["reports"]) == 15
+        assert len(calls) == 1
+        assert rows == [1250] * 10
 
     @pytest.mark.parametrize("command,key,value", [
         ("carleman-check", "suite_size", 0), ("carleman-check", "suite_size", -4),

@@ -403,6 +403,27 @@ class TestScatteredField:
         assert variance <= 1e-10
 
 
+def mp_mie_coefficient(k, a, lam0, n):
+    """−(k j_n' + iλ₀ j_n)/(k h_n' + iλ₀ h_n) at ka, at 40 digits, with
+    f_n' = f_{n−1} − (n+1) f_n/x (f_0' = −f_1)."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        k, x = mp.mpf(k), mp.mpf(k) * mp.mpf(a)
+
+        def radial(bessel, m):
+            return mp.sqrt(mp.pi / (2 * x)) * bessel(m + mp.mpf(1) / 2, x)
+
+        def with_slope(bessel):
+            value = radial(bessel, n)
+            slope = radial(bessel, n - 1) - (n + 1) * value / x if n else -radial(bessel, 1)
+            return value, slope
+
+        (jn, jp), (yn, yp) = with_slope(mp.besselj), with_slope(mp.bessely)
+        return complex(-(k * jp + 1j * lam0 * jn)
+                       / (k * mp.mpc(jp, yp) + 1j * lam0 * mp.mpc(jn, yn)))
+
+
 class TestMieOracle:
     def test_vanishing_obstacle(self):
         norms = []
@@ -457,6 +478,26 @@ class TestMieOracle:
         with pytest.raises(NumericalError, match="degree 150, ka = 1$"):
             forward.mie_mode_coefficients(1.0, 1.0, 1.0, 200)
         assert np.all(np.isfinite(forward.mie_mode_coefficients(1.0, 1.0, 1.0, 149)))
+
+    def test_large_hankel_derivative_times_k_stays_finite(self):
+        # ka = 1: h_149' ≈ 2e306 is finite but k·h_149' is not; warnings are
+        # errors under pytest.  Below 1e-300 the float result underflows.
+        coeffs = forward.mie_mode_coefficients(1000.0, 1e-3, 1.0, 149)
+        assert np.all(np.isfinite(coeffs))
+        ref = np.array([mp_mie_coefficient(1000.0, 1e-3, 1.0, n) for n in range(150)])
+        assert np.all(np.abs(coeffs - ref) <= 1e-12 * np.abs(ref) + 1e-300)
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("lam0", [0.0, 1.0, 5.0])
+    def test_coefficients_match_the_undivided_quotient(self, k, lam0):
+        # −(k j_n' + iλ₀ j_n)/(k h_n' + iλ₀ h_n) as written, to 1e-14 where
+        # it is a normal float
+        n = np.arange(41)
+        hn, hnp = specfun.sph_hankel1(n, k), specfun.sph_hankel1(n, k, derivative=True)
+        quotient = -((k * specfun.sph_bessel_j(n, k, derivative=True)
+                      + 1j * lam0 * specfun.sph_bessel_j(n, k)) / (k * hnp + 1j * lam0 * hn))
+        coeffs = forward.mie_mode_coefficients(k, 1.0, lam0, 40)
+        assert np.all(np.abs(coeffs - quotient) <= 1e-14 * np.abs(quotient) + 1e-300)
 
     @pytest.mark.parametrize("k,band_limit", [(1.0, 150), (1e-3, 120)])
     def test_solve_past_the_overflow_is_a_numerical_error(self, k, band_limit):

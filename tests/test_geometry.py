@@ -138,6 +138,17 @@ class TestConeChain:
         assert np.allclose(ratios, chain.ratio, rtol=1e-14)
         assert chain.distances[0] == pytest.approx(0.05)
 
+    def test_far_chain_norms_do_not_overflow(self):
+        # |x| ≈ 1e299: the squares of the entries overflow, and a numpy
+        # warning is an error under pytest
+        geom = ObstacleGeometry()
+        x = np.array([[3e298, -4e298, 1.2e299]])
+        assert geom.distance_to_boundary(x)[0] == pytest.approx(1.3e299, rel=1e-15)
+        assert not geom.contains(x)[0]
+        chain = build_cone_chain(np.array([0.0, 0.0, 1.0]), 0.1, geom, 1e300)
+        assert chain.count == chain_ball_count(0.1, 1e300, geom.cone_half_angle)
+        assert np.all(np.isfinite(chain.nesting_residuals()))
+
     def test_rejects_small_outer_radius(self):
         geom = ObstacleGeometry()
         with pytest.raises(GeometryError):
