@@ -326,6 +326,16 @@ def _squares(v: TestFunction, x: np.ndarray) -> tuple:
     return np.asarray(v.value(x)) ** 2, np.einsum("ij,ij->i", g, g)
 
 
+def _require_finite(pairs, values: np.ndarray, what: str) -> None:
+    """Raise ``OverflowError`` at the first pair (λ, τ) whose row of
+    ``values`` is not finite."""
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        lam, tau = pairs[int(np.argmax(bad))]
+        raise OverflowError(f"a Carleman {what} leaves the float range at "
+                            f"lam = {lam:.6g}, tau = {tau:.6g}")
+
+
 def carleman_sides(suite, setup: CarlemanSetup, pairs) -> list:
     """Evaluate both sides of the annulus Carleman inequality for every test
     function of ``suite`` at every weight pair (λ, τ) of ``pairs``.
@@ -337,7 +347,9 @@ def carleman_sides(suite, setup: CarlemanSetup, pairs) -> list:
     divided by the common factor exp(2τφ_ref + 3λψ_ref).  Returns one list of
     :class:`CarlemanResult` per pair, in suite order.
 
-    Every pair is checked before any v is evaluated.  The weights are built
+    Every pair is checked before any v is evaluated, and so is every
+    coefficient: ``OverflowError`` names the first (λ, τ) where a coefficient,
+    or afterwards a side, is not a finite float.  The weights are built
     per shell (:meth:`CarlemanSetup.weighted_shells`); each v is evaluated
     once, on the shells where some pair's weight is not 0.0, and reduced at
     once against every pair's weight row, so no (members × nodes) array is
@@ -351,25 +363,31 @@ def carleman_sides(suite, setup: CarlemanSetup, pairs) -> list:
             raise ValueError("weight exponent below the admissible threshold")
         if tau < setup.tau_threshold * (1.0 - 1e-12):
             raise ValueError("tau below the admissible threshold")
-    m, M = setup.m, setup.M
+    m, M = np.float64(setup.m), np.float64(setup.M)
 
-    # rows[i, j]: quadrature weight × relative weight × the coefficient of
-    # term i at pair j; lhs and rhs are sums of rows against v's squares
+    # coefficients[j, i]: the coefficient of term i at pair j, in numpy
+    # floats, so that one past the float range is inf and raises here
+    with np.errstate(over="ignore"):
+        coefficients = np.array([[m**4 * lam**4 * tau**3, m**2 * lam**2 * tau, 8.0,
+                                  48.0 * M**3 * lam**3 * tau**3, 48.0 * M * lam * tau]
+                                 for lam, tau in np.array(pairs, dtype=float)])
+    _require_finite(pairs, coefficients, "coefficient")
+    # rows[i, j]: quadrature weight × relative weight × coefficients[j, i];
+    # lhs and rhs are sums of rows against v's squares
     (xv, wv, rel_v), (xb, wb, rel_b) = setup.weighted_shells(pairs)
-    rows_v = np.array([[m**4 * lam**4 * tau**3, m**2 * lam**2 * tau, 8.0]
-                       for lam, tau in pairs]).T[:, :, None] * rel_v * wv
-    rows_b = np.array([[48.0 * M**3 * lam**3 * tau**3, 48.0 * M * lam * tau]
-                       for lam, tau in pairs]).T[:, :, None] * rel_b * wb
-
     lhs, rhs = np.zeros((2, len(pairs), len(suite)))
-    for i, v in enumerate(suite):
-        if len(xv):
-            v2, g2 = _squares(v, xv)
-            lhs[:, i] = rows_v[0] @ v2 + rows_v[1] @ g2
-            rhs[:, i] = rows_v[2] @ np.asarray(v.laplacian(xv)) ** 2
-        if len(xb):
-            v2, g2 = _squares(v, xb)
-            rhs[:, i] = rhs[:, i] + rows_b[0] @ v2 + rows_b[1] @ g2
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite side raises below
+        rows_v = coefficients.T[:3, :, None] * rel_v * wv
+        rows_b = coefficients.T[3:, :, None] * rel_b * wb
+        for i, v in enumerate(suite):
+            if len(xv):
+                v2, g2 = _squares(v, xv)
+                lhs[:, i] = rows_v[0] @ v2 + rows_v[1] @ g2
+                rhs[:, i] = rows_v[2] @ np.asarray(v.laplacian(xv)) ** 2
+            if len(xb):
+                v2, g2 = _squares(v, xb)
+                rhs[:, i] = rhs[:, i] + rows_b[0] @ v2 + rows_b[1] @ g2
+    _require_finite(pairs, np.hstack((lhs, rhs)), "side")
     return [[CarlemanResult(lhs_factored=left, rhs_factored=right, lam=lam, tau=tau)
              for left, right in zip(lhs[j].tolist(), rhs[j].tolist())]
             for j, (lam, tau) in enumerate(pairs)]

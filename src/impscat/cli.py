@@ -19,7 +19,7 @@ import tempfile
 import numpy as np
 
 from . import carleman, forward, geometry, layer_ops, stability
-from .specfun import _check_product_rule, gauss_product_rule
+from .specfun import gauss_product_rule
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -168,15 +168,13 @@ def atomic_write_text(path: str, text: str):
 
 def farfield_csv(ff: forward.FarField) -> str:
     """One ``theta,phi,re_uinf,im_uinf`` row per node, in the rule's
-    ring-major order, every float as ``%.17g``.  On a product rule θ takes
-    one value per ring and φ one per azimuth, so each is formatted once and
-    only the samples are formatted per row."""
+    ring-major order, every float as ``%.17g``.  θ takes one value per ring
+    and φ one per azimuth, so each is formatted once and only the samples
+    are formatted per row."""
     rule = ff.rule
-    _check_product_rule(rule)
-    n_phi = 2 * rule.order + 2
-    theta = np.arccos(np.clip(rule.mu, -1.0, 1.0))
-    rings = ["%.17g," % t for t in theta[::n_phi].tolist()]
-    azimuths = ["%.17g," % p for p in rule.phi[:n_phi].tolist()]
+    theta = np.arccos(np.clip(rule.mu[::rule.azimuths], -1.0, 1.0))
+    rings = ["%.17g," % t for t in theta.tolist()]
+    azimuths = ["%.17g," % p for p in rule.phi[:rule.azimuths].tolist()]
     prefixes = [t + p for t in rings for p in azimuths]
     rows = zip(prefixes, ff.samples.real.tolist(), ff.samples.imag.tolist())
     return "theta,phi,re_uinf,im_uinf\n" + "".join(

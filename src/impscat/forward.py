@@ -43,7 +43,6 @@ from .layer_ops import (
     default_coupling,
     exterior_trace_operators,
     incident_coefficients,
-    modal_table,
     multiplication_operator,
     radiating_coefficient_diagonal,
     require_finite_hankel,
@@ -56,7 +55,6 @@ from .specfun import (
     gauss_product_rule,
     harmonic_degrees,
     plane_wave_amplitudes,
-    sph_bessel_j,
     sph_hankel1,
     sph_harmonic_all,
 )
@@ -66,7 +64,7 @@ from .specfun import (
 class WaveContext:
     """Incident plane wave u^i(x) = exp(i k x·ω), and the tables of its solves.
 
-    ``modal(a, N)`` is :func:`impscat.layer_ops.modal_table` at (k, a, N) and
+    ``modal(a, N)`` is :class:`impscat.layer_ops.ModalTable` at (k, a, N) and
     ``incident_amplitudes(N)`` is :func:`impscat.specfun.plane_wave_amplitudes`
     at (ω, N).  Each is built on first use and kept, read-only, until a call
     of its kind asks for another key: a context holds at most one of each,
@@ -95,7 +93,7 @@ class WaveContext:
     def modal(self, a: float, band_limit: int) -> ModalTable:
         """The modal table of the radius-a sphere at this k, degrees <= N."""
         return self._kept("modal", (a, band_limit),
-                          lambda: modal_table(self.k, a, band_limit))
+                          lambda: ModalTable(self.k, a, band_limit))
 
     def incident_amplitudes(self, band_limit: int) -> np.ndarray:
         """Plane-wave amplitudes of this wave, degrees <= N (read-only)."""
@@ -298,10 +296,9 @@ def mie_mode_coefficients(k: float, a: float, lam0: float,
     n = np.arange(band_limit + 1)
     hn, hnp = sph_hankel1(n, ka), sph_hankel1(n, ka, derivative=True)
     require_finite_hankel(ka, hn, hnp)
-    # (k j_n' + iλ₀ j_n)/(k h_n' + iλ₀ h_n) with both divided through by h_n':
-    # k h_n' overflows where h_n' is still finite
-    num = (k * (sph_bessel_j(n, ka, derivative=True) / hnp)
-           + 1j * lam0 * (sph_bessel_j(n, ka) / hnp))
+    # (k j_n' + iλ₀ j_n)/(k h_n' + iλ₀ h_n), j_n = Re h_n, with both divided
+    # through by h_n': k h_n' overflows where h_n' is still finite
+    num = k * (hnp.real / hnp) + 1j * lam0 * (hn.real / hnp)
     return -num / (k + 1j * lam0 * (hn / hnp))
 
 

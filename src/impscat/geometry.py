@@ -132,9 +132,13 @@ class ConeChain:
         return len(self.radii) - 1  # N: the balls are k = 0..N
 
     def nesting_residuals(self) -> np.ndarray:
-        """|x_{k+1} − x_k| + ρ_{k+1} − 2 ρ_k; nesting requires <= 0."""
+        """|x_{k+1} − x_k| + ρ_{k+1} − 2 ρ_k relative to |x_k| + |x_{k+1}| +
+        ρ_{k+1} + 2 ρ_k, the size of its operands; nesting requires <= 0.
+        An exactly nested chain reads as rounding, about 1e-16, at any scale."""
+        norms = _norms(self.centers)
         steps = _norms(np.diff(self.centers, axis=0))
-        return steps + self.radii[1:] - 2.0 * self.radii[:-1]
+        inner, outer = self.radii[1:], 2.0 * self.radii[:-1]
+        return (steps + inner - outer) / (norms[:-1] + norms[1:] + inner + outer)
 
 
 def build_cone_chain(x_tilde: np.ndarray, r: float, geom: ObstacleGeometry,

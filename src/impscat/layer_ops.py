@@ -26,11 +26,11 @@ Y_n^m, and by the Wronskian j_n h_n' − j_n' h_n = i/(ka)² the two traces
 above are c_n h_n(ka) and c_n k h_n'(ka).  So every diagonal of a solve (the
 traces, c_n, the incident coefficients, the system and its right-hand side)
 reads one :class:`ModalTable`: j_n, j_n', h_n, h_n' and S₀² at (k, a, N),
-built by :func:`modal_table` with four Bessel/Hankel calls.  There j_n may
-underflow to 0, but an h_n or h_n' past the float range raises
-:class:`NumericalError` at its degree.  The readers take
-the table in place of (k, a, N) and call no Bessel function themselves;
-:class:`impscat.forward.WaveContext` keeps the table of its solves.
+built on construction from two Hankel calls.  There j_n may underflow to 0,
+but an h_n or h_n' past the float range raises :class:`NumericalError` at
+its degree.  The readers take the table in place of (k, a, N) and call no
+Bessel function themselves; :class:`impscat.forward.WaveContext` keeps the
+table of its solves.
 
 Every operator but M_{iλ} is diagonal.  On the Gauss × uniform-azimuth
 product rule, with Y_n^m = P̄_n^m(μ) e^{imφ}, the φ-sum in entry
@@ -58,7 +58,7 @@ modules a solve loads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -73,7 +73,6 @@ from .specfun import (
     gauss_product_rule,
     harmonic_degrees,
     num_harmonics,
-    sph_bessel_j,
     sph_hankel1,
 )
 
@@ -247,7 +246,7 @@ def sphere_operator_eigenvalue(op_kind: str, k: float, a: float, n):
     if k <= 0:
         raise ValueError("need wavenumber k > 0")
     degrees = degrees.astype(int)
-    table = modal_table(k, a, int(degrees.max(initial=0)))
+    table = ModalTable(k, a, int(degrees.max(initial=0)))
     at = degrees * (degrees + 1)  # the flat index of (n, 0)
     jn, jnp, hn, hnp = table.jn[at], table.jnp[at], table.hn[at], table.hnp[at]
     if op_kind == "S":
@@ -257,12 +256,6 @@ def sphere_operator_eigenvalue(op_kind: str, k: float, a: float, n):
     return 2j * k**3 * a * a * jnp * hnp  # T
 
 
-def sphere_operator_diagonal(op_kind: str, k: float, a: float,
-                             band_limit: int) -> np.ndarray:
-    per_degree = sphere_operator_eigenvalue(op_kind, k, a, np.arange(band_limit + 1))
-    return per_degree[harmonic_degrees(band_limit)]
-
-
 @dataclass(frozen=True)
 class ModalTable:
     """The per-degree values of the radius-a sphere at wavenumber k, n <= N.
@@ -270,37 +263,33 @@ class ModalTable:
     Each array is flat-indexed like a density ((N+1)^2 entries, the value of
     degree n repeated for its 2n + 1 orders) and read-only: j_n(ka), j_n'(ka),
     h_n(ka), h_n'(ka) (derivatives in the argument ka), and S₀² = (2a/(2n+1))².
+    (k, a, N) fix every value, so they are built on construction from two
+    Hankel calls over the degrees 0..N (j_n and j_n' are their real parts),
+    the only special-function calls a solve makes, and the S₀ eigenvalues.
+    j_n(ka) may underflow to 0; an h_n(ka) or h_n'(ka) that overflows raises
+    :class:`NumericalError`.
     """
 
     k: float
     a: float
     band_limit: int
-    jn: np.ndarray
-    jnp: np.ndarray
-    hn: np.ndarray
-    hnp: np.ndarray
-    s0sq: np.ndarray
+    jn: np.ndarray = field(init=False, repr=False, compare=False)
+    jnp: np.ndarray = field(init=False, repr=False, compare=False)
+    hn: np.ndarray = field(init=False, repr=False, compare=False)
+    hnp: np.ndarray = field(init=False, repr=False, compare=False)
+    s0sq: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for arr in (self.jn, self.jnp, self.hn, self.hnp, self.s0sq):
-            arr.setflags(write=False)
-
-
-def modal_table(k: float, a: float, band_limit: int) -> ModalTable:
-    """The :class:`ModalTable` at (k, a, N): four Bessel/Hankel calls over the
-    degrees 0..N and one S₀ diagonal, the only ones a solve makes.
-
-    j_n(ka) may underflow to 0; an h_n(ka) or h_n'(ka) that overflows raises
-    :class:`NumericalError`.
-    """
-    n, degs, ka = np.arange(band_limit + 1), harmonic_degrees(band_limit), k * a
-    hn, hnp = sph_hankel1(n, ka), sph_hankel1(n, ka, derivative=True)
-    require_finite_hankel(ka, hn, hnp)
-    return ModalTable(
-        k=k, a=a, band_limit=band_limit,
-        jn=sph_bessel_j(n, ka)[degs], jnp=sph_bessel_j(n, ka, derivative=True)[degs],
-        hn=hn[degs], hnp=hnp[degs],
-        s0sq=sphere_operator_diagonal("S0", k, a, band_limit) ** 2)
+        n, ka = np.arange(self.band_limit + 1), self.k * self.a
+        hn, hnp = sph_hankel1(n, ka), sph_hankel1(n, ka, derivative=True)
+        require_finite_hankel(ka, hn, hnp)
+        s0 = sphere_operator_eigenvalue("S0", self.k, self.a, n)
+        degs = harmonic_degrees(self.band_limit)
+        for name, per_degree in (("jn", hn.real), ("jnp", hnp.real), ("hn", hn),
+                                 ("hnp", hnp), ("s0sq", s0 ** 2)):
+            values = per_degree[degs]
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
 
 def multiplication_operator(lam: ImpedanceField, band_limit: int) -> BoundaryOperatorMatrix:
@@ -320,12 +309,11 @@ def assemble_multiplication(lam: ImpedanceField, band_limit: int) -> BoundaryOpe
     |n − n'| <= N_λ are kept (see the module docstring); the rest vanish.
     """
     rule = gauss_product_rule(max(band_limit + lam.band_limit, band_limit + 2))
-    rings = rule.order + 1
     # fft gives Σ_l a_l e^{−iqφ_l} at index q mod L, so F_q sits at −q mod L;
     # row q + N_λ of ``fourier`` holds F_q on every ring
-    ring_sums = np.fft.fft((rule.weights * lam.evaluate_on(rule)).reshape(rings, -1))
+    ring_sums = np.fft.fft((rule.weights * lam.evaluate_on(rule)).reshape(rule.rings, -1))
     nq = lam.band_limit
-    fourier = ring_sums[:, -np.arange(-nq, nq + 1) % ring_sums.shape[1]].T
+    fourier = ring_sums[:, -np.arange(-nq, nq + 1) % rule.azimuths].T
     legendre = _ring_legendre(band_limit, rule.order)  # P̄_n^m(μ_j), m-major rows
     b, scatter = _band_scatter(band_limit, nq)
     entries = np.zeros((2 * b + 1, num_harmonics(band_limit)), dtype=complex)

@@ -28,7 +28,7 @@ once, kept in a bounded cache and read-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import acosh, ceil, cos, inf, isqrt, sin
 
@@ -284,21 +284,37 @@ def real_sph_harmonic_all(band_limit: int, mu, phi) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Product rule on the unit sphere: nodes (mu=cosθ, phi) with weights.
+    """Gauss-Legendre x uniform-azimuth product rule on the unit sphere.
 
-    Weights are positive and sum to the sphere area 4π.  A rule built with
-    ``gauss_product_rule(N)`` integrates spherical harmonics exactly up to
-    degree 2N+1.
+    The order fixes the read-only nodes (mu=cosθ, phi), ring-major: ``rings``
+    = order + 1 Gauss latitudes of ``azimuths`` = 2·order + 2 uniform ones.
+    The weights sum to 4π; harmonics of degree <= 2·order + 1 integrate exactly.
     """
 
-    mu: np.ndarray
-    phi: np.ndarray
-    weights: np.ndarray
     order: int
+    mu: np.ndarray = field(init=False, repr=False, compare=False)
+    phi: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for arr in (self.mu, self.phi, self.weights):
+        if self.order < 1:
+            raise ValueError("band limit must be >= 1")
+        mu_1d, w_1d = np.polynomial.legendre.leggauss(self.rings)
+        n_phi = self.azimuths
+        phi_1d = 2.0 * np.pi * np.arange(n_phi) / n_phi
+        for name, arr in (("mu", np.repeat(mu_1d, n_phi)),
+                          ("phi", np.tile(phi_1d, self.rings)),
+                          ("weights", np.repeat(w_1d, n_phi) * (2.0 * np.pi / n_phi))):
             arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def rings(self) -> int:
+        return self.order + 1
+
+    @property
+    def azimuths(self) -> int:
+        return 2 * self.order + 2
 
     @property
     def npts(self) -> int:
@@ -317,16 +333,8 @@ class QuadratureRule:
 
 @lru_cache(maxsize=16)
 def gauss_product_rule(band_limit: int) -> QuadratureRule:
-    """Gauss-Legendre (N+1 polar) x uniform (2N+2 azimuth) product rule."""
-    if band_limit < 1:
-        raise ValueError("band limit must be >= 1")
-    mu_1d, w_1d = np.polynomial.legendre.leggauss(band_limit + 1)
-    n_phi = 2 * band_limit + 2
-    phi_1d = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    mu = np.repeat(mu_1d, n_phi)
-    phi = np.tile(phi_1d, band_limit + 1)
-    w = np.repeat(w_1d, n_phi) * (2.0 * np.pi / n_phi)
-    return QuadratureRule(mu=mu, phi=phi, weights=w, order=band_limit)
+    """The :class:`QuadratureRule` of order N, built once per N."""
+    return QuadratureRule(band_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -380,23 +388,11 @@ def _ring_legendre(band_limit: int, order: int) -> np.ndarray:
     Row (n, m) is Y_n^m at φ = 0, so Y_n^m(μ_j, φ) is that row times e^{imφ}
     for either sign of m.
     """
-    rings = order + 1
-    mu = gauss_product_rule(order).mu[::2 * rings]
-    table = sph_harmonic_all(band_limit, mu, np.zeros(rings)).real[_m_major(band_limit)[0]]
+    rule = gauss_product_rule(order)
+    mu = rule.mu[::rule.azimuths]
+    table = sph_harmonic_all(band_limit, mu, np.zeros(rule.rings)).real[_m_major(band_limit)[0]]
     table.setflags(write=False)
     return table
-
-
-def _check_product_rule(rule: QuadratureRule) -> None:
-    """Raise unless ``rule`` has the nodes of ``gauss_product_rule(rule.order)``:
-    order + 1 Gauss rings of 2·order + 2 uniform azimuths."""
-    rings = rule.order + 1
-    if rule.order >= 1 and rule.npts == rings * (2 * rings):
-        gauss = gauss_product_rule(rule.order)
-        if rule is gauss or (np.array_equal(rule.mu, gauss.mu)
-                             and np.array_equal(rule.phi, gauss.phi)):
-            return
-    raise ValueError("rule is not a Gauss x uniform-azimuth product rule")
 
 
 def _synthesize(coeffs, rule: QuadratureRule) -> np.ndarray:
@@ -412,13 +408,11 @@ def _synthesize(coeffs, rule: QuadratureRule) -> np.ndarray:
     """
     coeffs = np.asarray(coeffs)
     band_limit = _band_limit_of(coeffs.shape[-1])
-    _check_product_rule(rule)
     table = _ring_legendre(band_limit, rule.order)
     perm, bounds = _m_major(band_limit)
     per_order = np.add.reduceat(coeffs[..., perm, None] * table,
                                 bounds[:-1], axis=-2)  # G_m on every ring
-    rings, n_phi = table.shape[1], 2 * table.shape[1]
-    spectrum = np.zeros(coeffs.shape[:-1] + (rings, n_phi), dtype=complex)
-    bins = np.arange(-band_limit, band_limit + 1) % n_phi
+    spectrum = np.zeros(coeffs.shape[:-1] + (rule.rings, rule.azimuths), dtype=complex)
+    bins = np.arange(-band_limit, band_limit + 1) % rule.azimuths
     np.add.at(spectrum, (..., bins), np.swapaxes(per_order, -1, -2))
     return np.fft.ifft(spectrum, norm="forward").reshape(coeffs.shape[:-1] + (-1,))

@@ -142,7 +142,7 @@ class StabilitySweep:
 
 def _perturbed(base: ImpedanceField, shape: np.ndarray,
                eps: float) -> ImpedanceField:
-    shape = np.asarray(getattr(shape, "coefficients", shape), dtype=float)
+    shape = np.asarray(shape, dtype=float)
     n = max(base.coefficients.size, shape.size)
     coeffs = np.zeros(n)
     coeffs[: base.coefficients.size] = base.coefficients

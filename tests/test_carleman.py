@@ -1,5 +1,7 @@
 """Weighted-inequality machinery: Carleman, continuation, chains."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,32 @@ class TestCarlemanInequality:
         with pytest.raises(ValueError, match="finite"):
             sides(v, SETUP, lam_mult * SETUP.lambda_threshold,
                   tau_mult * SETUP.tau_threshold)
+
+    @pytest.mark.parametrize("rho", [1e-5, 1e-10])
+    def test_coefficient_out_of_range_raises_before_any_evaluation(self, rho):
+        # m⁴λ⁴τ³ overflows although the thresholds λ, τ are finite floats
+        def refuse(x):
+            raise AssertionError("v evaluated although a coefficient overflows")
+
+        setup = CarlemanSetup(x0=np.zeros(3), rho=rho, d=1.0)
+        lam, tau = setup.lambda_threshold, setup.tau_threshold
+        named = re.escape(f"lam = {lam:.6g}, tau = {tau:.6g}")
+        with pytest.raises(OverflowError, match=f"coefficient .* {named}$"):
+            carleman_sides([TestFunction("refuse", refuse, refuse, refuse)], setup,
+                           threshold_pairs(setup))
+
+    def test_side_out_of_range_raises(self):
+        # at ρ = 5e-5 every coefficient is finite and a unit plane wave's rhs
+        # is about 1e292; scaled by 1e10 its rhs overflows
+        setup = CarlemanSetup(x0=np.zeros(3), rho=5e-5, d=1.0)
+        v = TestFunction.plane_wave(1.0, [0, 0, 1.0])
+        big = TestFunction(v.kind, lambda x: 1e10 * v.value(x),
+                           lambda x: 1e10 * v.gradient(x),
+                           lambda x: 1e10 * v.laplacian(x))
+        assert np.isfinite(sides(v, setup, setup.lambda_threshold,
+                                 setup.tau_threshold).rhs_factored)
+        with pytest.raises(OverflowError, match="side leaves the float range"):
+            carleman_sides([v, big], setup, threshold_pairs(setup))
 
     def test_homogeneity(self):
         v = TestFunction.plane_wave(1.3, [0.2, 0.5, 0.8], 0.7)

@@ -28,7 +28,7 @@ from impscat.cli import (
     validate_common,
 )
 from impscat.forward import FarField, WaveContext, mie_farfield
-from impscat.specfun import QuadratureRule, gauss_product_rule
+from impscat.specfun import gauss_product_rule
 from impscat.stability import StabilityRecord, StabilitySweep
 
 
@@ -306,15 +306,6 @@ class TestArtifacts:
         assert ff.rule is gauss_product_rule(ff.rule.order)  # the default rule
         assert farfield_csv(ff) == self._per_row_csv(ff)
 
-    def test_farfield_csv_rejects_a_rule_off_the_gauss_nodes(self):
-        # rows are built from the ring layout, so the nodes must have it
-        rule = gauss_product_rule(4)
-        shifted = QuadratureRule(mu=rule.mu, phi=rule.phi + 0.1,
-                                 weights=rule.weights, order=4)
-        with pytest.raises(ValueError):
-            farfield_csv(FarField(samples=np.ones(rule.npts, dtype=complex),
-                                  rule=shifted))
-
     def test_high_frequency_farfield(self, tmp_path, capsys):
         # the dense synthesis matrix would need 8.8 GiB here
         path = write_config(tmp_path, "c.json", {})
@@ -356,6 +347,13 @@ class TestArtifacts:
         summary = json.loads(capsys.readouterr().out)
         assert summary["count"] == 22
         assert summary["iteration_residual"] <= 1e-12
+
+    def test_chain_nesting_residual_is_relative(self, tmp_path, capsys):
+        # at |x| ≈ 1e49 the absolute residual is rounding of about 1e33
+        path = write_config(tmp_path, "c.json", {})
+        assert main(["chain", path, "--set", "R=1e50"]) == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["max_nesting_residual"] <= 1e-15
 
     def test_chain_far_outer_radius_writes_one_error_record(self, tmp_path, capsys):
         # at R = 1e300 the chain's norms stay finite and the log lower bound
@@ -503,6 +501,20 @@ class TestCarlemanCommand:
         assert record["error"] == "validation"
         assert f"{key} = {value}" in record["message"]
         assert "rho = " in record["message"] and "d = " in record["message"]
+
+    @pytest.mark.parametrize("rho", ["1e-5", "1e-10"])
+    def test_sides_out_of_float_range_is_numerical(self, tmp_path, capsys, rho):
+        # the thresholds are finite floats, but the coefficient m⁴λ⁴τ³ is not:
+        # one numerical record naming λ and τ, and no numpy warning (an error here)
+        path = write_config(tmp_path, "c.json", {"suite_size": 2})
+        assert main(["carleman-check", path, "--set", f"rho={rho}"]) == EXIT_NUMERICAL
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        record = json.loads(err)
+        assert record["error"] == "numerical"
+        assert "leaves the float range at lam = " in record["message"]
+        assert ", tau = " in record["message"]
 
     def test_one_sides_call_and_no_volume_closure(self, tmp_path, capsys, monkeypatch):
         # at the default annulus no volume shell carries weight: each member's

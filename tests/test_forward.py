@@ -1,5 +1,6 @@
 """Forward solver against the separation-of-variables reference."""
 
+import dataclasses
 import sys
 import warnings
 
@@ -30,10 +31,10 @@ from impscat.geometry import ObstacleGeometry
 from impscat.layer_ops import (
     BoundaryOperatorMatrix,
     ImpedanceField,
+    ModalTable,
     NumericalError,
     SingularSystemError,
     assemble_combined_system,
-    modal_table,
     multiplication_operator,
 )
 from impscat.specfun import (
@@ -164,12 +165,13 @@ class TestContextTables:
         ctx = WaveContext(k=1.0, omega=ZHAT)
         stability_sweep(ImpedanceField.constant(1.5), shape, [0.0125, 0.025, 0.05, 0.1],
                         ctx, GEOM, band_limit=24)
-        # j_n, j_n', h_n, h_n' at ka, and one set of plane-wave amplitudes
-        assert counts == {"sph_bessel_j": 2, "sph_hankel1": 2, "plane_wave_amplitudes": 1}
+        # h_n and h_n' at ka (j_n, j_n' are their real parts), and one set
+        # of plane-wave amplitudes
+        assert counts == {"sph_bessel_j": 0, "sph_hankel1": 2, "plane_wave_amplitudes": 1}
         # a fresh context at the same wave reuses nothing
         solve_farfield(WaveContext(k=1.0, omega=ZHAT), GEOM, ImpedanceField.constant(1.5),
                        band_limit=24)
-        assert counts == {"sph_bessel_j": 4, "sph_hankel1": 4, "plane_wave_amplitudes": 2}
+        assert counts == {"sph_bessel_j": 0, "sph_hankel1": 4, "plane_wave_amplitudes": 2}
 
     def test_tables_are_read_only(self):
         ctx = WaveContext(k=1.0, omega=ZHAT)
@@ -178,6 +180,12 @@ class TestContextTables:
                        ctx.incident_amplitudes(6)):
             with pytest.raises(ValueError):
                 values[0] = 0.0
+
+    def test_table_is_keyed_by_its_inputs(self):
+        assert [f.name for f in dataclasses.fields(ModalTable) if f.init] == \
+            ["k", "a", "band_limit"]
+        table = WaveContext(k=2.0, omega=ZHAT).modal(1.5, 6)
+        assert table == ModalTable(2.0, 1.5, 6) != ModalTable(2.0, 1.5, 7)
 
     def test_context_keeps_the_latest_key(self):
         ctx = WaveContext(k=1.0, omega=ZHAT)
@@ -195,7 +203,7 @@ class TestContextTables:
         k = 10.0 ** log_k
         n, ka, degs = np.arange(band_limit + 1), k * a, harmonic_degrees(band_limit)
         with np.errstate(all="ignore"):
-            table = modal_table(k, a, band_limit)
+            table = ModalTable(k, a, band_limit)
             direct = {"jn": sph_bessel_j(n, ka), "jnp": sph_bessel_j(n, ka, derivative=True),
                       "hn": sph_hankel1(n, ka), "hnp": sph_hankel1(n, ka, derivative=True)}
         for name, values in direct.items():
@@ -271,7 +279,7 @@ class TestSingularityCheck:
     nb = 12
 
     def assembled(self):
-        return assemble_combined_system(modal_table(1.0, 1.0, self.nb),
+        return assemble_combined_system(ModalTable(1.0, 1.0, self.nb),
                                         multiplication_operator(self.lam, self.nb),
                                         1.0).entries[0]
 

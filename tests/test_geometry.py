@@ -131,6 +131,13 @@ class TestConeChain:
         assert np.all(np.linalg.norm(chain.centers, axis=1)
                       + 3.0 * chain.radii <= 8.0)
 
+    @pytest.mark.parametrize("r,big_r", [(0.1, 8.0), (0.1, 1e50), (0.1, 1e300), (1e-9, 8.0)])
+    def test_nesting_residual_is_relative(self, r, big_r):
+        # the chain nests with equality; at |x| ≈ 1e49 an absolute residual
+        # would be rounding of about 1e33
+        chain = build_cone_chain(np.array([0.0, 0.0, 1.0]), r, ObstacleGeometry(), big_r)
+        assert np.max(np.abs(chain.nesting_residuals())) <= 1e-15
+
     def test_distances_geometric(self):
         geom = ObstacleGeometry()
         chain = build_cone_chain(np.array([1.0, 0.0, 0.0]), 0.1, geom, 8.0)

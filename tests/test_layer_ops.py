@@ -14,15 +14,14 @@ from impscat import layer_ops
 from impscat.layer_ops import (
     BoundaryOperatorMatrix,
     ImpedanceField,
+    ModalTable,
     NumericalError,
     SingularSystemError,
     assemble_combined_system,
     assemble_multiplication,
     default_coupling,
     exterior_trace_operators,
-    modal_table,
     multiplication_operator,
-    sphere_operator_diagonal,
     sphere_operator_eigenvalue,
 )
 from impscat.specfun import (
@@ -56,7 +55,7 @@ def variable_field(lam_band, seed):
 
 def system_for(lam, band_limit, k=1.0, a=1.0, eta=1.0):
     """The combined system of ``lam`` at (k, a, N), with its M_{iλ}."""
-    return assemble_combined_system(modal_table(k, a, band_limit),
+    return assemble_combined_system(ModalTable(k, a, band_limit),
                                     multiplication_operator(lam, band_limit), eta)
 
 
@@ -253,7 +252,7 @@ class TestCombinedSystem:
         # ka = 4.49... is near the first Dirichlet eigenvalue of the ball
         mult = multiplication_operator(ImpedanceField.constant(1.0), 12)
         for k in (1.0, 2.0, np.pi, 4.493409457909064):
-            system = assemble_combined_system(modal_table(k, 1.0, 12), mult,
+            system = assemble_combined_system(ModalTable(k, 1.0, 12), mult,
                                               default_coupling(k))
             # the system is diagonal: its singular values are |entries|
             smin = np.abs(system.entries).min()
@@ -262,7 +261,7 @@ class TestCombinedSystem:
     def test_singularity_raised_without_coupling_balance(self):
         # eta = 0 is rejected outright: the ansatz loses its uniqueness fix
         with pytest.raises(ValueError):
-            assemble_combined_system(modal_table(1.0, 1.0, 8),
+            assemble_combined_system(ModalTable(1.0, 1.0, 8),
                                      multiplication_operator(ImpedanceField.constant(1.0), 8),
                                      0.0)
 
@@ -285,7 +284,7 @@ class TestCombinedSystem:
         lam = ImpedanceField(coefficients=np.array([1.5 * np.sqrt(4 * np.pi), 0.0, 0.2, 0.0]))
         assert not lam.is_constant
         built = unpack_band(assemble_combined_system(
-            modal_table(1.0, 1.0, 8), assemble_multiplication(lam, 8), 1.0).entries)
+            ModalTable(1.0, 1.0, 8), assemble_multiplication(lam, 8), 1.0).entries)
         const = system_for(ImpedanceField.constant(1.5), 8)
         np.testing.assert_allclose(np.diag(built), np.diag(unpack_band(const.entries)),
                                    rtol=0.0, atol=1e-12)
@@ -295,7 +294,7 @@ class TestCombinedSystem:
         # the assembled system is exactly the impedance condition applied
         # to the traces: A = I - (2 dtrace + 1) - 2 i lambda trace
         k, a, eta, lam0, nb = 1.0, 1.0, 1.0, 1.0, 10
-        tr, dtr = exterior_trace_operators(modal_table(k, a, nb), eta)
+        tr, dtr = exterior_trace_operators(ModalTable(k, a, nb), eta)
         system = system_for(ImpedanceField.constant(lam0), nb, k, a, eta)
         expected = 1.0 - ((2.0 * dtr + 1.0) + 1j * lam0 * 2.0 * tr)
         assert np.allclose(np.diag(unpack_band(system.entries)), expected, atol=1e-12)
@@ -305,12 +304,13 @@ class TestCombinedSystem:
         # the Wronskian form equals the S/K/T/S0 form of both traces
         a, nb = 1.0, 40
         eta = default_coupling(k)
-        tr, dtr = exterior_trace_operators(modal_table(k, a, nb), eta)
-        s, kk, t, s0 = (sphere_operator_diagonal(kind, k, a, nb)
-                        for kind in ("S", "K", "T", "S0"))
-        np.testing.assert_allclose(tr, 0.5 * (s + 1j * eta * (kk + 1.0) * s0**2),
+        table = ModalTable(k, a, nb)
+        tr, dtr = exterior_trace_operators(table, eta)
+        s, kk, t = (sphere_operator_eigenvalue(kind, k, a, np.arange(nb + 1))[harmonic_degrees(nb)]
+                    for kind in ("S", "K", "T"))
+        np.testing.assert_allclose(tr, 0.5 * (s + 1j * eta * (kk + 1.0) * table.s0sq),
                                    rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(dtr, 0.5 * (kk - 1.0 + 1j * eta * t * s0**2),
+        np.testing.assert_allclose(dtr, 0.5 * (kk - 1.0 + 1j * eta * t * table.s0sq),
                                    rtol=1e-12, atol=0.0)
 
 
@@ -386,7 +386,7 @@ class TestBandSolve:
 
 class TestDiagonalHelpers:
     def test_diagonal_expansion(self):
-        diag = sphere_operator_diagonal("S0", 1.0, 2.0, 3)
+        diag = sphere_operator_eigenvalue("S0", 1.0, 2.0, np.arange(4))[harmonic_degrees(3)]
         assert diag.size == num_harmonics(3)
         assert diag[0] == pytest.approx(4.0)
         assert np.allclose(diag[1:4], 4.0 / 3.0)
@@ -402,8 +402,8 @@ class TestHankelOverflow:
     @pytest.mark.parametrize("k,band_limit,degree", [(1.0, 150, 150), (1e-3, 120, 65)])
     def test_modal_table_names_the_first_overflow(self, k, band_limit, degree):
         with pytest.raises(NumericalError, match=f"degree {degree}, ka = {k:g}$"):
-            modal_table(k, 1.0, band_limit)
-        table = modal_table(k, 1.0, degree - 1)
+            ModalTable(k, 1.0, band_limit)
+        table = ModalTable(k, 1.0, degree - 1)
         for values in (table.jn, table.jnp, table.hn, table.hnp):
             assert np.all(np.isfinite(values))
 

@@ -1,5 +1,7 @@
 """Special-function primitives against independent oracles."""
 
+import dataclasses
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -270,6 +272,26 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             rule.weights[0] = 0.0
 
+    @pytest.mark.parametrize("order", [1, 2, 5, 24, 64])
+    def test_rule_is_keyed_by_its_order(self, order):
+        # the explicit Gauss-Legendre x uniform-azimuth construction
+        mu_1d, w_1d = np.polynomial.legendre.leggauss(order + 1)
+        n_phi = 2 * order + 2
+        phi_1d = 2.0 * np.pi * np.arange(n_phi) / n_phi
+        rule = QuadratureRule(order)
+        np.testing.assert_array_equal(rule.mu, np.repeat(mu_1d, n_phi))
+        np.testing.assert_array_equal(rule.phi, np.tile(phi_1d, order + 1))
+        np.testing.assert_array_equal(rule.weights,
+                                      np.repeat(w_1d, n_phi) * (2.0 * np.pi / n_phi))
+        assert (rule.rings, rule.azimuths, rule.npts) == (order + 1, n_phi, (order + 1) * n_phi)
+        for arr in (rule.mu, rule.phi, rule.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert rule == gauss_product_rule(order)
+        assert [f.name for f in dataclasses.fields(QuadratureRule) if f.init] == ["order"]
+        with pytest.raises(ValueError, match="band limit must be >= 1"):
+            QuadratureRule(0)
+
 
 def dense_on_rule(coeffs, rule, basis):
     """The oracle coeffs @ basis(N, rule.mu, rule.phi), a few rings at a time."""
@@ -322,18 +344,6 @@ class TestRingSynthesis:
             _synthesize(np.ones(5), rule)  # not (N+1)^2 coefficients
         with pytest.raises(ValueError):
             _complex_coefficients(np.ones(0))
-        ring = QuadratureRule(mu=rule.mu[:10], phi=rule.phi[:10],
-                              weights=rule.weights[:10], order=4)
-        with pytest.raises(ValueError):
-            _synthesize(np.ones(4), ring)  # not the product-rule layout
-
-    def test_rejects_a_rule_off_the_gauss_nodes(self):
-        # the ring tables are keyed by the order, so the nodes must be its own
-        rule = gauss_product_rule(4)
-        shifted = QuadratureRule(mu=rule.mu, phi=rule.phi + 0.1,
-                                 weights=rule.weights, order=4)
-        with pytest.raises(ValueError):
-            _synthesize(np.ones(4), shifted)
 
 
 class TestCachedTables:

@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import impscat.cli  # noqa: F401  (loads every traced module)
 from impscat import forward
@@ -96,3 +97,30 @@ def test_traced_carleman_jobs_reach_predicted_groups(tmp_path, capsys):
     jobs = [("carleman-check", {"suite_size": 1}), ("three-sphere", {"k": 2.0}),
             ("chain", {})]
     assert traced_jobs_mismatch("verify-carleman", jobs, tmp_path, capsys) == set()
+
+
+# one small job per benchmark subcommand; the stability sweep perturbs by
+# degree 2, as the sweep-variable workload does
+CHECKED_JOBS = [
+    ("farfield", {"k": 1.3, "impedance": 0.7, "band_limit": 12}),
+    ("stability-sweep", {"k": 1.0, "impedance": 1.5, "band_limit": 12,
+                         "perturbation": [0.0, 0.3, -0.2, 0.1, 0.25, -0.1, 0.2, 0.0, 0.1],
+                         "eps_list": [0.025, 0.05, 0.1]}),
+    ("carleman-check", {"suite_size": 2}),
+    ("three-sphere", {"k": 2.0}),
+    ("chain", {}),
+]
+
+
+@pytest.mark.parametrize("subcommand,config", CHECKED_JOBS,
+                         ids=[subcommand for subcommand, _ in CHECKED_JOBS])
+def test_benchmark_checker_accepts_each_job(subcommand, config, tmp_path, capsys):
+    # the benchmark scores a job its checker rejects as a failure; a change
+    # that breaks what the checker calls (solve_density, boundary_traces,
+    # gauss_product_rule and the rule's nodes) shows here, not only as a
+    # benchmark success_rate of 0
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**config, "output": str(tmp_path / "out.csv"),
+                                "summary": str(tmp_path / "summary.json")}))
+    code = impscat.cli.main([subcommand, str(path)])
+    assert load_perfbench("checks").Checker().check(subcommand, str(path), code) is None
