@@ -49,7 +49,6 @@ class TestFunction:
 
     __test__ = False  # not a pytest class despite the name
 
-    kind: str
     value: callable
     gradient: callable
     laplacian: callable
@@ -70,7 +69,7 @@ class TestFunction:
         def lap(x):
             return -k * k * val(x)
 
-        return TestFunction("plane-wave", val, grad, lap, k)
+        return TestFunction(val, grad, lap, k)
 
     @staticmethod
     def quadratic(const: float, linear, quad) -> "TestFunction":
@@ -90,28 +89,7 @@ class TestFunction:
             x = np.atleast_2d(x)
             return np.full(x.shape[0], 2.0 * np.trace(a))
 
-        return TestFunction("quadratic", val, grad, lap)
-
-    @staticmethod
-    def point_source(k: float, source) -> "TestFunction":
-        """cos(k|x−y|)/|x−y|: real Helmholtz solution away from the source."""
-        y = np.asarray(source, dtype=float)
-
-        def val(x):
-            r = np.linalg.norm(np.atleast_2d(x) - y, axis=1)
-            return np.cos(k * r) / r
-
-        def grad(x):
-            x = np.atleast_2d(x)
-            dx = x - y
-            r = np.linalg.norm(dx, axis=1)
-            dvdr = -(k * np.sin(k * r) * r + np.cos(k * r)) / r**2
-            return (dvdr / r)[:, None] * dx
-
-        def lap(x):
-            return -k * k * val(x)
-
-        return TestFunction("point-source", val, grad, lap, k)
+        return TestFunction(val, grad, lap)
 
 
 def random_test_suite(size: int, seed: int = 0) -> list[TestFunction]:
@@ -188,16 +166,6 @@ class NodeSet(NamedTuple):
 _VOLUME_POWERS, _BOUNDARY_POWERS = (3, 1, 0), (3, 1)
 
 
-def _thresholds_in_range(m: float, M: float) -> bool:
-    """Whether m⁴ > 0 and λ_min = 6M³/m⁴, τ_min = 88M⁶/m⁴ are finite, found
-    in numpy floats, which overflow to inf where Python floats raise."""
-    with np.errstate(over="ignore", under="ignore"):
-        m4 = np.float64(m) ** 4
-        big = np.float64(M)
-        return bool(m4 > 0 and np.isfinite(6.0 * big**3 / m4)
-                    and np.isfinite(88.0 * big**6 / m4))
-
-
 @dataclass(frozen=True)
 class CarlemanSetup:
     """Annulus {ρ < |x − x₀| < ρ+d} with the log weight ψ and its norms.
@@ -207,8 +175,9 @@ class CarlemanSetup:
     second partials (10 multi-index terms), floored at 1.  ψ is radial and
     decreasing, so each sup is taken at |x − x₀| = ρ in closed form:
     sup ψ = ψ_ref, sup|∂ψ| = 2/ρ, sup|∂²ψ| = 2/ρ².  Raises ``ValueError``
-    unless ρ and d are positive and finite and the thresholds λ_min, τ_min
-    they give are finite floats.
+    unless ρ and d are positive and finite and the thresholds they give,
+    λ_min = 6M³/m⁴ and τ_min = 88M⁶/m⁴ of :func:`corollary_thresholds` at
+    Λ = 0, stored as ``lambda_threshold`` and ``tau_threshold``, are finite.
 
     ``volume`` (48 radial Gauss nodes × sphere order 16) and ``boundary``
     (order 24 on both spheres) are the node sets, each a :class:`NodeSet` in
@@ -222,6 +191,8 @@ class CarlemanSetup:
     d: float
     m: float = field(init=False)
     M: float = field(init=False)
+    lambda_threshold: float = field(init=False)
+    tau_threshold: float = field(init=False)
     volume: NodeSet = field(init=False, repr=False, compare=False)
     boundary: NodeSet = field(init=False, repr=False, compare=False)
 
@@ -239,9 +210,13 @@ class CarlemanSetup:
             total = float(self.psi_ref + 3 * (2.0 / self.rho) + 3 * sup_d2 + 3 * sup_d2)
         object.__setattr__(self, "m", min(1.0, 2.0 / (self.rho + self.d)))
         object.__setattr__(self, "M", max(total, 1.0))
-        if not _thresholds_in_range(self.m, self.M):
+        # m⁴ is 0 where ρ + d overflows or m⁴ underflows
+        limits = corollary_thresholds(0.0, self.m, self.M) if self.m**4 > 0 else None
+        if limits is None or not np.isfinite([limits.lambda_min, limits.tau_min]).all():
             raise ValueError(f"annulus radii put the admissible thresholds outside "
                              f"the float range {named}")
+        object.__setattr__(self, "lambda_threshold", limits.lambda_min)
+        object.__setattr__(self, "tau_threshold", limits.tau_min)
 
         sphere = gauss_product_rule(24)
         radii = (self.rho, self.rho + self.d)
@@ -269,16 +244,6 @@ class CarlemanSetup:
         """
         return tuple((nodes, weights, *rel[:, 0])
                      for nodes, weights, rel in self.weighted_shells([(lam, tau)]))
-
-    @property
-    def lambda_threshold(self) -> float:
-        """λ_min = 6M³/m⁴ of :func:`corollary_thresholds` at Λ = 0."""
-        return corollary_thresholds(0.0, self.m, self.M).lambda_min
-
-    @property
-    def tau_threshold(self) -> float:
-        """τ_min = 88M⁶/m⁴ of :func:`corollary_thresholds` at Λ = 0."""
-        return corollary_thresholds(0.0, self.m, self.M).tau_min
 
     @property
     def psi_ref(self) -> float:
@@ -401,13 +366,16 @@ class CorollaryThresholds:
 
 
 def corollary_thresholds(big_lambda: float, m: float, M: float) -> CorollaryThresholds:
-    """Both admissible (λ_min, τ_min) pairs for the perturbed operator."""
+    """Both admissible (λ_min, τ_min) pairs for the perturbed operator, found
+    in numpy floats: one past the float range is inf, not an ``OverflowError``."""
     if m <= 0 or M <= 0 or big_lambda < 0:
         raise ValueError("m, M must be positive and the operator bound nonnegative")
-    primary = (6.0 * M**3 / m**4, max(88.0 * M**6, 16.0 * big_lambda) / m**4)
-    alternate = (max(6.0 * M**3, 16.0 * big_lambda) / m**4, 88.0 * M**6 / m**4)
-    return CorollaryThresholds(lambda_min=primary[0], tau_min=primary[1],
-                               alternate=alternate)
+    m, M = np.float64(m), np.float64(M)
+    with np.errstate(over="ignore", divide="ignore"):
+        primary = (6.0 * M**3 / m**4, max(88.0 * M**6, 16.0 * big_lambda) / m**4)
+        alternate = (max(6.0 * M**3, 16.0 * big_lambda) / m**4, 88.0 * M**6 / m**4)
+    return CorollaryThresholds(lambda_min=float(primary[0]), tau_min=float(primary[1]),
+                               alternate=(float(alternate[0]), float(alternate[1])))
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,14 @@ def _get(cfg: dict, key: str, default, integer: bool = False):
     return value
 
 
+def _get_point(cfg: dict, key: str, default: list) -> np.ndarray:
+    """List key ``key`` of 3 numbers, as a point."""
+    value = _get(cfg, key, default)
+    if len(value) != 3:
+        raise ConfigError(f"{key} must be a list of 3 numbers ({key} = {value})")
+    return np.asarray(value, dtype=float)
+
+
 def _get_size(cfg: dict, key: str, default: int, least: int) -> int:
     """Integer key ``key`` in [least, MAX_SUITE_SIZE]."""
     value = _get(cfg, key, default, integer=True)
@@ -289,7 +297,7 @@ def cmd_carleman_check(cfg: dict) -> int:
 def cmd_three_sphere(cfg: dict) -> int:
     k = float(cfg["k"])
     r = float(_get(cfg, "ball_radius", 0.2))
-    y = np.asarray(_get(cfg, "center", [2.0, 0.0, 0.0]), dtype=float)
+    y = _get_point(cfg, "center", [2.0, 0.0, 0.0])
     size = _get_size(cfg, "family_size", 8, least=2)
     rng = np.random.default_rng(cfg["seed"])
     family = [
@@ -309,8 +317,7 @@ def cmd_chain(cfg: dict) -> int:
     theta = float(_get(cfg, "cone_half_angle", np.pi / 6))
     geom = geometry.ObstacleGeometry(radius=float(cfg["radius"]),
                                      cone_half_angle=theta)
-    x_tilde = np.asarray(_get(cfg, "x_tilde", [0.0, 0.0, float(cfg["radius"])]),
-                         dtype=float)
+    x_tilde = _get_point(cfg, "x_tilde", [0.0, 0.0, float(cfg["radius"])])
     chain = geometry.build_cone_chain(x_tilde, r, geom, big_r)
     bound = carleman.chain_lower_bound(chain, i0=float(_get(cfg, "i0", 1.0)),
                                        m_tilde=float(_get(cfg, "m_tilde", 1.0)),
@@ -354,6 +361,8 @@ def cmd_lemma51(cfg: dict) -> int:
     geom = build_geometry(cfg)
     lam = build_impedance(cfg)
     candidates = _get(cfg, "r_candidates", [2.0, 4.0, 8.0, 16.0, 32.0])
+    if not candidates:
+        raise ConfigError("r_candidates must be a non-empty list of numbers")
     report = stability.lemma51_check(ctx, geom, lam, candidates, cfg["band_limit"])
     payload = {"qualifying_radius": report.qualifying_radius,
                "found": report.found,

@@ -7,9 +7,9 @@ follows from h_n(kr) ~ (−i)^{n+1} e^{ikr}/(kr).
 
 Every outgoing-wave sum Σ amps_nm R_n Y_n^m, for the solver and for the Mie
 reference alike, goes through the single evaluator ``_outgoing_wave``:
-R_n is h_n(kr) or k h_n'(kr) at points outside the obstacle, and
-(−i)^{n+1}/k on a far-field quadrature rule.  On a rule, as for the
-boundary traces, the sum goes through the ring transform
+R_n is h_n(kr) at points outside the obstacle, and (−i)^{n+1}/k on a
+far-field quadrature rule.  On a rule, as for the boundary traces, the sum
+goes through the ring transform
 :func:`impscat.specfun._synthesize` (a Legendre sum per ring latitude,
 then one inverse FFT per ring), so no (N+1)² × npts matrix is formed.
 A shell |x| = r of product-rule directions (``scattered_on_shell``, for the
@@ -171,8 +171,9 @@ def solve_density(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField,
     with its exact rcond; otherwise one banded LU both estimates its
     conditioning and solves it.  Raises :class:`SingularSystemError`
     if the system has a non-finite entry or its relative 1-norm rcond is
-    below 1e-12, ``RuntimeError`` if the relative residual exceeds 1e-12,
-    and :class:`ResolutionError` if the tail fraction exceeds 1e-8.
+    below 1e-12, ``RuntimeError`` unless the residual relative to the rhs
+    (both scaled by max|rhs|) is at most 1e-12, and :class:`ResolutionError`
+    if the tail fraction exceeds 1e-8; a zero rhs is checked for neither.
     """
     eta = default_coupling(ctx.k) if eta is None else eta
     table = ctx.modal(geom.radius, band_limit)
@@ -181,12 +182,14 @@ def solve_density(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField,
     g = rhs_from_incident(table, ctx.incident_amplitudes(band_limit), mult)
     rhs = -2.0 * g
     phi = system.solve(rhs)
-    res = np.linalg.norm(system.matvec(phi) - rhs)
-    scale = np.linalg.norm(rhs)
-    if scale > 0 and res > 1e-12 * scale:
-        raise RuntimeError(f"linear solve residual {res / scale:.2e} exceeds 1e-12")
+    peak = np.max(np.abs(rhs))
+    if peak > 0:
+        # both vectors scaled by max|rhs| first, so that neither norm overflows
+        ratio = np.linalg.norm((system.matvec(phi) - rhs) / peak) / np.linalg.norm(rhs / peak)
+        if not ratio <= 1e-12:
+            raise RuntimeError(f"linear solve residual {ratio:.2e} exceeds 1e-12")
     density = HarmonicDensity(coeffs=phi, eta=eta)
-    if density.tail_fraction() > 1e-8 and scale > 0:
+    if peak > 0 and density.tail_fraction() > 1e-8:
         raise ResolutionError(
             f"density tail fraction {density.tail_fraction():.2e} exceeds 1.0e-08"
         )
@@ -199,16 +202,14 @@ def radiating_coefficients(phi: HarmonicDensity, ctx: WaveContext,
     return radiating_coefficient_diagonal(table, phi.eta) * phi.coeffs
 
 
-def _outgoing_wave(amps: np.ndarray, k: float, where, radius: float = 0.0,
-                   derivative: bool = False) -> np.ndarray:
+def _outgoing_wave(amps: np.ndarray, k: float, where, radius: float = 0.0) -> np.ndarray:
     """Σ amps_nm R_n Y_n^m at points ``where`` or on a far-field rule.
 
-    At points (shape (npts, 3)), R_n = h_n(kr), or k h_n'(kr) = ∂/∂r h_n(kr)
-    with ``derivative``; every point must lie outside the sphere of the
-    given radius.  On a :class:`QuadratureRule`, R_n = (−i)^{n+1}/k, the
-    far-field limit of h_n(kr) e^{−ikr} kr, and the sum is one ring
-    transform (:func:`impscat.specfun._synthesize`); the series may exceed
-    the rule's order, since the transform folds the excess orders exactly.
+    At points (shape (npts, 3)), R_n = h_n(kr), and every point must lie
+    outside the sphere of the given radius.  On a :class:`QuadratureRule`,
+    R_n = (−i)^{n+1}/k, the far-field limit of h_n(kr) e^{−ikr} kr, and the
+    sum is one ring transform (:func:`impscat.specfun._synthesize`); the series
+    may exceed the rule's order, since the transform folds the excess orders exactly.
     """
     band_limit = _band_limit_of(amps.size)
     degs = harmonic_degrees(band_limit)
@@ -221,9 +222,7 @@ def _outgoing_wave(amps: np.ndarray, k: float, where, radius: float = 0.0,
         raise ValueError("evaluation points must lie outside the obstacle")
     ymat = sph_harmonic_all(band_limit, np.clip(x[:, 2] / r, -1.0, 1.0),
                             np.arctan2(x[:, 1], x[:, 0]))
-    per_degree = sph_hankel1(np.arange(band_limit + 1)[:, None], k * r,
-                             derivative=derivative)
-    radial = (k * per_degree if derivative else per_degree)[degs]
+    radial = sph_hankel1(np.arange(band_limit + 1)[:, None], k * r)[degs]
     return (amps[:, None] * radial * ymat).sum(axis=0)
 
 
@@ -257,13 +256,6 @@ def scattered_on_shell(phi: HarmonicDensity, ctx: WaveContext, geom: ObstacleGeo
 def _warn_near_boundary(distance: float, phi: HarmonicDensity, ctx: WaveContext):
     if distance < 2.0 * np.pi / (ctx.k * phi.band_limit):
         warnings.warn("evaluation close to the boundary; quadrature-grade accuracy only")
-
-
-def scattered_radial_derivative(x, phi: HarmonicDensity, ctx: WaveContext,
-                                geom: ObstacleGeometry) -> np.ndarray:
-    """∂u^s/∂r at exterior points (analytic, for radiation-condition checks)."""
-    amps = radiating_coefficients(phi, ctx, geom)
-    return _outgoing_wave(amps, ctx.k, x, geom.radius, derivative=True)
 
 
 def farfield(phi: HarmonicDensity, ctx: WaveContext, geom: ObstacleGeometry,
@@ -306,7 +298,10 @@ def _mie_band_limit(k: float, a: float, lam0: float) -> int:
     """Degree N, in steps of 8, where the boundary term |R_N h_N(ka)| is below
     1e-14 of the largest; |h_n(kr)| decreases in r, so this bounds the
     degree-N term of the scattered wave at every r >= a.  Raises
-    :class:`ResolutionError` if the first degree past 400 still fails."""
+    :class:`ResolutionError` if the first degree past 400 still fails, or,
+    before any table is built, if the first degree tried, int(ka) + 8, is."""
+    if not k * a < 393:  # inf and NaN included
+        raise ResolutionError(f"Mie series at ka = {k * a:.6g} starts past degree 400")
     n = max(8, int(k * a) + 8)
     while True:
         trace = np.abs(mie_mode_coefficients(k, a, lam0, n)
@@ -392,7 +387,6 @@ class UniformBoundReport:
     """Sup-node |u| over an exterior shell grid, per impedance field."""
 
     sups: list
-    shell_radii: tuple
 
     @property
     def family_max(self) -> float:
@@ -407,17 +401,16 @@ class UniformBoundReport:
 def uniform_bound_check(ctx: WaveContext, geom: ObstacleGeometry,
                         impedances, band_limit: int = 24) -> UniformBoundReport:
     """Numerical witness of the uniform total-field bound over a λ family."""
-    shell_factors = (1.5, 2.0, 4.0, 8.0)
     rule = gauss_product_rule(band_limit)
     dirs = rule.points()
     sups = []
     for lam in impedances:
         phi = solve_density(ctx, geom, lam, band_limit=band_limit)
         sup = 0.0
-        for fac in shell_factors:
+        for fac in (1.5, 2.0, 4.0, 8.0):
             radius = fac * geom.radius
             total = ctx.incident(radius * dirs) + scattered_on_shell(phi, ctx, geom,
                                                                       radius, rule)
             sup = max(sup, float(np.max(np.abs(total))))
         sups.append(sup)
-    return UniformBoundReport(sups=sups, shell_radii=shell_factors)
+    return UniformBoundReport(sups=sups)

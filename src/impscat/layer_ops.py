@@ -21,16 +21,16 @@ is twice the exterior trace of the ansatz; writing it this way (rather than
 a bare S + K coupling) is what makes the solved far field agree with the
 separation-of-variables reference to machine precision.
 
-The solve never forms S, K or T: outside the sphere u^s = Σ c_n φ_nm h_n(kr)
-Y_n^m, and by the Wronskian j_n h_n' − j_n' h_n = i/(ka)² the two traces
-above are c_n h_n(ka) and c_n k h_n'(ka).  So every diagonal of a solve (the
-traces, c_n, the incident coefficients, the system and its right-hand side)
-reads one :class:`ModalTable`: j_n, j_n', h_n, h_n' and S₀² at (k, a, N),
-built on construction from two Hankel calls.  There j_n may underflow to 0,
-but an h_n or h_n' past the float range raises :class:`NumericalError` at
-its degree.  The readers take the table in place of (k, a, N) and call no
-Bessel function themselves; :class:`impscat.forward.WaveContext` keeps the
-table of its solves.
+The solve never forms S, K or T (only the tests' oracle does): outside the
+sphere u^s = Σ c_n φ_nm h_n(kr) Y_n^m, and by the Wronskian j_n h_n' − j_n' h_n
+= i/(ka)² the two traces above are c_n h_n(ka) and c_n k h_n'(ka).  So every
+diagonal of a solve (the traces, c_n, the incident coefficients, the system
+and its right-hand side) reads one :class:`ModalTable`: j_n, j_n', h_n, h_n'
+and S₀² at (k, a, N), built on construction from two Hankel calls.  There
+j_n may underflow to 0, but an h_n or h_n' past the float range raises
+:class:`NumericalError` at its degree.  The readers take the table in place
+of (k, a, N) and call no Bessel function themselves;
+:class:`impscat.forward.WaveContext` keeps the table of its solves.
 
 Every operator but M_{iλ} is diagonal.  On the Gauss × uniform-azimuth
 product rule, with Y_n^m = P̄_n^m(μ) e^{imφ}, the φ-sum in entry
@@ -75,9 +75,6 @@ from .specfun import (
     num_harmonics,
     sph_hankel1,
 )
-
-OP_KINDS = ("S", "K", "Kp", "T", "S0")
-
 
 class SingularSystemError(RuntimeError):
     """Combined-field matrix is non-finite or singular (relative rcond < 1e-12)."""
@@ -231,29 +228,17 @@ def _to_degree_major(perm: np.ndarray, permuted: np.ndarray) -> np.ndarray:
     return out
 
 
-def sphere_operator_eigenvalue(op_kind: str, k: float, a: float, n):
-    """Eigenvalue of a factor-2 layer operator on Y_n^m for the radius-a sphere.
+def sphere_operator_eigenvalue(a: float, n):
+    """S₀ = 2a/(2n + 1), the eigenvalue of the factor-2 static single layer
+    on Y_n^m for the radius-a sphere; ``n`` may be an array of degrees.
 
-    ``n`` may be an array of degrees; the result then has its shape.
+    :class:`ModalTable` reads S₀ through this call rather than inline, so
+    that a traced solve counts its eigenvalue evaluations.
     """
-    if op_kind not in OP_KINDS:
-        raise ValueError(f"unknown operator kind {op_kind!r}")
     degrees = np.asarray(n)
     if a <= 0 or not np.all((degrees >= 0) & (degrees == np.floor(degrees))):
         raise ValueError("need a > 0 and integer degrees n >= 0")
-    if op_kind == "S0":
-        return 2.0 * a / (2 * degrees + 1)
-    if k <= 0:
-        raise ValueError("need wavenumber k > 0")
-    degrees = degrees.astype(int)
-    table = ModalTable(k, a, int(degrees.max(initial=0)))
-    at = degrees * (degrees + 1)  # the flat index of (n, 0)
-    jn, jnp, hn, hnp = table.jn[at], table.jnp[at], table.hn[at], table.hnp[at]
-    if op_kind == "S":
-        return 2j * k * a * a * jn * hn
-    if op_kind in ("K", "Kp"):
-        return 1j * k * k * a * a * (jnp * hn + jn * hnp)
-    return 2j * k**3 * a * a * jnp * hnp  # T
+    return 2.0 * a / (2 * degrees + 1)
 
 
 @dataclass(frozen=True)
@@ -283,7 +268,7 @@ class ModalTable:
         n, ka = np.arange(self.band_limit + 1), self.k * self.a
         hn, hnp = sph_hankel1(n, ka), sph_hankel1(n, ka, derivative=True)
         require_finite_hankel(ka, hn, hnp)
-        s0 = sphere_operator_eigenvalue("S0", self.k, self.a, n)
+        s0 = sphere_operator_eigenvalue(self.a, n)
         degs = harmonic_degrees(self.band_limit)
         for name, per_degree in (("jn", hn.real), ("jnp", hnp.real), ("hn", hn),
                                  ("hnp", hnp), ("s0sq", s0 ** 2)):

@@ -191,19 +191,13 @@ def sph_hankel1(n, x, derivative: bool = False):
 # Spherical harmonics
 # ---------------------------------------------------------------------------
 
-def harmonic_index(n: int, m: int) -> int:
-    """Flat index of (n, m) in the degree-major ordering, m = -n..n."""
-    if abs(m) > n:
-        raise IndexError(f"|m| = {abs(m)} exceeds degree n = {n}")
-    return n * n + n + m
-
-
 def num_harmonics(band_limit: int) -> int:
     return (band_limit + 1) ** 2
 
 
 def harmonic_degrees(band_limit: int) -> np.ndarray:
-    """Degree n of each flat index, shape ((N+1)^2,)."""
+    """Degree n of each flat index, shape ((N+1)^2,), in the degree-major
+    order: (n, m) has index n² + n + m, m = −n..n."""
     return np.repeat(np.arange(band_limit + 1), 2 * np.arange(band_limit + 1) + 1)
 
 
@@ -233,8 +227,8 @@ def _normalized_legendre(band_limit: int, mu: np.ndarray) -> np.ndarray:
 def sph_harmonic_all(band_limit: int, mu, phi) -> np.ndarray:
     """All Y_n^m, n <= N, at points (mu=cosθ, phi).
 
-    Returns complex array of shape ((N+1)^2, npts) in ``harmonic_index``
-    ordering.  Negative orders use Y_n^{-m} = (-1)^m conj(Y_n^m).
+    Returns complex array of shape ((N+1)^2, npts) in degree-major
+    order.  Negative orders use Y_n^{-m} = (-1)^m conj(Y_n^m).
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
@@ -368,7 +362,7 @@ def _complex_coefficients(real_coeffs) -> np.ndarray:
 def _m_major(band_limit: int) -> tuple[np.ndarray, np.ndarray]:
     """The m-major order (m = −N..N, then n = |m|..N) and its block bounds.
 
-    ``perm[p]`` is the ``harmonic_index`` of the p-th harmonic in that
+    ``perm[p]`` is the degree-major index of the p-th harmonic in that
     order, and order m occupies ``perm[bounds[m + N]:bounds[m + N + 1]]``.
     """
     degs = harmonic_degrees(band_limit)
@@ -398,7 +392,7 @@ def _ring_legendre(band_limit: int, order: int) -> np.ndarray:
 def _synthesize(coeffs, rule: QuadratureRule) -> np.ndarray:
     """Σ c_nm Y_n^m at the nodes of a product rule, for each row of ``coeffs``.
 
-    ``coeffs`` is (..., (N+1)^2) in ``harmonic_index`` order; the result is
+    ``coeffs`` is (..., (N+1)^2) in degree-major order; the result is
     (..., npts) in the rule's node order.  On ring j, G_m(μ_j) = Σ_n c_nm
     P̄_n^m(μ_j), and f(μ_j, φ_l) = Σ_m G_m e^{imφ_l} is one inverse FFT of
     length L = 2·order + 2 with G_m in bin m mod L; since e^{imφ_l} depends

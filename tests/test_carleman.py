@@ -20,6 +20,8 @@ from impscat.carleman import (
 )
 from impscat.geometry import ObstacleGeometry
 
+from oracle import point_source
+
 SETUP = CarlemanSetup(x0=np.zeros(3), rho=1.0, d=1.0)
 
 
@@ -39,7 +41,7 @@ class TestTestFunctions:
         TestFunction.plane_wave(1.7, [0.3, -0.2, 0.9], 0.4),
         TestFunction.quadratic(0.5, [1.0, -2.0, 0.3],
                                [[1.0, 0.2, 0.0], [0.2, -0.5, 0.1], [0.0, 0.1, 2.0]]),
-        TestFunction.point_source(1.2, [0.0, 0.0, -4.0]),
+        point_source(1.2, [0.0, 0.0, -4.0]),
     ])
     def test_laplacian_matches_central_differences(self, v):
         rng = np.random.default_rng(7)
@@ -72,6 +74,14 @@ class TestCarlemanSetup:
         # the unperturbed thresholds, to the bit
         assert SETUP.lambda_threshold == 6.0 * SETUP.M**3 / SETUP.m**4
         assert SETUP.tau_threshold == 88.0 * SETUP.M**6 / SETUP.m**4
+
+    @pytest.mark.parametrize("rho,d", [(1.0, 1.0), (2.0, 2.0), (0.5, 3.0), (5e-5, 1.0),
+                                       (1e-5, 1.0), (1e-10, 1.0)])
+    def test_thresholds_stored_to_the_bit(self, rho, d):
+        # the numpy-float thresholds equal the Python-float formulas
+        s = CarlemanSetup(x0=np.zeros(3), rho=rho, d=d)
+        assert s.lambda_threshold == 6.0 * s.M**3 / s.m**4
+        assert s.tau_threshold == 88.0 * s.M**6 / s.m**4
 
     def test_small_annulus_m(self):
         s = CarlemanSetup(x0=np.zeros(3), rho=2.0, d=2.0)
@@ -139,7 +149,7 @@ class TestCarlemanInequality:
         def refuse(x):
             raise AssertionError("v evaluated before every pair was checked")
 
-        v = TestFunction("refuse", refuse, refuse, refuse)
+        v = TestFunction(refuse, refuse, refuse)
         pairs = threshold_pairs(SETUP) + [(SETUP.lambda_threshold, np.nan)]
         with pytest.raises(ValueError, match="finite"):
             carleman_sides([v], SETUP, pairs)
@@ -163,7 +173,7 @@ class TestCarlemanInequality:
         lam, tau = setup.lambda_threshold, setup.tau_threshold
         named = re.escape(f"lam = {lam:.6g}, tau = {tau:.6g}")
         with pytest.raises(OverflowError, match=f"coefficient .* {named}$"):
-            carleman_sides([TestFunction("refuse", refuse, refuse, refuse)], setup,
+            carleman_sides([TestFunction(refuse, refuse, refuse)], setup,
                            threshold_pairs(setup))
 
     def test_side_out_of_range_raises(self):
@@ -171,7 +181,7 @@ class TestCarlemanInequality:
         # is about 1e292; scaled by 1e10 its rhs overflows
         setup = CarlemanSetup(x0=np.zeros(3), rho=5e-5, d=1.0)
         v = TestFunction.plane_wave(1.0, [0, 0, 1.0])
-        big = TestFunction(v.kind, lambda x: 1e10 * v.value(x),
+        big = TestFunction(lambda x: 1e10 * v.value(x),
                            lambda x: 1e10 * v.gradient(x),
                            lambda x: 1e10 * v.laplacian(x))
         assert np.isfinite(sides(v, setup, setup.lambda_threshold,
@@ -181,7 +191,7 @@ class TestCarlemanInequality:
 
     def test_homogeneity(self):
         v = TestFunction.plane_wave(1.3, [0.2, 0.5, 0.8], 0.7)
-        v3 = TestFunction(v.kind, lambda x: 3 * v.value(x),
+        v3 = TestFunction(lambda x: 3 * v.value(x),
                           lambda x: 3 * v.gradient(x),
                           lambda x: 3 * v.laplacian(x))
         a, b = carleman_sides([v, v3], SETUP, threshold_pairs(SETUP, (1.0,)))[0]
@@ -277,7 +287,7 @@ class TestWeightedNodes:
         for x0, rho, d in ANNULI + [THIN_ANNULUS]:
             setup = CarlemanSetup(x0=x0, rho=rho, d=d)
             v = TestFunction.plane_wave(1.3, [0.2, 0.5, 0.8], 0.7)
-            v = TestFunction(v.kind, *(recorded(name, getattr(v, name)) for name in calls))
+            v = TestFunction(*(recorded(name, getattr(v, name)) for name in calls))
             for rows in calls.values():
                 rows.clear()
             carleman_sides([v], setup, threshold_pairs(setup))
@@ -293,7 +303,7 @@ class TestWeightedNodes:
     def test_compressed_sums_match_full_nodes(self, x0, rho, d):
         setup = CarlemanSetup(x0=x0, rho=rho, d=d)
         suite = random_test_suite(6, seed=9)
-        suite.append(TestFunction.point_source(1.2, [0.0, 0.0, -9.0]))
+        suite.append(point_source(1.2, [0.0, 0.0, -9.0]))
         pairs = threshold_pairs(setup)
         for (lam, tau), row in zip(pairs, carleman_sides(suite, setup, pairs)):
             for v, res in zip(suite, row):
@@ -351,6 +361,11 @@ class TestCorollaryThresholds:
         with pytest.raises(ValueError):
             corollary_thresholds(1.0, 0.0, 1.0)
 
+    def test_past_the_float_range_is_inf(self):
+        thr = corollary_thresholds(1e300, 1e-100, 1e100)
+        assert (thr.lambda_min, thr.tau_min) == (np.inf, np.inf)
+        assert thr.alternate == (np.inf, np.inf)
+
 
 class TestContinuationConstants:
     def test_exact_substitution(self):
@@ -394,7 +409,7 @@ class TestContinuationCheck:
 
     def test_homogeneity_degree_one(self):
         u = TestFunction.plane_wave(1.0, [0.0, 1.0, 0.0])
-        u10 = TestFunction(u.kind, lambda x: 10 * u.value(x),
+        u10 = TestFunction(lambda x: 10 * u.value(x),
                            lambda x: 10 * u.gradient(x),
                            lambda x: 10 * u.laplacian(x))
         a = continuation_check(u, np.array([0.0, 0.0, 1.0]), 0.2, self.GEOM)
@@ -476,7 +491,7 @@ class TestThreeSphere:
     @pytest.mark.parametrize("k", [6.5, 1e10])
     def test_unresolved_wavenumber_rejected(self, k):
         family = [TestFunction.plane_wave(k, [0, 0, 1.0]),
-                  TestFunction.point_source(1.0, [0, 0, 9.0])]
+                  point_source(1.0, [0, 0, 9.0])]
         with pytest.raises(ValueError, match="resolve"):
             three_sphere_check(family, np.zeros(3), 0.2)
         # the bound is on k·3r: a smaller ball resolves the same wave

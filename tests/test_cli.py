@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -178,7 +179,8 @@ class TestExitCodes:
         ("chain", "i0", "NaN"), ("chain", "m_tilde", "Infinity"), ("chain", "c", "NaN"),
         ("chain", "R", "Infinity"), ("three-sphere", "ball_radius", "NaN"),
         ("three-sphere", "center", "[2, 0, NaN]"), ("ga2-check", "radii", "[NaN, 0.2, 0.1]"),
-        ("reconstruct", "noise", "Infinity"),
+        ("reconstruct", "noise", "Infinity"), ("three-sphere", "center", "[1, 2]"),
+        ("chain", "x_tilde", "[0, 0, 1, 0]"), ("lemma51", "r_candidates", "[]"),
     ])
     def test_wrong_json_type_is_validation(self, tmp_path, capsys, command, key, value):
         path = write_config(tmp_path, "c.json", {"band_limit": 4})
@@ -536,8 +538,8 @@ class TestCarlemanCommand:
             raise AssertionError("a volume closure was called")
 
         def watched_suite(size, seed=0):
-            return [carleman.TestFunction(v.kind, recorded(v.value), recorded(v.gradient),
-                                          refuse) for v in suite_of(size, seed)]
+            return [carleman.TestFunction(recorded(v.value), recorded(v.gradient), refuse)
+                    for v in suite_of(size, seed)]
 
         monkeypatch.setattr(carleman, "carleman_sides", counted)
         monkeypatch.setattr(carleman, "random_test_suite", watched_suite)
@@ -569,7 +571,9 @@ def fresh(args: list, check: bool = True) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(impscat.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], env=env, check=check,
+    # the warning filters of the in-process tests (pyproject's filterwarnings)
+    flags = ["-W", "error::RuntimeWarning", "-W", "error::UserWarning"]
+    return subprocess.run([sys.executable, *flags, *args], env=env, check=check,
                           timeout=120, capture_output=True, text=True)
 
 
@@ -590,6 +594,29 @@ def test_three_sphere_huge_ball_writes_one_error_record(tmp_path, overrides, cod
     assert proc.returncode == code
     assert proc.stdout == ""
     assert json.loads(proc.stderr)["error"] == kind
+
+
+@pytest.mark.parametrize("impedance", ["1e300", "[1e300, 0, 1e299, 0]"],
+                         ids=["constant", "degree-1"])
+def test_huge_impedance_farfield_writes_no_warning(tmp_path, impedance):
+    # the residual check scales by max|rhs|, so no norm overflows
+    path = write_config(tmp_path, "c.json", {})
+    proc = fresh(["-m", "impscat.cli", "farfield", path, "--set", f"impedance={impedance}"])
+    assert proc.stderr == ""
+    assert math.isfinite(json.loads(proc.stdout)["farfield_l2_norm"])
+
+
+@pytest.mark.parametrize("override,ka", [("radius=1e300", "1e+300"), ("k=1e6", "1e+06")])
+def test_mie_past_degree_400_writes_one_error_record(tmp_path, override, ka):
+    # int(ka) + 8 > 400: refused before any table is built
+    path = write_config(tmp_path, "c.json", {})
+    proc = fresh(["-m", "impscat.cli", "mie", path, "--set", override], check=False)
+    assert proc.returncode == EXIT_NUMERICAL
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    record = json.loads(proc.stderr)
+    assert record["error"] == "numerical"
+    assert f"ka = {ka} starts past degree 400" in record["message"]
 
 
 def scipy_loaded_by(code: str) -> list:

@@ -22,7 +22,6 @@ from impscat.forward import (
     mie_scattered,
     radiating_coefficients,
     scattered_on_shell,
-    scattered_radial_derivative,
     solve_density,
     solve_farfield,
     uniform_bound_check,
@@ -46,6 +45,8 @@ from impscat.specfun import (
     sph_harmonic_all,
 )
 from impscat.stability import stability_sweep
+
+from oracle import radial_derivative
 
 GEOM = ObstacleGeometry()
 ZHAT = np.array([0.0, 0.0, 1.0])
@@ -96,6 +97,19 @@ class TestSolveDensity:
         ctx = WaveContext(k=1.0, omega=ZHAT)
         phi = solve_density(ctx, GEOM, ImpedanceField.constant(1.0), band_limit=20)
         assert phi.tail_fraction() <= 1e-10
+
+    @pytest.mark.parametrize("coeffs", [[1e300], [1e300, 0.0, 1e299, 0.0]],
+                             ids=["constant", "degree-1"])
+    def test_residual_check_holds_at_huge_impedance(self, monkeypatch, coeffs):
+        # at |λ| ~ 1e300 the 2-norm of the rhs overflows; the check scales by
+        # max|rhs| first, so it passes the solved φ and still sees a perturbed one
+        lam, ctx = ImpedanceField(np.array(coeffs)), WaveContext(k=1.0, omega=ZHAT)
+        assert np.all(np.isfinite(solve_density(ctx, GEOM, lam, band_limit=12).coeffs))
+        solve = BoundaryOperatorMatrix.solve
+        monkeypatch.setattr(BoundaryOperatorMatrix, "solve",
+                            lambda self, rhs: solve(self, rhs) * (1.0 + 1e-9))
+        with pytest.raises(RuntimeError, match="linear solve residual"):
+            solve_density(ctx, GEOM, lam, band_limit=12)
 
     def test_density_invariants(self):
         with pytest.raises(ValueError):
@@ -344,7 +358,7 @@ class TestScatteredField:
 
     @pytest.mark.parametrize("evaluate", [
         lambda x, phi, ctx: eval_scattered(x, phi, ctx, GEOM),
-        lambda x, phi, ctx: scattered_radial_derivative(x, phi, ctx, GEOM),
+        lambda x, phi, ctx: radial_derivative(x, phi, ctx, GEOM),
         lambda x, phi, ctx: mie_scattered(x, ctx, 1.0, 1.0),
     ], ids=["eval_scattered", "scattered_radial_derivative", "mie_scattered"])
     def test_interior_point_raises(self, evaluate):
@@ -398,7 +412,7 @@ class TestScatteredField:
         for r in rs:
             pts = (r * xhat)[None]
             us = eval_scattered(pts, self.phi, self.ctx, GEOM)[0]
-            dus = scattered_radial_derivative(pts, self.phi, self.ctx, GEOM)[0]
+            dus = radial_derivative(pts, self.phi, self.ctx, GEOM)[0]
             resid.append(abs(dus - 1j * self.ctx.k * us))
         slope = np.polyfit(np.log(rs), np.log(resid), 1)[0]
         assert slope <= -1.0 + 0.1

@@ -28,11 +28,12 @@ from impscat.specfun import (
     _m_major,
     gauss_product_rule,
     harmonic_degrees,
-    harmonic_index,
     num_harmonics,
     real_sph_harmonic_all,
     sph_harmonic_all,
 )
+
+from oracle import harmonic_index, layer_eigenvalue
 
 
 def unpack_band(entries):
@@ -77,7 +78,7 @@ class TestEigenvalueOracles:
             val, _ = quad(integrand, 0.0, np.pi, limit=200)
             eig = val / float(legendre_bar(n, 1.0)[0])
             assert eig == pytest.approx(
-                sphere_operator_eigenvalue("S0", 1.0, 1.0, n), rel=1e-10)
+                layer_eigenvalue("S0", 1.0, 1.0, n), rel=1e-10)
 
     def test_single_layer_quadrature(self):
         # same reduction for the Helmholtz kernel e^{ik|x-y|}/(4π|x-y|)
@@ -95,30 +96,30 @@ class TestEigenvalueOracles:
             vi, _ = quad(im_part, 0.0, np.pi, limit=200)
             eig = (vr + 1j * vi) / float(legendre_bar(n, 1.0)[0])
             assert eig == pytest.approx(
-                sphere_operator_eigenvalue("S", k, 1.0, n), rel=1e-8)
+                layer_eigenvalue("S", k, 1.0, n), rel=1e-8)
 
     def test_calderon_identity(self):
         # ST = K^2 - I per mode, pinning K' and T against the S oracle
         for k in (0.7, 1.0, 2.3):
             for a in (0.5, 1.0, 2.0):
                 for n in range(12):
-                    s = sphere_operator_eigenvalue("S", k, a, n)
-                    t = sphere_operator_eigenvalue("T", k, a, n)
-                    kk = sphere_operator_eigenvalue("K", k, a, n)
+                    s = layer_eigenvalue("S", k, a, n)
+                    t = layer_eigenvalue("T", k, a, n)
+                    kk = layer_eigenvalue("K", k, a, n)
                     assert s * t == pytest.approx(kk * kk - 1.0, rel=1e-10, abs=1e-12)
 
     def test_k_equals_kprime(self):
         for n in range(8):
-            assert sphere_operator_eigenvalue("K", 1.5, 1.0, n) == \
-                sphere_operator_eigenvalue("Kp", 1.5, 1.0, n)
+            assert layer_eigenvalue("K", 1.5, 1.0, n) == \
+                layer_eigenvalue("Kp", 1.5, 1.0, n)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            sphere_operator_eigenvalue("X", 1.0, 1.0, 0)
+            layer_eigenvalue("X", 1.0, 1.0, 0)
         with pytest.raises(ValueError):
-            sphere_operator_eigenvalue("S", -1.0, 1.0, 0)
+            layer_eigenvalue("S", -1.0, 1.0, 0)
         with pytest.raises(ValueError):
-            sphere_operator_eigenvalue("S", 1.0, 0.0, 0)
+            layer_eigenvalue("S", 1.0, 0.0, 0)
 
 
 class TestImpedanceField:
@@ -306,7 +307,7 @@ class TestCombinedSystem:
         eta = default_coupling(k)
         table = ModalTable(k, a, nb)
         tr, dtr = exterior_trace_operators(table, eta)
-        s, kk, t = (sphere_operator_eigenvalue(kind, k, a, np.arange(nb + 1))[harmonic_degrees(nb)]
+        s, kk, t = (layer_eigenvalue(kind, k, a, np.arange(nb + 1))[harmonic_degrees(nb)]
                     for kind in ("S", "K", "T"))
         np.testing.assert_allclose(tr, 0.5 * (s + 1j * eta * (kk + 1.0) * table.s0sq),
                                    rtol=1e-12, atol=0.0)
@@ -386,10 +387,20 @@ class TestBandSolve:
 
 class TestDiagonalHelpers:
     def test_diagonal_expansion(self):
-        diag = sphere_operator_eigenvalue("S0", 1.0, 2.0, np.arange(4))[harmonic_degrees(3)]
+        diag = layer_eigenvalue("S0", 1.0, 2.0, np.arange(4))[harmonic_degrees(3)]
         assert diag.size == num_harmonics(3)
         assert diag[0] == pytest.approx(4.0)
         assert np.allclose(diag[1:4], 4.0 / 3.0)
+
+    def test_static_single_layer_eigenvalue(self):
+        degrees = np.arange(40)
+        for a in (1e-3, 0.5, 1.0, 2.0):
+            np.testing.assert_array_equal(sphere_operator_eigenvalue(a, degrees),
+                                          2.0 * a / (2 * degrees + 1))
+            assert sphere_operator_eigenvalue(a, 3) == 2.0 * a / 7
+        for a, n in [(0.0, 1), (-1.0, 1), (1.0, -1), (1.0, 1.5), (1.0, np.array([0, 2.5]))]:
+            with pytest.raises(ValueError):
+                sphere_operator_eigenvalue(a, n)
 
     def test_default_coupling(self):
         assert default_coupling(0.5) == 1.0
@@ -409,4 +420,4 @@ class TestHankelOverflow:
 
     def test_eigenvalues_raise_past_the_overflow(self):
         with pytest.raises(NumericalError):
-            sphere_operator_eigenvalue("S", 1.0, 1.0, 150)
+            layer_eigenvalue("S", 1.0, 1.0, 150)

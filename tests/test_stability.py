@@ -17,12 +17,13 @@ from impscat.stability import (
     impedance_sup_distance,
     lemma51_check,
     prop41_bound,
-    prop41_intermediate,
     prop41_stationary_s,
     reconstruct,
     stability_sweep,
     theorem13_bound,
 )
+
+from oracle import prop41_intermediate
 
 GEOM = ObstacleGeometry()
 ZHAT = np.array([0.0, 0.0, 1.0])
