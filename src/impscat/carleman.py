@@ -473,6 +473,13 @@ class ThreeSphereFit:
     norms: np.ndarray
 
     @property
+    def alpha_fitted(self) -> bool:
+        """Whether α came from the regression: False where the members'
+        ln(n₁/n₃) do not spread (variance <= 1e-20), and α is the fallback
+        0.5 (at k = 1 every unit plane wave has the same ball norms)."""
+        return _alpha_fittable(self.norms)
+
+    @property
     def monotonicity_violations(self) -> int:
         n = self.norms
         return int(np.sum((n[:, 0] > n[:, 1] * (1 + 1e-12))
@@ -510,7 +517,9 @@ def three_sphere_check(family, y, r: float) -> ThreeSphereFit:
     For each u the three H¹ ball norms (n₁, n₂, n₃) at radii (r, 2r, 3r)
     must satisfy r·n₂ ≤ C·n₁^α n₃^{1−α}; α̂ comes from the log-log
     regression of ln(r n₂/n₃) on ln(n₁/n₃) and C is then the smallest
-    constant making the inequality hold for every member.  Raises
+    constant making the inequality hold for every member.  Where ln(n₁/n₃)
+    does not spread over the members there is no slope to fit: α̂ is 0.5,
+    and the fit's ``alpha_fitted`` is False.  Raises
     ``ValueError`` unless r is positive and finite and the ball rules resolve
     the family's largest wavenumber k on the largest ball (k·3r at most
     :func:`_resolved_kr`), and ``RuntimeError`` if a ball norm is zero or not
@@ -540,14 +549,19 @@ def three_sphere_check(family, y, r: float) -> ThreeSphereFit:
         raise RuntimeError("ball-norm monotonicity violated; quadrature suspect")
     xs = np.log(norms[:, 0] / norms[:, 2])
     ys = np.log(r * norms[:, 1] / norms[:, 2])
-    var = float(np.var(xs))
-    if var > 1e-20:
-        alpha = float(np.cov(xs, ys, bias=True)[0, 1] / var)
+    if _alpha_fittable(norms):
+        alpha = float(np.cov(xs, ys, bias=True)[0, 1] / np.var(xs))
     else:
         alpha = 0.5
     alpha = float(np.clip(alpha, 0.05, 0.95))
     log_c = float(np.max(ys - alpha * xs))
     return ThreeSphereFit(alpha=alpha, C=float(np.exp(log_c)), norms=norms)
+
+
+def _alpha_fittable(norms: np.ndarray) -> bool:
+    """Whether ln(n₁/n₃), the regressor of the fit, spreads over the members
+    (variance > 1e-20), so that a slope can be fitted."""
+    return float(np.var(np.log(norms[:, 0] / norms[:, 2]))) > 1e-20
 
 
 # ---------------------------------------------------------------------------

@@ -306,7 +306,7 @@ def cmd_three_sphere(cfg: dict) -> int:
         for _ in range(size)
     ]
     fit = carleman.three_sphere_check(family, y, r)
-    emit_summary(cfg, {"alpha": fit.alpha, "C": fit.C,
+    emit_summary(cfg, {"alpha": fit.alpha, "C": fit.C, "alpha_fitted": fit.alpha_fitted,
                        "monotonicity_violations": fit.monotonicity_violations})
     return EXIT_OK
 

@@ -27,18 +27,19 @@ sphere u^s = Σ c_n φ_nm h_n(kr) Y_n^m, and by the Wronskian j_n h_n' − j_n' 
 diagonal of a solve (the traces, c_n, the incident coefficients, the system
 and its right-hand side) reads one :class:`ModalTable`: j_n, j_n', h_n, h_n'
 and S₀² at (k, a, N), built on construction from two Hankel calls.  There
-j_n may underflow to 0, but an h_n or h_n' past the float range raises
+j_n may underflow to 0, but an h_n, h_n' or S₀² past the float range raises
 :class:`NumericalError` at its degree.  The readers take the table in place
 of (k, a, N) and call no Bessel function themselves;
 :class:`impscat.forward.WaveContext` keeps the table of its solves.
 
-Every operator but M_{iλ} is diagonal.  On the Gauss × uniform-azimuth
-product rule, with Y_n^m = P̄_n^m(μ) e^{imφ}, the φ-sum in entry
-((n,m),(n',m')) of M_{iλ} is the ring Fourier sum F_q(μ_j) = Σ_l w_jl
-λ(μ_j, φ_l) e^{iqφ_l} at q = m' − m, zero for |q| > N_λ: the nonzero blocks
-are i P̄_m diag(F_q) P̄_{m+q}ᵀ, one FFT per ring gives every F_q, and P̄ is
-the ring Legendre table of the far-field synthesis, the harmonics at φ = 0
-(Driscoll & Healy, Adv. Appl. Math. 15 (1994)).
+Every operator but M_{iλ} is diagonal.  M_{iλ} is linear in λ = Σ c_{L,p}
+Y_L^p: with Y_n^m = P̄_n^m(μ) e^{imφ}, the φ-integral of entry
+((n,m),(n',m')) keeps only p = −q, q = m' − m, so the entry is
+i Σ_L c_{L,−q} G_L, where G_L = 2π ∫ P̄_n^m P̄_{n'}^{m'} P̄_L^{−q} dμ is a Gaunt
+integral (Gaunt, Phil. Trans. R. Soc. A 228 (1929)), zero for |q| > N_λ.
+The G_L depend on (N, N_λ) alone: :func:`_gaunt_band` integrates them once,
+exactly, on Gauss latitudes, and each assembly is one contraction of λ's
+coefficients with that table.  The same table is the linear map h -> M_{ih}.
 The entry is also zero for |n − n'| > N_λ (Gaunt), so the system couples
 (n, m) only to (n', m') with |n − n'| <= N_λ and |m − m'| <= N_λ.  Every
 system is stored over the m-major order (m = −N..N, then n = |m|..N; the
@@ -81,8 +82,8 @@ class SingularSystemError(RuntimeError):
 
 
 class NumericalError(ArithmeticError):
-    """A per-degree value lies outside the float range: h_n(ka) or h_n'(ka)
-    overflows."""
+    """A per-degree value lies outside the float range: h_n(ka), h_n'(ka) or
+    S₀² overflows."""
 
 
 def require_finite_hankel(ka: float, hn: np.ndarray, hnp: np.ndarray) -> None:
@@ -251,8 +252,8 @@ class ModalTable:
     (k, a, N) fix every value, so they are built on construction from two
     Hankel calls over the degrees 0..N (j_n and j_n' are their real parts),
     the only special-function calls a solve makes, and the S₀ eigenvalues.
-    j_n(ka) may underflow to 0; an h_n(ka) or h_n'(ka) that overflows raises
-    :class:`NumericalError`.
+    j_n(ka) may underflow to 0; an h_n(ka), h_n'(ka) or S₀² that overflows
+    raises :class:`NumericalError` (S₀² first at degree 0, for a >= ~6.7e153).
     """
 
     k: float
@@ -268,10 +269,14 @@ class ModalTable:
         n, ka = np.arange(self.band_limit + 1), self.k * self.a
         hn, hnp = sph_hankel1(n, ka), sph_hankel1(n, ka, derivative=True)
         require_finite_hankel(ka, hn, hnp)
-        s0 = sphere_operator_eigenvalue(self.a, n)
+        with np.errstate(over="ignore"):  # an overflow is raised below
+            s0sq = sphere_operator_eigenvalue(self.a, n) ** 2
+        if not np.isfinite(s0sq[0]):  # S₀ falls with n: degree 0 overflows first
+            raise NumericalError(f"S₀² = (2a/(2n + 1))² overflows at degree 0, "
+                                 f"a = {self.a:.6g}")
         degs = harmonic_degrees(self.band_limit)
         for name, per_degree in (("jn", hn.real), ("jnp", hnp.real), ("hn", hn),
-                                 ("hnp", hnp), ("s0sq", s0 ** 2)):
+                                 ("hnp", hnp), ("s0sq", s0sq)):
             values = per_degree[degs]
             values.setflags(write=False)
             object.__setattr__(self, name, values)
@@ -288,50 +293,68 @@ def multiplication_operator(lam: ImpedanceField, band_limit: int) -> BoundaryOpe
 def assemble_multiplication(lam: ImpedanceField, band_limit: int) -> BoundaryOperatorMatrix:
     """Galerkin matrix of f -> iλ f in the Y_n^m basis, in band storage.
 
-    Exact: the product rule it integrates on has order max(N + N_λ, N + 2),
-    at least the N + N_λ that resolves every product Ȳ_n^m λ Y_n'^m'.  Only
-    the blocks with |m − m'| <= N_λ are formed, and only their entries with
-    |n − n'| <= N_λ are kept (see the module docstring); the rest vanish.
+    Each kept entry e = ((n,m),(n',m')) is i Σ_L G[e, L] c_{L,−q},
+    q = m' − m, c the complex coefficients of λ and G the exact Gaunt weights
+    of :func:`_gaunt_band`, built once per (N, N_λ): no quadrature per call.
     """
-    rule = gauss_product_rule(max(band_limit + lam.band_limit, band_limit + 2))
-    # fft gives Σ_l a_l e^{−iqφ_l} at index q mod L, so F_q sits at −q mod L;
-    # row q + N_λ of ``fourier`` holds F_q on every ring
-    ring_sums = np.fft.fft((rule.weights * lam.evaluate_on(rule)).reshape(rule.rings, -1))
-    nq = lam.band_limit
-    fourier = ring_sums[:, -np.arange(-nq, nq + 1) % rule.azimuths].T
-    legendre = _ring_legendre(band_limit, rule.order)  # P̄_n^m(μ_j), m-major rows
-    b, scatter = _band_scatter(band_limit, nq)
+    b, dest, groups = _gaunt_band(band_limit, lam.band_limit)
+    # G is real: it maps the (re, im) rows of iλ's coefficients to those of the entries
+    coeffs = (1j * _complex_coefficients(lam.coefficients)).view(float).reshape(-1, 2)
+    values = np.concatenate([gaunt @ coeffs[lam_index] for lam_index, gaunt in groups])
     entries = np.zeros((2 * b + 1, num_harmonics(band_limit)), dtype=complex)
-    for rows, cols, shift, kept, dest in scatter:
-        block = 1j * legendre[rows] @ (legendre[cols] * fourier[shift]).T
-        entries[dest] = block[kept]
+    np.put(entries, dest, values.view(complex))
     return BoundaryOperatorMatrix(entries=entries)
 
 
-@lru_cache(maxsize=16)
-def _band_scatter(band_limit: int, lam_band: int):
-    """Half-bandwidth b and, per order m, the index arrays of its block.
+# Kept entries per step of a Gaunt table build: their products over the ring
+# latitudes then take a few MB (24 MB peak at N = 64, N_λ = 4, against 74 MB
+# for the whole group at once), and the build runs in cache.
+_GAUNT_CHUNK = 4096
 
-    In the m-major order block m of M_{iλ} has the contiguous rows (n, m) and
-    columns (n', m') with |m' − m| <= N_λ; ``shift`` picks F_{m'−m} from
-    ``fourier``, ``kept`` the block entries with |n − n'| <= N_λ and ``dest``
-    their place in band storage.  b is the largest |i − j| that a kept entry
-    reaches.
+
+@lru_cache(maxsize=16)
+def _gaunt_band(band_limit: int, lam_band: int):
+    """The Gaunt band table of M_{iλ} at (N, N_λ): (b, dest, groups).
+
+    The kept entries are the m-major pairs (i, j) = ((n,m),(n',m')) with
+    |n − n'| <= N_λ and |m − m'| <= N_λ, b the largest |i − j| among them.
+    They are grouped by q = m' − m: ``dest`` holds their flat indices in the
+    (2b + 1) × (N+1)² band storage, group after group, and group q is
+    (lam_index, G), lam_index the degree-major indices of c_{L,−q},
+    L = |q|..N_λ, and G[e, L] = Σ_j 2π w_j P̄_n^m(μ_j) P̄_{n'}^{m'}(μ_j)
+    P̄_L^{−q}(μ_j) on the Gauss latitudes of the product rule of order
+    max(N + N_λ, N + 2).  That rule integrates the degree n + n' + L <=
+    2N + N_λ polynomial exactly, so G is exact.  Every array is read-only.
     """
-    perm, bounds = _m_major(band_limit)
+    rule = gauss_product_rule(max(band_limit + lam_band, band_limit + 2))
+    legendre = _ring_legendre(band_limit, rule.order)  # P̄_n^m(μ_j), m-major rows
+    weighted = legendre * (rule.azimuths * rule.weights[::rule.azimuths])  # times 2π w_j
+    lam_legendre, lam_bounds = _ring_legendre(lam_band, rule.order), _m_major(lam_band)[1]
+    perm = _m_major(band_limit)[0]
+    position = np.argsort(perm)  # the m-major position of each degree-major index
     degs = harmonic_degrees(band_limit)[perm]
     orders = perm - degs * (degs + 1)
-    blocks = []
-    for m in range(-band_limit, band_limit + 1):
-        rows = slice(bounds[m + band_limit], bounds[m + band_limit + 1])
-        cols = slice(bounds[max(m - lam_band, -band_limit) + band_limit],
-                     bounds[min(m + lam_band, band_limit) + band_limit + 1])
-        r, c = np.nonzero(np.abs(degs[rows, None] - degs[cols]) <= lam_band)
-        blocks.append((rows, cols, orders[cols] - m + lam_band, (r, c),
-                       rows.start + r, cols.start + c))
-    b = max(int(np.abs(i - j).max(initial=0)) for *_, i, j in blocks)
-    return b, tuple((rows, cols, shift, kept, (b + i - j, j))
-                    for rows, cols, shift, kept, i, j in blocks)
+    col_degs = degs[:, None] + np.arange(-lam_band, lam_band + 1)  # n' = n + d
+    pairs = {}
+    for q in range(-lam_band, lam_band + 1):
+        # the entries ((n, m), (n', m + q)), |n' − n| <= N_λ, as m-major (i, j)
+        i, d = np.nonzero((np.abs(orders + q)[:, None] <= col_degs) & (col_degs <= band_limit))
+        if i.size:
+            n2 = col_degs[i, d]
+            pairs[q] = i, position[n2 * (n2 + 1) + orders[i] + q]
+    b = max(int(np.abs(i - j).max()) for i, j in pairs.values())
+    ncols, dest, groups = num_harmonics(band_limit), [], []
+    for q, (i, j) in pairs.items():
+        degrees = np.arange(abs(q), lam_band + 1)
+        lam_rows = lam_legendre[lam_bounds[lam_band - q]:lam_bounds[lam_band - q + 1]].T
+        chunks = (slice(s, s + _GAUNT_CHUNK) for s in range(0, i.size, _GAUNT_CHUNK))
+        gaunt = np.concatenate([(legendre[i[c]] * weighted[j[c]]) @ lam_rows for c in chunks])
+        groups.append((degrees * (degrees + 1) - q, gaunt))
+        dest.append((b + i - j) * ncols + j)
+    dest = np.concatenate(dest)
+    for arr in (dest, *(a for group in groups for a in group)):
+        arr.setflags(write=False)
+    return b, dest, tuple(groups)
 
 
 def default_coupling(k: float) -> float:

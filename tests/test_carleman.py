@@ -434,6 +434,7 @@ class TestThreeSphere:
         assert 0.01 < fit.alpha < 0.99
         assert np.isfinite(fit.C) and fit.C <= 1e3
         assert fit.monotonicity_violations == 0
+        assert fit.alpha_fitted
         # the fitted pair dominates every member
         n = fit.norms
         lhs = 0.2 * n[:, 1]

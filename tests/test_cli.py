@@ -376,6 +376,15 @@ class TestArtifacts:
         assert 0.0 < summary["alpha"] < 1.0
         assert summary["monotonicity_violations"] == 0
 
+    @pytest.mark.parametrize("k,fitted", [(None, False), (2.0, True)])
+    def test_three_sphere_says_whether_alpha_was_fitted(self, tmp_path, capsys, k, fitted):
+        # at the default k = 1 every member has one norm triple: α is the fallback
+        path = write_config(tmp_path, "c.json", {} if k is None else {"k": k})
+        assert main(["three-sphere", path]) == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["alpha_fitted"] is fitted
+        assert (summary["alpha"] == 0.5) is not fitted
+
     def test_seeded_determinism(self, tmp_path, capsys):
         path = write_config(tmp_path, "c.json", {"k": 2.0, "seed": 3})
         main(["three-sphere", path])
@@ -617,6 +626,18 @@ def test_mie_past_degree_400_writes_one_error_record(tmp_path, override, ka):
     record = json.loads(proc.stderr)
     assert record["error"] == "numerical"
     assert f"ka = {ka} starts past degree 400" in record["message"]
+
+
+def test_huge_radius_forward_writes_one_error_record(tmp_path):
+    # S₀² = (2a)² leaves the float range: the modal table raises before numpy warns
+    path = write_config(tmp_path, "c.json", {})
+    proc = fresh(["-m", "impscat.cli", "forward", path, "--set", "radius=1e300"], check=False)
+    assert proc.returncode == EXIT_NUMERICAL
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    record = json.loads(proc.stderr)
+    assert record["error"] == "numerical"
+    assert record["message"].endswith("overflows at degree 0, a = 1e+300")
 
 
 def scipy_loaded_by(code: str) -> list:

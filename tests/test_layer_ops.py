@@ -1,5 +1,6 @@
 """Layer operators on the sphere against quadrature and identity oracles."""
 
+import re
 import warnings
 from math import isqrt
 
@@ -240,12 +241,38 @@ class TestMultiplication:
         assert multiplication_operator(lam, band_limit).entries.shape[0] == 1
 
     def test_band_scatter_built_once_per_shape(self):
-        # the scatter indices depend on (N, N_λ) only, not on λ
-        layer_ops._band_scatter.cache_clear()
+        # the Gaunt band table depends on (N, N_λ) only, not on λ
+        layer_ops._gaunt_band.cache_clear()
         for seed in (0, 1):
             assemble_multiplication(variable_field(4, seed), 12)
-        info = layer_ops._band_scatter.cache_info()
+        info = layer_ops._gaunt_band.cache_info()
         assert (info.misses, info.hits) == (1, 1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(band_limit=st.integers(0, 20), lam_band=st.integers(0, 6),
+           seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 2.0))
+    def test_linear_in_the_impedance(self, band_limit, lam_band, seed, t):
+        # M(λ₁ + tλ₂) = M(λ₁) + t·M(λ₂): one table contracted with λ's coefficients
+        lam1, lam2 = variable_field(lam_band, seed), variable_field(lam_band, seed + 1)
+        combined = ImpedanceField(coefficients=lam1.coefficients + t * lam2.coefficients)
+        whole = assemble_multiplication(combined, band_limit).entries
+        parts = (assemble_multiplication(lam1, band_limit).entries
+                 + t * assemble_multiplication(lam2, band_limit).entries)
+        np.testing.assert_allclose(whole, parts, rtol=0.0, atol=1e-14 * np.abs(whole).max())
+
+    @pytest.mark.parametrize("band_limit,lam_band", [(12, 4), (3, 6), (24, 2)])
+    def test_gaunt_table_is_read_only(self, band_limit, lam_band):
+        _, dest, groups = layer_ops._gaunt_band(band_limit, lam_band)
+        for arr in (dest, *(a for group in groups for a in group)):
+            assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("band_limit,lam_band", [(12, 4), (3, 6), (24, 2), (8, 0)])
+    def test_gaunt_table_is_compact(self, band_limit, lam_band):
+        # one weight per degree L that carries order −q, never all (N_λ + 1)²
+        _, dest, groups = layer_ops._gaunt_band(band_limit, lam_band)
+        assert sum(len(gaunt) for _, gaunt in groups) == dest.size
+        assert all(gaunt.dtype == np.float64 for _, gaunt in groups)
+        assert sum(gaunt.size for _, gaunt in groups) <= (lam_band + 1) * dest.size
 
 
 class TestCombinedSystem:
@@ -417,6 +444,14 @@ class TestHankelOverflow:
         table = ModalTable(k, 1.0, degree - 1)
         for values in (table.jn, table.jnp, table.hn, table.hnp):
             assert np.all(np.isfinite(values))
+
+    @pytest.mark.parametrize("a", [6.8e153, 1e154, 1e300])
+    def test_modal_table_names_an_overflowing_s0_squared(self, a):
+        # S₀² = (2a/(2n + 1))² is largest at degree 0; no numpy warning first
+        with pytest.raises(NumericalError,
+                           match=re.escape(f"overflows at degree 0, a = {a:g}") + "$"):
+            ModalTable(1.0, a, 4)
+        assert np.isfinite(ModalTable(1.0, 6.7e153, 4).s0sq[0])
 
     def test_eigenvalues_raise_past_the_overflow(self):
         with pytest.raises(NumericalError):
