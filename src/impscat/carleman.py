@@ -182,8 +182,8 @@ class CarlemanSetup:
     ``volume`` (48 radial Gauss nodes × sphere order 16) and ``boundary``
     (order 24 on both spheres) are the node sets, each a :class:`NodeSet` in
     shells of one radius r, with ψ − ψ_ref = 2 ln(ρ/r) ≤ 0 per shell: exactly
-    0 on the inner sphere.  ``weighted_nodes(λ, τ)`` compresses both sets to
-    the nodes whose relative weights at (λ, τ) are not all 0.0.
+    0 on the inner sphere.  ``weighted_shells(pairs)`` compresses both sets
+    to the shells whose relative weights at some (λ, τ) are not all 0.0.
     """
 
     x0: np.ndarray
@@ -234,16 +234,6 @@ class CarlemanSetup:
         some (λ, τ) of ``pairs`` is not 0.0; see :meth:`NodeSet.weighted_shells`."""
         return (self.volume.weighted_shells(pairs, self.psi_ref, _VOLUME_POWERS),
                 self.boundary.weighted_shells(pairs, self.psi_ref, _BOUNDARY_POWERS))
-
-    def weighted_nodes(self, lam: float, tau: float) -> tuple:
-        """(volume, boundary) at (λ, τ), each without its zero-weight nodes.
-
-        volume is (nodes, quad weights, w3, w1, w0) and boundary is (nodes,
-        quad weights, b3, b1), where w_p is e^{2τφ}φ^p relative to the common
-        factor.
-        """
-        return tuple((nodes, weights, *rel[:, 0])
-                     for nodes, weights, rel in self.weighted_shells([(lam, tau)]))
 
     @property
     def psi_ref(self) -> float:

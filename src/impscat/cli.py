@@ -260,10 +260,10 @@ def cmd_mie(cfg: dict) -> int:
 
 def cmd_carleman_check(cfg: dict) -> int:
     """Both Carleman sides for every suite member at 1, 2 and 4 times the
-    admissible (λ, τ), from one ``carleman_sides`` call.  ``weighted_nodes``
-    counts, per multiple, the nodes whose weight relative to the common
-    factor is not 0.0: at these thresholds no volume node is left, so every
-    lhs is 0.0 and every ratio infinite."""
+    admissible (λ, τ), from one ``carleman_sides`` call.  The summary counts,
+    per multiple, the nodes whose weight relative to the common factor is
+    not 0.0, from one ``weighted_shells`` call: at these thresholds no volume
+    node is left, so every lhs is 0.0 and every ratio infinite."""
     rho = float(_get(cfg, "rho", 1.0))
     d = float(_get(cfg, "d", 1.0))
     size = _get_size(cfg, "suite_size", 50, least=1)
@@ -273,21 +273,23 @@ def cmd_carleman_check(cfg: dict) -> int:
     pairs = [(mult * setup.lambda_threshold, mult * setup.tau_threshold)
              for mult in multiples]
     sides = carleman.carleman_sides(suite, setup, pairs)
+    # per pair, the kept nodes where some power's relative weight is not 0.0
+    volume, boundary = (np.count_nonzero(np.any(rel != 0.0, axis=0), axis=-1)
+                        for _, _, rel in setup.weighted_shells(pairs))
     reports = []
     weighted = []
     all_pass = True
-    for mult, (lam_w, tau), results in zip(multiples, pairs, sides):
+    for mult, results, n_volume, n_boundary in zip(multiples, sides, volume, boundary):
         for i, res in enumerate(results):
             all_pass &= res.holds
             reports.append({"check": "carleman", "test_function": i,
                             "threshold_multiple": mult,
                             "lhs": res.lhs_factored, "rhs": res.rhs_factored,
                             "ratio": res.ratio, "pass": bool(res.holds)})
-        volume, boundary = setup.weighted_nodes(lam_w, tau)
         weighted.append({"threshold_multiple": mult,
-                         "volume_weighted": len(volume[0]),
+                         "volume_weighted": int(n_volume),
                          "volume_total": len(setup.volume[0]),
-                         "boundary_weighted": len(boundary[0]),
+                         "boundary_weighted": int(n_boundary),
                          "boundary_total": len(setup.boundary[0])})
     emit_summary(cfg, {"reports": reports, "all_pass": bool(all_pass),
                        "m": setup.m, "M": setup.M, "weighted_nodes": weighted})

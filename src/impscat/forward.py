@@ -5,17 +5,16 @@ the density φ, then evaluate the scattered field through the separated
 (per-mode) representation u^s = Σ c_nm φ_nm h_n(kr) Y_n^m.  The far field
 follows from h_n(kr) ~ (−i)^{n+1} e^{ikr}/(kr).
 
-Every outgoing-wave sum Σ amps_nm R_n Y_n^m, for the solver and for the Mie
-reference alike, goes through the single evaluator ``_outgoing_wave``:
-R_n is h_n(kr) at points outside the obstacle, and (−i)^{n+1}/k on a
-far-field quadrature rule.  On a rule, as for the boundary traces, the sum
-goes through the ring transform
+Every outgoing-wave sum Σ amps_nm R_n Y_n^m on a product rule, for the
+solver and for the Mie reference alike, goes through ``_on_rule``, for a
+per-degree radial factor R_n: (−i)^{n+1}/k for a far field, h_n(kr) on a
+shell |x| = r.  As for the boundary traces, the sum is the ring transform
 :func:`impscat.specfun._synthesize` (a Legendre sum per ring latitude,
 then one inverse FFT per ring), so no (N+1)² × npts matrix is formed.
-A shell |x| = r of product-rule directions (``scattered_on_shell``, for the
-uniform-bound witness and the exterior lower-bound scan) is the same
-transform of amps·h_n(kr), one Hankel call per shell; only scattered points
-take the dense path.
+``scattered_on_shell`` (for the uniform-bound witness and the exterior
+lower-bound scan) takes a whole set of radii: one Hankel call over all of
+them and one stacked transform.  ``_outgoing_wave`` is the dense path, for
+scattered points only.
 
 The solver's per-degree values come from the :class:`WaveContext`: its
 modal table (j_n, j_n', h_n, h_n', S₀² at (k, a, N)) and its plane-wave
@@ -149,9 +148,14 @@ class FarField:
 
     def norm(self) -> float:
         """L²(S²) norm."""
-        return float(np.sqrt(np.real(
-            self.rule.integrate(np.abs(self.samples) ** 2)
-        )))
+        return self._l2(self.samples)
+
+    def distance(self, other: FarField) -> float:
+        """δ = ‖u∞ − other‖_{L²(S²)}, for ``other`` on the same rule."""
+        return self._l2(self.samples - other.samples)
+
+    def _l2(self, values: np.ndarray) -> float:
+        return float(np.sqrt(np.real(self.rule.integrate(np.abs(values) ** 2))))
 
 
 class ResolutionError(RuntimeError):
@@ -202,21 +206,12 @@ def radiating_coefficients(phi: HarmonicDensity, ctx: WaveContext,
     return radiating_coefficient_diagonal(table, phi.eta) * phi.coeffs
 
 
-def _outgoing_wave(amps: np.ndarray, k: float, where, radius: float = 0.0) -> np.ndarray:
-    """Σ amps_nm R_n Y_n^m at points ``where`` or on a far-field rule.
-
-    At points (shape (npts, 3)), R_n = h_n(kr), and every point must lie
-    outside the sphere of the given radius.  On a :class:`QuadratureRule`,
-    R_n = (−i)^{n+1}/k, the far-field limit of h_n(kr) e^{−ikr} kr, and the
-    sum is one ring transform (:func:`impscat.specfun._synthesize`); the series
-    may exceed the rule's order, since the transform folds the excess orders exactly.
-    """
+def _outgoing_wave(amps: np.ndarray, k: float, x, radius: float) -> np.ndarray:
+    """Σ amps_nm h_n(k|x|) Y_n^m(x̂) at points ``x`` (shape (npts, 3)), every
+    one outside the sphere of the given radius."""
     band_limit = _band_limit_of(amps.size)
     degs = harmonic_degrees(band_limit)
-    if isinstance(where, QuadratureRule):
-        # R_n is the same at every node: one synthesis on the rule
-        return _synthesize(amps * ((-1j) ** (degs + 1) / k), where)
-    x = np.atleast_2d(np.asarray(where, dtype=float))
+    x = np.atleast_2d(np.asarray(x, dtype=float))
     r = np.linalg.norm(x, axis=1)
     if np.any(r <= radius):
         raise ValueError("evaluation points must lie outside the obstacle")
@@ -224,6 +219,22 @@ def _outgoing_wave(amps: np.ndarray, k: float, where, radius: float = 0.0) -> np
                             np.arctan2(x[:, 1], x[:, 0]))
     radial = sph_hankel1(np.arange(band_limit + 1)[:, None], k * r)[degs]
     return (amps[:, None] * radial * ymat).sum(axis=0)
+
+
+def _on_rule(amps: np.ndarray, radial: np.ndarray, rule: QuadratureRule) -> np.ndarray:
+    """Σ amps_nm R_n Y_n^m at the nodes of ``rule``, for a radial factor R of
+    shape (..., N+1), one value per degree: one ring transform
+    (:func:`impscat.specfun._synthesize`) of shape (..., npts).  The series
+    may exceed the rule's order, since the transform folds the excess orders
+    exactly."""
+    return _synthesize(amps * radial[..., harmonic_degrees(_band_limit_of(amps.size))], rule)
+
+
+def _far_field(amps: np.ndarray, k: float, rule: QuadratureRule) -> FarField:
+    """u∞ on ``rule``: R_n = (−i)^{n+1}/k, the far-field limit of
+    h_n(kr) e^{−ikr} kr."""
+    degrees = np.arange(_band_limit_of(amps.size) + 1)
+    return FarField(samples=_on_rule(amps, (-1j) ** (degrees + 1) / k, rule), rule=rule)
 
 
 def eval_scattered(x, phi: HarmonicDensity, ctx: WaveContext,
@@ -237,20 +248,21 @@ def eval_scattered(x, phi: HarmonicDensity, ctx: WaveContext,
 
 
 def scattered_on_shell(phi: HarmonicDensity, ctx: WaveContext, geom: ObstacleGeometry,
-                       radius: float, rule: QuadratureRule) -> np.ndarray:
-    """u^s at the nodes of a product rule on the sphere |x| = ``radius``.
+                       radius, rule: QuadratureRule) -> np.ndarray:
+    """u^s at the nodes of a product rule on each sphere |x| = r of ``radius``
+    (a scalar or an array of radii), shape ``radius.shape + (npts,)``.
 
-    These are :func:`eval_scattered`'s values at ``radius * rule.points()``:
-    h_n(kr) is one value per degree on the shell, so the sum is one ring
-    transform of amps·h_n(kr).  The radius must exceed the obstacle's.
+    These are :func:`eval_scattered`'s values at ``r * rule.points()``:
+    h_n(kr) is one value per degree on a shell, so all shells are one
+    Hankel call and one stacked ring transform of amps·h_n(kr).  Every
+    radius must exceed the obstacle's.
     """
-    if radius <= geom.radius:
+    radius = np.asarray(radius, dtype=float)
+    if np.any(radius <= geom.radius):
         raise ValueError("evaluation points must lie outside the obstacle")
-    _warn_near_boundary(radius - geom.radius, phi, ctx)
-    band_limit = phi.band_limit
-    radial = sph_hankel1(np.arange(band_limit + 1), ctx.k * radius)
-    amps = radiating_coefficients(phi, ctx, geom)
-    return _synthesize(amps * radial[harmonic_degrees(band_limit)], rule)
+    _warn_near_boundary(float(np.min(radius)) - geom.radius, phi, ctx)
+    radial = sph_hankel1(np.arange(phi.band_limit + 1), ctx.k * radius[..., None])
+    return _on_rule(radiating_coefficients(phi, ctx, geom), radial, rule)
 
 
 def _warn_near_boundary(distance: float, phi: HarmonicDensity, ctx: WaveContext):
@@ -263,8 +275,7 @@ def farfield(phi: HarmonicDensity, ctx: WaveContext, geom: ObstacleGeometry,
     """Far-field pattern u∞ from the large-argument Hankel asymptotics,
     with the density's own coupling ``phi.eta``."""
     rule = rule or gauss_product_rule(phi.band_limit)
-    amps = radiating_coefficients(phi, ctx, geom)
-    return FarField(samples=_outgoing_wave(amps, ctx.k, rule), rule=rule)
+    return _far_field(radiating_coefficients(phi, ctx, geom), ctx.k, rule)
 
 
 def solve_farfield(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField,
@@ -326,8 +337,7 @@ def mie_farfield(ctx: WaveContext, a: float, lam0: float,
         raise ValueError("impedance must be nonnegative")
     nb = _mie_band_limit(ctx.k, a, lam0)
     rule = rule or gauss_product_rule(max(24, nb))
-    amps = _mie_amplitudes(ctx, a, lam0, nb)
-    return FarField(samples=_outgoing_wave(amps, ctx.k, rule), rule=rule)
+    return _far_field(_mie_amplitudes(ctx, a, lam0, nb), ctx.k, rule)
 
 
 def mie_scattered(x, ctx: WaveContext, a: float, lam0: float) -> np.ndarray:
@@ -402,15 +412,11 @@ def uniform_bound_check(ctx: WaveContext, geom: ObstacleGeometry,
                         impedances, band_limit: int = 24) -> UniformBoundReport:
     """Numerical witness of the uniform total-field bound over a λ family."""
     rule = gauss_product_rule(band_limit)
-    dirs = rule.points()
+    radii = np.array([1.5, 2.0, 4.0, 8.0]) * geom.radius
+    incident = ctx.incident(radii[:, None, None] * rule.points())
     sups = []
     for lam in impedances:
         phi = solve_density(ctx, geom, lam, band_limit=band_limit)
-        sup = 0.0
-        for fac in (1.5, 2.0, 4.0, 8.0):
-            radius = fac * geom.radius
-            total = ctx.incident(radius * dirs) + scattered_on_shell(phi, ctx, geom,
-                                                                      radius, rule)
-            sup = max(sup, float(np.max(np.abs(total))))
-        sups.append(sup)
+        total = incident + scattered_on_shell(phi, ctx, geom, radii, rule)
+        sups.append(float(np.max(np.abs(total))))
     return UniformBoundReport(sups=sups)

@@ -125,7 +125,6 @@ class ConeChain:
     radii: np.ndarray
     distances: np.ndarray
     ratio: float
-    axis: np.ndarray
 
     @property
     def count(self) -> int:
@@ -165,8 +164,7 @@ def build_cone_chain(x_tilde: np.ndarray, r: float, geom: ObstacleGeometry,
     dists = (r / 2.0) * mu ** np.arange(n_balls + 1)
     centers = x_tilde[None, :] + dists[:, None] * xi[None, :]
     radii = c * dists
-    chain = ConeChain(centers=centers, radii=radii, distances=dists,
-                      ratio=mu, axis=xi)
+    chain = ConeChain(centers=centers, radii=radii, distances=dists, ratio=mu)
     dist_bnd = geom.distance_to_boundary(centers)
     outer_ok = _norms(centers) + 3.0 * radii <= big_r
     if np.any(dist_bnd <= 3.0 * radii) or not np.all(outer_ok):

@@ -61,6 +61,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -82,8 +83,8 @@ class SingularSystemError(RuntimeError):
 
 
 class NumericalError(ArithmeticError):
-    """A per-degree value lies outside the float range: h_n(ka), h_n'(ka) or
-    S₀² overflows."""
+    """A per-degree value lies outside the float range: h_n(ka), h_n'(ka), S₀²
+    or the radiating coefficient c_n overflows."""
 
 
 def require_finite_hankel(ka: float, hn: np.ndarray, hnp: np.ndarray) -> None:
@@ -393,9 +394,19 @@ def exterior_trace_operators(table: ModalTable,
 
 
 def radiating_coefficient_diagonal(table: ModalTable, eta: float) -> np.ndarray:
-    """c with u^s = Σ c_nm φ_nm h_n(k r) Y_n^m outside the obstacle."""
+    """c with u^s = Σ c_nm φ_nm h_n(k r) Y_n^m outside the obstacle.
+
+    Raises :class:`NumericalError` at the first degree where c_n, or the
+    product S₀²k²a² it is formed from, overflows.
+    """
     k, a = table.k, table.a
-    return 1j * k * a * a * table.jn + 1j * eta * table.s0sq * 1j * k * k * a * a * table.jnp
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        c = 1j * k * a * a * table.jn + 1j * eta * table.s0sq * 1j * k * k * a * a * table.jnp
+    bad = ~np.isfinite(c)
+    if bad.any():
+        raise NumericalError(f"radiating coefficient c_n overflows at degree "
+                             f"{isqrt(int(np.argmax(bad)))}, ka = {k * a:.6g}")
+    return c
 
 
 def incident_coefficients(table: ModalTable,

@@ -1,4 +1,4 @@
-"""Inverse-problem harness: far-field distances, stability bounds, sweeps.
+"""Inverse-problem harness: stability bounds, sweeps, reconstruction.
 
 The forward map λ ↦ u∞ is only log-log stable, so the quantitative objects
 here are moduli of continuity: the double-log bound of the headline
@@ -81,23 +81,8 @@ def prop41_bound(fu_norm: float, c: float, sigma: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Far-field distance and sweeps
+# Sweeps
 # ---------------------------------------------------------------------------
-
-def far_field_delta(lam_a: ImpedanceField, lam_b: ImpedanceField,
-                    ctx: WaveContext, geom: ObstacleGeometry,
-                    band_limit: int = 24) -> float:
-    """L²(S²) distance between the far fields of two impedances."""
-    rule = gauss_product_rule(band_limit)
-    fa = solve_farfield(ctx, geom, lam_a, band_limit, rule)
-    fb = solve_farfield(ctx, geom, lam_b, band_limit, rule)
-    return _far_field_distance(fa.samples, fb.samples, rule)
-
-
-def _far_field_distance(samples_a, samples_b, rule) -> float:
-    """δ = ‖u∞_a − u∞_b‖_{L²(S²)} for samples on the same rule."""
-    return float(np.sqrt(np.real(rule.integrate(np.abs(samples_a - samples_b) ** 2))))
-
 
 def impedance_sup_distance(lam_a: ImpedanceField, lam_b: ImpedanceField) -> float:
     """Max-norm distance on the order-64 boundary grid.
@@ -184,8 +169,7 @@ def stability_sweep(base: ImpedanceField, shape, eps_list,
         if eps == 0.0:
             rows.append((0.0, 0.0, 0.0))
             continue
-        ff = solve_farfield(ctx, geom, lam_p, band_limit, rule)
-        delta = _far_field_distance(ff.samples, base_ff.samples, rule)
+        delta = solve_farfield(ctx, geom, lam_p, band_limit, rule).distance(base_ff)
         rows.append((eps, delta, impedance_sup_distance(base, lam_p)))
     positive = [r for r in rows if r[0] > 0]
     c_fit, sigma_fit = fit_dominating_curve(
@@ -222,8 +206,8 @@ def lemma51_check(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField,
     """Smallest candidate R with |u| ≥ 1/2 on every sampled radius ≥ R.
 
     Uses the triangle inequality |u| ≥ 1 − |u^s| plus a direct min over
-    the angular grid, scanning a dense ladder of radii per candidate; each
-    radius is one shell of the order-24 product rule.
+    the angular grid, scanning a dense ladder of radii per candidate; the
+    ladder is one stacked set of shells of the order-24 product rule.
     """
     phi = solve_density(ctx, geom, lam, band_limit=band_limit)
     rads = np.unique(np.concatenate(
@@ -231,14 +215,9 @@ def lemma51_check(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField,
          np.geomspace(min(r_candidates), 4.0 * max(r_candidates), 24)]
     ))
     rule = gauss_product_rule(24)
-    dirs = rule.points()
-    sups = np.empty(rads.size)
-    mins = np.empty(rads.size)
-    for i, rr in enumerate(rads):
-        us = scattered_on_shell(phi, ctx, geom, rr, rule)
-        total = ctx.incident(rr * dirs) + us
-        sups[i] = float(np.max(np.abs(us)))
-        mins[i] = float(np.min(np.abs(total)))
+    shells = scattered_on_shell(phi, ctx, geom, rads, rule)
+    sups = np.max(np.abs(shells), axis=1)
+    mins = np.min(np.abs(ctx.incident(rads[:, None, None] * rule.points()) + shells), axis=1)
     qualifying = np.inf
     for r0 in sorted(r_candidates):
         if np.all(mins[rads >= r0] >= 0.5):
@@ -256,7 +235,6 @@ def lemma51_check(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField,
 class ReconstructionReport:
     impedance: ImpedanceField
     misfit: float
-    gradient_norm: float
     converged: bool
     iterations: int
 
@@ -273,9 +251,8 @@ def reconstruct(data: FarField, ctx: WaveContext, geom: ObstacleGeometry,
     negativity in the objective and from shifting the constant mode up by
     the grid minimum, where that is negative, before every solve and for
     the returned impedance.  A prior that already fits the data to rounding
-    is returned at once as converged (0 iterations, gradient_norm NaN:
-    L-BFGS-B would only see a finite-difference gradient of rounding noise
-    there, above its gtol).
+    is returned at once as converged (0 iterations: L-BFGS-B would only see
+    a finite-difference gradient of rounding noise there, above its gtol).
     """
     from scipy.optimize import minimize  # here, not at the top: it slows every CLI start
 
@@ -305,19 +282,16 @@ def reconstruct(data: FarField, ctx: WaveContext, geom: ObstacleGeometry,
     x0 = prior_vec.copy()
     data_sq = float(np.real(rule.integrate(np.abs(data.samples) ** 2)))
     if objective(x0) <= np.finfo(float).eps * data_sq:
-        x, converged, iterations, gradient_norm = x0, True, 0, np.nan
+        x, converged, iterations = x0, True, 0
     else:
         result = minimize(objective, x0, method="L-BFGS-B",
                           options={"maxiter": 200, "ftol": 1e-14, "gtol": 1e-10})
         x, converged, iterations = result.x, bool(result.success), int(result.nit)
-        gradient_norm = (float(np.max(np.abs(result.jac)))
-                         if result.jac is not None else np.nan)
     lam_final = _clip_field(x, grid_values(x))
     ff = solve_farfield(ctx, geom, lam_final, band_limit, rule)
     misfit = float(np.real(rule.integrate(np.abs(ff.samples - data.samples) ** 2)))
     return ReconstructionReport(
-        impedance=lam_final, misfit=misfit, gradient_norm=gradient_norm,
-        converged=converged, iterations=iterations,
+        impedance=lam_final, misfit=misfit, converged=converged, iterations=iterations,
     )
 
 

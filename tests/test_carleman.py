@@ -329,7 +329,7 @@ class TestWeightedNodes:
     def test_every_nonzero_weight_kept(self):
         setup = CarlemanSetup(x0=np.zeros(3), rho=1.0, d=1.0)
         lam, tau = 6.0, 1.0  # far below the thresholds: inner volume shells carry weight
-        weighted = setup.weighted_nodes(lam, tau)
+        weighted = setup.weighted_shells([(lam, tau)])
         for node_set, powers, kept in zip(
                 (setup.volume, setup.boundary), ((3, 1, 0), (3, 1)), weighted):
             nodes, weights = node_set[:2]
@@ -339,7 +339,7 @@ class TestWeightedNodes:
             assert 0 < np.count_nonzero(keep) < keep.size
             np.testing.assert_array_equal(kept[0], nodes[keep])
             np.testing.assert_array_equal(kept[1], weights[keep])
-            np.testing.assert_array_equal(np.array(kept[2:]), rel[:, keep])
+            np.testing.assert_array_equal(kept[2][:, 0], rel[:, keep])
 
 
 class TestCorollaryThresholds:

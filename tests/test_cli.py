@@ -640,6 +640,18 @@ def test_huge_radius_forward_writes_one_error_record(tmp_path):
     assert record["message"].endswith("overflows at degree 0, a = 1e+300")
 
 
+def test_far_radius_farfield_writes_one_error_record(tmp_path):
+    # S₀²k²a² overflows in c_n while S₀² is still finite: c_n raises before numpy warns
+    path = write_config(tmp_path, "c.json", {})
+    proc = fresh(["-m", "impscat.cli", "farfield", path, "--set", "radius=1e150"], check=False)
+    assert proc.returncode == EXIT_NUMERICAL
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    record = json.loads(proc.stderr)
+    assert record["error"] == "numerical"
+    assert record["message"].endswith("c_n overflows at degree 0, ka = 1e+150")
+
+
 def scipy_loaded_by(code: str) -> list:
     """The ``scipy`` modules in ``sys.modules`` after ``code`` runs in a fresh
     interpreter."""

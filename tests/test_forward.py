@@ -380,11 +380,22 @@ class TestScatteredField:
 
     def test_shell_keeps_point_path_checks(self):
         rule = gauss_product_rule(8)
-        for radius in (0.5, 1.0):
+        for radius in (0.5, 1.0, [3.0, 1.0]):
             with pytest.raises(ValueError):
                 scattered_on_shell(self.phi, self.ctx, GEOM, radius, rule)
-        with pytest.warns(UserWarning, match="close to the boundary"):
-            scattered_on_shell(self.phi, self.ctx, GEOM, 1.01, rule)
+        for radius in (1.01, [3.0, 1.01]):
+            with pytest.warns(UserWarning, match="close to the boundary"):
+                scattered_on_shell(self.phi, self.ctx, GEOM, radius, rule)
+
+    @pytest.mark.parametrize("radii", [[1.5, 2.0, 4.0, 8.0], [[3.0, 1.3], [40.0, 3.0]]])
+    def test_shells_in_one_call_equal_scalar_calls(self, radii):
+        rule = gauss_product_rule(16)
+        radii = np.array(radii)
+        shells = scattered_on_shell(self.phi, self.ctx, GEOM, radii, rule)
+        assert shells.shape == radii.shape + (rule.npts,)
+        for at in np.ndindex(radii.shape):
+            np.testing.assert_array_equal(
+                shells[at], scattered_on_shell(self.phi, self.ctx, GEOM, float(radii[at]), rule))
 
     def test_farfield_extrapolation(self):
         ff = farfield(self.phi, self.ctx, GEOM)
@@ -605,6 +616,22 @@ class TestUniformBound:
         report = uniform_bound_check(ctx, GEOM, fields, band_limit=20)
         assert all(np.isfinite(s) for s in report.sups)
         assert report.spread <= 2.0
+
+    def test_equals_per_radius_reference(self):
+        # the four shells are one stacked call; each shell alone is the reference
+        ctx = WaveContext(k=1.3, omega=np.array([0.0, 0.6, 0.8]))
+        fields = [ImpedanceField.constant(1.0),
+                  ImpedanceField(coefficients=np.array([4.0, 0, 0.3, 0, 0, 0, 0.2, 0, 0]))]
+        report = uniform_bound_check(ctx, GEOM, fields, band_limit=20)
+        rule = gauss_product_rule(20)
+        expected = []
+        for lam in fields:
+            phi = solve_density(ctx, GEOM, lam, band_limit=20)
+            expected.append(max(
+                float(np.max(np.abs(ctx.incident(fac * rule.points())
+                                    + scattered_on_shell(phi, ctx, GEOM, fac, rule))))
+                for fac in (1.5, 2.0, 4.0, 8.0)))
+        assert report.sups == expected
 
     def test_empty_family(self):
         ctx = WaveContext(k=1.0, omega=ZHAT)

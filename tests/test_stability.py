@@ -6,13 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from impscat import specfun, stability
-from impscat.forward import WaveContext, mie_farfield, solve_farfield
+from impscat.forward import (
+    WaveContext,
+    mie_farfield,
+    scattered_on_shell,
+    solve_density,
+    solve_farfield,
+)
 from impscat.geometry import ObstacleGeometry
 from impscat.layer_ops import ImpedanceField, admissibility_rule
 from impscat.specfun import gauss_product_rule, real_sph_harmonic_all
 from impscat.stability import (
     bushuyev_theta,
-    far_field_delta,
     fit_dominating_curve,
     impedance_sup_distance,
     lemma51_check,
@@ -89,22 +94,28 @@ class TestClosedFormBounds:
             assert val_star <= prop41_intermediate(delta_star**mult, n, c, sigma)
 
 
+def far_field_delta(lam_a, lam_b, band_limit):
+    """``FarField.distance`` between the far fields of two impedances."""
+    rule = gauss_product_rule(band_limit)
+    fa, fb = (solve_farfield(CTX, GEOM, lam, band_limit, rule) for lam in (lam_a, lam_b))
+    return fa.distance(fb)
+
+
 class TestFarFieldDelta:
     def test_identical_fields(self):
         lam = ImpedanceField.constant(1.0)
-        assert far_field_delta(lam, lam, CTX, GEOM, band_limit=12) <= 1e-14
+        assert far_field_delta(lam, lam, band_limit=12) <= 1e-14
 
     def test_symmetry(self):
         a = ImpedanceField.constant(1.0)
         b = ImpedanceField.constant(1.3)
-        d1 = far_field_delta(a, b, CTX, GEOM, band_limit=12)
-        d2 = far_field_delta(b, a, CTX, GEOM, band_limit=12)
+        d1 = far_field_delta(a, b, band_limit=12)
+        d2 = far_field_delta(b, a, band_limit=12)
         assert d1 == pytest.approx(d2, rel=1e-12)
 
     def test_matches_mie_pipeline(self):
         d = far_field_delta(ImpedanceField.constant(1.0),
-                            ImpedanceField.constant(1.1), CTX, GEOM,
-                            band_limit=24)
+                            ImpedanceField.constant(1.1), band_limit=24)
         rule = gauss_product_rule(24)
         fa = mie_farfield(CTX, 1.0, 1.0, rule=rule)
         fb = mie_farfield(CTX, 1.0, 1.1, rule=rule)
@@ -212,6 +223,27 @@ class TestLemma51:
         # wherever sup|u^s| <= 1/2, the candidate radius must qualify
         if np.all(rep.sup_scattered[rep.radii >= 4.0] <= 0.5):
             assert rep.qualifying_radius <= 4.0
+
+    @pytest.mark.parametrize("candidates", [[2.0, 4.0, 8.0], [1.3, 1.6]])
+    def test_equals_per_radius_reference(self, candidates):
+        # the whole ladder is one stacked shell call; each radius alone is the reference
+        ctx = WaveContext(k=1.3, omega=np.array([0.0, 0.6, 0.8]))
+        lam = ImpedanceField(coefficients=np.array([4.0, 0, 0.3, 0, 0, 0, 0.2, 0, 0]))
+        rep = lemma51_check(ctx, GEOM, lam, candidates, band_limit=20)
+        phi = solve_density(ctx, GEOM, lam, band_limit=20)
+        rule = gauss_product_rule(24)
+        ladder = np.unique(np.concatenate(
+            [candidates, np.geomspace(min(candidates), 4.0 * max(candidates), 24)]))
+        sups, mins = [], []
+        for r in ladder:
+            us = scattered_on_shell(phi, ctx, GEOM, r, rule)
+            sups.append(np.max(np.abs(us)))
+            mins.append(np.min(np.abs(ctx.incident(r * rule.points()) + us)))
+        qualifying = next((r0 for r0 in sorted(candidates)
+                           if np.all(np.array(mins)[ladder >= r0] >= 0.5)), np.inf)
+        np.testing.assert_array_equal(rep.radii, ladder)
+        np.testing.assert_array_equal(rep.sup_scattered, sups)
+        assert rep.qualifying_radius == qualifying
 
 
 class TestReconstruction:
