@@ -515,7 +515,9 @@ def three_sphere_check(family, y, r: float) -> ThreeSphereFit:
     :func:`_resolved_kr`), and ``RuntimeError`` if a ball norm is zero or not
     finite (a zero member, or an r so small that the ball weights underflow
     or so large that they overflow), since the fit takes logarithms of their
-    ratios.
+    ratios.  Past that, it raises ``ValueError`` if the center y is so far
+    out that the ball nodes y + x round away their offsets x from it
+    (max|y_i|·2⁻⁵² > 1e-8·r).
     """
     if len(family) < 2:
         raise ValueError("family must have at least two members")
@@ -534,6 +536,9 @@ def three_sphere_check(family, y, r: float) -> ThreeSphereFit:
         norms = np.array([[_h1_norm(u, *ball) for ball in balls] for u in family])
     if not np.all(np.isfinite(norms) & (norms > 0)):
         raise RuntimeError(f"a ball norm is zero or not finite at r = {r}")
+    if not np.max(np.abs(y)) * 2.0**-52 <= 1e-8 * r:
+        raise ValueError(f"center {y.tolist()} is too far out for ball radius r = {r}: "
+                         f"the ball nodes lose their offsets from it")
     if np.any(norms[:, 0] > norms[:, 1] * (1 + 1e-12)) or \
        np.any(norms[:, 1] > norms[:, 2] * (1 + 1e-12)):
         raise RuntimeError("ball-norm monotonicity violated; quadrature suspect")

@@ -130,13 +130,17 @@ class HarmonicDensity:
         return _band_limit_of(self.coeffs.size)
 
     def tail_fraction(self) -> float:
-        """Energy in the top two degrees relative to the total."""
-        degs = harmonic_degrees(self.band_limit)
-        total = float(np.sum(np.abs(self.coeffs) ** 2))
-        if total == 0.0:
+        """Energy in the top two degrees relative to the total.
+
+        The coefficients are scaled by max|φ| before they are squared, so a
+        tiny density's energy does not underflow to 0."""
+        size = np.abs(self.coeffs)
+        peak = size.max()
+        if peak == 0.0:
             return 0.0
-        top = degs >= self.band_limit - 1
-        return float(np.sum(np.abs(self.coeffs[top]) ** 2)) / total
+        size /= peak
+        top = size[-4 * self.band_limit:]  # degrees N − 1 and N (all at N = 0)
+        return float(np.dot(top, top) / np.dot(size, size))
 
 
 @dataclass(frozen=True)

@@ -42,15 +42,21 @@ exactly, on Gauss latitudes, and each assembly is one contraction of λ's
 coefficients with that table.  The same table is the linear map h -> M_{ih}.
 The entry is also zero for |n − n'| > N_λ (Gaunt), so the system couples
 (n, m) only to (n', m') with |n − n'| <= N_λ and |m − m'| <= N_λ.  Every
-system is stored over the m-major order (m = −N..N, then n = |m|..N; the
+system is held over the m-major order (m = −N..N, then n = |m|..N; the
 permutation of :func:`impscat.specfun._m_major`), where those couplings
 stay within b ≈ N_λ(N + 1) of the diagonal, against N'(2N − N' + 2),
 N' = min(N_λ, N), in the degree-major order (Cuthill & McKee, Proc. ACM
-Nat. Conf. 1969): 51 against 96 at N = 24, N_λ = 2.  It is held in LAPACK
-band storage, entries[b + i − j, j] = Â[i, j] for the permuted matrix Â;
-``matvec`` and ``solve`` permute, so vectors stay in the degree-major order.
-By the selection rule (:func:`multiplication_operator`) a constant λ is
-b = 0, one diagonal row: it is solved by one division, with its exact rcond
+Nat. Conf. 1969): 51 against 96 at N = 24, N_λ = 2.  Only those kept
+entries are stored, 13,931 at N = 24, N_λ = 2 against the 64,375 slots of
+a (2b + 1)-row band.  :func:`_band_pattern` lays them out once per
+(N, N_λ), as compressed sparse rows with their positions in LAPACK's band
+workspace, and M_{iλ} and every system built from it are the values of
+those entries on that one pattern.  ``matvec`` is one sparse-row product;
+``solve`` checks the entries, takes the 1-norm as their largest column
+sum, and scatters them once into the workspace of the banded LU.  Both
+permute, so vectors stay in the degree-major order.  By the selection rule
+(:func:`multiplication_operator`) a constant λ has the pattern of N_λ = 0,
+the identity, b = 0: it is solved by one division, with its exact rcond
 min|d| / max|d|, and without scipy: a constant-λ solve runs on numpy alone.
 Any other system is solved by one banded LU; ``scipy.linalg`` and
 ``scipy.sparse`` are imported for b > 0 only, and they are the only scipy
@@ -62,6 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import isqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -159,55 +166,86 @@ class ImpedanceField:
 # Operator matrices
 # ---------------------------------------------------------------------------
 
+class BandPattern(NamedTuple):
+    """The kept entries of every system at (N, N_λ), over the m-major order.
+
+    Entry e sits at the m-major (i, j) of compressed sparse rows: row i
+    holds e in ``indptr[i]:indptr[i + 1]``, with j = ``indices[e]``; rows
+    ascend and, within a row, columns descend.  ``diagonal`` holds the
+    positions of the n entries i = j in row order, b is the largest |i − j|,
+    and ``lu_dest[e]`` is the flat position of e in the Fortran-order
+    (3b + 1) × (N+1)² workspace of LAPACK's ``gbtrf``, j·(3b + 1) + 2b + i − j.
+    """
+
+    b: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    diagonal: np.ndarray
+    lu_dest: np.ndarray
+
+
 @dataclass(frozen=True)
 class BoundaryOperatorMatrix:
-    """Galerkin matrix A in LAPACK band storage over the m-major order.
+    """Galerkin matrix A as the values of its kept entries on a pattern.
 
     With P the m-major permutation (:func:`impscat.specfun._m_major`) and
-    Â = A[P][:, P], ``entries`` is (2b + 1) × (N+1)², entries[b + i − j, j]
-    = Â[i, j], with zeros off the band; b = 0 is a diagonal matrix.
-    ``matvec`` and ``solve`` take and return degree-major vectors.
+    Â = A[P][:, P], ``entries[e]`` is Â at the (i, j) of entry e of
+    ``pattern`` (:func:`_band_pattern`); every other entry of Â is zero.
+    b = 0 is a diagonal matrix.  ``matvec`` and ``solve`` take and return
+    degree-major vectors.
     """
 
     entries: np.ndarray
+    pattern: BandPattern
 
     def __post_init__(self):
+        if self.entries.shape != self.pattern.indices.shape:
+            raise ValueError(f"{self.entries.shape} entries on a pattern of "
+                             f"{self.pattern.indices.size}")
         self.entries.setflags(write=False)
 
+    @property
+    def size(self) -> int:
+        """(N+1)², the order of A."""
+        return self.pattern.indptr.size - 1
+
     def _perm(self) -> np.ndarray:
-        return _m_major(_band_limit_of(self.entries.shape[1]))[0]
+        return _m_major(_band_limit_of(self.size))[0]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        b, perm = len(self.entries) // 2, self._perm()
-        if b == 0:
-            return _to_degree_major(perm, self.entries[0] * x[perm])
-        from scipy.sparse import dia_matrix
+        perm, pattern = self._perm(), self.pattern
+        if pattern.b == 0:
+            return _to_degree_major(perm, self.entries * x[perm])
+        from scipy.sparse import csr_array
 
-        # scipy's gbmv wrapper rejects 2b + 1 > n; the diagonal format does not
-        band = dia_matrix((self.entries, b - np.arange(2 * b + 1)), (x.size, x.size))
-        return _to_degree_major(perm, band @ x[perm])
+        rows = csr_array((self.entries, pattern.indices, pattern.indptr), (x.size, x.size))
+        return _to_degree_major(perm, rows @ x[perm])
+
+    def one_norm(self) -> float:
+        """‖A‖₁, the largest column sum of |entries|."""
+        return float(np.bincount(self.pattern.indices, np.abs(self.entries), self.size).max())
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """x with A x = rhs: one division for b = 0, else a banded LU.
 
         Raises :class:`SingularSystemError` if A has a non-finite entry or a
         relative 1-norm rcond below 1e-12; at b = 0 the rcond is exact."""
-        band, b, perm = self.entries, len(self.entries) // 2, self._perm()
-        if not np.all(np.isfinite(band)):
+        entries, b, perm = self.entries, self.pattern.b, self._perm()
+        if not np.all(np.isfinite(entries)):
             raise SingularSystemError("combined system has a non-finite entry")
         if b == 0:
-            _check_rcond(_diagonal_rcond(band[0]))
-            return _to_degree_major(perm, rhs[perm] / band[0])
+            _check_rcond(_diagonal_rcond(entries))
+            return _to_degree_major(perm, rhs[perm] / entries)
         from scipy.linalg import get_lapack_funcs
 
-        gbtrf, gbcon, gbtrs = get_lapack_funcs(("gbtrf", "gbcon", "gbtrs"), (band, rhs))
-        anorm = np.abs(band).sum(axis=0).max()  # a column sum of the band is one of A
+        gbtrf, gbcon, gbtrs = get_lapack_funcs(("gbtrf", "gbcon", "gbtrs"), (entries, rhs))
         # b rows above the band take pivoting fill-in; Fortran order: no copy
-        work = np.zeros((3 * b + 1, band.shape[1]), dtype=complex, order="F")
-        work[b:] = band
-        lu, piv, info = gbtrf(work, b, b, overwrite_ab=True)
+        work = np.zeros((3 * b + 1) * self.size, dtype=complex)
+        work[self.pattern.lu_dest] = entries
+        lu, piv, info = gbtrf(work.reshape(3 * b + 1, -1, order="F"), b, b,
+                              overwrite_ab=True)
         # info > 0: a zero pivot
-        _check_rcond(gbcon(b, b, lu, piv, anorm)[0] if info == 0 else 0.0)
+        _check_rcond(gbcon(b, b, lu, piv, self.one_norm())[0] if info == 0 else 0.0)
         return _to_degree_major(perm, gbtrs(lu, b, b, rhs[perm], piv)[0])
 
 
@@ -286,51 +324,35 @@ class ModalTable:
 def multiplication_operator(lam: ImpedanceField, band_limit: int) -> BoundaryOperatorMatrix:
     """M_{iλ} by the selection rule: iλ₀ at b = 0 for a constant λ, else assembled."""
     if lam.is_constant:
-        return BoundaryOperatorMatrix(
-            entries=np.full((1, num_harmonics(band_limit)), 1j * lam.constant_value))
+        return BoundaryOperatorMatrix(entries=np.full(num_harmonics(band_limit),
+                                                      1j * lam.constant_value),
+                                      pattern=_band_pattern(band_limit, 0))
     return assemble_multiplication(lam, band_limit)
 
 
 def assemble_multiplication(lam: ImpedanceField, band_limit: int) -> BoundaryOperatorMatrix:
-    """Galerkin matrix of f -> iλ f in the Y_n^m basis, in band storage.
+    """Galerkin matrix of f -> iλ f in the Y_n^m basis, on the pattern of (N, N_λ).
 
     Each kept entry e = ((n,m),(n',m')) is i Σ_L G[e, L] c_{L,−q},
     q = m' − m, c the complex coefficients of λ and G the exact Gaunt weights
     of :func:`_gaunt_band`, built once per (N, N_λ): no quadrature per call.
     """
-    b, dest, groups = _gaunt_band(band_limit, lam.band_limit)
+    gather, groups = _gaunt_band(band_limit, lam.band_limit)
     # G is real: it maps the (re, im) rows of iλ's coefficients to those of the entries
     coeffs = (1j * _complex_coefficients(lam.coefficients)).view(float).reshape(-1, 2)
     values = np.concatenate([gaunt @ coeffs[lam_index] for lam_index, gaunt in groups])
-    entries = np.zeros((2 * b + 1, num_harmonics(band_limit)), dtype=complex)
-    np.put(entries, dest, values.view(complex))
-    return BoundaryOperatorMatrix(entries=entries)
+    return BoundaryOperatorMatrix(entries=values.view(complex).ravel()[gather],
+                                  pattern=_band_pattern(band_limit, lam.band_limit))
 
 
-# Kept entries per step of a Gaunt table build: their products over the ring
-# latitudes then take a few MB (24 MB peak at N = 64, N_λ = 4, against 74 MB
-# for the whole group at once), and the build runs in cache.
-_GAUNT_CHUNK = 4096
+def _kept_pairs(band_limit: int, lam_band: int):
+    """The kept entries of M_{iλ} at (N, N_λ): (pairs, order).
 
-
-@lru_cache(maxsize=16)
-def _gaunt_band(band_limit: int, lam_band: int):
-    """The Gaunt band table of M_{iλ} at (N, N_λ): (b, dest, groups).
-
-    The kept entries are the m-major pairs (i, j) = ((n,m),(n',m')) with
-    |n − n'| <= N_λ and |m − m'| <= N_λ, b the largest |i − j| among them.
-    They are grouped by q = m' − m: ``dest`` holds their flat indices in the
-    (2b + 1) × (N+1)² band storage, group after group, and group q is
-    (lam_index, G), lam_index the degree-major indices of c_{L,−q},
-    L = |q|..N_λ, and G[e, L] = Σ_j 2π w_j P̄_n^m(μ_j) P̄_{n'}^{m'}(μ_j)
-    P̄_L^{−q}(μ_j) on the Gauss latitudes of the product rule of order
-    max(N + N_λ, N + 2).  That rule integrates the degree n + n' + L <=
-    2N + N_λ polynomial exactly, so G is exact.  Every array is read-only.
+    They are the m-major pairs (i, j) = ((n,m),(n',m')) with |n − n'| <= N_λ
+    and |m − m'| <= N_λ.  ``pairs`` maps q = m' − m to the (i, j) arrays of
+    its entries; ``order`` sorts the entries of all groups, concatenated in
+    ``pairs``' order, by row and then by descending column.
     """
-    rule = gauss_product_rule(max(band_limit + lam_band, band_limit + 2))
-    legendre = _ring_legendre(band_limit, rule.order)  # P̄_n^m(μ_j), m-major rows
-    weighted = legendre * (rule.azimuths * rule.weights[::rule.azimuths])  # times 2π w_j
-    lam_legendre, lam_bounds = _ring_legendre(lam_band, rule.order), _m_major(lam_band)[1]
     perm = _m_major(band_limit)[0]
     position = np.argsort(perm)  # the m-major position of each degree-major index
     degs = harmonic_degrees(band_limit)[perm]
@@ -343,19 +365,66 @@ def _gaunt_band(band_limit: int, lam_band: int):
         if i.size:
             n2 = col_degs[i, d]
             pairs[q] = i, position[n2 * (n2 + 1) + orders[i] + q]
-    b = max(int(np.abs(i - j).max()) for i, j in pairs.values())
-    ncols, dest, groups = num_harmonics(band_limit), [], []
+    i, j = (np.concatenate(arrays) for arrays in zip(*pairs.values()))
+    return pairs, np.lexsort((-j, i))
+
+
+@lru_cache(maxsize=16)
+def _band_pattern(band_limit: int, lam_band: int) -> BandPattern:
+    """The :class:`BandPattern` of M_{iλ}, and of every system built from
+    it, at (N, N_λ); N_λ = 0 is the identity, b = 0.  Every array is
+    read-only.
+
+    Within a row the columns descend, so a row of ``matvec`` sums its terms
+    diagonal by diagonal from the top one down, as a banded product does.
+    """
+    pairs, order = _kept_pairs(band_limit, lam_band)
+    i, j = (np.concatenate(arrays)[order] for arrays in zip(*pairs.values()))
+    size = num_harmonics(band_limit)
+    b = int(np.abs(i - j).max())
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(i, minlength=size))))
+    pattern = BandPattern(b=b, indptr=indptr, indices=j,
+                          diagonal=np.flatnonzero(i == j),
+                          lu_dest=j * (3 * b + 1) + 2 * b + i - j)
+    for arr in pattern[1:]:
+        arr.setflags(write=False)
+    return pattern
+
+
+# Kept entries per step of a Gaunt table build: their products over the ring
+# latitudes then take a few MB (24 MB peak at N = 64, N_λ = 4, against 74 MB
+# for the whole group at once), and the build runs in cache.
+_GAUNT_CHUNK = 4096
+
+
+@lru_cache(maxsize=16)
+def _gaunt_band(band_limit: int, lam_band: int):
+    """The Gaunt table of M_{iλ} at (N, N_λ): (gather, groups).
+
+    The kept entries of :func:`_kept_pairs` are grouped by q = m' − m:
+    group q is (lam_index, G), lam_index the degree-major indices of
+    c_{L,−q}, L = |q|..N_λ, and G[e, L] = Σ_j 2π w_j P̄_n^m(μ_j)
+    P̄_{n'}^{m'}(μ_j) P̄_L^{−q}(μ_j) on the Gauss latitudes of the product
+    rule of order max(N + N_λ, N + 2).  That rule integrates the degree
+    n + n' + L <= 2N + N_λ polynomial exactly, so G is exact.  The entries,
+    group after group, taken at ``gather`` are in the order of
+    :func:`_band_pattern`.  Every array is read-only.
+    """
+    rule = gauss_product_rule(max(band_limit + lam_band, band_limit + 2))
+    legendre = _ring_legendre(band_limit, rule.order)  # P̄_n^m(μ_j), m-major rows
+    weighted = legendre * (rule.azimuths * rule.weights[::rule.azimuths])  # times 2π w_j
+    lam_legendre, lam_bounds = _ring_legendre(lam_band, rule.order), _m_major(lam_band)[1]
+    pairs, gather = _kept_pairs(band_limit, lam_band)
+    groups = []
     for q, (i, j) in pairs.items():
         degrees = np.arange(abs(q), lam_band + 1)
         lam_rows = lam_legendre[lam_bounds[lam_band - q]:lam_bounds[lam_band - q + 1]].T
         chunks = (slice(s, s + _GAUNT_CHUNK) for s in range(0, i.size, _GAUNT_CHUNK))
         gaunt = np.concatenate([(legendre[i[c]] * weighted[j[c]]) @ lam_rows for c in chunks])
         groups.append((degrees * (degrees + 1) - q, gaunt))
-        dest.append((b + i - j) * ncols + j)
-    dest = np.concatenate(dest)
-    for arr in (dest, *(a for group in groups for a in group)):
+    for arr in (gather, *(a for group in groups for a in group)):
         arr.setflags(write=False)
-    return b, dest, tuple(groups)
+    return gather, tuple(groups)
 
 
 def default_coupling(k: float) -> float:
@@ -369,17 +438,17 @@ def assemble_combined_system(table: ModalTable, mult: BoundaryOperatorMatrix,
 
     ``table`` is the modal table of the sphere at the band limit and ``mult``
     is M_{iλ} from :func:`multiplication_operator`.  A is M_{iλ} times the
-    diagonal −2·trace plus a diagonal, so it has the band of M_{iλ}.
+    diagonal −2·trace plus a diagonal, so it has the pattern of M_{iλ}.
     """
     if eta == 0.0:
         raise ValueError("coupling parameter eta must be nonzero")
     # 2·dtrace + 1 = K' + iηTS₀² and 2·trace = S + iη(K+I)S₀², so
     # A = I − (2·dtrace + 1) − M_{iλ}·2·trace is −2 × (∂_ν u^s + iλ u^s)
     trace, dtrace = exterior_trace_operators(table, eta)
-    perm = _m_major(table.band_limit)[0]  # the band's column order
-    entries = mult.entries * (-2.0 * trace[perm])
-    entries[len(entries) // 2] += (1.0 - (2.0 * dtrace + 1.0))[perm]  # the diagonal row
-    return BoundaryOperatorMatrix(entries=entries)
+    perm, pattern = _m_major(table.band_limit)[0], mult.pattern  # m-major columns
+    entries = mult.entries * (-2.0 * trace[perm])[pattern.indices]
+    entries[pattern.diagonal] += (1.0 - (2.0 * dtrace + 1.0))[perm]
+    return BoundaryOperatorMatrix(entries=entries, pattern=pattern)
 
 
 def exterior_trace_operators(table: ModalTable,

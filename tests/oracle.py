@@ -4,14 +4,23 @@ The solver reads S₀ and the modal table alone; the layer-operator
 eigenvalues S, K, K' and T, the flat harmonic index, the radial derivative
 of the scattered wave, the two-term Proposition 4.1 form and the point-source
 test function live here, as independent checks on what the package computes.
+So do the dense reader and writer of a system's kept entries: no test reads
+or writes a pattern's layout but through them.
 """
+
+from math import isqrt
 
 import numpy as np
 
 from impscat.carleman import TestFunction
 from impscat.forward import radiating_coefficients
-from impscat.layer_ops import ModalTable, sphere_operator_eigenvalue
-from impscat.specfun import harmonic_degrees, sph_hankel1, sph_harmonic_all
+from impscat.layer_ops import (
+    BoundaryOperatorMatrix,
+    ModalTable,
+    _band_pattern,
+    sphere_operator_eigenvalue,
+)
+from impscat.specfun import _m_major, harmonic_degrees, sph_hankel1, sph_harmonic_all
 
 OP_KINDS = ("S", "K", "Kp", "T", "S0")
 
@@ -39,6 +48,31 @@ def layer_eigenvalue(kind: str, k: float, a: float, n):
     if kind in ("K", "Kp"):
         return 1j * k * k * a * a * (jnp * hn + jn * hnp)
     return 2j * k**3 * a * a * jnp * hnp  # T
+
+
+def _kept_positions(pattern, size: int):
+    """The degree-major (row, column) of each kept entry of ``pattern``."""
+    perm = _m_major(isqrt(size) - 1)[0]
+    rows = np.repeat(np.arange(size), np.diff(pattern.indptr))
+    return perm[rows], perm[pattern.indices]
+
+
+def dense(system: BoundaryOperatorMatrix) -> np.ndarray:
+    """The degree-major matrix A of ``system``: its kept entries, zero elsewhere."""
+    out = np.zeros((system.size, system.size), dtype=system.entries.dtype)
+    out[_kept_positions(system.pattern, system.size)] = system.entries
+    return out
+
+
+def on_pattern(matrix: np.ndarray, lam_band: int) -> BoundaryOperatorMatrix:
+    """The degree-major ``matrix`` as a system on the pattern of (N, N_λ),
+    which must hold every nonzero entry of ``matrix``."""
+    pattern = _band_pattern(isqrt(len(matrix)) - 1, lam_band)
+    system = BoundaryOperatorMatrix(
+        entries=np.asarray(matrix, complex)[_kept_positions(pattern, len(matrix))],
+        pattern=pattern)
+    np.testing.assert_array_equal(dense(system), matrix)
+    return system
 
 
 def harmonic_index(n: int, m: int) -> int:

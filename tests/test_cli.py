@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -650,6 +651,43 @@ def test_far_radius_farfield_writes_one_error_record(tmp_path):
     record = json.loads(proc.stderr)
     assert record["error"] == "numerical"
     assert record["message"].endswith("c_n overflows at degree 0, ka = 1e+150")
+
+
+def test_tiny_density_farfield_writes_the_tail_record(tmp_path):
+    # at ka = 1e60 max|φ| ~ 1e-176: its squares underflow, so the tail
+    # fraction scales by max|φ| first and still refuses the unresolved solve
+    path = write_config(tmp_path, "c.json", {})
+    proc = fresh(["-m", "impscat.cli", "farfield", path, "--set", "radius=1e60"], check=False)
+    assert proc.returncode == EXIT_NUMERICAL
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    record = json.loads(proc.stderr)
+    assert record["error"] == "numerical"
+    assert re.fullmatch(r"density tail fraction \S+ exceeds 1\.0e-08", record["message"])
+
+
+@pytest.mark.parametrize("center", ["[1e300, 0, 0]", "[1e17, 0, 0]"])
+def test_far_center_three_sphere_writes_one_validation_record(tmp_path, capsys, center):
+    # 0.2 is below the float spacing at the center: the ball nodes collapse onto it
+    path = write_config(tmp_path, "c.json", {"k": 2.0})
+    assert main(["three-sphere", path, "--set", f"center={center}"]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    record = json.loads(err)
+    assert record["error"] == "validation"
+    assert record["message"].startswith("center [") and "r = 0.2" in record["message"]
+
+
+def test_three_sphere_default_summary_is_pinned(tmp_path, capsys):
+    # the default center [2, 0, 0] keeps its offsets: the summary is the one
+    # the check gave before it refused far centers
+    path = write_config(tmp_path, "c.json", {})
+    assert main(["three-sphere", path]) == EXIT_OK
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["C"] == pytest.approx(0.2481612957605599, rel=1e-12)
+    assert (summary["alpha"], summary["alpha_fitted"]) == (0.5, False)
+    assert summary["monotonicity_violations"] == 0
 
 
 def scipy_loaded_by(code: str) -> list:

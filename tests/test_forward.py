@@ -46,7 +46,7 @@ from impscat.specfun import (
 )
 from impscat.stability import stability_sweep
 
-from oracle import radial_derivative
+from oracle import dense, on_pattern, radial_derivative
 
 GEOM = ObstacleGeometry()
 ZHAT = np.array([0.0, 0.0, 1.0])
@@ -117,6 +117,14 @@ class TestSolveDensity:
         with pytest.raises(ValueError):
             HarmonicDensity(coeffs=np.full(4, np.nan, dtype=complex), eta=1.0)
         assert HarmonicDensity(coeffs=np.zeros(16, dtype=complex), eta=1.0).band_limit == 3
+
+    def test_tail_fraction_holds_for_a_tiny_density(self):
+        # |φ|² of a 1e-176 density underflows to 0: the fraction scales first
+        coeffs = np.random.default_rng(4).normal(size=16) + 0j
+        tails = [HarmonicDensity(coeffs=coeffs * scale, eta=1.0).tail_fraction()
+                 for scale in (1.0, 1e-176, 1e300)]
+        assert 0.0 < tails[0] < 1.0
+        assert tails[1:] == [pytest.approx(tails[0], rel=1e-14)] * 2
 
     @pytest.mark.parametrize("variable,expected", [(True, 1), (False, 0)])
     def test_multiplication_built_once(self, monkeypatch, variable, expected):
@@ -275,17 +283,11 @@ class TestCouplingTravelsWithDensity:
                     rule.integrate(np.abs(b) ** 2).real)
 
 
-def banded(diag, b):
-    """``diag`` as a matrix in band storage of half-bandwidth b."""
-    entries = np.zeros((2 * b + 1, diag.size), dtype=complex)
-    entries[b] = diag
-    return entries
-
-
 class TestSingularityCheck:
     """The solve's rcond decides singularity, relative to the matrix scale.
 
-    Each check runs on one diagonal stored at half-bandwidth 0 and at 1.
+    Each check runs on one diagonal stored on the patterns of N_λ = 0 (a
+    division) and N_λ = 1 (a banded LU).
     """
 
     ctx = WaveContext(k=1.0, omega=ZHAT)
@@ -293,12 +295,10 @@ class TestSingularityCheck:
     nb = 12
 
     def assembled(self):
-        return assemble_combined_system(ModalTable(1.0, 1.0, self.nb),
-                                        multiplication_operator(self.lam, self.nb),
-                                        1.0).entries[0]
+        return np.diag(dense(assemble_combined_system(
+            ModalTable(1.0, 1.0, self.nb), multiplication_operator(self.lam, self.nb), 1.0)))
 
-    def solve_with(self, monkeypatch, entries):
-        system = BoundaryOperatorMatrix(entries=entries)
+    def solve_with(self, monkeypatch, system):
         monkeypatch.setattr(forward, "assemble_combined_system",
                             lambda *args, **kwargs: system)
         return solve_density(self.ctx, GEOM, self.lam, band_limit=self.nb)
@@ -306,33 +306,33 @@ class TestSingularityCheck:
     def test_scaled_system_solves(self, monkeypatch):
         phi = solve_density(self.ctx, GEOM, self.lam, band_limit=self.nb)
         diag = 1e-13 * self.assembled()
-        for entries in (banded(diag, 0), banded(diag, 1)):
-            scaled = self.solve_with(monkeypatch, entries)
+        for system in (on_pattern(np.diag(diag), 0), on_pattern(np.diag(diag), 1)):
+            scaled = self.solve_with(monkeypatch, system)
             assert np.allclose(scaled.coeffs, 1e13 * phi.coeffs, rtol=1e-12, atol=0.0)
 
     def test_ill_conditioned_raises(self, monkeypatch):
         diag = np.ones(num_harmonics(self.nb), dtype=complex)
         diag[-1] = 1e-14
-        for entries in (banded(diag, 0), banded(diag, 1)):
+        for system in (on_pattern(np.diag(diag), 0), on_pattern(np.diag(diag), 1)):
             with pytest.raises(SingularSystemError):
-                self.solve_with(monkeypatch, entries)
+                self.solve_with(monkeypatch, system)
 
     def test_exactly_singular_raises_without_warning(self, monkeypatch):
         diag = np.ones(num_harmonics(self.nb), dtype=complex)
         diag[-1] = 0.0
-        for entries in (banded(diag, 0), banded(diag, 1)):
+        for system in (on_pattern(np.diag(diag), 0), on_pattern(np.diag(diag), 1)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(SingularSystemError):
-                    self.solve_with(monkeypatch, entries)
+                    self.solve_with(monkeypatch, system)
 
     def test_non_finite_entry_raises(self, monkeypatch):
-        diagonal, off_diagonal = banded(self.assembled(), 0), banded(self.assembled(), 1)
-        diagonal[0, 3] = np.nan
-        off_diagonal[0, 5] = np.nan  # A[4, 5], inside the band
-        for entries in (diagonal, off_diagonal):
+        diagonal, off_diagonal = np.diag(self.assembled()), np.diag(self.assembled())
+        diagonal[3, 3] = np.nan
+        off_diagonal[2, 6] = np.nan  # ((1, 0), (2, 0)), a kept entry at N_λ = 1
+        for system in (on_pattern(diagonal, 0), on_pattern(off_diagonal, 1)):
             with pytest.raises(SingularSystemError):
-                self.solve_with(monkeypatch, entries)
+                self.solve_with(monkeypatch, system)
 
 
 class TestScatteredField:

@@ -2,18 +2,16 @@
 
 import re
 import warnings
-from math import isqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import get_lapack_funcs, lu_factor
 
 from impscat import layer_ops
 from impscat.layer_ops import (
-    BoundaryOperatorMatrix,
     ImpedanceField,
     ModalTable,
     NumericalError,
@@ -34,18 +32,7 @@ from impscat.specfun import (
     sph_harmonic_all,
 )
 
-from oracle import harmonic_index, layer_eigenvalue
-
-
-def unpack_band(entries):
-    """Dense degree-major A of band storage ``entries`` over the m-major
-    order P, entries[b + i − j, j] = A[P[i], P[j]]."""
-    b, n = entries.shape[0] // 2, entries.shape[1]
-    i, j = np.nonzero(np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= b)
-    perm = _m_major(isqrt(n) - 1)[0]
-    dense = np.zeros((n, n), dtype=entries.dtype)
-    dense[perm[i], perm[j]] = entries[b + i - j, j]
-    return dense
+from oracle import dense, harmonic_index, layer_eigenvalue, on_pattern
 
 
 def variable_field(lam_band, seed):
@@ -167,7 +154,7 @@ class TestImpedanceField:
 class TestMultiplication:
     def test_constant_is_diagonal(self):
         lam = ImpedanceField.constant(2.0)
-        entries = unpack_band(assemble_multiplication(lam, 8).entries)
+        entries = dense(assemble_multiplication(lam, 8))
         diag = np.diag(np.diag(entries))
         assert np.linalg.norm(entries - diag) / np.linalg.norm(diag) <= 1e-10
         assert np.allclose(np.diag(entries), 2j, atol=1e-12)
@@ -177,7 +164,7 @@ class TestMultiplication:
         coeffs[0] = 2.0 * np.sqrt(4 * np.pi)
         coeffs[2] = 0.5
         lam = ImpedanceField(coefficients=coeffs)
-        entries = unpack_band(assemble_multiplication(lam, 4).entries)
+        entries = dense(assemble_multiplication(lam, 4))
         # independent projection with a finer rule
         rule = gauss_product_rule(20)
         y = sph_harmonic_all(4, rule.mu, rule.phi)
@@ -194,18 +181,17 @@ class TestMultiplication:
         lam = variable_field(lam_band, band_limit + 10 * lam_band)
         rule = gauss_product_rule(rule_order or max(band_limit + lam_band, band_limit + 2))
         y = sph_harmonic_all(band_limit, rule.mu, rule.phi)
-        dense = 1j * (np.conj(y) * (rule.weights * lam.evaluate_on(rule))) @ y.T
-        mult = assemble_multiplication(lam, band_limit)
-        entries = unpack_band(mult.entries)
-        np.testing.assert_allclose(entries, dense, rtol=0.0,
-                                   atol=1e-13 * np.abs(dense).max())
+        product = 1j * (np.conj(y) * (rule.weights * lam.evaluate_on(rule))) @ y.T
+        entries = dense(assemble_multiplication(lam, band_limit))
+        np.testing.assert_allclose(entries, product, rtol=0.0,
+                                   atol=1e-13 * np.abs(product).max())
         degs = harmonic_degrees(band_limit)
         orders = np.arange(degs.size) - degs * (degs + 1)
         outside = np.abs(orders[:, None] - orders[None, :]) > lam_band
         assert np.all(entries[outside] == 0.0)
         # the Gaunt rule behind the band: no coupling beyond |n − n'| = N_λ
         gaunt = np.abs(degs[:, None] - degs[None, :]) > lam_band
-        assert np.abs(dense[gaunt]).max(initial=0.0) <= 1e-13 * np.abs(dense).max()
+        assert np.abs(product[gaunt]).max(initial=0.0) <= 1e-13 * np.abs(product).max()
 
     @settings(max_examples=40, deadline=None)
     @given(band_limit=st.integers(1, 20), lam_band=st.integers(0, 6),
@@ -214,12 +200,12 @@ class TestMultiplication:
         lam = variable_field(lam_band, seed)
         rule = gauss_product_rule(max(band_limit + lam_band, band_limit + 2))
         y = sph_harmonic_all(band_limit, rule.mu, rule.phi)
-        dense = 1j * (np.conj(y) * (rule.weights * lam.evaluate_on(rule))) @ y.T
-        entries = assemble_multiplication(lam, band_limit).entries
-        np.testing.assert_allclose(unpack_band(entries), dense, rtol=0.0,
-                                   atol=1e-13 * np.abs(dense).max())
+        product = 1j * (np.conj(y) * (rule.weights * lam.evaluate_on(rule))) @ y.T
+        mult = assemble_multiplication(lam, band_limit)
+        np.testing.assert_allclose(dense(mult), product, rtol=0.0,
+                                   atol=1e-13 * np.abs(product).max())
         # every entry the Gaunt rule allows lies within the m-major band
-        b, perm = entries.shape[0] // 2, _m_major(band_limit)[0]
+        b, perm = mult.pattern.b, _m_major(band_limit)[0]
         degs = harmonic_degrees(band_limit)[perm]
         orders = perm - degs * (degs + 1)
         allowed = (np.abs(degs[:, None] - degs) <= lam_band) \
@@ -227,26 +213,28 @@ class TestMultiplication:
         i, j = np.nonzero(allowed)
         assert np.abs(i - j).max() == b
         outside = np.abs(np.subtract.outer(np.arange(degs.size), np.arange(degs.size))) > b
-        permuted = dense[np.ix_(perm, perm)]
-        assert np.abs(permuted[outside]).max(initial=0.0) <= 1e-13 * np.abs(dense).max()
+        permuted = product[np.ix_(perm, perm)]
+        assert np.abs(permuted[outside]).max(initial=0.0) <= 1e-13 * np.abs(product).max()
         reach = min(lam_band, band_limit)
         assert b <= reach * (2 * band_limit - reach + 2)  # the degree-major band
 
     @pytest.mark.parametrize("band_limit,lam_band,half_bandwidth", [
         (24, 2, 51), (12, 4, 52), (24, 4, 100), (48, 2, 99)])
     def test_m_major_half_bandwidth(self, band_limit, lam_band, half_bandwidth):
-        entries = assemble_multiplication(variable_field(lam_band, 0), band_limit).entries
-        assert entries.shape == (2 * half_bandwidth + 1, num_harmonics(band_limit))
+        mult = assemble_multiplication(variable_field(lam_band, 0), band_limit)
+        assert (mult.pattern.b, mult.size) == (half_bandwidth, num_harmonics(band_limit))
         lam = ImpedanceField.constant(2.0)
-        assert multiplication_operator(lam, band_limit).entries.shape[0] == 1
+        assert multiplication_operator(lam, band_limit).pattern.b == 0
 
     def test_band_scatter_built_once_per_shape(self):
-        # the Gaunt band table depends on (N, N_λ) only, not on λ
+        # the Gaunt table and the pattern depend on (N, N_λ) only, not on λ
         layer_ops._gaunt_band.cache_clear()
+        layer_ops._band_pattern.cache_clear()
         for seed in (0, 1):
             assemble_multiplication(variable_field(4, seed), 12)
-        info = layer_ops._gaunt_band.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        for table in (layer_ops._gaunt_band, layer_ops._band_pattern):
+            info = table.cache_info()
+            assert (info.misses, info.hits) == (1, 1)
 
     @settings(max_examples=30, deadline=None)
     @given(band_limit=st.integers(0, 20), lam_band=st.integers(0, 6),
@@ -262,17 +250,17 @@ class TestMultiplication:
 
     @pytest.mark.parametrize("band_limit,lam_band", [(12, 4), (3, 6), (24, 2)])
     def test_gaunt_table_is_read_only(self, band_limit, lam_band):
-        _, dest, groups = layer_ops._gaunt_band(band_limit, lam_band)
-        for arr in (dest, *(a for group in groups for a in group)):
+        gather, groups = layer_ops._gaunt_band(band_limit, lam_band)
+        for arr in (gather, *(a for group in groups for a in group)):
             assert not arr.flags.writeable
 
     @pytest.mark.parametrize("band_limit,lam_band", [(12, 4), (3, 6), (24, 2), (8, 0)])
     def test_gaunt_table_is_compact(self, band_limit, lam_band):
         # one weight per degree L that carries order −q, never all (N_λ + 1)²
-        _, dest, groups = layer_ops._gaunt_band(band_limit, lam_band)
-        assert sum(len(gaunt) for _, gaunt in groups) == dest.size
+        gather, groups = layer_ops._gaunt_band(band_limit, lam_band)
+        assert sum(len(gaunt) for _, gaunt in groups) == gather.size
         assert all(gaunt.dtype == np.float64 for _, gaunt in groups)
-        assert sum(gaunt.size for _, gaunt in groups) <= (lam_band + 1) * dest.size
+        assert sum(gaunt.size for _, gaunt in groups) <= (lam_band + 1) * gather.size
 
 
 class TestCombinedSystem:
@@ -283,7 +271,7 @@ class TestCombinedSystem:
             system = assemble_combined_system(ModalTable(k, 1.0, 12), mult,
                                               default_coupling(k))
             # the system is diagonal: its singular values are |entries|
-            smin = np.abs(system.entries).min()
+            smin = np.abs(np.diag(dense(system))).min()
             assert smin > 1e-6
 
     def test_singularity_raised_without_coupling_balance(self):
@@ -311,10 +299,10 @@ class TestCombinedSystem:
         # part keeps the diagonal at the constant λ₀ and couples n to n ± 1
         lam = ImpedanceField(coefficients=np.array([1.5 * np.sqrt(4 * np.pi), 0.0, 0.2, 0.0]))
         assert not lam.is_constant
-        built = unpack_band(assemble_combined_system(
-            ModalTable(1.0, 1.0, 8), assemble_multiplication(lam, 8), 1.0).entries)
+        built = dense(assemble_combined_system(
+            ModalTable(1.0, 1.0, 8), assemble_multiplication(lam, 8), 1.0))
         const = system_for(ImpedanceField.constant(1.5), 8)
-        np.testing.assert_allclose(np.diag(built), np.diag(unpack_band(const.entries)),
+        np.testing.assert_allclose(np.diag(built), np.diag(dense(const)),
                                    rtol=0.0, atol=1e-12)
         assert np.abs(built - np.diag(np.diag(built))).max() > 1e-3
 
@@ -325,7 +313,7 @@ class TestCombinedSystem:
         tr, dtr = exterior_trace_operators(ModalTable(k, a, nb), eta)
         system = system_for(ImpedanceField.constant(lam0), nb, k, a, eta)
         expected = 1.0 - ((2.0 * dtr + 1.0) + 1j * lam0 * 2.0 * tr)
-        assert np.allclose(np.diag(unpack_band(system.entries)), expected, atol=1e-12)
+        assert np.allclose(np.diag(dense(system)), expected, atol=1e-12)
 
     @pytest.mark.parametrize("k", [0.5, 1.0, 4.0, 20.0])
     def test_exterior_traces_match_layer_operators(self, k):
@@ -340,6 +328,49 @@ class TestCombinedSystem:
                                    rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(dtr, 0.5 * (kk - 1.0 + 1j * eta * t * table.s0sq),
                                    rtol=1e-12, atol=0.0)
+
+
+class TestBandPattern:
+    """The kept-entry pattern of (N, N_λ) against dense oracles."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(band_limit=st.integers(1, 20), lam_band=st.integers(0, 6),
+           seed=st.integers(0, 2**32 - 1))
+    @example(band_limit=3, lam_band=6, seed=0)  # 2b + 1 > (N+1)²: b = 15 of 16
+    @example(band_limit=1, lam_band=6, seed=1)
+    @example(band_limit=20, lam_band=0, seed=2)  # the identity pattern, b = 0
+    def test_pattern_against_dense_oracles(self, band_limit, lam_band, seed):
+        lam = variable_field(lam_band, seed)
+        rule = gauss_product_rule(max(band_limit + lam_band, band_limit + 2))
+        y = sph_harmonic_all(band_limit, rule.mu, rule.phi)
+        product = 1j * (np.conj(y) * (rule.weights * lam.evaluate_on(rule))) @ y.T
+        mult = assemble_multiplication(lam, band_limit)
+        np.testing.assert_allclose(dense(mult), product, rtol=0.0,
+                                   atol=1e-13 * np.abs(product).max())
+        system = system_for(lam, band_limit)
+        assert system.pattern is mult.pattern
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=system.size) + 1j * rng.normal(size=system.size)
+        for operator in (mult, system):
+            expected = dense(operator) @ x
+            np.testing.assert_allclose(operator.matvec(x), expected, rtol=0.0,
+                                       atol=1e-14 * np.abs(expected).max())
+        matrix = dense(system)
+        solved, expected = system.solve(x), np.linalg.solve(matrix, x)
+        assert np.linalg.norm(solved - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert system.one_norm() == pytest.approx(np.linalg.norm(matrix, 1), rel=1e-14)
+        # the scatter fills LAPACK's band layout, AB[2b + i − j, j] = Â[i, j]
+        # (Â in the m-major order) under b rows of fill-in, read diagonal by diagonal
+        pattern, perm = system.pattern, _m_major(band_limit)[0]
+        b, size, permuted = pattern.b, system.size, matrix[np.ix_(perm, perm)]
+        assert np.unique(pattern.lu_dest).size == pattern.lu_dest.size
+        work = np.zeros((3 * b + 1) * size, dtype=complex)
+        work[pattern.lu_dest] = system.entries
+        layout = np.zeros((3 * b + 1, size), dtype=complex)
+        for offset in range(-b, b + 1):  # Â[i, i + offset]
+            layout[2 * b - offset, max(offset, 0):size + min(offset, 0)] = \
+                np.diagonal(permuted, offset)
+        np.testing.assert_array_equal(work.reshape(3 * b + 1, size, order="F"), layout)
 
 
 class TestBandSolve:
@@ -369,43 +400,50 @@ class TestBandSolve:
 
         monkeypatch.setattr("scipy.linalg.get_lapack_funcs", spying)
         x = system.solve(rhs)
-        dense = unpack_band(system.entries)
-        expected = np.linalg.solve(dense, rhs)
+        matrix = dense(system)
+        expected = np.linalg.solve(matrix, rhs)
         assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
         # 2b + 1 > (N+1)² at N = 12, N_λ = 4: the matvec still holds
-        np.testing.assert_allclose(system.matvec(x), dense @ x, rtol=0.0,
-                                   atol=1e-12 * np.abs(dense @ x).max())
-        lu, _ = lu_factor(dense)
+        np.testing.assert_allclose(system.matvec(x), matrix @ x, rtol=0.0,
+                                   atol=1e-12 * np.abs(matrix @ x).max())
+        lu, _ = lu_factor(matrix)
         gecon = get_lapack_funcs("gecon", (lu,))
-        assert rconds == [pytest.approx(gecon(lu, np.linalg.norm(dense, 1))[0], rel=1e-12)]
+        assert rconds == [pytest.approx(gecon(lu, np.linalg.norm(matrix, 1))[0], rel=1e-12)]
 
     @pytest.mark.parametrize("band_limit", [12, 24])
     @pytest.mark.parametrize("k", [0.5, 1.0, 4.0])
     def test_diagonal_division_matches_banded_lu(self, k, band_limit):
         system = system_for(ImpedanceField.constant(1.0), band_limit, k,
                             eta=default_coupling(k))
-        diagonal = system.entries[0]
-        assert system.entries.shape[0] == 1
+        perm = _m_major(band_limit)[0]
+        diagonal = np.diag(dense(system))[perm]  # in the m-major order
+        assert system.pattern.b == 0
         rng = np.random.default_rng(1)
         rhs = rng.normal(size=diagonal.size) + 1j * rng.normal(size=diagonal.size)
-        # the reference: LAPACK's banded LU of the same b = 0 system
-        gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (system.entries, rhs))
-        lu, piv, info = gbtrf(np.asfortranarray(system.entries), 0, 0)
+        # the reference: LAPACK's banded LU of the same b = 0 system, whose
+        # band storage is the diagonal as one row
+        gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (diagonal, rhs))
+        lu, piv, info = gbtrf(np.asfortranarray(diagonal[None, :]), 0, 0)
         assert info == 0
-        perm = _m_major(band_limit)[0]
         expected = np.empty_like(rhs)
         expected[perm] = gbtrs(lu, 0, 0, rhs[perm], piv)[0]
         x = system.solve(rhs)
         assert np.max(np.abs(x - expected) / np.abs(expected)) <= 1e-15
         # the exact 1-norm rcond of a diagonal against LAPACK's estimate
-        dense = unpack_band(system.entries)
-        dense_lu, _ = lu_factor(dense)
+        matrix = dense(system)
+        dense_lu, _ = lu_factor(matrix)
         gecon = get_lapack_funcs("gecon", (dense_lu,))
         assert layer_ops._diagonal_rcond(diagonal) == pytest.approx(
-            gecon(dense_lu, np.linalg.norm(dense, 1))[0], rel=1e-12)
+            gecon(dense_lu, np.linalg.norm(matrix, 1))[0], rel=1e-12)
+
+    def test_entries_must_fill_their_pattern(self):
+        pattern = layer_ops._band_pattern(4, 1)
+        with pytest.raises(ValueError, match="entries on a pattern of"):
+            layer_ops.BoundaryOperatorMatrix(entries=np.ones(pattern.indices.size - 1, complex),
+                                             pattern=pattern)
 
     def test_zero_diagonal_raises_without_warning(self):
-        system = BoundaryOperatorMatrix(entries=np.zeros((1, num_harmonics(4)), complex))
+        system = on_pattern(np.zeros((num_harmonics(4),) * 2), 0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularSystemError, match="rcond = 0.000e"):
