@@ -205,7 +205,21 @@ def emit_summary(cfg: dict, payload: dict):
         sys.stdout.write(text)
 
 
+# the types that ``_jsonable`` returns as they are
+_JSON_ATOMS = frozenset({str, int, bool, type(None)})
+
+
 def _jsonable(obj):
+    """``obj`` for ``json.dumps``: containers rebuilt, numpy values as
+    Python ones, and a non-finite float (but not one inside an array) as its
+    str.  It dispatches on the exact type first, so that the plain values and
+    floats, nearly all of a summary, take one test each."""
+    kind = type(obj)
+    if kind in _JSON_ATOMS:
+        return obj
+    if kind is float or kind is np.float64:
+        obj = float(obj)
+        return obj if math.isfinite(obj) else str(obj)
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -214,7 +228,7 @@ def _jsonable(obj):
         return obj.tolist()
     if isinstance(obj, np.generic):
         obj = obj.item()
-    if isinstance(obj, float) and not np.isfinite(obj):
+    if isinstance(obj, float) and not math.isfinite(obj):
         return str(obj)
     return obj
 
@@ -448,8 +462,13 @@ def _error_record(kind: str, message: str):
     sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
 
 
+# built once per process: ``parse_args`` keeps no state between calls, and
+# the ``append`` action copies its default before it appends
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = load_config(args.config, args.overrides)
         problems = validate_common(cfg)

@@ -10,8 +10,9 @@ weighted Carleman integrals) is built on three primitives provided here:
   recurrence for j_n past the turning point n = x (``_j_upto``) and the
   forward recurrence below it and for y_n (``_y_upto``),
 * orthonormal (complex and real) spherical harmonics ``Y_n^m``, evaluated
-  for all degrees up to a band limit in one vectorized pass, at scattered
-  points (values only: on the sphere no caller needs their derivatives),
+  for all degrees up to a band limit at scattered points, from one Legendre
+  recurrence and one gather over the ±m rows (values only: on the sphere
+  no caller needs their derivatives),
 * Gauss-Legendre x uniform-azimuth product rules that integrate harmonics
   of degree <= 2N+1 exactly, with one transform for synthesis on them:
   ``_synthesize`` evaluates Σ c_nm Y_n^m by a Legendre sum on the N+1 ring
@@ -21,9 +22,11 @@ weighted Carleman integrals) is built on three primitives provided here:
 This module uses no scipy: importing scipy's special functions took longer
 than a constant-impedance far-field job takes to run.
 
-All functions are pure.  Quadrature rules, ring tables and the m-major
-order (``_m_major``) depend only on their integer arguments; each is built
-once, kept in a bounded cache and read-only.
+All functions are pure.  Quadrature rules, ring tables, the Legendre
+recurrence coefficients (``_legendre_steps``), the row indices of the ±m
+gather (``_order_rows``) and the m-major order (``_m_major``) depend only
+on their integer arguments; each is built once, kept in a bounded cache and
+read-only.
 """
 
 from __future__ import annotations
@@ -201,47 +204,98 @@ def harmonic_degrees(band_limit: int) -> np.ndarray:
     return np.repeat(np.arange(band_limit + 1), 2 * np.arange(band_limit + 1) + 1)
 
 
+@lru_cache(maxsize=16)
+def _legendre_steps(band_limit: int) -> tuple:
+    """The recurrence coefficients of :func:`_normalized_legendre` to N,
+    built once per N and read-only.
+
+    ``sectoral[n − 1]`` = −sqrt((2n+1)/(2n)) and ``next_sectoral[n − 1]`` =
+    sqrt(2n+1), n = 1..N; ``three_term[n − 2]`` is the pair (a, b) of columns
+    over m = 0..n−2 (shape (n−1, 1)) with a = sqrt((4n²−1)/(n²−m²)) and
+    b = sqrt(((n−1)²−m²)/(4(n−1)²−1)), n = 2..N.
+    """
+    n = np.arange(1, band_limit + 1)
+    sectoral = -np.sqrt((2.0 * n + 1.0) / (2.0 * n))
+    next_sectoral = np.sqrt(2.0 * n + 1.0)
+    three_term = []
+    for n in range(2, band_limit + 1):
+        m = np.arange(n - 1)[:, None]
+        three_term.append((np.sqrt((4.0 * n * n - 1.0) / (n * n - m * m)),
+                           np.sqrt(((n - 1.0) ** 2 - m * m) / (4.0 * (n - 1.0) ** 2 - 1.0))))
+    for arr in (sectoral, next_sectoral, *(c for pair in three_term for c in pair)):
+        arr.setflags(write=False)
+    return sectoral, next_sectoral, tuple(three_term)
+
+
 def _normalized_legendre(band_limit: int, mu: np.ndarray) -> np.ndarray:
     """Fully normalized associated Legendre P̄_n^m(mu) for 0 <= m <= n <= N.
 
     Normalization is chosen so Y_n^m = P̄_n^m(cos θ) e^{imφ} is orthonormal
     on the sphere; the Condon-Shortley phase is included.  The fully
-    normalized three-term recurrence stays bounded for large degrees.
-    Returns array of shape (N+1, N+1, len(mu)) indexed [n, m].
+    normalized recurrence (Holmes & Featherstone, J. Geodesy 76 (2002))
+    stays bounded for large degrees, and its coefficients come from the
+    cached :func:`_legendre_steps`: the sectoral P̄_n^n = −sqrt((2n+1)/(2n))
+    sinθ P̄_{n−1}^{n−1} is one ``cumprod`` over n, P̄_n^{n−1} = sqrt(2n+1) μ
+    P̄_{n−1}^{n−1} one product, and only the three-term step for m <= n − 2,
+    sequential in n, loops over the degrees.
+    Returns array of shape (N+1, N+1) + mu.shape indexed [n, m], zero for m > n.
     """
     mu = np.asarray(mu, dtype=float)
+    shape, mu = mu.shape, mu.ravel()
+    sectoral, next_sectoral, three_term = _legendre_steps(band_limit)
     sin_t = np.sqrt(np.maximum(0.0, 1.0 - mu * mu))
-    p = np.zeros((band_limit + 1, band_limit + 1) + mu.shape)
-    p[0, 0] = 1.0 / np.sqrt(4.0 * np.pi)
-    orders = np.arange(band_limit + 1).reshape((-1,) + (1,) * mu.ndim)
-    for n in range(1, band_limit + 1):
-        p[n, n] = -np.sqrt((2.0 * n + 1.0) / (2.0 * n)) * sin_t * p[n - 1, n - 1]
-        p[n, n - 1] = np.sqrt(2.0 * n + 1.0) * mu * p[n - 1, n - 1]
-        m = orders[:n - 1]  # the three-term recurrence for m <= n − 2
-        a = np.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
-        b = np.sqrt(((n - 1.0) ** 2 - m * m) / (4.0 * (n - 1.0) ** 2 - 1.0))
-        p[n, :n - 1] = a * (mu * p[n - 1, :n - 1] - b * p[n - 2, :n - 1])
-    return p
+    diagonal = np.empty((band_limit + 1, mu.size))
+    diagonal[0] = 1.0 / np.sqrt(4.0 * np.pi)
+    np.multiply(sectoral[:, None], sin_t, out=diagonal[1:])
+    np.cumprod(diagonal, axis=0, out=diagonal)
+    p = np.zeros((band_limit + 1, band_limit + 1, mu.size))
+    degrees = np.arange(band_limit + 1)
+    p[degrees, degrees] = diagonal
+    p[degrees[1:], degrees[:-1]] = next_sectoral[:, None] * mu * diagonal[:-1]
+    for n, (a, b) in enumerate(three_term, start=2):
+        row = p[n, :n - 1]
+        np.multiply(mu, p[n - 1, :n - 1], out=row)
+        row -= b * p[n - 2, :n - 1]
+        row *= a
+    return p.reshape(p.shape[:2] + shape)
+
+
+@lru_cache(maxsize=16)
+def _order_rows(band_limit: int) -> tuple[np.ndarray, ...]:
+    """Index arrays over the degree-major rows (n, m), built once per N and
+    read-only: the flat index n(N+1) + |m| of P̄_n^{|m|} in an (N+1)²-row
+    Legendre table, |m|, the row of (n, |m|), the rows with m < 0, and
+    those of them with m odd."""
+    degs = harmonic_degrees(band_limit)
+    orders = np.arange(degs.size) - degs * (degs + 1)
+    abs_order = np.abs(orders)
+    rows = (degs * (band_limit + 1) + abs_order, abs_order, degs * (degs + 1) + abs_order,
+            np.flatnonzero(orders < 0), np.flatnonzero((orders < 0) & (orders % 2 == 1)))
+    for arr in rows:
+        arr.setflags(write=False)
+    return rows
 
 
 def sph_harmonic_all(band_limit: int, mu, phi) -> np.ndarray:
     """All Y_n^m, n <= N, at points (mu=cosθ, phi).
 
     Returns complex array of shape ((N+1)^2, npts) in degree-major
-    order.  Negative orders use Y_n^{-m} = (-1)^m conj(Y_n^m).
+    order.  Every row is one gather, P̄_n^{|m|} e^{i|m|φ}, on the cached
+    index arrays of :func:`_order_rows`; then the m < 0 rows are conjugated
+    and the odd ones negated: Y_n^{-m} = (-1)^m conj(Y_n^m).
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    legendre = _normalized_legendre(band_limit, mu)
-    expi = np.exp(1j * np.outer(np.arange(band_limit + 1), phi))
-    out = np.empty((num_harmonics(band_limit), phi.size), dtype=complex)
-    for n in range(band_limit + 1):
-        zero = n * n + n
-        pos = out[zero:zero + n + 1]  # m = 0..n
-        np.multiply(legendre[n, :n + 1], expi[:n + 1], out=pos)
-        neg = out[n * n:zero]  # m = −n..−1, from m = n..1
-        np.conjugate(pos[:0:-1], out=neg)
-        neg[(n + 1) % 2::2] *= -1  # the odd orders
+    flat, abs_order, _, negative, odd_negative = _order_rows(band_limit)
+    legendre = _normalized_legendre(band_limit, mu).reshape(-1, mu.size)[flat]
+    expi = np.exp(1j * np.outer(np.arange(band_limit + 1), phi))[abs_order]
+    # a fresh ``out``: were the product computed into one of its own operands
+    # (numpy reuses a large temporary), an underflowed product could take the
+    # other sign of zero
+    out = np.empty((flat.size, phi.size), dtype=complex)
+    np.multiply(legendre, expi, out=out)
+    out[negative] = np.conjugate(out[negative])
+    out[odd_negative] *= -1
     return out
 
 
@@ -260,15 +314,17 @@ def plane_wave_amplitudes(direction, band_limit: int) -> np.ndarray:
 
 
 def real_sph_harmonic_all(band_limit: int, mu, phi) -> np.ndarray:
-    """Real orthonormal harmonics: sqrt2·Re Y (m>0), Y (m=0), sqrt2·Im Y (m<0)."""
+    """Real orthonormal harmonics: sqrt2·Re Y (m>0), Y (m=0), sqrt2·Im Y_n^{|m|} (m<0).
+
+    One gather of the m >= 0 rows of :func:`sph_harmonic_all`: the real
+    parts, the imaginary parts on the m < 0 rows, and every m != 0 row
+    scaled by sqrt2.
+    """
     ycplx = sph_harmonic_all(band_limit, mu, phi)
-    out = np.empty(ycplx.shape)
-    for n in range(band_limit + 1):
-        zero = n * n + n
-        pos = ycplx[zero:zero + n + 1]  # m = 0..n
-        out[zero:zero + n + 1] = pos.real
-        out[zero + 1:zero + n + 1] *= np.sqrt(2.0)
-        out[n * n:zero] = np.sqrt(2.0) * pos[:0:-1].imag
+    _, abs_order, mirror, negative, _ = _order_rows(band_limit)
+    out = ycplx.real[mirror]
+    out[negative] = ycplx.imag[mirror[negative]]
+    out[abs_order != 0] *= np.sqrt(2.0)
     return out
 
 
@@ -380,11 +436,16 @@ def _ring_legendre(band_limit: int, order: int) -> np.ndarray:
     ((N+1)^2, rings), with rows in the m-major order of :func:`_m_major`.
 
     Row (n, m) is Y_n^m at φ = 0, so Y_n^m(μ_j, φ) is that row times e^{imφ}
-    for either sign of m.
+    for either sign of m.  It is gathered from the Legendre table with no
+    complex product: Y_n^m(μ, 0) is P̄_n^{|m|}(μ), and 0.0 − P̄_n^{|m|}(μ) for
+    odd m < 0, bitwise the real part of :func:`sph_harmonic_all` at φ = 0
+    (whose complex negation there turns −0.0 into +0.0).
     """
     rule = gauss_product_rule(order)
-    mu = rule.mu[::rule.azimuths]
-    table = sph_harmonic_all(band_limit, mu, np.zeros(rule.rings)).real[_m_major(band_limit)[0]]
+    flat, _, _, _, odd_negative = _order_rows(band_limit)
+    table = _normalized_legendre(band_limit, rule.mu[::rule.azimuths]).reshape(-1, rule.rings)[flat]
+    table[odd_negative] = 0.0 - table[odd_negative]
+    table = table[_m_major(band_limit)[0]]
     table.setflags(write=False)
     return table
 

@@ -5,7 +5,9 @@ eigenvalues S, K, K' and T, the flat harmonic index, the radial derivative
 of the scattered wave, the two-term Proposition 4.1 form and the point-source
 test function live here, as independent checks on what the package computes.
 So do the dense reader and writer of a system's kept entries: no test reads
-or writes a pattern's layout but through them.
+or writes a pattern's layout but through them, and the per-degree loop
+versions of the harmonic layer, which the package's gathers must equal to
+the byte.
 """
 
 from math import isqrt
@@ -20,7 +22,13 @@ from impscat.layer_ops import (
     _band_pattern,
     sphere_operator_eigenvalue,
 )
-from impscat.specfun import _m_major, harmonic_degrees, sph_hankel1, sph_harmonic_all
+from impscat.specfun import (
+    _m_major,
+    harmonic_degrees,
+    num_harmonics,
+    sph_hankel1,
+    sph_harmonic_all,
+)
 
 OP_KINDS = ("S", "K", "Kp", "T", "S0")
 
@@ -73,6 +81,57 @@ def on_pattern(matrix: np.ndarray, lam_band: int) -> BoundaryOperatorMatrix:
         pattern=pattern)
     np.testing.assert_array_equal(dense(system), matrix)
     return system
+
+
+def loop_normalized_legendre(band_limit: int, mu) -> np.ndarray:
+    """P̄_n^m(mu), (N+1, N+1) + mu.shape indexed [n, m], one pass per degree
+    n: the sectoral and next-to-sectoral entries, then the three-term step
+    for m <= n − 2 with its coefficients computed in the pass."""
+    mu = np.asarray(mu, dtype=float)
+    sin_t = np.sqrt(np.maximum(0.0, 1.0 - mu * mu))
+    p = np.zeros((band_limit + 1, band_limit + 1) + mu.shape)
+    p[0, 0] = 1.0 / np.sqrt(4.0 * np.pi)
+    orders = np.arange(band_limit + 1).reshape((-1,) + (1,) * mu.ndim)
+    for n in range(1, band_limit + 1):
+        p[n, n] = -np.sqrt((2.0 * n + 1.0) / (2.0 * n)) * sin_t * p[n - 1, n - 1]
+        p[n, n - 1] = np.sqrt(2.0 * n + 1.0) * mu * p[n - 1, n - 1]
+        m = orders[:n - 1]
+        a = np.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
+        b = np.sqrt(((n - 1.0) ** 2 - m * m) / (4.0 * (n - 1.0) ** 2 - 1.0))
+        p[n, :n - 1] = a * (mu * p[n - 1, :n - 1] - b * p[n - 2, :n - 1])
+    return p
+
+
+def loop_sph_harmonic_all(band_limit: int, mu, phi) -> np.ndarray:
+    """Every Y_n^m, n <= N, filled one degree at a time: m >= 0 as P̄_n^m
+    e^{imφ}, then m < 0 as the conjugates with the odd orders negated."""
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    legendre = loop_normalized_legendre(band_limit, mu)
+    expi = np.exp(1j * np.outer(np.arange(band_limit + 1), phi))
+    out = np.empty((num_harmonics(band_limit), phi.size), dtype=complex)
+    for n in range(band_limit + 1):
+        zero = n * n + n
+        pos = out[zero:zero + n + 1]
+        np.multiply(legendre[n, :n + 1], expi[:n + 1], out=pos)
+        neg = out[n * n:zero]
+        np.conjugate(pos[:0:-1], out=neg)
+        neg[(n + 1) % 2::2] *= -1
+    return out
+
+
+def loop_real_sph_harmonic_all(band_limit: int, mu, phi) -> np.ndarray:
+    """The real harmonics from :func:`loop_sph_harmonic_all`, one degree at
+    a time: sqrt2·Re Y (m > 0), Y (m = 0), sqrt2·Im Y_n^{|m|} (m < 0)."""
+    ycplx = loop_sph_harmonic_all(band_limit, mu, phi)
+    out = np.empty(ycplx.shape)
+    for n in range(band_limit + 1):
+        zero = n * n + n
+        pos = ycplx[zero:zero + n + 1]
+        out[zero:zero + n + 1] = pos.real
+        out[zero + 1:zero + n + 1] *= np.sqrt(2.0)
+        out[n * n:zero] = np.sqrt(2.0) * pos[:0:-1].imag
+    return out
 
 
 def harmonic_index(n: int, m: int) -> int:

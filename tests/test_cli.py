@@ -23,6 +23,7 @@ from impscat.cli import (
     MAX_SUITE_SIZE,
     ConfigError,
     build_parser,
+    emit_summary,
     farfield_csv,
     load_config,
     main,
@@ -93,6 +94,21 @@ class TestParser:
         before = parser.parse_args([command, "--set", "k=2", "c.json", "--set", "seed=3"])
         assert vars(before) == vars(after) == {
             "command": command, "config": "c.json", "overrides": ["k=2", "seed=3"]}
+
+    def test_main_shares_one_parser_and_no_overrides(self, tmp_path, capsys, monkeypatch):
+        # main parses with the parser built at import; the ``append`` default
+        # of --set must not carry the first call's overrides into the second
+        def refuse():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(impscat.cli, "build_parser", refuse)
+        path = write_config(tmp_path, "c.json", {})
+        assert main(["ga2-check", path, "--set", "k=2"]) == EXIT_OK
+        first = json.loads(capsys.readouterr().out)
+        assert main(["ga2-check", path]) == EXIT_OK
+        second = json.loads(capsys.readouterr().out)
+        assert first["config"]["k"] == 2 and second["config"]["k"] == 1.0
+        assert first["C"] == second["C"]
 
 
 class TestExitCodes:
@@ -257,6 +273,24 @@ class TestExitCodes:
 
 
 class TestArtifacts:
+    def test_summary_text_is_pinned(self, capsys):
+        # numpy scalars and arrays, tuples, inf and NaN, nested: the exact
+        # text of the summary, indent and all
+        payload = {"scalars": [np.float64(0.1), np.int64(-3), np.float32(0.25), np.bool_(True)],
+                   "nested": {"pair": (1, (np.float64("inf"), None)), "text": "x"},
+                   "array": np.array([[1.5, np.inf], [np.nan, -0.0]]),
+                   "non_finite": [float("nan"), -np.inf, np.float64("-inf")],
+                   "plain": [0.1, -0.0, 7, False, 1e300]}
+        emit_summary({"k": 2.0, "seed": np.int64(5)}, payload)
+        assert capsys.readouterr().out == (
+            '{\n  "array": [\n    [\n      1.5,\n      Infinity\n    ],\n    [\n'
+            '      NaN,\n      -0.0\n    ]\n  ],\n  "config": {\n    "k": 2.0,\n'
+            '    "seed": 5\n  },\n  "nested": {\n    "pair": [\n      1,\n      [\n'
+            '        "inf",\n        null\n      ]\n    ],\n    "text": "x"\n  },\n'
+            '  "non_finite": [\n    "nan",\n    "-inf",\n    "-inf"\n  ],\n'
+            '  "plain": [\n    0.1,\n    -0.0,\n    7,\n    false,\n    1e+300\n  ],\n'
+            '  "scalars": [\n    0.1,\n    -3,\n    0.25,\n    true\n  ]\n}\n')
+
     def test_farfield_csv_header_and_determinism(self, tmp_path, capsys):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"

@@ -9,10 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import sph_harm_y
 
+from impscat import specfun
 from impscat.specfun import (
     QuadratureRule,
     _complex_coefficients,
+    _legendre_steps,
     _m_major,
+    _normalized_legendre,
+    _order_rows,
     _ring_legendre,
     _synthesize,
     gauss_product_rule,
@@ -26,7 +30,14 @@ from impscat.specfun import (
     sph_harmonic_all,
 )
 
-from oracle import OP_KINDS, harmonic_index, layer_eigenvalue
+from oracle import (
+    OP_KINDS,
+    harmonic_index,
+    layer_eigenvalue,
+    loop_normalized_legendre,
+    loop_real_sph_harmonic_all,
+    loop_sph_harmonic_all,
+)
 
 
 def mp_spherical_jn(n, x):
@@ -201,8 +212,6 @@ class TestSphericalHarmonics:
     def test_legendre_equals_loop_reference(self, band_limit):
         # the per-order loop that the per-degree recurrence replaced: the
         # arithmetic is the same, so the table must be bitwise equal
-        from impscat.specfun import _normalized_legendre
-
         mu = np.concatenate([np.random.default_rng(1).uniform(-1, 1, 7), [-1.0, 0.0, 1.0]])
         sin_t = np.sqrt(np.maximum(0.0, 1.0 - mu * mu))
         p = np.zeros((band_limit + 1, band_limit + 1, mu.size))
@@ -242,6 +251,57 @@ class TestSphericalHarmonics:
         y = real_sph_harmonic_all(8, rule.mu, rule.phi)
         gram = y @ (rule.weights[:, None] * y.T)
         assert np.max(np.abs(gram - np.eye(gram.shape[0]))) <= 1e-12
+
+
+# point sets that always hold both poles, the equator (both signs of zero)
+# and a repeated point, besides the drawn ones
+POINT_SETS = st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 2 * np.pi)),
+                      min_size=1, max_size=6).map(lambda drawn: np.array(
+                          [(1.0, 0.0), (-1.0, 2.0), (0.0, 1.0), (-0.0, np.pi)]
+                          + drawn + drawn[:1]).T)
+
+
+class TestAgainstLoopReference:
+    # the gathers must give the per-degree loops' bytes, signed zeros
+    # included: array_equal would pass a -0.0 where the loop wrote 0.0
+    @settings(max_examples=40, deadline=None)
+    @given(band_limit=st.integers(0, 64), points=POINT_SETS, order=st.integers(1, 12))
+    # a product that underflows: the sign of its zero depends on numpy's loop
+    @example(band_limit=52, order=1, points=np.array(
+        [[1.0, -1.0, 0.0, -0.0, 0.0, 0.0], [0.0, 2.0, 1.0, np.pi, 5e-324, 5e-324]]))
+    def test_bitwise_equal(self, band_limit, points, order):
+        mu, phi = points
+        assert (_normalized_legendre(band_limit, mu).tobytes()
+                == loop_normalized_legendre(band_limit, mu).tobytes())
+        assert (sph_harmonic_all(band_limit, mu, phi).tobytes()
+                == loop_sph_harmonic_all(band_limit, mu, phi).tobytes())
+        assert (real_sph_harmonic_all(band_limit, mu, phi).tobytes()
+                == loop_real_sph_harmonic_all(band_limit, mu, phi).tobytes())
+        sin_t = np.sqrt(np.maximum(0.0, 1.0 - mu * mu))
+        for d in np.column_stack((sin_t * np.cos(phi), sin_t * np.sin(phi), mu)):
+            y = loop_sph_harmonic_all(band_limit, d[2], np.arctan2(d[1], d[0]))[:, 0]
+            assert (plane_wave_amplitudes(d, band_limit).tobytes()
+                    == (4.0 * np.pi * (1j ** harmonic_degrees(band_limit))
+                        * np.conj(y)).tobytes())
+        rule = gauss_product_rule(order)
+        rings = loop_sph_harmonic_all(band_limit, rule.mu[::rule.azimuths],
+                                      np.zeros(rule.rings))
+        assert (_ring_legendre(band_limit, order).tobytes()
+                == rings.real[_m_major(band_limit)[0]].tobytes())
+
+    def test_plane_wave_amplitudes_call_the_module_binding_once(self, monkeypatch):
+        # the benchmark's tracer counts harmonic evaluations by wrapping
+        # specfun.sph_harmonic_all: a plane wave that bypassed it would read
+        # as none
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return sph_harmonic_all(*args)
+
+        monkeypatch.setattr(specfun, "sph_harmonic_all", counted)
+        plane_wave_amplitudes([0.0, 0.6, 0.8], 5)
+        assert calls == [5]
 
 
 class TestQuadrature:
@@ -353,11 +413,20 @@ class TestCachedTables:
             with pytest.raises(ValueError):
                 arr[0] = 0
 
+    def test_harmonic_index_tables_built_once_and_read_only(self):
+        steps, rows = _legendre_steps(6), _order_rows(6)
+        assert _legendre_steps(6) is steps and _order_rows(6) is rows
+        sectoral, next_sectoral, three_term = steps
+        for arr in (sectoral, next_sectoral, *three_term[-1], *rows):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
     def test_ring_table_is_the_harmonics_at_phi_zero(self):
         rule = gauss_product_rule(7)
         mu = rule.mu[::16]
         dense = sph_harmonic_all(5, mu, np.zeros(8)).real
-        np.testing.assert_array_equal(_ring_legendre(5, 7), dense[_m_major(5)[0]])
+        # to the byte: the table is gathered from P̄ with no complex product
+        assert _ring_legendre(5, 7).tobytes() == dense[_m_major(5)[0]].tobytes()
 
     def test_m_major_order(self):
         perm, bounds = _m_major(3)
