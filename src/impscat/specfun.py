@@ -436,16 +436,11 @@ def _ring_legendre(band_limit: int, order: int) -> np.ndarray:
     ((N+1)^2, rings), with rows in the m-major order of :func:`_m_major`.
 
     Row (n, m) is Y_n^m at φ = 0, so Y_n^m(μ_j, φ) is that row times e^{imφ}
-    for either sign of m.  It is gathered from the Legendre table with no
-    complex product: Y_n^m(μ, 0) is P̄_n^{|m|}(μ), and 0.0 − P̄_n^{|m|}(μ) for
-    odd m < 0, bitwise the real part of :func:`sph_harmonic_all` at φ = 0
-    (whose complex negation there turns −0.0 into +0.0).
+    for either sign of m.
     """
     rule = gauss_product_rule(order)
-    flat, _, _, _, odd_negative = _order_rows(band_limit)
-    table = _normalized_legendre(band_limit, rule.mu[::rule.azimuths]).reshape(-1, rule.rings)[flat]
-    table[odd_negative] = 0.0 - table[odd_negative]
-    table = table[_m_major(band_limit)[0]]
+    mu = rule.mu[::rule.azimuths]
+    table = sph_harmonic_all(band_limit, mu, np.zeros(rule.rings)).real[_m_major(band_limit)[0]]
     table.setflags(write=False)
     return table
 
