@@ -15,14 +15,14 @@ Terms whose relative exponent is below the float floor contribute exactly
 zero in the factored scale; the comparison between the two sides is then a
 comparison of the surviving (inner-boundary dominated) contributions.
 
-The setup owns its node sets, built once per annulus.  Each is laid out in
-shells of equal radius, so ψ − ψ_ref takes one value per shell: 48 in the
+The setup's node sets are shell rules (:class:`ShellRule`), whose nodes are
+built only when asked for; ψ − ψ_ref takes one value per shell: 48 in the
 volume and 2 on the boundary.  The relative weights depend only on (λ, τ),
 not on v, so :func:`carleman_sides` computes them per shell for every pair
-it is given, keeps the shells where some weight at some pair is not exactly
-0.0, and evaluates each test function once, on the nodes of those shells.
-At the admissible thresholds that is the inner sphere alone: every volume
-weight, and so every lhs, is 0.0 relative to the common factor.
+it is given, builds the shells where some weight at some pair is not exactly
+0.0, and evaluates each test function once, on their nodes.  At the
+admissible thresholds that is the inner sphere alone: no volume node is
+built, and every lhs is 0.0 relative to the common factor.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import ObstacleGeometry
-from .specfun import gauss_product_rule
+from .specfun import QuadratureRule, _gauss_legendre, gauss_product_rule
 
 _LOG_FLOAT_MAX = 709.0
 
@@ -112,54 +112,37 @@ def random_test_suite(size: int, seed: int = 0) -> list[TestFunction]:
 # Carleman setup on an annulus
 # ---------------------------------------------------------------------------
 
-def _radial_rule(center, inner: float, width: float, n_radial: int,
-                 sphere_order: int):
-    """Nodes and weights over {inner < |x − center| < inner + width}, shell
-    by shell, and the radius of each shell.
+class ShellRule(NamedTuple):
+    """A rule about ``center`` in shells: shell s is the ``sphere`` rule scaled
+    to radius ``radii[s]``, its weights times ``radial[s]`` (a radial weight
+    times r²).  ``nodes`` and ``weights`` build only the shells asked for."""
 
-    Radial Gauss-Legendre (with the r² Jacobian) times the sphere product
-    rule; ``inner = 0`` gives a ball.
-    """
-    t, wt = np.polynomial.legendre.leggauss(n_radial)
-    s = inner + 0.5 * width * (t + 1.0)
-    ws = 0.5 * width * wt
-    rule = gauss_product_rule(sphere_order)
-    pts = (np.asarray(center, dtype=float)[None, None, :]
-           + s[:, None, None] * rule.points()[None, :, :])
-    w = (ws * s**2)[:, None] * rule.weights[None, :]
-    return pts.reshape(-1, 3), w.ravel(), s
-
-
-class NodeSet(NamedTuple):
-    """A quadrature rule about x₀ laid out in shells of equal size.
-
-    ``nodes`` (n, 3) and ``weights`` (n,) run shell by shell; ``dpsi`` holds
-    ψ − ψ_ref once per shell.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    dpsi: np.ndarray
+    center: np.ndarray
+    radii: np.ndarray
+    radial: np.ndarray
+    sphere: QuadratureRule
 
     @property
-    def shell_size(self) -> int:
-        return self.weights.size // self.dpsi.size
+    def size(self) -> int:
+        return self.radii.size * self.sphere.npts
 
-    def weighted_shells(self, pairs, psi_ref: float, powers: tuple) -> tuple:
-        """(nodes, weights, rel) on the shells where some relative weight at
-        some (λ, τ) of ``pairs`` is not 0.0; the dropped shells add exactly 0.
+    def nodes(self, shells=slice(None)) -> np.ndarray:
+        return (self.center[None, None, :] + self.radii[shells][:, None, None]
+                * self.sphere.points()[None, :, :]).reshape(-1, 3)
 
-        rel[i, j] is e^{E} for power ``powers[i]`` at ``pairs[j]``
-        (:func:`_relative_exponents`), computed per shell and repeated over
-        each kept shell's nodes.
-        """
-        rel = np.stack([np.exp(_relative_exponents(self.dpsi, lam, tau, psi_ref, powers))
-                        for lam, tau in pairs], axis=1)
-        keep = np.any(rel != 0.0, axis=(0, 1))
-        size = self.shell_size
-        return (self.nodes.reshape(-1, size, 3)[keep].reshape(-1, 3),
-                self.weights.reshape(-1, size)[keep].ravel(),
-                np.repeat(rel[..., keep], size, axis=-1))
+    def weights(self, shells=slice(None)) -> np.ndarray:
+        return (self.radial[shells][:, None] * self.sphere.weights[None, :]).ravel()
+
+
+def _radial_rule(center, inner: float, width: float, n_radial: int,
+                 sphere_order: int) -> ShellRule:
+    """The rule over {inner < |x − center| < inner + width}: radial
+    Gauss-Legendre (with the r² Jacobian) times the sphere product rule;
+    ``inner = 0`` gives a ball."""
+    t, wt = _gauss_legendre(n_radial)
+    s = inner + 0.5 * width * (t + 1.0)
+    return ShellRule(np.asarray(center, dtype=float), s, 0.5 * width * wt * s**2,
+                     gauss_product_rule(sphere_order))
 
 
 # powers p of φ in the weights e^{2τφ}φ^p of each node set
@@ -180,10 +163,10 @@ class CarlemanSetup:
     Λ = 0, stored as ``lambda_threshold`` and ``tau_threshold``, are finite.
 
     ``volume`` (48 radial Gauss nodes × sphere order 16) and ``boundary``
-    (order 24 on both spheres) are the node sets, each a :class:`NodeSet` in
-    shells of one radius r, with ψ − ψ_ref = 2 ln(ρ/r) ≤ 0 per shell: exactly
-    0 on the inner sphere.  ``weighted_shells(pairs)`` compresses both sets
-    to the shells whose relative weights at some (λ, τ) are not all 0.0.
+    (order 24 on both spheres) are shell rules, with ψ − ψ_ref = 2 ln(ρ/r)
+    ≤ 0 on the shell of radius r: exactly 0 on the inner sphere.
+    ``weighted_shells(pairs)`` builds the nodes of the shells whose relative
+    weights at some (λ, τ) are not all 0.0, and no others.
     """
 
     x0: np.ndarray
@@ -193,8 +176,8 @@ class CarlemanSetup:
     M: float = field(init=False)
     lambda_threshold: float = field(init=False)
     tau_threshold: float = field(init=False)
-    volume: NodeSet = field(init=False, repr=False, compare=False)
-    boundary: NodeSet = field(init=False, repr=False, compare=False)
+    volume: ShellRule = field(init=False, repr=False, compare=False)
+    boundary: ShellRule = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         named = f"(rho = {self.rho}, d = {self.d})"
@@ -218,22 +201,27 @@ class CarlemanSetup:
         object.__setattr__(self, "lambda_threshold", limits.lambda_min)
         object.__setattr__(self, "tau_threshold", limits.tau_min)
 
-        sphere = gauss_product_rule(24)
-        radii = (self.rho, self.rho + self.d)
-        rules = {"volume": _radial_rule(x0, self.rho, self.d, 48, 16),
-                 "boundary": (np.vstack([x0 + s * sphere.points() for s in radii]),
-                              np.concatenate([s**2 * sphere.weights for s in radii]),
-                              np.array(radii))}
-        for name, (nodes, weights, r) in rules.items():
-            # ψ − ψ_ref = 2 ln(ρ/r) from the shell radius, not from |x − x₀|,
-            # whose rounding can put an inner-sphere node outside radius ρ
-            object.__setattr__(self, name, NodeSet(nodes, weights, 2.0 * np.log(self.rho / r)))
+        radii = np.array([self.rho, self.rho + self.d])
+        object.__setattr__(self, "volume", _radial_rule(x0, self.rho, self.d, 48, 16))
+        object.__setattr__(self, "boundary",
+                           ShellRule(x0, radii, radii**2, gauss_product_rule(24)))
 
     def weighted_shells(self, pairs) -> tuple:
-        """(volume, boundary) over the shells where some relative weight at
-        some (λ, τ) of ``pairs`` is not 0.0; see :meth:`NodeSet.weighted_shells`."""
-        return (self.volume.weighted_shells(pairs, self.psi_ref, _VOLUME_POWERS),
-                self.boundary.weighted_shells(pairs, self.psi_ref, _BOUNDARY_POWERS))
+        """(nodes, weights, rel) of ``volume`` and ``boundary`` on the shells where
+        some relative weight at some (λ, τ) of ``pairs`` is not 0.0; the others
+        add exactly 0 and are not built.  rel[i, j] is e^{E} for the set's i-th
+        power of φ at ``pairs[j]`` (:func:`_relative_exponents`), repeated over a
+        shell's nodes.  ψ − ψ_ref = 2 ln(ρ/r) is taken from the shell radius:
+        |x − x₀| may round an inner-sphere node outside radius ρ."""
+        out = []
+        for rule, powers in ((self.volume, _VOLUME_POWERS), (self.boundary, _BOUNDARY_POWERS)):
+            dpsi = 2.0 * np.log(self.rho / rule.radii)
+            rel = np.stack([np.exp(_relative_exponents(dpsi, lam, tau, self.psi_ref, powers))
+                            for lam, tau in pairs], axis=1)
+            keep = np.any(rel != 0.0, axis=(0, 1))
+            out.append((rule.nodes(keep), rule.weights(keep),
+                        np.repeat(rel[..., keep], rule.sphere.npts, axis=-1)))
+        return tuple(out)
 
     @property
     def psi_ref(self) -> float:
@@ -424,14 +412,16 @@ def continuation_check(u: TestFunction, x_tilde, r: float,
     xt = np.asarray(x_tilde, dtype=float)
     _, _, gamma = continuation_constants(r / 2.0, r / 2.0, 2.0)
 
-    pts, w, _ = _radial_rule(xt, 0.0, r / 4.0, n_radial=24, sphere_order=12)
+    ball = _radial_rule(xt, 0.0, r / 4.0, n_radial=24, sphere_order=12)
+    pts, w = ball.nodes(), ball.weights()
     inside = ~geom.contains(pts)
     if float(np.sum(w[inside])) < 1e-8:
         raise ValueError("continuation ball has negligible exterior measure")
     h1_local = _h1_norm(u, pts[inside], w[inside])
 
     a = geom.radius
-    spts, sw, _ = _radial_rule(np.zeros(3), a, 3.0 - a, n_radial=40, sphere_order=20)
+    shell = _radial_rule(np.zeros(3), a, 3.0 - a, n_radial=40, sphere_order=20)
+    spts, sw = shell.nodes(), shell.weights()
     sv = np.asarray(u.value(spts))
     sg = np.sum(np.asarray(u.gradient(spts)) ** 2, axis=1)
     sl = np.asarray(u.laplacian(spts))
@@ -531,8 +521,9 @@ def three_sphere_check(family, y, r: float) -> ThreeSphereFit:
     y = np.asarray(y, dtype=float)
     # an overflow here is a non-finite norm, raised below
     with np.errstate(over="ignore", invalid="ignore"):
-        balls = [_radial_rule(y, 0.0, f * r, _BALL_RADIAL_NODES, _BALL_SPHERE_ORDER)[:2]
-                 for f in (1.0, 2.0, 3.0)]
+        balls = [(ball.nodes(), ball.weights()) for ball in (
+            _radial_rule(y, 0.0, f * r, _BALL_RADIAL_NODES, _BALL_SPHERE_ORDER)
+            for f in (1.0, 2.0, 3.0))]
         norms = np.array([[_h1_norm(u, *ball) for ball in balls] for u in family])
     if not np.all(np.isfinite(norms) & (norms > 0)):
         raise RuntimeError(f"a ball norm is zero or not finite at r = {r}")

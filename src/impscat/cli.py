@@ -118,7 +118,7 @@ def validate_common(cfg: dict) -> list:
     if not (_is_number(cfg["k"]) and cfg["k"] > 0 and math.isfinite(cfg["k"])):
         problems.append("k must be a positive finite number")
     om = np.asarray(cfg["omega"] if _is_number_list(cfg["omega"]) else [], dtype=float)
-    if om.shape != (3,) or not abs(np.linalg.norm(om) - 1.0) <= 1e-9:
+    if om.shape != (3,) or not abs(math.hypot(*om) - 1.0) <= 1e-9:
         problems.append("omega must be a 3-vector of unit length")
     if not (_is_number(cfg["radius"]) and cfg["radius"] > 0):
         problems.append("radius must be positive")
@@ -302,9 +302,9 @@ def cmd_carleman_check(cfg: dict) -> int:
                             "ratio": res.ratio, "pass": bool(res.holds)})
         weighted.append({"threshold_multiple": mult,
                          "volume_weighted": int(n_volume),
-                         "volume_total": len(setup.volume[0]),
+                         "volume_total": setup.volume.size,
                          "boundary_weighted": int(n_boundary),
-                         "boundary_total": len(setup.boundary[0])})
+                         "boundary_total": setup.boundary.size})
     emit_summary(cfg, {"reports": reports, "all_pass": bool(all_pass),
                        "m": setup.m, "M": setup.M, "weighted_nodes": weighted})
     return EXIT_OK if all_pass else EXIT_NUMERICAL

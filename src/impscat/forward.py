@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from math import hypot
 
 import numpy as np
 
@@ -80,7 +81,7 @@ class WaveContext:
         if not (self.k > 0 and np.isfinite(self.k)):
             raise ValueError("wavenumber must be positive and finite")
         om = np.asarray(self.omega, dtype=float)
-        if abs(np.linalg.norm(om) - 1.0) > 1e-12:
+        if not abs(hypot(*om) - 1.0) <= 1e-12:  # hypot: no overflow, and NaN fails
             raise ValueError("incident direction must be a unit vector")
         object.__setattr__(self, "omega", om)
         om.setflags(write=False)

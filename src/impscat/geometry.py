@@ -91,7 +91,7 @@ def exterior_contact_point(geom: ObstacleGeometry, x_tilde: np.ndarray) -> np.nd
     """
     x_tilde = np.asarray(x_tilde, dtype=float)
     a = geom.radius
-    if not abs(np.linalg.norm(x_tilde) - a) <= 1e-10 * max(1.0, a):
+    if not abs(_norms(x_tilde)[0] - a) <= 1e-10 * max(1.0, a):
         raise GeometryError("point does not lie on the obstacle boundary")
     return x_tilde * (1.0 - geom.exterior_sphere_radius / a)
 
@@ -107,12 +107,16 @@ def chain_ratio(theta: float) -> float:
 
 
 def chain_ball_count(r: float, big_r: float, theta: float) -> int:
-    """Number of chain steps N = [ln(R/4r) / ln μ] (integer part)."""
+    """Number of chain steps N = [ln(R/4r) / ln μ] (integer part).  Raises
+    ``OverflowError`` where R/4r leaves the float range."""
     if r <= 0:
         raise ValueError("r must be positive")
     if big_r < 4.0 * r:
         raise ValueError("need R >= 4r")
-    ratio = math.log(big_r / (4.0 * r)) / math.log(chain_ratio(theta))
+    span = big_r / (4.0 * r)
+    if math.isinf(span):
+        raise OverflowError(f"R/(4r) leaves the float range (R = {big_r}, r = {r})")
+    ratio = math.log(span) / math.log(chain_ratio(theta))
     # guard against floating noise at exact-integer ratios
     return int(math.floor(ratio + 1e-12))
 
@@ -182,16 +186,18 @@ def check_GA2(geom: ObstacleGeometry, radii) -> tuple[float, float]:
     With x₀ the contact center, the cap spread s(r) = sup{|y − x̃| : y ∈ ∂D,
     |y − x₀| <= ρ + r} is the same at every x̃ of the sphere: s² =
     a((ρ + r)² − ρ²)/(a − ρ) = 2r(a + r) at ρ = a/2, until the cap is the
-    whole sphere at r = 2(a − ρ) = a, and s = 2a beyond.  (C, κ) come from
-    a least-squares fit of log s on log r at the probe radii, which must be
-    finite and positive, at least two of them distinct.
+    whole sphere at r = 2(a − ρ) = a, and s = 2a beyond (the cap formula is
+    evaluated at min(r, a), so that no probe radius overflows it).  (C, κ)
+    come from a least-squares fit of log s on log r at the probe radii, which
+    must be finite and positive, at least two of them distinct.
     """
     radii = np.asarray(radii, dtype=float)
     if not (np.all(np.isfinite(radii)) and np.all(radii > 0)
             and np.unique(radii).size >= 2):
         raise ValueError("probe radii must be finite and positive, at least two distinct")
     a = geom.radius
-    spreads = np.where(radii < a, np.sqrt(2.0 * radii * (a + radii)), 2.0 * a)
+    cap = np.minimum(radii, a)
+    spreads = np.where(radii < a, np.sqrt(2.0 * cap * (a + cap)), 2.0 * a)
     slope, intercept = np.polyfit(np.log(radii), np.log(spreads), 1)
     kappa = float(min(1.0, max(slope, 1e-12)))
     return float(np.exp(intercept)), kappa

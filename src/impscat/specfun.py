@@ -22,18 +22,18 @@ weighted Carleman integrals) is built on three primitives provided here:
 This module uses no scipy: importing scipy's special functions took longer
 than a constant-impedance far-field job takes to run.
 
-All functions are pure.  Quadrature rules, ring tables, the Legendre
-recurrence coefficients (``_legendre_steps``), the row indices of the ±m
-gather (``_order_rows``) and the m-major order (``_m_major``) depend only
-on their integer arguments; each is built once, kept in a bounded cache and
-read-only.
+All functions are pure.  Gauss-Legendre tables (``_gauss_legendre``),
+quadrature rules, ring tables, the Legendre recurrence coefficients
+(``_legendre_steps``), the row indices of the ±m gather (``_order_rows``)
+and the m-major order (``_m_major``) depend only on their integer
+arguments; each is built once, kept in a bounded cache and read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import acosh, ceil, cos, inf, isqrt, sin
+from math import acosh, ceil, cos, hypot, inf, isqrt, sin
 
 import numpy as np
 
@@ -306,11 +306,12 @@ def plane_wave_amplitudes(direction, band_limit: int) -> np.ndarray:
     amplitudes times any radial factor give the mode coefficients.
     """
     d = np.asarray(direction, dtype=float)
-    if abs(np.linalg.norm(d) - 1.0) > 1e-12:
+    if not abs(hypot(*d) - 1.0) <= 1e-12:  # hypot: no overflow, and NaN fails
         raise ValueError("direction must be a unit vector")
     y_at_omega = sph_harmonic_all(band_limit, np.clip(d[2], -1.0, 1.0),
                                   np.arctan2(d[1], d[0]))[:, 0]
-    return 4.0 * np.pi * (1j ** harmonic_degrees(band_limit)) * np.conj(y_at_omega)
+    phases = (1j ** np.arange(band_limit + 1))[harmonic_degrees(band_limit)]
+    return 4.0 * np.pi * phases * np.conj(y_at_omega)
 
 
 def real_sph_harmonic_all(band_limit: int, mu, phi) -> np.ndarray:
@@ -332,6 +333,15 @@ def real_sph_harmonic_all(band_limit: int, mu, phi) -> np.ndarray:
 # Quadrature
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=16)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre nodes and weights on [−1, 1], read-only."""
+    table = np.polynomial.legendre.leggauss(n)
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Gauss-Legendre x uniform-azimuth product rule on the unit sphere.
@@ -349,7 +359,7 @@ class QuadratureRule:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("band limit must be >= 1")
-        mu_1d, w_1d = np.polynomial.legendre.leggauss(self.rings)
+        mu_1d, w_1d = _gauss_legendre(self.rings)
         n_phi = self.azimuths
         phi_1d = 2.0 * np.pi * np.arange(n_phi) / n_phi
         for name, arr in (("mu", np.repeat(mu_1d, n_phi)),

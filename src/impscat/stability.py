@@ -207,12 +207,18 @@ def lemma51_check(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField,
 
     Uses the triangle inequality |u| ≥ 1 − |u^s| plus a direct min over
     the angular grid, scanning a dense ladder of radii per candidate; the
-    ladder is one stacked set of shells of the order-24 product rule.
+    ladder is one stacked set of shells of the order-24 product rule, up to
+    4·max(r_candidates).  Raises ``ValueError`` before any solve where that
+    top is not a finite float.
     """
+    top = 4.0 * max(r_candidates)
+    if not np.isfinite(top):
+        raise ValueError(f"the radius ladder top 4*max(r_candidates) = {top} is not "
+                         f"finite (r_candidates = {list(r_candidates)})")
     phi = solve_density(ctx, geom, lam, band_limit=band_limit)
     rads = np.unique(np.concatenate(
         [np.asarray(r_candidates, dtype=float),
-         np.geomspace(min(r_candidates), 4.0 * max(r_candidates), 24)]
+         np.geomspace(min(r_candidates), top, 24)]
     ))
     rule = gauss_product_rule(24)
     shells = scattered_on_shell(phi, ctx, geom, rads, rule)

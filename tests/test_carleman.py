@@ -99,14 +99,14 @@ class TestCarlemanSetup:
             CarlemanSetup(x0=np.zeros(3), rho=rho, d=d)
 
     def test_volume_rule_measures_annulus(self):
-        pts, w = SETUP.volume[:2]
+        pts, w = SETUP.volume.nodes(), SETUP.volume.weights()
         vol = 4.0 / 3.0 * np.pi * (2.0**3 - 1.0**3)
         assert np.sum(w) == pytest.approx(vol, rel=1e-12)
         r = np.linalg.norm(pts, axis=1)
         assert np.all((r > 1.0) & (r < 2.0))
 
     def test_boundary_rule_measures_spheres(self):
-        _, w = SETUP.boundary[:2]
+        w = SETUP.boundary.weights()
         assert np.sum(w) == pytest.approx(4 * np.pi * (1.0 + 4.0), rel=1e-12)
 
     @pytest.mark.parametrize("rho, d, big_m", [
@@ -231,26 +231,26 @@ ANNULI = [(np.zeros(3), 1.0, 1.0), (np.zeros(3), 2.0, 2.0),
 THIN_ANNULUS = (np.zeros(3), 1.0, 1e-10)
 
 
-def node_dpsi(node_set):
-    """ψ − ψ_ref at every node of a set, from its per-shell values."""
-    return np.repeat(node_set.dpsi, node_set.shell_size)
+def node_dpsi(setup, rule):
+    """ψ − ψ_ref = 2 ln(ρ/r) at every node of a shell rule, from its radii."""
+    return np.repeat(2.0 * np.log(setup.rho / rule.radii), rule.sphere.npts)
 
 
 def full_node_sides(v, setup, lam, tau):
     """(lhs, rhs) summed over every node of both sets: the reference the
     compressed node sets must reproduce."""
     m, M, psi_ref = setup.m, setup.M, setup.psi_ref
-    xv, wv = setup.volume[:2]
-    w3, w1, w0 = np.exp(carleman._relative_exponents(node_dpsi(setup.volume), lam, tau,
-                                                     psi_ref, (3, 1, 0)))
+    xv, wv = setup.volume.nodes(), setup.volume.weights()
+    w3, w1, w0 = np.exp(carleman._relative_exponents(node_dpsi(setup, setup.volume), lam,
+                                                     tau, psi_ref, (3, 1, 0)))
     v2 = v.value(xv) ** 2
     g2 = np.sum(v.gradient(xv) ** 2, axis=1)
     lhs = np.sum(wv * (m**4 * lam**4 * tau**3 * w3 * v2
                        + m**2 * lam**2 * tau * w1 * g2))
     rhs = 8.0 * np.sum(wv * w0 * v.laplacian(xv) ** 2)
-    xb, wb = setup.boundary[:2]
-    b3, b1 = np.exp(carleman._relative_exponents(node_dpsi(setup.boundary), lam, tau,
-                                                 psi_ref, (3, 1)))
+    xb, wb = setup.boundary.nodes(), setup.boundary.weights()
+    b3, b1 = np.exp(carleman._relative_exponents(node_dpsi(setup, setup.boundary), lam,
+                                                 tau, psi_ref, (3, 1)))
     rhs += 48.0 * np.sum(wb * (M**3 * lam**3 * tau**3 * b3 * v.value(xb) ** 2
                                + M * lam * tau * b1 * np.sum(v.gradient(xb) ** 2,
                                                              axis=1)))
@@ -273,6 +273,23 @@ class TestWeightedNodes:
         carleman_sides(random_test_suite(50, seed=4), setup, threshold_pairs(setup))
         assert sorted(calls) == [2, 2, 2, 48, 48, 48]
 
+    def test_default_setup_builds_no_volume_node(self, monkeypatch):
+        # at the admissible pairs no volume shell carries weight, so none of
+        # its 27,744 nodes is built; the boundary builds its inner sphere only
+        setup = CarlemanSetup(x0=np.zeros(3), rho=1.0, d=1.0)
+        built = []
+        nodes = carleman.ShellRule.nodes
+
+        def counted(rule, *args):
+            out = nodes(rule, *args)
+            built.append((rule is setup.volume, len(out)))
+            return out
+
+        monkeypatch.setattr(carleman.ShellRule, "nodes", counted)
+        carleman_sides(random_test_suite(50, seed=4), setup, threshold_pairs(setup))
+        assert (setup.volume.size, setup.boundary.size) == (27744, 2500)
+        assert sorted(built) == [(False, 1250), (True, 0)]
+
     def test_v_evaluated_only_on_weighted_nodes(self):
         # each closure once per call, on the shells where some pair's weight
         # is not 0.0, and not at all on a set with no such shell
@@ -291,8 +308,8 @@ class TestWeightedNodes:
             for rows in calls.values():
                 rows.clear()
             carleman_sides([v], setup, threshold_pairs(setup))
-            inner_sphere = np.split(setup.boundary.nodes, 2)[0]
-            volume = [setup.volume.nodes[:2312]] if d < 1e-6 else []
+            inner_sphere = np.split(setup.boundary.nodes(), 2)[0]
+            volume = [setup.volume.nodes()[:2312]] if d < 1e-6 else []
             for name, rows in calls.items():
                 expected = volume if name == "laplacian" else volume + [inner_sphere]
                 assert len(rows) == len(expected)
@@ -330,10 +347,10 @@ class TestWeightedNodes:
         setup = CarlemanSetup(x0=np.zeros(3), rho=1.0, d=1.0)
         lam, tau = 6.0, 1.0  # far below the thresholds: inner volume shells carry weight
         weighted = setup.weighted_shells([(lam, tau)])
-        for node_set, powers, kept in zip(
+        for rule, powers, kept in zip(
                 (setup.volume, setup.boundary), ((3, 1, 0), (3, 1)), weighted):
-            nodes, weights = node_set[:2]
-            rel = np.exp(carleman._relative_exponents(node_dpsi(node_set), lam, tau,
+            nodes, weights = rule.nodes(), rule.weights()
+            rel = np.exp(carleman._relative_exponents(node_dpsi(setup, rule), lam, tau,
                                                       setup.psi_ref, powers))
             keep = np.any(rel != 0.0, axis=0)
             assert 0 < np.count_nonzero(keep) < keep.size
@@ -482,8 +499,9 @@ class TestThreeSphere:
         rng = np.random.default_rng(5)
         for kr, tol in ((bound, 1e-14), (2.0 * bound, None)):
             u = TestFunction.plane_wave(kr / 0.6, rng.normal(size=3), 0.3)
-            coarse = carleman._h1_norm(u, *carleman._radial_rule(np.zeros(3), 0.0, 0.6, 32, 14)[:2])
-            fine = carleman._h1_norm(u, *carleman._radial_rule(np.zeros(3), 0.0, 0.6, 64, 40)[:2])
+            coarse, fine = (carleman._h1_norm(u, rule.nodes(), rule.weights())
+                            for rule in (carleman._radial_rule(np.zeros(3), 0.0, 0.6, 32, 14),
+                                         carleman._radial_rule(np.zeros(3), 0.0, 0.6, 64, 40)))
             if tol:
                 assert abs(coarse - fine) <= tol * fine
             else:

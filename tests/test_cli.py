@@ -650,6 +650,35 @@ def test_huge_impedance_farfield_writes_no_warning(tmp_path, impedance):
     assert math.isfinite(json.loads(proc.stdout)["farfield_l2_norm"])
 
 
+@pytest.mark.parametrize("command,override,code,message", [
+    ("farfield", "omega=[0,0,1e300]", EXIT_VALIDATION, "omega must be a 3-vector"),
+    ("chain", "x_tilde=[1e300,0,0]", EXIT_VALIDATION, "not lie on the obstacle boundary"),
+    ("chain", "R=1e308", EXIT_NUMERICAL, "(R = 1e+308, r = 0.1)"),
+    ("chain", "r=1e-310", EXIT_NUMERICAL, "(R = 8.0, r = 1e-310)"),
+    ("lemma51", "r_candidates=[1e308]", EXIT_VALIDATION, "4*max(r_candidates) = inf"),
+])
+def test_out_of_range_input_writes_one_error_record(tmp_path, command, override, code,
+                                                    message):
+    # lengths through hypot, and R/4r and the lemma51 ladder top checked
+    # before use: no numpy warning and no bare conversion error
+    path = write_config(tmp_path, "c.json", {})
+    proc = fresh(["-m", "impscat.cli", command, path, "--set", override], check=False)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    record = json.loads(proc.stderr)
+    assert record["error"] == ("validation" if code == EXIT_VALIDATION else "numerical")
+    assert message in record["message"]
+
+
+def test_ga2_check_past_the_obstacle_writes_no_warning(tmp_path):
+    path = write_config(tmp_path, "c.json", {})
+    proc = fresh(["-m", "impscat.cli", "ga2-check", path, "--set", "radii=[1e-300,1e300]"])
+    assert proc.stderr == ""
+    summary = json.loads(proc.stdout)
+    assert (summary["C"], summary["kappa"]) == (1.6817928305073696e-75, 0.25025085832972)
+
+
 @pytest.mark.parametrize("override,ka", [("radius=1e300", "1e+300"), ("k=1e6", "1e+06")])
 def test_mie_past_degree_400_writes_one_error_record(tmp_path, override, ka):
     # int(ka) + 8 > 400: refused before any table is built

@@ -64,6 +64,12 @@ class TestWaveContext:
         with pytest.raises(ValueError):
             WaveContext(k=1.0, omega=np.array([0.0, 0.0, 2.0]))
 
+    @pytest.mark.parametrize("omega", [[0.0, 0.0, 1e300], [np.nan, 0.0, 1.0]])
+    def test_huge_or_nan_direction_rejected(self, omega):
+        # |ω| through hypot: no overflow warning, and NaN is not a unit length
+        with pytest.raises(ValueError, match="unit vector"):
+            WaveContext(k=1.0, omega=np.array(omega))
+
     @pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf])
     def test_non_finite_wavenumber_rejected(self, k):
         # NaN compares false with everything; it must not reach the Bessel calls

@@ -1,6 +1,7 @@
 """Geometry, exterior-sphere contact, cone-ball chains, cap growth."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -118,6 +119,11 @@ class TestConeChain:
         with pytest.raises(ValueError):
             chain_ball_count(1.0, 2.0, 0.5)
 
+    @pytest.mark.parametrize("r, big_r", [(0.1, 1e308), (1e-310, 8.0)])
+    def test_count_past_the_float_range_names_r_and_big_r(self, r, big_r):
+        with pytest.raises(OverflowError, match=re.escape(f"R = {big_r}, r = {r}")):
+            chain_ball_count(r, big_r, math.pi / 6)
+
     def test_nesting_and_containment(self):
         geom = ObstacleGeometry()
         chain = build_cone_chain(np.array([0.0, 0.0, 1.0]), 0.1, geom, 8.0)
@@ -197,6 +203,13 @@ class TestGA2:
         assert kappa == 1e-12
         for r in (1.001 * a, 2.0 * a):
             assert cap_spread_by_sampling(a, r) == pytest.approx(2.0 * a, rel=1e-12)
+
+    def test_radius_past_the_float_range_overflows_nothing(self):
+        # the cap formula is evaluated at min(r, a): 2r(a + r) at r = 1e300
+        # would overflow, and its value is discarded anyway
+        with np.errstate(all="raise"):
+            c, kappa = check_GA2(ObstacleGeometry(), [1e-300, 1e300])
+        assert (c, kappa) == (1.6817928305073696e-75, 0.25025085832972)
 
     def test_bad_radii(self):
         # non-positive, non-finite, or fewer than two distinct radii

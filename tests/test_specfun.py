@@ -13,6 +13,7 @@ from impscat import specfun
 from impscat.specfun import (
     QuadratureRule,
     _complex_coefficients,
+    _gauss_legendre,
     _legendre_steps,
     _m_major,
     _normalized_legendre,
@@ -243,8 +244,9 @@ class TestSphericalHarmonics:
                                    * np.sqrt((2 * np.arange(4) + 1) / (4 * np.pi)),
                                    rtol=1e-14)
         assert np.all(np.delete(amps, zonal) == 0.0)
-        with pytest.raises(ValueError, match="unit vector"):
-            plane_wave_amplitudes([0.0, 0.0, 2.0], 3)
+        for direction in ([0.0, 0.0, 2.0], [0.0, 0.0, 1e300], [np.nan, 0.0, 1.0]):
+            with pytest.raises(ValueError, match="unit vector"):
+                plane_wave_amplitudes(direction, 3)
 
     def test_real_harmonics_orthonormal(self):
         rule = gauss_product_rule(8)
@@ -412,6 +414,15 @@ class TestCachedTables:
         for arr in (rule.mu, rule.phi, rule.weights, table, perm, bounds):
             with pytest.raises(ValueError):
                 arr[0] = 0
+
+    @pytest.mark.parametrize("n", [1, 24, 48])
+    def test_gauss_legendre_is_leggauss_built_once_and_read_only(self, n):
+        nodes, weights = _gauss_legendre(n)
+        assert _gauss_legendre(n)[0] is nodes
+        for mine, theirs in zip((nodes, weights), np.polynomial.legendre.leggauss(n)):
+            assert mine.tobytes() == theirs.tobytes()
+            with pytest.raises(ValueError):
+                mine[0] = 0
 
     def test_harmonic_index_tables_built_once_and_read_only(self):
         steps, rows = _legendre_steps(6), _order_rows(6)

@@ -207,6 +207,14 @@ class TestStabilitySweep:
 
 
 class TestLemma51:
+    def test_ladder_past_the_float_range_rejected_before_any_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before the candidates were checked")
+
+        monkeypatch.setattr(stability, "solve_density", refuse)
+        with pytest.raises(ValueError, match=r"4\*max\(r_candidates\) = inf"):
+            lemma51_check(CTX, GEOM, ImpedanceField.constant(1.0), [2.0, 1e308])
+
     def test_neumann_sphere(self):
         rep = lemma51_check(CTX, GEOM, ImpedanceField.constant(0.0),
                             [2.0, 4.0, 8.0, 16.0, 32.0], band_limit=16)
