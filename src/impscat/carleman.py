@@ -209,19 +209,24 @@ class CarlemanSetup:
     def weighted_shells(self, pairs) -> tuple:
         """(nodes, weights, rel) of ``volume`` and ``boundary`` on the shells where
         some relative weight at some (λ, τ) of ``pairs`` is not 0.0; the others
-        add exactly 0 and are not built.  rel[i, j] is e^{E} for the set's i-th
-        power of φ at ``pairs[j]`` (:func:`_relative_exponents`), repeated over a
-        shell's nodes.  ψ − ψ_ref = 2 ln(ρ/r) is taken from the shell radius:
-        |x − x₀| may round an inner-sphere node outside radius ρ."""
+        add exactly 0 and are not built.  rel is :meth:`_shell_weights`'s,
+        repeated over a shell's nodes."""
         out = []
-        for rule, powers in ((self.volume, _VOLUME_POWERS), (self.boundary, _BOUNDARY_POWERS)):
-            dpsi = 2.0 * np.log(self.rho / rule.radii)
-            rel = np.stack([np.exp(_relative_exponents(dpsi, lam, tau, self.psi_ref, powers))
-                            for lam, tau in pairs], axis=1)
+        for rule, rel in self._shell_weights(pairs):
             keep = np.any(rel != 0.0, axis=(0, 1))
             out.append((rule.nodes(keep), rule.weights(keep),
                         np.repeat(rel[..., keep], rule.sphere.npts, axis=-1)))
         return tuple(out)
+
+    def _shell_weights(self, pairs):
+        """(rule, rel) of ``volume``, then of ``boundary``: rel[i, j, s] is e^{E}
+        for the set's i-th power of φ at ``pairs[j]`` (:func:`_relative_exponents`)
+        on shell s, with ψ − ψ_ref = 2 ln(ρ/r) from the shell radius r:
+        |x − x₀| may round an inner-sphere node outside radius ρ."""
+        for rule, powers in ((self.volume, _VOLUME_POWERS), (self.boundary, _BOUNDARY_POWERS)):
+            dpsi = 2.0 * np.log(self.rho / rule.radii)
+            yield rule, np.stack([np.exp(_relative_exponents(dpsi, lam, tau, self.psi_ref, powers))
+                                  for lam, tau in pairs], axis=1)
 
     @property
     def psi_ref(self) -> float:

@@ -71,10 +71,12 @@ def load_config(path: str, overrides) -> dict:
 
 
 def _is_number(value, integer: bool = False) -> bool:
-    """An int (or, unless ``integer``, a float); JSON ``true``/``false`` load
-    as bool, a subclass of int, and are not numbers."""
-    kinds = int if integer else (int, float)
-    return isinstance(value, kinds) and not isinstance(value, bool)
+    """An int of any size if ``integer``, else a float or an int within the
+    float range (the int-float comparison is exact); JSON ``true``/``false``
+    load as bool, a subclass of int, and are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        return False
+    return integer or isinstance(value, float) or abs(value) <= sys.float_info.max
 
 
 def _is_number_list(value) -> bool:
@@ -85,7 +87,7 @@ def _get(cfg: dict, key: str, default, integer: bool = False):
     """Subcommand key ``key``; an absent key takes ``default``, stored in
     ``cfg`` so the summary embeds it.  If the default is a number, so must
     the value be (an int if ``integer``); if a list, a list of numbers.  A
-    float, alone or in the list, must be finite; an int of any size passes."""
+    float, alone or in the list, must be finite."""
     value = cfg.setdefault(key, default)
     if _is_number(default) and not _is_number(value, integer):
         raise ConfigError(f"{key} must be {'an integer' if integer else 'a number'}")
@@ -121,7 +123,7 @@ def validate_common(cfg: dict) -> list:
     if om.shape != (3,) or not abs(math.hypot(*om) - 1.0) <= 1e-9:
         problems.append("omega must be a 3-vector of unit length")
     if not (_is_number(cfg["radius"]) and cfg["radius"] > 0):
-        problems.append("radius must be positive")
+        problems.append("radius must be a positive number")
     if not (_is_number(cfg["band_limit"], integer=True) and cfg["band_limit"] >= 1):
         problems.append("band_limit must be an integer >= 1")
     imp = cfg["impedance"]
@@ -237,26 +239,15 @@ def _jsonable(obj):
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
-def cmd_forward(cfg: dict) -> int:
-    ctx = build_context(cfg)
-    geom = build_geometry(cfg)
-    lam = build_impedance(cfg)
-    phi = forward.solve_density(ctx, geom, lam, band_limit=cfg["band_limit"])
-    emit_summary(cfg, {
-        "density_norm": float(np.linalg.norm(phi.coeffs)),
-        "tail_fraction": phi.tail_fraction(),
-    })
-    return EXIT_OK
-
-
 def cmd_farfield(cfg: dict) -> int:
     ctx = build_context(cfg)
     geom = build_geometry(cfg)
     lam = build_impedance(cfg)
-    ff = forward.solve_farfield(ctx, geom, lam, cfg["band_limit"])
+    wave = forward.solve_density(ctx, geom, lam, band_limit=cfg["band_limit"])
+    ff = forward.farfield(wave, ctx)
     if cfg.get("output"):
         atomic_write_text(cfg["output"], farfield_csv(ff))
-    emit_summary(cfg, {"farfield_l2_norm": ff.norm()})
+    emit_summary(cfg, {"farfield_l2_norm": ff.norm(), "tail_fraction": wave.tail_fraction})
     return EXIT_OK
 
 
@@ -276,8 +267,9 @@ def cmd_carleman_check(cfg: dict) -> int:
     """Both Carleman sides for every suite member at 1, 2 and 4 times the
     admissible (λ, τ), from one ``carleman_sides`` call.  The summary counts,
     per multiple, the nodes whose weight relative to the common factor is
-    not 0.0, from one ``weighted_shells`` call: at these thresholds no volume
-    node is left, so every lhs is 0.0 and every ratio infinite."""
+    not 0.0, from the per-shell weights, with no node built: at these
+    thresholds no volume node is left, so every lhs is 0.0 and every ratio
+    infinite."""
     rho = float(_get(cfg, "rho", 1.0))
     d = float(_get(cfg, "d", 1.0))
     size = _get_size(cfg, "suite_size", 50, least=1)
@@ -287,9 +279,10 @@ def cmd_carleman_check(cfg: dict) -> int:
     pairs = [(mult * setup.lambda_threshold, mult * setup.tau_threshold)
              for mult in multiples]
     sides = carleman.carleman_sides(suite, setup, pairs)
-    # per pair, the kept nodes where some power's relative weight is not 0.0
-    volume, boundary = (np.count_nonzero(np.any(rel != 0.0, axis=0), axis=-1)
-                        for _, _, rel in setup.weighted_shells(pairs))
+    # per pair, the nodes where some power's relative weight is not 0.0: a
+    # weight is one value per shell
+    volume, boundary = (rule.sphere.npts * np.count_nonzero(np.any(rel != 0.0, axis=0), axis=-1)
+                        for rule, rel in setup._shell_weights(pairs))
     reports = []
     weighted = []
     all_pass = True
@@ -431,7 +424,6 @@ def cmd_ga2_check(cfg: dict) -> int:
 
 
 HANDLERS = {
-    "forward": cmd_forward,
     "farfield": cmd_farfield,
     "mie": cmd_mie,
     "carleman-check": cmd_carleman_check,

@@ -1,9 +1,11 @@
-"""Forward impedance scattering: densities, near/far fields, Mie oracle.
+"""Forward impedance scattering: the scattered wave, near/far fields, Mie oracle.
 
-The solver path is combined-field: assemble the boundary system, solve for
-the density φ, then evaluate the scattered field through the separated
-(per-mode) representation u^s = Σ c_nm φ_nm h_n(kr) Y_n^m.  The far field
-follows from h_n(kr) ~ (−i)^{n+1} e^{ikr}/(kr).
+A solve assembles the combined-field boundary system, solves it for the
+density φ, and returns the :class:`ScatteredWave` φ represents: its outgoing
+amplitudes α with u^s = Σ α_nm h_n(kr) Y_n^m outside the obstacle.  The
+coupling η of the ansatz and the density stay inside :func:`solve_density`;
+every evaluator reads α alone.  The far field follows from
+h_n(kr) ~ (−i)^{n+1} e^{ikr}/(kr).
 
 Every outgoing-wave sum Σ amps_nm R_n Y_n^m on a product rule, for the
 solver and for the Mie reference alike, goes through ``_on_rule``, for a
@@ -17,9 +19,9 @@ them and one stacked transform.  ``_outgoing_wave`` is the dense path, for
 scattered points only.
 
 The solver's per-degree values come from the :class:`WaveContext`: its
-modal table (j_n, j_n', h_n, h_n', S₀² at (k, a, N)) and its plane-wave
-amplitudes at (ω, N) are built once and read by every solve, far field and
-boundary trace through that context.  The Mie oracle computes its own.
+modal table (j_n, j_n', h_n, h_n' at (k, a, N)) and its plane-wave
+amplitudes at (ω, N) are built once and read by every solve and boundary
+trace through that context.  The Mie oracle computes its own.
 
 ``mie_farfield`` is the independent separation-of-variables reference for
 constant impedance on the sphere: each incident mode is reflected with the
@@ -41,7 +43,6 @@ from .layer_ops import (
     ModalTable,
     assemble_combined_system,
     default_coupling,
-    exterior_trace_operators,
     incident_coefficients,
     multiplication_operator,
     radiating_coefficient_diagonal,
@@ -112,36 +113,38 @@ class WaveContext:
 
 
 @dataclass(frozen=True)
-class HarmonicDensity:
-    """Complex coefficient vector in the flat (n, m) ordering, and the
-    coupling η of the ansatz u^s = SL[φ] + iη DL[S₀² φ] it was solved with;
-    every field evaluated from φ reads η here; (N+1)² coefficients set N."""
+class ScatteredWave:
+    """u^s = Σ α_nm h_n(kr) Y_n^m outside the obstacle: the outgoing
+    amplitudes α in the flat (n, m) ordering ((N+1)² of them set N; finite
+    and read-only), and the tail fraction of the density it was solved from
+    (:func:`solve_density`)."""
 
-    coeffs: np.ndarray
-    eta: float
+    amplitudes: np.ndarray
+    tail_fraction: float
 
     def __post_init__(self):
-        _band_limit_of(self.coeffs.size)
-        if not np.all(np.isfinite(self.coeffs)):
-            raise ValueError("density coefficients must be finite")
-        self.coeffs.setflags(write=False)
+        _band_limit_of(self.amplitudes.size)
+        if not np.all(np.isfinite(self.amplitudes)):
+            raise ValueError("scattered-wave amplitudes must be finite")
+        self.amplitudes.setflags(write=False)
 
     @property
     def band_limit(self) -> int:
-        return _band_limit_of(self.coeffs.size)
+        return _band_limit_of(self.amplitudes.size)
 
-    def tail_fraction(self) -> float:
-        """Energy in the top two degrees relative to the total.
 
-        The coefficients are scaled by max|φ| before they are squared, so a
-        tiny density's energy does not underflow to 0."""
-        size = np.abs(self.coeffs)
-        peak = size.max()
-        if peak == 0.0:
-            return 0.0
-        size /= peak
-        top = size[-4 * self.band_limit:]  # degrees N − 1 and N (all at N = 0)
-        return float(np.dot(top, top) / np.dot(size, size))
+def _tail_fraction(coeffs: np.ndarray) -> float:
+    """Energy in the top two degrees of ``coeffs`` relative to the total.
+
+    The coefficients are scaled by their largest modulus before they are
+    squared, so a tiny vector's energy does not underflow to 0."""
+    size = np.abs(coeffs)
+    peak = size.max()
+    if peak == 0.0:
+        return 0.0
+    size /= peak
+    top = size[-4 * _band_limit_of(size.size):]  # degrees N − 1 and N (all at N = 0)
+    return float(np.dot(top, top) / np.dot(size, size))
 
 
 @dataclass(frozen=True)
@@ -168,11 +171,11 @@ class ResolutionError(RuntimeError):
 
 
 def solve_density(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField,
-                  eta: float | None = None, band_limit: int = 24) -> HarmonicDensity:
-    """Solve the combined-field system for the boundary density φ.
-
-    The density carries ``eta`` (``None``: :func:`default_coupling`, which
-    every other solve uses); it changes φ but not the fields evaluated from it.
+                  eta: float | None = None, band_limit: int = 24) -> ScatteredWave:
+    """Solve the combined-field system for the density φ of the ansatz
+    u^s = SL[φ] + iη DL[S₀²φ]; return that wave, α = c ⊙ φ.  ``eta`` is the
+    coupling η (``None``: :func:`default_coupling`, as every other solve).
+    It scales the system's columns only: φ changes with it, α does not.
 
     M_{iλ} is built once, for the system and the right-hand side, by the
     selection rule of :func:`impscat.layer_ops.multiplication_operator`; the
@@ -182,7 +185,8 @@ def solve_density(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField,
     if the system has a non-finite entry or its relative 1-norm rcond is
     below 1e-12, ``RuntimeError`` unless the residual relative to the rhs
     (both scaled by max|rhs|) is at most 1e-12, and :class:`ResolutionError`
-    if the tail fraction exceeds 1e-8; a zero rhs is checked for neither.
+    if the density's tail fraction exceeds 1e-8; a zero rhs is checked for
+    neither.
     """
     eta = default_coupling(ctx.k) if eta is None else eta
     table = ctx.modal(geom.radius, band_limit)
@@ -197,18 +201,11 @@ def solve_density(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField,
         ratio = np.linalg.norm((system.matvec(phi) - rhs) / peak) / np.linalg.norm(rhs / peak)
         if not ratio <= 1e-12:
             raise RuntimeError(f"linear solve residual {ratio:.2e} exceeds 1e-12")
-    density = HarmonicDensity(coeffs=phi, eta=eta)
-    if peak > 0 and density.tail_fraction() > 1e-8:
-        raise ResolutionError(
-            f"density tail fraction {density.tail_fraction():.2e} exceeds 1.0e-08"
-        )
-    return density
-
-
-def radiating_coefficients(phi: HarmonicDensity, ctx: WaveContext,
-                           geom: ObstacleGeometry) -> np.ndarray:
-    table = ctx.modal(geom.radius, phi.band_limit)
-    return radiating_coefficient_diagonal(table, phi.eta) * phi.coeffs
+    tail = _tail_fraction(phi)
+    if peak > 0 and tail > 1e-8:
+        raise ResolutionError(f"density tail fraction {tail:.2e} exceeds 1.0e-08")
+    return ScatteredWave(amplitudes=radiating_coefficient_diagonal(table, eta) * phi,
+                         tail_fraction=tail)
 
 
 def _outgoing_wave(amps: np.ndarray, k: float, x, radius: float) -> np.ndarray:
@@ -242,51 +239,50 @@ def _far_field(amps: np.ndarray, k: float, rule: QuadratureRule) -> FarField:
     return FarField(samples=_on_rule(amps, (-1j) ** (degrees + 1) / k, rule), rule=rule)
 
 
-def eval_scattered(x, phi: HarmonicDensity, ctx: WaveContext,
+def eval_scattered(x, wave: ScatteredWave, ctx: WaveContext,
                    geom: ObstacleGeometry) -> np.ndarray:
     """Scattered field u^s at exterior points via the separated expansion."""
-    amps = radiating_coefficients(phi, ctx, geom)
-    values = _outgoing_wave(amps, ctx.k, x, geom.radius)
+    values = _outgoing_wave(wave.amplitudes, ctx.k, x, geom.radius)
     min_dist = float(np.min(np.linalg.norm(np.atleast_2d(x), axis=1))) - geom.radius
-    _warn_near_boundary(min_dist, phi, ctx)
+    _warn_near_boundary(min_dist, wave, ctx)
     return values
 
 
-def scattered_on_shell(phi: HarmonicDensity, ctx: WaveContext, geom: ObstacleGeometry,
+def scattered_on_shell(wave: ScatteredWave, ctx: WaveContext, geom: ObstacleGeometry,
                        radius, rule: QuadratureRule) -> np.ndarray:
     """u^s at the nodes of a product rule on each sphere |x| = r of ``radius``
     (a scalar or an array of radii), shape ``radius.shape + (npts,)``.
 
     These are :func:`eval_scattered`'s values at ``r * rule.points()``:
     h_n(kr) is one value per degree on a shell, so all shells are one
-    Hankel call and one stacked ring transform of amps·h_n(kr).  Every
+    Hankel call and one stacked ring transform of α·h_n(kr).  Every
     radius must exceed the obstacle's.
     """
     radius = np.asarray(radius, dtype=float)
     if np.any(radius <= geom.radius):
         raise ValueError("evaluation points must lie outside the obstacle")
-    _warn_near_boundary(float(np.min(radius)) - geom.radius, phi, ctx)
-    radial = sph_hankel1(np.arange(phi.band_limit + 1), ctx.k * radius[..., None])
-    return _on_rule(radiating_coefficients(phi, ctx, geom), radial, rule)
+    _warn_near_boundary(float(np.min(radius)) - geom.radius, wave, ctx)
+    radial = sph_hankel1(np.arange(wave.band_limit + 1), ctx.k * radius[..., None])
+    return _on_rule(wave.amplitudes, radial, rule)
 
 
-def _warn_near_boundary(distance: float, phi: HarmonicDensity, ctx: WaveContext):
-    if distance < 2.0 * np.pi / (ctx.k * phi.band_limit):
+def _warn_near_boundary(distance: float, wave: ScatteredWave, ctx: WaveContext):
+    if distance < 2.0 * np.pi / (ctx.k * wave.band_limit):
         warnings.warn("evaluation close to the boundary; quadrature-grade accuracy only")
 
 
-def farfield(phi: HarmonicDensity, ctx: WaveContext, geom: ObstacleGeometry,
+def farfield(wave: ScatteredWave, ctx: WaveContext,
              rule: QuadratureRule | None = None) -> FarField:
-    """Far-field pattern u∞ from the large-argument Hankel asymptotics,
-    with the density's own coupling ``phi.eta``."""
-    rule = rule or gauss_product_rule(phi.band_limit)
-    return _far_field(radiating_coefficients(phi, ctx, geom), ctx.k, rule)
+    """Far-field pattern u∞ of the wave's amplitudes, from the large-argument
+    Hankel asymptotics, on ``rule`` (default: the product rule of the wave's
+    band limit)."""
+    rule = rule or gauss_product_rule(wave.band_limit)
+    return _far_field(wave.amplitudes, ctx.k, rule)
 
 
 def solve_farfield(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField,
                    band_limit: int = 24, rule: QuadratureRule | None = None) -> FarField:
-    phi = solve_density(ctx, geom, lam, band_limit=band_limit)
-    return farfield(phi, ctx, geom, rule)
+    return farfield(solve_density(ctx, geom, lam, band_limit=band_limit), ctx, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -355,19 +351,18 @@ def mie_scattered(x, ctx: WaveContext, a: float, lam0: float) -> np.ndarray:
 # Boundary traces, energy identity, uniform-bound witness
 # ---------------------------------------------------------------------------
 
-def boundary_traces(phi: HarmonicDensity, ctx: WaveContext, geom: ObstacleGeometry,
+def boundary_traces(wave: ScatteredWave, ctx: WaveContext, geom: ObstacleGeometry,
                     lam: ImpedanceField, rule: QuadratureRule | None = None):
-    """Total field and its obstacle-outward normal derivative on ∂D, with
-    the density's own coupling ``phi.eta``; returns (u, ∂_ν u, rule).
+    """Total field and its obstacle-outward normal derivative on ∂D; returns
+    (u, ∂_ν u, rule).  The scattered traces are α·h_n(ka) and α·k·h_n'(ka).
 
     The incident part is the plane wave's Jacobi-Anger series cut at the
-    density's degree N; warns when its degree-N tail is above 1e-12 of its
+    wave's degree N; warns when its degree-N tail is above 1e-12 of its
     head.
     """
-    nb = phi.band_limit
+    nb = wave.band_limit
     rule = rule or gauss_product_rule(nb)
     table = ctx.modal(geom.radius, nb)
-    tr, dtr = exterior_trace_operators(table, phi.eta)
     u_inc, dnu_inc = incident_coefficients(table, ctx.incident_amplitudes(nb))
     head = np.max(np.abs(u_inc))
     tail = np.max(np.abs(u_inc[-(2 * nb + 1):]))  # the degree-N entries
@@ -376,7 +371,8 @@ def boundary_traces(phi: HarmonicDensity, ctx: WaveContext, geom: ObstacleGeomet
             f"plane-wave series tail at degree {nb} is {tail / head:.2e} "
             "of its head; raise the band limit"
         )
-    coeffs = np.stack((u_inc + tr * phi.coeffs, dnu_inc + dtr * phi.coeffs))
+    amps = wave.amplitudes
+    coeffs = np.stack((u_inc + table.hn * amps, dnu_inc + table.k * table.hnp * amps))
     u, dnu = _synthesize(coeffs, rule)
     return u, dnu, rule
 
@@ -421,7 +417,7 @@ def uniform_bound_check(ctx: WaveContext, geom: ObstacleGeometry,
     incident = ctx.incident(radii[:, None, None] * rule.points())
     sups = []
     for lam in impedances:
-        phi = solve_density(ctx, geom, lam, band_limit=band_limit)
-        total = incident + scattered_on_shell(phi, ctx, geom, radii, rule)
+        wave = solve_density(ctx, geom, lam, band_limit=band_limit)
+        total = incident + scattered_on_shell(wave, ctx, geom, radii, rule)
         sups.append(float(np.max(np.abs(total))))
     return UniformBoundReport(sups=sups)

@@ -23,7 +23,9 @@ separation-of-variables reference to machine precision.
 
 The solve never forms S, K or T (only the tests' oracle does): outside the
 sphere u^s = Σ c_n φ_nm h_n(kr) Y_n^m, and by the Wronskian j_n h_n' − j_n' h_n
-= i/(ka)² the two traces above are c_n h_n(ka) and c_n k h_n'(ka).  So every
+= i/(ka)² the two traces above are c_n h_n(ka) and c_n k h_n'(ka).  η only
+scales the system's columns by c_n, so a solve returns the amplitudes c ⊙ φ,
+and η and S₀² stay here and in :func:`impscat.forward.solve_density`.  Every
 diagonal of a solve (the traces, c_n, the incident coefficients, the system
 and its right-hand side) reads one :class:`ModalTable`: j_n, j_n', h_n, h_n'
 and S₀² at (k, a, N), built on construction from two Hankel calls.  There

@@ -215,13 +215,13 @@ def lemma51_check(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField,
     if not np.isfinite(top):
         raise ValueError(f"the radius ladder top 4*max(r_candidates) = {top} is not "
                          f"finite (r_candidates = {list(r_candidates)})")
-    phi = solve_density(ctx, geom, lam, band_limit=band_limit)
+    wave = solve_density(ctx, geom, lam, band_limit=band_limit)
     rads = np.unique(np.concatenate(
         [np.asarray(r_candidates, dtype=float),
          np.geomspace(min(r_candidates), top, 24)]
     ))
     rule = gauss_product_rule(24)
-    shells = scattered_on_shell(phi, ctx, geom, rads, rule)
+    shells = scattered_on_shell(wave, ctx, geom, rads, rule)
     sups = np.max(np.abs(shells), axis=1)
     mins = np.min(np.abs(ctx.incident(rads[:, None, None] * rule.points()) + shells), axis=1)
     qualifying = np.inf

@@ -1,9 +1,10 @@
 """Reference values that only the tests read.
 
 The solver reads S₀ and the modal table alone; the layer-operator
-eigenvalues S, K, K' and T, the flat harmonic index, the radial derivative
-of the scattered wave, the two-term Proposition 4.1 form and the point-source
-test function live here, as independent checks on what the package computes.
+eigenvalues S, K, K' and T, the dense combined-field solve built from them,
+the flat harmonic index, the radial derivative of the scattered wave, the
+two-term Proposition 4.1 form and the point-source test function live here,
+as independent checks on what the package computes.
 So do the dense reader and writer of a system's kept entries: no test reads
 or writes a pattern's layout but through them, and the per-degree loop
 versions of the harmonic layer, which the package's gathers must equal to
@@ -15,11 +16,12 @@ from math import isqrt
 import numpy as np
 
 from impscat.carleman import TestFunction
-from impscat.forward import radiating_coefficients
 from impscat.layer_ops import (
     BoundaryOperatorMatrix,
     ModalTable,
     _band_pattern,
+    default_coupling,
+    multiplication_operator,
     sphere_operator_eigenvalue,
 )
 from impscat.specfun import (
@@ -56,6 +58,27 @@ def layer_eigenvalue(kind: str, k: float, a: float, n):
     if kind in ("K", "Kp"):
         return 1j * k * k * a * a * (jnp * hn + jn * hnp)
     return 2j * k**3 * a * a * jnp * hnp  # T
+
+
+def combined_field_amplitudes(ctx, geom, lam, band_limit: int, eta=None) -> np.ndarray:
+    """The scattered wave's amplitudes c ⊙ φ from a dense solve of
+    (I − [K' + iηTS₀² + M_{iλ}(S + iη(K+I)S₀²)]) φ = −2g with
+    g = −(∂_ν u^i + iλu^i), the operators of :func:`layer_eigenvalue`,
+    M_{iλ} as a dense matrix and c_n = ika²(j_n + iηS₀²k j_n') written out;
+    ``eta`` ``None`` is max(1, k)."""
+    k, a = ctx.k, geom.radius
+    eta = default_coupling(k) if eta is None else eta
+    degs = harmonic_degrees(band_limit)
+    s, kk, kp, t, s0 = (layer_eigenvalue(kind, k, a, degs) for kind in OP_KINDS)
+    s0sq = s0 * s0
+    mult = dense(multiplication_operator(lam, band_limit))
+    system = np.eye(degs.size) - np.diag(kp + 1j * eta * t * s0sq) \
+        - mult * (s + 1j * eta * (kk + 1.0) * s0sq)[None, :]
+    table = ModalTable(k, a, band_limit)
+    amps = ctx.incident_amplitudes(band_limit)
+    g = -(k * table.jnp * amps + mult @ (table.jn * amps))
+    phi = np.linalg.solve(system, -2.0 * g)
+    return 1j * k * a * a * (table.jn + 1j * eta * s0sq * k * table.jnp) * phi
 
 
 def _kept_positions(pattern, size: int):
@@ -141,10 +164,10 @@ def harmonic_index(n: int, m: int) -> int:
     return n * n + n + m
 
 
-def radial_derivative(x, phi, ctx, geom) -> np.ndarray:
-    """∂u^s/∂r = Σ c_nm φ_nm k h_n'(kr) Y_n^m at exterior points ``x``."""
-    amps = radiating_coefficients(phi, ctx, geom)
-    band_limit = phi.band_limit
+def radial_derivative(x, wave, ctx, geom) -> np.ndarray:
+    """∂u^s/∂r = Σ α_nm k h_n'(kr) Y_n^m at exterior points ``x``."""
+    amps = wave.amplitudes
+    band_limit = wave.band_limit
     x = np.atleast_2d(np.asarray(x, dtype=float))
     r = np.linalg.norm(x, axis=1)
     if np.any(r <= geom.radius):

@@ -64,13 +64,13 @@ def test_criterion_01_mie_oracle_equivalence():
 
 def test_criterion_02_farfield_asymptotics():
     ctx = WaveContext(k=1.0, omega=ZHAT)
-    phi = solve_density(ctx, GEOM, ImpedanceField.constant(1.0), band_limit=24)
-    ff = farfield(phi, ctx, GEOM)
+    wave = solve_density(ctx, GEOM, ImpedanceField.constant(1.0), band_limit=24)
+    ff = farfield(wave, ctx)
     xhat = ff.rule.points()[11]
     uinf = ff.samples[11]
     rs = np.geomspace(1e2, 1e4, 9)
     errs = [abs(r * np.exp(-1j * ctx.k * r)
-                * eval_scattered((r * xhat)[None], phi, ctx, GEOM)[0] - uinf)
+                * eval_scattered((r * xhat)[None], wave, ctx, GEOM)[0] - uinf)
             for r in rs]
     slope = float(np.polyfit(np.log(rs), np.log(errs), 1)[0])
     report("criterion 2: far-field O(1/r) asymptotics",
@@ -121,8 +121,8 @@ def test_criterion_05_chain_construction():
 def test_criterion_06_energy_identity():
     ctx = WaveContext(k=1.0, omega=ZHAT)
     lam = ImpedanceField.constant(1.0)
-    phi = solve_density(ctx, GEOM, lam, band_limit=24)
-    u, dnu, rule = boundary_traces(phi, ctx, GEOM, lam)
+    wave = solve_density(ctx, GEOM, lam, band_limit=24)
+    u, dnu, rule = boundary_traces(wave, ctx, GEOM, lam)
     res = energy_identity(GEOM, lam, u, dnu, rule)
     ds = GEOM.surface_element(rule.mu, rule.phi) * rule.weights
     absorb = float(np.sum(ds * np.abs(u) ** 2))

@@ -600,8 +600,8 @@ class TestLemma42Witness:
         geom = ObstacleGeometry()
         ctx = WaveContext(k=1.0, omega=np.array([0.0, 0.0, 1.0]))
         lam = ImpedanceField.constant(1.0)
-        phi = solve_density(ctx, geom, lam, band_limit=16)
-        u, _, rule = boundary_traces(phi, ctx, geom, lam)
+        wave = solve_density(ctx, geom, lam, band_limit=16)
+        u, _, rule = boundary_traces(wave, ctx, geom, lam)
         nodes = geom.boundary_points(rule)
         step = max(1, nodes.shape[0] // 64)
         for x_t in nodes[::step]:

@@ -30,7 +30,9 @@ from impscat.cli import (
     sweep_csv,
     validate_common,
 )
-from impscat.forward import FarField, WaveContext, mie_farfield
+from impscat.forward import FarField, WaveContext, mie_farfield, solve_density
+from impscat.geometry import ObstacleGeometry
+from impscat.layer_ops import ImpedanceField
 from impscat.specfun import gauss_product_rule
 from impscat.stability import StabilityRecord, StabilitySweep
 
@@ -95,6 +97,15 @@ class TestParser:
         assert vars(before) == vars(after) == {
             "command": command, "config": "c.json", "overrides": ["k=2", "seed=3"]}
 
+    def test_forward_is_not_a_command(self, tmp_path, capsys):
+        # a solve's summary is the farfield job's; there is no density job
+        path = write_config(tmp_path, "c.json", {})
+        assert "forward" not in HANDLERS
+        with pytest.raises(SystemExit) as exc:
+            main(["forward", path])
+        assert exc.value.code == 2
+        assert "invalid choice: 'forward'" in capsys.readouterr().err
+
     def test_main_shares_one_parser_and_no_overrides(self, tmp_path, capsys, monkeypatch):
         # main parses with the parser built at import; the ``append`` default
         # of --set must not carry the first call's overrides into the second
@@ -123,7 +134,7 @@ class TestExitCodes:
 
     def test_negative_impedance(self, tmp_path, capsys):
         path = write_config(tmp_path, "c.json", {"impedance": -1.0})
-        assert main(["forward", path]) == EXIT_VALIDATION
+        assert main(["farfield", path]) == EXIT_VALIDATION
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation"
         assert "impedance" in err["message"]
@@ -156,9 +167,18 @@ class TestExitCodes:
         assert out.read_text().startswith("theta,phi,re_uinf,im_uinf\n")
         assert "farfield_l2_norm" in json.loads(summary.read_text())
 
+    def test_farfield_reports_the_solve_tail_fraction(self, tmp_path, capsys):
+        path = write_config(tmp_path, "c.json", {"k": 2.0, "band_limit": 16})
+        assert main(["farfield", path]) == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        wave = solve_density(WaveContext(k=2.0, omega=np.array([0.0, 0.0, 1.0])),
+                             ObstacleGeometry(), ImpedanceField.constant(1.0), band_limit=16)
+        assert summary["tail_fraction"] == wave.tail_fraction
+        assert 0.0 < wave.tail_fraction <= 1e-8
+
     def test_zero_band_limit(self, tmp_path):
         path = write_config(tmp_path, "c.json", {"band_limit": 0})
-        assert main(["forward", path]) == EXIT_VALIDATION
+        assert main(["farfield", path]) == EXIT_VALIDATION
 
     @pytest.mark.parametrize("command,value", [
         ("farfield", "NaN"), ("farfield", "Infinity"), ("farfield", "[NaN]"),
@@ -208,12 +228,18 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key,value", [
         ("k", "1" + "0" * 400), ("impedance", "1" + "0" * 400),
-        ("omega", "[1%s, 0, 0]" % ("0" * 400)),
+        ("omega", "[1%s, 0, 0]" % ("0" * 400)), ("r_candidates", "[1%s]" % ("0" * 400)),
+        ("r", "1" + "0" * 400), ("radius", "1" + "0" * 400),
     ])
     def test_integer_beyond_float_is_numerical(self, tmp_path, capsys, key, value):
+        # a number key takes an int only within the float range: past it the
+        # config is refused, by key, before any float conversion
+        command = {"r_candidates": "lemma51", "r": "chain"}.get(key, "farfield")
         path = write_config(tmp_path, "c.json", {"band_limit": 4})
-        assert main(["farfield", path, "--set", f"{key}={value}"]) == EXIT_NUMERICAL
-        assert "too large" in json.loads(capsys.readouterr().err)["message"]
+        assert main([command, path, "--set", f"{key}={value}"]) == EXIT_VALIDATION
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert key in err["message"]
 
     def test_eta_key_is_ignored(self, tmp_path, capsys):
         # the coupling is max(1, k), derived at the solve; a leftover key
@@ -244,12 +270,12 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().err)["error"] == "validation"
 
     def test_missing_config(self, capsys):
-        assert main(["forward", "/nonexistent/cfg.json"]) == EXIT_VALIDATION
+        assert main(["farfield", "/nonexistent/cfg.json"]) == EXIT_VALIDATION
 
     def test_resolution_failure_is_numerical(self, tmp_path, capsys):
         # ka = 6 at band limit 4: the density tail check fails
         path = write_config(tmp_path, "c.json", {"k": 6.0, "band_limit": 4})
-        code = main(["forward", path])
+        code = main(["farfield", path])
         assert code == EXIT_NUMERICAL
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "numerical"
@@ -521,6 +547,23 @@ class TestCarlemanCommand:
         assert all(rep["lhs"] == 0.0 and rep["ratio"] == "inf"
                    for rep in summary["reports"])
 
+    def test_weighted_nodes_counted_without_a_second_node_build(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # the counts come from the per-shell weights; only carleman_sides
+        # builds the weighted nodes
+        calls = []
+        built = carleman.CarlemanSetup.weighted_shells
+
+        def counted(self, pairs):
+            calls.append(pairs)
+            return built(self, pairs)
+
+        monkeypatch.setattr(carleman.CarlemanSetup, "weighted_shells", counted)
+        path = write_config(tmp_path, "c.json", {"suite_size": 2})
+        assert main(["carleman-check", path]) == EXIT_OK
+        assert len(json.loads(capsys.readouterr().out)["weighted_nodes"]) == 3
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("key,value", [("rho", "NaN"), ("d", "NaN"), ("d", "Infinity")])
     def test_non_finite_annulus_is_validation(self, tmp_path, capsys, key, value):
         path = write_config(tmp_path, "c.json", {"suite_size": 1})
@@ -695,7 +738,7 @@ def test_mie_past_degree_400_writes_one_error_record(tmp_path, override, ka):
 def test_huge_radius_forward_writes_one_error_record(tmp_path):
     # S₀² = (2a)² leaves the float range: the modal table raises before numpy warns
     path = write_config(tmp_path, "c.json", {})
-    proc = fresh(["-m", "impscat.cli", "forward", path, "--set", "radius=1e300"], check=False)
+    proc = fresh(["-m", "impscat.cli", "farfield", path, "--set", "radius=1e300"], check=False)
     assert proc.returncode == EXIT_NUMERICAL
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1

@@ -6,21 +6,21 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from impscat import forward, layer_ops, specfun
 from impscat.forward import (
     FarField,
-    HarmonicDensity,
+    ScatteredWave,
     WaveContext,
+    _tail_fraction,
     boundary_traces,
     energy_identity,
     eval_scattered,
     farfield,
     mie_farfield,
     mie_scattered,
-    radiating_coefficients,
     scattered_on_shell,
     solve_density,
     solve_farfield,
@@ -46,7 +46,7 @@ from impscat.specfun import (
 )
 from impscat.stability import stability_sweep
 
-from oracle import dense, on_pattern, radial_derivative
+from oracle import combined_field_amplitudes, dense, on_pattern, radial_derivative
 
 GEOM = ObstacleGeometry()
 ZHAT = np.array([0.0, 0.0, 1.0])
@@ -101,8 +101,8 @@ class TestSolveDensity:
 
     def test_residual_contract(self):
         ctx = WaveContext(k=1.0, omega=ZHAT)
-        phi = solve_density(ctx, GEOM, ImpedanceField.constant(1.0), band_limit=20)
-        assert phi.tail_fraction() <= 1e-10
+        wave = solve_density(ctx, GEOM, ImpedanceField.constant(1.0), band_limit=20)
+        assert wave.tail_fraction <= 1e-10
 
     @pytest.mark.parametrize("coeffs", [[1e300], [1e300, 0.0, 1e299, 0.0]],
                              ids=["constant", "degree-1"])
@@ -110,7 +110,7 @@ class TestSolveDensity:
         # at |λ| ~ 1e300 the 2-norm of the rhs overflows; the check scales by
         # max|rhs| first, so it passes the solved φ and still sees a perturbed one
         lam, ctx = ImpedanceField(np.array(coeffs)), WaveContext(k=1.0, omega=ZHAT)
-        assert np.all(np.isfinite(solve_density(ctx, GEOM, lam, band_limit=12).coeffs))
+        assert np.all(np.isfinite(solve_density(ctx, GEOM, lam, band_limit=12).amplitudes))
         solve = BoundaryOperatorMatrix.solve
         monkeypatch.setattr(BoundaryOperatorMatrix, "solve",
                             lambda self, rhs: solve(self, rhs) * (1.0 + 1e-9))
@@ -119,16 +119,16 @@ class TestSolveDensity:
 
     def test_density_invariants(self):
         with pytest.raises(ValueError):
-            HarmonicDensity(coeffs=np.ones(5, dtype=complex), eta=1.0)
+            ScatteredWave(amplitudes=np.ones(5, dtype=complex), tail_fraction=0.0)
         with pytest.raises(ValueError):
-            HarmonicDensity(coeffs=np.full(4, np.nan, dtype=complex), eta=1.0)
-        assert HarmonicDensity(coeffs=np.zeros(16, dtype=complex), eta=1.0).band_limit == 3
+            ScatteredWave(amplitudes=np.full(4, np.nan, dtype=complex), tail_fraction=0.0)
+        assert ScatteredWave(amplitudes=np.zeros(16, dtype=complex),
+                             tail_fraction=0.0).band_limit == 3
 
     def test_tail_fraction_holds_for_a_tiny_density(self):
         # |φ|² of a 1e-176 density underflows to 0: the fraction scales first
         coeffs = np.random.default_rng(4).normal(size=16) + 0j
-        tails = [HarmonicDensity(coeffs=coeffs * scale, eta=1.0).tail_fraction()
-                 for scale in (1.0, 1e-176, 1e300)]
+        tails = [_tail_fraction(coeffs * scale) for scale in (1.0, 1e-176, 1e300)]
         assert 0.0 < tails[0] < 1.0
         assert tails[1:] == [pytest.approx(tails[0], rel=1e-14)] * 2
 
@@ -259,9 +259,9 @@ class TestContextTables:
 
 
 class TestCouplingTravelsWithDensity:
-    # η only makes the combined-field system uniquely solvable: φ depends on
-    # it, u∞ and the boundary traces do not, since each evaluator reads the
-    # coupling from the density it was solved with
+    # η only makes the combined-field system uniquely solvable: the system
+    # depends on it, the scattered wave's amplitudes, u∞ and the boundary
+    # traces do not
     @pytest.mark.parametrize("k", [0.5, 2.0])
     @pytest.mark.parametrize("degree2", [False, True], ids=["constant", "degree-2"])
     def test_fields_independent_of_eta(self, k, degree2):
@@ -274,19 +274,44 @@ class TestCouplingTravelsWithDensity:
         rule = gauss_product_rule(22)
 
         def fields(eta):
-            phi = solve_density(ctx, GEOM, lam, eta, 20)
-            u, dnu, _ = boundary_traces(phi, ctx, GEOM, lam, rule=rule)
-            return phi, farfield(phi, ctx, GEOM, rule).samples, u, dnu
+            wave = solve_density(ctx, GEOM, lam, eta, 20)
+            u, dnu, _ = boundary_traces(wave, ctx, GEOM, lam, rule=rule)
+            return wave.amplitudes, farfield(wave, ctx, rule).samples, u, dnu
 
-        ref_phi, *ref = fields(None)
+        def system(eta):
+            return assemble_combined_system(ctx.modal(GEOM.radius, 20),
+                                            multiplication_operator(lam, 20), eta).entries
+
+        ref_amps, *ref = fields(None)
+        ref_system = system(layer_ops.default_coupling(k))
         for eta in (0.5, 3.0):
-            phi, *got = fields(eta)
-            assert phi.eta == eta
-            assert np.linalg.norm(phi.coeffs - ref_phi.coeffs) > 1e-3 * np.linalg.norm(
-                ref_phi.coeffs)
+            amps, *got = fields(eta)
+            # the test is not vacuous: the system the solve sees changes with η
+            assert np.linalg.norm(system(eta) - ref_system) > 1e-3 * np.linalg.norm(ref_system)
+            assert np.linalg.norm(amps - ref_amps) <= 1e-13 * np.linalg.norm(ref_amps)
             for a, b in zip(got, ref):
                 assert np.sqrt(rule.integrate(np.abs(a - b) ** 2).real) <= 1e-13 * np.sqrt(
                     rule.integrate(np.abs(b) ** 2).real)
+
+
+class TestDenseCombinedFieldOracle:
+    # the band solve and c ⊙ φ against a dense solve of the written-out
+    # combined-field system, for every coupling the solve accepts
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.floats(0.3, 4.0), band_limit=st.integers(4, 16),
+           mean=st.floats(1.0, 3.0), degree=st.integers(0, 2),
+           shape=st.lists(st.floats(-0.1, 0.1), min_size=8, max_size=8),
+           eta=st.sampled_from([None, 0.5, 3.0]))
+    def test_amplitudes_match_dense_solve(self, k, band_limit, mean, degree, shape, eta):
+        coeffs = np.array([mean * np.sqrt(4 * np.pi)] + shape[:(degree + 1) ** 2 - 1])
+        lam = ImpedanceField(coeffs)
+        ctx = WaveContext(k=k, omega=np.array([1.0, 2.0, 2.0]) / 3.0)
+        try:
+            wave = solve_density(ctx, GEOM, lam, eta, band_limit)
+        except forward.ResolutionError:
+            assume(False)
+        ref = combined_field_amplitudes(ctx, GEOM, lam, band_limit, eta)
+        assert np.linalg.norm(wave.amplitudes - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestSingularityCheck:
@@ -310,11 +335,11 @@ class TestSingularityCheck:
         return solve_density(self.ctx, GEOM, self.lam, band_limit=self.nb)
 
     def test_scaled_system_solves(self, monkeypatch):
-        phi = solve_density(self.ctx, GEOM, self.lam, band_limit=self.nb)
+        wave = solve_density(self.ctx, GEOM, self.lam, band_limit=self.nb)
         diag = 1e-13 * self.assembled()
         for system in (on_pattern(np.diag(diag), 0), on_pattern(np.diag(diag), 1)):
             scaled = self.solve_with(monkeypatch, system)
-            assert np.allclose(scaled.coeffs, 1e13 * phi.coeffs, rtol=1e-12, atol=0.0)
+            assert np.allclose(scaled.amplitudes, 1e13 * wave.amplitudes, rtol=1e-12, atol=0.0)
 
     def test_ill_conditioned_raises(self, monkeypatch):
         diag = np.ones(num_harmonics(self.nb), dtype=complex)
@@ -345,42 +370,42 @@ class TestScatteredField:
     def setup_method(self):
         self.ctx = WaveContext(k=1.0, omega=ZHAT)
         self.lam = ImpedanceField.constant(1.0)
-        self.phi = solve_density(self.ctx, GEOM, self.lam, band_limit=24)
+        self.wave = solve_density(self.ctx, GEOM, self.lam, band_limit=24)
 
     def test_matches_mie_near_field(self):
         pts = np.array([[2.0, 0.0, 0.0], [0.0, 1.5, 2.0], [-3.0, 0.5, -1.0]])
-        mine = eval_scattered(pts, self.phi, self.ctx, GEOM)
+        mine = eval_scattered(pts, self.wave, self.ctx, GEOM)
         ref = mie_scattered(pts, self.ctx, 1.0, 1.0)
         assert np.max(np.abs(mine - ref)) < 1e-10
         # on the boundary every term of the series is at its largest
         edge = np.array([[0.0, 0.6, 0.8]]) * (1.0 + 1e-9)
         with pytest.warns(UserWarning, match="close to the boundary"):
-            mine = eval_scattered(edge, self.phi, self.ctx, GEOM)
+            mine = eval_scattered(edge, self.wave, self.ctx, GEOM)
         assert np.max(np.abs(mine - mie_scattered(edge, self.ctx, 1.0, 1.0))) < 1e-10
 
     def test_interior_rejected(self):
         with pytest.raises(ValueError):
-            eval_scattered(np.array([[0.0, 0.0, 0.5]]), self.phi, self.ctx, GEOM)
+            eval_scattered(np.array([[0.0, 0.0, 0.5]]), self.wave, self.ctx, GEOM)
 
     @pytest.mark.parametrize("evaluate", [
-        lambda x, phi, ctx: eval_scattered(x, phi, ctx, GEOM),
-        lambda x, phi, ctx: radial_derivative(x, phi, ctx, GEOM),
-        lambda x, phi, ctx: mie_scattered(x, ctx, 1.0, 1.0),
+        lambda x, wave, ctx: eval_scattered(x, wave, ctx, GEOM),
+        lambda x, wave, ctx: radial_derivative(x, wave, ctx, GEOM),
+        lambda x, wave, ctx: mie_scattered(x, ctx, 1.0, 1.0),
     ], ids=["eval_scattered", "scattered_radial_derivative", "mie_scattered"])
     def test_interior_point_raises(self, evaluate):
         with pytest.raises(ValueError):
-            evaluate(np.array([[0.0, 0.5, 0.0]]), self.phi, self.ctx)
+            evaluate(np.array([[0.0, 0.5, 0.0]]), self.wave, self.ctx)
 
     def test_near_boundary_warning(self):
         with pytest.warns(UserWarning):
-            eval_scattered(np.array([[0.0, 0.0, 1.01]]), self.phi, self.ctx, GEOM)
+            eval_scattered(np.array([[0.0, 0.0, 1.01]]), self.wave, self.ctx, GEOM)
 
     @pytest.mark.parametrize("radius,order", [(1.5, 24), (8.0, 24), (3.0, 12), (3.0, 40)])
     def test_shell_matches_point_path(self, radius, order):
-        # the rule may be coarser or finer than the density's N = 24
+        # the rule may be coarser or finer than the wave's N = 24
         rule = gauss_product_rule(order)
-        shell = scattered_on_shell(self.phi, self.ctx, GEOM, radius, rule)
-        points = eval_scattered(radius * rule.points(), self.phi, self.ctx, GEOM)
+        shell = scattered_on_shell(self.wave, self.ctx, GEOM, radius, rule)
+        points = eval_scattered(radius * rule.points(), self.wave, self.ctx, GEOM)
         np.testing.assert_allclose(shell, points, rtol=0.0,
                                    atol=1e-14 * np.abs(points).max())
 
@@ -388,37 +413,37 @@ class TestScatteredField:
         rule = gauss_product_rule(8)
         for radius in (0.5, 1.0, [3.0, 1.0]):
             with pytest.raises(ValueError):
-                scattered_on_shell(self.phi, self.ctx, GEOM, radius, rule)
+                scattered_on_shell(self.wave, self.ctx, GEOM, radius, rule)
         for radius in (1.01, [3.0, 1.01]):
             with pytest.warns(UserWarning, match="close to the boundary"):
-                scattered_on_shell(self.phi, self.ctx, GEOM, radius, rule)
+                scattered_on_shell(self.wave, self.ctx, GEOM, radius, rule)
 
     @pytest.mark.parametrize("radii", [[1.5, 2.0, 4.0, 8.0], [[3.0, 1.3], [40.0, 3.0]]])
     def test_shells_in_one_call_equal_scalar_calls(self, radii):
         rule = gauss_product_rule(16)
         radii = np.array(radii)
-        shells = scattered_on_shell(self.phi, self.ctx, GEOM, radii, rule)
+        shells = scattered_on_shell(self.wave, self.ctx, GEOM, radii, rule)
         assert shells.shape == radii.shape + (rule.npts,)
         for at in np.ndindex(radii.shape):
             np.testing.assert_array_equal(
-                shells[at], scattered_on_shell(self.phi, self.ctx, GEOM, float(radii[at]), rule))
+                shells[at], scattered_on_shell(self.wave, self.ctx, GEOM, float(radii[at]), rule))
 
     def test_farfield_extrapolation(self):
-        ff = farfield(self.phi, self.ctx, GEOM)
+        ff = farfield(self.wave, self.ctx)
         xhat = ff.rule.points()[37]
         uinf = ff.samples[37]
         rs = np.geomspace(1e2, 1e4, 9)
         errs = [abs(r * np.exp(-1j * self.ctx.k * r)
-                    * eval_scattered((r * xhat)[None], self.phi, self.ctx, GEOM)[0]
+                    * eval_scattered((r * xhat)[None], self.wave, self.ctx, GEOM)[0]
                     - uinf) for r in rs]
         slope = np.polyfit(np.log(rs), np.log(errs), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.05)
 
     def test_extrapolation_bound_at_1e3(self):
-        ff = farfield(self.phi, self.ctx, GEOM)
+        ff = farfield(self.wave, self.ctx)
         r = 1e3
         pts = r * ff.rule.points()
-        us = eval_scattered(pts, self.phi, self.ctx, GEOM)
+        us = eval_scattered(pts, self.wave, self.ctx, GEOM)
         sup = np.max(np.abs(r * np.exp(-1j * self.ctx.k * r) * us - ff.samples))
         assert sup <= 10.0 / r
 
@@ -428,15 +453,15 @@ class TestScatteredField:
         resid = []
         for r in rs:
             pts = (r * xhat)[None]
-            us = eval_scattered(pts, self.phi, self.ctx, GEOM)[0]
-            dus = radial_derivative(pts, self.phi, self.ctx, GEOM)[0]
+            us = eval_scattered(pts, self.wave, self.ctx, GEOM)[0]
+            dus = radial_derivative(pts, self.wave, self.ctx, GEOM)[0]
             resid.append(abs(dus - 1j * self.ctx.k * us))
         slope = np.polyfit(np.log(rs), np.log(resid), 1)[0]
         assert slope <= -1.0 + 0.1
 
     def test_axisymmetry(self):
         # incidence along z with constant impedance: no azimuthal dependence
-        ff = farfield(self.phi, self.ctx, GEOM)
+        ff = farfield(self.wave, self.ctx)
         variance = max(float(np.mean(np.abs(ring - ring.mean()) ** 2))
                        for ring in ff.samples.reshape(ff.rule.order + 1, -1))
         assert variance <= 1e-10
@@ -559,10 +584,10 @@ class TestRuleSynthesis:
         import tracemalloc
 
         ctx = WaveContext(k=1.0, omega=ZHAT)
-        phi = solve_density(ctx, GEOM, ImpedanceField.constant(1.0), band_limit=40)
+        wave = solve_density(ctx, GEOM, ImpedanceField.constant(1.0), band_limit=40)
         tracemalloc.start()
         try:
-            farfield(phi, ctx, GEOM)
+            farfield(wave, ctx)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -573,8 +598,8 @@ class TestEnergyIdentity:
     def test_residual_small(self):
         ctx = WaveContext(k=1.0, omega=ZHAT)
         lam = ImpedanceField.constant(1.0)
-        phi = solve_density(ctx, GEOM, lam, band_limit=24)
-        u, dnu, rule = boundary_traces(phi, ctx, GEOM, lam)
+        wave = solve_density(ctx, GEOM, lam, band_limit=24)
+        u, dnu, rule = boundary_traces(wave, ctx, GEOM, lam)
         res = energy_identity(GEOM, lam, u, dnu, rule)
         ds = GEOM.surface_element(rule.mu, rule.phi) * rule.weights
         absorb = np.sum(ds * np.abs(u) ** 2)
@@ -583,16 +608,16 @@ class TestEnergyIdentity:
     def test_neumann_flux_vanishes(self):
         ctx = WaveContext(k=1.0, omega=ZHAT)
         lam = ImpedanceField.constant(0.0)
-        phi = solve_density(ctx, GEOM, lam, band_limit=24)
-        u, dnu, rule = boundary_traces(phi, ctx, GEOM, lam)
+        wave = solve_density(ctx, GEOM, lam, band_limit=24)
+        u, dnu, rule = boundary_traces(wave, ctx, GEOM, lam)
         res = energy_identity(GEOM, lam, u, dnu, rule)
         assert abs(res) <= 1e-10
 
     def test_quadratic_homogeneity(self):
         ctx = WaveContext(k=1.0, omega=ZHAT)
         lam = ImpedanceField.constant(1.0)
-        phi = solve_density(ctx, GEOM, lam, band_limit=16)
-        u, dnu, rule = boundary_traces(phi, ctx, GEOM, lam)
+        wave = solve_density(ctx, GEOM, lam, band_limit=16)
+        u, dnu, rule = boundary_traces(wave, ctx, GEOM, lam)
         base_flux = energy_identity(GEOM, lam, u, dnu, rule)
         scaled = energy_identity(GEOM, lam, 2.0 * u, 2.0 * dnu, rule)
         assert scaled == pytest.approx(4.0 * base_flux, abs=1e-12)
@@ -604,10 +629,11 @@ class TestEnergyIdentity:
         lam = ImpedanceField.constant(1.0)
         for k, nb, warns in ((10.0, 4, True), (0.5, 24, False)):
             ctx = WaveContext(k=k, omega=ZHAT)
-            phi = HarmonicDensity(coeffs=np.zeros(num_harmonics(nb), dtype=complex), eta=1.0)
+            wave = ScatteredWave(amplitudes=np.zeros(num_harmonics(nb), dtype=complex),
+                                 tail_fraction=0.0)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                boundary_traces(phi, ctx, GEOM, lam)
+                boundary_traces(wave, ctx, GEOM, lam)
             messages = [str(w.message) for w in caught]
             if warns:
                 assert len(messages) == 1 and "tail at degree 4" in messages[0]
@@ -632,10 +658,10 @@ class TestUniformBound:
         rule = gauss_product_rule(20)
         expected = []
         for lam in fields:
-            phi = solve_density(ctx, GEOM, lam, band_limit=20)
+            wave = solve_density(ctx, GEOM, lam, band_limit=20)
             expected.append(max(
                 float(np.max(np.abs(ctx.incident(fac * rule.points())
-                                    + scattered_on_shell(phi, ctx, GEOM, fac, rule))))
+                                    + scattered_on_shell(wave, ctx, GEOM, fac, rule))))
                 for fac in (1.5, 2.0, 4.0, 8.0)))
         assert report.sups == expected
 
@@ -648,9 +674,9 @@ class TestUniformBound:
     def test_triangle_inequality_diagnostic(self):
         ctx = WaveContext(k=1.0, omega=ZHAT)
         lam = ImpedanceField.constant(1.0)
-        phi = solve_density(ctx, GEOM, lam, band_limit=20)
+        wave = solve_density(ctx, GEOM, lam, band_limit=20)
         pts = 2.0 * gauss_product_rule(12).points()
-        us = eval_scattered(pts, phi, ctx, GEOM)
+        us = eval_scattered(pts, wave, ctx, GEOM)
         total = ctx.incident(pts) + us
         assert np.all(np.abs(total) >= 1.0 - np.max(np.abs(us)) - 1e-12)
 

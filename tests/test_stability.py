@@ -238,13 +238,13 @@ class TestLemma51:
         ctx = WaveContext(k=1.3, omega=np.array([0.0, 0.6, 0.8]))
         lam = ImpedanceField(coefficients=np.array([4.0, 0, 0.3, 0, 0, 0, 0.2, 0, 0]))
         rep = lemma51_check(ctx, GEOM, lam, candidates, band_limit=20)
-        phi = solve_density(ctx, GEOM, lam, band_limit=20)
+        wave = solve_density(ctx, GEOM, lam, band_limit=20)
         rule = gauss_product_rule(24)
         ladder = np.unique(np.concatenate(
             [candidates, np.geomspace(min(candidates), 4.0 * max(candidates), 24)]))
         sups, mins = [], []
         for r in ladder:
-            us = scattered_on_shell(phi, ctx, GEOM, r, rule)
+            us = scattered_on_shell(wave, ctx, GEOM, r, rule)
             sups.append(np.max(np.abs(us)))
             mins.append(np.min(np.abs(ctx.incident(r * rule.points()) + us)))
         qualifying = next((r0 for r0 in sorted(candidates)
