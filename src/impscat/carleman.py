@@ -23,6 +23,14 @@ it is given, builds the shells where some weight at some pair is not exactly
 0.0, and evaluates each test function once, on their nodes.  At the
 admissible thresholds that is the inner sphere alone: no volume node is
 built, and every lhs is 0.0 relative to the common factor.
+
+Test functions come as parameter families (:class:`PlaneWaves`,
+:class:`Quadratics`): read-only records with one member per row, whose
+``squares(x, laplacian=False)`` gives v², |∇v|² and, if asked, (Δv)² of
+every member at the nodes x in closed form.  :func:`carleman_sides`,
+:func:`three_sphere_check` and :func:`continuation_check` take a sequence
+of families and loop over families and node chunks, never over members:
+a chunk holds at most ``_CHUNK`` member×node values, whatever the suite size.
 """
 
 from __future__ import annotations
@@ -43,69 +51,187 @@ _LOG_FLOAT_MAX = 709.0
 # Test functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TestFunction:
-    """Real scalar field with analytic value, gradient and Laplacian."""
-
-    __test__ = False  # not a pytest class despite the name
-
-    value: callable
-    gradient: callable
-    laplacian: callable
-    wavenumber: float = 0.0  # k of its cos(k·) oscillation; 0 for a polynomial
-
-    @staticmethod
-    def plane_wave(k: float, direction, phase: float = 0.0) -> "TestFunction":
-        d = np.asarray(direction, dtype=float)
-        d = d / np.linalg.norm(d)
-
-        def val(x):
-            return np.cos(k * (np.atleast_2d(x) @ d) + phase)
-
-        def grad(x):
-            x = np.atleast_2d(x)
-            return -k * np.sin(k * (x @ d) + phase)[:, None] * d
-
-        def lap(x):
-            return -k * k * val(x)
-
-        return TestFunction(val, grad, lap, k)
-
-    @staticmethod
-    def quadratic(const: float, linear, quad) -> "TestFunction":
-        b = np.asarray(linear, dtype=float)
-        a = np.asarray(quad, dtype=float)
-        a = 0.5 * (a + a.T)
-
-        def val(x):
-            x = np.atleast_2d(x)
-            return const + x @ b + np.sum((x @ a) * x, axis=1)
-
-        def grad(x):
-            x = np.atleast_2d(x)
-            return b[None, :] + 2.0 * x @ a
-
-        def lap(x):
-            x = np.atleast_2d(x)
-            return np.full(x.shape[0], 2.0 * np.trace(a))
-
-        return TestFunction(val, grad, lap)
+# The most member×node values one pass of a family evaluates: node sets go in
+# chunks of _CHUNK // size nodes.  A suite of 50 on the 27,744 volume nodes
+# would otherwise hold 11 MB in each temporary.
+_CHUNK = 2**14
 
 
-def random_test_suite(size: int, seed: int = 0) -> list[TestFunction]:
-    """Mixed suite of plane waves (k uniform in [0.5, 4]) and quadratic polynomials."""
+def _store(family, name: str, value, shape: tuple) -> np.ndarray:
+    """Set ``family.name`` to a read-only float copy of ``value`` broadcast to
+    ``shape``; ``ValueError`` unless it broadcasts and is finite."""
+    what = f"{type(family).__name__} {name}"
+    try:
+        array = np.array(np.broadcast_to(np.asarray(value, dtype=float), shape))
+    except ValueError:
+        raise ValueError(f"{what} of shape {np.shape(value)} does not fit {shape}") from None
+    if not np.isfinite(array).all():
+        raise ValueError(f"{what} must be finite")
+    array.setflags(write=False)
+    object.__setattr__(family, name, array)
+    return array
+
+
+def _store_positions(family, size: int) -> None:
+    """Make ``family.positions`` (None, or ``size`` integers) a read-only
+    copy; :func:`_suite_positions` checks that they number a suite."""
+    if family.positions is not None:
+        positions = np.array(family.positions)
+        if positions.shape != (size,) or positions.dtype.kind not in "iu":
+            raise ValueError(f"{type(family).__name__} positions must be {size} integers")
+        positions.setflags(write=False)
+        object.__setattr__(family, "positions", positions)
+
+
+@dataclass(frozen=True, eq=False)
+class PlaneWaves:
+    """The plane waves v = cos(k·x·d + c), one member per row of ``directions``
+    (normalised on construction); ``k`` and ``phases`` are one value per
+    member, or one for all.
+
+    A test-function family is a read-only record of its members' parameters:
+    it has ``size``, ``wavenumber`` (the largest k of an oscillation, 0.0 for
+    polynomials), ``positions`` (the members' places in a suite, or None: see
+    :func:`carleman_sides`) and ``squares(x, laplacian=False)``, which returns
+    v², |∇v|² and, if asked, (Δv)² at the nodes x, each of shape (size, len(x)).
+    """
+
+    k: np.ndarray
+    directions: np.ndarray
+    phases: np.ndarray = 0.0
+    positions: np.ndarray | None = None
+
+    def __post_init__(self):
+        d = np.atleast_2d(np.asarray(self.directions, dtype=float))
+        if d.ndim != 2 or d.shape[1] != 3 or not len(d):
+            raise ValueError(f"PlaneWaves directions of shape {d.shape} are not "
+                             f"one or more 3-vectors")
+        norm = np.linalg.norm(d, axis=1, keepdims=True)
+        if not np.all(np.isfinite(norm) & (norm > 0)):
+            raise ValueError("PlaneWaves directions must be finite and nonzero")
+        _store(self, "directions", d / norm, d.shape)
+        if np.any(_store(self, "k", self.k, (len(d),)) < 0):
+            raise ValueError("PlaneWaves k must be nonnegative")
+        _store(self, "phases", self.phases, (len(d),))
+        _store_positions(self, len(d))
+
+    @property
+    def size(self) -> int:
+        return len(self.k)
+
+    @property
+    def wavenumber(self) -> float:
+        return float(np.max(self.k))
+
+    def squares(self, x: np.ndarray, laplacian: bool = False) -> tuple:
+        """With θ = k·x·d + c: v² = cos²θ, |∇v|² = k²sin²θ and (Δv)² = k⁴v²,
+        from the one cosine cos 2θ = cos²θ − sin²θ."""
+        k2 = self.k[:, None] ** 2
+        cos2 = np.cos(2.0 * (self.k[:, None] * (self.directions @ x.T) + self.phases[:, None]))
+        v2 = 0.5 + 0.5 * cos2
+        g2 = 0.5 * k2 * (1.0 - cos2)
+        return (v2, g2, k2 * k2 * v2) if laplacian else (v2, g2)
+
+
+@dataclass(frozen=True, eq=False)
+class Quadratics:
+    """The quadratics v = const + b·x + x·A·x, one member per matrix of
+    ``quad`` (A, symmetrised on construction); ``const`` and ``linear`` (b) are
+    one value per member, or one for all.  A family as :class:`PlaneWaves`
+    describes, of wavenumber 0.0."""
+
+    const: np.ndarray
+    linear: np.ndarray
+    quad: np.ndarray
+    positions: np.ndarray | None = None
+
+    def __post_init__(self):
+        a = np.asarray(self.quad, dtype=float)
+        a = a[None] if a.ndim == 2 else a
+        if a.ndim != 3 or a.shape[1:] != (3, 3) or not len(a):
+            raise ValueError(f"Quadratics quad of shape {a.shape} is not one or more "
+                             f"3×3 matrices")
+        _store(self, "quad", 0.5 * (a + a.transpose(0, 2, 1)), a.shape)
+        _store(self, "const", self.const, (len(a),))
+        _store(self, "linear", self.linear, (len(a), 3))
+        _store_positions(self, len(a))
+
+    @property
+    def size(self) -> int:
+        return len(self.const)
+
+    wavenumber = 0.0
+
+    def squares(self, x: np.ndarray, laplacian: bool = False) -> tuple:
+        """A·x for every member in one matmul; ∇v = b + 2A·x, (Δv)² = (2 tr A)²."""
+        ax = (self.quad.reshape(-1, 3) @ x.T).reshape(self.size, 3, len(x))
+        v = self.const[:, None] + self.linear @ x.T + np.einsum("mcn,nc->mn", ax, x)
+        v *= v
+        ax *= 2.0
+        ax += self.linear[:, :, None]
+        g2 = np.einsum("mcn,mcn->mn", ax, ax)
+        if not laplacian:
+            return v, g2
+        return v, g2, np.broadcast_to((2.0 * np.trace(self.quad, axis1=1, axis2=2)[:, None])**2,
+                                      v.shape)
+
+
+def random_test_suite(size: int, seed: int = 0) -> list:
+    """Mixed suite of plane waves (k uniform in [0.5, 4]) and quadratic
+    polynomials: member i is the i-th seeded draw, a plane wave for even i.
+    Returned as a :class:`PlaneWaves` and a :class:`Quadratics` family that
+    carry those positions; a family with no member is left out."""
     rng = np.random.default_rng(seed)
-    suite = []
+    waves, quadratics = [], []
     for i in range(size):
         if i % 2 == 0:
-            k = rng.uniform(0.5, 4.0)
-            d = rng.normal(size=3)
-            suite.append(TestFunction.plane_wave(k, d, rng.uniform(0, 2 * np.pi)))
+            waves.append((rng.uniform(0.5, 4.0), rng.normal(size=3),
+                          rng.uniform(0, 2 * np.pi)))
         else:
-            suite.append(TestFunction.quadratic(
-                rng.normal(), rng.normal(size=3), rng.normal(size=(3, 3))
-            ))
-    return suite
+            quadratics.append((rng.normal(), rng.normal(size=3), rng.normal(size=(3, 3))))
+    return [family(*map(np.array, zip(*members)), positions=np.arange(first, size, 2))
+            for family, members, first in ((PlaneWaves, waves, 0), (Quadratics, quadratics, 1))
+            if members]
+
+
+def _suite_positions(suite) -> list:
+    """The suite position of each member of each family of ``suite``: the
+    family's ``positions`` where it carries them, else the next ``size``
+    places after the members before it.  ``ValueError`` unless they number
+    the members 0, 1, ..., n − 1 once each."""
+    out, start = [], 0
+    for family in suite:
+        out.append(np.arange(start, start + family.size) if family.positions is None
+                   else family.positions)
+        start += family.size
+    if not np.array_equal(np.sort(np.concatenate([np.empty(0, int)] + out)), np.arange(start)):
+        raise ValueError("the families' member positions must number the suite's "
+                         "members 0, 1, ..., n - 1 once each")
+    return out
+
+
+def _integrals(suite, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(T, R, members): rows[t] @ (the t-th square at the nodes x)ᵀ for every
+    member of the families of ``suite``, in suite order (:func:`_suite_positions`).
+    The squares are v², |∇v|² and, where T = 3, (Δv)²; rows has shape (T, R,
+    len(x)).  Each family is evaluated on node chunks of ``_CHUNK // size``
+    nodes, so no temporary holds more than ``_CHUNK`` member×node values (3
+    components each in the quadratics' A·x); an empty x evaluates nothing."""
+    positions = _suite_positions(suite)
+    out = np.zeros((len(rows), rows.shape[1], sum(map(len, positions))))
+    for family, columns in zip(suite, positions):
+        step = max(1, _CHUNK // family.size)
+        for start in range(0, len(x), step):
+            chunk = slice(start, start + step)
+            for total, row, square in zip(out, rows, family.squares(x[chunk], len(rows) == 3)):
+                total[:, columns] += row[:, chunk] @ square.T
+    return out
+
+
+def _weighted_sums(suite, x: np.ndarray, w: np.ndarray, laplacian: bool = False) -> np.ndarray:
+    """(T, members): the sums over the nodes x of w times each square
+    (:func:`_integrals` with the one weight row w)."""
+    return _integrals(suite, x, np.broadcast_to(w, (2 + laplacian, 1, len(x))))[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +394,6 @@ def _relative_exponents(dpsi: np.ndarray, lam: float, tau: float,
     return np.array([t1 + p * ldp + (p - 3) * lam * psi_ref for p in powers])
 
 
-def _squares(v: TestFunction, x: np.ndarray) -> tuple:
-    """v² and |∇v|² at the nodes x."""
-    g = np.asarray(v.gradient(x))
-    return np.asarray(v.value(x)) ** 2, np.einsum("ij,ij->i", g, g)
-
-
 def _require_finite(pairs, values: np.ndarray, what: str) -> None:
     """Raise ``OverflowError`` at the first pair (λ, τ) whose row of
     ``values`` is not finite."""
@@ -285,25 +405,31 @@ def _require_finite(pairs, values: np.ndarray, what: str) -> None:
 
 
 def carleman_sides(suite, setup: CarlemanSetup, pairs) -> list:
-    """Evaluate both sides of the annulus Carleman inequality for every test
-    function of ``suite`` at every weight pair (λ, τ) of ``pairs``.
+    """Evaluate both sides of the annulus Carleman inequality for every member
+    of the test-function families of ``suite`` at every weight pair (λ, τ) of
+    ``pairs``.
 
     lhs = ∫ e^{2τφ}(m⁴λ⁴τ³φ³v² + m²λ²τφ|∇v|²)
     rhs = 8∫ e^{2τφ}(Δv)² + 48∫_Γ e^{2τφ}(M³λ³τ³φ³v² + Mλτφ|∇v|²)
 
     with φ = e^{λψ}, integrated over the setup's node sets; both sides are
     divided by the common factor exp(2τφ_ref + 3λψ_ref).  Returns one list of
-    :class:`CarlemanResult` per pair, in suite order.
+    :class:`CarlemanResult` per pair, in suite order: a family's members sit
+    at its ``positions``, or, where it carries none, right after the members
+    of the families before it (:func:`random_test_suite`'s two families
+    interleave).
 
     Every pair is checked before any v is evaluated, and so is every
     coefficient: ``OverflowError`` names the first (λ, τ) where a coefficient,
     or afterwards a side, is not a finite float.  The weights are built
-    per shell (:meth:`CarlemanSetup.weighted_shells`); each v is evaluated
-    once, on the shells where some pair's weight is not 0.0, and reduced at
-    once against every pair's weight row, so no (members × nodes) array is
-    formed.  A node set with no such shell is not evaluated at all.
+    per shell (:meth:`CarlemanSetup.weighted_shells`); each family is
+    evaluated once, on the shells where some pair's weight is not 0.0, in
+    node chunks that hold at most ``_CHUNK`` member×node values, and each
+    chunk is reduced at once against every pair's weight row.  (Δv)² is
+    asked for on the volume set alone, and a node set with no such shell is
+    not evaluated at all.
     """
-    pairs = list(pairs)
+    pairs, suite = list(pairs), list(suite)
     for lam, tau in pairs:
         if not (np.isfinite(lam) and np.isfinite(tau)):
             raise ValueError(f"lam and tau must be finite (lam = {lam}, tau = {tau})")
@@ -323,18 +449,10 @@ def carleman_sides(suite, setup: CarlemanSetup, pairs) -> list:
     # rows[i, j]: quadrature weight × relative weight × coefficients[j, i];
     # lhs and rhs are sums of rows against v's squares
     (xv, wv, rel_v), (xb, wb, rel_b) = setup.weighted_shells(pairs)
-    lhs, rhs = np.zeros((2, len(pairs), len(suite)))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite side raises below
-        rows_v = coefficients.T[:3, :, None] * rel_v * wv
-        rows_b = coefficients.T[3:, :, None] * rel_b * wb
-        for i, v in enumerate(suite):
-            if len(xv):
-                v2, g2 = _squares(v, xv)
-                lhs[:, i] = rows_v[0] @ v2 + rows_v[1] @ g2
-                rhs[:, i] = rows_v[2] @ np.asarray(v.laplacian(xv)) ** 2
-            if len(xb):
-                v2, g2 = _squares(v, xb)
-                rhs[:, i] = rhs[:, i] + rows_b[0] @ v2 + rows_b[1] @ g2
+        v2, g2, l2 = _integrals(suite, xv, coefficients.T[:3, :, None] * rel_v * wv)
+        b2, bg2 = _integrals(suite, xb, coefficients.T[3:, :, None] * rel_b * wb)
+        lhs, rhs = v2 + g2, l2 + (b2 + bg2)
     _require_finite(pairs, np.hstack((lhs, rhs)), "side")
     return [[CarlemanResult(lhs_factored=left, rhs_factored=right, lam=lam, tau=tau)
              for left, right in zip(lhs[j].tolist(), rhs[j].tolist())]
@@ -399,21 +517,17 @@ class ContinuationCheck:
         return self.rhs / self.lhs if self.lhs > 0 else np.inf
 
 
-def _h1_norm(u: TestFunction, nodes: np.ndarray, weights: np.ndarray) -> float:
-    """(∫ u² + |∇u|²)^{1/2} by the quadrature rule (nodes, weights)."""
-    vv = np.asarray(u.value(nodes))
-    gg = np.sum(np.asarray(u.gradient(nodes)) ** 2, axis=1)
-    return float(np.sqrt(np.sum(weights * (vv**2 + gg))))
-
-
-def continuation_check(u: TestFunction, x_tilde, r: float,
-                       geom: ObstacleGeometry) -> ContinuationCheck:
-    """Both sides of the boundary-data continuation estimate.
+def continuation_check(suite, x_tilde, r: float,
+                       geom: ObstacleGeometry) -> list:
+    """Both sides of the boundary-data continuation estimate, one
+    :class:`ContinuationCheck` per member of the families of ``suite``, in
+    suite order (as :func:`carleman_sides` orders them).
 
     lhs = r²‖u‖_{H¹(B(x̃,r/4)∩Ω)}; rhs = ‖u‖_{H²(Ω)}^{1−γ/2}·(Cauchy data
     on B(x̃,r)∩Γ)^{γ/2}, γ at weight exponent 2.  Ω is truncated to the
     shell a < |x| < 3 and the H² norm uses ‖u‖² + ‖∇u‖² + ‖Δu‖².
     """
+    suite = list(suite)
     xt = np.asarray(x_tilde, dtype=float)
     _, _, gamma = continuation_constants(r / 2.0, r / 2.0, 2.0)
 
@@ -422,29 +536,24 @@ def continuation_check(u: TestFunction, x_tilde, r: float,
     inside = ~geom.contains(pts)
     if float(np.sum(w[inside])) < 1e-8:
         raise ValueError("continuation ball has negligible exterior measure")
-    h1_local = _h1_norm(u, pts[inside], w[inside])
+    h1_local = np.sqrt(np.sum(_weighted_sums(suite, pts[inside], w[inside]), axis=0))
 
     a = geom.radius
     shell = _radial_rule(np.zeros(3), a, 3.0 - a, n_radial=40, sphere_order=20)
-    spts, sw = shell.nodes(), shell.weights()
-    sv = np.asarray(u.value(spts))
-    sg = np.sum(np.asarray(u.gradient(spts)) ** 2, axis=1)
-    sl = np.asarray(u.laplacian(spts))
-    h2 = float(np.sqrt(np.sum(sw * (sv**2 + sg + sl**2))))
+    h2 = np.sqrt(np.sum(_weighted_sums(suite, shell.nodes(), shell.weights(), laplacian=True),
+                        axis=0))
 
     # patch rule must resolve the r-ball on the boundary
     rule = gauss_product_rule(max(32, int(np.ceil(12.0 * geom.radius / r))))
     bpts = geom.boundary_points(rule)
     ds = geom.surface_element(rule.mu, rule.phi) * rule.weights
     patch = np.linalg.norm(bpts - xt, axis=1) <= r
-    bv = np.asarray(u.value(bpts))
-    bg = np.sum(np.asarray(u.gradient(bpts)) ** 2, axis=1)
-    cauchy = (float(np.sqrt(np.sum(ds[patch] * bv[patch] ** 2)))
-              + float(np.sqrt(np.sum(ds[patch] * bg[patch]))))
+    cauchy = np.sum(np.sqrt(_weighted_sums(suite, bpts[patch], ds[patch])), axis=0)
 
     lhs = r**2 * h1_local
     rhs = h2 ** (1.0 - gamma / 2.0) * cauchy ** (gamma / 2.0)
-    return ContinuationCheck(lhs=lhs, rhs=rhs, gamma=gamma)
+    return [ContinuationCheck(lhs=left, rhs=right, gamma=gamma)
+            for left, right in zip(lhs.tolist(), rhs.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -496,16 +605,19 @@ def _resolved_kr(n_radial: int, sphere_order: int) -> float:
                rounding_argument(2 * n_radial - 2))
 
 
-def three_sphere_check(family, y, r: float) -> ThreeSphereFit:
-    """Fit the largest exponent α̂ with a single constant across a family.
+def three_sphere_check(families, y, r: float) -> ThreeSphereFit:
+    """Fit the largest exponent α̂ with a single constant across the members
+    of the test-function families ``families``.
 
     For each u the three H¹ ball norms (n₁, n₂, n₃) at radii (r, 2r, 3r)
     must satisfy r·n₂ ≤ C·n₁^α n₃^{1−α}; α̂ comes from the log-log
     regression of ln(r n₂/n₃) on ln(n₁/n₃) and C is then the smallest
     constant making the inequality hold for every member.  Where ln(n₁/n₃)
     does not spread over the members there is no slope to fit: α̂ is 0.5,
-    and the fit's ``alpha_fitted`` is False.  Raises
-    ``ValueError`` unless r is positive and finite and the ball rules resolve
+    and the fit's ``alpha_fitted`` is False.  The fit's ``norms`` has one
+    row per member, in suite order (as :func:`carleman_sides` orders them).
+    Raises ``ValueError`` unless there are at least two members, r is
+    positive and finite and the ball rules resolve
     the family's largest wavenumber k on the largest ball (k·3r at most
     :func:`_resolved_kr`), and ``RuntimeError`` if a ball norm is zero or not
     finite (a zero member, or an r so small that the ball weights underflow
@@ -514,11 +626,12 @@ def three_sphere_check(family, y, r: float) -> ThreeSphereFit:
     out that the ball nodes y + x round away their offsets x from it
     (max|y_i|·2⁻⁵² > 1e-8·r).
     """
-    if len(family) < 2:
+    families = list(families)
+    if sum(family.size for family in families) < 2:
         raise ValueError("family must have at least two members")
     if not (np.isfinite(r) and r > 0):
         raise ValueError(f"ball radius must be positive and finite (r = {r})")
-    kr = max(u.wavenumber for u in family) * 3.0 * r
+    kr = max(family.wavenumber for family in families) * 3.0 * r
     resolved = _resolved_kr(_BALL_RADIAL_NODES, _BALL_SPHERE_ORDER)
     if kr > resolved:
         raise ValueError(f"k*3r = {kr:.6g} exceeds {resolved:.4g}, the largest the "
@@ -526,10 +639,10 @@ def three_sphere_check(family, y, r: float) -> ThreeSphereFit:
     y = np.asarray(y, dtype=float)
     # an overflow here is a non-finite norm, raised below
     with np.errstate(over="ignore", invalid="ignore"):
-        balls = [(ball.nodes(), ball.weights()) for ball in (
-            _radial_rule(y, 0.0, f * r, _BALL_RADIAL_NODES, _BALL_SPHERE_ORDER)
-            for f in (1.0, 2.0, 3.0))]
-        norms = np.array([[_h1_norm(u, *ball) for ball in balls] for u in family])
+        balls = [_radial_rule(y, 0.0, f * r, _BALL_RADIAL_NODES, _BALL_SPHERE_ORDER)
+                 for f in (1.0, 2.0, 3.0)]
+        norms = np.sqrt(np.array([np.sum(_weighted_sums(families, ball.nodes(), ball.weights()),
+                                         axis=0) for ball in balls]).T)
     if not np.all(np.isfinite(norms) & (norms > 0)):
         raise RuntimeError(f"a ball norm is zero or not finite at r = {r}")
     if not np.max(np.abs(y)) * 2.0**-52 <= 1e-8 * r:

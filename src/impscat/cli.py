@@ -309,12 +309,9 @@ def cmd_three_sphere(cfg: dict) -> int:
     y = _get_point(cfg, "center", [2.0, 0.0, 0.0])
     size = _get_size(cfg, "family_size", 8, least=2)
     rng = np.random.default_rng(cfg["seed"])
-    family = [
-        carleman.TestFunction.plane_wave(k, rng.normal(size=3),
-                                         rng.uniform(0, 2 * np.pi))
-        for _ in range(size)
-    ]
-    fit = carleman.three_sphere_check(family, y, r)
+    draws = [(rng.normal(size=3), rng.uniform(0, 2 * np.pi)) for _ in range(size)]
+    family = carleman.PlaneWaves(k, [d for d, _ in draws], [c for _, c in draws])
+    fit = carleman.three_sphere_check([family], y, r)
     emit_summary(cfg, {"alpha": fit.alpha, "C": fit.C, "alpha_fitted": fit.alpha_fitted,
                        "monotonicity_violations": fit.monotonicity_violations})
     return EXIT_OK

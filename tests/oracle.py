@@ -11,11 +11,12 @@ versions of the harmonic layer, which the package's gathers must equal to
 the byte.
 """
 
+from dataclasses import dataclass, field
 from math import isqrt
 
 import numpy as np
 
-from impscat.carleman import TestFunction
+from impscat.carleman import PlaneWaves, Quadratics, _suite_positions
 from impscat.layer_ops import (
     BoundaryOperatorMatrix,
     ModalTable,
@@ -187,6 +188,112 @@ def prop41_intermediate(delta: float, fu_norm: float, c: float,
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     return c / abs(np.log(delta)) ** sigma + fu_norm / delta
+
+
+@dataclass(frozen=True)
+class TestFunction:
+    """Real scalar field with analytic value, gradient and Laplacian, as
+    closures: a one-member test-function family whose squares come from them."""
+
+    __test__ = False  # not a pytest class despite the name
+
+    value: callable
+    gradient: callable
+    laplacian: callable
+    wavenumber: float = 0.0  # k of its cos(k·) oscillation; 0 for a polynomial
+
+    size = 1
+    positions = None
+
+    def squares(self, x, laplacian: bool = False) -> tuple:
+        g = np.asarray(self.gradient(x))
+        out = (np.asarray(self.value(x))[None] ** 2, np.einsum("ij,ij->i", g, g)[None])
+        return out + (np.asarray(self.laplacian(x))[None] ** 2,) if laplacian else out
+
+    @staticmethod
+    def plane_wave(k: float, direction, phase: float = 0.0) -> "TestFunction":
+        d = np.asarray(direction, dtype=float)
+        d = d / np.linalg.norm(d)
+
+        def val(x):
+            return np.cos(k * (np.atleast_2d(x) @ d) + phase)
+
+        def grad(x):
+            x = np.atleast_2d(x)
+            return -k * np.sin(k * (x @ d) + phase)[:, None] * d
+
+        def lap(x):
+            return -k * k * val(x)
+
+        return TestFunction(val, grad, lap, k)
+
+    @staticmethod
+    def quadratic(const: float, linear, quad) -> "TestFunction":
+        b = np.asarray(linear, dtype=float)
+        a = np.asarray(quad, dtype=float)
+        a = 0.5 * (a + a.T)
+
+        def val(x):
+            x = np.atleast_2d(x)
+            return const + x @ b + np.sum((x @ a) * x, axis=1)
+
+        def grad(x):
+            x = np.atleast_2d(x)
+            return b[None, :] + 2.0 * x @ a
+
+        def lap(x):
+            x = np.atleast_2d(x)
+            return np.full(x.shape[0], 2.0 * np.trace(a))
+
+        return TestFunction(val, grad, lap)
+
+
+def members(suite) -> list:
+    """The members of the families of ``suite`` as closures, in suite order."""
+    out = {}
+    for family, positions in zip(suite, _suite_positions(suite)):
+        if isinstance(family, PlaneWaves):
+            rows = [TestFunction.plane_wave(*p) for p in zip(family.k, family.directions,
+                                                              family.phases)]
+        elif isinstance(family, Quadratics):
+            rows = [TestFunction.quadratic(*p) for p in zip(family.const, family.linear,
+                                                             family.quad)]
+        else:
+            rows = [family]
+        out.update(zip(positions.tolist(), rows))
+    return [out[i] for i in range(len(out))]
+
+
+@dataclass(frozen=True)
+class Recorded:
+    """A family that evaluates as ``family`` does and records, per ``squares``
+    call, its nodes and whether (Δv)² was asked for."""
+
+    family: object
+    calls: list = field(default_factory=list)
+
+    @property
+    def size(self) -> int:
+        return self.family.size
+
+    @property
+    def wavenumber(self) -> float:
+        return self.family.wavenumber
+
+    @property
+    def positions(self):
+        return self.family.positions
+
+    def squares(self, x, laplacian: bool = False) -> tuple:
+        self.calls.append((np.array(x), laplacian))
+        return self.family.squares(x, laplacian)
+
+
+def h1_norm(u: TestFunction, nodes, weights) -> float:
+    """(∫ u² + |∇u|²)^{1/2} by the quadrature rule (nodes, weights)."""
+    vv = np.asarray(u.value(nodes))
+    gg = np.sum(np.asarray(u.gradient(nodes)) ** 2, axis=1)
+    return float(np.sqrt(np.sum(weights * (vv**2 + gg))))
 
 
 def point_source(k: float, source) -> TestFunction:

@@ -9,7 +9,7 @@ import pytest
 
 from impscat.carleman import (
     CarlemanSetup,
-    TestFunction,
+    PlaneWaves,
     carleman_sides,
     chain_lower_bound,
     random_test_suite,
@@ -91,10 +91,9 @@ def test_criterion_03_carleman_suite():
 
 def test_criterion_04_three_sphere():
     rng = np.random.default_rng(0)
-    family = [TestFunction.plane_wave(2.0, rng.normal(size=3),
-                                      rng.uniform(0, 2 * np.pi))
-              for _ in range(8)]
-    fit = three_sphere_check(family, np.array([2.0, 0.0, 0.0]), 0.2)
+    draws = [(rng.normal(size=3), rng.uniform(0, 2 * np.pi)) for _ in range(8)]
+    family = PlaneWaves(2.0, [d for d, _ in draws], [c for _, c in draws])
+    fit = three_sphere_check([family], np.array([2.0, 0.0, 0.0]), 0.2)
     ok = (0.01 < fit.alpha < 0.99 and np.isfinite(fit.C)
           and fit.monotonicity_violations == 0)
     report("criterion 4: three-sphere inequality fit", ok,

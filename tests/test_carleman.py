@@ -1,14 +1,18 @@
 """Weighted-inequality machinery: Carleman, continuation, chains."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from impscat import carleman
 from impscat.carleman import (
     CarlemanSetup,
-    TestFunction,
+    PlaneWaves,
+    Quadratics,
     carleman_sides,
     chain_lower_bound,
     continuation_check,
@@ -20,7 +24,7 @@ from impscat.carleman import (
 )
 from impscat.geometry import ObstacleGeometry
 
-from oracle import point_source
+from oracle import Recorded, TestFunction, h1_norm, members, point_source
 
 SETUP = CarlemanSetup(x0=np.zeros(3), rho=1.0, d=1.0)
 
@@ -64,6 +68,123 @@ class TestTestFunctions:
             e[axis] = h
             fd = (v.value(pts + e) - v.value(pts - e)) / (2 * h)
             assert fd[0] == pytest.approx(v.gradient(pts)[0, axis], abs=1e-8)
+
+
+TRIPLES = st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3)
+PLANE_WAVES = st.lists(st.tuples(st.floats(0.5, 4.0), TRIPLES.filter(
+    lambda d: np.linalg.norm(d) > 1e-3), st.floats(0.0, 2 * np.pi)), min_size=1, max_size=6)
+QUADRATICS = st.lists(st.tuples(st.floats(-3.0, 3.0), TRIPLES,
+                                st.lists(st.floats(-3.0, 3.0), min_size=9, max_size=9)),
+                      min_size=1, max_size=6)
+
+
+def oracle_squares(closures, x) -> tuple:
+    """v², |∇v|² and (Δv)² of the closures at x, one row per closure."""
+    return tuple(np.concatenate(rows) for rows in
+                 zip(*(v.squares(x, laplacian=True) for v in closures)))
+
+
+class TestFamilies:
+    @settings(max_examples=25, deadline=None)
+    @given(params=st.one_of(PLANE_WAVES.map(lambda p: ("plane", p)),
+                            QUADRATICS.map(lambda p: ("quadratic", p))),
+           past_chunk=st.sampled_from([None, -1, 0, 1]), seed=st.integers(0, 2**32 - 1))
+    def test_squares_match_closures(self, params, past_chunk, seed):
+        # the family's closed forms against the closures, member by member;
+        # the nodes number 1 or _CHUNK // size − 1, + 0 or + 1, so that the
+        # chunked sums end just short of, on and just past a chunk
+        kind, members_ = params
+        if kind == "plane":
+            family = PlaneWaves(*map(np.array, zip(*members_)))
+            closures = [TestFunction.plane_wave(*m) for m in members_]
+        else:
+            const, linear, quad = zip(*members_)
+            family = Quadratics(const, linear, np.reshape(quad, (-1, 3, 3)))
+            closures = [TestFunction.quadratic(c, b, np.reshape(a, (3, 3)))
+                        for c, b, a in members_]
+        step = carleman._CHUNK // family.size
+        rng = np.random.default_rng(seed)
+        cloud = rng.uniform(-2.0, 2.0, size=(step + 1, 3))
+        x = cloud[:1 if past_chunk is None else step + past_chunk]
+        # a row's scale is its largest value over the whole cloud, so that a
+        # single node compares on the scale of the function, not of its value
+        on_cloud = np.array(oracle_squares(closures, cloud))
+        scale = np.max(on_cloud, axis=2, keepdims=True)
+        expected = on_cloud[:, :, :len(x)]
+        for got, want, row_scale in zip(family.squares(x, laplacian=True), expected, scale):
+            assert got.shape == (family.size, len(x))
+            assert np.all(np.abs(got - want) <= 1e-14 * row_scale)
+        assert len(family.squares(x)) == 2
+        # the chunked sums: one weight row per square, positive
+        rows = rng.uniform(0.5, 1.0, size=(3, 2, len(x)))
+        want = np.einsum("trn,tmn->trm", rows, expected)
+        bound = np.einsum("trn,tmn->trm", rows, np.broadcast_to(scale, expected.shape))
+        got = carleman._integrals([family], x, rows)
+        assert np.all(np.abs(got - want) <= 1e-13 * bound)
+
+    def test_random_suite_draws_the_seeded_members_in_order(self):
+        # member i is the i-th draw of one seeded stream: a plane wave for
+        # even i, a quadratic for odd i
+        rng = np.random.default_rng(17)
+        draws = [(rng.uniform(0.5, 4.0), rng.normal(size=3), rng.uniform(0, 2 * np.pi))
+                 if i % 2 == 0 else
+                 (rng.normal(), rng.normal(size=3), rng.normal(size=(3, 3)))
+                 for i in range(7)]
+        waves, quadratics = random_test_suite(7, seed=17)
+        np.testing.assert_array_equal(waves.positions, [0, 2, 4, 6])
+        np.testing.assert_array_equal(quadratics.positions, [1, 3, 5])
+        for j, (k, d, c) in enumerate(draws[::2]):
+            assert (waves.k[j], waves.phases[j]) == (k, c)
+            np.testing.assert_allclose(waves.directions[j], d / np.linalg.norm(d), rtol=1e-15)
+        for j, (c, b, a) in enumerate(draws[1::2]):
+            assert quadratics.const[j] == c
+            np.testing.assert_array_equal(quadratics.linear[j], b)
+            np.testing.assert_array_equal(quadratics.quad[j], 0.5 * (a + a.T))
+        [single] = random_test_suite(1, seed=17)
+        assert isinstance(single, PlaneWaves) and single.size == 1
+        assert random_test_suite(0) == []
+
+    def test_read_only_normalised_and_symmetrised(self):
+        d = np.array([[3.0, 0.0, 4.0], [0.0, -2.0, 0.0]])
+        waves = PlaneWaves([1.0, 2.5], d, 0.3)
+        np.testing.assert_array_equal(waves.directions, [[0.6, 0.0, 0.8], [0.0, -1.0, 0.0]])
+        np.testing.assert_array_equal(waves.phases, [0.3, 0.3])
+        assert (waves.size, waves.wavenumber) == (2, 2.5)
+        d[0, 0] = 7.0  # the family holds its own copy
+        assert waves.directions[0, 0] == 0.6
+        quad = Quadratics(0.0, [1.0, 2.0, 3.0], np.arange(9.0).reshape(3, 3))
+        np.testing.assert_array_equal(quad.quad[0], quad.quad[0].T)
+        assert (quad.size, quad.wavenumber) == (1, 0.0)
+        for array in (waves.k, waves.directions, waves.phases, quad.const,
+                      quad.linear, quad.quad):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+
+    @pytest.mark.parametrize("build, match", [
+        (lambda: PlaneWaves(1.0, [0.0, 0.0, 0.0]), "nonzero"),
+        (lambda: PlaneWaves(1.0, [[1.0, 0.0]]), "3-vectors"),
+        (lambda: PlaneWaves(1.0, np.empty((0, 3))), "3-vectors"),
+        (lambda: PlaneWaves([1.0, 2.0, 3.0], np.eye(2, 3)), "does not fit"),
+        (lambda: PlaneWaves(np.nan, [0.0, 0.0, 1.0]), "finite"),
+        (lambda: PlaneWaves(-1.0, [0.0, 0.0, 1.0]), "nonnegative"),
+        (lambda: PlaneWaves(1.0, [0.0, 0.0, 1.0], np.inf), "finite"),
+        (lambda: PlaneWaves(1.0, [0.0, 0.0, 1.0], positions=[0.5]), "positions"),
+        (lambda: PlaneWaves(1.0, [0.0, 0.0, 1.0], positions=[0, 1]), "positions"),
+        (lambda: Quadratics(1.0, np.zeros(3), np.zeros((2, 2))), "3×3"),
+        (lambda: Quadratics(1.0, np.zeros(2), np.zeros((3, 3))), "does not fit"),
+        (lambda: Quadratics(np.nan, np.zeros(3), np.zeros((3, 3))), "finite"),
+    ])
+    def test_invalid_parameters_rejected(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
+    def test_positions_must_number_the_suite(self):
+        waves = PlaneWaves(1.0, np.eye(3), positions=[0, 2, 3])
+        with pytest.raises(ValueError, match="once each"):
+            carleman_sides([waves], SETUP, threshold_pairs(SETUP, (1.0,)))
+        quad = Quadratics(1.0, np.zeros(3), np.zeros((3, 3)), positions=[1])
+        [row] = carleman_sides([waves, quad], SETUP, threshold_pairs(SETUP, (1.0,)))
+        assert len(row) == 4
 
 
 class TestCarlemanSetup:
@@ -134,9 +255,11 @@ class TestCarlemanInequality:
         results = carleman_sides(suite, SETUP, pairs)
         assert [len(row) for row in results] == [50, 50, 50]
         for (lam, tau), row in zip(pairs, results):
-            for res in row:
+            for v, res in zip(members(suite), row):
                 assert (res.lam, res.tau) == (lam, tau)
                 assert res.holds
+                assert res.rhs_factored == pytest.approx(
+                    sides(v, SETUP, lam, tau).rhs_factored, rel=1e-13, abs=0.0)
 
     def test_below_threshold_rejected(self):
         v = TestFunction.plane_wave(1.0, [0, 0, 1.0])
@@ -203,7 +326,7 @@ class TestCarlemanInequality:
         pairs = [(SETUP.lambda_threshold, mult * SETUP.tau_threshold)
                  for mult in (1.0, 2.0, 4.0)]
         results = carleman_sides(suite, SETUP, pairs)
-        for i in range(len(suite)):
+        for i in range(10):
             prev = None
             for row in results:
                 ratio = row[i].ratio
@@ -291,39 +414,32 @@ class TestWeightedNodes:
         assert sorted(built) == [(False, 1250), (True, 0)]
 
     def test_v_evaluated_only_on_weighted_nodes(self):
-        # each closure once per call, on the shells where some pair's weight
-        # is not 0.0, and not at all on a set with no such shell
-        calls = {"value": [], "gradient": [], "laplacian": []}
-
-        def recorded(name, f):
-            def g(x):
-                calls[name].append(np.array(x))
-                return f(x)
-            return g
-
+        # each family on the shells where some pair's weight is not 0.0, in
+        # node chunks of _CHUNK // size that together are those nodes, and
+        # not at all on a set with no such shell; (Δv)² is asked for on the
+        # volume alone
         for x0, rho, d in ANNULI + [THIN_ANNULUS]:
             setup = CarlemanSetup(x0=x0, rho=rho, d=d)
-            v = TestFunction.plane_wave(1.3, [0.2, 0.5, 0.8], 0.7)
-            v = TestFunction(*(recorded(name, getattr(v, name)) for name in calls))
-            for rows in calls.values():
-                rows.clear()
-            carleman_sides([v], setup, threshold_pairs(setup))
+            suite = [Recorded(family) for family in random_test_suite(50, seed=5)]
+            carleman_sides(suite, setup, threshold_pairs(setup))
             inner_sphere = np.split(setup.boundary.nodes(), 2)[0]
-            volume = [setup.volume.nodes()[:2312]] if d < 1e-6 else []
-            for name, rows in calls.items():
-                expected = volume if name == "laplacian" else volume + [inner_sphere]
-                assert len(rows) == len(expected)
-                for x, want in zip(rows, expected):
-                    np.testing.assert_array_equal(x, want)
+            volume = setup.volume.nodes()[:2312 if d < 1e-6 else 0]
+            for family in suite:
+                step = carleman._CHUNK // family.size
+                for laplacian, want in ((True, volume), (False, inner_sphere)):
+                    chunks = [x for x, asked in family.calls if asked is laplacian]
+                    assert len(chunks) == -(-len(want) // step)
+                    assert all(len(x) <= step for x in chunks)
+                    np.testing.assert_array_equal(
+                        np.concatenate(chunks or [np.empty((0, 3))]), want)
 
     @pytest.mark.parametrize("x0, rho, d", ANNULI + [THIN_ANNULUS])
     def test_compressed_sums_match_full_nodes(self, x0, rho, d):
         setup = CarlemanSetup(x0=x0, rho=rho, d=d)
-        suite = random_test_suite(6, seed=9)
-        suite.append(point_source(1.2, [0.0, 0.0, -9.0]))
+        suite = random_test_suite(6, seed=9) + [point_source(1.2, [0.0, 0.0, -9.0])]
         pairs = threshold_pairs(setup)
         for (lam, tau), row in zip(pairs, carleman_sides(suite, setup, pairs)):
-            for v, res in zip(suite, row):
+            for v, res in zip(members(suite), row):
                 lhs, rhs = full_node_sides(v, setup, lam, tau)
                 if d < 1e-6:
                     assert lhs > 0.0
@@ -334,14 +450,39 @@ class TestWeightedNodes:
 
     @pytest.mark.parametrize("x0, rho, d", [ANNULI[0], THIN_ANNULUS])
     def test_member_alone_equals_member_in_suite(self, x0, rho, d):
+        # the family pass against each member alone, as closures one at a
+        # time: at the default annulus, and where volume nodes carry weight
         setup = CarlemanSetup(x0=x0, rho=rho, d=d)
         suite = random_test_suite(50, seed=2)
         pairs = threshold_pairs(setup)
         together = carleman_sides(suite, setup, pairs)
-        for i, v in enumerate(suite):
+        for i, v in enumerate(members(suite)):
             for row, [alone] in zip(together, carleman_sides([v], setup, pairs)):
-                assert (row[i].lhs_factored, row[i].rhs_factored) == \
-                    (alone.lhs_factored, alone.rhs_factored)
+                assert row[i].lhs_factored == pytest.approx(alone.lhs_factored,
+                                                            rel=1e-13, abs=0.0)
+                assert row[i].rhs_factored == pytest.approx(alone.rhs_factored,
+                                                            rel=1e-13, abs=0.0)
+                assert (alone.lhs_factored > 0.0) is (d < 1e-6)
+
+    def test_members_add_no_more_than_a_few_chunks(self):
+        # every one of the 27,744 volume nodes carries weight here; one
+        # (members × nodes) array of the suite would alone be 11 MB, while
+        # its chunks hold _CHUNK values whatever the suite size
+        setup = CarlemanSetup(x0=np.zeros(3), rho=1.0, d=1e-12)
+        pairs = threshold_pairs(setup)
+        assert len(setup.weighted_shells(pairs)[0][0]) == 27744
+        peaks = []
+        for suite in (random_test_suite(1, seed=6), random_test_suite(50, seed=6)):
+            carleman_sides(suite, setup, pairs)  # warm the cached rules
+            tracemalloc.start()
+            try:
+                carleman_sides(suite, setup, pairs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        chunk_bytes = carleman._CHUNK * 8
+        assert peaks[1] - peaks[0] < 4 * chunk_bytes
+        assert peaks[1] < 50 * 27744 * 8
 
     def test_every_nonzero_weight_kept(self):
         setup = CarlemanSetup(x0=np.zeros(3), rho=1.0, d=1.0)
@@ -416,7 +557,7 @@ class TestContinuationCheck:
         u = TestFunction.plane_wave(1.0, [0.0, 0.0, 1.0])
         c_emps = []
         for r in (0.4, 0.2, 0.1, 0.05):
-            ck = continuation_check(u, np.array([0.0, 0.0, 1.0]), r, self.GEOM)
+            [ck] = continuation_check([u], np.array([0.0, 0.0, 1.0]), r, self.GEOM)
             assert np.isfinite(ck.lhs) and ck.lhs > 0
             assert np.isfinite(ck.rhs) and ck.rhs > 0
             assert 0.0 < ck.gamma < 1.0
@@ -429,8 +570,7 @@ class TestContinuationCheck:
         u10 = TestFunction(lambda x: 10 * u.value(x),
                            lambda x: 10 * u.gradient(x),
                            lambda x: 10 * u.laplacian(x))
-        a = continuation_check(u, np.array([0.0, 0.0, 1.0]), 0.2, self.GEOM)
-        b = continuation_check(u10, np.array([0.0, 0.0, 1.0]), 0.2, self.GEOM)
+        a, b = continuation_check([u, u10], np.array([0.0, 0.0, 1.0]), 0.2, self.GEOM)
         assert b.lhs == pytest.approx(10 * a.lhs, rel=1e-12)
         assert b.rhs == pytest.approx(10 * a.rhs, rel=1e-10)
 
@@ -438,16 +578,27 @@ class TestContinuationCheck:
         u = TestFunction.plane_wave(1.0, [0.0, 0.0, 1.0])
         # ball centered deep inside the obstacle has no exterior part
         with pytest.raises(ValueError):
-            continuation_check(u, np.zeros(3), 0.4, self.GEOM)
+            continuation_check([u], np.zeros(3), 0.4, self.GEOM)
+
+    def test_families_match_members_alone(self):
+        # one pass over the suite's families equals each member as a closure
+        suite = random_test_suite(6, seed=8)
+        x_tilde = np.array([0.0, 0.0, 1.0])
+        together = continuation_check(suite, x_tilde, 0.2, self.GEOM)
+        assert len(together) == 6
+        for v, ck in zip(members(suite), together):
+            [alone] = continuation_check([v], x_tilde, 0.2, self.GEOM)
+            assert ck.gamma == alone.gamma
+            assert ck.lhs == pytest.approx(alone.lhs, rel=1e-13, abs=0.0)
+            assert ck.rhs == pytest.approx(alone.rhs, rel=1e-13, abs=0.0)
 
 
 class TestThreeSphere:
     def test_plane_wave_family(self):
         rng = np.random.default_rng(13)
-        family = [TestFunction.plane_wave(2.0, rng.normal(size=3),
-                                          rng.uniform(0, 2 * np.pi))
-                  for _ in range(8)]
-        fit = three_sphere_check(family, np.array([2.0, 0.0, 0.0]), 0.2)
+        draws = [(rng.normal(size=3), rng.uniform(0, 2 * np.pi)) for _ in range(8)]
+        family = PlaneWaves(2.0, [d for d, _ in draws], [c for _, c in draws])
+        fit = three_sphere_check([family], np.array([2.0, 0.0, 0.0]), 0.2)
         assert 0.01 < fit.alpha < 0.99
         assert np.isfinite(fit.C) and fit.C <= 1e3
         assert fit.monotonicity_violations == 0
@@ -467,11 +618,28 @@ class TestThreeSphere:
             return radial_rule(*args, **kwargs)
 
         monkeypatch.setattr(carleman, "_radial_rule", counted)
-        rng = np.random.default_rng(13)
-        family = [TestFunction.plane_wave(2.0, rng.normal(size=3))
-                  for _ in range(8)]
-        three_sphere_check(family, np.array([2.0, 0.0, 0.0]), 0.2)
+        family = PlaneWaves(2.0, np.random.default_rng(13).normal(size=(8, 3)))
+        three_sphere_check([family], np.array([2.0, 0.0, 0.0]), 0.2)
         assert len(calls) == 3
+
+    def test_norms_match_member_h1_norms(self):
+        # one pass over the families equals each member's H¹ norm as a
+        # closure, on the same three ball rules, in suite order
+        suite = random_test_suite(9, seed=4) + [point_source(1.0, [0, 0, 9.0])]
+        y, r = np.array([0.4, -0.3, 1.2]), 0.25
+        fit = three_sphere_check(suite, y, r)
+        balls = [carleman._radial_rule(y, 0.0, f * r, 32, 14) for f in (1.0, 2.0, 3.0)]
+        expected = [[h1_norm(v, ball.nodes(), ball.weights()) for ball in balls]
+                    for v in members(suite)]
+        np.testing.assert_allclose(fit.norms, expected, rtol=1e-13, atol=0.0)
+
+    def test_two_members_across_families(self):
+        # the count is of members, not of families
+        with pytest.raises(ValueError, match="two members"):
+            three_sphere_check([PlaneWaves(1.0, [0, 0, 1.0])], np.zeros(3), 0.1)
+        fit = three_sphere_check([PlaneWaves(1.0, [0, 0, 1.0]),
+                                  Quadratics(1.0, np.zeros(3), np.eye(3))], np.zeros(3), 0.1)
+        assert fit.norms.shape == (2, 3)
 
     def test_constant_function_norm_scaling(self):
         const = TestFunction.quadratic(1.0, np.zeros(3), np.zeros((3, 3)))
@@ -499,7 +667,7 @@ class TestThreeSphere:
         rng = np.random.default_rng(5)
         for kr, tol in ((bound, 1e-14), (2.0 * bound, None)):
             u = TestFunction.plane_wave(kr / 0.6, rng.normal(size=3), 0.3)
-            coarse, fine = (carleman._h1_norm(u, rule.nodes(), rule.weights())
+            coarse, fine = (h1_norm(u, rule.nodes(), rule.weights())
                             for rule in (carleman._radial_rule(np.zeros(3), 0.0, 0.6, 32, 14),
                                          carleman._radial_rule(np.zeros(3), 0.0, 0.6, 64, 40)))
             if tol:

@@ -36,6 +36,8 @@ from impscat.layer_ops import ImpedanceField
 from impscat.specfun import gauss_product_rule
 from impscat.stability import StabilityRecord, StabilitySweep
 
+from oracle import Recorded
+
 
 def write_config(tmp_path, name, payload):
     path = tmp_path / name
@@ -231,7 +233,7 @@ class TestExitCodes:
         ("omega", "[1%s, 0, 0]" % ("0" * 400)), ("r_candidates", "[1%s]" % ("0" * 400)),
         ("r", "1" + "0" * 400), ("radius", "1" + "0" * 400),
     ])
-    def test_integer_beyond_float_is_numerical(self, tmp_path, capsys, key, value):
+    def test_integer_beyond_float_is_a_validation_error(self, tmp_path, capsys, key, value):
         # a number key takes an int only within the float range: past it the
         # config is refused, by key, before any float conversion
         command = {"r_candidates": "lemma51", "r": "chain"}.get(key, "farfield")
@@ -606,27 +608,19 @@ class TestCarlemanCommand:
         assert ", tau = " in record["message"]
 
     def test_one_sides_call_and_no_volume_closure(self, tmp_path, capsys, monkeypatch):
-        # at the default annulus no volume shell carries weight: each member's
-        # value and gradient run once, on the 1,250 inner-sphere nodes
-        calls, rows = [], []
+        # at the default annulus no volume shell carries weight: each family
+        # is evaluated on the 1,250 inner-sphere nodes alone, in one call,
+        # and (Δv)² is never asked for
+        calls, suites = [], []
         sides, suite_of = carleman.carleman_sides, carleman.random_test_suite
 
         def counted(*args):
             calls.append(args)
             return sides(*args)
 
-        def recorded(f):
-            def g(x):
-                rows.append(len(x))
-                return f(x)
-            return g
-
-        def refuse(x):
-            raise AssertionError("a volume closure was called")
-
         def watched_suite(size, seed=0):
-            return [carleman.TestFunction(recorded(v.value), recorded(v.gradient), refuse)
-                    for v in suite_of(size, seed)]
+            suites.append([Recorded(family) for family in suite_of(size, seed)])
+            return suites[-1]
 
         monkeypatch.setattr(carleman, "carleman_sides", counted)
         monkeypatch.setattr(carleman, "random_test_suite", watched_suite)
@@ -634,7 +628,11 @@ class TestCarlemanCommand:
         assert main(["carleman-check", path]) == EXIT_OK
         assert len(json.loads(capsys.readouterr().out)["reports"]) == 15
         assert len(calls) == 1
-        assert rows == [1250] * 10
+        [suite] = suites
+        assert [family.size for family in suite] == [3, 2]
+        for family in suite:
+            assert sum(len(x) for x, _ in family.calls) == 1250
+            assert not any(laplacian for _, laplacian in family.calls)
 
     @pytest.mark.parametrize("command,key,value", [
         ("carleman-check", "suite_size", 0), ("carleman-check", "suite_size", -4),

@@ -258,7 +258,7 @@ class TestContextTables:
             np.testing.assert_array_equal(again, fresh)
 
 
-class TestCouplingTravelsWithDensity:
+class TestWaveIndependentOfCoupling:
     # η only makes the combined-field system uniquely solvable: the system
     # depends on it, the scattered wave's amplitudes, u∞ and the boundary
     # traces do not
