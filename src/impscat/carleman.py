@@ -15,22 +15,26 @@ Terms whose relative exponent is below the float floor contribute exactly
 zero in the factored scale; the comparison between the two sides is then a
 comparison of the surviving (inner-boundary dominated) contributions.
 
-The setup's node sets are shell rules (:class:`ShellRule`), whose nodes are
-built only when asked for; ψ − ψ_ref takes one value per shell: 48 in the
-volume and 2 on the boundary.  The relative weights depend only on (λ, τ),
-not on v, so :func:`carleman_sides` computes them per shell for every pair
-it is given, builds the shells where some weight at some pair is not exactly
-0.0, and evaluates each test function once, on their nodes.  At the
-admissible thresholds that is the inner sphere alone: no volume node is
-built, and every lhs is 0.0 relative to the common factor.
+The setup's node sets are shell rules (:class:`ShellRule`); ψ − ψ_ref takes
+one value per shell: 48 in the volume and 2 on the boundary.  The relative
+weights depend only on (λ, τ), not on v, so :func:`carleman_sides` computes
+them per shell for every pair it is given.  Both node sets are whole shells
+about x₀, so each side is a sum over the shells where some weight at some
+pair is not exactly 0.0 of radial weight × 4π × the sphere means of v's
+squares, which every family gives in closed form: no node is built.  At the
+admissible thresholds that is the inner sphere alone, and every lhs is 0.0
+relative to the common factor.
 
 Test functions come as parameter families (:class:`PlaneWaves`,
-:class:`Quadratics`): read-only records with one member per row, whose
-``squares(x, laplacian=False)`` gives v², |∇v|² and, if asked, (Δv)² of
-every member at the nodes x in closed form.  :func:`carleman_sides`,
-:func:`three_sphere_check` and :func:`continuation_check` take a sequence
-of families and loop over families and node chunks, never over members:
-a chunk holds at most ``_CHUNK`` member×node values, whatever the suite size.
+:class:`Quadratics`): read-only records with one member per row.  A
+family's ``squares(x, laplacian=False)`` gives v², |∇v|² and, if asked,
+(Δv)² of every member at the nodes x, and its ``sphere_means(center,
+radii, laplacian=False)`` their means over the spheres |x − center| = s,
+both in closed form.  :func:`carleman_sides` and :func:`three_sphere_check`
+integrate from the sphere means; :func:`continuation_check`, whose sets are
+not whole spheres, evaluates the squares in node chunks of at most
+``_CHUNK`` member×node values, whatever the suite size.  All three take a
+sequence of families and loop over families, never over members.
 """
 
 from __future__ import annotations
@@ -52,8 +56,8 @@ _LOG_FLOAT_MAX = 709.0
 # ---------------------------------------------------------------------------
 
 # The most member×node values one pass of a family evaluates: node sets go in
-# chunks of _CHUNK // size nodes.  A suite of 50 on the 27,744 volume nodes
-# would otherwise hold 11 MB in each temporary.
+# chunks of _CHUNK // size nodes.  A suite of 50 on the 35,280 nodes of the
+# continuation shell would otherwise hold 14 MB in each temporary.
 _CHUNK = 2**14
 
 
@@ -92,8 +96,11 @@ class PlaneWaves:
     A test-function family is a read-only record of its members' parameters:
     it has ``size``, ``wavenumber`` (the largest k of an oscillation, 0.0 for
     polynomials), ``positions`` (the members' places in a suite, or None: see
-    :func:`carleman_sides`) and ``squares(x, laplacian=False)``, which returns
-    v², |∇v|² and, if asked, (Δv)² at the nodes x, each of shape (size, len(x)).
+    :func:`carleman_sides`), ``squares(x, laplacian=False)``, which returns
+    v², |∇v|² and, if asked, (Δv)² at the nodes x, each of shape (size, len(x)),
+    and ``sphere_means(center, radii, laplacian=False)``, which returns their
+    means over each sphere |x − center| = s of ``radii``, each of shape
+    (size, len(radii)).
     """
 
     k: np.ndarray
@@ -131,6 +138,17 @@ class PlaneWaves:
         v2 = 0.5 + 0.5 * cos2
         g2 = 0.5 * k2 * (1.0 - cos2)
         return (v2, g2, k2 * k2 * v2) if laplacian else (v2, g2)
+
+    def sphere_means(self, center: np.ndarray, radii: np.ndarray,
+                     laplacian: bool = False) -> tuple:
+        """As :meth:`squares`, with cos 2θ replaced by its sphere mean
+        cos(2θ(center))·j₀(2ks) (Funk–Hecke), j₀(z) = sin z / z and j₀(0) = 1."""
+        k = self.k[:, None]
+        cos2 = (np.cos(2.0 * (self.k * (self.directions @ center) + self.phases))[:, None]
+                * np.sinc(2.0 / np.pi * k * radii))
+        v2 = 0.5 + 0.5 * cos2
+        g2 = 0.5 * k**2 * (1.0 - cos2)
+        return (v2, g2, k**4 * v2) if laplacian else (v2, g2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,6 +192,24 @@ class Quadratics:
             return v, g2
         return v, g2, np.broadcast_to((2.0 * np.trace(self.quad, axis1=1, axis2=2)[:, None])**2,
                                       v.shape)
+
+    def sphere_means(self, center: np.ndarray, radii: np.ndarray,
+                     laplacian: bool = False) -> tuple:
+        """From the isotropic moments of the unit sphere, with c′ = v(center) and
+        g = b + 2A·center: mean v² = c′² + s²(|g|² + 2c′ tr A)/3 + s⁴((tr A)² +
+        2 tr A²)/15, mean |∇v|² = |g|² + (4/3)s² tr A² and (Δv)² = (2 tr A)²."""
+        a_center = self.quad @ center
+        c = (self.const + self.linear @ center + a_center @ center)[:, None]
+        g = self.linear + 2.0 * a_center
+        g2 = np.einsum("mc,mc->m", g, g)[:, None]
+        trace = np.trace(self.quad, axis1=1, axis2=2)[:, None]
+        trace_sq = np.einsum("mij,mij->m", self.quad, self.quad)[:, None]  # tr A², A symmetric
+        s2 = radii**2
+        v2 = c * c + s2 * ((g2 + 2.0 * c * trace) / 3.0 + s2 * (trace**2 + 2.0 * trace_sq) / 15.0)
+        grad2 = g2 + (4.0 / 3.0) * s2 * trace_sq
+        if not laplacian:
+            return v2, grad2
+        return v2, grad2, np.broadcast_to((2.0 * trace)**2, v2.shape)
 
 
 def random_test_suite(size: int, seed: int = 0) -> list:
@@ -234,6 +270,23 @@ def _weighted_sums(suite, x: np.ndarray, w: np.ndarray, laplacian: bool = False)
     return _integrals(suite, x, np.broadcast_to(w, (2 + laplacian, 1, len(x))))[:, 0]
 
 
+def _shell_sums(suite, center: np.ndarray, radii: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(T, R, members): rows[t] @ (4π × the mean of the t-th square over the
+    sphere |x − center| = s of each of ``radii``)ᵀ for every member of the
+    families of ``suite``, in suite order, from each family's
+    ``sphere_means``: a shell rule's sum with its radial weights in rows,
+    exact in the sphere and with no node built.  rows has shape (T, R,
+    len(radii)), T = 3 asking for (Δv)²; no radius evaluates nothing."""
+    positions = _suite_positions(suite)
+    out = np.zeros((len(rows), rows.shape[1], sum(map(len, positions))))
+    if len(radii):
+        for family, columns in zip(suite, positions):
+            means = family.sphere_means(center, radii, len(rows) == 3)
+            for total, row, mean in zip(out, rows, means):
+                total[:, columns] = row @ (4.0 * np.pi * mean).T
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Carleman setup on an annulus
 # ---------------------------------------------------------------------------
@@ -241,7 +294,8 @@ def _weighted_sums(suite, x: np.ndarray, w: np.ndarray, laplacian: bool = False)
 class ShellRule(NamedTuple):
     """A rule about ``center`` in shells: shell s is the ``sphere`` rule scaled
     to radius ``radii[s]``, its weights times ``radial[s]`` (a radial weight
-    times r²).  ``nodes`` and ``weights`` build only the shells asked for."""
+    times r²).  A family's sphere means integrate over it with no node
+    (:func:`_shell_sums`); ``nodes`` and ``weights`` are built on request."""
 
     center: np.ndarray
     radii: np.ndarray
@@ -252,12 +306,12 @@ class ShellRule(NamedTuple):
     def size(self) -> int:
         return self.radii.size * self.sphere.npts
 
-    def nodes(self, shells=slice(None)) -> np.ndarray:
-        return (self.center[None, None, :] + self.radii[shells][:, None, None]
+    def nodes(self) -> np.ndarray:
+        return (self.center[None, None, :] + self.radii[:, None, None]
                 * self.sphere.points()[None, :, :]).reshape(-1, 3)
 
-    def weights(self, shells=slice(None)) -> np.ndarray:
-        return (self.radial[shells][:, None] * self.sphere.weights[None, :]).ravel()
+    def weights(self) -> np.ndarray:
+        return (self.radial[:, None] * self.sphere.weights[None, :]).ravel()
 
 
 def _radial_rule(center, inner: float, width: float, n_radial: int,
@@ -291,8 +345,6 @@ class CarlemanSetup:
     ``volume`` (48 radial Gauss nodes × sphere order 16) and ``boundary``
     (order 24 on both spheres) are shell rules, with ψ − ψ_ref = 2 ln(ρ/r)
     ≤ 0 on the shell of radius r: exactly 0 on the inner sphere.
-    ``weighted_shells(pairs)`` builds the nodes of the shells whose relative
-    weights at some (λ, τ) are not all 0.0, and no others.
     """
 
     x0: np.ndarray
@@ -331,18 +383,6 @@ class CarlemanSetup:
         object.__setattr__(self, "volume", _radial_rule(x0, self.rho, self.d, 48, 16))
         object.__setattr__(self, "boundary",
                            ShellRule(x0, radii, radii**2, gauss_product_rule(24)))
-
-    def weighted_shells(self, pairs) -> tuple:
-        """(nodes, weights, rel) of ``volume`` and ``boundary`` on the shells where
-        some relative weight at some (λ, τ) of ``pairs`` is not 0.0; the others
-        add exactly 0 and are not built.  rel is :meth:`_shell_weights`'s,
-        repeated over a shell's nodes."""
-        out = []
-        for rule, rel in self._shell_weights(pairs):
-            keep = np.any(rel != 0.0, axis=(0, 1))
-            out.append((rule.nodes(keep), rule.weights(keep),
-                        np.repeat(rel[..., keep], rule.sphere.npts, axis=-1)))
-        return tuple(out)
 
     def _shell_weights(self, pairs):
         """(rule, rel) of ``volume``, then of ``boundary``: rel[i, j, s] is e^{E}
@@ -421,15 +461,18 @@ def carleman_sides(suite, setup: CarlemanSetup, pairs) -> list:
 
     Every pair is checked before any v is evaluated, and so is every
     coefficient: ``OverflowError`` names the first (λ, τ) where a coefficient,
-    or afterwards a side, is not a finite float.  The weights are built
-    per shell (:meth:`CarlemanSetup.weighted_shells`); each family is
-    evaluated once, on the shells where some pair's weight is not 0.0, in
-    node chunks that hold at most ``_CHUNK`` member×node values, and each
-    chunk is reduced at once against every pair's weight row.  (Δv)² is
-    asked for on the volume set alone, and a node set with no such shell is
-    not evaluated at all.
+    or afterwards a side, is not a finite float.  No pair gives no list and
+    checks nothing.  The weights are built per shell
+    (:meth:`CarlemanSetup._shell_weights`).  Both node sets are whole shells
+    about x₀, so each family is asked once per set for its ``sphere_means``
+    at the radii of the shells where some pair's weight is not 0.0, and those
+    are reduced at once against every pair's weight row (:func:`_shell_sums`):
+    no node is built.  (Δv)² is asked for on the volume set alone, and a set
+    with no such shell is not evaluated at all.
     """
     pairs, suite = list(pairs), list(suite)
+    if not pairs:
+        return []
     for lam, tau in pairs:
         if not (np.isfinite(lam) and np.isfinite(tau)):
             raise ValueError(f"lam and tau must be finite (lam = {lam}, tau = {tau})")
@@ -446,12 +489,15 @@ def carleman_sides(suite, setup: CarlemanSetup, pairs) -> list:
                                   48.0 * M**3 * lam**3 * tau**3, 48.0 * M * lam * tau]
                                  for lam, tau in np.array(pairs, dtype=float)])
     _require_finite(pairs, coefficients, "coefficient")
-    # rows[i, j]: quadrature weight × relative weight × coefficients[j, i];
-    # lhs and rhs are sums of rows against v's squares
-    (xv, wv, rel_v), (xb, wb, rel_b) = setup.weighted_shells(pairs)
+    # rows[i, j, s]: coefficients[j, i] × relative weight × radial weight on
+    # shell s; lhs and rhs are sums of rows against v's sphere means
+    sums = []
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite side raises below
-        v2, g2, l2 = _integrals(suite, xv, coefficients.T[:3, :, None] * rel_v * wv)
-        b2, bg2 = _integrals(suite, xb, coefficients.T[3:, :, None] * rel_b * wb)
+        for (rule, rel), terms in zip(setup._shell_weights(pairs), (slice(3), slice(3, 5))):
+            keep = np.any(rel != 0.0, axis=(0, 1))
+            rows = coefficients.T[terms, :, None] * rel[..., keep] * rule.radial[keep]
+            sums.append(_shell_sums(suite, rule.center, rule.radii[keep], rows))
+        (v2, g2, l2), (b2, bg2) = sums
         lhs, rhs = v2 + g2, l2 + (b2 + bg2)
     _require_finite(pairs, np.hstack((lhs, rhs)), "side")
     return [[CarlemanResult(lhs_factored=left, rhs_factored=right, lam=lam, tau=tau)
@@ -581,7 +627,9 @@ class ThreeSphereFit:
 
 
 # The rule of each three-sphere ball: 32 radial Gauss nodes × the order-14
-# sphere rule.
+# sphere rule.  Its sphere part is integrated exactly, from the sphere means,
+# but the resolution bound (:func:`_resolved_kr`) still counts the order-14
+# rule's, so the set of refused (k, r) has not changed.
 _BALL_RADIAL_NODES, _BALL_SPHERE_ORDER = 32, 14
 
 
@@ -616,6 +664,8 @@ def three_sphere_check(families, y, r: float) -> ThreeSphereFit:
     does not spread over the members there is no slope to fit: α̂ is 0.5,
     and the fit's ``alpha_fitted`` is False.  The fit's ``norms`` has one
     row per member, in suite order (as :func:`carleman_sides` orders them).
+    Each ball is a shell rule about y, integrated from the families' sphere
+    means (:func:`_shell_sums`) with no node built.
     Raises ``ValueError`` unless there are at least two members, r is
     positive and finite and the ball rules resolve
     the family's largest wavenumber k on the largest ball (k·3r at most
@@ -641,8 +691,10 @@ def three_sphere_check(families, y, r: float) -> ThreeSphereFit:
     with np.errstate(over="ignore", invalid="ignore"):
         balls = [_radial_rule(y, 0.0, f * r, _BALL_RADIAL_NODES, _BALL_SPHERE_ORDER)
                  for f in (1.0, 2.0, 3.0)]
-        norms = np.sqrt(np.array([np.sum(_weighted_sums(families, ball.nodes(), ball.weights()),
-                                         axis=0) for ball in balls]).T)
+        norms = np.sqrt(np.array([
+            _shell_sums(families, ball.center, ball.radii,
+                        np.broadcast_to(ball.radial, (2, 1, ball.radii.size))).sum(axis=(0, 1))
+            for ball in balls]).T)
     if not np.all(np.isfinite(norms) & (norms > 0)):
         raise RuntimeError(f"a ball norm is zero or not finite at r = {r}")
     if not np.max(np.abs(y)) * 2.0**-52 <= 1e-8 * r:

@@ -5,6 +5,8 @@ eigenvalues S, K, K' and T, the dense combined-field solve built from them,
 the flat harmonic index, the radial derivative of the scattered wave, the
 two-term Proposition 4.1 form and the point-source test function live here,
 as independent checks on what the package computes.
+So do the sphere means of test-function squares by a fine product rule,
+against which the families' closed forms are checked.
 So do the dense reader and writer of a system's kept entries: no test reads
 or writes a pattern's layout but through them, and the per-degree loop
 versions of the harmonic layer, which the package's gathers must equal to
@@ -27,11 +29,18 @@ from impscat.layer_ops import (
 )
 from impscat.specfun import (
     _m_major,
+    gauss_product_rule,
     harmonic_degrees,
     num_harmonics,
     sph_hankel1,
     sph_harmonic_all,
 )
+
+# the order of the product rule that :func:`quadrature_sphere_means` sums
+# on: exact to degree 81, far past a plane wave of k <= 4 on a sphere of
+# radius s <= 3.5, the largest the tests ask for (there j_82(2ks) <=
+# 28^82/165!! < 1e-30)
+MEANS_ORDER = 40
 
 OP_KINDS = ("S", "K", "Kp", "T", "S0")
 
@@ -190,10 +199,26 @@ def prop41_intermediate(delta: float, fu_norm: float, c: float,
     return c / abs(np.log(delta)) ** sigma + fu_norm / delta
 
 
+def quadrature_sphere_means(squares, center, radii, laplacian: bool = False) -> tuple:
+    """The means of ``squares(x, laplacian)`` (a family's squares, each of
+    shape (members, len(x))) over each sphere |x − center| = s of ``radii``,
+    each of shape (members, len(radii)), by the product rule of order
+    ``MEANS_ORDER``."""
+    rule = gauss_product_rule(MEANS_ORDER)
+    radii = np.asarray(radii, dtype=float)
+    x = (np.asarray(center, dtype=float)
+         + radii[:, None, None] * rule.points()[None]).reshape(-1, 3)
+    # a contiguous copy: a broadcast (zero-stride) square sums in a slower
+    # order that rounds to 1e-13
+    return tuple(np.ascontiguousarray(square).reshape(len(square), len(radii), -1)
+                 @ rule.weights / (4.0 * np.pi) for square in squares(x, laplacian))
+
+
 @dataclass(frozen=True)
 class TestFunction:
     """Real scalar field with analytic value, gradient and Laplacian, as
-    closures: a one-member test-function family whose squares come from them."""
+    closures: a one-member test-function family whose squares come from them,
+    and whose sphere means come from those by :func:`quadrature_sphere_means`."""
 
     __test__ = False  # not a pytest class despite the name
 
@@ -209,6 +234,9 @@ class TestFunction:
         g = np.asarray(self.gradient(x))
         out = (np.asarray(self.value(x))[None] ** 2, np.einsum("ij,ij->i", g, g)[None])
         return out + (np.asarray(self.laplacian(x))[None] ** 2,) if laplacian else out
+
+    def sphere_means(self, center, radii, laplacian: bool = False) -> tuple:
+        return quadrature_sphere_means(self.squares, center, radii, laplacian)
 
     @staticmethod
     def plane_wave(k: float, direction, phase: float = 0.0) -> "TestFunction":
@@ -267,10 +295,13 @@ def members(suite) -> list:
 @dataclass(frozen=True)
 class Recorded:
     """A family that evaluates as ``family`` does and records, per ``squares``
-    call, its nodes and whether (Δv)² was asked for."""
+    call, its nodes and whether (Δv)² was asked for (``calls``), and per
+    ``sphere_means`` call, its center, its radii and that flag
+    (``mean_calls``)."""
 
     family: object
     calls: list = field(default_factory=list)
+    mean_calls: list = field(default_factory=list)
 
     @property
     def size(self) -> int:
@@ -287,6 +318,10 @@ class Recorded:
     def squares(self, x, laplacian: bool = False) -> tuple:
         self.calls.append((np.array(x), laplacian))
         return self.family.squares(x, laplacian)
+
+    def sphere_means(self, center, radii, laplacian: bool = False) -> tuple:
+        self.mean_calls.append((np.array(center), np.array(radii), laplacian))
+        return self.family.sphere_means(center, radii, laplacian)
 
 
 def h1_norm(u: TestFunction, nodes, weights) -> float:

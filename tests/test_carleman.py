@@ -24,7 +24,14 @@ from impscat.carleman import (
 )
 from impscat.geometry import ObstacleGeometry
 
-from oracle import Recorded, TestFunction, h1_norm, members, point_source
+from oracle import (
+    Recorded,
+    TestFunction,
+    h1_norm,
+    members,
+    point_source,
+    quadrature_sphere_means,
+)
 
 SETUP = CarlemanSetup(x0=np.zeros(3), rho=1.0, d=1.0)
 
@@ -73,6 +80,9 @@ class TestTestFunctions:
 TRIPLES = st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3)
 PLANE_WAVES = st.lists(st.tuples(st.floats(0.5, 4.0), TRIPLES.filter(
     lambda d: np.linalg.norm(d) > 1e-3), st.floats(0.0, 2 * np.pi)), min_size=1, max_size=6)
+# k in [0, 4] with k = 0 drawn on its own, and any phase in a period
+SPHERE_WAVES = st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 4.0)), TRIPLES.filter(
+    lambda d: np.linalg.norm(d) > 1e-3), st.floats(-2 * np.pi, 2 * np.pi)), min_size=1, max_size=6)
 QUADRATICS = st.lists(st.tuples(st.floats(-3.0, 3.0), TRIPLES,
                                 st.lists(st.floats(-3.0, 3.0), min_size=9, max_size=9)),
                       min_size=1, max_size=6)
@@ -121,6 +131,41 @@ class TestFamilies:
         bound = np.einsum("trn,tmn->trm", rows, np.broadcast_to(scale, expected.shape))
         got = carleman._integrals([family], x, rows)
         assert np.all(np.abs(got - want) <= 1e-13 * bound)
+
+    @settings(max_examples=60, deadline=None)
+    @given(params=st.one_of(SPHERE_WAVES.map(lambda p: ("plane", p)),
+                            QUADRATICS.map(lambda p: ("quadratic", p))),
+           center=TRIPLES.filter(lambda c: np.linalg.norm(c) <= 3.0),
+           radii=st.lists(st.floats(0.0, 3.0), max_size=4))
+    def test_sphere_means_match_quadrature(self, params, center, radii):
+        # the closed forms against the order-40 product rule on the squares.
+        # Each square is compared on the scale of its bound over the
+        # spheres, from the sizes of its terms (1, k², k⁴ for a plane wave):
+        # where those cancel, as ½ + ½cos 2θ at small k·s or the terms of
+        # v(center), the rounding of the squares at the nodes is on that
+        # scale, not on the mean's.  The floor is the smallest normal float,
+        # below which squares round as subnormals.
+        kind, members_ = params
+        center, radii = np.array(center), np.array([0.0, 1e-8, 3.0] + radii)
+        if kind == "plane":
+            family = PlaneWaves(*map(np.array, zip(*members_)))
+            k2 = family.k[:, None] ** 2
+            bounds = (1.0, k2, k2 * k2)
+        else:
+            const, linear, quad = zip(*members_)
+            family = Quadratics(const, linear, np.reshape(quad, (-1, 3, 3)))
+            reach = np.linalg.norm(center) + np.max(radii)
+            b = np.linalg.norm(family.linear, axis=1)[:, None]
+            a = np.linalg.norm(family.quad, axis=(1, 2))[:, None]
+            bounds = ((np.abs(family.const)[:, None] + b * reach + a * reach**2) ** 2,
+                      (b + 2.0 * a * reach) ** 2,
+                      (2.0 * np.trace(family.quad, axis1=1, axis2=2)[:, None]) ** 2)
+        got = family.sphere_means(center, radii, laplacian=True)
+        want = quadrature_sphere_means(family.squares, center, radii, laplacian=True)
+        for mean, reference, bound in zip(got, want, bounds):
+            assert mean.shape == (family.size, len(radii))
+            assert np.all(np.abs(mean - reference) <= 1e-13 * bound + np.finfo(float).tiny)
+        assert len(family.sphere_means(center, radii)) == 2
 
     def test_random_suite_draws_the_seeded_members_in_order(self):
         # member i is the i-th draw of one seeded stream: a plane wave for
@@ -268,6 +313,13 @@ class TestCarlemanInequality:
         with pytest.raises(ValueError):
             sides(v, SETUP, SETUP.lambda_threshold, 0.5 * SETUP.tau_threshold)
 
+    def test_no_pair_gives_no_row_and_checks_nothing(self):
+        def refuse(x):
+            raise AssertionError("v evaluated with no pair")
+
+        assert carleman_sides(random_test_suite(3), SETUP, []) == []
+        assert carleman_sides([TestFunction(refuse, refuse, refuse)], SETUP, iter(())) == []
+
     def test_every_pair_checked_before_any_evaluation(self):
         def refuse(x):
             raise AssertionError("v evaluated before every pair was checked")
@@ -359,6 +411,18 @@ def node_dpsi(setup, rule):
     return np.repeat(2.0 * np.log(setup.rho / rule.radii), rule.sphere.npts)
 
 
+def peak_bytes(call) -> int:
+    """The tracemalloc peak of ``call()``, after one untraced call has warmed
+    the cached rules."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def full_node_sides(v, setup, lam, tau):
     """(lhs, rhs) summed over every node of both sets: the reference the
     compressed node sets must reproduce."""
@@ -397,41 +461,45 @@ class TestWeightedNodes:
         assert sorted(calls) == [2, 2, 2, 48, 48, 48]
 
     def test_default_setup_builds_no_volume_node(self, monkeypatch):
-        # at the admissible pairs no volume shell carries weight, so none of
-        # its 27,744 nodes is built; the boundary builds its inner sphere only
-        setup = CarlemanSetup(x0=np.zeros(3), rho=1.0, d=1.0)
-        built = []
-        nodes = carleman.ShellRule.nodes
+        # the Carleman node sets and the three-sphere balls are whole shells,
+        # integrated from sphere means: none of their nodes is built and no
+        # square is evaluated, neither at the default annulus, where the
+        # inner sphere alone carries weight, nor at the thin one, where
+        # volume shells do too
+        def refuse(rule):
+            raise AssertionError("a shell rule built its nodes")
 
-        def counted(rule, *args):
-            out = nodes(rule, *args)
-            built.append((rule is setup.volume, len(out)))
-            return out
-
-        monkeypatch.setattr(carleman.ShellRule, "nodes", counted)
-        carleman_sides(random_test_suite(50, seed=4), setup, threshold_pairs(setup))
-        assert (setup.volume.size, setup.boundary.size) == (27744, 2500)
-        assert sorted(built) == [(False, 1250), (True, 0)]
+        monkeypatch.setattr(carleman.ShellRule, "nodes", refuse)
+        monkeypatch.setattr(carleman.ShellRule, "weights", refuse)
+        suite = [Recorded(family) for family in random_test_suite(50, seed=4)]
+        for x0, rho, d in (ANNULI[0], THIN_ANNULUS):
+            setup = CarlemanSetup(x0=x0, rho=rho, d=d)
+            carleman_sides(suite, setup, threshold_pairs(setup))
+            assert (setup.volume.size, setup.boundary.size) == (27744, 2500)
+        three_sphere_check(suite, np.array([2.0, 0.0, 0.0]), 0.2)
+        for family in suite:
+            assert family.calls == []
+            assert len(family.mean_calls) == 6  # 1 + 2 sets, then 3 balls
 
     def test_v_evaluated_only_on_weighted_nodes(self):
-        # each family on the shells where some pair's weight is not 0.0, in
-        # node chunks of _CHUNK // size that together are those nodes, and
-        # not at all on a set with no such shell; (Δv)² is asked for on the
-        # volume alone
+        # each family is asked once per node set for its sphere means about
+        # x₀, at the radii of the shells where some pair's weight is not
+        # 0.0, and not at all on a set with no such shell; (Δv)² is asked
+        # for on the volume alone
         for x0, rho, d in ANNULI + [THIN_ANNULUS]:
             setup = CarlemanSetup(x0=x0, rho=rho, d=d)
             suite = [Recorded(family) for family in random_test_suite(50, seed=5)]
             carleman_sides(suite, setup, threshold_pairs(setup))
-            inner_sphere = np.split(setup.boundary.nodes(), 2)[0]
-            volume = setup.volume.nodes()[:2312 if d < 1e-6 else 0]
+            want = [(setup.volume.radii[:4], True)] if d < 1e-6 else []
+            want.append((setup.boundary.radii[:1], False))
             for family in suite:
-                step = carleman._CHUNK // family.size
-                for laplacian, want in ((True, volume), (False, inner_sphere)):
-                    chunks = [x for x, asked in family.calls if asked is laplacian]
-                    assert len(chunks) == -(-len(want) // step)
-                    assert all(len(x) <= step for x in chunks)
-                    np.testing.assert_array_equal(
-                        np.concatenate(chunks or [np.empty((0, 3))]), want)
+                assert family.calls == []
+                assert len(family.mean_calls) == len(want)
+                for (center, radii, laplacian), (radii_want, asked) in zip(family.mean_calls,
+                                                                           want):
+                    np.testing.assert_array_equal(center, x0)
+                    np.testing.assert_array_equal(radii, radii_want)
+                    assert laplacian is asked
 
     @pytest.mark.parametrize("x0, rho, d", ANNULI + [THIN_ANNULUS])
     def test_compressed_sums_match_full_nodes(self, x0, rho, d):
@@ -467,37 +535,41 @@ class TestWeightedNodes:
     def test_members_add_no_more_than_a_few_chunks(self):
         # every one of the 27,744 volume nodes carries weight here; one
         # (members × nodes) array of the suite would alone be 11 MB, while
-        # its chunks hold _CHUNK values whatever the suite size
+        # the sides hold no more than _CHUNK values whatever the suite size
         setup = CarlemanSetup(x0=np.zeros(3), rho=1.0, d=1e-12)
         pairs = threshold_pairs(setup)
-        assert len(setup.weighted_shells(pairs)[0][0]) == 27744
-        peaks = []
-        for suite in (random_test_suite(1, seed=6), random_test_suite(50, seed=6)):
-            carleman_sides(suite, setup, pairs)  # warm the cached rules
-            tracemalloc.start()
-            try:
-                carleman_sides(suite, setup, pairs)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        volume, _ = (rel for _, rel in setup._shell_weights(pairs))
+        assert np.all(np.any(volume != 0.0, axis=(0, 1)))
+        peaks = [peak_bytes(lambda: carleman_sides(suite, setup, pairs))
+                 for suite in (random_test_suite(1, seed=6), random_test_suite(50, seed=6))]
         chunk_bytes = carleman._CHUNK * 8
         assert peaks[1] - peaks[0] < 4 * chunk_bytes
         assert peaks[1] < 50 * 27744 * 8
 
+    def test_sides_peak_below_half_a_megabyte(self):
+        # the sides hold members × shells values and (powers × pairs ×
+        # shells) weights, with no node-sized array: one (pairs × nodes)
+        # weight row of this annulus would alone be 666 KB
+        setup = CarlemanSetup(x0=np.zeros(3), rho=1.0, d=1e-12)
+        suite = random_test_suite(50, seed=6)
+        assert peak_bytes(lambda: carleman_sides(suite, setup, threshold_pairs(setup))) < 2**19
+
     def test_every_nonzero_weight_kept(self):
+        # the per-shell weights are the per-node weights, one value per
+        # shell, so the shells with a weight that is not 0.0 hold every node
+        # with one
         setup = CarlemanSetup(x0=np.zeros(3), rho=1.0, d=1.0)
         lam, tau = 6.0, 1.0  # far below the thresholds: inner volume shells carry weight
-        weighted = setup.weighted_shells([(lam, tau)])
-        for rule, powers, kept in zip(
-                (setup.volume, setup.boundary), ((3, 1, 0), (3, 1)), weighted):
-            nodes, weights = rule.nodes(), rule.weights()
-            rel = np.exp(carleman._relative_exponents(node_dpsi(setup, rule), lam, tau,
-                                                      setup.psi_ref, powers))
-            keep = np.any(rel != 0.0, axis=0)
+        for rule, powers, (shell_rule, rel) in zip(
+                (setup.volume, setup.boundary), ((3, 1, 0), (3, 1)),
+                setup._shell_weights([(lam, tau)])):
+            assert shell_rule is rule
+            per_node = np.exp(carleman._relative_exponents(node_dpsi(setup, rule), lam, tau,
+                                                           setup.psi_ref, powers))
+            keep = np.any(per_node != 0.0, axis=0)
             assert 0 < np.count_nonzero(keep) < keep.size
-            np.testing.assert_array_equal(kept[0], nodes[keep])
-            np.testing.assert_array_equal(kept[1], weights[keep])
-            np.testing.assert_array_equal(kept[2][:, 0], rel[:, keep])
+            np.testing.assert_array_equal(np.repeat(rel[:, 0], rule.sphere.npts, axis=-1),
+                                          per_node)
 
 
 class TestCorollaryThresholds:

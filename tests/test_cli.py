@@ -551,20 +551,17 @@ class TestCarlemanCommand:
 
     def test_weighted_nodes_counted_without_a_second_node_build(self, tmp_path, capsys,
                                                                 monkeypatch):
-        # the counts come from the per-shell weights; only carleman_sides
-        # builds the weighted nodes
-        calls = []
-        built = carleman.CarlemanSetup.weighted_shells
+        # the counts come from the per-shell weights, and the sides from
+        # sphere means: no node is built at all
+        def refuse(rule):
+            raise AssertionError("a shell rule built its nodes")
 
-        def counted(self, pairs):
-            calls.append(pairs)
-            return built(self, pairs)
-
-        monkeypatch.setattr(carleman.CarlemanSetup, "weighted_shells", counted)
+        monkeypatch.setattr(carleman.ShellRule, "nodes", refuse)
         path = write_config(tmp_path, "c.json", {"suite_size": 2})
         assert main(["carleman-check", path]) == EXIT_OK
-        assert len(json.loads(capsys.readouterr().out)["weighted_nodes"]) == 3
-        assert len(calls) == 1
+        weighted = json.loads(capsys.readouterr().out)["weighted_nodes"]
+        assert [(entry["volume_weighted"], entry["boundary_weighted"])
+                for entry in weighted] == [(0, 1250)] * 3
 
     @pytest.mark.parametrize("key,value", [("rho", "NaN"), ("d", "NaN"), ("d", "Infinity")])
     def test_non_finite_annulus_is_validation(self, tmp_path, capsys, key, value):
@@ -609,8 +606,8 @@ class TestCarlemanCommand:
 
     def test_one_sides_call_and_no_volume_closure(self, tmp_path, capsys, monkeypatch):
         # at the default annulus no volume shell carries weight: each family
-        # is evaluated on the 1,250 inner-sphere nodes alone, in one call,
-        # and (Δv)² is never asked for
+        # is asked once for its sphere means, on the inner sphere (its 1,250
+        # nodes unbuilt) alone, and neither (Δv)² nor a square is asked for
         calls, suites = [], []
         sides, suite_of = carleman.carleman_sides, carleman.random_test_suite
 
@@ -631,8 +628,10 @@ class TestCarlemanCommand:
         [suite] = suites
         assert [family.size for family in suite] == [3, 2]
         for family in suite:
-            assert sum(len(x) for x, _ in family.calls) == 1250
-            assert not any(laplacian for _, laplacian in family.calls)
+            assert family.calls == []
+            [(center, radii, laplacian)] = family.mean_calls
+            assert center.tolist() == [0.0, 0.0, 0.0] and radii.tolist() == [1.0]
+            assert not laplacian
 
     @pytest.mark.parametrize("command,key,value", [
         ("carleman-check", "suite_size", 0), ("carleman-check", "suite_size", -4),
