@@ -26,14 +26,11 @@ admissible thresholds that is the inner sphere alone, and every lhs is 0.0
 relative to the common factor.
 
 Test functions come as parameter families (:class:`PlaneWaves`,
-:class:`Quadratics`): read-only records with one member per row.  A
-family's ``squares(x, laplacian=False)`` gives v², |∇v|² and, if asked,
-(Δv)² of every member at the nodes x, and its ``sphere_means(center,
-radii, laplacian=False)`` their means over the spheres |x − center| = s,
-both in closed form.  :func:`carleman_sides` and :func:`three_sphere_check`
-integrate from the sphere means; :func:`continuation_check`, whose sets are
-not whole spheres, evaluates the squares in node chunks of at most
-``_CHUNK`` member×node values, whatever the suite size.  All three take a
+:class:`Quadratics`): read-only records with one member per row and one
+evaluator, ``sphere_means(center, radii, laplacian=False)``, which gives
+the means of v², |∇v|² and, if asked, (Δv)² of every member over the
+spheres |x − center| = s in closed form.  :func:`carleman_sides` and
+:func:`three_sphere_check` integrate from those means alone; both take a
 sequence of families and loop over families, never over members.
 """
 
@@ -45,7 +42,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import ObstacleGeometry
 from .specfun import QuadratureRule, _gauss_legendre, gauss_product_rule
 
 _LOG_FLOAT_MAX = 709.0
@@ -54,12 +50,6 @@ _LOG_FLOAT_MAX = 709.0
 # ---------------------------------------------------------------------------
 # Test functions
 # ---------------------------------------------------------------------------
-
-# The most member×node values one pass of a family evaluates: node sets go in
-# chunks of _CHUNK // size nodes.  A suite of 50 on the 35,280 nodes of the
-# continuation shell would otherwise hold 14 MB in each temporary.
-_CHUNK = 2**14
-
 
 def _store(family, name: str, value, shape: tuple) -> np.ndarray:
     """Set ``family.name`` to a read-only float copy of ``value`` broadcast to
@@ -96,10 +86,9 @@ class PlaneWaves:
     A test-function family is a read-only record of its members' parameters:
     it has ``size``, ``wavenumber`` (the largest k of an oscillation, 0.0 for
     polynomials), ``positions`` (the members' places in a suite, or None: see
-    :func:`carleman_sides`), ``squares(x, laplacian=False)``, which returns
-    v², |∇v|² and, if asked, (Δv)² at the nodes x, each of shape (size, len(x)),
-    and ``sphere_means(center, radii, laplacian=False)``, which returns their
-    means over each sphere |x − center| = s of ``radii``, each of shape
+    :func:`carleman_sides`) and ``sphere_means(center, radii,
+    laplacian=False)``, which returns the means of v², |∇v|² and, if asked,
+    (Δv)² over each sphere |x − center| = s of ``radii``, each of shape
     (size, len(radii)).
     """
 
@@ -130,18 +119,10 @@ class PlaneWaves:
     def wavenumber(self) -> float:
         return float(np.max(self.k))
 
-    def squares(self, x: np.ndarray, laplacian: bool = False) -> tuple:
-        """With θ = k·x·d + c: v² = cos²θ, |∇v|² = k²sin²θ and (Δv)² = k⁴v²,
-        from the one cosine cos 2θ = cos²θ − sin²θ."""
-        k2 = self.k[:, None] ** 2
-        cos2 = np.cos(2.0 * (self.k[:, None] * (self.directions @ x.T) + self.phases[:, None]))
-        v2 = 0.5 + 0.5 * cos2
-        g2 = 0.5 * k2 * (1.0 - cos2)
-        return (v2, g2, k2 * k2 * v2) if laplacian else (v2, g2)
-
     def sphere_means(self, center: np.ndarray, radii: np.ndarray,
                      laplacian: bool = False) -> tuple:
-        """As :meth:`squares`, with cos 2θ replaced by its sphere mean
+        """With θ = k·x·d + c: v² = ½(1 + cos 2θ), |∇v|² = ½k²(1 − cos 2θ) and
+        (Δv)² = k⁴v², with cos 2θ replaced by its sphere mean
         cos(2θ(center))·j₀(2ks) (Funk–Hecke), j₀(z) = sin z / z and j₀(0) = 1."""
         k = self.k[:, None]
         cos2 = (np.cos(2.0 * (self.k * (self.directions @ center) + self.phases))[:, None]
@@ -179,19 +160,6 @@ class Quadratics:
         return len(self.const)
 
     wavenumber = 0.0
-
-    def squares(self, x: np.ndarray, laplacian: bool = False) -> tuple:
-        """A·x for every member in one matmul; ∇v = b + 2A·x, (Δv)² = (2 tr A)²."""
-        ax = (self.quad.reshape(-1, 3) @ x.T).reshape(self.size, 3, len(x))
-        v = self.const[:, None] + self.linear @ x.T + np.einsum("mcn,nc->mn", ax, x)
-        v *= v
-        ax *= 2.0
-        ax += self.linear[:, :, None]
-        g2 = np.einsum("mcn,mcn->mn", ax, ax)
-        if not laplacian:
-            return v, g2
-        return v, g2, np.broadcast_to((2.0 * np.trace(self.quad, axis1=1, axis2=2)[:, None])**2,
-                                      v.shape)
 
     def sphere_means(self, center: np.ndarray, radii: np.ndarray,
                      laplacian: bool = False) -> tuple:
@@ -246,30 +214,6 @@ def _suite_positions(suite) -> list:
     return out
 
 
-def _integrals(suite, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(T, R, members): rows[t] @ (the t-th square at the nodes x)ᵀ for every
-    member of the families of ``suite``, in suite order (:func:`_suite_positions`).
-    The squares are v², |∇v|² and, where T = 3, (Δv)²; rows has shape (T, R,
-    len(x)).  Each family is evaluated on node chunks of ``_CHUNK // size``
-    nodes, so no temporary holds more than ``_CHUNK`` member×node values (3
-    components each in the quadratics' A·x); an empty x evaluates nothing."""
-    positions = _suite_positions(suite)
-    out = np.zeros((len(rows), rows.shape[1], sum(map(len, positions))))
-    for family, columns in zip(suite, positions):
-        step = max(1, _CHUNK // family.size)
-        for start in range(0, len(x), step):
-            chunk = slice(start, start + step)
-            for total, row, square in zip(out, rows, family.squares(x[chunk], len(rows) == 3)):
-                total[:, columns] += row[:, chunk] @ square.T
-    return out
-
-
-def _weighted_sums(suite, x: np.ndarray, w: np.ndarray, laplacian: bool = False) -> np.ndarray:
-    """(T, members): the sums over the nodes x of w times each square
-    (:func:`_integrals` with the one weight row w)."""
-    return _integrals(suite, x, np.broadcast_to(w, (2 + laplacian, 1, len(x))))[:, 0]
-
-
 def _shell_sums(suite, center: np.ndarray, radii: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """(T, R, members): rows[t] @ (4π × the mean of the t-th square over the
     sphere |x − center| = s of each of ``radii``)ᵀ for every member of the
@@ -295,7 +239,7 @@ class ShellRule(NamedTuple):
     """A rule about ``center`` in shells: shell s is the ``sphere`` rule scaled
     to radius ``radii[s]``, its weights times ``radial[s]`` (a radial weight
     times r²).  A family's sphere means integrate over it with no node
-    (:func:`_shell_sums`); ``nodes`` and ``weights`` are built on request."""
+    (:func:`_shell_sums`)."""
 
     center: np.ndarray
     radii: np.ndarray
@@ -305,13 +249,6 @@ class ShellRule(NamedTuple):
     @property
     def size(self) -> int:
         return self.radii.size * self.sphere.npts
-
-    def nodes(self) -> np.ndarray:
-        return (self.center[None, None, :] + self.radii[:, None, None]
-                * self.sphere.points()[None, :, :]).reshape(-1, 3)
-
-    def weights(self) -> np.ndarray:
-        return (self.radial[:, None] * self.sphere.weights[None, :]).ravel()
 
 
 def _radial_rule(center, inner: float, width: float, n_radial: int,
@@ -361,7 +298,7 @@ class CarlemanSetup:
         named = f"(rho = {self.rho}, d = {self.d})"
         if not (np.isfinite(self.rho) and np.isfinite(self.d) and self.rho > 0 and self.d > 0):
             raise ValueError(f"annulus radii must be positive and finite {named}")
-        x0 = np.asarray(self.x0, dtype=float)
+        x0 = np.array(self.x0, dtype=float)  # a copy: the caller's array stays writeable
         object.__setattr__(self, "x0", x0)
         x0.setflags(write=False)
         # M = inf, from an overflow or from a ρ² that underflows to 0, is
@@ -552,56 +489,6 @@ def continuation_constants(rho: float, d: float, lam_w: float):
     return alpha, beta, gamma
 
 
-@dataclass(frozen=True)
-class ContinuationCheck:
-    lhs: float
-    rhs: float
-    gamma: float
-
-    @property
-    def c_emp(self) -> float:
-        return self.rhs / self.lhs if self.lhs > 0 else np.inf
-
-
-def continuation_check(suite, x_tilde, r: float,
-                       geom: ObstacleGeometry) -> list:
-    """Both sides of the boundary-data continuation estimate, one
-    :class:`ContinuationCheck` per member of the families of ``suite``, in
-    suite order (as :func:`carleman_sides` orders them).
-
-    lhs = r²‖u‖_{H¹(B(x̃,r/4)∩Ω)}; rhs = ‖u‖_{H²(Ω)}^{1−γ/2}·(Cauchy data
-    on B(x̃,r)∩Γ)^{γ/2}, γ at weight exponent 2.  Ω is truncated to the
-    shell a < |x| < 3 and the H² norm uses ‖u‖² + ‖∇u‖² + ‖Δu‖².
-    """
-    suite = list(suite)
-    xt = np.asarray(x_tilde, dtype=float)
-    _, _, gamma = continuation_constants(r / 2.0, r / 2.0, 2.0)
-
-    ball = _radial_rule(xt, 0.0, r / 4.0, n_radial=24, sphere_order=12)
-    pts, w = ball.nodes(), ball.weights()
-    inside = ~geom.contains(pts)
-    if float(np.sum(w[inside])) < 1e-8:
-        raise ValueError("continuation ball has negligible exterior measure")
-    h1_local = np.sqrt(np.sum(_weighted_sums(suite, pts[inside], w[inside]), axis=0))
-
-    a = geom.radius
-    shell = _radial_rule(np.zeros(3), a, 3.0 - a, n_radial=40, sphere_order=20)
-    h2 = np.sqrt(np.sum(_weighted_sums(suite, shell.nodes(), shell.weights(), laplacian=True),
-                        axis=0))
-
-    # patch rule must resolve the r-ball on the boundary
-    rule = gauss_product_rule(max(32, int(np.ceil(12.0 * geom.radius / r))))
-    bpts = geom.boundary_points(rule)
-    ds = geom.surface_element(rule.mu, rule.phi) * rule.weights
-    patch = np.linalg.norm(bpts - xt, axis=1) <= r
-    cauchy = np.sum(np.sqrt(_weighted_sums(suite, bpts[patch], ds[patch])), axis=0)
-
-    lhs = r**2 * h1_local
-    rhs = h2 ** (1.0 - gamma / 2.0) * cauchy ** (gamma / 2.0)
-    return [ContinuationCheck(lhs=left, rhs=right, gamma=gamma)
-            for left, right in zip(lhs.tolist(), rhs.tolist())]
-
-
 # ---------------------------------------------------------------------------
 # Three-sphere inequality
 # ---------------------------------------------------------------------------
@@ -673,8 +560,10 @@ def three_sphere_check(families, y, r: float) -> ThreeSphereFit:
     finite (a zero member, or an r so small that the ball weights underflow
     or so large that they overflow), since the fit takes logarithms of their
     ratios.  Past that, it raises ``ValueError`` if the center y is so far
-    out that the ball nodes y + x round away their offsets x from it
-    (max|y_i|·2⁻⁵² > 1e-8·r).
+    out that its rounding is not small on the ball's scale (max|y_i|·2⁻⁵² >
+    1e-8·r): the sphere means start from y, so a plane wave's phase k·d·y,
+    and a quadratic's value at y, would round by more than 1e-8 of their
+    change across the ball.
     """
     families = list(families)
     if sum(family.size for family in families) < 2:
@@ -699,7 +588,8 @@ def three_sphere_check(families, y, r: float) -> ThreeSphereFit:
         raise RuntimeError(f"a ball norm is zero or not finite at r = {r}")
     if not np.max(np.abs(y)) * 2.0**-52 <= 1e-8 * r:
         raise ValueError(f"center {y.tolist()} is too far out for ball radius r = {r}: "
-                         f"the ball nodes lose their offsets from it")
+                         f"a plane wave's phase k*d*y and a quadratic's value at y "
+                         f"round by more than 1e-8 of their change across the ball")
     if np.any(norms[:, 0] > norms[:, 1] * (1 + 1e-12)) or \
        np.any(norms[:, 1] > norms[:, 2] * (1 + 1e-12)):
         raise RuntimeError("ball-norm monotonicity violated; quadrature suspect")
@@ -775,28 +665,3 @@ def chain_lower_bound(n_steps, i0: float, m_tilde: float, c: float,
     return ChainBound(log_i_final=float(log_i), log_i_closed=float(log_closed),
                       log_lower_bound=float(log_lower),
                       log_simplified_bound=float(log_simplified), eta=eta)
-
-
-# ---------------------------------------------------------------------------
-# Boundary witness set
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WitnessReport:
-    indices: np.ndarray
-    delta: float
-
-    @property
-    def empty(self) -> bool:
-        return self.indices.size == 0
-
-
-def lemma42_witness(values, nodes, x_tilde, r_star: float,
-                    delta: float) -> WitnessReport:
-    """Nodes in B(x̃, r*) where |u| ≥ δ; empty result is flagged, not raised."""
-    values = np.asarray(values)
-    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    xt = np.asarray(x_tilde, dtype=float)
-    in_ball = np.linalg.norm(nodes - xt, axis=1) <= r_star
-    hits = np.flatnonzero(in_ball & (np.abs(values) >= delta))
-    return WitnessReport(indices=hits, delta=delta)

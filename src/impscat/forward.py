@@ -81,7 +81,7 @@ class WaveContext:
     def __post_init__(self):
         if not (self.k > 0 and np.isfinite(self.k)):
             raise ValueError("wavenumber must be positive and finite")
-        om = np.asarray(self.omega, dtype=float)
+        om = np.array(self.omega, dtype=float)  # a copy: the caller's array stays writeable
         if not abs(hypot(*om) - 1.0) <= 1e-12:  # hypot: no overflow, and NaN fails
             raise ValueError("incident direction must be a unit vector")
         object.__setattr__(self, "omega", om)
@@ -123,10 +123,12 @@ class ScatteredWave:
     tail_fraction: float
 
     def __post_init__(self):
-        _band_limit_of(self.amplitudes.size)
-        if not np.all(np.isfinite(self.amplitudes)):
+        amplitudes = np.array(self.amplitudes)  # a copy: the caller's array stays writeable
+        _band_limit_of(amplitudes.size)
+        if not np.all(np.isfinite(amplitudes)):
             raise ValueError("scattered-wave amplitudes must be finite")
-        self.amplitudes.setflags(write=False)
+        amplitudes.setflags(write=False)
+        object.__setattr__(self, "amplitudes", amplitudes)
 
     @property
     def band_limit(self) -> int:
@@ -339,12 +341,6 @@ def mie_farfield(ctx: WaveContext, a: float, lam0: float,
     nb = _mie_band_limit(ctx.k, a, lam0)
     rule = rule or gauss_product_rule(max(24, nb))
     return _far_field(_mie_amplitudes(ctx, a, lam0, nb), ctx.k, rule)
-
-
-def mie_scattered(x, ctx: WaveContext, a: float, lam0: float) -> np.ndarray:
-    """Near-field Mie scattered wave at exterior points."""
-    nb = _mie_band_limit(ctx.k, a, lam0)
-    return _outgoing_wave(_mie_amplitudes(ctx, a, lam0, nb), ctx.k, x, a)
 
 
 # ---------------------------------------------------------------------------

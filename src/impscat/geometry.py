@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import QuadratureRule
-
 
 class GeometryError(ValueError):
     """Raised when a geometric construction or containment check fails."""
@@ -62,18 +60,10 @@ class ObstacleGeometry:
         ball; any 0 < ρ < a touches the sphere at one point only."""
         return self.radius / 2.0
 
-    def boundary_points(self, rule: QuadratureRule) -> np.ndarray:
-        """Boundary nodes x = a x̂ on a quadrature grid, shape (npts, 3)."""
-        return rule.points() * self.radius
-
     def surface_element(self, mu, phi) -> np.ndarray:
         """ds/dΩ = a² at the directions (mu, phi)."""
         shape = np.broadcast(np.atleast_1d(mu), np.atleast_1d(phi)).shape
         return np.full(shape, self.radius * self.radius)
-
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        """True where points lie strictly inside the obstacle."""
-        return _norms(x) < self.radius
 
     def distance_to_boundary(self, x: np.ndarray) -> np.ndarray:
         """dist(x, ∂D) = ||x| − a|."""

@@ -129,7 +129,7 @@ class ImpedanceField:
     bound: float = np.inf
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=float)
+        coeffs = np.array(self.coefficients, dtype=float)  # a copy: the caller's stays writeable
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("impedance coefficients must be finite")
         object.__setattr__(self, "coefficients", coeffs)
@@ -396,7 +396,7 @@ def _band_pattern(band_limit: int, lam_band: int) -> BandPattern:
 # Kept entries per step of a Gaunt table build: their products over the ring
 # latitudes then take a few MB (24 MB peak at N = 64, N_λ = 4, against 74 MB
 # for the whole group at once), and the build runs in cache.
-_GAUNT_CHUNK = 4096
+_GAUNT_STEP = 4096
 
 
 @lru_cache(maxsize=16)
@@ -421,7 +421,7 @@ def _gaunt_band(band_limit: int, lam_band: int):
     for q, (i, j) in pairs.items():
         degrees = np.arange(abs(q), lam_band + 1)
         lam_rows = lam_legendre[lam_bounds[lam_band - q]:lam_bounds[lam_band - q + 1]].T
-        chunks = (slice(s, s + _GAUNT_CHUNK) for s in range(0, i.size, _GAUNT_CHUNK))
+        chunks = (slice(s, s + _GAUNT_STEP) for s in range(0, i.size, _GAUNT_STEP))
         gaunt = np.concatenate([(legendre[i[c]] * weighted[j[c]]) @ lam_rows for c in chunks])
         groups.append((degrees * (degrees + 1) - q, gaunt))
     for arr in (gather, *(a for group in groups for a in group)):

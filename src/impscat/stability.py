@@ -155,12 +155,15 @@ def stability_sweep(base: ImpedanceField, shape, eps_list,
     """Perturbation sweep with a fitted dominating stability curve.
 
     ``eps_list`` holds the perturbation sizes ε: finite, nonnegative and
-    at least one of them positive (the fit needs a perturbed record).
+    at least one of them positive, and ``shape`` at least one nonzero
+    coefficient (the fit needs a perturbed record).
     """
     eps_sorted = sorted(float(e) for e in eps_list)
     if not (eps_sorted and np.all(np.isfinite(eps_sorted))
             and eps_sorted[0] >= 0.0 and eps_sorted[-1] > 0.0):
         raise ValueError("eps_list must hold finite sizes ε >= 0, at least one positive")
+    if not np.any(np.asarray(shape, dtype=float)):
+        raise ValueError("the perturbation shape must have a nonzero coefficient")
     rule = gauss_product_rule(band_limit)
     base_ff = solve_farfield(ctx, geom, base, band_limit, rule)
     rows = []

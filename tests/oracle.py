@@ -3,10 +3,11 @@
 The solver reads S₀ and the modal table alone; the layer-operator
 eigenvalues S, K, K' and T, the dense combined-field solve built from them,
 the flat harmonic index, the radial derivative of the scattered wave, the
-two-term Proposition 4.1 form and the point-source test function live here,
-as independent checks on what the package computes.
+Mie near field, the two-term Proposition 4.1 form and the point-source test
+function live here, as independent checks on what the package computes.
 So do the sphere means of test-function squares by a fine product rule,
-against which the families' closed forms are checked.
+against which the families' closed forms are checked, and the nodes and
+weights of a shell rule, which the package integrates without building.
 So do the dense reader and writer of a system's kept entries: no test reads
 or writes a pattern's layout but through them, and the per-degree loop
 versions of the harmonic layer, which the package's gathers must equal to
@@ -19,6 +20,7 @@ from math import isqrt
 import numpy as np
 
 from impscat.carleman import PlaneWaves, Quadratics, _suite_positions
+from impscat.forward import _mie_amplitudes, _mie_band_limit, _outgoing_wave
 from impscat.layer_ops import (
     BoundaryOperatorMatrix,
     ModalTable,
@@ -190,6 +192,13 @@ def radial_derivative(x, wave, ctx, geom) -> np.ndarray:
     return (amps[:, None] * radial * ymat).sum(axis=0)
 
 
+def mie_scattered(x, ctx, a: float, lam0: float) -> np.ndarray:
+    """Near-field Mie scattered wave at exterior points, from the Mie
+    amplitudes of :func:`impscat.forward.mie_farfield`."""
+    nb = _mie_band_limit(ctx.k, a, lam0)
+    return _outgoing_wave(_mie_amplitudes(ctx, a, lam0, nb), ctx.k, x, a)
+
+
 def prop41_intermediate(delta: float, fu_norm: float, c: float,
                         sigma: float) -> float:
     """Two-term form C/|lnδ|^σ + fu/δ at the given δ, evaluated only.  Its
@@ -212,6 +221,19 @@ def quadrature_sphere_means(squares, center, radii, laplacian: bool = False) -> 
     # order that rounds to 1e-13
     return tuple(np.ascontiguousarray(square).reshape(len(square), len(radii), -1)
                  @ rule.weights / (4.0 * np.pi) for square in squares(x, laplacian))
+
+
+def shell_nodes(rule) -> np.ndarray:
+    """Every node of a shell rule, shell by shell: its sphere rule's points
+    scaled to each radius about the center, shape (size, 3)."""
+    return (rule.center[None, None, :] + rule.radii[:, None, None]
+            * rule.sphere.points()[None, :, :]).reshape(-1, 3)
+
+
+def shell_weights(rule) -> np.ndarray:
+    """The weight of each node of :func:`shell_nodes`: the shell's radial
+    weight times the sphere rule's."""
+    return (rule.radial[:, None] * rule.sphere.weights[None, :]).ravel()
 
 
 @dataclass(frozen=True)
@@ -294,13 +316,11 @@ def members(suite) -> list:
 
 @dataclass(frozen=True)
 class Recorded:
-    """A family that evaluates as ``family`` does and records, per ``squares``
-    call, its nodes and whether (Δv)² was asked for (``calls``), and per
-    ``sphere_means`` call, its center, its radii and that flag
-    (``mean_calls``)."""
+    """A family that evaluates as ``family`` does and records, per
+    ``sphere_means`` call, its center, its radii and whether (Δv)² was asked
+    for (``mean_calls``)."""
 
     family: object
-    calls: list = field(default_factory=list)
     mean_calls: list = field(default_factory=list)
 
     @property
@@ -314,10 +334,6 @@ class Recorded:
     @property
     def positions(self):
         return self.family.positions
-
-    def squares(self, x, laplacian: bool = False) -> tuple:
-        self.calls.append((np.array(x), laplacian))
-        return self.family.squares(x, laplacian)
 
     def sphere_means(self, center, radii, laplacian: bool = False) -> tuple:
         self.mean_calls.append((np.array(center), np.array(radii), laplacian))

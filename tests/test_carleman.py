@@ -1,4 +1,4 @@
-"""Weighted-inequality machinery: Carleman, continuation, chains."""
+"""Weighted-inequality machinery: Carleman, continuation constants, chains."""
 
 import re
 import tracemalloc
@@ -15,14 +15,11 @@ from impscat.carleman import (
     Quadratics,
     carleman_sides,
     chain_lower_bound,
-    continuation_check,
     continuation_constants,
     corollary_thresholds,
-    lemma42_witness,
     random_test_suite,
     three_sphere_check,
 )
-from impscat.geometry import ObstacleGeometry
 
 from oracle import (
     Recorded,
@@ -31,6 +28,8 @@ from oracle import (
     members,
     point_source,
     quadrature_sphere_means,
+    shell_nodes,
+    shell_weights,
 )
 
 SETUP = CarlemanSetup(x0=np.zeros(3), rho=1.0, d=1.0)
@@ -78,8 +77,6 @@ class TestTestFunctions:
 
 
 TRIPLES = st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3)
-PLANE_WAVES = st.lists(st.tuples(st.floats(0.5, 4.0), TRIPLES.filter(
-    lambda d: np.linalg.norm(d) > 1e-3), st.floats(0.0, 2 * np.pi)), min_size=1, max_size=6)
 # k in [0, 4] with k = 0 drawn on its own, and any phase in a period
 SPHERE_WAVES = st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 4.0)), TRIPLES.filter(
     lambda d: np.linalg.norm(d) > 1e-3), st.floats(-2 * np.pi, 2 * np.pi)), min_size=1, max_size=6)
@@ -95,65 +92,31 @@ def oracle_squares(closures, x) -> tuple:
 
 
 class TestFamilies:
-    @settings(max_examples=25, deadline=None)
-    @given(params=st.one_of(PLANE_WAVES.map(lambda p: ("plane", p)),
-                            QUADRATICS.map(lambda p: ("quadratic", p))),
-           past_chunk=st.sampled_from([None, -1, 0, 1]), seed=st.integers(0, 2**32 - 1))
-    def test_squares_match_closures(self, params, past_chunk, seed):
-        # the family's closed forms against the closures, member by member;
-        # the nodes number 1 or _CHUNK // size − 1, + 0 or + 1, so that the
-        # chunked sums end just short of, on and just past a chunk
-        kind, members_ = params
-        if kind == "plane":
-            family = PlaneWaves(*map(np.array, zip(*members_)))
-            closures = [TestFunction.plane_wave(*m) for m in members_]
-        else:
-            const, linear, quad = zip(*members_)
-            family = Quadratics(const, linear, np.reshape(quad, (-1, 3, 3)))
-            closures = [TestFunction.quadratic(c, b, np.reshape(a, (3, 3)))
-                        for c, b, a in members_]
-        step = carleman._CHUNK // family.size
-        rng = np.random.default_rng(seed)
-        cloud = rng.uniform(-2.0, 2.0, size=(step + 1, 3))
-        x = cloud[:1 if past_chunk is None else step + past_chunk]
-        # a row's scale is its largest value over the whole cloud, so that a
-        # single node compares on the scale of the function, not of its value
-        on_cloud = np.array(oracle_squares(closures, cloud))
-        scale = np.max(on_cloud, axis=2, keepdims=True)
-        expected = on_cloud[:, :, :len(x)]
-        for got, want, row_scale in zip(family.squares(x, laplacian=True), expected, scale):
-            assert got.shape == (family.size, len(x))
-            assert np.all(np.abs(got - want) <= 1e-14 * row_scale)
-        assert len(family.squares(x)) == 2
-        # the chunked sums: one weight row per square, positive
-        rows = rng.uniform(0.5, 1.0, size=(3, 2, len(x)))
-        want = np.einsum("trn,tmn->trm", rows, expected)
-        bound = np.einsum("trn,tmn->trm", rows, np.broadcast_to(scale, expected.shape))
-        got = carleman._integrals([family], x, rows)
-        assert np.all(np.abs(got - want) <= 1e-13 * bound)
-
     @settings(max_examples=60, deadline=None)
     @given(params=st.one_of(SPHERE_WAVES.map(lambda p: ("plane", p)),
                             QUADRATICS.map(lambda p: ("quadratic", p))),
            center=TRIPLES.filter(lambda c: np.linalg.norm(c) <= 3.0),
            radii=st.lists(st.floats(0.0, 3.0), max_size=4))
     def test_sphere_means_match_quadrature(self, params, center, radii):
-        # the closed forms against the order-40 product rule on the squares.
-        # Each square is compared on the scale of its bound over the
-        # spheres, from the sizes of its terms (1, k², k⁴ for a plane wave):
-        # where those cancel, as ½ + ½cos 2θ at small k·s or the terms of
-        # v(center), the rounding of the squares at the nodes is on that
-        # scale, not on the mean's.  The floor is the smallest normal float,
-        # below which squares round as subnormals.
+        # the closed forms against the order-40 product rule on the squares
+        # of the members as closures.  Each square is compared on the scale
+        # of its bound over the spheres, from the sizes of its terms (1, k²,
+        # k⁴ for a plane wave): where those cancel, as ½ + ½cos 2θ at small
+        # k·s or the terms of v(center), the rounding of the squares at the
+        # nodes is on that scale, not on the mean's.  The floor is the
+        # smallest normal float, below which squares round as subnormals.
         kind, members_ = params
         center, radii = np.array(center), np.array([0.0, 1e-8, 3.0] + radii)
         if kind == "plane":
             family = PlaneWaves(*map(np.array, zip(*members_)))
+            closures = [TestFunction.plane_wave(*m) for m in members_]
             k2 = family.k[:, None] ** 2
             bounds = (1.0, k2, k2 * k2)
         else:
             const, linear, quad = zip(*members_)
             family = Quadratics(const, linear, np.reshape(quad, (-1, 3, 3)))
+            closures = [TestFunction.quadratic(c, b, np.reshape(a, (3, 3)))
+                        for c, b, a in members_]
             reach = np.linalg.norm(center) + np.max(radii)
             b = np.linalg.norm(family.linear, axis=1)[:, None]
             a = np.linalg.norm(family.quad, axis=(1, 2))[:, None]
@@ -161,7 +124,8 @@ class TestFamilies:
                       (b + 2.0 * a * reach) ** 2,
                       (2.0 * np.trace(family.quad, axis1=1, axis2=2)[:, None]) ** 2)
         got = family.sphere_means(center, radii, laplacian=True)
-        want = quadrature_sphere_means(family.squares, center, radii, laplacian=True)
+        want = quadrature_sphere_means(lambda x, _: oracle_squares(closures, x),
+                                       center, radii, laplacian=True)
         for mean, reference, bound in zip(got, want, bounds):
             assert mean.shape == (family.size, len(radii))
             assert np.all(np.abs(mean - reference) <= 1e-13 * bound + np.finfo(float).tiny)
@@ -249,6 +213,17 @@ class TestCarlemanSetup:
         assert s.lambda_threshold == 6.0 * s.M**3 / s.m**4
         assert s.tau_threshold == 88.0 * s.M**6 / s.m**4
 
+    def test_freezes_its_own_copy_of_x0(self):
+        # the caller's array stays writeable, and a later write to it does
+        # not move the annulus or its rules
+        x0 = np.zeros(3)
+        setup = CarlemanSetup(x0=x0, rho=1.0, d=1.0)
+        x0[0] = 4.0
+        for center in (setup.x0, setup.volume.center, setup.boundary.center):
+            assert center.tolist() == [0.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match="read-only"):
+            setup.x0[0] = 1.0
+
     def test_small_annulus_m(self):
         s = CarlemanSetup(x0=np.zeros(3), rho=2.0, d=2.0)
         assert s.m == pytest.approx(0.5)
@@ -265,14 +240,14 @@ class TestCarlemanSetup:
             CarlemanSetup(x0=np.zeros(3), rho=rho, d=d)
 
     def test_volume_rule_measures_annulus(self):
-        pts, w = SETUP.volume.nodes(), SETUP.volume.weights()
+        pts, w = shell_nodes(SETUP.volume), shell_weights(SETUP.volume)
         vol = 4.0 / 3.0 * np.pi * (2.0**3 - 1.0**3)
         assert np.sum(w) == pytest.approx(vol, rel=1e-12)
         r = np.linalg.norm(pts, axis=1)
         assert np.all((r > 1.0) & (r < 2.0))
 
     def test_boundary_rule_measures_spheres(self):
-        w = SETUP.boundary.weights()
+        w = shell_weights(SETUP.boundary)
         assert np.sum(w) == pytest.approx(4 * np.pi * (1.0 + 4.0), rel=1e-12)
 
     @pytest.mark.parametrize("rho, d, big_m", [
@@ -427,7 +402,7 @@ def full_node_sides(v, setup, lam, tau):
     """(lhs, rhs) summed over every node of both sets: the reference the
     compressed node sets must reproduce."""
     m, M, psi_ref = setup.m, setup.M, setup.psi_ref
-    xv, wv = setup.volume.nodes(), setup.volume.weights()
+    xv, wv = shell_nodes(setup.volume), shell_weights(setup.volume)
     w3, w1, w0 = np.exp(carleman._relative_exponents(node_dpsi(setup, setup.volume), lam,
                                                      tau, psi_ref, (3, 1, 0)))
     v2 = v.value(xv) ** 2
@@ -435,7 +410,7 @@ def full_node_sides(v, setup, lam, tau):
     lhs = np.sum(wv * (m**4 * lam**4 * tau**3 * w3 * v2
                        + m**2 * lam**2 * tau * w1 * g2))
     rhs = 8.0 * np.sum(wv * w0 * v.laplacian(xv) ** 2)
-    xb, wb = setup.boundary.nodes(), setup.boundary.weights()
+    xb, wb = shell_nodes(setup.boundary), shell_weights(setup.boundary)
     b3, b1 = np.exp(carleman._relative_exponents(node_dpsi(setup, setup.boundary), lam,
                                                  tau, psi_ref, (3, 1)))
     rhs += 48.0 * np.sum(wb * (M**3 * lam**3 * tau**3 * b3 * v.value(xb) ** 2
@@ -460,17 +435,12 @@ class TestWeightedNodes:
         carleman_sides(random_test_suite(50, seed=4), setup, threshold_pairs(setup))
         assert sorted(calls) == [2, 2, 2, 48, 48, 48]
 
-    def test_default_setup_builds_no_volume_node(self, monkeypatch):
+    def test_default_setup_builds_no_volume_node(self):
         # the Carleman node sets and the three-sphere balls are whole shells,
-        # integrated from sphere means: none of their nodes is built and no
-        # square is evaluated, neither at the default annulus, where the
-        # inner sphere alone carries weight, nor at the thin one, where
-        # volume shells do too
-        def refuse(rule):
-            raise AssertionError("a shell rule built its nodes")
-
-        monkeypatch.setattr(carleman.ShellRule, "nodes", refuse)
-        monkeypatch.setattr(carleman.ShellRule, "weights", refuse)
+        # integrated from sphere means, the families' one evaluator: each
+        # family is asked for them once per set and ball, both at the
+        # default annulus, where the inner sphere alone carries weight, and
+        # at the thin one, where volume shells do too
         suite = [Recorded(family) for family in random_test_suite(50, seed=4)]
         for x0, rho, d in (ANNULI[0], THIN_ANNULUS):
             setup = CarlemanSetup(x0=x0, rho=rho, d=d)
@@ -478,7 +448,6 @@ class TestWeightedNodes:
             assert (setup.volume.size, setup.boundary.size) == (27744, 2500)
         three_sphere_check(suite, np.array([2.0, 0.0, 0.0]), 0.2)
         for family in suite:
-            assert family.calls == []
             assert len(family.mean_calls) == 6  # 1 + 2 sets, then 3 balls
 
     def test_v_evaluated_only_on_weighted_nodes(self):
@@ -493,7 +462,6 @@ class TestWeightedNodes:
             want = [(setup.volume.radii[:4], True)] if d < 1e-6 else []
             want.append((setup.boundary.radii[:1], False))
             for family in suite:
-                assert family.calls == []
                 assert len(family.mean_calls) == len(want)
                 for (center, radii, laplacian), (radii_want, asked) in zip(family.mean_calls,
                                                                            want):
@@ -535,14 +503,14 @@ class TestWeightedNodes:
     def test_members_add_no_more_than_a_few_chunks(self):
         # every one of the 27,744 volume nodes carries weight here; one
         # (members × nodes) array of the suite would alone be 11 MB, while
-        # the sides hold no more than _CHUNK values whatever the suite size
+        # the 49 members past the first add less than 4 × 2¹⁴ values
         setup = CarlemanSetup(x0=np.zeros(3), rho=1.0, d=1e-12)
         pairs = threshold_pairs(setup)
         volume, _ = (rel for _, rel in setup._shell_weights(pairs))
         assert np.all(np.any(volume != 0.0, axis=(0, 1)))
         peaks = [peak_bytes(lambda: carleman_sides(suite, setup, pairs))
                  for suite in (random_test_suite(1, seed=6), random_test_suite(50, seed=6))]
-        chunk_bytes = carleman._CHUNK * 8
+        chunk_bytes = 2**14 * 8
         assert peaks[1] - peaks[0] < 4 * chunk_bytes
         assert peaks[1] < 50 * 27744 * 8
 
@@ -622,49 +590,6 @@ class TestContinuationConstants:
         assert 0.0 < gamma < 1.0
 
 
-class TestContinuationCheck:
-    GEOM = ObstacleGeometry()
-
-    def test_c_emp_finite_over_sweep(self):
-        u = TestFunction.plane_wave(1.0, [0.0, 0.0, 1.0])
-        c_emps = []
-        for r in (0.4, 0.2, 0.1, 0.05):
-            [ck] = continuation_check([u], np.array([0.0, 0.0, 1.0]), r, self.GEOM)
-            assert np.isfinite(ck.lhs) and ck.lhs > 0
-            assert np.isfinite(ck.rhs) and ck.rhs > 0
-            assert 0.0 < ck.gamma < 1.0
-            c_emps.append(ck.c_emp)
-        # existence of the constant: admissible C bounded away from zero
-        assert min(c_emps) > 0
-
-    def test_homogeneity_degree_one(self):
-        u = TestFunction.plane_wave(1.0, [0.0, 1.0, 0.0])
-        u10 = TestFunction(lambda x: 10 * u.value(x),
-                           lambda x: 10 * u.gradient(x),
-                           lambda x: 10 * u.laplacian(x))
-        a, b = continuation_check([u, u10], np.array([0.0, 0.0, 1.0]), 0.2, self.GEOM)
-        assert b.lhs == pytest.approx(10 * a.lhs, rel=1e-12)
-        assert b.rhs == pytest.approx(10 * a.rhs, rel=1e-10)
-
-    def test_degenerate_ball_rejected(self):
-        u = TestFunction.plane_wave(1.0, [0.0, 0.0, 1.0])
-        # ball centered deep inside the obstacle has no exterior part
-        with pytest.raises(ValueError):
-            continuation_check([u], np.zeros(3), 0.4, self.GEOM)
-
-    def test_families_match_members_alone(self):
-        # one pass over the suite's families equals each member as a closure
-        suite = random_test_suite(6, seed=8)
-        x_tilde = np.array([0.0, 0.0, 1.0])
-        together = continuation_check(suite, x_tilde, 0.2, self.GEOM)
-        assert len(together) == 6
-        for v, ck in zip(members(suite), together):
-            [alone] = continuation_check([v], x_tilde, 0.2, self.GEOM)
-            assert ck.gamma == alone.gamma
-            assert ck.lhs == pytest.approx(alone.lhs, rel=1e-13, abs=0.0)
-            assert ck.rhs == pytest.approx(alone.rhs, rel=1e-13, abs=0.0)
-
-
 class TestThreeSphere:
     def test_plane_wave_family(self):
         rng = np.random.default_rng(13)
@@ -701,7 +626,7 @@ class TestThreeSphere:
         y, r = np.array([0.4, -0.3, 1.2]), 0.25
         fit = three_sphere_check(suite, y, r)
         balls = [carleman._radial_rule(y, 0.0, f * r, 32, 14) for f in (1.0, 2.0, 3.0)]
-        expected = [[h1_norm(v, ball.nodes(), ball.weights()) for ball in balls]
+        expected = [[h1_norm(v, shell_nodes(ball), shell_weights(ball)) for ball in balls]
                     for v in members(suite)]
         np.testing.assert_allclose(fit.norms, expected, rtol=1e-13, atol=0.0)
 
@@ -739,7 +664,7 @@ class TestThreeSphere:
         rng = np.random.default_rng(5)
         for kr, tol in ((bound, 1e-14), (2.0 * bound, None)):
             u = TestFunction.plane_wave(kr / 0.6, rng.normal(size=3), 0.3)
-            coarse, fine = (h1_norm(u, rule.nodes(), rule.weights())
+            coarse, fine = (h1_norm(u, shell_nodes(rule), shell_weights(rule))
                             for rule in (carleman._radial_rule(np.zeros(3), 0.0, 0.6, 32, 14),
                                          carleman._radial_rule(np.zeros(3), 0.0, 0.6, 64, 40)))
             if tol:
@@ -815,35 +740,3 @@ class TestChainLowerBound:
         i0, m_tilde, c, r = args
         with pytest.raises(ValueError, match="positive and finite"):
             chain_lower_bound(3, i0, m_tilde, c, 0.5, r)
-
-
-class TestLemma42Witness:
-    def test_uniformly_large_field(self):
-        nodes = np.random.default_rng(0).normal(size=(64, 3))
-        nodes /= np.linalg.norm(nodes, axis=1, keepdims=True)
-        values = np.full(64, 0.8)
-        rep = lemma42_witness(values, nodes, nodes[0], 1.0, 0.1)
-        assert not rep.empty
-        in_ball = np.linalg.norm(nodes - nodes[0], axis=1) <= 1.0
-        assert rep.indices.size == np.count_nonzero(in_ball)
-
-    def test_threshold_above_sup_flags_empty(self):
-        nodes = np.eye(3)
-        rep = lemma42_witness(np.array([0.1, 0.2, 0.3]), nodes, nodes[0],
-                              2.0, 0.5)
-        assert rep.empty
-
-    def test_forward_solution_witness(self):
-        from impscat.forward import WaveContext, boundary_traces, solve_density
-        from impscat.layer_ops import ImpedanceField
-
-        geom = ObstacleGeometry()
-        ctx = WaveContext(k=1.0, omega=np.array([0.0, 0.0, 1.0]))
-        lam = ImpedanceField.constant(1.0)
-        wave = solve_density(ctx, geom, lam, band_limit=16)
-        u, _, rule = boundary_traces(wave, ctx, geom, lam)
-        nodes = geom.boundary_points(rule)
-        step = max(1, nodes.shape[0] // 64)
-        for x_t in nodes[::step]:
-            rep = lemma42_witness(u, nodes, x_t, 1.0, 0.05)
-            assert not rep.empty

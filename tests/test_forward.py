@@ -20,7 +20,6 @@ from impscat.forward import (
     eval_scattered,
     farfield,
     mie_farfield,
-    mie_scattered,
     scattered_on_shell,
     solve_density,
     solve_farfield,
@@ -46,7 +45,13 @@ from impscat.specfun import (
 )
 from impscat.stability import stability_sweep
 
-from oracle import combined_field_amplitudes, dense, on_pattern, radial_derivative
+from oracle import (
+    combined_field_amplitudes,
+    dense,
+    mie_scattered,
+    on_pattern,
+    radial_derivative,
+)
 
 GEOM = ObstacleGeometry()
 ZHAT = np.array([0.0, 0.0, 1.0])
@@ -75,6 +80,16 @@ class TestWaveContext:
         # NaN compares false with everything; it must not reach the Bessel calls
         with pytest.raises(ValueError, match="positive and finite"):
             WaveContext(k=k, omega=ZHAT)
+
+    def test_freezes_its_own_copy_of_omega(self):
+        # the caller's array stays writeable, and a later write to it does
+        # not reach the context
+        omega = ZHAT.copy()
+        ctx = WaveContext(k=1.0, omega=omega)
+        omega[2] = -1.0
+        assert ctx.omega.tolist() == [0.0, 0.0, 1.0]
+        with pytest.raises(ValueError, match="read-only"):
+            ctx.omega[0] = 1.0
 
     def test_incident_unimodular(self):
         ctx = WaveContext(k=2.0, omega=ZHAT)
@@ -116,6 +131,14 @@ class TestSolveDensity:
                             lambda self, rhs: solve(self, rhs) * (1.0 + 1e-9))
         with pytest.raises(RuntimeError, match="linear solve residual"):
             solve_density(ctx, GEOM, lam, band_limit=12)
+
+    def test_wave_freezes_its_own_copy_of_amplitudes(self):
+        amplitudes = np.ones(4, dtype=complex)
+        wave = ScatteredWave(amplitudes=amplitudes, tail_fraction=0.0)
+        amplitudes[0] = 5.0
+        assert wave.amplitudes.tolist() == [1.0] * 4
+        with pytest.raises(ValueError, match="read-only"):
+            wave.amplitudes[0] = 0.0
 
     def test_density_invariants(self):
         with pytest.raises(ValueError):

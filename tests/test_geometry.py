@@ -38,21 +38,11 @@ class TestObstacleGeometry:
         with pytest.raises(GeometryError):
             ObstacleGeometry(**{field: value})
 
-    def test_boundary_points_on_sphere(self):
-        geom = ObstacleGeometry(radius=1.5)
-        rule = gauss_product_rule(6)
-        np.testing.assert_array_equal(geom.boundary_points(rule), 1.5 * rule.points())
-
     def test_surface_element_total_area(self):
         geom = ObstacleGeometry(radius=2.0)
         rule = gauss_product_rule(8)
         area = np.sum(geom.surface_element(rule.mu, rule.phi) * rule.weights)
         assert area == pytest.approx(16 * np.pi, rel=1e-12)
-
-    def test_contains(self):
-        geom = ObstacleGeometry()
-        inside = geom.contains(np.array([[0.0, 0.0, 0.5], [0.0, 0.0, 1.5]]))
-        assert inside.tolist() == [True, False]
 
     def test_distance_to_boundary_sphere(self):
         geom = ObstacleGeometry()
@@ -157,7 +147,6 @@ class TestConeChain:
         geom = ObstacleGeometry()
         x = np.array([[3e298, -4e298, 1.2e299]])
         assert geom.distance_to_boundary(x)[0] == pytest.approx(1.3e299, rel=1e-15)
-        assert not geom.contains(x)[0]
         chain = build_cone_chain(np.array([0.0, 0.0, 1.0]), 0.1, geom, 1e300)
         assert chain.count == chain_ball_count(0.1, 1e300, geom.cone_half_angle)
         assert np.all(np.isfinite(chain.nesting_residuals()))

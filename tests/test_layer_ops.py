@@ -137,6 +137,16 @@ class TestImpedanceField:
         dense = lam.coefficients @ real_sph_harmonic_all(4, rule.mu, rule.phi)
         np.testing.assert_allclose(lam.evaluate_on(rule), dense, rtol=0.0, atol=1e-13 * 3.0)
 
+    def test_freezes_its_own_copy_of_coefficients(self):
+        # the caller's array stays writeable, and a later write to it does
+        # not reach the field
+        coeffs = np.array([2.0, 0.0, 0.1, 0.0])
+        lam = ImpedanceField(coefficients=coeffs)
+        coeffs[0] = -5.0
+        assert lam.coefficients.tolist() == [2.0, 0.0, 0.1, 0.0]
+        with pytest.raises(ValueError, match="read-only"):
+            lam.coefficients[0] = 0.0
+
     def test_coefficient_count_must_be_square(self):
         with pytest.raises(ValueError):
             ImpedanceField(coefficients=np.array([1.0, 0.0, 0.0, 0.0, 0.0]))

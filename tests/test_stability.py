@@ -196,6 +196,19 @@ class TestStabilitySweep:
             stability_sweep(ImpedanceField.constant(1.0), SHAPE, eps_list,
                             CTX, GEOM, band_limit=12)
 
+    @pytest.mark.parametrize("shape", [[0.0], [], np.zeros(4)])
+    def test_zero_shape_rejected_before_solving(self, monkeypatch, shape):
+        # a shape with no nonzero coefficient perturbs nothing, so no record
+        # can constrain the fit: refused as input, as an eps_list with no
+        # positive size is
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran before the shape was checked")
+
+        monkeypatch.setattr(stability, "solve_farfield", no_solve)
+        with pytest.raises(ValueError, match="nonzero coefficient"):
+            stability_sweep(ImpedanceField.constant(1.0), shape, [0.05, 0.1],
+                            CTX, GEOM, band_limit=12)
+
     def test_fit_requires_admissible_records(self):
         with pytest.raises(RuntimeError):
             fit_dominating_curve([0.9], [1.0])
