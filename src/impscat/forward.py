@@ -182,8 +182,12 @@ def solve_density(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField,
     M_{iλ} is built once, for the system and the right-hand side, by the
     selection rule of :func:`impscat.layer_ops.multiplication_operator`; the
     system has its band.  At b = 0 (a constant λ) one division solves it,
-    with its exact rcond; otherwise one banded LU both estimates its
-    conditioning and solves it.  Raises :class:`SingularSystemError`
+    with its exact rcond.  Otherwise a system within the Jacobi certificate
+    of :meth:`impscat.layer_ops.BoundaryOperatorMatrix.solve`
+    (q = ‖AD⁻¹ − I‖₁ < ½, a certified rcond >= 1e-12, N >= 15) is solved by
+    GMRES preconditioned by its diagonal, and any other by one banded LU
+    that both estimates its conditioning and solves it.  The checks below
+    are the same for every path.  Raises :class:`SingularSystemError`
     if the system has a non-finite entry or its relative 1-norm rcond is
     below 1e-12, ``RuntimeError`` unless the residual relative to the rhs
     (both scaled by max|rhs|) is at most 1e-12, and :class:`ResolutionError`

@@ -54,15 +54,27 @@ a (2b + 1)-row band.  :func:`_band_pattern` lays them out once per
 (N, N_λ), as compressed sparse rows with their positions in LAPACK's band
 workspace, and M_{iλ} and every system built from it are the values of
 those entries on that one pattern.  ``matvec`` is one sparse-row product;
-``solve`` checks the entries, takes the 1-norm as their largest column
-sum, and scatters them once into the workspace of the banded LU.  Both
-permute, so vectors stay in the degree-major order.  By the selection rule
-(:func:`multiplication_operator`) a constant λ has the pattern of N_λ = 0,
-the identity, b = 0: it is solved by one division, with its exact rcond
+it and ``solve`` permute, so vectors stay in the degree-major order.  By
+the selection rule (:func:`multiplication_operator`) a constant λ has the
+pattern of N_λ = 0, the identity, b = 0, whose arrays are views of one
+range 0..n: it is solved by one division, with its exact rcond
 min|d| / max|d|, and without scipy: a constant-λ solve runs on numpy alone.
-Any other system is solved by one banded LU; ``scipy.linalg`` and
-``scipy.sparse`` are imported for b > 0 only, and they are the only scipy
-modules a solve loads.
+
+Any other system first meets a Jacobi certificate.  With D the diagonal of
+A, one pass of column sums gives q = ‖AD⁻¹ − I‖₁ and the bound
+rcond₁(A) >= (1 − q) min|d| / ‖A‖₁.  A system with q < ½, that bound at
+least 1e-12 and at least 256 rows (N >= 15) is solved by GMRES on AD⁻¹
+(Saad & Schultz, SIAM J. Sci. Stat. Comput. 7 (1986) 856), preconditioned
+on the right, so that its residual is that of A x = b.  AD⁻¹ is the
+identity plus a small E: there GMRES converges superlinearly (Campbell,
+Ipsen, Kelley & Meyer, BIT 36 (1996) 664), and a stability sweep's
+λ₀ + εh takes 5 to 8 steps.  Every other system, and one whose GMRES has
+not converged within its cap, is solved by one banded LU: the entries are
+scattered once into its workspace, and LAPACK's rcond estimate (gbcon, at
+the 1-norm taken as the largest column sum) is checked.  Below 256 rows
+the LU is the faster even for a certified system.  ``scipy.sparse`` is
+imported for b > 0 and ``scipy.linalg`` only where the LU runs; they are
+the only scipy modules a solve loads.
 """
 
 from __future__ import annotations
@@ -204,7 +216,9 @@ class BoundaryOperatorMatrix:
         if self.entries.shape != self.pattern.indices.shape:
             raise ValueError(f"{self.entries.shape} entries on a pattern of "
                              f"{self.pattern.indices.size}")
-        self.entries.setflags(write=False)
+        entries = self.entries.view()  # read-only, while the caller's array stays writeable
+        entries.setflags(write=False)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def size(self) -> int:
@@ -215,40 +229,144 @@ class BoundaryOperatorMatrix:
         return _m_major(_band_limit_of(self.size))[0]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        perm, pattern = self._perm(), self.pattern
-        if pattern.b == 0:
+        perm = self._perm()
+        if self.pattern.b == 0:
             return _to_degree_major(perm, self.entries * x[perm])
+        return _to_degree_major(perm, self._rows() @ x[perm])
+
+    def _rows(self):
+        """Â as compressed sparse rows (b > 0)."""
         from scipy.sparse import csr_array
 
-        rows = csr_array((self.entries, pattern.indices, pattern.indptr), (x.size, x.size))
-        return _to_degree_major(perm, rows @ x[perm])
+        pattern = self.pattern
+        return csr_array((self.entries, pattern.indices, pattern.indptr), (self.size,) * 2)
+
+    def _column_sums(self) -> np.ndarray:
+        return np.bincount(self.pattern.indices, np.abs(self.entries), self.size)
 
     def one_norm(self) -> float:
         """‖A‖₁, the largest column sum of |entries|."""
-        return float(np.bincount(self.pattern.indices, np.abs(self.entries), self.size).max())
+        return float(self._column_sums().max())
+
+    def _jacobi_certificate(self) -> tuple[float, float]:
+        """(q, bound): q = ‖ÂD⁻¹ − I‖₁ for D the diagonal of Â, and a lower
+        bound on the 1-norm rcond of A.
+
+        Both come from one pass of column sums s_j of |Â|: column j of
+        ÂD⁻¹ − I sums to s_j / |d_j| − 1, and for q < 1, with
+        E = ÂD⁻¹ − I, ‖Â⁻¹‖₁ = ‖D⁻¹(I + E)⁻¹‖₁ <= 1 / ((1 − q) min|d|),
+        so rcond₁(A) >= bound = (1 − q) min|d| / ‖A‖₁.  A zero d or an
+        overflowing sum makes q or bound non-finite: no certificate.
+        """
+        with np.errstate(all="ignore"):
+            size, sums = np.abs(self.entries[self.pattern.diagonal]), self._column_sums()
+            q = (sums / size).max() - 1.0
+            bound = (1.0 - q) * size.min() / sums.max()
+        return float(q), float(bound)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """x with A x = rhs: one division for b = 0, else a banded LU.
+        """x with A x = rhs: one division for b = 0, else certified GMRES or
+        a banded LU.
+
+        For b > 0 the Jacobi certificate (:meth:`_jacobi_certificate`) gives
+        q = ‖ÂD⁻¹ − I‖₁, D the diagonal of Â, and a lower bound on the
+        1-norm rcond.  If q < ½, that bound is at least 1e-12 and A has at
+        least ``_GMRES_MIN_SIZE`` rows, :func:`_gmres` solves ÂD⁻¹y = rhs
+        and x = D⁻¹y.  The preconditioner is on the right, so the GMRES
+        residual is the residual of A x = rhs.  Every other system, and one
+        whose GMRES has not converged within its cap, takes one banded LU,
+        whose rcond estimate (``gbcon``) is checked.  gbcon can only
+        overestimate the rcond, so a certified system is one the LU would
+        also accept.  The crossover of 256 rows (N >= 15) is measured: at
+        λ = 1.5 + 0.1·h and k = 1 the two take equal time between 225 and
+        289 rows at N_λ = 2, between 289 and 441 at N_λ = 1 and between 121
+        and 225 at N_λ = 4, and at N = 24, N_λ = 2 GMRES takes 0.44 ms
+        against the LU's 1.14 ms (2-core Xeon, numpy 2.4, scipy 1.17).
 
         Raises :class:`SingularSystemError` if A has a non-finite entry or a
         relative 1-norm rcond below 1e-12; at b = 0 the rcond is exact."""
-        entries, b, perm = self.entries, self.pattern.b, self._perm()
+        entries, pattern, perm = self.entries, self.pattern, self._perm()
         if not np.all(np.isfinite(entries)):
             raise SingularSystemError("combined system has a non-finite entry")
-        if b == 0:
+        if pattern.b == 0:
             _check_rcond(_diagonal_rcond(entries))
             return _to_degree_major(perm, rhs[perm] / entries)
+        permuted = rhs[perm]
+        if self.size >= _GMRES_MIN_SIZE:
+            q, bound = self._jacobi_certificate()
+            if q < 0.5 and bound >= 1e-12:
+                diagonal, rows = entries[pattern.diagonal], self._rows()
+                solved = _gmres(lambda v: rows @ (v / diagonal), permuted)
+                if solved is not None:
+                    return _to_degree_major(perm, solved / diagonal)
         from scipy.linalg import get_lapack_funcs
 
-        gbtrf, gbcon, gbtrs = get_lapack_funcs(("gbtrf", "gbcon", "gbtrs"), (entries, rhs))
+        b = pattern.b
+        gbtrf, gbcon, gbtrs = get_lapack_funcs(("gbtrf", "gbcon", "gbtrs"), (entries, permuted))
         # b rows above the band take pivoting fill-in; Fortran order: no copy
         work = np.zeros((3 * b + 1) * self.size, dtype=complex)
-        work[self.pattern.lu_dest] = entries
+        work[pattern.lu_dest] = entries
         lu, piv, info = gbtrf(work.reshape(3 * b + 1, -1, order="F"), b, b,
                               overwrite_ab=True)
         # info > 0: a zero pivot
         _check_rcond(gbcon(b, b, lu, piv, self.one_norm())[0] if info == 0 else 0.0)
-        return _to_degree_major(perm, gbtrs(lu, b, b, rhs[perm], piv)[0])
+        return _to_degree_major(perm, gbtrs(lu, b, b, permuted, piv)[0])
+
+
+# Certified systems of fewer rows take the banded LU, the faster there
+# (measured: see BoundaryOperatorMatrix.solve).
+_GMRES_MIN_SIZE = 256
+# GMRES stops at this relative residual, or gives up after _GMRES_CAP steps:
+# where ‖ÂD⁻¹ − I‖₂ <= q < ½, step k leaves at most qᵏ of the residual, and
+# 2⁻⁴⁷ < 1e-14.
+_GMRES_TOL, _GMRES_CAP = 1e-14, 47
+
+
+def _gmres(operator, rhs: np.ndarray):
+    """y with ‖operator(y) − rhs‖₂ <= ``_GMRES_TOL`` ‖rhs‖₂, by GMRES from
+    y = 0 (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7 (1986) 856), or
+    None after ``_GMRES_CAP`` steps without.
+
+    ``rhs`` is scaled by its largest modulus first, so that no norm
+    overflows.  The Krylov basis is orthogonalised by classical Gram–Schmidt
+    applied twice, and the Hessenberg matrix is reduced by Givens rotations
+    as it grows, which gives each step's residual norm without forming y.
+    """
+    peak = np.max(np.abs(rhs))
+    if peak == 0.0:
+        return np.zeros_like(rhs)
+    basis = np.empty((_GMRES_CAP + 1, rhs.size), dtype=complex)
+    basis[0] = rhs / peak
+    beta = float(np.linalg.norm(basis[0]))
+    basis[0] /= beta
+    upper = np.zeros((_GMRES_CAP, _GMRES_CAP), dtype=complex)  # R of the Hessenberg QR
+    rotations, residual = [], [beta]  # residual: Qᴴ β e₁
+    for step in range(_GMRES_CAP):
+        w = operator(basis[step])
+        column = np.zeros(step + 1, dtype=complex)
+        for _ in range(2):
+            h = np.conj(basis[:step + 1] @ np.conj(w))
+            w -= h @ basis[:step + 1]
+            column += h
+        below = float(np.linalg.norm(w))
+        column = column.tolist()
+        for i, (c, s) in enumerate(rotations):
+            column[i], column[i + 1] = (c.conjugate() * column[i] + s * column[i + 1],
+                                        c * column[i + 1] - s * column[i])
+        norm = float(np.hypot(abs(column[step]), below))
+        if norm == 0.0:
+            return None
+        # the rotation [[c̄, s], [−s, c]] takes (column[step], below) to (norm, 0)
+        c, s = column[step] / norm, below / norm
+        rotations.append((c, s))
+        upper[:step, step], upper[step, step] = column[:step], norm
+        residual.append(-s * residual[step])
+        residual[step] *= c.conjugate()
+        if abs(residual[-1]) <= _GMRES_TOL * beta:
+            coeffs = np.linalg.solve(upper[:step + 1, :step + 1], residual[:step + 1])
+            return (coeffs @ basis[:step + 1]) * peak
+        basis[step + 1] = w / below
+    return None
 
 
 def _diagonal_rcond(diagonal: np.ndarray) -> float:
@@ -380,9 +498,14 @@ def _band_pattern(band_limit: int, lam_band: int) -> BandPattern:
     Within a row the columns descend, so a row of ``matvec`` sums its terms
     diagonal by diagonal from the top one down, as a banded product does.
     """
+    size = num_harmonics(band_limit)
+    if lam_band == 0:  # the identity: every array is 0..n, views of one range
+        ramp = np.arange(size + 1)
+        ramp.setflags(write=False)
+        return BandPattern(b=0, indptr=ramp, indices=ramp[:-1], diagonal=ramp[:-1],
+                           lu_dest=ramp[:-1])
     pairs, order = _kept_pairs(band_limit, lam_band)
     i, j = (np.concatenate(arrays)[order] for arrays in zip(*pairs.values()))
-    size = num_harmonics(band_limit)
     b = int(np.abs(i - j).max())
     indptr = np.concatenate(([0], np.cumsum(np.bincount(i, minlength=size))))
     pattern = BandPattern(b=b, indptr=indptr, indices=j,

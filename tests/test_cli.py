@@ -840,14 +840,15 @@ SOLVE = """
 import numpy as np
 import impscat as im
 ctx = im.WaveContext(k=1.0, omega=np.array([0.0, 0.0, 1.0]))
-im.solve_farfield(ctx, im.ObstacleGeometry(radius=1.0), {lam}, 12)
+im.solve_farfield(ctx, im.ObstacleGeometry(radius=1.0), {lam}, {band_limit})
 """
 
 
 def test_constant_impedance_solve_loads_no_linalg():
     # a constant λ is a diagonal system, solved by one division, and the
     # Bessel and Hankel values are numpy recurrences: no scipy at all
-    loaded = scipy_loaded_by(SOLVE.format(lam="im.ImpedanceField.constant(1.0)"))
+    loaded = scipy_loaded_by(SOLVE.format(lam="im.ImpedanceField.constant(1.0)",
+                                          band_limit=12))
     assert loaded == []
 
 
@@ -858,7 +859,26 @@ def test_constant_impedance_farfield_job_leaves_scipy_out(tmp_path):
 
 
 def test_variable_impedance_solve_loads_linalg_and_sparse():
-    lam = "im.ImpedanceField(coefficients=np.array([3.5, 0.0, 0.2, 0.0]))"
-    loaded = scipy_loaded_by(SOLVE.format(lam=lam))
+    # a strongly variable λ (q = ‖AD⁻¹ − I‖₁ = 1.02) is solved by the banded LU
+    lam = "im.ImpedanceField(coefficients=np.array([35.0, 0.0, 20.0, 0.0]))"
+    loaded = scipy_loaded_by(SOLVE.format(lam=lam, band_limit=24))
     assert {"scipy.linalg", "scipy.sparse"} <= set(loaded)
     assert not [m for m in loaded if m.startswith("scipy.special")]
+
+
+def test_certified_impedance_solve_loads_sparse_only():
+    # a near-constant λ (q = 0.05) is solved by Jacobi-certified GMRES on
+    # compressed sparse rows: no LU, so no scipy.linalg
+    lam = "im.ImpedanceField(coefficients=np.array([3.5, 0.0, 0.2, 0.0]))"
+    loaded = scipy_loaded_by(SOLVE.format(lam=lam, band_limit=24))
+    assert "scipy.sparse" in loaded
+    assert not [m for m in loaded if m.startswith(("scipy.linalg", "scipy.special"))]
+
+
+def test_stability_sweep_job_leaves_linalg_out(tmp_path):
+    # every perturbed solve of a sweep at the default N = 24 is certified
+    path = write_config(tmp_path, "c.json", {"perturbation": [0.0, 0.3, -0.5, 0.2]})
+    code = f"from impscat.cli import main\nassert main({['stability-sweep', path]!r}) == 0"
+    loaded = scipy_loaded_by(code)
+    assert "scipy.sparse" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.linalg")]

@@ -10,7 +10,8 @@ is read where it appears
 - as a name anywhere in ``tests/test_acceptance.py``, the paper's criteria;
 or where ``KEEP`` names it, with the reason it stays.  Names are matched
 bare, not by module or class: a method is read wherever an attribute of its
-name is.
+name is, except an attribute of a module that an ``import`` statement binds
+outside the package (``np.empty`` reads no method ``empty``).
 """
 
 import ast
@@ -31,16 +32,28 @@ def parsed(paths) -> list:
     return [ast.parse(path.read_text(), filename=str(path)) for path in paths]
 
 
+def foreign_modules(tree) -> set:
+    """The names that ``import`` statements in ``tree`` bind to modules other
+    than impscat's: ``np`` for ``import numpy as np``, ``os`` for
+    ``import os.path``."""
+    return {alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names if alias.name.split(".")[0] != "impscat"}
+
+
 def names_read(trees, strings: bool = False, imports: bool = False) -> set:
-    """Every ``Name`` id and ``Attribute`` attr in ``trees``, and, if asked,
-    every string constant and every name an import brings in."""
+    """Every ``Name`` id and ``Attribute`` attr in ``trees``, an attribute of
+    a foreign module (:func:`foreign_modules`) aside, and, if asked, every
+    string constant and every name an import brings in."""
     out = set()
     for tree in trees:
+        foreign = foreign_modules(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 out.add(node.id)
             elif isinstance(node, ast.Attribute):
-                out.add(node.attr)
+                if not (isinstance(node.value, ast.Name) and node.value.id in foreign):
+                    out.add(node.attr)
             elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
                 out.add(node.value)
             elif imports and isinstance(node, ast.ImportFrom):
@@ -75,3 +88,10 @@ def test_every_kept_name_is_defined_and_otherwise_unread():
     definitions, read = package_and_readers()
     assert KEEP.keys() <= definitions
     assert not KEEP.keys() & read
+
+
+def test_attributes_of_foreign_modules_read_nothing():
+    # np.empty reads no method named `empty`; an attribute of impscat does
+    foreign = ast.parse("import numpy as np\nimport impscat as im\nnp.empty(3)\nim.solve_farfield")
+    assert names_read([foreign]) == {"np", "im", "solve_farfield"}
+    assert "empty" in names_read([ast.parse("report.empty")])

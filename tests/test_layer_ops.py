@@ -16,6 +16,7 @@ from impscat.layer_ops import (
     ModalTable,
     NumericalError,
     SingularSystemError,
+    admissibility_rule,
     assemble_combined_system,
     assemble_multiplication,
     default_coupling,
@@ -24,7 +25,9 @@ from impscat.layer_ops import (
     sphere_operator_eigenvalue,
 )
 from impscat.specfun import (
+    _complex_coefficients,
     _m_major,
+    _synthesize,
     gauss_product_rule,
     harmonic_degrees,
     num_harmonics,
@@ -39,6 +42,17 @@ def variable_field(lam_band, seed):
     """A degree-``lam_band`` impedance: 3 plus a small random variation."""
     coeffs = 0.1 * np.random.default_rng(seed).normal(size=num_harmonics(lam_band))
     coeffs[0] = 3.0 * np.sqrt(4 * np.pi)
+    return ImpedanceField(coefficients=coeffs)
+
+
+def field_above(floor, variation, lam_band, seed):
+    """A degree-``lam_band`` impedance: ``variation`` times random normal
+    coefficients, shifted so that its least value on the admissibility
+    grid is ``floor``."""
+    coeffs = variation * np.random.default_rng(seed).normal(size=num_harmonics(lam_band))
+    coeffs[0] = 0.0
+    low = _synthesize(_complex_coefficients(coeffs), admissibility_rule(lam_band)).real.min()
+    coeffs[0] = (floor - low) * np.sqrt(4 * np.pi)
     return ImpedanceField(coefficients=coeffs)
 
 
@@ -382,6 +396,17 @@ class TestBandPattern:
                 np.diagonal(permuted, offset)
         np.testing.assert_array_equal(work.reshape(3 * b + 1, size, order="F"), layout)
 
+    @pytest.mark.parametrize("band_limit", [0, 3, 24])
+    def test_identity_pattern_is_one_range(self, band_limit):
+        # N_λ = 0: every array is a read-only view of one 0..n
+        pattern, size = layer_ops._band_pattern(band_limit, 0), num_harmonics(band_limit)
+        assert pattern.b == 0
+        np.testing.assert_array_equal(pattern.indptr, np.arange(size + 1))
+        for arr in pattern[2:]:
+            np.testing.assert_array_equal(arr, np.arange(size))
+            assert np.shares_memory(arr, pattern.indptr)
+        assert not any(arr.flags.writeable for arr in pattern[1:])
+
 
 class TestBandSolve:
     """The banded LU against a dense LU of the unpacked matrix, its oracle."""
@@ -390,8 +415,11 @@ class TestBandSolve:
     @pytest.mark.parametrize("lam_band", [1, 2, 4])
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 4.0])
     def test_matches_dense_lu(self, monkeypatch, k, lam_band, band_limit):
-        lam = variable_field(lam_band, band_limit + 10 * lam_band)
+        # a field whose variation is large against its mean lies outside
+        # the Jacobi certificate (q >= ½), so that the LU solves
+        lam = field_above(0.1, 3.0, lam_band, band_limit + 10 * lam_band)
         system = system_for(lam, band_limit, k, eta=default_coupling(k))
+        assert system._jacobi_certificate()[0] >= 0.5
         rng = np.random.default_rng(0)
         rhs = rng.normal(size=num_harmonics(band_limit)) \
             + 1j * rng.normal(size=num_harmonics(band_limit))
@@ -458,6 +486,66 @@ class TestBandSolve:
             warnings.simplefilter("error")
             with pytest.raises(SingularSystemError, match="rcond = 0.000e"):
                 system.solve(np.ones(num_harmonics(4), complex))
+
+    def test_entries_are_a_read_only_view(self):
+        # the system freezes a view: the caller's array stays writeable
+        entries = np.ones(num_harmonics(2), complex)
+        system = layer_ops.BoundaryOperatorMatrix(entries=entries,
+                                                  pattern=layer_ops._band_pattern(2, 0))
+        assert entries.flags.writeable
+        assert not system.entries.flags.writeable
+        assert np.shares_memory(system.entries, entries)
+
+
+class TestCertifiedSolve:
+    """Jacobi-certified GMRES and the banded LU against a dense solve."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.floats(-3.0, 2.0).map(lambda e: 10.0 ** e), band_limit=st.integers(1, 40),
+           lam_band=st.integers(1, 6), variation=st.floats(-8.0, 2.0).map(lambda e: 10.0 ** e),
+           seed=st.integers(0, 2**32 - 1))
+    @example(k=1.0, band_limit=24, lam_band=2, variation=0.1, seed=0)  # certified
+    @example(k=1.0, band_limit=12, lam_band=2, variation=0.1, seed=0)  # below the crossover
+    @example(k=1.0, band_limit=24, lam_band=2, variation=10.0, seed=0)  # q >= ½
+    def test_either_path_matches_dense_solve(self, k, band_limit, lam_band, variation, seed):
+        system = system_for(field_above(1.0, variation, lam_band, seed), band_limit, k,
+                            eta=default_coupling(k))
+        factored = []
+
+        def spying(names, arrays):
+            factored.append(names)
+            return get_lapack_funcs(names, arrays)
+
+        rng = np.random.default_rng(seed)
+        rhs = rng.normal(size=system.size) + 1j * rng.normal(size=system.size)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("scipy.linalg.get_lapack_funcs", spying)
+            x = system.solve(rhs)
+        matrix = dense(system)
+        expected = np.linalg.solve(matrix, rhs)
+        assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+        q, bound = system._jacobi_certificate()
+        certified = q < 0.5 and bound >= 1e-12 and system.size >= layer_ops._GMRES_MIN_SIZE
+        # the LU (gbtrf) runs exactly where the certificate fails or the system is small
+        assert bool(factored) == (not certified)
+        if q < 1.0:
+            rcond = 1.0 / (np.linalg.norm(matrix, 1) * np.linalg.norm(np.linalg.inv(matrix), 1))
+            assert bound <= rcond * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e300])
+    def test_gmres_scales_with_its_rhs(self, scale):
+        # the rhs is scaled by max|rhs| first: no norm overflows at 1e300
+        system = system_for(variable_field(2, 3), 16)
+        assert system._jacobi_certificate()[0] < 0.5
+        rhs = np.random.default_rng(5).normal(size=system.size) + 0j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = system.solve(scale * rhs)
+        np.testing.assert_allclose(x, scale * system.solve(rhs), rtol=1e-13, atol=0.0)
+
+    def test_zero_rhs_solves_to_zero(self):
+        system = system_for(variable_field(2, 3), 16)
+        assert not np.any(system.solve(np.zeros(system.size, complex)))
 
 
 class TestDiagonalHelpers:
