@@ -37,7 +37,7 @@ sequence of families and loop over families, never over members.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import exp, lgamma, log
+from math import exp, factorial, lgamma, log
 from typing import NamedTuple
 
 import numpy as np
@@ -121,15 +121,32 @@ class PlaneWaves:
 
     def sphere_means(self, center: np.ndarray, radii: np.ndarray,
                      laplacian: bool = False) -> tuple:
-        """With θ = k·x·d + c: v² = ½(1 + cos 2θ), |∇v|² = ½k²(1 − cos 2θ) and
-        (Δv)² = k⁴v², with cos 2θ replaced by its sphere mean
-        cos(2θ(center))·j₀(2ks) (Funk–Hecke), j₀(z) = sin z / z and j₀(0) = 1."""
+        """With θ = k·x·d + c and θ_c its value at ``center``, the sphere mean
+        of cos 2θ is cos 2θ_c·j₀(2ks) (Funk–Hecke), j₀(z) = sin z / z and
+        j₀(0) = 1.  So v² = cos²θ has the mean cos²θ_c·j₀ + ½(1 − j₀),
+        |∇v|² = k² sin²θ the mean k²(sin²θ_c·j₀ + ½(1 − j₀)), and
+        (Δv)² = k⁴v².  In these forms no term cancels: 1 − j₀ comes from its
+        series where it is small (:func:`_one_minus_j0`)."""
         k = self.k[:, None]
-        cos2 = (np.cos(2.0 * (self.k * (self.directions @ center) + self.phases))[:, None]
-                * np.sinc(2.0 / np.pi * k * radii))
-        v2 = 0.5 + 0.5 * cos2
-        g2 = 0.5 * k**2 * (1.0 - cos2)
+        theta = (self.k * (self.directions @ center) + self.phases)[:, None]
+        z = 2.0 * k * radii
+        j0, gap = np.sinc(z / np.pi), 0.5 * _one_minus_j0(z)
+        v2 = np.cos(theta)**2 * j0 + gap
+        g2 = k**2 * (np.sin(theta)**2 * j0 + gap)
         return (v2, g2, k**4 * v2) if laplacian else (v2, g2)
+
+
+# 1 − j₀(z) = Σ_{m >= 1} (−1)^{m+1} z^{2m}/(2m + 1)!, highest power first for
+# np.polyval in z²: below z = 1 the first term left out is under 1e-18 of the sum
+_ONE_MINUS_J0 = [(-1.0)**(m + 1) / factorial(2 * m + 1) for m in range(9, 0, -1)] + [0.0]
+
+
+def _one_minus_j0(z: np.ndarray) -> np.ndarray:
+    """1 − sin z / z, by its series below z = 1, where the difference would
+    cancel, and directly above (where z is its own divisor: the max keeps the
+    unused branch's 0/0 out)."""
+    return np.where(z < 1.0, np.polyval(_ONE_MINUS_J0, z * z),
+                    1.0 - np.sin(z) / np.maximum(z, 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,6 +310,7 @@ class CarlemanSetup:
     tau_threshold: float = field(init=False)
     volume: ShellRule = field(init=False, repr=False, compare=False)
     boundary: ShellRule = field(init=False, repr=False, compare=False)
+    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         named = f"(rho = {self.rho}, d = {self.d})"
@@ -321,15 +339,29 @@ class CarlemanSetup:
         object.__setattr__(self, "boundary",
                            ShellRule(x0, radii, radii**2, gauss_product_rule(24)))
 
-    def _shell_weights(self, pairs):
-        """(rule, rel) of ``volume``, then of ``boundary``: rel[i, j, s] is e^{E}
-        for the set's i-th power of φ at ``pairs[j]`` (:func:`_relative_exponents`)
-        on shell s, with ψ − ψ_ref = 2 ln(ρ/r) from the shell radius r:
-        |x − x₀| may round an inner-sphere node outside radius ρ."""
-        for rule, powers in ((self.volume, _VOLUME_POWERS), (self.boundary, _BOUNDARY_POWERS)):
-            dpsi = 2.0 * np.log(self.rho / rule.radii)
-            yield rule, np.stack([np.exp(_relative_exponents(dpsi, lam, tau, self.psi_ref, powers))
-                                  for lam, tau in pairs], axis=1)
+    def _shell_weights(self, pairs) -> tuple:
+        """((rule, rel) of ``volume``, (rule, rel) of ``boundary``): rel[i, j, s]
+        is e^{E} for the set's i-th power of φ at ``pairs[j]``
+        (:func:`_relative_exponents`) on shell s, with ψ − ψ_ref = 2 ln(ρ/r)
+        from the shell radius r: |x − x₀| may round an inner-sphere node
+        outside radius ρ.
+
+        The weights of the most recent ``pairs`` are kept, read-only, so that
+        a second call at the same pairs (a job's node counts after its
+        :func:`carleman_sides`) computes none."""
+        key = tuple(map(tuple, np.asarray(pairs, dtype=float).tolist()))
+        held = self._weights.get("recent")
+        if held is None or held[0] != key:
+            sets = []
+            for rule, powers in ((self.volume, _VOLUME_POWERS),
+                                 (self.boundary, _BOUNDARY_POWERS)):
+                dpsi = 2.0 * np.log(self.rho / rule.radii)
+                rel = np.stack([np.exp(_relative_exponents(dpsi, lam, tau, self.psi_ref, powers))
+                                for lam, tau in key], axis=1)
+                rel.setflags(write=False)
+                sets.append((rule, rel))
+            held = self._weights["recent"] = (key, tuple(sets))
+        return held[1]
 
     @property
     def psi_ref(self) -> float:

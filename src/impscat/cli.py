@@ -358,7 +358,7 @@ def cmd_stability_sweep(cfg: dict) -> int:
     if cfg.get("output"):
         atomic_write_text(cfg["output"], sweep_csv(sweep))
     emit_summary(cfg, {"C_fit": sweep.c_fit, "sigma_fit": sweep.sigma_fit,
-                       "dominated": sweep.dominated()})
+                       "dominated": sweep.dominated(), "delta_slope": sweep.delta_slope})
     return EXIT_OK
 
 

@@ -158,14 +158,7 @@ class FarField:
 
     def norm(self) -> float:
         """L²(S²) norm."""
-        return self._l2(self.samples)
-
-    def distance(self, other: FarField) -> float:
-        """δ = ‖u∞ − other‖_{L²(S²)}, for ``other`` on the same rule."""
-        return self._l2(self.samples - other.samples)
-
-    def _l2(self, values: np.ndarray) -> float:
-        return float(np.sqrt(np.real(self.rule.integrate(np.abs(values) ** 2))))
+        return float(np.sqrt(np.real(self.rule.integrate(np.abs(self.samples) ** 2))))
 
 
 class ResolutionError(RuntimeError):
@@ -201,17 +194,30 @@ def solve_density(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField,
     g = rhs_from_incident(table, ctx.incident_amplitudes(band_limit), mult)
     rhs = -2.0 * g
     phi = system.solve(rhs)
-    peak = np.max(np.abs(rhs))
-    if peak > 0:
-        # both vectors scaled by max|rhs| first, so that neither norm overflows
-        ratio = np.linalg.norm((system.matvec(phi) - rhs) / peak) / np.linalg.norm(rhs / peak)
-        if not ratio <= 1e-12:
-            raise RuntimeError(f"linear solve residual {ratio:.2e} exceeds 1e-12")
-    tail = _tail_fraction(phi)
-    if peak > 0 and tail > 1e-8:
-        raise ResolutionError(f"density tail fraction {tail:.2e} exceeds 1.0e-08")
+    tail = _checked_tail(system.matvec(phi) - rhs, rhs, phi)
     return ScatteredWave(amplitudes=radiating_coefficient_diagonal(table, eta) * phi,
                          tail_fraction=tail)
+
+
+def _checked_tail(residual: np.ndarray, rhs: np.ndarray, density: np.ndarray) -> float:
+    """The tail fraction of a solved ``density``, after the checks every
+    solve makes (:func:`solve_density`, and each ε of
+    :func:`impscat.stability.stability_sweep`).
+
+    Raises ``RuntimeError`` unless ‖residual‖ <= 1e-12 ‖rhs‖, both scaled by
+    max|rhs| first so that neither norm overflows, and
+    :class:`ResolutionError` if the tail fraction exceeds 1e-8; a zero rhs
+    is checked for neither.
+    """
+    peak = np.max(np.abs(rhs))
+    if peak > 0:
+        ratio = np.linalg.norm(residual / peak) / np.linalg.norm(rhs / peak)
+        if not ratio <= 1e-12:
+            raise RuntimeError(f"linear solve residual {ratio:.2e} exceeds 1e-12")
+    tail = _tail_fraction(density)
+    if peak > 0 and tail > 1e-8:
+        raise ResolutionError(f"density tail fraction {tail:.2e} exceeds 1.0e-08")
+    return tail
 
 
 def _outgoing_wave(amps: np.ndarray, k: float, x, radius: float) -> np.ndarray:

@@ -67,20 +67,28 @@ least 1e-12 and at least 256 rows (N >= 15) is solved by GMRES on AD⁻¹
 (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7 (1986) 856), preconditioned
 on the right, so that its residual is that of A x = b.  AD⁻¹ is the
 identity plus a small E: there GMRES converges superlinearly (Campbell,
-Ipsen, Kelley & Meyer, BIT 36 (1996) 664), and a stability sweep's
-λ₀ + εh takes 5 to 8 steps.  Every other system, and one whose GMRES has
-not converged within its cap, is solved by one banded LU: the entries are
+Ipsen, Kelley & Meyer, BIT 36 (1996) 664) in 5 to 8 steps at a
+near-constant λ.  Every other system, and one whose GMRES has not
+converged within its cap, is solved by one banded LU: the entries are
 scattered once into its workspace, and LAPACK's rcond estimate (gbcon, at
 the 1-norm taken as the largest column sum) is checked.  Below 256 rows
-the LU is the faster even for a certified system.  ``scipy.sparse`` is
-imported for b > 0 and ``scipy.linalg`` only where the LU runs; they are
-the only scipy modules a solve loads.
+the LU is the faster even for a certified system.  A matrix builds its
+sparse rows and its column sums once, for every product, the certificate
+and the LU's 1-norm alike.  ``scipy.sparse`` is imported for b > 0 and
+``scipy.linalg`` only where the LU runs; they are the only scipy modules a
+solve loads.
+
+The GMRES routine solves (σ + C)y = s for a tuple of shifts σ on one
+Krylov basis of (C, s): a solve is C = ÂD⁻¹ − I at σ = 1, and a stability
+sweep's λ₀ + εh, whose system is A₀ + εB, is C = B·A₀⁻¹ at σ = 1/ε for
+all its ε at once (:func:`impscat.stability.stability_sweep`), in 7 or 8
+steps at the sweep-variable benchmark's sizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isqrt
 from typing import NamedTuple
 
@@ -232,21 +240,27 @@ class BoundaryOperatorMatrix:
         perm = self._perm()
         if self.pattern.b == 0:
             return _to_degree_major(perm, self.entries * x[perm])
-        return _to_degree_major(perm, self._rows() @ x[perm])
+        return _to_degree_major(perm, self._rows @ x[perm])
 
+    @cached_property
     def _rows(self):
-        """Â as compressed sparse rows (b > 0)."""
+        """Â as compressed sparse rows (b > 0), built once per matrix."""
         from scipy.sparse import csr_array
 
         pattern = self.pattern
         return csr_array((self.entries, pattern.indices, pattern.indptr), (self.size,) * 2)
 
+    @cached_property
     def _column_sums(self) -> np.ndarray:
-        return np.bincount(self.pattern.indices, np.abs(self.entries), self.size)
+        """The column sums of |Â|, made once for the certificate and ‖A‖₁
+        (read-only)."""
+        sums = np.bincount(self.pattern.indices, np.abs(self.entries), self.size)
+        sums.setflags(write=False)
+        return sums
 
     def one_norm(self) -> float:
         """‖A‖₁, the largest column sum of |entries|."""
-        return float(self._column_sums().max())
+        return float(self._column_sums.max())
 
     def _jacobi_certificate(self) -> tuple[float, float]:
         """(q, bound): q = ‖ÂD⁻¹ − I‖₁ for D the diagonal of Â, and a lower
@@ -259,7 +273,7 @@ class BoundaryOperatorMatrix:
         overflowing sum makes q or bound non-finite: no certificate.
         """
         with np.errstate(all="ignore"):
-            size, sums = np.abs(self.entries[self.pattern.diagonal]), self._column_sums()
+            size, sums = np.abs(self.entries[self.pattern.diagonal]), self._column_sums
             q = (sums / size).max() - 1.0
             bound = (1.0 - q) * size.min() / sums.max()
         return float(q), float(bound)
@@ -271,38 +285,49 @@ class BoundaryOperatorMatrix:
         For b > 0 the Jacobi certificate (:meth:`_jacobi_certificate`) gives
         q = ‖ÂD⁻¹ − I‖₁, D the diagonal of Â, and a lower bound on the
         1-norm rcond.  If q < ½, that bound is at least 1e-12 and A has at
-        least ``_GMRES_MIN_SIZE`` rows, :func:`_gmres` solves ÂD⁻¹y = rhs
-        and x = D⁻¹y.  The preconditioner is on the right, so the GMRES
-        residual is the residual of A x = rhs.  Every other system, and one
-        whose GMRES has not converged within its cap, takes one banded LU,
-        whose rcond estimate (``gbcon``) is checked.  gbcon can only
-        overestimate the rcond, so a certified system is one the LU would
-        also accept.  The crossover of 256 rows (N >= 15) is measured: at
-        λ = 1.5 + 0.1·h and k = 1 the two take equal time between 225 and
+        least ``_GMRES_MIN_SIZE`` rows, :func:`_gmres` solves ÂD⁻¹y = rhs,
+        as (I + C)y = rhs with C = ÂD⁻¹ − I, and x = D⁻¹y.  The
+        preconditioner is on the right, so the GMRES residual is the
+        residual of A x = rhs.  Every other system, and one whose GMRES has
+        not converged within its cap, is solved by :meth:`factor`: at b > 0
+        one banded LU, whose rcond estimate (``gbcon``) is checked.  gbcon
+        can only overestimate the rcond, so a certified system is one the LU
+        would also accept.  The crossover of 256 rows (N >= 15) is measured:
+        at λ = 1.5 + 0.1·h and k = 1 the two take equal time between 225 and
         289 rows at N_λ = 2, between 289 and 441 at N_λ = 1 and between 121
         and 225 at N_λ = 4, and at N = 24, N_λ = 2 GMRES takes 0.44 ms
         against the LU's 1.14 ms (2-core Xeon, numpy 2.4, scipy 1.17).
 
         Raises :class:`SingularSystemError` if A has a non-finite entry or a
         relative 1-norm rcond below 1e-12; at b = 0 the rcond is exact."""
+        entries, pattern = self.entries, self.pattern
+        if pattern.b > 0 and self.size >= _GMRES_MIN_SIZE:
+            q, bound = self._jacobi_certificate()  # not finite for a non-finite entry
+            if q < 0.5 and bound >= 1e-12:
+                perm, diagonal, rows = self._perm(), entries[pattern.diagonal], self._rows
+                [solved] = _gmres(lambda v: rows @ (v / diagonal) - v, rhs[perm], (1.0,))
+                if solved is not None:
+                    return _to_degree_major(perm, solved / diagonal)
+        return self.factor()(rhs)
+
+    def factor(self):
+        """x ↦ A⁻¹x for degree-major vectors, from one factorisation of A: a
+        division at b = 0, checked at its exact rcond, else one banded LU
+        (``gbtrf``), checked at LAPACK's rcond estimate (``gbcon``, at the
+        1-norm of :meth:`one_norm`); each application is one ``gbtrs``.
+
+        Raises :class:`SingularSystemError` if A has a non-finite entry or a
+        relative 1-norm rcond below 1e-12."""
         entries, pattern, perm = self.entries, self.pattern, self._perm()
         if not np.all(np.isfinite(entries)):
             raise SingularSystemError("combined system has a non-finite entry")
         if pattern.b == 0:
             _check_rcond(_diagonal_rcond(entries))
-            return _to_degree_major(perm, rhs[perm] / entries)
-        permuted = rhs[perm]
-        if self.size >= _GMRES_MIN_SIZE:
-            q, bound = self._jacobi_certificate()
-            if q < 0.5 and bound >= 1e-12:
-                diagonal, rows = entries[pattern.diagonal], self._rows()
-                solved = _gmres(lambda v: rows @ (v / diagonal), permuted)
-                if solved is not None:
-                    return _to_degree_major(perm, solved / diagonal)
+            return lambda rhs: _to_degree_major(perm, rhs[perm] / entries)
         from scipy.linalg import get_lapack_funcs
 
         b = pattern.b
-        gbtrf, gbcon, gbtrs = get_lapack_funcs(("gbtrf", "gbcon", "gbtrs"), (entries, permuted))
+        gbtrf, gbcon, gbtrs = get_lapack_funcs(("gbtrf", "gbcon", "gbtrs"), (entries,))
         # b rows above the band take pivoting fill-in; Fortran order: no copy
         work = np.zeros((3 * b + 1) * self.size, dtype=complex)
         work[pattern.lu_dest] = entries
@@ -310,7 +335,7 @@ class BoundaryOperatorMatrix:
                               overwrite_ab=True)
         # info > 0: a zero pivot
         _check_rcond(gbcon(b, b, lu, piv, self.one_norm())[0] if info == 0 else 0.0)
-        return _to_degree_major(perm, gbtrs(lu, b, b, permuted, piv)[0])
+        return lambda rhs: _to_degree_major(perm, gbtrs(lu, b, b, rhs[perm], piv)[0])
 
 
 # Certified systems of fewer rows take the banded LU, the faster there
@@ -322,51 +347,67 @@ _GMRES_MIN_SIZE = 256
 _GMRES_TOL, _GMRES_CAP = 1e-14, 47
 
 
-def _gmres(operator, rhs: np.ndarray):
-    """y with ‖operator(y) − rhs‖₂ <= ``_GMRES_TOL`` ‖rhs‖₂, by GMRES from
-    y = 0 (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7 (1986) 856), or
-    None after ``_GMRES_CAP`` steps without.
+def _gmres(operator, rhs: np.ndarray, shifts) -> list:
+    """For each shift σ of ``shifts``, y with ‖σy + operator(y) − rhs‖₂ <=
+    ``_GMRES_TOL`` ‖rhs‖₂, by GMRES from y = 0 (Saad & Schultz, SIAM J. Sci.
+    Stat. Comput. 7 (1986) 856), or None where ``_GMRES_CAP`` steps leave
+    it short; one list entry per shift.
 
+    The Krylov space of (C, rhs), C = ``operator``, is that of σ + C for
+    every σ, so one Arnoldi basis serves all shifts, at one application of
+    C per step (Frommer & Glässner, SIAM J. Sci. Comput. 19 (1998) 15).
     ``rhs`` is scaled by its largest modulus first, so that no norm
-    overflows.  The Krylov basis is orthogonalised by classical Gram–Schmidt
-    applied twice, and the Hessenberg matrix is reduced by Givens rotations
-    as it grows, which gives each step's residual norm without forming y.
+    overflows.  The basis is orthogonalised by classical Gram–Schmidt
+    applied twice.  Each shift's Hessenberg matrix, C's plus σ on its
+    diagonal, is reduced by its own Givens rotations as it grows, which
+    gives that shift's residual norm at each step without forming its y.
     """
     peak = np.max(np.abs(rhs))
     if peak == 0.0:
-        return np.zeros_like(rhs)
+        return [np.zeros_like(rhs) for _ in shifts]
     basis = np.empty((_GMRES_CAP + 1, rhs.size), dtype=complex)
     basis[0] = rhs / peak
     beta = float(np.linalg.norm(basis[0]))
     basis[0] /= beta
-    upper = np.zeros((_GMRES_CAP, _GMRES_CAP), dtype=complex)  # R of the Hessenberg QR
-    rotations, residual = [], [beta]  # residual: Qᴴ β e₁
+    solutions = [None] * len(shifts)
+    # per open shift: (index, R of its Hessenberg QR, rotations, Qᴴ β e₁)
+    open_shifts = [(j, np.zeros((_GMRES_CAP, _GMRES_CAP), dtype=complex), [], [beta])
+                   for j in range(len(shifts))]
     for step in range(_GMRES_CAP):
         w = operator(basis[step])
-        column = np.zeros(step + 1, dtype=complex)
+        hessenberg = np.zeros(step + 1, dtype=complex)
         for _ in range(2):
             h = np.conj(basis[:step + 1] @ np.conj(w))
             w -= h @ basis[:step + 1]
-            column += h
+            hessenberg += h
         below = float(np.linalg.norm(w))
-        column = column.tolist()
-        for i, (c, s) in enumerate(rotations):
-            column[i], column[i + 1] = (c.conjugate() * column[i] + s * column[i + 1],
-                                        c * column[i + 1] - s * column[i])
-        norm = float(np.hypot(abs(column[step]), below))
-        if norm == 0.0:
-            return None
-        # the rotation [[c̄, s], [−s, c]] takes (column[step], below) to (norm, 0)
-        c, s = column[step] / norm, below / norm
-        rotations.append((c, s))
-        upper[:step, step], upper[step, step] = column[:step], norm
-        residual.append(-s * residual[step])
-        residual[step] *= c.conjugate()
-        if abs(residual[-1]) <= _GMRES_TOL * beta:
-            coeffs = np.linalg.solve(upper[:step + 1, :step + 1], residual[:step + 1])
-            return (coeffs @ basis[:step + 1]) * peak
+        hessenberg = hessenberg.tolist()
+        still_open = []
+        for j, upper, rotations, residual in open_shifts:
+            column = hessenberg.copy()
+            column[step] += shifts[j]
+            for i, (c, s) in enumerate(rotations):
+                column[i], column[i + 1] = (c.conjugate() * column[i] + s * column[i + 1],
+                                            c * column[i + 1] - s * column[i])
+            norm = float(np.hypot(abs(column[step]), below))
+            if norm == 0.0:
+                continue  # σ + C is singular on the Krylov space: no solution
+            # the rotation [[c̄, s], [−s, c]] takes (column[step], below) to (norm, 0)
+            c, s = column[step] / norm, below / norm
+            rotations.append((c, s))
+            upper[:step, step], upper[step, step] = column[:step], norm
+            residual.append(-s * residual[step])
+            residual[step] *= c.conjugate()
+            if abs(residual[-1]) <= _GMRES_TOL * beta:
+                coeffs = np.linalg.solve(upper[:step + 1, :step + 1], residual[:step + 1])
+                solutions[j] = (coeffs @ basis[:step + 1]) * peak
+            else:
+                still_open.append((j, upper, rotations, residual))
+        open_shifts = still_open
+        if not open_shifts:  # also where below = 0: every residual is then 0
+            break
         basis[step + 1] = w / below
-    return None
+    return solutions
 
 
 def _diagonal_rcond(diagonal: np.ndarray) -> float:
@@ -447,22 +488,26 @@ def multiplication_operator(lam: ImpedanceField, band_limit: int) -> BoundaryOpe
         return BoundaryOperatorMatrix(entries=np.full(num_harmonics(band_limit),
                                                       1j * lam.constant_value),
                                       pattern=_band_pattern(band_limit, 0))
-    return assemble_multiplication(lam, band_limit)
+    return assemble_multiplication(lam.coefficients, band_limit)
 
 
-def assemble_multiplication(lam: ImpedanceField, band_limit: int) -> BoundaryOperatorMatrix:
-    """Galerkin matrix of f -> iλ f in the Y_n^m basis, on the pattern of (N, N_λ).
+def assemble_multiplication(coefficients: np.ndarray, band_limit: int) -> BoundaryOperatorMatrix:
+    """Galerkin matrix of f -> iλ f in the Y_n^m basis, on the pattern of (N, N_λ),
+    for λ of the real harmonic ``coefficients`` ((N_λ + 1)² of them, of any
+    sign: the map is linear in them).
 
     Each kept entry e = ((n,m),(n',m')) is i Σ_L G[e, L] c_{L,−q},
     q = m' − m, c the complex coefficients of λ and G the exact Gaunt weights
     of :func:`_gaunt_band`, built once per (N, N_λ): no quadrature per call.
     """
-    gather, groups = _gaunt_band(band_limit, lam.band_limit)
+    complex_coeffs = _complex_coefficients(coefficients)
+    lam_band = _band_limit_of(complex_coeffs.size)
+    gather, groups = _gaunt_band(band_limit, lam_band)
     # G is real: it maps the (re, im) rows of iλ's coefficients to those of the entries
-    coeffs = (1j * _complex_coefficients(lam.coefficients)).view(float).reshape(-1, 2)
+    coeffs = (1j * complex_coeffs).view(float).reshape(-1, 2)
     values = np.concatenate([gaunt @ coeffs[lam_index] for lam_index, gaunt in groups])
     return BoundaryOperatorMatrix(entries=values.view(complex).ravel()[gather],
-                                  pattern=_band_pattern(band_limit, lam.band_limit))
+                                  pattern=_band_pattern(band_limit, lam_band))
 
 
 def _kept_pairs(band_limit: int, lam_band: int):
@@ -571,8 +616,11 @@ def assemble_combined_system(table: ModalTable, mult: BoundaryOperatorMatrix,
     # A = I − (2·dtrace + 1) − M_{iλ}·2·trace is −2 × (∂_ν u^s + iλ u^s)
     trace, dtrace = exterior_trace_operators(table, eta)
     perm, pattern = _m_major(table.band_limit)[0], mult.pattern  # m-major columns
-    entries = mult.entries * (-2.0 * trace[perm])[pattern.indices]
-    entries[pattern.diagonal] += (1.0 - (2.0 * dtrace + 1.0))[perm]
+    # b = 0: entry e is the diagonal (e, e), so a slice stands for both index arrays
+    columns, diagonal = ((slice(None),) * 2 if pattern.b == 0
+                         else (pattern.indices, pattern.diagonal))
+    entries = mult.entries * (-2.0 * trace[perm])[columns]
+    entries[diagonal] += (1.0 - (2.0 * dtrace + 1.0))[perm]
     return BoundaryOperatorMatrix(entries=entries, pattern=pattern)
 
 

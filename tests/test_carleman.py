@@ -131,6 +131,34 @@ class TestFamilies:
             assert np.all(np.abs(mean - reference) <= 1e-13 * bound + np.finfo(float).tiny)
         assert len(family.sphere_means(center, radii)) == 2
 
+    def test_plane_wave_means_keep_their_digits_at_small_radius(self):
+        # at θ_c = 0 the mean of |∇v|² = k² sin²θ over the sphere of radius s
+        # is k²(1 − j₀(2ks))/2 = s²/3 − s⁴/15 + 2s⁶/315 − … at k = 1, 3.3e-17
+        # at s = 1e-8, where ½ − ½·(mean of cos 2θ) rounds it to 0.0; at
+        # θ_c = π/2 the mean of v² = cos²θ is the same series
+        family = PlaneWaves(1.0, [[0.0, 0.0, 1.0]] * 2, [0.0, np.pi / 2])
+        radii = np.array([0.0, 1e-8, 1e-3])
+        v2, g2 = family.sphere_means(np.zeros(3), radii)
+        series = radii**2 / 3 - radii**4 / 15 + 2 * radii**6 / 315
+        np.testing.assert_allclose(g2[0], series, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(v2[1], series, rtol=1e-14, atol=1e-32)
+        np.testing.assert_allclose([v2[0], g2[1]], [1.0 - g2[0], 1.0 - v2[1]],
+                                   rtol=1e-15, atol=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(z=st.one_of(st.floats(0.0, 2.0), st.floats(1e-300, 1e4)))
+    def test_one_minus_j0_against_mpmath(self, z):
+        # the series below z = 1 and the direct difference above, each
+        # within a few ulps of the exact 1 − sin z / z (of the smallest
+        # subnormal, where that rounds to one)
+        import mpmath
+
+        # 1 − j₀(z) ~ z²/6 cancels about 2|log₁₀ z| digits: carry them
+        with mpmath.workdps(30 + 2 * max(0, -int(np.log10(z or 1.0)))):
+            exact = float(1 - mpmath.sinc(z))
+        got = carleman._one_minus_j0(np.array([z]))[0]
+        assert got == pytest.approx(exact, rel=1e-15, abs=1e-322)
+
     def test_random_suite_draws_the_seeded_members_in_order(self):
         # member i is the i-th draw of one seeded stream: a plane wave for
         # even i, a quadratic for odd i

@@ -409,11 +409,23 @@ class TestArtifacts:
         eps = [float(line.split(",")[0]) for line in lines[1:]]
         assert eps == sorted(eps)
 
+    def test_sweep_summary_reports_the_slope(self, tmp_path, capsys):
+        # δ'(0), the far-field distance per unit ε at ε = 0, as the sweep finds it
+        path = write_config(tmp_path, "c.json", {"k": 1.0, "impedance": 1.0, "band_limit": 12,
+                                                 "eps_list": [0.05, 0.1]})
+        assert main(["stability-sweep", path]) == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        ctx = WaveContext(k=1.0, omega=np.array([0.0, 0.0, 1.0]))
+        sweep = stability.stability_sweep(ImpedanceField.constant(1.0), [0.0, 0.0, 1.0, 0.0],
+                                          [0.05, 0.1], ctx, ObstacleGeometry(), 12)
+        assert summary["delta_slope"] == sweep.delta_slope > 0.0
+
     def test_sweep_csv_matches_csv_writer(self):
         # the csv.writer + f-string rows the CSV was first written with
         values = [0.0, -0.0, 5e-324, np.inf, np.nan, 1e300, 0.1, -2.5]
         records = [StabilityRecord(*values[i:i + 4]) for i in (0, 2, 4)]
-        sweep = StabilitySweep(records=records, c_fit=np.float64(1.25), sigma_fit=0.5)
+        sweep = StabilitySweep(records=records, c_fit=np.float64(1.25), sigma_fit=0.5,
+                               delta_slope=0.25)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["epsilon", "delta", "dsup", "bound", "C_fit", "sigma_fit"])
@@ -571,6 +583,24 @@ class TestCarlemanCommand:
         # sphere means: no node is built at all
         path = write_config(tmp_path, "c.json", {"suite_size": 2})
         assert main(["carleman-check", path]) == EXIT_OK
+        weighted = json.loads(capsys.readouterr().out)["weighted_nodes"]
+        assert [(entry["volume_weighted"], entry["boundary_weighted"])
+                for entry in weighted] == [(0, 1250)] * 3
+
+    def test_weights_computed_once_per_job(self, tmp_path, capsys, monkeypatch):
+        # the counts read the per-shell weights that carleman_sides made: one
+        # weight row per node set and pair (2 × 3), not a second pass of them
+        calls = []
+        relative_exponents = carleman._relative_exponents
+
+        def counted(dpsi, *args):
+            calls.append(dpsi.size)
+            return relative_exponents(dpsi, *args)
+
+        monkeypatch.setattr(carleman, "_relative_exponents", counted)
+        path = write_config(tmp_path, "c.json", {"suite_size": 2})
+        assert main(["carleman-check", path]) == EXIT_OK
+        assert sorted(calls) == [2, 2, 2, 48, 48, 48]
         weighted = json.loads(capsys.readouterr().out)["weighted_nodes"]
         assert [(entry["volume_weighted"], entry["boundary_weighted"])
                 for entry in weighted] == [(0, 1250)] * 3

@@ -178,7 +178,7 @@ class TestImpedanceField:
 class TestMultiplication:
     def test_constant_is_diagonal(self):
         lam = ImpedanceField.constant(2.0)
-        entries = dense(assemble_multiplication(lam, 8))
+        entries = dense(assemble_multiplication(lam.coefficients, 8))
         diag = np.diag(np.diag(entries))
         assert np.linalg.norm(entries - diag) / np.linalg.norm(diag) <= 1e-10
         assert np.allclose(np.diag(entries), 2j, atol=1e-12)
@@ -188,7 +188,7 @@ class TestMultiplication:
         coeffs[0] = 2.0 * np.sqrt(4 * np.pi)
         coeffs[2] = 0.5
         lam = ImpedanceField(coefficients=coeffs)
-        entries = dense(assemble_multiplication(lam, 4))
+        entries = dense(assemble_multiplication(lam.coefficients, 4))
         # independent projection with a finer rule
         rule = gauss_product_rule(20)
         y = sph_harmonic_all(4, rule.mu, rule.phi)
@@ -206,7 +206,7 @@ class TestMultiplication:
         rule = gauss_product_rule(rule_order or max(band_limit + lam_band, band_limit + 2))
         y = sph_harmonic_all(band_limit, rule.mu, rule.phi)
         product = 1j * (np.conj(y) * (rule.weights * lam.evaluate_on(rule))) @ y.T
-        entries = dense(assemble_multiplication(lam, band_limit))
+        entries = dense(assemble_multiplication(lam.coefficients, band_limit))
         np.testing.assert_allclose(entries, product, rtol=0.0,
                                    atol=1e-13 * np.abs(product).max())
         degs = harmonic_degrees(band_limit)
@@ -225,7 +225,7 @@ class TestMultiplication:
         rule = gauss_product_rule(max(band_limit + lam_band, band_limit + 2))
         y = sph_harmonic_all(band_limit, rule.mu, rule.phi)
         product = 1j * (np.conj(y) * (rule.weights * lam.evaluate_on(rule))) @ y.T
-        mult = assemble_multiplication(lam, band_limit)
+        mult = assemble_multiplication(lam.coefficients, band_limit)
         np.testing.assert_allclose(dense(mult), product, rtol=0.0,
                                    atol=1e-13 * np.abs(product).max())
         # every entry the Gaunt rule allows lies within the m-major band
@@ -245,7 +245,7 @@ class TestMultiplication:
     @pytest.mark.parametrize("band_limit,lam_band,half_bandwidth", [
         (24, 2, 51), (12, 4, 52), (24, 4, 100), (48, 2, 99)])
     def test_m_major_half_bandwidth(self, band_limit, lam_band, half_bandwidth):
-        mult = assemble_multiplication(variable_field(lam_band, 0), band_limit)
+        mult = assemble_multiplication(variable_field(lam_band, 0).coefficients, band_limit)
         assert (mult.pattern.b, mult.size) == (half_bandwidth, num_harmonics(band_limit))
         lam = ImpedanceField.constant(2.0)
         assert multiplication_operator(lam, band_limit).pattern.b == 0
@@ -255,7 +255,7 @@ class TestMultiplication:
         layer_ops._gaunt_band.cache_clear()
         layer_ops._band_pattern.cache_clear()
         for seed in (0, 1):
-            assemble_multiplication(variable_field(4, seed), 12)
+            assemble_multiplication(variable_field(4, seed).coefficients, 12)
         for table in (layer_ops._gaunt_band, layer_ops._band_pattern):
             info = table.cache_info()
             assert (info.misses, info.hits) == (1, 1)
@@ -267,10 +267,25 @@ class TestMultiplication:
         # M(λ₁ + tλ₂) = M(λ₁) + t·M(λ₂): one table contracted with λ's coefficients
         lam1, lam2 = variable_field(lam_band, seed), variable_field(lam_band, seed + 1)
         combined = ImpedanceField(coefficients=lam1.coefficients + t * lam2.coefficients)
-        whole = assemble_multiplication(combined, band_limit).entries
-        parts = (assemble_multiplication(lam1, band_limit).entries
-                 + t * assemble_multiplication(lam2, band_limit).entries)
+        whole = assemble_multiplication(combined.coefficients, band_limit).entries
+        parts = (assemble_multiplication(lam1.coefficients, band_limit).entries
+                 + t * assemble_multiplication(lam2.coefficients, band_limit).entries)
         np.testing.assert_allclose(whole, parts, rtol=0.0, atol=1e-14 * np.abs(whole).max())
+
+    @pytest.mark.parametrize("band_limit", [4, 12])
+    def test_signed_coefficients_give_the_difference(self, band_limit):
+        # h = λ₁ − λ₂ takes both signs, so it is no impedance, yet M_{ih} is
+        # M_{iλ₁} − M_{iλ₂}: the map is linear in the coefficients
+        lam1, lam2 = variable_field(2, 4), variable_field(2, 5)
+        h = lam1.coefficients - lam2.coefficients
+        values = _synthesize(_complex_coefficients(h), admissibility_rule(2)).real
+        assert values.min() < 0.0 < values.max()
+        with pytest.raises(ValueError, match="nonnegative"):
+            ImpedanceField(coefficients=h)
+        first = assemble_multiplication(lam1.coefficients, band_limit).entries
+        difference = first - assemble_multiplication(lam2.coefficients, band_limit).entries
+        np.testing.assert_allclose(assemble_multiplication(h, band_limit).entries, difference,
+                                   rtol=0.0, atol=1e-14 * np.abs(first).max())
 
     @pytest.mark.parametrize("band_limit,lam_band", [(12, 4), (3, 6), (24, 2)])
     def test_gaunt_table_is_read_only(self, band_limit, lam_band):
@@ -324,11 +339,24 @@ class TestCombinedSystem:
         lam = ImpedanceField(coefficients=np.array([1.5 * np.sqrt(4 * np.pi), 0.0, 0.2, 0.0]))
         assert not lam.is_constant
         built = dense(assemble_combined_system(
-            ModalTable(1.0, 1.0, 8), assemble_multiplication(lam, 8), 1.0))
+            ModalTable(1.0, 1.0, 8), assemble_multiplication(lam.coefficients, 8), 1.0))
         const = system_for(ImpedanceField.constant(1.5), 8)
         np.testing.assert_allclose(np.diag(built), np.diag(dense(const)),
                                    rtol=0.0, atol=1e-12)
         assert np.abs(built - np.diag(np.diag(built))).max() > 1e-3
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 4.0])
+    def test_diagonal_entries_as_through_the_pattern(self, k):
+        # at b = 0 a slice stands for the pattern's index range: the entries
+        # are bitwise those of the gather and scatter-add through it
+        table, eta = ModalTable(k, 1.0, 24), default_coupling(k)
+        mult = multiplication_operator(ImpedanceField.constant(1.3), 24)
+        trace, dtrace = exterior_trace_operators(table, eta)
+        perm, pattern = _m_major(24)[0], mult.pattern
+        expected = mult.entries * (-2.0 * trace[perm])[pattern.indices]
+        expected[pattern.diagonal] += (1.0 - (2.0 * dtrace + 1.0))[perm]
+        np.testing.assert_array_equal(assemble_combined_system(table, mult, eta).entries,
+                                      expected)
 
     def test_exterior_traces_satisfy_impedance_condition(self):
         # the assembled system is exactly the impedance condition applied
@@ -368,7 +396,7 @@ class TestBandPattern:
         rule = gauss_product_rule(max(band_limit + lam_band, band_limit + 2))
         y = sph_harmonic_all(band_limit, rule.mu, rule.phi)
         product = 1j * (np.conj(y) * (rule.weights * lam.evaluate_on(rule))) @ y.T
-        mult = assemble_multiplication(lam, band_limit)
+        mult = assemble_multiplication(lam.coefficients, band_limit)
         np.testing.assert_allclose(dense(mult), product, rtol=0.0,
                                    atol=1e-13 * np.abs(product).max())
         system = system_for(lam, band_limit)
@@ -542,6 +570,37 @@ class TestCertifiedSolve:
             warnings.simplefilter("error")
             x = system.solve(scale * rhs)
         np.testing.assert_allclose(x, scale * system.solve(rhs), rtol=1e-13, atol=0.0)
+
+    def test_rows_built_once_per_system(self, monkeypatch):
+        # GMRES and the residual check's matvec share one csr_array
+        import scipy.sparse
+
+        built, csr_array = [], scipy.sparse.csr_array
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return csr_array(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse, "csr_array", counted)
+        system = system_for(variable_field(2, 3), 16)
+        rhs = np.random.default_rng(5).normal(size=system.size) + 0j
+        system.matvec(system.solve(rhs))
+        system.matvec(rhs)
+        assert system._jacobi_certificate()[0] < 0.5 and len(built) == 1
+
+    def test_lu_fallback_reuses_the_certificate_sums(self, monkeypatch):
+        # the 1-norm that gbcon takes is the largest of the column sums the
+        # certificate made: one pass of them per solve
+        system = system_for(field_above(0.1, 3.0, 2, 44), 24)
+        passes, bincount = [], np.bincount
+
+        def counted(*args, **kwargs):
+            passes.append(args)
+            return bincount(*args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", counted)
+        system.solve(np.ones(system.size, complex))
+        assert len(passes) == 1 and system._jacobi_certificate()[0] >= 0.5
 
     def test_zero_rhs_solves_to_zero(self):
         system = system_for(variable_field(2, 3), 16)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from impscat import specfun, stability
+from impscat import forward, layer_ops, specfun, stability
 from impscat.forward import (
     WaveContext,
     mie_farfield,
@@ -19,7 +19,6 @@ from impscat.specfun import gauss_product_rule, real_sph_harmonic_all
 from impscat.stability import (
     bushuyev_theta,
     fit_dominating_curve,
-    impedance_sup_distance,
     lemma51_check,
     prop41_bound,
     prop41_stationary_s,
@@ -94,11 +93,17 @@ class TestClosedFormBounds:
             assert val_star <= prop41_intermediate(delta_star**mult, n, c, sigma)
 
 
-def far_field_delta(lam_a, lam_b, band_limit):
-    """``FarField.distance`` between the far fields of two impedances."""
+def l2_distance(fa, fb):
+    """‖u∞ − v∞‖_{L²(S²)} of two far fields on one rule."""
+    return float(np.sqrt(np.real(fa.rule.integrate(np.abs(fa.samples - fb.samples) ** 2))))
+
+
+def far_field_delta(lam_a, lam_b, band_limit, ctx=CTX):
+    """The L² distance between the far fields of two impedances, each solved
+    on its own."""
     rule = gauss_product_rule(band_limit)
-    fa, fb = (solve_farfield(CTX, GEOM, lam, band_limit, rule) for lam in (lam_a, lam_b))
-    return fa.distance(fb)
+    fa, fb = (solve_farfield(ctx, GEOM, lam, band_limit, rule) for lam in (lam_a, lam_b))
+    return l2_distance(fa, fb)
 
 
 class TestFarFieldDelta:
@@ -117,24 +122,22 @@ class TestFarFieldDelta:
         d = far_field_delta(ImpedanceField.constant(1.0),
                             ImpedanceField.constant(1.1), band_limit=24)
         rule = gauss_product_rule(24)
-        fa = mie_farfield(CTX, 1.0, 1.0, rule=rule)
-        fb = mie_farfield(CTX, 1.0, 1.1, rule=rule)
-        d_mie = float(np.sqrt(np.real(
-            rule.integrate(np.abs(fa.samples - fb.samples) ** 2))))
+        d_mie = l2_distance(mie_farfield(CTX, 1.0, 1.0, rule=rule),
+                            mie_farfield(CTX, 1.0, 1.1, rule=rule))
         assert abs(d - d_mie) <= 1e-8
 
 
 class TestImpedanceSupDistance:
     def test_matches_dense_difference(self):
+        # dsup = ε·sup|h| on the order-64 grid, against a dense synthesis of h
         rng = np.random.default_rng(3)
-        coeffs = np.concatenate([[np.sqrt(4 * np.pi)], 0.1 * rng.uniform(-1, 1, 8)])
-        lam_a, lam_b = ImpedanceField.constant(1.0), ImpedanceField(coeffs)
+        shape = np.concatenate([[0.0], 0.1 * rng.uniform(-1, 1, 8)])
         rule = gauss_product_rule(64)
-        dense = (lam_a.coefficients @ real_sph_harmonic_all(0, rule.mu, rule.phi)
-                 - coeffs @ real_sph_harmonic_all(2, rule.mu, rule.phi))
-        expected = np.max(np.abs(dense))
-        assert impedance_sup_distance(lam_a, lam_b) == pytest.approx(expected, rel=1e-14)
-        assert impedance_sup_distance(lam_b, lam_a) == pytest.approx(expected, rel=1e-14)
+        expected = np.max(np.abs(shape @ real_sph_harmonic_all(2, rule.mu, rule.phi)))
+        sweep = stability_sweep(ImpedanceField.constant(1.0), shape, [0.5, 1.0],
+                                CTX, GEOM, band_limit=12)
+        for rec in sweep.records:
+            assert rec.dsup == pytest.approx(rec.epsilon * expected, rel=1e-14)
 
 
 SHAPE = np.array([0.0, 0.0, 1.0, 0.0])  # real Y_1^0 profile
@@ -169,16 +172,21 @@ class TestStabilitySweep:
         assert 0.5 <= ratio <= 2.0
 
     def test_ring_tables_built_once_per_sweep(self):
-        # a sweep meets each (N, rule order) ring table many times: the band
-        # limit's on the far-field and multiplication rules, λ's on its own
+        # a sweep builds each (N, rule order) ring table it meets once, and a
+        # second sweep at the same sizes builds none
         shape = np.zeros(9)
         shape[[2, 4, 6, 8]] = [0.3, -0.2, 0.25, 0.1]
+
+        def sweep():
+            stability_sweep(ImpedanceField.constant(1.5), shape,
+                            [0.0125, 0.025, 0.05, 0.1], CTX, GEOM, band_limit=24)
+
         specfun._ring_legendre.cache_clear()
-        stability_sweep(ImpedanceField.constant(1.5), shape,
-                        [0.0125, 0.025, 0.05, 0.1], CTX, GEOM, band_limit=24)
+        sweep()
         info = specfun._ring_legendre.cache_info()
         assert info.misses == info.currsize < info.maxsize
-        assert info.hits > info.misses
+        sweep()
+        assert specfun._ring_legendre.cache_info().misses == info.misses
 
     def test_negative_impedance_rejected(self):
         with pytest.raises(ValueError):
@@ -192,6 +200,7 @@ class TestStabilitySweep:
             raise AssertionError("a solve ran before eps_list was checked")
 
         monkeypatch.setattr(stability, "solve_farfield", no_solve)
+        monkeypatch.setattr(stability, "solve_density", no_solve)
         with pytest.raises(ValueError, match="eps_list"):
             stability_sweep(ImpedanceField.constant(1.0), SHAPE, eps_list,
                             CTX, GEOM, band_limit=12)
@@ -205,6 +214,7 @@ class TestStabilitySweep:
             raise AssertionError("a solve ran before the shape was checked")
 
         monkeypatch.setattr(stability, "solve_farfield", no_solve)
+        monkeypatch.setattr(stability, "solve_density", no_solve)
         with pytest.raises(ValueError, match="nonzero coefficient"):
             stability_sweep(ImpedanceField.constant(1.0), shape, [0.05, 0.1],
                             CTX, GEOM, band_limit=12)
@@ -214,9 +224,76 @@ class TestStabilitySweep:
             fit_dominating_curve([0.9], [1.0])
 
     def test_sup_distance(self):
-        a = ImpedanceField.constant(1.0)
-        b = ImpedanceField.constant(1.25)
-        assert impedance_sup_distance(a, b) == pytest.approx(0.25, rel=1e-12)
+        # h = 1: λ₀ + εh is a constant 0.25 above λ₀
+        sweep = stability_sweep(ImpedanceField.constant(1.0), [np.sqrt(4 * np.pi)], [0.25],
+                                CTX, GEOM, band_limit=12)
+        assert sweep.records[0].dsup == pytest.approx(0.25, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(eps=st.floats(1e-14, 1e-6))
+    def test_delta_over_eps_is_the_slope(self, eps):
+        # δ = ε·δ'(0) + O(ε²): δ is taken from α(ε) − α₀ itself, so it keeps
+        # its digits down to ε = 1e-14, where a difference of two far fields
+        # has cancelled most of them
+        sweep = stability_sweep(ImpedanceField.constant(1.0), SHAPE, [eps], CTX, GEOM,
+                                band_limit=12)
+        assert sweep.records[0].delta / eps == pytest.approx(sweep.delta_slope, rel=1e-6)
+
+    @pytest.mark.parametrize("base", [
+        [np.sqrt(4 * np.pi), 0.0, 0.0, 0.0],
+        [4.0, 0.0, 0.3, 0.0, 0.0, 0.0, 0.2, 0.0, 0.0],
+    ], ids=["constant", "variable"])
+    def test_matches_per_eps_solves(self, base):
+        # the shifted family against a solve from scratch at every ε
+        shape = np.array([0.0, 0.3, -0.2, 0.1, 0.25, -0.1, 0.2, 0.0, 0.1])
+        eps = [0.0, 0.0125, 0.025, 0.05, 0.1]
+        lam = ImpedanceField(np.array(base))
+        sweep = stability_sweep(lam, shape, eps, CTX, GEOM, band_limit=24)
+        assert sweep.records[0].delta == 0.0
+        for rec in sweep.records[1:]:
+            perturbed = stability._perturbed(lam, shape, rec.epsilon)
+            assert rec.delta == pytest.approx(far_field_delta(lam, perturbed, 24), rel=1e-11)
+
+    def test_every_eps_checked_once(self, monkeypatch):
+        # each ε's density meets the residual and tail checks of a solve, and
+        # a shifted solution off by 1e-6 fails the residual check
+        checked = []
+
+        def counting(residual, rhs, density):
+            checked.append(density.size)
+            return forward._checked_tail(residual, rhs, density)
+
+        monkeypatch.setattr(stability, "_checked_tail", counting)
+        stability_sweep(ImpedanceField.constant(1.0), SHAPE, [0.0, 0.025, 0.05, 0.1],
+                        CTX, GEOM, band_limit=12)
+        assert checked == [169] * 3
+        gmres = layer_ops._gmres
+        monkeypatch.setattr(stability, "_gmres", lambda *args: [
+            None if y is None else y * (1.0 + 1e-6) for y in gmres(*args)])
+        with pytest.raises(RuntimeError, match="residual"):
+            stability_sweep(ImpedanceField.constant(1.0), SHAPE, [0.05], CTX, GEOM,
+                            band_limit=12)
+
+    def test_unconverged_shift_takes_its_own_solve(self, monkeypatch):
+        # at ε = 1e3 the shift 1/ε is too close to C's spectrum for the cap of
+        # GMRES steps: that ε alone is solved from scratch
+        ctx = WaveContext(k=4.0, omega=np.array([0.0, 0.6, 0.8]))
+        shape = 0.3 * np.random.default_rng(0).uniform(-1, 1, 25)
+        shape[0] = 2.0 * np.sqrt(4 * np.pi)
+        lam = ImpedanceField.constant(0.5)
+        solved = []
+
+        def recording(ctx, geom, field, *args, **kwargs):
+            solved.append(field)
+            return solve_density(ctx, geom, field, *args, **kwargs)
+
+        monkeypatch.setattr(stability, "solve_density", recording)
+        sweep = stability_sweep(lam, shape, [1e-3, 1e3], ctx, GEOM, band_limit=24)
+        assert [f.coefficients[0] for f in solved] == \
+            [lam.coefficients[0], lam.coefficients[0] + 1e3 * shape[0]]
+        for rec in sweep.records:
+            expected = far_field_delta(lam, stability._perturbed(lam, shape, rec.epsilon), 24, ctx)
+            assert rec.delta == pytest.approx(expected, rel=1e-11)
 
 
 class TestLemma51:
