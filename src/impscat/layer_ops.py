@@ -51,12 +51,16 @@ N' = min(N_λ, N), in the degree-major order (Cuthill & McKee, Proc. ACM
 Nat. Conf. 1969): 51 against 96 at N = 24, N_λ = 2.  Only those kept
 entries are stored, 13,931 at N = 24, N_λ = 2 against the 64,375 slots of
 a (2b + 1)-row band.  :func:`_band_pattern` lays them out once per
-(N, N_λ), as compressed sparse rows with their positions in LAPACK's band
-workspace, and M_{iλ} and every system built from it are the values of
-those entries on that one pattern.  ``matvec`` is one sparse-row product;
-it and ``solve`` permute, so vectors stay in the degree-major order.  By
-the selection rule (:func:`multiplication_operator`) a constant λ has the
-pattern of N_λ = 0, the identity, b = 0, whose arrays are views of one
+(N, N_λ), as m-major compressed sparse rows with their positions in
+LAPACK's band workspace, and again in degree-major rows whose columns are
+already mapped through the permutation; M_{iλ} and every system built from
+it are the values of those entries on that one pattern.  A matrix gathers
+its entries into the degree-major rows once, and ``matvec`` is then one
+numpy product, ``np.add.reduceat`` of the entries times x at their columns
+over the row starts, with no permutation of x or of the result, so
+vectors stay in the degree-major order.  By the selection rule
+(:func:`multiplication_operator`) a constant λ has the pattern of N_λ = 0,
+the identity, b = 0, whose arrays but the entry order are views of one
 range 0..n: it is solved by one division, with its exact rcond
 min|d| / max|d|, and without scipy: a constant-λ solve runs on numpy alone.
 
@@ -72,11 +76,11 @@ near-constant λ.  Every other system, and one whose GMRES has not
 converged within its cap, is solved by one banded LU: the entries are
 scattered once into its workspace, and LAPACK's rcond estimate (gbcon, at
 the 1-norm taken as the largest column sum) is checked.  Below 256 rows
-the LU is the faster even for a certified system.  A matrix builds its
-sparse rows and its column sums once, for every product, the certificate
-and the LU's 1-norm alike.  ``scipy.sparse`` is imported for b > 0 and
-``scipy.linalg`` only where the LU runs; they are the only scipy modules a
-solve loads.
+the LU is the faster even for a certified system.  A matrix gathers its
+degree-major rows and makes its column sums once, for every product, the
+certificate and the LU's 1-norm alike.  ``scipy.linalg`` is imported only
+where the LU runs: it is the only scipy module a solve loads, and a
+certified solve runs on numpy alone.
 
 The GMRES routine solves (σ + C)y = s for a tuple of shifts σ on one
 Krylov basis of (C, s): a solve is C = ÂD⁻¹ − I at σ = 1, and a stability
@@ -135,6 +139,22 @@ def admissibility_rule(band_limit: int) -> QuadratureRule:
     return gauss_product_rule(max(8, 2 * band_limit))
 
 
+def _require_admissible(coefficients: np.ndarray, bound: float) -> None:
+    """Raise ``ValueError`` unless every row of the real harmonic
+    ``coefficients`` ((..., (N+1)²)) is finite and, on the
+    :func:`admissibility_rule` of N, at least 0 and at most ``bound``, each
+    to 1e-12.  All rows take one synthesis, whose values equal, bit for bit,
+    each row's :meth:`ImpedanceField.evaluate_on` that rule."""
+    if not np.all(np.isfinite(coefficients)):
+        raise ValueError("impedance coefficients must be finite")
+    rule = admissibility_rule(_band_limit_of(coefficients.shape[-1]))
+    values = _synthesize(_complex_coefficients(coefficients), rule).real
+    if np.any(values < -1e-12):
+        raise ValueError("impedance must be nonnegative on the boundary")
+    if np.max(values, initial=0.0) > bound + 1e-12:
+        raise ValueError("impedance exceeds its stated bound M")
+
+
 @dataclass(frozen=True)
 class ImpedanceField:
     """Nonnegative surface impedance λ as real harmonic coefficients.
@@ -150,15 +170,9 @@ class ImpedanceField:
 
     def __post_init__(self):
         coeffs = np.array(self.coefficients, dtype=float)  # a copy: the caller's stays writeable
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("impedance coefficients must be finite")
+        _require_admissible(coeffs, self.bound)
         object.__setattr__(self, "coefficients", coeffs)
         coeffs.setflags(write=False)
-        vals = self.evaluate_on(admissibility_rule(self.band_limit))
-        if np.any(vals < -1e-12):
-            raise ValueError("impedance must be nonnegative on the boundary")
-        if np.max(vals, initial=0.0) > self.bound + 1e-12:
-            raise ValueError("impedance exceeds its stated bound M")
 
     @classmethod
     def constant(cls, value: float, bound: float | None = None) -> "ImpedanceField":
@@ -197,6 +211,13 @@ class BandPattern(NamedTuple):
     positions of the n entries i = j in row order, b is the largest |i − j|,
     and ``lu_dest[e]`` is the flat position of e in the Fortran-order
     (3b + 1) × (N+1)² workspace of LAPACK's ``gbtrf``, j·(3b + 1) + 2b + i − j.
+
+    The same entries in the degree-major row layout, which ``matvec`` reads:
+    its t-th entry is entry ``order[t]``, at the degree-major column
+    ``columns[t]`` (``perm[indices[order[t]]]``, perm of
+    :func:`impscat.specfun._m_major`); degree-major row r holds the entries
+    ``starts[r]`` up to the next row's start, in the m-major rows' column
+    order.  Every row holds its diagonal, so no row is empty.
     """
 
     b: int
@@ -204,6 +225,9 @@ class BandPattern(NamedTuple):
     indices: np.ndarray
     diagonal: np.ndarray
     lu_dest: np.ndarray
+    order: np.ndarray
+    columns: np.ndarray
+    starts: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -237,18 +261,20 @@ class BoundaryOperatorMatrix:
         return _m_major(_band_limit_of(self.size))[0]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        perm = self._perm()
-        if self.pattern.b == 0:
+        pattern = self.pattern
+        if pattern.b == 0:
+            perm = self._perm()
             return _to_degree_major(perm, self.entries * x[perm])
-        return _to_degree_major(perm, self._rows @ x[perm])
+        entries, _ = self._rows
+        return np.add.reduceat(entries * x[pattern.columns], pattern.starts)
 
     @cached_property
-    def _rows(self):
-        """Â as compressed sparse rows (b > 0), built once per matrix."""
-        from scipy.sparse import csr_array
-
-        pattern = self.pattern
-        return csr_array((self.entries, pattern.indices, pattern.indptr), (self.size,) * 2)
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(entries, diagonal) of A in the degree-major row layout of the
+        pattern (b > 0), built once per matrix."""
+        entries, pattern = self.entries, self.pattern
+        return (entries[pattern.order],
+                _to_degree_major(self._perm(), entries[pattern.diagonal]))
 
     @cached_property
     def _column_sums(self) -> np.ndarray:
@@ -292,22 +318,25 @@ class BoundaryOperatorMatrix:
         not converged within its cap, is solved by :meth:`factor`: at b > 0
         one banded LU, whose rcond estimate (``gbcon``) is checked.  gbcon
         can only overestimate the rcond, so a certified system is one the LU
-        would also accept.  The crossover of 256 rows (N >= 15) is measured:
-        at λ = 1.5 + 0.1·h and k = 1 the two take equal time between 225 and
-        289 rows at N_λ = 2, between 289 and 441 at N_λ = 1 and between 121
-        and 225 at N_λ = 4, and at N = 24, N_λ = 2 GMRES takes 0.44 ms
-        against the LU's 1.14 ms (2-core Xeon, numpy 2.4, scipy 1.17).
+        would also accept.  GMRES runs in the degree-major order of
+        ``matvec``, on the diagonal gathered into that order once.  The
+        crossover of 256 rows (N >= 15) is measured, with the numpy
+        ``matvec``: at λ = 1.5 + 0.1·h and k = 1 the two take equal time
+        near 289 rows at N_λ = 2, near 361 at N_λ = 1 and between 169 and
+        361 at N_λ = 4, and at N = 24, N_λ = 2 GMRES takes 0.67 ms against
+        the LU's 1.48 ms, the import of ``scipy.linalg`` aside (2 shared
+        cores, one BLAS thread, numpy 2.4, scipy 1.17, best of 7 × 20 calls
+        in each of two runs).
 
         Raises :class:`SingularSystemError` if A has a non-finite entry or a
         relative 1-norm rcond below 1e-12; at b = 0 the rcond is exact."""
-        entries, pattern = self.entries, self.pattern
-        if pattern.b > 0 and self.size >= _GMRES_MIN_SIZE:
+        if self.pattern.b > 0 and self.size >= _GMRES_MIN_SIZE:
             q, bound = self._jacobi_certificate()  # not finite for a non-finite entry
             if q < 0.5 and bound >= 1e-12:
-                perm, diagonal, rows = self._perm(), entries[pattern.diagonal], self._rows
-                [solved] = _gmres(lambda v: rows @ (v / diagonal) - v, rhs[perm], (1.0,))
+                _, diagonal = self._rows
+                [solved] = _gmres(lambda v: self.matvec(v / diagonal) - v, rhs, (1.0,))
                 if solved is not None:
-                    return _to_degree_major(perm, solved / diagonal)
+                    return solved / diagonal
         return self.factor()(rhs)
 
     def factor(self):
@@ -540,22 +569,32 @@ def _band_pattern(band_limit: int, lam_band: int) -> BandPattern:
     it, at (N, N_λ); N_λ = 0 is the identity, b = 0.  Every array is
     read-only.
 
-    Within a row the columns descend, so a row of ``matvec`` sums its terms
-    diagonal by diagonal from the top one down, as a banded product does.
+    The degree-major layout is built here, once per pattern, so that a
+    matrix only gathers its entries into it.  ``np.add.reduceat`` gives an
+    empty segment its next element rather than 0, so every row must hold
+    an entry: its diagonal, which the Gaunt rule always keeps (q = 0,
+    n = n').
     """
-    size = num_harmonics(band_limit)
-    if lam_band == 0:  # the identity: every array is 0..n, views of one range
+    size, perm = num_harmonics(band_limit), _m_major(band_limit)[0]
+    if lam_band == 0:  # the identity: every array but order is 0..n, views of one range
         ramp = np.arange(size + 1)
         ramp.setflags(write=False)
+        order = np.argsort(perm)
+        order.setflags(write=False)
         return BandPattern(b=0, indptr=ramp, indices=ramp[:-1], diagonal=ramp[:-1],
-                           lu_dest=ramp[:-1])
+                           lu_dest=ramp[:-1], order=order, columns=ramp[:-1],
+                           starts=ramp[:-1])
     pairs, order = _kept_pairs(band_limit, lam_band)
     i, j = (np.concatenate(arrays)[order] for arrays in zip(*pairs.values()))
-    b = int(np.abs(i - j).max())
+    b, diagonal = int(np.abs(i - j).max()), np.flatnonzero(i == j)
+    assert diagonal.size == size, "a row of the pattern lacks its diagonal"
     indptr = np.concatenate(([0], np.cumsum(np.bincount(i, minlength=size))))
-    pattern = BandPattern(b=b, indptr=indptr, indices=j,
-                          diagonal=np.flatnonzero(i == j),
-                          lu_dest=j * (3 * b + 1) + 2 * b + i - j)
+    rows = perm[i]  # the degree-major row of each entry
+    order = np.argsort(rows, kind="stable")  # keeps each row's column order
+    pattern = BandPattern(b=b, indptr=indptr, indices=j, diagonal=diagonal,
+                          lu_dest=j * (3 * b + 1) + 2 * b + i - j, order=order,
+                          columns=perm[j][order],
+                          starts=np.searchsorted(rows[order], np.arange(size)))
     for arr in pattern[1:]:
         arr.setflags(write=False)
     return pattern

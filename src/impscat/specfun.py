@@ -410,16 +410,17 @@ def _band_limit_of(size: int) -> int:
 
 
 def _complex_coefficients(real_coeffs) -> np.ndarray:
-    """Complex-harmonic coefficients of Σ a_nm R_n^m, R the real harmonics.
+    """Complex-harmonic coefficients of Σ a_nm R_n^m, R the real harmonics,
+    for each row of ``real_coeffs`` ((..., (N+1)^2)).
 
     With R as in :func:`real_sph_harmonic_all`: c_n0 = a_n0, and for m > 0
     c_nm = (a_nm − i a_n,−m)/sqrt2 and c_n,−m = (−1)^m conj(c_nm).
     """
     a = np.asarray(real_coeffs, dtype=float)
-    degs = harmonic_degrees(_band_limit_of(a.size))
+    degs = harmonic_degrees(_band_limit_of(a.shape[-1]))
     zero = degs * (degs + 1)
     m = np.arange(degs.size) - zero
-    pos = (a[zero + np.abs(m)] - 1j * a[zero - np.abs(m)]) / np.sqrt(2.0)
+    pos = (a[..., zero + np.abs(m)] - 1j * a[..., zero - np.abs(m)]) / np.sqrt(2.0)
     neg = (1 - 2 * (np.abs(m) % 2)) * np.conj(pos)
     return np.where(m > 0, pos, np.where(m < 0, neg, a))
 

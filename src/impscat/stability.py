@@ -37,6 +37,7 @@ from .geometry import ObstacleGeometry
 from .layer_ops import (
     ImpedanceField,
     _gmres,
+    _require_admissible,
     admissibility_rule,
     assemble_combined_system,
     assemble_multiplication,
@@ -134,13 +135,18 @@ class StabilitySweep:
                    if r.epsilon > 0)
 
 
+def _perturbed_coefficients(base: ImpedanceField, shape: np.ndarray,
+                            eps_list) -> np.ndarray:
+    """The real harmonic coefficients of λ₀ + εh, one row per ε of ``eps_list``."""
+    coeffs = np.zeros((len(eps_list), max(base.coefficients.size, shape.size)))
+    coeffs[:, :base.coefficients.size] = base.coefficients
+    coeffs[:, :shape.size] += np.multiply.outer(eps_list, shape)
+    return coeffs
+
+
 def _perturbed(base: ImpedanceField, shape: np.ndarray,
                eps: float) -> ImpedanceField:
-    shape = np.asarray(shape, dtype=float)
-    n = max(base.coefficients.size, shape.size)
-    coeffs = np.zeros(n)
-    coeffs[: base.coefficients.size] = base.coefficients
-    coeffs[: shape.size] += eps * shape
+    [coeffs] = _perturbed_coefficients(base, np.asarray(shape, dtype=float), [eps])
     return ImpedanceField(coefficients=coeffs, bound=np.inf)
 
 
@@ -183,7 +189,7 @@ def stability_sweep(base: ImpedanceField, shape, eps_list,
     ``eps_list`` holds the perturbation sizes ε: finite, nonnegative and
     at least one of them positive, and ``shape`` (h) at least one nonzero
     coefficient (the fit needs a perturbed record).  Every λ₀ + εh must be
-    admissible; all are checked before any solve.
+    admissible; all are checked, in one synthesis, before any solve.
 
     The system and its right-hand side are linear in λ: A(ε) = A₀ + εB and
     rhs(ε) = r₀ + εr₁, with B = M_{ih}·(−2 c h_n) built once.  From the base
@@ -209,9 +215,9 @@ def stability_sweep(base: ImpedanceField, shape, eps_list,
     shape = np.asarray(shape, dtype=float)
     if not np.any(shape):
         raise ValueError("the perturbation shape must have a nonzero coefficient")
-    fields = {eps: _perturbed(base, shape, eps) for eps in eps_sorted}
+    _require_admissible(_perturbed_coefficients(base, shape, eps_sorted), np.inf)
     h = _trimmed(shape)
-    deltas, slope = _family_distances(ctx, geom, base, h, fields, band_limit)
+    deltas, slope = _family_distances(ctx, geom, base, shape, h, eps_sorted, band_limit)
     sup_h = float(np.max(np.abs(_synthesize(_complex_coefficients(h),
                                             gauss_product_rule(64)).real)))
     rows = [(eps, deltas.get(eps, 0.0), eps * sup_h) for eps in eps_sorted]
@@ -231,9 +237,11 @@ def stability_sweep(base: ImpedanceField, shape, eps_list,
 
 
 def _family_distances(ctx: WaveContext, geom: ObstacleGeometry, base: ImpedanceField,
-                      h: np.ndarray, fields: dict, band_limit: int) -> tuple[dict, float]:
-    """({ε: δ}, δ'(0)) for the positive ε of ``fields`` (each ε's admissible
-    λ₀ + εh) from one shifted family, as :func:`stability_sweep` describes."""
+                      shape: np.ndarray, h: np.ndarray, eps_list,
+                      band_limit: int) -> tuple[dict, float]:
+    """({ε: δ}, δ'(0)) for the positive ε of ``eps_list``, each λ₀ + εh
+    admissible, from one shifted family, as :func:`stability_sweep`
+    describes; h is ``shape`` cut by :func:`_trimmed`."""
     wave = solve_density(ctx, geom, base, band_limit=band_limit)
     table, eta = ctx.modal(geom.radius, band_limit), default_coupling(ctx.k)
     c = radiating_coefficient_diagonal(table, eta)
@@ -243,13 +251,14 @@ def _family_distances(ctx: WaveContext, geom: ObstacleGeometry, base: ImpedanceF
     u_inc, dnu_inc = incident_coefficients(table, ctx.incident_amplitudes(band_limit))
     r0, r1 = 2.0 * (dnu_inc + mult.matvec(u_inc)), 2.0 * mult_h.matvec(u_inc)
     source = 2.0 * mult_h.matvec(u_inc + table.hn * wave.amplitudes)
-    positive = [eps for eps in fields if eps > 0.0]
+    positive = [eps for eps in dict.fromkeys(eps_list) if eps > 0.0]
     shifted = _gmres(lambda v: mult_h.matvec(trace * inverse(v)), source,
                      [1.0 / eps for eps in positive])
     phi0, deltas = wave.amplitudes / c, {}
     for eps, y in zip(positive, shifted):
         if y is None:  # not converged within the cap: solved on its own
-            wave_eps = solve_density(ctx, geom, fields[eps], band_limit=band_limit)
+            wave_eps = solve_density(ctx, geom, _perturbed(base, shape, eps),
+                                     band_limit=band_limit)
             deltas[eps] = float(np.linalg.norm(wave_eps.amplitudes - wave.amplitudes)) / ctx.k
             continue
         dphi = inverse(y)

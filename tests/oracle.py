@@ -8,16 +8,18 @@ function live here, as independent checks on what the package computes.
 So do the sphere means of test-function squares by a fine product rule,
 against which the families' closed forms are checked, and the nodes and
 weights of a shell rule, which the package integrates without building.
-So do the dense reader and writer of a system's kept entries: no test reads
-or writes a pattern's layout but through them, and the per-degree loop
-versions of the harmonic layer, which the package's gathers must equal to
-the byte.
+So do the dense reader and writer of a system's kept entries (no test
+reads or writes a pattern's layout but through them), the product by
+scipy's compressed sparse rows that the package's numpy product is checked
+against, and the per-degree loop versions of the harmonic layer, which the
+package's gathers must equal to the byte.
 """
 
 from dataclasses import dataclass, field
 from math import isqrt
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from impscat.carleman import PlaneWaves, Quadratics, _suite_positions
 from impscat.forward import _mie_amplitudes, _mie_band_limit, _outgoing_wave
@@ -104,6 +106,16 @@ def dense(system: BoundaryOperatorMatrix) -> np.ndarray:
     """The degree-major matrix A of ``system``: its kept entries, zero elsewhere."""
     out = np.zeros((system.size, system.size), dtype=system.entries.dtype)
     out[_kept_positions(system.pattern, system.size)] = system.entries
+    return out
+
+
+def csr_product(system: BoundaryOperatorMatrix, x: np.ndarray) -> np.ndarray:
+    """A x for a degree-major ``x``, by scipy's compressed sparse rows over
+    the m-major ``indptr`` and ``indices`` of the system's pattern."""
+    pattern, perm = system.pattern, _m_major(isqrt(system.size) - 1)[0]
+    rows = csr_array((system.entries, pattern.indices, pattern.indptr), (system.size,) * 2)
+    out = np.empty(system.size, dtype=complex)
+    out[perm] = rows @ x[perm]
     return out
 
 

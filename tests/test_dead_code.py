@@ -4,7 +4,9 @@ The guard parses ``src/impscat/*.py`` with ``ast`` and fails for any
 function, class or method (dunders aside) whose name nothing reads.  A name
 is read where it appears
 - as a ``Name`` or ``Attribute`` anywhere in the package, its own
-  definition aside;
+  definition aside, but for a ``Name`` whose id is a parameter or an
+  assignment target of its innermost enclosing function: that local reads
+  no definition (a parameter ``distance`` reads no method ``distance``);
 - as a ``Name``, an ``Attribute`` or a string constant under ``perfbench/``,
   whose tracer names its targets as strings;
 - as a name anywhere in ``tests/test_acceptance.py``, the paper's criteria;
@@ -26,6 +28,7 @@ KEEP = {
 }
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
 def parsed(paths) -> list:
@@ -41,17 +44,46 @@ def foreign_modules(tree) -> set:
             for alias in node.names if alias.name.split(".")[0] != "impscat"}
 
 
+def function_locals(function) -> set:
+    """The parameters of ``function`` (a def or a lambda) and the names its
+    own body assigns, the bodies of functions nested in it aside."""
+    args = function.args
+    names = {arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                 args.vararg, args.kwarg) if arg is not None}
+    pending = list(ast.iter_child_nodes(function))
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif not isinstance(node, _SCOPES):
+            pending.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def name_loads(node, local=frozenset()):
+    """The ids of the ``Name`` loads under ``node`` that are not a local
+    (:func:`function_locals`) of their innermost enclosing function."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, _SCOPES):
+            yield from name_loads(child, function_locals(child))
+        elif isinstance(child, ast.Name):
+            if isinstance(child.ctx, ast.Load) and child.id not in local:
+                yield child.id
+        else:
+            yield from name_loads(child, local)
+
+
 def names_read(trees, strings: bool = False, imports: bool = False) -> set:
-    """Every ``Name`` id and ``Attribute`` attr in ``trees``, an attribute of
-    a foreign module (:func:`foreign_modules`) aside, and, if asked, every
-    string constant and every name an import brings in."""
+    """Every ``Name`` load of :func:`name_loads` and ``Attribute`` attr in
+    ``trees``, an attribute of a foreign module (:func:`foreign_modules`)
+    aside, and, if asked, every string constant and every name an import
+    brings in."""
     out = set()
     for tree in trees:
         foreign = foreign_modules(tree)
+        out.update(name_loads(tree))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                out.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            if isinstance(node, ast.Attribute):
                 if not (isinstance(node.value, ast.Name) and node.value.id in foreign):
                     out.add(node.attr)
             elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -95,3 +127,16 @@ def test_attributes_of_foreign_modules_read_nothing():
     foreign = ast.parse("import numpy as np\nimport impscat as im\nnp.empty(3)\nim.solve_farfield")
     assert names_read([foreign]) == {"np", "im", "solve_farfield"}
     assert "empty" in names_read([ast.parse("report.empty")])
+
+
+def test_locals_of_a_function_read_nothing():
+    # a parameter or local named like a method reads no method; a name the
+    # function only loads, or one loaded at module level, still reads
+    tree = ast.parse("def f(distance, *rest, **extra):\n"
+                     "    total = distance + len(rest) + len(extra)\n"
+                     "    for step in total:\n"
+                     "        helper(step, key=lambda norm: norm)\n"
+                     "norm = 1\n"
+                     "print(norm)")
+    assert names_read([tree]) == {"len", "helper", "print", "norm"}
+    assert names_read([ast.parse("def f():\n    return distance")]) == {"distance"}

@@ -2,6 +2,7 @@
 
 import re
 import warnings
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from impscat.specfun import (
     sph_harmonic_all,
 )
 
-from oracle import dense, harmonic_index, layer_eigenvalue, on_pattern
+from oracle import csr_product, dense, harmonic_index, layer_eigenvalue, on_pattern
 
 
 def variable_field(lam_band, seed):
@@ -424,15 +425,39 @@ class TestBandPattern:
                 np.diagonal(permuted, offset)
         np.testing.assert_array_equal(work.reshape(3 * b + 1, size, order="F"), layout)
 
+    @settings(max_examples=40, deadline=None)
+    @given(band_limit=st.integers(1, 40), lam_band=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    @example(band_limit=1, lam_band=1, seed=0)
+    @example(band_limit=2, lam_band=4, seed=1)  # N_λ >= N
+    @example(band_limit=40, lam_band=4, seed=2)
+    def test_matvec_matches_compressed_sparse_rows(self, band_limit, lam_band, seed):
+        pattern, size = layer_ops._band_pattern(band_limit, lam_band), num_harmonics(band_limit)
+        # np.add.reduceat gives an empty segment its next entry, not 0: every
+        # degree-major row is a nonempty segment that holds its diagonal once
+        counts = np.diff(np.append(pattern.starts, pattern.columns.size))
+        assert pattern.starts[0] == 0 and np.all(counts > 0)
+        rows = np.repeat(np.arange(size), counts)
+        np.testing.assert_array_equal(rows[pattern.columns == rows], np.arange(size))
+        rng = np.random.default_rng(seed)
+        entries = rng.normal(size=pattern.indices.size) + 1j * rng.normal(size=pattern.indices.size)
+        system = layer_ops.BoundaryOperatorMatrix(entries=entries, pattern=pattern)
+        x = rng.normal(size=size) + 1j * rng.normal(size=size)
+        expected = csr_product(system, x)
+        assert np.linalg.norm(system.matvec(x) - expected) <= 1e-15 * np.linalg.norm(expected)
+
     @pytest.mark.parametrize("band_limit", [0, 3, 24])
     def test_identity_pattern_is_one_range(self, band_limit):
-        # N_λ = 0: every array is a read-only view of one 0..n
+        # N_λ = 0: every array is a read-only view of one 0..n, but the
+        # degree-major order, which takes row r to its m-major entry
         pattern, size = layer_ops._band_pattern(band_limit, 0), num_harmonics(band_limit)
         assert pattern.b == 0
         np.testing.assert_array_equal(pattern.indptr, np.arange(size + 1))
-        for arr in pattern[2:]:
+        for arr in (pattern.indices, pattern.diagonal, pattern.lu_dest, pattern.columns,
+                    pattern.starts):
             np.testing.assert_array_equal(arr, np.arange(size))
             assert np.shares_memory(arr, pattern.indptr)
+        np.testing.assert_array_equal(_m_major(band_limit)[0][pattern.order], np.arange(size))
         assert not any(arr.flags.writeable for arr in pattern[1:])
 
 
@@ -572,16 +597,18 @@ class TestCertifiedSolve:
         np.testing.assert_allclose(x, scale * system.solve(rhs), rtol=1e-13, atol=0.0)
 
     def test_rows_built_once_per_system(self, monkeypatch):
-        # GMRES and the residual check's matvec share one csr_array
-        import scipy.sparse
+        # GMRES and the residual check's matvec share one gather of the
+        # entries into the degree-major rows
+        build = layer_ops.BoundaryOperatorMatrix._rows.func
+        built = []
 
-        built, csr_array = [], scipy.sparse.csr_array
+        def counted(system):
+            built.append(system)
+            return build(system)
 
-        def counted(*args, **kwargs):
-            built.append(args)
-            return csr_array(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.sparse, "csr_array", counted)
+        rows = cached_property(counted)
+        rows.__set_name__(layer_ops.BoundaryOperatorMatrix, "_rows")
+        monkeypatch.setattr(layer_ops.BoundaryOperatorMatrix, "_rows", rows)
         system = system_for(variable_field(2, 3), 16)
         rhs = np.random.default_rng(5).normal(size=system.size) + 0j
         system.matvec(system.solve(rhs))

@@ -398,6 +398,15 @@ class TestRingSynthesis:
         assert both.shape == (2, 3, rule.npts)
         np.testing.assert_array_equal(both[1, 2], _synthesize(coeffs[1, 2], rule))
 
+    def test_real_rows_converted_independently(self):
+        # a stability sweep checks every λ₀ + εh in one synthesis: each row
+        # must read as it reads alone
+        coeffs = np.random.default_rng(5).normal(size=(4, num_harmonics(3)))
+        rule = gauss_product_rule(8)
+        rows = _synthesize(_complex_coefficients(coeffs), rule)
+        for row, alone in zip(rows, coeffs):
+            np.testing.assert_array_equal(row, _synthesize(_complex_coefficients(alone), rule))
+
     def test_rejects_bad_input(self):
         rule = gauss_product_rule(4)
         with pytest.raises(ValueError):

@@ -188,10 +188,29 @@ class TestStabilitySweep:
         sweep()
         assert specfun._ring_legendre.cache_info().misses == info.misses
 
-    def test_negative_impedance_rejected(self):
-        with pytest.raises(ValueError):
-            stability_sweep(ImpedanceField.constant(0.01), SHAPE, [0.5],
-                            CTX, GEOM, band_limit=12)
+    def test_negative_impedance_rejected(self, monkeypatch):
+        # every λ₀ + εh is checked in one synthesis before any solve, with
+        # the error its ImpedanceField raises: λ₀ + 0.5h < 0 near a pole, and
+        # a NaN in h is not finite
+        base = ImpedanceField.constant(0.01)
+        cases = [(SHAPE, [0.05, 0.5]), (np.array([0.0, 0.0, np.nan, 0.0]), [1e-3, 0.1])]
+        expected = []
+        for shape, eps_list in cases:
+            with pytest.raises(ValueError) as raised:
+                stability._perturbed(base, shape, eps_list[-1])
+            expected.append(str(raised.value))
+        assert expected == ["impedance must be nonnegative on the boundary",
+                            "impedance coefficients must be finite"]
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved or built a field before the family was checked")
+
+        for name in ("solve_density", "assemble_combined_system", "multiplication_operator",
+                     "_perturbed"):
+            monkeypatch.setattr(stability, name, no_solve)
+        for (shape, eps_list), message in zip(cases, expected):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                stability_sweep(base, shape, eps_list, CTX, GEOM, band_limit=12)
 
     @pytest.mark.parametrize("eps_list", [[], [0.0], [-0.1], [-0.1, 0.1],
                                           [0.1, np.nan], [0.1, np.inf]])
