@@ -375,8 +375,6 @@ class CarlemanResult:
 
     lhs_factored: float
     rhs_factored: float
-    lam: float
-    tau: float
 
     @property
     def holds(self) -> bool:
@@ -469,9 +467,9 @@ def carleman_sides(suite, setup: CarlemanSetup, pairs) -> list:
         (v2, g2, l2), (b2, bg2) = sums
         lhs, rhs = v2 + g2, l2 + (b2 + bg2)
     _require_finite(pairs, np.hstack((lhs, rhs)), "side")
-    return [[CarlemanResult(lhs_factored=left, rhs_factored=right, lam=lam, tau=tau)
+    return [[CarlemanResult(lhs_factored=left, rhs_factored=right)
              for left, right in zip(lhs[j].tolist(), rhs[j].tolist())]
-            for j, (lam, tau) in enumerate(pairs)]
+            for j in range(len(pairs))]
 
 
 @dataclass(frozen=True)

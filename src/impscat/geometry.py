@@ -113,11 +113,11 @@ def chain_ball_count(r: float, big_r: float, theta: float) -> int:
 
 @dataclass(frozen=True)
 class ConeChain:
-    """Ball chain (x_k, ρ_k, d_k), k = 0..N, marching along the cone axis ξ."""
+    """Ball chain (x_k, ρ_k), k = 0..N, marching along the cone axis ξ; the
+    distances d_k = 3ρ_k / sinθ grow by ``ratio`` μ per ball."""
 
     centers: np.ndarray
     radii: np.ndarray
-    distances: np.ndarray
     ratio: float
 
     @property
@@ -158,7 +158,7 @@ def build_cone_chain(x_tilde: np.ndarray, r: float, geom: ObstacleGeometry,
     dists = (r / 2.0) * mu ** np.arange(n_balls + 1)
     centers = x_tilde[None, :] + dists[:, None] * xi[None, :]
     radii = c * dists
-    chain = ConeChain(centers=centers, radii=radii, distances=dists, ratio=mu)
+    chain = ConeChain(centers=centers, radii=radii, ratio=mu)
     dist_bnd = geom.distance_to_boundary(centers)
     outer_ok = _norms(centers) + 3.0 * radii <= big_r
     if np.any(dist_bnd <= 3.0 * radii) or not np.all(outer_ok):

@@ -43,26 +43,23 @@ The G_L depend on (N, N_λ) alone: :func:`_gaunt_band` integrates them once,
 exactly, on Gauss latitudes, and each assembly is one contraction of λ's
 coefficients with that table.  The same table is the linear map h -> M_{ih}.
 The entry is also zero for |n − n'| > N_λ (Gaunt), so the system couples
-(n, m) only to (n', m') with |n − n'| <= N_λ and |m − m'| <= N_λ.  Every
-system is held over the m-major order (m = −N..N, then n = |m|..N; the
-permutation of :func:`impscat.specfun._m_major`), where those couplings
-stay within b ≈ N_λ(N + 1) of the diagonal, against N'(2N − N' + 2),
-N' = min(N_λ, N), in the degree-major order (Cuthill & McKee, Proc. ACM
-Nat. Conf. 1969): 51 against 96 at N = 24, N_λ = 2.  Only those kept
-entries are stored, 13,931 at N = 24, N_λ = 2 against the 64,375 slots of
-a (2b + 1)-row band.  :func:`_band_pattern` lays them out once per
-(N, N_λ), as m-major compressed sparse rows with their positions in
-LAPACK's band workspace, and again in degree-major rows whose columns are
-already mapped through the permutation; M_{iλ} and every system built from
-it are the values of those entries on that one pattern.  A matrix gathers
-its entries into the degree-major rows once, and ``matvec`` is then one
-numpy product, ``np.add.reduceat`` of the entries times x at their columns
-over the row starts, with no permutation of x or of the result, so
-vectors stay in the degree-major order.  By the selection rule
-(:func:`multiplication_operator`) a constant λ has the pattern of N_λ = 0,
-the identity, b = 0, whose arrays but the entry order are views of one
-range 0..n: it is solved by one division, with its exact rcond
-min|d| / max|d|, and without scipy: a constant-λ solve runs on numpy alone.
+(n, m) only to (n', m') with |n − n'| <= N_λ and |m − m'| <= N_λ.  Over the
+m-major order (m = −N..N, then n = |m|..N) those couplings stay within
+b ≈ N_λ(N + 1) of the diagonal, against N'(2N − N' + 2), N' = min(N_λ, N),
+in the degree-major order (Cuthill & McKee, Proc. ACM Nat. Conf. 1969): 51
+against 96 at N = 24, N_λ = 2.  Only those kept entries are stored, 13,931
+at N = 24, N_λ = 2 against the 64,375 slots of a (2b + 1)-row band.
+:func:`_band_pattern` lays them out once per (N, N_λ), in degree-major rows
+with their degree-major columns, and with their positions in LAPACK's band
+workspace over the m-major order; M_{iλ} and every system built from it are
+the values of those entries on that one pattern.  ``matvec`` is one numpy
+product, ``np.add.reduceat`` of the entries times x at their columns over
+the row starts, so vectors stay in the degree-major order: only the banded
+LU permutes them.  By the selection rule (:func:`multiplication_operator`)
+a constant λ has the pattern of N_λ = 0, the identity, b = 0, whose rows,
+columns and diagonal are views of one range 0..n: it is solved by one
+division, with its exact rcond min|d| / max|d|, and without scipy: a
+constant-λ solve runs on numpy alone.
 
 Any other system first meets a Jacobi certificate.  With D the diagonal of
 A, one pass of column sums gives q = ‖AD⁻¹ − I‖₁ and the bound
@@ -76,14 +73,13 @@ near-constant λ.  Every other system, and one whose GMRES has not
 converged within its cap, is solved by one banded LU: the entries are
 scattered once into its workspace, and LAPACK's rcond estimate (gbcon, at
 the 1-norm taken as the largest column sum) is checked.  Below 256 rows
-the LU is the faster even for a certified system.  A matrix gathers its
-degree-major rows and makes its column sums once, for every product, the
-certificate and the LU's 1-norm alike.  ``scipy.linalg`` is imported only
-where the LU runs: it is the only scipy module a solve loads, and a
-certified solve runs on numpy alone.
+the LU is the faster even for a certified system.  A matrix makes its
+column sums once, for the certificate and the LU's 1-norm alike.
+``scipy.linalg`` is imported only where the LU runs: it is the only scipy
+module a solve loads, and a certified solve runs on numpy alone.
 
 The GMRES routine solves (σ + C)y = s for a tuple of shifts σ on one
-Krylov basis of (C, s): a solve is C = ÂD⁻¹ − I at σ = 1, and a stability
+Krylov basis of (C, s): a solve is C = AD⁻¹ − I at σ = 1, and a stability
 sweep's λ₀ + εh, whose system is A₀ + εB, is C = B·A₀⁻¹ at σ = 1/ε for
 all its ε at once (:func:`impscat.stability.stability_sweep`), in 7 or 8
 steps at the sweep-variable benchmark's sizes.
@@ -183,7 +179,7 @@ class ImpedanceField:
 
     @property
     def band_limit(self) -> int:
-        return int(np.sqrt(self.coefficients.size)) - 1 if self.coefficients.size else 0
+        return _band_limit_of(self.coefficients.size)
 
     @property
     def is_constant(self) -> bool:
@@ -203,51 +199,43 @@ class ImpedanceField:
 # ---------------------------------------------------------------------------
 
 class BandPattern(NamedTuple):
-    """The kept entries of every system at (N, N_λ), over the m-major order.
+    """The kept entries of every system at (N, N_λ), in degree-major rows.
 
-    Entry e sits at the m-major (i, j) of compressed sparse rows: row i
-    holds e in ``indptr[i]:indptr[i + 1]``, with j = ``indices[e]``; rows
-    ascend and, within a row, columns descend.  ``diagonal`` holds the
-    positions of the n entries i = j in row order, b is the largest |i − j|,
-    and ``lu_dest[e]`` is the flat position of e in the Fortran-order
-    (3b + 1) × (N+1)² workspace of LAPACK's ``gbtrf``, j·(3b + 1) + 2b + i − j.
-
-    The same entries in the degree-major row layout, which ``matvec`` reads:
-    its t-th entry is entry ``order[t]``, at the degree-major column
-    ``columns[t]`` (``perm[indices[order[t]]]``, perm of
-    :func:`impscat.specfun._m_major`); degree-major row r holds the entries
-    ``starts[r]`` up to the next row's start, in the m-major rows' column
-    order.  Every row holds its diagonal, so no row is empty.
+    Degree-major row r holds the entries ``starts[r]`` up to the next row's
+    start, entry e at the degree-major column ``columns[e]``; every row
+    holds its diagonal, at ``diagonal[r]``, so no row is empty.  Within a
+    row the entries run by descending m-major column.  Entry e at
+    degree-major (r, c) sits at the m-major (i, j) with perm[i] = r and
+    perm[j] = c, perm the m-major permutation; b is the largest |i − j|, and
+    ``lu_dest[e]`` is the flat position of e in the Fortran-order
+    (3b + 1) × (N+1)² workspace of LAPACK's ``gbtrf`` over the m-major
+    order, j·(3b + 1) + 2b + i − j.
     """
 
     b: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    diagonal: np.ndarray
-    lu_dest: np.ndarray
-    order: np.ndarray
     columns: np.ndarray
     starts: np.ndarray
+    diagonal: np.ndarray
+    lu_dest: np.ndarray
 
 
 @dataclass(frozen=True)
 class BoundaryOperatorMatrix:
     """Galerkin matrix A as the values of its kept entries on a pattern.
 
-    With P the m-major permutation (:func:`impscat.specfun._m_major`) and
-    Â = A[P][:, P], ``entries[e]`` is Â at the (i, j) of entry e of
-    ``pattern`` (:func:`_band_pattern`); every other entry of Â is zero.
-    b = 0 is a diagonal matrix.  ``matvec`` and ``solve`` take and return
-    degree-major vectors.
+    ``entries[e]`` is A at the degree-major row and column of entry e of
+    ``pattern`` (:func:`_band_pattern`); every other entry of A is zero.
+    b = 0 is a diagonal matrix, ``entries`` its diagonal.  ``matvec`` and
+    ``solve`` take and return degree-major vectors.
     """
 
     entries: np.ndarray
     pattern: BandPattern
 
     def __post_init__(self):
-        if self.entries.shape != self.pattern.indices.shape:
+        if self.entries.shape != self.pattern.columns.shape:
             raise ValueError(f"{self.entries.shape} entries on a pattern of "
-                             f"{self.pattern.indices.size}")
+                             f"{self.pattern.columns.size}")
         entries = self.entries.view()  # read-only, while the caller's array stays writeable
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
@@ -255,32 +243,19 @@ class BoundaryOperatorMatrix:
     @property
     def size(self) -> int:
         """(N+1)², the order of A."""
-        return self.pattern.indptr.size - 1
-
-    def _perm(self) -> np.ndarray:
-        return _m_major(_band_limit_of(self.size))[0]
+        return self.pattern.starts.size
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         pattern = self.pattern
         if pattern.b == 0:
-            perm = self._perm()
-            return _to_degree_major(perm, self.entries * x[perm])
-        entries, _ = self._rows
-        return np.add.reduceat(entries * x[pattern.columns], pattern.starts)
-
-    @cached_property
-    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """(entries, diagonal) of A in the degree-major row layout of the
-        pattern (b > 0), built once per matrix."""
-        entries, pattern = self.entries, self.pattern
-        return (entries[pattern.order],
-                _to_degree_major(self._perm(), entries[pattern.diagonal]))
+            return self.entries * x
+        return np.add.reduceat(self.entries * x[pattern.columns], pattern.starts)
 
     @cached_property
     def _column_sums(self) -> np.ndarray:
-        """The column sums of |Â|, made once for the certificate and ‖A‖₁
+        """The column sums of |A|, made once for the certificate and ‖A‖₁
         (read-only)."""
-        sums = np.bincount(self.pattern.indices, np.abs(self.entries), self.size)
+        sums = np.bincount(self.pattern.columns, np.abs(self.entries), self.size)
         sums.setflags(write=False)
         return sums
 
@@ -289,12 +264,12 @@ class BoundaryOperatorMatrix:
         return float(self._column_sums.max())
 
     def _jacobi_certificate(self) -> tuple[float, float]:
-        """(q, bound): q = ‖ÂD⁻¹ − I‖₁ for D the diagonal of Â, and a lower
+        """(q, bound): q = ‖AD⁻¹ − I‖₁ for D the diagonal of A, and a lower
         bound on the 1-norm rcond of A.
 
-        Both come from one pass of column sums s_j of |Â|: column j of
-        ÂD⁻¹ − I sums to s_j / |d_j| − 1, and for q < 1, with
-        E = ÂD⁻¹ − I, ‖Â⁻¹‖₁ = ‖D⁻¹(I + E)⁻¹‖₁ <= 1 / ((1 − q) min|d|),
+        Both come from one pass of column sums s_j of |A|: column j of
+        AD⁻¹ − I sums to s_j / |d_j| − 1, and for q < 1, with
+        E = AD⁻¹ − I, ‖A⁻¹‖₁ = ‖D⁻¹(I + E)⁻¹‖₁ <= 1 / ((1 − q) min|d|),
         so rcond₁(A) >= bound = (1 − q) min|d| / ‖A‖₁.  A zero d or an
         overflowing sum makes q or bound non-finite: no certificate.
         """
@@ -309,17 +284,17 @@ class BoundaryOperatorMatrix:
         a banded LU.
 
         For b > 0 the Jacobi certificate (:meth:`_jacobi_certificate`) gives
-        q = ‖ÂD⁻¹ − I‖₁, D the diagonal of Â, and a lower bound on the
+        q = ‖AD⁻¹ − I‖₁, D the diagonal of A, and a lower bound on the
         1-norm rcond.  If q < ½, that bound is at least 1e-12 and A has at
-        least ``_GMRES_MIN_SIZE`` rows, :func:`_gmres` solves ÂD⁻¹y = rhs,
-        as (I + C)y = rhs with C = ÂD⁻¹ − I, and x = D⁻¹y.  The
+        least ``_GMRES_MIN_SIZE`` rows, :func:`_gmres` solves AD⁻¹y = rhs,
+        as (I + C)y = rhs with C = AD⁻¹ − I, and x = D⁻¹y.  The
         preconditioner is on the right, so the GMRES residual is the
         residual of A x = rhs.  Every other system, and one whose GMRES has
         not converged within its cap, is solved by :meth:`factor`: at b > 0
         one banded LU, whose rcond estimate (``gbcon``) is checked.  gbcon
         can only overestimate the rcond, so a certified system is one the LU
         would also accept.  GMRES runs in the degree-major order of
-        ``matvec``, on the diagonal gathered into that order once.  The
+        ``matvec``, on the diagonal read from the pattern.  The
         crossover of 256 rows (N >= 15) is measured, with the numpy
         ``matvec``: at λ = 1.5 + 0.1·h and k = 1 the two take equal time
         near 289 rows at N_λ = 2, near 361 at N_λ = 1 and between 169 and
@@ -333,7 +308,7 @@ class BoundaryOperatorMatrix:
         if self.pattern.b > 0 and self.size >= _GMRES_MIN_SIZE:
             q, bound = self._jacobi_certificate()  # not finite for a non-finite entry
             if q < 0.5 and bound >= 1e-12:
-                _, diagonal = self._rows
+                diagonal = self.entries[self.pattern.diagonal]
                 [solved] = _gmres(lambda v: self.matvec(v / diagonal) - v, rhs, (1.0,))
                 if solved is not None:
                     return solved / diagonal
@@ -342,20 +317,22 @@ class BoundaryOperatorMatrix:
     def factor(self):
         """x ↦ A⁻¹x for degree-major vectors, from one factorisation of A: a
         division at b = 0, checked at its exact rcond, else one banded LU
-        (``gbtrf``), checked at LAPACK's rcond estimate (``gbcon``, at the
-        1-norm of :meth:`one_norm`); each application is one ``gbtrs``.
+        (``gbtrf``) over the m-major order, checked at LAPACK's rcond
+        estimate (``gbcon``, at the 1-norm of :meth:`one_norm`); each
+        application is one ``gbtrs``.
 
         Raises :class:`SingularSystemError` if A has a non-finite entry or a
         relative 1-norm rcond below 1e-12."""
-        entries, pattern, perm = self.entries, self.pattern, self._perm()
+        entries, pattern = self.entries, self.pattern
         if not np.all(np.isfinite(entries)):
             raise SingularSystemError("combined system has a non-finite entry")
         if pattern.b == 0:
             _check_rcond(_diagonal_rcond(entries))
-            return lambda rhs: _to_degree_major(perm, rhs[perm] / entries)
+            return lambda rhs: rhs / entries
         from scipy.linalg import get_lapack_funcs
 
-        b = pattern.b
+        b, perm = pattern.b, _m_major(_band_limit_of(self.size))[0]
+        position = np.argsort(perm)  # the m-major position of each degree-major index
         gbtrf, gbcon, gbtrs = get_lapack_funcs(("gbtrf", "gbcon", "gbtrs"), (entries,))
         # b rows above the band take pivoting fill-in; Fortran order: no copy
         work = np.zeros((3 * b + 1) * self.size, dtype=complex)
@@ -364,14 +341,14 @@ class BoundaryOperatorMatrix:
                               overwrite_ab=True)
         # info > 0: a zero pivot
         _check_rcond(gbcon(b, b, lu, piv, self.one_norm())[0] if info == 0 else 0.0)
-        return lambda rhs: _to_degree_major(perm, gbtrs(lu, b, b, rhs[perm], piv)[0])
+        return lambda rhs: gbtrs(lu, b, b, rhs[perm], piv)[0][position]
 
 
 # Certified systems of fewer rows take the banded LU, the faster there
 # (measured: see BoundaryOperatorMatrix.solve).
 _GMRES_MIN_SIZE = 256
 # GMRES stops at this relative residual, or gives up after _GMRES_CAP steps:
-# where ‖ÂD⁻¹ − I‖₂ <= q < ½, step k leaves at most qᵏ of the residual, and
+# where ‖AD⁻¹ − I‖₂ <= q < ½, step k leaves at most qᵏ of the residual, and
 # 2⁻⁴⁷ < 1e-14.
 _GMRES_TOL, _GMRES_CAP = 1e-14, 47
 
@@ -449,13 +426,6 @@ def _diagonal_rcond(diagonal: np.ndarray) -> float:
 def _check_rcond(rcond: float) -> None:
     if not rcond >= 1e-12:
         raise SingularSystemError(f"combined system is singular (rcond = {rcond:.3e})")
-
-
-def _to_degree_major(perm: np.ndarray, permuted: np.ndarray) -> np.ndarray:
-    """The vector v with v[perm] = ``permuted``."""
-    out = np.empty_like(permuted)
-    out[perm] = permuted
-    return out
 
 
 def sphere_operator_eigenvalue(a: float, n):
@@ -545,7 +515,8 @@ def _kept_pairs(band_limit: int, lam_band: int):
     They are the m-major pairs (i, j) = ((n,m),(n',m')) with |n − n'| <= N_λ
     and |m − m'| <= N_λ.  ``pairs`` maps q = m' − m to the (i, j) arrays of
     its entries; ``order`` sorts the entries of all groups, concatenated in
-    ``pairs``' order, by row and then by descending column.
+    ``pairs``' order, by degree-major row perm[i] and then by descending
+    m-major column j.
     """
     perm = _m_major(band_limit)[0]
     position = np.argsort(perm)  # the m-major position of each degree-major index
@@ -560,7 +531,7 @@ def _kept_pairs(band_limit: int, lam_band: int):
             n2 = col_degs[i, d]
             pairs[q] = i, position[n2 * (n2 + 1) + orders[i] + q]
     i, j = (np.concatenate(arrays) for arrays in zip(*pairs.values()))
-    return pairs, np.lexsort((-j, i))
+    return pairs, np.lexsort((-j, perm[i]))
 
 
 @lru_cache(maxsize=16)
@@ -569,32 +540,23 @@ def _band_pattern(band_limit: int, lam_band: int) -> BandPattern:
     it, at (N, N_λ); N_λ = 0 is the identity, b = 0.  Every array is
     read-only.
 
-    The degree-major layout is built here, once per pattern, so that a
-    matrix only gathers its entries into it.  ``np.add.reduceat`` gives an
-    empty segment its next element rather than 0, so every row must hold
-    an entry: its diagonal, which the Gaunt rule always keeps (q = 0,
-    n = n').
+    ``np.add.reduceat`` gives an empty segment its next element rather
+    than 0, so every row must hold an entry: its diagonal, which the Gaunt
+    rule always keeps (q = 0, n = n').
     """
     size, perm = num_harmonics(band_limit), _m_major(band_limit)[0]
-    if lam_band == 0:  # the identity: every array but order is 0..n, views of one range
-        ramp = np.arange(size + 1)
-        ramp.setflags(write=False)
-        order = np.argsort(perm)
-        order.setflags(write=False)
-        return BandPattern(b=0, indptr=ramp, indices=ramp[:-1], diagonal=ramp[:-1],
-                           lu_dest=ramp[:-1], order=order, columns=ramp[:-1],
-                           starts=ramp[:-1])
+    if lam_band == 0:  # the identity: entry r is (r, r), at m-major position argsort(perm)[r]
+        ramp, lu_dest = np.arange(size), np.argsort(perm)
+        for arr in (ramp, lu_dest):
+            arr.setflags(write=False)
+        return BandPattern(b=0, columns=ramp, starts=ramp, diagonal=ramp, lu_dest=lu_dest)
     pairs, order = _kept_pairs(band_limit, lam_band)
     i, j = (np.concatenate(arrays)[order] for arrays in zip(*pairs.values()))
     b, diagonal = int(np.abs(i - j).max()), np.flatnonzero(i == j)
     assert diagonal.size == size, "a row of the pattern lacks its diagonal"
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(i, minlength=size))))
-    rows = perm[i]  # the degree-major row of each entry
-    order = np.argsort(rows, kind="stable")  # keeps each row's column order
-    pattern = BandPattern(b=b, indptr=indptr, indices=j, diagonal=diagonal,
-                          lu_dest=j * (3 * b + 1) + 2 * b + i - j, order=order,
-                          columns=perm[j][order],
-                          starts=np.searchsorted(rows[order], np.arange(size)))
+    pattern = BandPattern(b=b, columns=perm[j],
+                          starts=np.searchsorted(perm[i], np.arange(size)),
+                          diagonal=diagonal, lu_dest=j * (3 * b + 1) + 2 * b + i - j)
     for arr in pattern[1:]:
         arr.setflags(write=False)
     return pattern
@@ -616,8 +578,8 @@ def _gaunt_band(band_limit: int, lam_band: int):
     P̄_{n'}^{m'}(μ_j) P̄_L^{−q}(μ_j) on the Gauss latitudes of the product
     rule of order max(N + N_λ, N + 2).  That rule integrates the degree
     n + n' + L <= 2N + N_λ polynomial exactly, so G is exact.  The entries,
-    group after group, taken at ``gather`` are in the order of
-    :func:`_band_pattern`.  Every array is read-only.
+    group after group, taken at ``gather`` are in the degree-major row order
+    of :func:`_band_pattern`.  Every array is read-only.
     """
     rule = gauss_product_rule(max(band_limit + lam_band, band_limit + 2))
     legendre = _ring_legendre(band_limit, rule.order)  # P̄_n^m(μ_j), m-major rows
@@ -654,12 +616,9 @@ def assemble_combined_system(table: ModalTable, mult: BoundaryOperatorMatrix,
     # 2·dtrace + 1 = K' + iηTS₀² and 2·trace = S + iη(K+I)S₀², so
     # A = I − (2·dtrace + 1) − M_{iλ}·2·trace is −2 × (∂_ν u^s + iλ u^s)
     trace, dtrace = exterior_trace_operators(table, eta)
-    perm, pattern = _m_major(table.band_limit)[0], mult.pattern  # m-major columns
-    # b = 0: entry e is the diagonal (e, e), so a slice stands for both index arrays
-    columns, diagonal = ((slice(None),) * 2 if pattern.b == 0
-                         else (pattern.indices, pattern.diagonal))
-    entries = mult.entries * (-2.0 * trace[perm])[columns]
-    entries[diagonal] += (1.0 - (2.0 * dtrace + 1.0))[perm]
+    pattern = mult.pattern
+    entries = mult.entries * (-2.0 * trace)[pattern.columns]
+    entries[pattern.diagonal] += 1.0 - (2.0 * dtrace + 1.0)
     return BoundaryOperatorMatrix(entries=entries, pattern=pattern)
 
 

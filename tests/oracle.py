@@ -32,7 +32,6 @@ from impscat.layer_ops import (
     sphere_operator_eigenvalue,
 )
 from impscat.specfun import (
-    _m_major,
     gauss_product_rule,
     harmonic_degrees,
     num_harmonics,
@@ -95,28 +94,32 @@ def combined_field_amplitudes(ctx, geom, lam, band_limit: int, eta=None) -> np.n
     return 1j * k * a * a * (table.jn + 1j * eta * s0sq * k * table.jnp) * phi
 
 
-def _kept_positions(pattern, size: int):
+def _row_bounds(pattern) -> np.ndarray:
+    """The compressed-sparse-row pointer of ``pattern``: row r holds the
+    entries ``bounds[r]:bounds[r + 1]``."""
+    return np.append(pattern.starts, pattern.columns.size)
+
+
+def _kept_positions(pattern):
     """The degree-major (row, column) of each kept entry of ``pattern``."""
-    perm = _m_major(isqrt(size) - 1)[0]
-    rows = np.repeat(np.arange(size), np.diff(pattern.indptr))
-    return perm[rows], perm[pattern.indices]
+    rows = np.repeat(np.arange(pattern.starts.size), np.diff(_row_bounds(pattern)))
+    return rows, pattern.columns
 
 
 def dense(system: BoundaryOperatorMatrix) -> np.ndarray:
     """The degree-major matrix A of ``system``: its kept entries, zero elsewhere."""
     out = np.zeros((system.size, system.size), dtype=system.entries.dtype)
-    out[_kept_positions(system.pattern, system.size)] = system.entries
+    out[_kept_positions(system.pattern)] = system.entries
     return out
 
 
 def csr_product(system: BoundaryOperatorMatrix, x: np.ndarray) -> np.ndarray:
     """A x for a degree-major ``x``, by scipy's compressed sparse rows over
-    the m-major ``indptr`` and ``indices`` of the system's pattern."""
-    pattern, perm = system.pattern, _m_major(isqrt(system.size) - 1)[0]
-    rows = csr_array((system.entries, pattern.indices, pattern.indptr), (system.size,) * 2)
-    out = np.empty(system.size, dtype=complex)
-    out[perm] = rows @ x[perm]
-    return out
+    the rows and columns of the system's pattern."""
+    pattern = system.pattern
+    rows = csr_array((system.entries, pattern.columns, _row_bounds(pattern)),
+                     (system.size,) * 2)
+    return rows @ x
 
 
 def on_pattern(matrix: np.ndarray, lam_band: int) -> BoundaryOperatorMatrix:
@@ -124,7 +127,7 @@ def on_pattern(matrix: np.ndarray, lam_band: int) -> BoundaryOperatorMatrix:
     which must hold every nonzero entry of ``matrix``."""
     pattern = _band_pattern(isqrt(len(matrix)) - 1, lam_band)
     system = BoundaryOperatorMatrix(
-        entries=np.asarray(matrix, complex)[_kept_positions(pattern, len(matrix))],
+        entries=np.asarray(matrix, complex)[_kept_positions(pattern)],
         pattern=pattern)
     np.testing.assert_array_equal(dense(system), matrix)
     return system

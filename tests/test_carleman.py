@@ -304,7 +304,6 @@ class TestCarlemanInequality:
         assert [len(row) for row in results] == [50, 50, 50]
         for (lam, tau), row in zip(pairs, results):
             for v, res in zip(members(suite), row):
-                assert (res.lam, res.tau) == (lam, tau)
                 assert res.holds
                 assert res.rhs_factored == pytest.approx(
                     sides(v, SETUP, lam, tau).rhs_factored, rel=1e-13, abs=0.0)

@@ -1,7 +1,8 @@
 """No definition in the package that only its own unit test reads.
 
 The guard parses ``src/impscat/*.py`` with ``ast`` and fails for any
-function, class or method (dunders aside) whose name nothing reads.  A name
+function, class or method (dunders aside), or annotated field of a class
+body (a dataclass or NamedTuple field), whose name nothing reads.  A name
 is read where it appears
 - as a ``Name`` or ``Attribute`` anywhere in the package, its own
   definition aside, but for a ``Name`` whose id is a parameter or an
@@ -10,7 +11,8 @@ is read where it appears
 - as a ``Name``, an ``Attribute`` or a string constant under ``perfbench/``,
   whose tracer names its targets as strings;
 - as a name anywhere in ``tests/test_acceptance.py``, the paper's criteria;
-or where ``KEEP`` names it, with the reason it stays.  Names are matched
+or where ``KEEP`` names it, with the reason it stays.  A keyword of a
+constructor call reads no field: it only fills one.  Names are matched
 bare, not by module or class: a method is read wherever an attribute of its
 name is, except an attribute of a module that an ``import`` statement binds
 outside the package (``np.empty`` reads no method ``empty``).
@@ -25,6 +27,8 @@ ROOT = Path(__file__).resolve().parents[1]
 KEEP = {
     "continuation_constants": "the continuation γ of the proof pipeline (ROADMAP item 9)",
     "prop41_bound": "the Prop. 4.1 stage of the proof pipeline (ROADMAP item 9)",
+    "alternate": "the Corollary's second admissible (λ, τ) pair, which the empirical "
+                 "threshold map compares against (ROADMAP item 13)",
 }
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -94,10 +98,18 @@ def names_read(trees, strings: bool = False, imports: bool = False) -> set:
 
 
 def defined(trees) -> set:
-    """The function, class and method names that ``trees`` define, dunders aside."""
-    return {node.name for tree in trees for node in ast.walk(tree)
-            if isinstance(node, _DEFINITIONS)
-            and not (node.name.startswith("__") and node.name.endswith("__"))}
+    """The function, class and method names that ``trees`` define, dunders
+    aside, and the annotated fields of their class bodies."""
+    names = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, _DEFINITIONS):
+                names.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                names.update(stmt.target.id for stmt in node.body
+                             if isinstance(stmt, ast.AnnAssign)
+                             and isinstance(stmt.target, ast.Name))
+    return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
 
 
 def package_and_readers() -> tuple:
@@ -140,3 +152,16 @@ def test_locals_of_a_function_read_nothing():
                      "print(norm)")
     assert names_read([tree]) == {"len", "helper", "print", "norm"}
     assert names_read([ast.parse("def f():\n    return distance")]) == {"distance"}
+
+
+def test_record_fields_are_definitions():
+    # an annotated field of a class body is defined; filling it by a
+    # constructor keyword reads nothing, an attribute load does
+    tree = ast.parse("class Record:\n"
+                     "    used: float\n"
+                     "    unused: float = 0.0\n"
+                     "    label = 'not annotated'\n"
+                     "record = Record(used=1.0, unused=2.0)\n"
+                     "print(record.used)")
+    assert defined([tree]) == {"Record", "used", "unused"}
+    assert defined([tree]) - names_read([tree]) == {"unused"}

@@ -135,11 +135,12 @@ class TestConeChain:
         assert np.max(np.abs(chain.nesting_residuals())) <= 1e-15
 
     def test_distances_geometric(self):
+        # ρ_k = d_k sinθ / 3 with d₀ = r/2 and d_{k+1} = μ d_k
         geom = ObstacleGeometry()
         chain = build_cone_chain(np.array([1.0, 0.0, 0.0]), 0.1, geom, 8.0)
-        ratios = chain.distances[1:] / chain.distances[:-1]
+        ratios = chain.radii[1:] / chain.radii[:-1]
         assert np.allclose(ratios, chain.ratio, rtol=1e-14)
-        assert chain.distances[0] == pytest.approx(0.05)
+        assert chain.radii[0] == pytest.approx(0.05 * np.sin(geom.cone_half_angle) / 3.0)
 
     def test_far_chain_norms_do_not_overflow(self):
         # |x| ≈ 1e299: the squares of the entries overflow, and a numpy
