@@ -3,9 +3,9 @@
 A solve assembles the combined-field boundary system, solves it for the
 density φ, and returns the :class:`ScatteredWave` φ represents: its outgoing
 amplitudes α with u^s = Σ α_nm h_n(kr) Y_n^m outside the obstacle.  The
-coupling η of the ansatz and the density stay inside :func:`solve_density`;
-every evaluator reads α alone.  The far field follows from
-h_n(kr) ~ (−i)^{n+1} e^{ikr}/(kr).
+density stays inside :func:`solve_density`, and the coupling η of the ansatz
+inside the modal table it solves with; every evaluator reads α alone.  The
+far field follows from h_n(kr) ~ (−i)^{n+1} e^{ikr}/(kr).
 
 Every outgoing-wave sum Σ amps_nm R_n Y_n^m on a product rule, for the
 solver and for the Mie reference alike, goes through ``_on_rule``, for a
@@ -19,7 +19,8 @@ them and one stacked transform.  ``_outgoing_wave`` is the dense path, for
 scattered points only.
 
 The solver's per-degree values come from the :class:`WaveContext`: its
-modal table (j_n, j_n', h_n, h_n' at (k, a, N)) and its plane-wave
+modal table (j_n, j_n', h_n, h_n', c and the system's diagonal and column
+at (k, a, N) and the default η) and its plane-wave
 amplitudes at (ω, N) are built once and read by every solve and boundary
 trace through that context.  The Mie oracle computes its own.
 
@@ -42,10 +43,8 @@ from .layer_ops import (
     ImpedanceField,
     ModalTable,
     assemble_combined_system,
-    default_coupling,
     incident_coefficients,
     multiplication_operator,
-    radiating_coefficient_diagonal,
     require_finite_hankel,
     rhs_from_incident,
 )
@@ -169,8 +168,10 @@ def solve_density(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField,
                   eta: float | None = None, band_limit: int = 24) -> ScatteredWave:
     """Solve the combined-field system for the density φ of the ansatz
     u^s = SL[φ] + iη DL[S₀²φ]; return that wave, α = c ⊙ φ.  ``eta`` is the
-    coupling η (``None``: :func:`default_coupling`, as every other solve).
-    It scales the system's columns only: φ changes with it, α does not.
+    coupling η: ``None`` reads the context's :class:`ModalTable`, at
+    :func:`impscat.layer_ops.default_coupling`, as every other solve, and an
+    explicit η builds a table of its own, not kept.  η scales the system's
+    columns only: φ changes with it, α does not.
 
     M_{iλ} is built once, for the system and the right-hand side, by the
     selection rule of :func:`impscat.layer_ops.multiplication_operator`; the
@@ -187,16 +188,15 @@ def solve_density(ctx: WaveContext, geom: ObstacleGeometry, lam: ImpedanceField,
     if the density's tail fraction exceeds 1e-8; a zero rhs is checked for
     neither.
     """
-    eta = default_coupling(ctx.k) if eta is None else eta
-    table = ctx.modal(geom.radius, band_limit)
+    table = (ctx.modal(geom.radius, band_limit) if eta is None
+             else ModalTable(ctx.k, geom.radius, band_limit, eta))
     mult = multiplication_operator(lam, band_limit)
-    system = assemble_combined_system(table, mult, eta)
+    system = assemble_combined_system(table, mult)
     g = rhs_from_incident(table, ctx.incident_amplitudes(band_limit), mult)
     rhs = -2.0 * g
     phi = system.solve(rhs)
     tail = _checked_tail(system.matvec(phi) - rhs, rhs, phi)
-    return ScatteredWave(amplitudes=radiating_coefficient_diagonal(table, eta) * phi,
-                         tail_fraction=tail)
+    return ScatteredWave(amplitudes=table.c * phi, tail_fraction=tail)
 
 
 def _checked_tail(residual: np.ndarray, rhs: np.ndarray, density: np.ndarray) -> float:

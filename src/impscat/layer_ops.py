@@ -24,12 +24,13 @@ separation-of-variables reference to machine precision.
 The solve never forms S, K or T (only the tests' oracle does): outside the
 sphere u^s = Σ c_n φ_nm h_n(kr) Y_n^m, and by the Wronskian j_n h_n' − j_n' h_n
 = i/(ka)² the two traces above are c_n h_n(ka) and c_n k h_n'(ka).  η only
-scales the system's columns by c_n, so a solve returns the amplitudes c ⊙ φ,
-and η and S₀² stay here and in :func:`impscat.forward.solve_density`.  Every
-diagonal of a solve (the traces, c_n, the incident coefficients, the system
-and its right-hand side) reads one :class:`ModalTable`: j_n, j_n', h_n, h_n'
-and S₀² at (k, a, N), built on construction from two Hankel calls.  There
-j_n may underflow to 0, but an h_n, h_n' or S₀² past the float range raises
+scales the system's columns by c_n, so a solve returns the amplitudes c ⊙ φ.
+So every system is A = diag(d) + M_{iλ}·diag(−2 c h_n), d = −2 c k h_n', and
+every diagonal of a solve (c, the system's d and column, the incident
+coefficients and the right-hand side) reads one :class:`ModalTable`: j_n,
+j_n', h_n, h_n', c, the column and d at (k, a, N, η), built on construction
+from two Hankel calls.  η and S₀² enter only there.  j_n may underflow to 0,
+but an h_n, h_n', S₀² or c_n past the float range raises
 :class:`NumericalError` at its degree.  The readers take the table in place
 of (k, a, N) and call no Bessel function themselves;
 :class:`impscat.forward.WaveContext` keeps the table of its solves.
@@ -57,9 +58,9 @@ product, ``np.add.reduceat`` of the entries times x at their columns over
 the row starts, so vectors stay in the degree-major order: only the banded
 LU permutes them.  By the selection rule (:func:`multiplication_operator`)
 a constant λ has the pattern of N_λ = 0, the identity, b = 0, whose rows,
-columns and diagonal are views of one range 0..n: it is solved by one
-division, with its exact rcond min|d| / max|d|, and without scipy: a
-constant-λ solve runs on numpy alone.
+columns and diagonal are each the range 0..n: it is solved by one division,
+checked at its Jacobi certificate's bound (below), there the exact rcond
+min|d| / max|d|, and without scipy: a constant-λ solve runs on numpy alone.
 
 Any other system first meets a Jacobi certificate.  With D the diagonal of
 A, one pass of column sums gives q = ‖AD⁻¹ − I‖₁ and the bound
@@ -89,7 +90,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from math import isqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -271,12 +271,14 @@ class BoundaryOperatorMatrix:
         AD⁻¹ − I sums to s_j / |d_j| − 1, and for q < 1, with
         E = AD⁻¹ − I, ‖A⁻¹‖₁ = ‖D⁻¹(I + E)⁻¹‖₁ <= 1 / ((1 − q) min|d|),
         so rcond₁(A) >= bound = (1 − q) min|d| / ‖A‖₁.  A zero d or an
-        overflowing sum makes q or bound non-finite: no certificate.
+        overflowing sum makes q non-finite: no certificate; a zero d makes
+        the bound 0.  A diagonal A has q = 0, and its bound is its exact
+        rcond min|d| / max|d|.
         """
         with np.errstate(all="ignore"):
             size, sums = np.abs(self.entries[self.pattern.diagonal]), self._column_sums
-            q = (sums / size).max() - 1.0
-            bound = (1.0 - q) * size.min() / sums.max()
+            q, low = (sums / size).max() - 1.0, size.min()
+            bound = (1.0 - q) * low / sums.max() if low > 0 else 0.0
         return float(q), float(bound)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -316,7 +318,8 @@ class BoundaryOperatorMatrix:
 
     def factor(self):
         """x ↦ A⁻¹x for degree-major vectors, from one factorisation of A: a
-        division at b = 0, checked at its exact rcond, else one banded LU
+        division at b = 0, checked at the bound of its Jacobi certificate
+        (:meth:`_jacobi_certificate`), there its exact rcond, else one banded LU
         (``gbtrf``) over the m-major order, checked at LAPACK's rcond
         estimate (``gbcon``, at the 1-norm of :meth:`one_norm`); each
         application is one ``gbtrs``.
@@ -327,7 +330,7 @@ class BoundaryOperatorMatrix:
         if not np.all(np.isfinite(entries)):
             raise SingularSystemError("combined system has a non-finite entry")
         if pattern.b == 0:
-            _check_rcond(_diagonal_rcond(entries))
+            _check_rcond(self._jacobi_certificate()[1])
             return lambda rhs: rhs / entries
         from scipy.linalg import get_lapack_funcs
 
@@ -416,13 +419,6 @@ def _gmres(operator, rhs: np.ndarray, shifts) -> list:
     return solutions
 
 
-def _diagonal_rcond(diagonal: np.ndarray) -> float:
-    """The 1-norm rcond of diag(d), min|d| / max|d|; 0 for a zero diagonal."""
-    size = np.abs(diagonal)
-    largest = size.max()
-    return float(size.min() / largest) if largest > 0 else 0.0
-
-
 def _check_rcond(rcond: float) -> None:
     if not rcond >= 1e-12:
         raise SingularSystemError(f"combined system is singular (rcond = {rcond:.3e})")
@@ -443,39 +439,63 @@ def sphere_operator_eigenvalue(a: float, n):
 
 @dataclass(frozen=True)
 class ModalTable:
-    """The per-degree values of the radius-a sphere at wavenumber k, n <= N.
+    """Every per-degree value of the radius-a sphere at wavenumber k, n <= N,
+    at the coupling η (``None``: :func:`default_coupling` of k).
 
     Each array is flat-indexed like a density ((N+1)^2 entries, the value of
     degree n repeated for its 2n + 1 orders) and read-only: j_n(ka), j_n'(ka),
-    h_n(ka), h_n'(ka) (derivatives in the argument ka), and S₀² = (2a/(2n+1))².
-    (k, a, N) fix every value, so they are built on construction from two
-    Hankel calls over the degrees 0..N (j_n and j_n' are their real parts),
-    the only special-function calls a solve makes, and the S₀ eigenvalues.
-    j_n(ka) may underflow to 0; an h_n(ka), h_n'(ka) or S₀² that overflows
-    raises :class:`NumericalError` (S₀² first at degree 0, for a >= ~6.7e153).
+    h_n(ka), h_n'(ka) (derivatives in the argument ka), the radiating
+    coefficient c_n = ika²(j_n + iηS₀²k j_n'), S₀ = 2a/(2n + 1), and the two
+    vectors every combined system is built from: A = diag(``diagonal``) +
+    M_{iλ}·diag(``column``) (:func:`assemble_combined_system`).
+    (k, a, N, η) fix every value, so they are built on construction, per
+    degree and then gathered, from two Hankel calls over the degrees 0..N
+    (j_n and j_n' are their real parts), the only special-function calls a
+    solve makes, and the S₀ eigenvalues.  j_n(ka) may underflow to 0; an
+    h_n(ka), h_n'(ka), S₀² or c_n that overflows raises
+    :class:`NumericalError` (S₀² first at degree 0, for a >= ~6.7e153), and
+    η = 0 raises ``ValueError``: the ansatz loses its uniqueness fix.
     """
 
     k: float
     a: float
     band_limit: int
+    eta: float | None = None
     jn: np.ndarray = field(init=False, repr=False, compare=False)
     jnp: np.ndarray = field(init=False, repr=False, compare=False)
     hn: np.ndarray = field(init=False, repr=False, compare=False)
     hnp: np.ndarray = field(init=False, repr=False, compare=False)
-    s0sq: np.ndarray = field(init=False, repr=False, compare=False)
+    c: np.ndarray = field(init=False, repr=False, compare=False)
+    column: np.ndarray = field(init=False, repr=False, compare=False)
+    diagonal: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n, ka = np.arange(self.band_limit + 1), self.k * self.a
+        k, a = self.k, self.a
+        eta = default_coupling(k) if self.eta is None else self.eta
+        if eta == 0.0:
+            raise ValueError("coupling parameter eta must be nonzero")
+        object.__setattr__(self, "eta", eta)
+        n, ka = np.arange(self.band_limit + 1), k * a
         hn, hnp = sph_hankel1(n, ka), sph_hankel1(n, ka, derivative=True)
         require_finite_hankel(ka, hn, hnp)
-        with np.errstate(over="ignore"):  # an overflow is raised below
-            s0sq = sphere_operator_eigenvalue(self.a, n) ** 2
+        jn, jnp = hn.real, hnp.real
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+            s0sq = sphere_operator_eigenvalue(a, n) ** 2
+            c = 1j * k * a * a * jn + 1j * eta * s0sq * 1j * k * k * a * a * jnp
         if not np.isfinite(s0sq[0]):  # S₀ falls with n: degree 0 overflows first
             raise NumericalError(f"S₀² = (2a/(2n + 1))² overflows at degree 0, "
-                                 f"a = {self.a:.6g}")
+                                 f"a = {a:.6g}")
+        bad = ~np.isfinite(c)
+        if bad.any():
+            raise NumericalError(f"radiating coefficient c_n overflows at degree "
+                                 f"{int(np.argmax(bad))}, ka = {ka:.6g}")
+        # 2·c h_n' k + 1 = K' + iηTS₀² and 2·c h_n = S + iη(K+I)S₀² (the
+        # Wronskian), so A = I − (K' + iηTS₀²) − M_{iλ}(S + iη(K+I)S₀²)
+        # is −2 × (∂_ν u^s + iλ u^s)
         degs = harmonic_degrees(self.band_limit)
-        for name, per_degree in (("jn", hn.real), ("jnp", hnp.real), ("hn", hn),
-                                 ("hnp", hnp), ("s0sq", s0sq)):
+        for name, per_degree in (("jn", jn), ("jnp", jnp), ("hn", hn), ("hnp", hnp),
+                                 ("c", c), ("column", -2.0 * (c * hn)),
+                                 ("diagonal", 1.0 - (2.0 * (c * k * hnp) + 1.0))):
             values = per_degree[degs]
             values.setflags(write=False)
             object.__setattr__(self, name, values)
@@ -545,11 +565,6 @@ def _band_pattern(band_limit: int, lam_band: int) -> BandPattern:
     rule always keeps (q = 0, n = n').
     """
     size, perm = num_harmonics(band_limit), _m_major(band_limit)[0]
-    if lam_band == 0:  # the identity: entry r is (r, r), at m-major position argsort(perm)[r]
-        ramp, lu_dest = np.arange(size), np.argsort(perm)
-        for arr in (ramp, lu_dest):
-            arr.setflags(write=False)
-        return BandPattern(b=0, columns=ramp, starts=ramp, diagonal=ramp, lu_dest=lu_dest)
     pairs, order = _kept_pairs(band_limit, lam_band)
     i, j = (np.concatenate(arrays)[order] for arrays in zip(*pairs.values()))
     b, diagonal = int(np.abs(i - j).max()), np.flatnonzero(i == j)
@@ -603,50 +618,19 @@ def default_coupling(k: float) -> float:
     return max(1.0, k)
 
 
-def assemble_combined_system(table: ModalTable, mult: BoundaryOperatorMatrix,
-                             eta: float) -> BoundaryOperatorMatrix:
-    """System matrix A with A φ = −2 g for the combined-field ansatz.
+def assemble_combined_system(table: ModalTable,
+                             mult: BoundaryOperatorMatrix) -> BoundaryOperatorMatrix:
+    """System matrix A = diag(``table.diagonal``) + M_{iλ}·diag(``table.column``),
+    with A φ = −2 g for the combined-field ansatz (:class:`ModalTable`).
 
     ``table`` is the modal table of the sphere at the band limit and ``mult``
-    is M_{iλ} from :func:`multiplication_operator`.  A is M_{iλ} times the
-    diagonal −2·trace plus a diagonal, so it has the pattern of M_{iλ}.
+    is M_{iλ} from :func:`multiplication_operator`; A has the pattern of
+    M_{iλ}.
     """
-    if eta == 0.0:
-        raise ValueError("coupling parameter eta must be nonzero")
-    # 2·dtrace + 1 = K' + iηTS₀² and 2·trace = S + iη(K+I)S₀², so
-    # A = I − (2·dtrace + 1) − M_{iλ}·2·trace is −2 × (∂_ν u^s + iλ u^s)
-    trace, dtrace = exterior_trace_operators(table, eta)
     pattern = mult.pattern
-    entries = mult.entries * (-2.0 * trace)[pattern.columns]
-    entries[pattern.diagonal] += 1.0 - (2.0 * dtrace + 1.0)
+    entries = mult.entries * table.column[pattern.columns]
+    entries[pattern.diagonal] += table.diagonal
     return BoundaryOperatorMatrix(entries=entries, pattern=pattern)
-
-
-def exterior_trace_operators(table: ModalTable,
-                             eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonals mapping density φ to (u^s, ∂_ν u^s) exterior boundary traces.
-
-    These are c·h_n(ka) and c·k·h_n'(ka) with c the radiating coefficient;
-    by the Wronskian they equal ½(S + iη(K+I)S₀²) and ½(K − I + iηTS₀²).
-    """
-    c = radiating_coefficient_diagonal(table, eta)
-    return c * table.hn, c * table.k * table.hnp
-
-
-def radiating_coefficient_diagonal(table: ModalTable, eta: float) -> np.ndarray:
-    """c with u^s = Σ c_nm φ_nm h_n(k r) Y_n^m outside the obstacle.
-
-    Raises :class:`NumericalError` at the first degree where c_n, or the
-    product S₀²k²a² it is formed from, overflows.
-    """
-    k, a = table.k, table.a
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
-        c = 1j * k * a * a * table.jn + 1j * eta * table.s0sq * 1j * k * k * a * a * table.jnp
-    bad = ~np.isfinite(c)
-    if bad.any():
-        raise NumericalError(f"radiating coefficient c_n overflows at degree "
-                             f"{isqrt(int(np.argmax(bad)))}, ka = {k * a:.6g}")
-    return c
 
 
 def incident_coefficients(table: ModalTable,

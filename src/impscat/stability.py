@@ -41,10 +41,8 @@ from .layer_ops import (
     admissibility_rule,
     assemble_combined_system,
     assemble_multiplication,
-    default_coupling,
     incident_coefficients,
     multiplication_operator,
-    radiating_coefficient_diagonal,
 )
 from .specfun import _complex_coefficients, _synthesize, gauss_product_rule, num_harmonics
 
@@ -192,9 +190,11 @@ def stability_sweep(base: ImpedanceField, shape, eps_list,
     admissible; all are checked, in one synthesis, before any solve.
 
     The system and its right-hand side are linear in λ: A(ε) = A₀ + εB and
-    rhs(ε) = r₀ + εr₁, with B = M_{ih}·(−2 c h_n) built once.  From the base
-    wave (one :func:`solve_density` call) the correction y = A₀(φ(ε) − φ₀)
-    solves (I + εC)y = εs, C = B·A₀⁻¹ and s = r₁ − Bφ₀ = 2M_{ih}(u^i + h_n α₀),
+    rhs(ε) = r₀ + εr₁, with B = M_{ih}·diag(−2 c h_n), −2 c h_n the column
+    of the modal table (:class:`~impscat.layer_ops.ModalTable`) that
+    multiplies M_{iλ₀} in A₀.  From the base wave (one :func:`solve_density`
+    call) the correction y = A₀(φ(ε) − φ₀) solves (I + εC)y = εs,
+    C = B·A₀⁻¹ and s = r₁ − Bφ₀ = 2M_{ih}(u^i + h_n α₀),
     so every ε is one shift 1/ε of one GMRES basis of (C, s)
     (:func:`impscat.layer_ops._gmres`).  A₀ is factored once
     (:meth:`~impscat.layer_ops.BoundaryOperatorMatrix.factor`): a division
@@ -243,16 +243,16 @@ def _family_distances(ctx: WaveContext, geom: ObstacleGeometry, base: ImpedanceF
     admissible, from one shifted family, as :func:`stability_sweep`
     describes; h is ``shape`` cut by :func:`_trimmed`."""
     wave = solve_density(ctx, geom, base, band_limit=band_limit)
-    table, eta = ctx.modal(geom.radius, band_limit), default_coupling(ctx.k)
-    c = radiating_coefficient_diagonal(table, eta)
+    table = ctx.modal(geom.radius, band_limit)
+    c, column = table.c, table.column  # B = M_{ih}·diag(column)
     mult, mult_h = multiplication_operator(base, band_limit), assemble_multiplication(h, band_limit)
-    base_system = assemble_combined_system(table, mult, eta)
-    inverse, trace = base_system.factor(), -2.0 * c * table.hn  # B = M_{ih}·diag(trace)
+    base_system = assemble_combined_system(table, mult)
+    inverse = base_system.factor()
     u_inc, dnu_inc = incident_coefficients(table, ctx.incident_amplitudes(band_limit))
     r0, r1 = 2.0 * (dnu_inc + mult.matvec(u_inc)), 2.0 * mult_h.matvec(u_inc)
     source = 2.0 * mult_h.matvec(u_inc + table.hn * wave.amplitudes)
     positive = [eps for eps in dict.fromkeys(eps_list) if eps > 0.0]
-    shifted = _gmres(lambda v: mult_h.matvec(trace * inverse(v)), source,
+    shifted = _gmres(lambda v: mult_h.matvec(column * inverse(v)), source,
                      [1.0 / eps for eps in positive])
     phi0, deltas = wave.amplitudes / c, {}
     for eps, y in zip(positive, shifted):
@@ -263,7 +263,7 @@ def _family_distances(ctx: WaveContext, geom: ObstacleGeometry, base: ImpedanceF
             continue
         dphi = inverse(y)
         phi, rhs = phi0 + dphi, r0 + eps * r1
-        _checked_tail(base_system.matvec(phi) + eps * mult_h.matvec(trace * phi) - rhs,
+        _checked_tail(base_system.matvec(phi) + eps * mult_h.matvec(column * phi) - rhs,
                       rhs, phi)
         deltas[eps] = float(np.linalg.norm(c * dphi)) / ctx.k
     return deltas, float(np.linalg.norm(c * inverse(source))) / ctx.k

@@ -34,6 +34,7 @@ from impscat.layer_ops import (
     SingularSystemError,
     assemble_combined_system,
     multiplication_operator,
+    sphere_operator_eigenvalue,
 )
 from impscat.specfun import (
     gauss_product_rule,
@@ -227,16 +228,18 @@ class TestContextTables:
     def test_tables_are_read_only(self):
         ctx = WaveContext(k=1.0, omega=ZHAT)
         table = ctx.modal(1.0, 6)
-        for values in (table.jn, table.jnp, table.hn, table.hnp, table.s0sq,
-                       ctx.incident_amplitudes(6)):
+        for values in (table.jn, table.jnp, table.hn, table.hnp, table.c, table.column,
+                       table.diagonal, ctx.incident_amplitudes(6)):
             with pytest.raises(ValueError):
                 values[0] = 0.0
 
     def test_table_is_keyed_by_its_inputs(self):
         assert [f.name for f in dataclasses.fields(ModalTable) if f.init] == \
-            ["k", "a", "band_limit"]
+            ["k", "a", "band_limit", "eta"]
         table = WaveContext(k=2.0, omega=ZHAT).modal(1.5, 6)
-        assert table == ModalTable(2.0, 1.5, 6) != ModalTable(2.0, 1.5, 7)
+        # a context's table is at the default coupling, η = max(1, k)
+        assert table == ModalTable(2.0, 1.5, 6) == ModalTable(2.0, 1.5, 6, 2.0)
+        assert table != ModalTable(2.0, 1.5, 7) and table != ModalTable(2.0, 1.5, 6, 0.5)
 
     def test_context_keeps_the_latest_key(self):
         ctx = WaveContext(k=1.0, omega=ZHAT)
@@ -259,7 +262,13 @@ class TestContextTables:
                       "hn": sph_hankel1(n, ka), "hnp": sph_hankel1(n, ka, derivative=True)}
         for name, values in direct.items():
             np.testing.assert_array_equal(getattr(table, name), values[degs])
-        np.testing.assert_array_equal(table.s0sq, (2.0 * a / (2 * degs + 1)) ** 2)
+        # c and the system's column and diagonal, built per degree, are
+        # bitwise their formulas over the flat arrays
+        s0sq, eta = sphere_operator_eigenvalue(a, degs) ** 2, max(1.0, k)
+        c = 1j * k * a * a * table.jn + 1j * eta * s0sq * 1j * k * k * a * a * table.jnp
+        np.testing.assert_array_equal(table.c, c)
+        np.testing.assert_array_equal(table.column, -2.0 * (c * table.hn))
+        np.testing.assert_array_equal(table.diagonal, 1.0 - (2.0 * (c * k * table.hnp) + 1.0))
 
         geom = ObstacleGeometry(radius=a)
 
@@ -302,8 +311,8 @@ class TestWaveIndependentOfCoupling:
             return wave.amplitudes, farfield(wave, ctx, rule).samples, u, dnu
 
         def system(eta):
-            return assemble_combined_system(ctx.modal(GEOM.radius, 20),
-                                            multiplication_operator(lam, 20), eta).entries
+            return assemble_combined_system(ModalTable(k, GEOM.radius, 20, eta),
+                                            multiplication_operator(lam, 20)).entries
 
         ref_amps, *ref = fields(None)
         ref_system = system(layer_ops.default_coupling(k))
@@ -315,6 +324,18 @@ class TestWaveIndependentOfCoupling:
             for a, b in zip(got, ref):
                 assert np.sqrt(rule.integrate(np.abs(a - b) ** 2).real) <= 1e-13 * np.sqrt(
                     rule.integrate(np.abs(b) ** 2).real)
+
+    def test_solve_assembles_at_its_eta(self, monkeypatch):
+        # an explicit η reaches the system the solve assembles, on a table of
+        # its own that the context does not keep; None takes the context's
+        ctx, lam, seen = WaveContext(k=2.0, omega=ZHAT), ImpedanceField.constant(1.5), []
+        assemble = forward.assemble_combined_system
+        monkeypatch.setattr(forward, "assemble_combined_system",
+                            lambda table, mult: seen.append(table) or assemble(table, mult))
+        solve_density(ctx, GEOM, lam, None, 12)
+        solve_density(ctx, GEOM, lam, 0.5, 12)
+        assert [table.eta for table in seen] == [2.0, 0.5]
+        assert ctx.modal(GEOM.radius, 12) is seen[0]
 
 
 class TestDenseCombinedFieldOracle:
@@ -350,7 +371,7 @@ class TestSingularityCheck:
 
     def assembled(self):
         return np.diag(dense(assemble_combined_system(
-            ModalTable(1.0, 1.0, self.nb), multiplication_operator(self.lam, self.nb), 1.0)))
+            ModalTable(1.0, 1.0, self.nb, 1.0), multiplication_operator(self.lam, self.nb))))
 
     def solve_with(self, monkeypatch, system):
         monkeypatch.setattr(forward, "assemble_combined_system",

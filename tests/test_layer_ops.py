@@ -20,7 +20,6 @@ from impscat.layer_ops import (
     assemble_combined_system,
     assemble_multiplication,
     default_coupling,
-    exterior_trace_operators,
     multiplication_operator,
     sphere_operator_eigenvalue,
 )
@@ -57,9 +56,9 @@ def field_above(floor, variation, lam_band, seed):
 
 
 def system_for(lam, band_limit, k=1.0, a=1.0, eta=1.0):
-    """The combined system of ``lam`` at (k, a, N), with its M_{iλ}."""
-    return assemble_combined_system(ModalTable(k, a, band_limit),
-                                    multiplication_operator(lam, band_limit), eta)
+    """The combined system of ``lam`` at (k, a, N) and coupling η, with its M_{iλ}."""
+    return assemble_combined_system(ModalTable(k, a, band_limit, eta),
+                                    multiplication_operator(lam, band_limit))
 
 
 def legendre_bar(n, mu):
@@ -307,23 +306,40 @@ class TestCombinedSystem:
         # ka = 4.49... is near the first Dirichlet eigenvalue of the ball
         mult = multiplication_operator(ImpedanceField.constant(1.0), 12)
         for k in (1.0, 2.0, np.pi, 4.493409457909064):
-            system = assemble_combined_system(ModalTable(k, 1.0, 12), mult,
-                                              default_coupling(k))
+            system = assemble_combined_system(ModalTable(k, 1.0, 12), mult)
             # the system is diagonal: its singular values are |entries|
             smin = np.abs(np.diag(dense(system))).min()
             assert smin > 1e-6
 
     def test_singularity_raised_without_coupling_balance(self):
-        # eta = 0 is rejected outright: the ansatz loses its uniqueness fix
-        with pytest.raises(ValueError):
-            assemble_combined_system(ModalTable(1.0, 1.0, 8),
-                                     multiplication_operator(ImpedanceField.constant(1.0), 8),
-                                     0.0)
+        # eta = 0 is rejected outright, by the table that every system is
+        # built from: the ansatz loses its uniqueness fix
+        with pytest.raises(ValueError, match="eta must be nonzero"):
+            ModalTable(1.0, 1.0, 8, 0.0)
 
     def test_linearity_in_impedance(self):
         a0, a1, a2 = (system_for(ImpedanceField.constant(lam0), 8) for lam0 in (0.0, 1.0, 2.0))
         assert np.allclose(a2.entries - a1.entries, a1.entries - a0.entries,
                            atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.floats(-1.0, 1.5).map(lambda e: 10.0 ** e), band_limit=st.integers(1, 30),
+           lam_band=st.integers(0, 4), eta=st.sampled_from([None, 0.5, 3.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_impedance_step_is_the_column(self, k, band_limit, lam_band, eta, seed):
+        # A(λ₀ + h) − A(λ₀) = M_{ih}·diag(column): the stability sweep's B
+        # is the step of the system it perturbs, to the rounding of the two
+        # systems that the difference is taken of
+        rng = np.random.default_rng(seed)
+        base, step = rng.normal(size=(2, num_harmonics(lam_band)))
+        table = ModalTable(k, 1.0, band_limit, eta)
+        perturbed, unperturbed = (
+            assemble_combined_system(table, assemble_multiplication(coeffs, band_limit)).entries
+            for coeffs in (base + step, base))
+        mult_h = assemble_multiplication(step, band_limit)
+        expected = mult_h.entries * table.column[mult_h.pattern.columns]
+        assert np.linalg.norm(perturbed - unperturbed - expected) \
+            <= 1e-14 * (np.linalg.norm(perturbed) + np.linalg.norm(unperturbed))
 
     def test_variable_constant_agreement(self):
         # a "variable" field that happens to be constant matches the fast path
@@ -339,7 +355,7 @@ class TestCombinedSystem:
         lam = ImpedanceField(coefficients=np.array([1.5 * np.sqrt(4 * np.pi), 0.0, 0.2, 0.0]))
         assert not lam.is_constant
         built = dense(assemble_combined_system(
-            ModalTable(1.0, 1.0, 8), assemble_multiplication(lam.coefficients, 8), 1.0))
+            ModalTable(1.0, 1.0, 8, 1.0), assemble_multiplication(lam.coefficients, 8)))
         const = system_for(ImpedanceField.constant(1.5), 8)
         np.testing.assert_allclose(np.diag(built), np.diag(dense(const)),
                                    rtol=0.0, atol=1e-12)
@@ -349,19 +365,20 @@ class TestCombinedSystem:
     def test_diagonal_entries_as_through_the_pattern(self, k):
         # at b = 0 the pattern's columns and diagonal are the range 0..n:
         # the gather and scatter-add through them are bitwise the
-        # elementwise diagonal formula
-        table, eta = ModalTable(k, 1.0, 24), default_coupling(k)
+        # elementwise diagonal formula of the traces c·h_n and c·k·h_n'
+        table = ModalTable(k, 1.0, 24)
         mult = multiplication_operator(ImpedanceField.constant(1.3), 24)
-        trace, dtrace = exterior_trace_operators(table, eta)
+        trace, dtrace = table.c * table.hn, table.c * table.k * table.hnp
         expected = mult.entries * (-2.0 * trace) + (1.0 - (2.0 * dtrace + 1.0))
-        np.testing.assert_array_equal(assemble_combined_system(table, mult, eta).entries,
+        np.testing.assert_array_equal(assemble_combined_system(table, mult).entries,
                                       expected)
 
     def test_exterior_traces_satisfy_impedance_condition(self):
         # the assembled system is exactly the impedance condition applied
         # to the traces: A = I - (2 dtrace + 1) - 2 i lambda trace
         k, a, eta, lam0, nb = 1.0, 1.0, 1.0, 1.0, 10
-        tr, dtr = exterior_trace_operators(ModalTable(k, a, nb), eta)
+        table = ModalTable(k, a, nb, eta)
+        tr, dtr = table.c * table.hn, table.c * table.k * table.hnp
         system = system_for(ImpedanceField.constant(lam0), nb, k, a, eta)
         expected = 1.0 - ((2.0 * dtr + 1.0) + 1j * lam0 * 2.0 * tr)
         assert np.allclose(np.diag(dense(system)), expected, atol=1e-12)
@@ -371,13 +388,14 @@ class TestCombinedSystem:
         # the Wronskian form equals the S/K/T/S0 form of both traces
         a, nb = 1.0, 40
         eta = default_coupling(k)
-        table = ModalTable(k, a, nb)
-        tr, dtr = exterior_trace_operators(table, eta)
+        table = ModalTable(k, a, nb)  # η defaults to max(1, k)
+        tr, dtr = table.c * table.hn, table.c * table.k * table.hnp
         s, kk, t = (layer_eigenvalue(kind, k, a, np.arange(nb + 1))[harmonic_degrees(nb)]
                     for kind in ("S", "K", "T"))
-        np.testing.assert_allclose(tr, 0.5 * (s + 1j * eta * (kk + 1.0) * table.s0sq),
+        s0sq = sphere_operator_eigenvalue(a, harmonic_degrees(nb)) ** 2
+        np.testing.assert_allclose(tr, 0.5 * (s + 1j * eta * (kk + 1.0) * s0sq),
                                    rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(dtr, 0.5 * (kk - 1.0 + 1j * eta * t * table.s0sq),
+        np.testing.assert_allclose(dtr, 0.5 * (kk - 1.0 + 1j * eta * t * s0sq),
                                    rtol=1e-12, atol=0.0)
 
 
@@ -447,13 +465,13 @@ class TestBandPattern:
 
     @pytest.mark.parametrize("band_limit", [0, 3, 24])
     def test_identity_pattern_is_one_range(self, band_limit):
-        # N_λ = 0: columns, starts and diagonal are read-only views of one
-        # 0..n; lu_dest takes entry r to its m-major position
+        # N_λ = 0, from the general pattern code: columns, starts and
+        # diagonal are each the range 0..n, and lu_dest takes entry r to its
+        # m-major position
         pattern, size = layer_ops._band_pattern(band_limit, 0), num_harmonics(band_limit)
         assert pattern.b == 0
         for arr in (pattern.columns, pattern.starts, pattern.diagonal):
             np.testing.assert_array_equal(arr, np.arange(size))
-            assert np.shares_memory(arr, pattern.columns)
         np.testing.assert_array_equal(pattern.lu_dest, np.argsort(_m_major(band_limit)[0]))
         assert not any(arr.flags.writeable for arr in pattern[1:])
 
@@ -517,12 +535,15 @@ class TestBandSolve:
         expected[perm] = gbtrs(lu, 0, 0, rhs[perm], piv)[0]
         x = system.solve(rhs)
         assert np.max(np.abs(x - expected) / np.abs(expected)) <= 1e-15
-        # the exact 1-norm rcond of a diagonal against LAPACK's estimate
+        # the certificate of a diagonal: q = 0, and its bound is the exact
+        # 1-norm rcond min|d| / max|d|, against LAPACK's estimate
+        size = np.abs(diagonal)
+        q, bound = system._jacobi_certificate()
+        assert (q, bound) == (0.0, size.min() / size.max())
         matrix = dense(system)
         dense_lu, _ = lu_factor(matrix)
         gecon = get_lapack_funcs("gecon", (dense_lu,))
-        assert layer_ops._diagonal_rcond(diagonal) == pytest.approx(
-            gecon(dense_lu, np.linalg.norm(matrix, 1))[0], rel=1e-12)
+        assert bound == pytest.approx(gecon(dense_lu, np.linalg.norm(matrix, 1))[0], rel=1e-12)
 
     def test_entries_must_fill_their_pattern(self):
         pattern = layer_ops._band_pattern(4, 1)
@@ -651,7 +672,14 @@ class TestHankelOverflow:
         with pytest.raises(NumericalError,
                            match=re.escape(f"overflows at degree 0, a = {a:g}") + "$"):
             ModalTable(1.0, a, 4)
-        assert np.isfinite(ModalTable(1.0, 6.7e153, 4).s0sq[0])
+        assert np.isfinite(sphere_operator_eigenvalue(6.7e153, 0) ** 2)
+
+    def test_modal_table_names_an_overflowing_coefficient(self):
+        # below the S₀² overflow, c_n = ika²(j_n + iηS₀²k j_n') overflows
+        # first: the table raises on construction, before any solve
+        with pytest.raises(NumericalError,
+                           match=re.escape("c_n overflows at degree 0, ka = 6.7e+153") + "$"):
+            ModalTable(1.0, 6.7e153, 4)
 
     def test_eigenvalues_raise_past_the_overflow(self):
         with pytest.raises(NumericalError):
