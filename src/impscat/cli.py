@@ -3,8 +3,13 @@
 One subcommand per job type.  Every subcommand takes the same arguments:
 a JSON config file plus repeated ``--set key=value`` overrides.  All
 outputs are written atomically (temp file in the target directory, then
-rename); every JSON summary embeds the fully resolved config.  Exit codes:
-0 success, 1 configuration/validation error, 2 numerical failure.
+rename); every JSON summary embeds the fully resolved config.  A summary
+is written in one pass by ``summary_text``: keys sorted, a two-space
+indent, ASCII escapes, a non-finite scalar as ``"inf"``, ``"-inf"`` or
+``"nan"`` and a non-finite array element as ``NaN`` or ``±Infinity``, and
+one newline at the end (what ``json.dumps(..., indent=2, sort_keys=True)``
+writes).  Exit codes: 0 success, 1 configuration/validation error, 2
+numerical failure.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import math
 import os
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -164,15 +170,20 @@ def build_geometry(cfg: dict) -> geometry.ObstacleGeometry:
 # ---------------------------------------------------------------------------
 
 def atomic_write_text(path: str, text: str):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write ``text`` to a temp file in the directory of ``path``, then
+    rename it to ``path``.  A failure leaves no temp file behind, and an
+    ``OSError`` names ``path``, not the temp file, with its strerror."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -198,41 +209,102 @@ def sweep_csv(sweep: stability.StabilitySweep) -> str:
         for r in sweep.records)
 
 
+def _float_text(value) -> str:
+    """A float outside an array: ``repr`` if finite, else its str quoted
+    (``"inf"``, ``"-inf"``, ``"nan"``)."""
+    text = float.__repr__(value)
+    return text if math.isfinite(value) else f'"{text}"'
+
+
+def _element_text(value) -> str:
+    """A float inside an array: ``repr`` if finite, else ``NaN`` or
+    ``±Infinity``."""
+    if math.isfinite(value):
+        return float.__repr__(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
+# the text of a value by its exact type, outside an array and inside one
+_ATOMS = {str: encode_basestring_ascii, int: int.__repr__, type(None): lambda _: "null",
+          bool: {True: "true", False: "false"}.__getitem__,
+          float: _float_text, np.float64: _float_text}
+_ELEMENTS = {**_ATOMS, float: _element_text, np.float64: _element_text}
+
+
+def _write(value, indent: str, out: list, atoms: dict):
+    """Append the text of ``value`` to ``out``, ``indent`` being that of its
+    line.  An exact type in ``atoms`` is written by it, and a dict (keys
+    sorted), list or tuple item by item, one item a line.  An array is
+    written as its ``tolist()``, by ``_ELEMENTS``, and any other numpy
+    scalar as its ``item()``.  A str, int or float subclass is written as
+    its base; anything else is a TypeError."""
+    text = atoms.get(type(value))
+    if text is not None:
+        out.append(text(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        opening, separator = "{\n" + inner, ",\n" + inner
+        for key, item in sorted(value.items()):
+            text = atoms.get(type(item))
+            if text is None:
+                out.append(f"{opening}{encode_basestring_ascii(key)}: ")
+                _write(item, inner, out, atoms)
+            else:
+                out.append(f"{opening}{encode_basestring_ascii(key)}: {text(item)}")
+            opening = separator
+        out.append("\n" + indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        opening, separator = "[\n" + inner, ",\n" + inner
+        for item in value:
+            text = atoms.get(type(item))
+            if text is None:
+                out.append(opening)
+                _write(item, inner, out, atoms)
+            else:
+                out.append(opening + text(item))
+            opening = separator
+        out.append("\n" + indent + "]")
+    elif atoms is _ATOMS and isinstance(value, np.ndarray):
+        _write(value.tolist(), indent, out, _ELEMENTS)
+    elif atoms is _ATOMS and isinstance(value, np.generic) and not isinstance(value.item(), np.generic):
+        # a longdouble's item() is itself: it falls through to the TypeError
+        _write(value.item(), indent, out, atoms)
+    else:
+        for base in (str, int, float):
+            if isinstance(value, base):
+                out.append(atoms[base](value))
+                return
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def summary_text(cfg: dict, payload: dict) -> str:
+    """The JSON summary of a job: ``payload`` and, under ``"config"``, the
+    resolved ``cfg``, in the layout the module docstring gives, the bytes of
+    ``json.dumps(..., indent=2, sort_keys=True)`` on the record with numpy
+    values made Python ones.  Every key is a str."""
+    out = []
+    _write({"config": cfg, **payload}, "", out, _ATOMS)
+    out.append("\n")
+    return "".join(out)
+
+
 def emit_summary(cfg: dict, payload: dict):
-    record = {"config": _jsonable(cfg), **_jsonable(payload)}
-    text = json.dumps(record, indent=2, sort_keys=True) + "\n"
+    """Write the job's summary, the text of :func:`summary_text` (sorted
+    keys, two-space indent, ASCII escapes, non-finite scalars quoted, one
+    newline at the end), to ``cfg["summary"]`` by :func:`atomic_write_text`
+    if set, else to stdout."""
+    text = summary_text(cfg, payload)
     if cfg.get("summary"):
         atomic_write_text(cfg["summary"], text)
     else:
         sys.stdout.write(text)
-
-
-# the types that ``_jsonable`` returns as they are
-_JSON_ATOMS = frozenset({str, int, bool, type(None)})
-
-
-def _jsonable(obj):
-    """``obj`` for ``json.dumps``: containers rebuilt, numpy values as
-    Python ones, and a non-finite float (but not one inside an array) as its
-    str.  It dispatches on the exact type first, so that the plain values and
-    floats, nearly all of a summary, take one test each."""
-    kind = type(obj)
-    if kind in _JSON_ATOMS:
-        return obj
-    if kind is float or kind is np.float64:
-        obj = float(obj)
-        return obj if math.isfinite(obj) else str(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.generic):
-        obj = obj.item()
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return str(obj)
-    return obj
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,12 @@ So do the dense reader and writer of a system's kept entries (no test
 reads or writes a pattern's layout but through them), the product by
 scipy's compressed sparse rows that the package's numpy product is checked
 against, and the per-degree loop versions of the harmonic layer, which the
-package's gathers must equal to the byte.
+package's gathers must equal to the byte.  So does the summary text by
+``json.dumps``, which the CLI's one-pass writer must equal to the byte.
 """
 
+import json
+import math
 from dataclasses import dataclass, field
 from math import isqrt
 
@@ -381,3 +384,37 @@ def point_source(k: float, source) -> TestFunction:
         return -k * k * val(x)
 
     return TestFunction(val, grad, lap, k)
+
+
+# the types that ``_jsonable`` returns as they are
+_JSON_ATOMS = frozenset({str, int, bool, type(None)})
+
+
+def _jsonable(obj):
+    """``obj`` for ``json.dumps``: containers rebuilt, numpy values as
+    Python ones, and a non-finite float (but not one inside an array) as its
+    str."""
+    kind = type(obj)
+    if kind in _JSON_ATOMS:
+        return obj
+    if kind is float or kind is np.float64:
+        obj = float(obj)
+        return obj if math.isfinite(obj) else str(obj)
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
+    return obj
+
+
+def summary_text(cfg: dict, payload: dict) -> str:
+    """A job's JSON summary as ``json.dumps`` writes it, indent 2 and keys
+    sorted: the text the CLI wrote before its one-pass writer."""
+    record = {"config": _jsonable(cfg), **_jsonable(payload)}
+    return json.dumps(record, indent=2, sort_keys=True) + "\n"

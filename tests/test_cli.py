@@ -1,6 +1,8 @@
 """CLI: config parsing, exit codes, deterministic artifacts."""
 
 import csv
+import enum
+import errno
 import io
 import json
 import math
@@ -11,6 +13,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import impscat
 
@@ -27,6 +32,7 @@ from impscat.cli import (
     farfield_csv,
     load_config,
     main,
+    summary_text,
     sweep_csv,
     validate_common,
 )
@@ -37,6 +43,7 @@ from impscat.specfun import gauss_product_rule
 from impscat.stability import StabilityRecord, StabilitySweep
 
 from oracle import Recorded
+from oracle import summary_text as json_summary_text
 
 
 def write_config(tmp_path, name, payload):
@@ -288,6 +295,21 @@ class TestExitCodes:
         assert main(["farfield", path, "--set", f"output={out}"]) == EXIT_VALIDATION
         assert json.loads(capsys.readouterr().err)["error"] == "validation"
 
+    @pytest.mark.parametrize("key", ["summary", "output"])
+    @pytest.mark.parametrize("target,code", [("absent/out.txt", errno.ENOENT),
+                                             ("taken", errno.EISDIR)])
+    def test_failed_write_names_its_target(self, tmp_path, capsys, key, target, code):
+        # a missing directory fails at the temp file, a directory target at
+        # the rename: either way the record names the target, and no temp
+        # file is left behind
+        (tmp_path / "taken").mkdir()
+        path = write_config(tmp_path, "c.json", {"band_limit": 16})
+        out = str(tmp_path / target)
+        assert main(["farfield", path, "--set", f"{key}={out}"]) == EXIT_VALIDATION
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "validation", "message": f"[Errno {code}] {os.strerror(code)}: {out!r}"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "taken"]
+
     def test_missing_config(self, capsys):
         assert main(["farfield", "/nonexistent/cfg.json"]) == EXIT_VALIDATION
 
@@ -317,6 +339,39 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().err) == {"error": "numerical", "message": "no room"}
 
 
+# summary values: every kind the writer dispatches on, with the edge floats
+# (±0, subnormals, ±inf, NaN) drawn often, full-unicode keys and strings
+# (lone surrogates, quotes and control characters too), and ints past 64 bits
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, math.inf, -math.inf, math.nan, 1e300, 0.1]
+_floats = st.floats() | st.sampled_from(_EDGE_FLOATS)
+_texts = st.text(st.characters(exclude_categories=())) | st.text('"\\/\x00\x1f\x7f\n\t\u2028é')
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 200, 2 ** 200), _floats, _texts,
+    _floats.map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.booleans().map(np.bool_),
+    arrays(np.float64, array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4),
+           elements=_floats))
+_values = st.recursive(_scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.lists(inner, max_size=3).map(tuple),
+    st.dictionaries(_texts, inner, max_size=3)), max_leaves=8)
+
+
+class _Color(enum.IntEnum):
+    RED = 1
+
+
+class _Text(str):
+    pass
+
+
+def _holding(item) -> np.ndarray:
+    """A one-item object array of ``item``, which numpy would otherwise
+    unpack."""
+    out = np.empty(1, dtype=object)
+    out[0] = item
+    return out
+
+
 class TestArtifacts:
     def test_summary_text_is_pinned(self, capsys):
         # numpy scalars and arrays, tuples, inf and NaN, nested: the exact
@@ -335,6 +390,31 @@ class TestArtifacts:
             '  "non_finite": [\n    "nan",\n    "-inf",\n    "-inf"\n  ],\n'
             '  "plain": [\n    0.1,\n    -0.0,\n    7,\n    false,\n    1e+300\n  ],\n'
             '  "scalars": [\n    0.1,\n    -3,\n    0.25,\n    true\n  ]\n}\n')
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=st.dictionaries(_texts, _scalars, max_size=2),
+           payload=st.dictionaries(_texts, _values, max_size=3))
+    def test_summary_text_equals_json_dumps(self, cfg, payload):
+        assert summary_text(cfg, payload) == json_summary_text(cfg, payload)
+
+    def test_summary_text_equals_json_dumps_on_subclasses_and_object_arrays(self):
+        # subclasses of str, int and float are written as their base; an
+        # object array's items as json writes them, numpy floats included
+        payload = {"enum": _Color.RED, "text": _Text("é\""), "numpy_text": np.str_("x"),
+                   "objects": np.array([1.5, np.float64("nan"), "x", None, True], dtype=object),
+                   "empty": np.zeros((2, 0)), "zero_d": np.array(-np.inf),
+                   "config": {"shadowed": True}}
+        assert summary_text({"k": 1.0}, payload) == json_summary_text({"k": 1.0}, payload)
+
+    @pytest.mark.parametrize("value", [
+        1j, np.complex128(1j), np.array([1j]), {1, 2}, b"bytes", object(),
+        _holding(np.int64(1)), _holding(np.zeros(1)), np.longdouble(1),
+    ], ids=["complex", "numpy-complex", "complex-array", "set", "bytes", "object",
+            "int64-in-object-array", "array-in-object-array", "longdouble"])
+    def test_unwritable_value_is_a_type_error(self, value):
+        for render in (summary_text, json_summary_text):
+            with pytest.raises(TypeError):
+                render({}, {"value": [value]})
 
     def test_farfield_csv_header_and_determinism(self, tmp_path, capsys):
         out1 = tmp_path / "a.csv"
@@ -823,6 +903,18 @@ def test_far_center_three_sphere_writes_one_validation_record(tmp_path, capsys, 
     record = json.loads(err)
     assert record["error"] == "validation"
     assert record["message"].startswith("center [") and "r = 0.2" in record["message"]
+
+
+@pytest.mark.parametrize("command", sorted(HANDLERS))
+def test_default_summary_is_sorted_indented_ascii_json(tmp_path, capsys, command):
+    # the summary contract through the whole CLI: what json.dumps writes
+    # with indent 2 and sorted keys, ASCII only, one newline at the end
+    path = write_config(tmp_path, "c.json", {})
+    out = tmp_path / "summary.json"
+    assert main([command, path, "--set", f"summary={out}"]) == EXIT_OK
+    text = out.read_text()
+    assert text.isascii()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 def test_three_sphere_default_summary_is_pinned(tmp_path, capsys):
