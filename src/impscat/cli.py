@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import carleman, forward, geometry, layer_ops, stability
-from .specfun import gauss_product_rule
+from .specfun import QuadratureRule, gauss_product_rule
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -187,19 +187,31 @@ def atomic_write_text(path: str, text: str):
         raise
 
 
-def farfield_csv(ff: forward.FarField) -> str:
-    """One ``theta,phi,re_uinf,im_uinf`` row per node, in the rule's
-    ring-major order, every float as ``%.17g``.  θ takes one value per ring
-    and φ one per azimuth, so each is formatted once and only the samples
-    are formatted per row."""
-    rule = ff.rule
+def _farfield_rows(rule: QuadratureRule) -> str:
+    """The far-field CSV of ``rule`` as one ``%`` template: the header, then
+    per node its ring's θ and its azimuth's φ, each formatted ``%.17g,``
+    once, and ``%.17g,%.17g`` for the two sample values.  The θ and φ text
+    holds no ``%``, so the template takes exactly 2·npts floats."""
     theta = np.arccos(np.clip(rule.mu[::rule.azimuths], -1.0, 1.0))
     rings = ["%.17g," % t for t in theta.tolist()]
-    azimuths = ["%.17g," % p for p in rule.phi[:rule.azimuths].tolist()]
-    prefixes = [t + p for t in rings for p in azimuths]
-    rows = zip(prefixes, ff.samples.real.tolist(), ff.samples.imag.tolist())
-    return "theta,phi,re_uinf,im_uinf\n" + "".join(
-        "%s%.17g,%.17g\n" % row for row in rows)
+    azimuths = ["%.17g,%%.17g,%%.17g\n" % p for p in rule.phi[:rule.azimuths].tolist()]
+    # a ring's rows are θ + φ_0, θ + φ_1, …: θ before the first and between
+    return "theta,phi,re_uinf,im_uinf\n" + "".join(t + t.join(azimuths) for t in rings)
+
+
+def farfield_csv(ff: forward.FarField) -> str:
+    """One ``theta,phi,re_uinf,im_uinf`` row per node, in the rule's
+    ring-major order, every float as ``%.17g``.  The text the rule fixes
+    (the header, each ring's θ and each azimuth's φ, each formatted once)
+    becomes one template, ``_farfield_rows``, and a single ``%`` fills in
+    the sample values, into the same bytes as a per-row writer.  A sample
+    count other than the rule's node count is a ValueError."""
+    rule, samples = ff.rule, ff.samples
+    if samples.shape != (rule.npts,):
+        raise ValueError(f"{samples.size} far-field samples of shape {samples.shape} "
+                         f"for the {rule.npts} nodes of the order-{rule.order} rule")
+    values = np.column_stack((samples.real, samples.imag)).ravel().tolist()
+    return _farfield_rows(rule) % tuple(values)
 
 
 def sweep_csv(sweep: stability.StabilitySweep) -> str:

@@ -19,7 +19,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 import impscat
 
-from impscat import carleman, stability
+from impscat import carleman, cli, stability
 from impscat.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -467,6 +467,31 @@ class TestArtifacts:
         ff = mie_farfield(WaveContext(k=3.0, omega=np.array([0.6, 0.0, 0.8])), 1.0, 0.5)
         assert ff.rule is gauss_product_rule(ff.rule.order)  # the default rule
         assert farfield_csv(ff) == self._per_row_csv(ff)
+
+    def test_farfield_csv_template_per_rule(self):
+        # one template per rule: interleaved rules, a rule met again, the
+        # Mie default rule and strided samples all give the per-row bytes
+        mie = mie_farfield(WaveContext(k=2.0, omega=np.array([0.0, 0.6, 0.8])), 1.0, 1.5)
+        for band_limit in (1, 24, 40, 24, mie.rule.order, 1):
+            rule = gauss_product_rule(band_limit)
+            rng = np.random.default_rng(band_limit)
+            wide = rng.normal(size=2 * rule.npts) + 1j * rng.normal(size=2 * rule.npts)
+            for samples in (wide[::2], wide[1::2].copy()):
+                ff = FarField(samples=samples, rule=rule)
+                assert farfield_csv(ff) == self._per_row_csv(ff)
+            assert farfield_csv(mie) == self._per_row_csv(mie)
+        tail = ",%.17g,%.17g"  # the two sample values; θ and φ hold no %
+        for band_limit in (1, 24, 40, mie.rule.order):
+            header, *rows = cli._farfield_rows(gauss_product_rule(band_limit)).splitlines()
+            assert "%" not in header
+            assert all(row.endswith(tail) and "%" not in row[:-len(tail)] for row in rows)
+
+    @pytest.mark.parametrize("count", [5, 40])
+    def test_farfield_csv_refuses_a_sample_count_off_the_rule(self, count):
+        # the order-2 rule has 18 nodes: neither rows nor samples are dropped
+        ff = FarField(samples=np.ones(count, dtype=complex), rule=gauss_product_rule(2))
+        with pytest.raises(ValueError, match=rf"^{count} far-field samples .* the 18 nodes"):
+            farfield_csv(ff)
 
     def test_high_frequency_farfield(self, tmp_path, capsys):
         # the dense synthesis matrix would need 8.8 GiB here
